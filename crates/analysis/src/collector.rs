@@ -1,12 +1,11 @@
 //! The streaming statistics collector: one pass over labeled flows feeds
 //! every table and figure of the paper.
 //!
-//! The collector is now a thin classification driver: it runs each flow
+//! The collector is a thin classification driver: it runs each flow
 //! through the sans-IO `tamper-core` classifier and folds the result
 //! into the [`PartialAggregate`] it owns — the pure, serializable
-//! aggregation layer in [`crate::agg`]. Reads pass through via `Deref`,
-//! so downstream code sees the same counters it always did; the
-//! aggregate itself can be encoded to a `.agg` file
+//! aggregation layer in [`crate::agg`]. Reads pass through via `Deref`;
+//! the aggregate itself can be encoded to a `.agg` file
 //! ([`crate::aggfile`]) and merged across PoPs without losing
 //! byte-equality with a single-machine run.
 
@@ -48,9 +47,7 @@ impl Collector {
         }
     }
 
-    /// Classify and record one flow (through the sans-IO [`FlowMachine`];
-    /// differentially tested against the legacy classifier in
-    /// `tests/state_machine.rs`).
+    /// Classify and record one flow through the sans-IO [`FlowMachine`].
     pub fn observe(&mut self, lf: &LabeledFlow) {
         let analysis = self.machine.analyze(&lf.flow);
         self.agg.record(lf, &analysis);
@@ -144,7 +141,7 @@ mod tests {
         };
         let mut serial = mk();
         sim.run(|lf| serial.observe(&lf));
-        let sharded = sim.run_sharded(4, mk, |c, lf| c.observe(&lf), |a, b| a.merge(b));
+        let sharded = sim.run_sharded(4, None, mk, |c, lf| c.observe(&lf), |a, b| a.merge(b));
         assert_eq!(serial.total, sharded.total);
         assert_eq!(serial.possibly_tampered, sharded.possibly_tampered);
         assert_eq!(serial.country_class, sharded.country_class);

@@ -79,10 +79,7 @@ pub fn metrics_to_json(snap: &Snapshot) -> String {
     scopes.push(']');
     JsonObject::new()
         .str("kind", "metrics")
-        .uint(
-            "flows_closed",
-            snap.counter_sum("shard", "flows_closed") + snap.counter_sum("offline", "flows_closed"),
-        )
+        .uint("flows_closed", snap.counter_sum("shard", "flows_closed"))
         .raw("scopes", &scopes)
         .finish()
 }

@@ -48,11 +48,6 @@ impl Cdf {
         let idx = ((q * self.sorted.len() as f64).ceil() as usize).clamp(1, self.sorted.len()) - 1;
         self.sorted[idx]
     }
-
-    /// Evaluate at a set of points, yielding (x, F(x)) pairs.
-    pub fn evaluate(&self, points: &[f64]) -> Vec<(f64, f64)> {
-        points.iter().map(|&x| (x, self.at(x))).collect()
-    }
 }
 
 /// Least-squares slope of y on x **through the origin** — the comparison

@@ -34,6 +34,7 @@ fn run_with_classifier(sim: &WorldSim, cfg: ClassifierConfig) -> Collector {
         .unwrap_or(4);
     sim.run_sharded(
         threads,
+        None,
         || {
             Collector::new(
                 cfg,

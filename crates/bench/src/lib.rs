@@ -50,6 +50,7 @@ pub fn run_pipeline(sim: &WorldSim) -> Collector {
         .unwrap_or(4);
     sim.run_sharded(
         threads,
+        None,
         || collector_for(sim),
         |c, lf| c.observe(&lf),
         |a, b| a.merge(b),

@@ -3,19 +3,19 @@
 //! One reader thread pulls work items off a [`FlowSource`] and fans them
 //! out over bounded channels to N worker shards chosen by the source's
 //! pure routing function. Each shard owns the source's worker-side state
-//! (for pcap: a slice of the flow table, see [`FlowTable`]), turns items
-//! into finished flows *as the stream runs*, and folds every emitted flow
-//! into a caller-supplied accumulator. The per-shard accumulators are
-//! merged in shard order at the end, so the result is byte-identical for
-//! any thread count.
+//! (for pcap: a slice of the flow table, see [`ColumnarFlowTable`]), turns
+//! items into finished flows *as the stream runs*, and folds every emitted
+//! output into a caller-supplied accumulator. The per-shard accumulators
+//! are merged in shard order at the end, so the result is byte-identical
+//! for any thread count.
 //!
-//! The front-ends live in [`crate::source`]: [`PcapSource`] (raw capture
-//! bytes), [`crate::source::RecordSource`] (assembled [`crate::FlowRecord`]
-//! streams), and [`crate::source::SimSource`] (deterministic generators —
-//! `worldgen` worlds stream straight in with no intermediate pcap and no
-//! second sharding implementation).
+//! The two front-ends live in [`crate::source`]:
+//! [`crate::source::PcapMemSource`] (an in-memory capture, emitting
+//! columnar [`crate::FlowBatch`]es) and [`crate::source::SimSource`]
+//! (deterministic generators — `worldgen` worlds stream straight in with
+//! no intermediate pcap and no second sharding implementation).
 //!
-//! [`FlowTable`]: crate::offline::FlowTable
+//! [`ColumnarFlowTable`]: crate::offline::ColumnarFlowTable
 //!
 //! # Determinism
 //!
@@ -40,8 +40,8 @@
 //! counters ([`EngineStats::channel_stalls`], [`EngineStats::threads`],
 //! [`EngineStats::max_live_flows`]) and anything published to an attached
 //! [`tamper_obs::Registry`]; callers must keep both out of any
-//! byte-compared report. [`run_source_observed`] wires the registry
-//! through the reader, every shard, and the merge step.
+//! byte-compared report. [`run_source`] wires the registry through the
+//! reader, every shard, and the merge step.
 //!
 //! # Memory bound
 //!
@@ -52,16 +52,19 @@
 //! Channels are bounded, so a slow shard backpressures the reader instead
 //! of growing a queue.
 
-use crate::offline::{ClosedFlow, IngestStats, OfflineConfig};
-use crate::pcap::PcapError;
-use crate::source::{FlowSource, PcapSource, ShardStats, SourceShard};
+use crate::offline::{IngestStats, OfflineConfig};
+use crate::source::{FlowSource, ShardStats, SourceShard};
 use crossbeam::channel::{bounded, Receiver, TrySendError};
-use std::io::Read;
 use std::sync::atomic::{AtomicU64, Ordering};
 use tamper_obs::{Registry, ScopeMetrics};
 
-/// Configuration for [`run_engine`] / [`run_source`].
-#[derive(Debug, Clone, Copy)]
+/// Items per channel message (amortizes channel overhead).
+const BATCH_SIZE: usize = 256;
+/// Batches in flight per shard before the reader blocks.
+const CHANNEL_CAPACITY: usize = 64;
+
+/// Configuration for [`run_source`].
+#[derive(Debug, Clone, Copy, Default)]
 pub struct EngineConfig {
     /// Flow-assembly constraints (ports, packet cap, timeout).
     pub offline: OfflineConfig,
@@ -69,22 +72,6 @@ pub struct EngineConfig {
     pub threads: usize,
     /// Global live-flow bound (0 = unbounded). Split evenly across shards.
     pub max_flows: usize,
-    /// Records per channel message (amortizes channel overhead).
-    pub batch_size: usize,
-    /// Batches in flight per shard before the reader blocks.
-    pub channel_capacity: usize,
-}
-
-impl Default for EngineConfig {
-    fn default() -> EngineConfig {
-        EngineConfig {
-            offline: OfflineConfig::default(),
-            threads: 0,
-            max_flows: 0,
-            batch_size: 256,
-            channel_capacity: 64,
-        }
-    }
 }
 
 impl EngineConfig {
@@ -120,7 +107,7 @@ pub struct EngineStats {
     /// generator indices).
     pub records: u64,
     /// Flow-assembly counters (flows, packets kept, truncated, unparsable,
-    /// not-inbound) — same meanings as the legacy single-pass path.
+    /// not-inbound).
     pub ingest: IngestStats,
     /// Flows evicted because their inactivity timeout elapsed mid-capture.
     pub evicted_timeout: u64,
@@ -166,7 +153,6 @@ where
     FO: Fn(&mut T, O),
 {
     for out in emit.drain(..) {
-        sm.count("flows_closed", 1);
         let sw = sm.start();
         observe(acc, out);
         // One clock read feeds both the stage timer and the latency
@@ -224,82 +210,13 @@ where
     )
 }
 
-/// Run the streaming engine over a pcap stream.
-///
-/// `init` builds one accumulator per shard, `observe` folds each closed
-/// flow into its shard's accumulator, and `merge` combines shard
-/// accumulators (in shard order) into the first shard's. This is the same
-/// fold/merge shape as `WorldSim::run_sharded`, so an
-/// `analysis::Collector` drops in directly.
-///
-/// A malformed global header aborts with the error; a corrupt record
-/// mid-stream ends reading with [`EngineStats::corrupt_tail`] set and
-/// everything before it processed normally.
-pub fn run_engine<R, T, FI, FO, FM>(
-    input: R,
-    cfg: &EngineConfig,
-    init: FI,
-    observe: FO,
-    merge: FM,
-) -> Result<(T, EngineStats), PcapError>
-where
-    R: Read,
-    T: Send,
-    FI: Fn() -> T + Sync,
-    FO: Fn(&mut T, ClosedFlow) + Sync,
-    FM: FnMut(&mut T, T),
-{
-    run_engine_observed(input, cfg, None, init, observe, merge)
-}
-
-/// [`run_engine`] with an optional [`Registry`] attached — the pcap
-/// instantiation of [`run_source_observed`].
-///
-/// A malformed global header aborts with the error; a corrupt record
-/// mid-stream ends reading with [`EngineStats::corrupt_tail`] set and
-/// everything before it processed normally.
-pub fn run_engine_observed<R, T, FI, FO, FM>(
-    input: R,
-    cfg: &EngineConfig,
-    obs: Option<&Registry>,
-    init: FI,
-    observe: FO,
-    merge: FM,
-) -> Result<(T, EngineStats), PcapError>
-where
-    R: Read,
-    T: Send,
-    FI: Fn() -> T + Sync,
-    FO: Fn(&mut T, ClosedFlow) + Sync,
-    FM: FnMut(&mut T, T),
-{
-    let src = PcapSource::new(input)?;
-    Ok(run_source_observed(src, cfg, obs, init, observe, merge))
-}
-
-/// Run the streaming engine over any [`FlowSource`].
-///
-/// Equivalent to [`run_source_observed`] with no registry: every
-/// instrument is disabled and the hot path performs no clock reads.
-pub fn run_source<S, T, FI, FO, FM>(
-    src: S,
-    cfg: &EngineConfig,
-    init: FI,
-    observe: FO,
-    merge: FM,
-) -> (T, EngineStats)
-where
-    S: FlowSource,
-    T: Send,
-    FI: Fn() -> T + Sync,
-    FO: Fn(&mut T, S::Out) + Sync,
-    FM: FnMut(&mut T, T),
-{
-    run_source_observed(src, cfg, None, init, observe, merge)
-}
-
 /// Run the streaming engine over any [`FlowSource`], with an optional
 /// [`Registry`] attached.
+///
+/// `init` builds one accumulator per shard, `observe` folds each emitted
+/// output into its shard's accumulator, and `merge` combines shard
+/// accumulators (in shard order) into the first shard's — so an
+/// `analysis::Collector` drops in directly.
 ///
 /// When `obs` is `Some`, the run publishes a `reader` scope (pull and
 /// routing counters, channel stall accounting, whole-read timer), one
@@ -313,7 +230,7 @@ where
 /// Metric values are wall-clock and scheduling dependent; they ride the
 /// registry only, never the returned accumulator or [`EngineStats`], so
 /// attaching a registry cannot perturb byte-compared output.
-pub fn run_source_observed<S, T, FI, FO, FM>(
+pub fn run_source<S, T, FI, FO, FM>(
     mut src: S,
     cfg: &EngineConfig,
     obs: Option<&Registry>,
@@ -329,8 +246,6 @@ where
     FM: FnMut(&mut T, T),
 {
     let threads = cfg.resolved_threads();
-    let batch_size = cfg.batch_size.max(1);
-    let channel_capacity = cfg.channel_capacity.max(1);
     let final_stamp = AtomicU64::new(0);
     src.prepare(threads);
 
@@ -361,12 +276,12 @@ where
         let mut shard_stats = ShardStats::default();
         let mut acc = init();
         let mut emit: Vec<S::Out> = Vec::new();
-        let mut pulled: Vec<S::Item> = Vec::with_capacity(batch_size);
+        let mut pulled: Vec<S::Item> = Vec::with_capacity(BATCH_SIZE);
         let mut index = 0u64;
         let read_sw = rm.start();
         loop {
             pulled.clear();
-            let more = src.fill(&mut pulled, batch_size);
+            let more = src.fill(&mut pulled, BATCH_SIZE);
             for item in pulled.drain(..) {
                 stats.records += 1;
                 rm.count("records", 1);
@@ -407,7 +322,7 @@ where
             let mut senders = Vec::with_capacity(threads);
             let mut handles = Vec::with_capacity(threads);
             for i in 0..threads {
-                let (tx, rx) = bounded::<Vec<Routed<S::Item>>>(channel_capacity);
+                let (tx, rx) = bounded::<Vec<Routed<S::Item>>>(CHANNEL_CAPACITY);
                 senders.push(tx);
                 let sm = match obs {
                     Some(r) => r.scope(format!("shard{i}")),
@@ -422,7 +337,7 @@ where
             // ---- reader loop (this thread) ----
             let read_sw = rm.start();
             let mut batches: Vec<Vec<Routed<S::Item>>> = (0..threads).map(|_| Vec::new()).collect();
-            let mut pulled: Vec<S::Item> = Vec::with_capacity(batch_size);
+            let mut pulled: Vec<S::Item> = Vec::with_capacity(BATCH_SIZE);
             let mut index = 0u64;
             let flush = |shard: usize,
                          batches: &mut Vec<Vec<Routed<S::Item>>>,
@@ -452,7 +367,7 @@ where
             };
             loop {
                 pulled.clear();
-                let more = src.fill(&mut pulled, batch_size);
+                let more = src.fill(&mut pulled, BATCH_SIZE);
                 for item in pulled.drain(..) {
                     stats.records += 1;
                     rm.count("records", 1);
@@ -465,7 +380,7 @@ where
                             // tamperlint: allow(index) — shard < threads == batches.len() by the clamp above
                             batches[shard].push(Routed { index, item });
                             // tamperlint: allow(index) — same in-bounds shard as the push above
-                            if batches[shard].len() >= batch_size {
+                            if batches[shard].len() >= BATCH_SIZE {
                                 flush(shard, &mut batches, &mut stats, &mut rm);
                             }
                         }
@@ -509,7 +424,11 @@ where
     let merge_sw = mm.start();
     let mut shard_scopes: Vec<ScopeMetrics> = Vec::with_capacity(threads);
     let mut shard_outcomes: Vec<ShardOutcome<T>> = Vec::with_capacity(threads);
-    for (o, sm) in outcomes {
+    for (o, mut sm) in outcomes {
+        // Every flow a shard opens it also closes (eviction or final
+        // drain); an output may carry many flows, so count flows, not
+        // outputs.
+        sm.count("flows_closed", o.stats.ingest.flows);
         shard_outcomes.push(o);
         shard_scopes.push(sm);
     }
@@ -558,7 +477,8 @@ mod tests {
     use super::*;
     use crate::offline::EvictionCause;
     use crate::pcap::PcapWriter;
-    use crate::source::{RecordSource, SimSource};
+    use crate::record::{FlowBatch, FlowRecord};
+    use crate::source::{PcapMemSource, SimSource};
     use bytes::Bytes;
     use std::net::{IpAddr, Ipv4Addr};
     use tamper_wire::{PacketBuilder, TcpFlags};
@@ -586,18 +506,34 @@ mod tests {
             .to_vec()
     }
 
-    /// Collect every closed flow, tagged with its first-seen index.
-    fn collect_flows(bytes: &[u8], cfg: &EngineConfig) -> (Vec<ClosedFlow>, EngineStats) {
-        let (mut flows, stats) = run_engine(
-            bytes,
+    /// One closed flow: first-seen index, owned record, eviction cause.
+    type Closed = (u64, FlowRecord, EvictionCause);
+
+    /// Collect every closed flow in first-seen order.
+    fn collect_from(
+        src: PcapMemSource,
+        cfg: &EngineConfig,
+        obs: Option<&Registry>,
+    ) -> (Vec<Closed>, EngineStats) {
+        let (mut flows, stats) = run_source(
+            src,
             cfg,
+            obs,
             Vec::new,
-            |acc: &mut Vec<ClosedFlow>, cf| acc.push(cf),
+            |acc: &mut Vec<Closed>, batch: FlowBatch| {
+                for (i, span) in batch.spans().iter().enumerate() {
+                    acc.push((span.first_index, batch.materialize(i), span.cause));
+                }
+            },
             |a, mut b| a.append(&mut b),
-        )
-        .unwrap();
-        flows.sort_unstable_by_key(|cf| cf.first_index);
+        );
+        flows.sort_unstable_by_key(|&(first_index, _, _)| first_index);
         (flows, stats)
+    }
+
+    fn collect_flows(bytes: &[u8], cfg: &EngineConfig) -> (Vec<Closed>, EngineStats) {
+        let src = PcapMemSource::new(Bytes::copy_from_slice(bytes)).unwrap();
+        collect_from(src, cfg, None)
     }
 
     fn capture(n_flows: u32) -> Vec<u8> {
@@ -617,9 +553,9 @@ mod tests {
     }
 
     #[test]
-    fn engine_matches_legacy_path_for_any_thread_count() {
+    fn engine_matches_flows_from_pcap_for_any_thread_count() {
         let bytes = capture(120);
-        let (legacy_flows, legacy_stats) =
+        let (buffered_flows, buffered_stats) =
             crate::offline::flows_from_pcap(&bytes[..], &OfflineConfig::default()).unwrap();
         for threads in [1, 2, 3, 8] {
             let cfg = EngineConfig {
@@ -627,11 +563,11 @@ mod tests {
                 ..EngineConfig::default()
             };
             let (flows, stats) = collect_flows(&bytes, &cfg);
-            assert_eq!(flows.len(), legacy_flows.len(), "threads={threads}");
-            for (cf, lf) in flows.iter().zip(&legacy_flows) {
-                assert_eq!(&cf.flow, lf, "threads={threads}");
+            assert_eq!(flows.len(), buffered_flows.len(), "threads={threads}");
+            for ((_, flow, _), bf) in flows.iter().zip(&buffered_flows) {
+                assert_eq!(flow, bf, "threads={threads}");
             }
-            assert_eq!(stats.ingest, legacy_stats, "threads={threads}");
+            assert_eq!(stats.ingest, buffered_stats, "threads={threads}");
         }
     }
 
@@ -657,8 +593,8 @@ mod tests {
         assert_eq!(stats.ingest.flows, 3);
         assert_eq!(stats.evicted_timeout, 1);
         assert_eq!(stats.drained_eof, 2);
-        assert_eq!(flows[0].cause, EvictionCause::Timeout);
-        assert_eq!(flows[0].flow.observation_end_sec, 100 + 30);
+        assert_eq!(flows[0].2, EvictionCause::Timeout);
+        assert_eq!(flows[0].1.observation_end_sec, 100 + 30);
     }
 
     #[test]
@@ -737,17 +673,9 @@ mod tests {
         let (plain_flows, plain_stats) = collect_flows(&bytes, &cfg);
 
         let reg = Registry::new();
-        let (mut flows, stats) = run_engine_observed(
-            &bytes[..],
-            &cfg,
-            Some(&reg),
-            Vec::new,
-            |acc: &mut Vec<ClosedFlow>, cf| acc.push(cf),
-            |a, mut b| a.append(&mut b),
-        )
-        .unwrap();
-        flows.sort_unstable_by_key(|cf| cf.first_index);
-        assert_eq!(flows.len(), plain_flows.len());
+        let src = PcapMemSource::new(Bytes::from(bytes)).unwrap();
+        let (flows, stats) = collect_from(src, &cfg, Some(&reg));
+        assert_eq!(flows, plain_flows);
         assert_eq!(stats, plain_stats, "registry must not perturb stats");
 
         let snap = reg.snapshot();
@@ -772,125 +700,31 @@ mod tests {
     }
 
     #[test]
-    fn mem_batch_engine_matches_closed_flow_engine() {
-        use crate::record::{FlowBatch, FlowRecord};
-        use crate::source::PcapMemSource;
+    fn output_is_independent_of_batch_size() {
         let bytes = capture(300);
-        let (reference, ref_stats) = collect_flows(
-            &bytes,
-            &EngineConfig {
-                threads: 1,
-                ..EngineConfig::default()
-            },
-        );
         // Exercise cap pressure too, so every eviction cause appears.
-        for (threads, max_flows, batch_flows) in [(1, 0, 16), (2, 0, 1), (8, 0, 512), (2, 32, 7)] {
+        for (threads, max_flows) in [(1, 0), (2, 0), (8, 0), (2, 32)] {
             let cfg = EngineConfig {
                 threads,
                 max_flows,
                 ..EngineConfig::default()
             };
-            let (exp, exp_stats) = if max_flows == 0 {
-                (reference.clone(), ref_stats)
-            } else {
-                collect_flows(
-                    &bytes,
-                    &EngineConfig {
-                        threads,
-                        max_flows,
-                        ..EngineConfig::default()
-                    },
-                )
+            let run = |batch_flows: usize| {
+                let src = PcapMemSource::new(Bytes::from(bytes.clone()))
+                    .unwrap()
+                    .with_batch_flows(batch_flows);
+                collect_from(src, &cfg, None)
             };
-            let src = PcapMemSource::new(Bytes::from(bytes.clone()))
-                .unwrap()
-                .with_batch_flows(batch_flows);
-            let (mut got, stats) = run_source(
-                src,
-                &cfg,
-                Vec::new,
-                |acc: &mut Vec<(u64, FlowRecord, EvictionCause)>, batch: FlowBatch| {
-                    for (i, span) in batch.spans().iter().enumerate() {
-                        acc.push((span.first_index, batch.materialize(i), span.cause));
-                    }
-                },
-                |a, mut b| a.append(&mut b),
-            );
-            got.sort_unstable_by_key(|(idx, _, _)| *idx);
-            assert_eq!(got.len(), exp.len(), "threads={threads}");
-            for ((idx, flow, cause), cf) in got.iter().zip(&exp) {
-                assert_eq!(*idx, cf.first_index, "threads={threads}");
-                assert_eq!(flow, &cf.flow, "threads={threads}");
-                assert_eq!(*cause, cf.cause, "threads={threads}");
+            let (base, base_stats) = run(1);
+            assert!(!base.is_empty());
+            for batch_flows in [7, 512] {
+                let (got, stats) = run(batch_flows);
+                assert_eq!(got, base, "threads={threads} batch_flows={batch_flows}");
+                assert_eq!(
+                    stats, base_stats,
+                    "threads={threads} batch_flows={batch_flows}"
+                );
             }
-            assert_eq!(stats.records, exp_stats.records, "threads={threads}");
-            assert_eq!(stats.ingest, exp_stats.ingest, "threads={threads}");
-            assert_eq!(
-                (stats.evicted_timeout, stats.evicted_cap, stats.drained_eof),
-                (
-                    exp_stats.evicted_timeout,
-                    exp_stats.evicted_cap,
-                    exp_stats.drained_eof
-                ),
-                "threads={threads}"
-            );
-        }
-    }
-
-    #[test]
-    fn mem_source_corrupt_tail_matches_stream_source() {
-        use crate::record::FlowBatch;
-        use crate::source::PcapMemSource;
-        let mut bytes = capture(10);
-        bytes.truncate(bytes.len() - 7);
-        let src = PcapMemSource::new(Bytes::from(bytes)).unwrap();
-        let cfg = EngineConfig {
-            threads: 2,
-            ..EngineConfig::default()
-        };
-        let (batches, stats) = run_source(
-            src,
-            &cfg,
-            Vec::new,
-            |acc: &mut Vec<FlowBatch>, b| acc.push(b),
-            |a, mut b| a.append(&mut b),
-        );
-        assert!(stats.corrupt_tail);
-        assert_eq!(stats.records, 29); // the torn 30th record is dropped
-        assert!(batches.iter().any(|b| !b.is_empty()));
-    }
-
-    #[test]
-    fn record_source_replays_assembled_flows_through_the_engine() {
-        // Assemble flows once from pcap, then replay the records through
-        // RecordSource: same flows come out, at any shard count.
-        let bytes = capture(60);
-        let (reference, _) = collect_flows(
-            &bytes,
-            &EngineConfig {
-                threads: 1,
-                ..EngineConfig::default()
-            },
-        );
-        let records: Vec<_> = reference.iter().map(|cf| cf.flow.clone()).collect();
-        for threads in [1, 3] {
-            let cfg = EngineConfig {
-                threads,
-                ..EngineConfig::default()
-            };
-            let (mut replayed, stats) = run_source(
-                RecordSource::from_vec(records.clone()),
-                &cfg,
-                Vec::new,
-                |acc: &mut Vec<ClosedFlow>, cf| acc.push(cf),
-                |a: &mut Vec<ClosedFlow>, mut b| a.append(&mut b),
-            );
-            replayed.sort_unstable_by_key(|cf| cf.first_index);
-            assert_eq!(stats.records, records.len() as u64);
-            assert_eq!(stats.ingest.flows, records.len() as u64);
-            assert_eq!(stats.drained_eof, records.len() as u64);
-            let got: Vec<_> = replayed.iter().map(|cf| cf.flow.clone()).collect();
-            assert_eq!(got, records, "threads={threads}");
         }
     }
 
@@ -910,6 +744,7 @@ mod tests {
             let (got, stats) = run_source(
                 SimSource::new(total, &gen),
                 &cfg,
+                None,
                 Vec::new,
                 |acc: &mut Vec<u64>, v| acc.push(v),
                 |a: &mut Vec<u64>, mut b| a.append(&mut b),

@@ -16,12 +16,9 @@ pub mod record;
 pub mod sampler;
 pub mod source;
 
-pub use engine::{
-    run_engine, run_engine_observed, run_source, run_source_observed, EngineConfig, EngineStats,
-};
+pub use engine::{run_source, EngineConfig, EngineStats};
 pub use offline::{
-    flows_from_pcap, flows_from_pcap_observed, flows_from_records, flows_from_records_observed,
-    ClosedFlow, ColumnarFlowTable, EvictionCause, FlowKey, FlowKeyHasher, FlowTable, IngestStats,
+    flows_from_pcap, ColumnarFlowTable, EvictionCause, FlowKey, FlowKeyHasher, IngestStats,
     OfflineConfig,
 };
 pub use pcap::{write_session_trace, PcapError, PcapReader, PcapRecord, PcapWriter};
@@ -31,6 +28,6 @@ pub use record::{
 };
 pub use sampler::Sampler;
 pub use source::{
-    FlowSource, PcapBatchShard, PcapItem, PcapMemItem, PcapMemSource, PcapShard, PcapSource,
-    RecordShard, RecordSource, ShardStats, SimShard, SimSource, SourceShard, DEFAULT_BATCH_FLOWS,
+    FlowSource, PcapBatchShard, PcapMemItem, PcapMemSource, ShardStats, SimShard, SimSource,
+    SourceShard, DEFAULT_BATCH_FLOWS,
 };

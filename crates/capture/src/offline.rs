@@ -5,14 +5,15 @@
 //! records with the paper's collection constraints applied (inbound-only
 //! by destination filter, 10 packets, 1-second timestamps).
 
-use crate::pcap::{PcapError, PcapReader, PcapRecord};
-use crate::record::{FlowBatch, FlowRecord, FlowTuple, PacketRecord, PacketRow, NO_IP_ID};
+use crate::engine::{run_source, EngineConfig};
+use crate::pcap::PcapError;
+use crate::record::{FlowBatch, FlowRecord, FlowTuple, PacketRow, NO_IP_ID};
+use crate::source::PcapMemSource;
+use bytes::Bytes;
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
-use std::io::Read;
 use std::net::IpAddr;
-use tamper_obs::{Registry, ScopeMetrics};
-use tamper_wire::{Packet, PacketView};
+use tamper_wire::PacketView;
 
 pub use crate::record::EvictionCause;
 
@@ -80,211 +81,12 @@ impl Default for OfflineConfig {
     }
 }
 
-/// A flow closed by the streaming assembler, ready for classification.
-#[derive(Debug, Clone)]
-pub struct ClosedFlow {
-    /// The assembled record (collection constraints applied).
-    pub flow: FlowRecord,
-    /// Index of the capture record that opened the flow — a stable global
-    /// sequence number assigned by the (single) reader, used to restore
-    /// first-seen order after sharded processing.
-    pub first_index: u64,
-    /// Why the flow was closed.
-    pub cause: EvictionCause,
-}
-
-struct LiveFlow {
-    flow: FlowRecord,
-    first_index: u64,
-    /// Timestamp of the last packet seen for this flow (including packets
-    /// past the retention cap — they still count as activity).
-    last_ts: u64,
-}
-
-/// A streaming flow assembler with inactivity-timeout eviction and an
-/// optional live-flow cap — the unit of state one engine shard owns.
-///
-/// Eviction decisions depend only on packet contents and the monotone
-/// capture clock (`stamp`), never on wall time or shard placement, so any
-/// partition of a capture over tables keyed by flow produces byte-identical
-/// closed flows.
-pub struct FlowTable {
-    cfg: OfflineConfig,
-    flows: HashMap<FlowKey, LiveFlow>,
-    /// Maximum live flows held at once (0 = unbounded).
-    max_live: usize,
-    high_water: usize,
-    last_sweep: u64,
-    /// Retained scratch for [`Self::sweep`]'s expired-key pass: sized once
-    /// to the sweep high-water mark instead of a fresh Vec per sweep.
-    expired_scratch: Vec<(u64, u64, FlowKey)>,
-}
-
-impl FlowTable {
-    /// Create a table; `max_live` of 0 means unbounded.
-    pub fn new(cfg: OfflineConfig, max_live: usize) -> FlowTable {
-        FlowTable {
-            cfg,
-            flows: HashMap::new(),
-            max_live,
-            high_water: 0,
-            last_sweep: 0,
-            expired_scratch: Vec::new(),
-        }
-    }
-
-    /// Most live flows ever held at once.
-    pub fn high_water(&self) -> usize {
-        self.high_water
-    }
-
-    /// Live flows currently held.
-    pub fn live(&self) -> usize {
-        self.flows.len()
-    }
-
-    /// Absorb one parsed inbound packet. `index` is the reader-assigned
-    /// record index, `ts` the packet's own (quantized) timestamp, and
-    /// `stamp` the running maximum capture timestamp — the capture clock.
-    /// Flows whose timeout elapsed before `stamp` are evicted into `closed`
-    /// *before* the packet is applied, so a packet arriving after its flow
-    /// expired opens a fresh flow.
-    pub fn absorb(
-        &mut self,
-        index: u64,
-        ts: u64,
-        stamp: u64,
-        pkt: &Packet,
-        stats: &mut IngestStats,
-        closed: &mut Vec<ClosedFlow>,
-    ) {
-        self.sweep(stamp, closed);
-        let key = FlowKey {
-            client_ip: pkt.ip.src(),
-            server_ip: pkt.ip.dst(),
-            src_port: pkt.tcp.src_port,
-            dst_port: pkt.tcp.dst_port,
-        };
-        let live = self.flows.entry(key).or_insert_with(|| {
-            stats.flows += 1;
-            LiveFlow {
-                flow: FlowRecord {
-                    client_ip: key.client_ip,
-                    server_ip: key.server_ip,
-                    src_port: key.src_port,
-                    dst_port: key.dst_port,
-                    // tamperlint: allow(hot-path-alloc) — one empty Vec per flow *birth*, not per packet; first push sizes it
-                    packets: Vec::new(),
-                    observation_end_sec: ts,
-                    truncated: false,
-                },
-                first_index: index,
-                last_ts: ts,
-            }
-        });
-        live.last_ts = live.last_ts.max(ts);
-        if live.flow.packets.len() >= self.cfg.max_packets {
-            live.flow.truncated = true;
-            stats.truncated_packets += 1;
-        } else {
-            live.flow.packets.push(PacketRecord::from_packet(ts, pkt));
-            stats.packets += 1;
-        }
-        if self.max_live > 0 && self.flows.len() > self.max_live {
-            self.shed_lru(closed);
-        }
-        // Taken after shedding: the retained occupancy is what the memory
-        // bound promises (insertion holds one transient extra entry).
-        self.high_water = self.high_water.max(self.flows.len());
-    }
-
-    /// Evict every flow whose timeout elapsed before `stamp`. Eviction
-    /// order is a pure function of (last activity, first-seen index) —
-    /// never of hash-map iteration order — so shuffled insertion or a
-    /// different hasher cannot change which flows a later cap sheds.
-    fn sweep(&mut self, stamp: u64, closed: &mut Vec<ClosedFlow>) {
-        if stamp <= self.last_sweep {
-            return;
-        }
-        self.last_sweep = stamp;
-        let timeout = self.cfg.flow_timeout_secs;
-        let mut expired = std::mem::take(&mut self.expired_scratch);
-        expired.clear();
-        expired.extend(
-            self.flows
-                .iter()
-                .filter(|(_, lf)| lf.last_ts + timeout < stamp)
-                .map(|(k, lf)| (lf.last_ts, lf.first_index, *k)),
-        );
-        expired.sort_unstable_by_key(|&(last_ts, first_index, _)| (last_ts, first_index));
-        for &(_, _, key) in &expired {
-            if let Some(lf) = self.flows.remove(&key) {
-                closed.push(Self::close(
-                    lf,
-                    self.cfg.flow_timeout_secs,
-                    EvictionCause::Timeout,
-                ));
-            }
-        }
-        expired.clear();
-        self.expired_scratch = expired;
-    }
-
-    /// Shed the least-recently-active flow (ties broken by first-seen).
-    fn shed_lru(&mut self, closed: &mut Vec<ClosedFlow>) {
-        let victim = self
-            .flows
-            .iter()
-            .min_by_key(|(_, lf)| (lf.last_ts, lf.first_index))
-            .map(|(k, _)| *k);
-        if let Some(key) = victim {
-            if let Some(lf) = self.flows.remove(&key) {
-                closed.push(Self::close(
-                    lf,
-                    self.cfg.flow_timeout_secs,
-                    EvictionCause::CapPressure,
-                ));
-            }
-        }
-    }
-
-    /// Close all remaining flows at end of capture. Flows whose timeout had
-    /// already elapsed at `final_stamp` count as timeout evictions (their
-    /// shard just saw no later packet to trigger the sweep); the rest close
-    /// as end-of-capture. Output is ordered by first-seen index.
-    pub fn drain(&mut self, final_stamp: u64, closed: &mut Vec<ClosedFlow>) {
-        let timeout = self.cfg.flow_timeout_secs;
-        let mut rest: Vec<LiveFlow> = self.flows.drain().map(|(_, lf)| lf).collect();
-        rest.sort_unstable_by_key(|lf| lf.first_index);
-        for lf in rest {
-            let cause = if lf.last_ts + timeout < final_stamp {
-                EvictionCause::Timeout
-            } else {
-                EvictionCause::EndOfCapture
-            };
-            closed.push(Self::close(lf, timeout, cause));
-        }
-    }
-
-    fn close(mut lf: LiveFlow, timeout: u64, cause: EvictionCause) -> ClosedFlow {
-        let last = lf.flow.packets.iter().map(|p| p.ts_sec).max().unwrap_or(0);
-        // Mirror an online collector that watched the flow for the timeout
-        // window after its last retained packet.
-        lf.flow.observation_end_sec = last + timeout;
-        ClosedFlow {
-            flow: lf.flow,
-            first_index: lf.first_index,
-            cause,
-        }
-    }
-}
-
 /// A fast, non-keyed hasher for [`FlowKey`] lookups in the columnar
 /// table: one multiply-rotate fold per 8-byte chunk, finished with a
 /// splitmix64 avalanche. Flow tables are per-shard and bounded by the
 /// live-flow cap, and eviction order never depends on iteration order
-/// (see [`FlowTable::sweep`]), so the DoS-resistance of SipHash buys
-/// nothing here — but its ~2× lookup cost was visible on the ingest
+/// (see [`ColumnarFlowTable::absorb`]), so the DoS-resistance of SipHash
+/// buys nothing here — but its ~2× lookup cost was visible on the ingest
 /// profile.
 #[derive(Default)]
 pub struct FlowKeyHasher {
@@ -372,11 +174,14 @@ impl Slot {
     }
 }
 
-/// The columnar twin of [`FlowTable`]: identical assembly, eviction, and
-/// accounting semantics (the `offline` differential tests replay the same
-/// captures through both), but live flows buffer into pooled column
-/// slots and close into a [`FlowBatch`] instead of one heap-allocated
-/// [`FlowRecord`] per flow.
+/// A streaming flow assembler with inactivity-timeout eviction and an
+/// optional live-flow cap — the unit of state one engine shard owns. Live
+/// flows buffer into pooled column slots and close into a [`FlowBatch`].
+///
+/// Eviction decisions depend only on packet contents and the monotone
+/// capture clock (`stamp`), never on wall time or shard placement, so any
+/// partition of a capture over tables keyed by flow produces byte-identical
+/// closed flows.
 pub struct ColumnarFlowTable {
     cfg: OfflineConfig,
     flows: HashMap<FlowKey, u32, BuildHasherDefault<FlowKeyHasher>>,
@@ -434,8 +239,17 @@ impl ColumnarFlowTable {
         self.flows.len()
     }
 
-    /// Absorb one parsed inbound packet — [`FlowTable::absorb`] over a
-    /// borrowed [`PacketView`], closing flows into `out` columns.
+    /// Absorb one parsed inbound packet. `index` is the reader-assigned
+    /// record index, `ts` the packet's own (quantized) timestamp, and
+    /// `stamp` the running maximum capture timestamp — the capture clock.
+    /// Flows whose timeout elapsed before `stamp` are evicted into `out`
+    /// *before* the packet is applied, so a packet arriving after its flow
+    /// expired opens a fresh flow.
+    ///
+    /// Eviction order — timeout and cap alike — is a pure function of
+    /// (last activity, first-seen index), never of hash-map iteration
+    /// order, so shuffled insertion or a different hasher cannot change
+    /// which flows are closed, or in what order.
     pub fn absorb(
         &mut self,
         index: u64,
@@ -523,10 +337,9 @@ impl ColumnarFlowTable {
     }
 
     /// Evict every flow whose timeout elapsed before `stamp`, in
-    /// (last activity, first-seen index) order — the same pure eviction
-    /// order as [`FlowTable::sweep`], but found by draining the passed
-    /// expiry seconds off the timer wheel instead of scanning every live
-    /// flow once per capture second.
+    /// (last activity, first-seen index) order, found by draining the
+    /// passed expiry seconds off the timer wheel instead of scanning every
+    /// live flow once per capture second.
     fn sweep(&mut self, stamp: u64, out: &mut FlowBatch) {
         if stamp <= self.last_sweep {
             return;
@@ -596,8 +409,9 @@ impl ColumnarFlowTable {
     }
 
     /// Close all remaining flows at end of capture, ordered by first-seen
-    /// index, with the same timeout-vs-end-of-capture split as
-    /// [`FlowTable::drain`].
+    /// index. Flows whose timeout had already elapsed at `final_stamp`
+    /// count as timeout evictions (their shard just saw no later packet
+    /// to trigger the sweep); the rest close as end-of-capture.
     pub fn drain(&mut self, final_stamp: u64, out: &mut FlowBatch) {
         self.last_hit = None;
         let timeout = self.cfg.flow_timeout_secs;
@@ -637,96 +451,41 @@ impl ColumnarFlowTable {
     }
 }
 
-/// Assemble flow records from raw pcap records. Packets that fail to
-/// parse, or that are not TCP toward a configured server port, are
-/// skipped and counted in the returned statistics.
-///
-/// This is the single-threaded reference path; it shares the streaming
-/// [`FlowTable`] semantics with the sharded engine, so a 4-tuple that goes
-/// quiet for longer than the flow timeout and then resumes yields two
-/// flows, exactly as an online collector would record it.
-pub fn flows_from_records(
-    records: &[PcapRecord],
+/// Assemble the flows of a complete in-memory pcap capture in one call,
+/// in first-seen order: the engine ([`run_source`] over a
+/// [`PcapMemSource`], one shard) with every emitted batch materialized
+/// into owned records. Packets that fail to parse, or that are not TCP
+/// toward a configured server port, are skipped and counted in the
+/// returned statistics; a 4-tuple that goes quiet for longer than the
+/// flow timeout and then resumes yields two flows, exactly as an online
+/// collector would record it. Only a malformed global header is an
+/// error; a corrupt or truncated tail ends the read with everything
+/// framed before it returned (callers that must tell the difference run
+/// the engine themselves and read `EngineStats::corrupt_tail`).
+pub fn flows_from_pcap(
+    bytes: &[u8],
     cfg: &OfflineConfig,
-) -> (Vec<FlowRecord>, IngestStats) {
-    flows_from_records_observed(records, cfg, None)
-}
-
-/// [`flows_from_records`] with an optional metrics registry attached.
-///
-/// When `obs` is `Some`, the pass publishes an `offline` scope: record and
-/// skip counters, parse/absorb stage timers, and a live-flow occupancy
-/// gauge. With `None` every instrument is disabled and no clock is read —
-/// [`flows_from_records`] is exactly this with `None`. Metrics never feed
-/// the returned flows or statistics, so attaching a registry cannot
-/// perturb byte-compared output.
-pub fn flows_from_records_observed(
-    records: &[PcapRecord],
-    cfg: &OfflineConfig,
-    obs: Option<&Registry>,
-) -> (Vec<FlowRecord>, IngestStats) {
-    let mut sm = match obs {
-        Some(r) => r.scope("offline"),
-        None => ScopeMetrics::disabled(),
+) -> Result<(Vec<FlowRecord>, IngestStats), PcapError> {
+    let src = PcapMemSource::new(Bytes::copy_from_slice(bytes))?;
+    let engine = EngineConfig {
+        offline: *cfg,
+        threads: 1,
+        max_flows: 0,
     };
-    let mut stats = IngestStats::default();
-    let mut table = FlowTable::new(*cfg, 0);
-    let mut closed = Vec::new();
-    let mut stamp = 0u64;
-
-    let ingest_sw = sm.start();
-    for (index, rec) in records.iter().enumerate() {
-        sm.count("records", 1);
-        let ts = u64::from(rec.ts_sec);
-        stamp = stamp.max(ts);
-        let parse_sw = sm.start();
-        let parsed = Packet::parse(&rec.frame);
-        sm.stop("parse", parse_sw);
-        let pkt = match parsed {
-            Ok(p) => p,
-            Err(_) => {
-                stats.unparsable += 1;
-                continue;
+    let (mut flows, stats) = run_source(
+        src,
+        &engine,
+        None,
+        Vec::new,
+        |acc: &mut Vec<(u64, FlowRecord)>, batch: FlowBatch| {
+            for (i, span) in batch.spans().iter().enumerate() {
+                acc.push((span.first_index, batch.materialize(i)));
             }
-        };
-        if !cfg.server_ports.contains(&pkt.tcp.dst_port) {
-            stats.not_inbound += 1;
-            continue;
-        }
-        let absorb_sw = sm.start();
-        table.absorb(index as u64, ts, stamp, &pkt, &mut stats, &mut closed);
-        sm.stop("absorb_evict", absorb_sw);
-        sm.gauge_max("live_flows", table.live() as u64);
-    }
-    table.drain(stamp, &mut closed);
-    sm.stop("ingest", ingest_sw);
-    sm.count("flows_closed", closed.len() as u64);
-    sm.gauge_max("high_water", table.high_water() as u64);
-    if let Some(r) = obs {
-        r.publish(sm);
-    }
-    closed.sort_unstable_by_key(|cf| cf.first_index);
-    (closed.into_iter().map(|cf| cf.flow).collect(), stats)
-}
-
-/// Read a pcap stream and assemble flows in one call.
-pub fn flows_from_pcap<R: Read>(
-    reader: R,
-    cfg: &OfflineConfig,
-) -> Result<(Vec<FlowRecord>, IngestStats), PcapError> {
-    flows_from_pcap_observed(reader, cfg, None)
-}
-
-/// [`flows_from_pcap`] with an optional metrics registry attached (see
-/// [`flows_from_records_observed`]).
-pub fn flows_from_pcap_observed<R: Read>(
-    reader: R,
-    cfg: &OfflineConfig,
-    obs: Option<&Registry>,
-) -> Result<(Vec<FlowRecord>, IngestStats), PcapError> {
-    let mut pcap = PcapReader::new(reader)?;
-    let records = pcap.read_all()?;
-    Ok(flows_from_records_observed(&records, cfg, obs))
+        },
+        |a, mut b| a.append(&mut b),
+    );
+    flows.sort_unstable_by_key(|&(first_index, _)| first_index);
+    Ok((flows.into_iter().map(|(_, f)| f).collect(), stats.ingest))
 }
 
 /// Counters from an offline ingestion pass.
@@ -815,57 +574,49 @@ mod tests {
         assert_eq!(stats.unparsable, 1);
     }
 
-    /// Replay one absorb schedule through both tables and assert the
-    /// closed flows (records, indices, causes) are identical.
-    fn assert_tables_agree(
-        schedule: &[(IpAddr, u16, u64)],
-        cfg: &OfflineConfig,
-        max_live: usize,
-    ) -> Vec<ClosedFlow> {
-        let mut legacy = FlowTable::new(*cfg, max_live);
-        let mut columnar = ColumnarFlowTable::new(*cfg, max_live);
-        let mut legacy_stats = IngestStats::default();
-        let mut columnar_stats = IngestStats::default();
-        let mut closed = Vec::new();
+    /// What one schedule left behind: the closed flows as
+    /// `<first_index><cause>` tokens in close order (`T`imeout,
+    /// `C`ap pressure, `E`nd of capture), the counters, the high water.
+    struct Replay {
+        closed: String,
+        stats: IngestStats,
+        high_water: usize,
+    }
+
+    /// Replay one absorb schedule of bare ACKs through a table.
+    fn replay(schedule: &[(IpAddr, u16, u64)], cfg: &OfflineConfig, max_live: usize) -> Replay {
+        let mut table = ColumnarFlowTable::new(*cfg, max_live);
+        let mut stats = IngestStats::default();
         let mut batch = FlowBatch::new();
         let mut stamp = 0u64;
         for (index, &(src, sport, ts)) in schedule.iter().enumerate() {
             stamp = stamp.max(ts);
             let bytes = frame(src, sport, TcpFlags::ACK, index as u32, b"");
-            let pkt = tamper_wire::Packet::parse(&bytes).unwrap();
             let pv = PacketView::parse(&bytes).unwrap();
-            legacy.absorb(
-                index as u64,
-                ts,
-                stamp,
-                &pkt,
-                &mut legacy_stats,
-                &mut closed,
-            );
-            columnar.absorb(
-                index as u64,
-                ts,
-                stamp,
-                &pv,
-                &mut columnar_stats,
-                &mut batch,
-            );
+            table.absorb(index as u64, ts, stamp, &pv, &mut stats, &mut batch);
         }
-        legacy.drain(stamp, &mut closed);
-        columnar.drain(stamp, &mut batch);
-        assert_eq!(legacy_stats, columnar_stats);
-        assert_eq!(legacy.high_water(), columnar.high_water());
-        assert_eq!(closed.len(), batch.flow_count());
-        for (i, cf) in closed.iter().enumerate() {
-            assert_eq!(cf.flow, batch.materialize(i), "flow {i} differs");
-            assert_eq!(cf.first_index, batch.spans()[i].first_index);
-            assert_eq!(cf.cause, batch.spans()[i].cause);
+        table.drain(stamp, &mut batch);
+        let closed: Vec<String> = batch
+            .spans()
+            .iter()
+            .map(|span| {
+                let cause = match span.cause {
+                    EvictionCause::Timeout => 'T',
+                    EvictionCause::CapPressure => 'C',
+                    EvictionCause::EndOfCapture => 'E',
+                };
+                format!("{}{cause}", span.first_index)
+            })
+            .collect();
+        Replay {
+            closed: closed.join(" "),
+            stats,
+            high_water: table.high_water(),
         }
-        closed
     }
 
     #[test]
-    fn columnar_table_matches_legacy_with_eviction_and_cap() {
+    fn eviction_order_causes_and_counters_are_pinned() {
         // Timeouts, cap pressure, reopened 4-tuples, and an end-of-capture
         // drain all in one schedule.
         let mut schedule = Vec::new();
@@ -881,9 +632,57 @@ mod tests {
             flow_timeout_secs: 10,
             ..OfflineConfig::default()
         };
-        assert_tables_agree(&schedule, &cfg, 0);
-        assert_tables_agree(&schedule, &cfg, 4);
-        assert_tables_agree(&schedule, &cfg, 1);
+        let stats = |flows| IngestStats {
+            flows,
+            packets: schedule.len() as u64,
+            ..IngestStats::default()
+        };
+        // Runs of consecutive first-seen indices closed for one cause.
+        let runs = |parts: &[(std::ops::RangeInclusive<u64>, char)]| -> String {
+            let tokens: Vec<String> = parts
+                .iter()
+                .flat_map(|(range, cause)| range.clone().map(move |i| format!("{i}{cause}")))
+                .collect();
+            tokens.join(" ")
+        };
+
+        // Unbounded: a tuple recurs every 21 s, past the 10 s timeout, so
+        // each of the first 40 packets opens a flow that expires 11
+        // packets later; the quiet gap expires the rest, flow 40 ages out
+        // at t=511, and the five port-4100 flows drain at end of capture.
+        let unbounded = replay(&schedule, &cfg, 0);
+        assert_eq!(unbounded.closed, runs(&[(0..=40, 'T'), (41..=45, 'E')]));
+        assert_eq!(unbounded.stats, stats(46));
+        assert_eq!(unbounded.high_water, 11);
+
+        // Cap 4 sheds before any timeout can fire, and before any tuple
+        // recurs (even the five port-4100 clients): one flow per packet.
+        // Only the four flows alive across the gap time out.
+        let cap4 = replay(&schedule, &cfg, 4);
+        assert_eq!(
+            cap4.closed,
+            runs(&[
+                (0..=35, 'C'),
+                (36..=39, 'T'),
+                (40..=48, 'C'),
+                (49..=52, 'E')
+            ])
+        );
+        assert_eq!(cap4.stats, stats(53));
+        assert_eq!(cap4.high_water, 4);
+
+        let cap1 = replay(&schedule, &cfg, 1);
+        assert_eq!(
+            cap1.closed,
+            runs(&[
+                (0..=38, 'C'),
+                (39..=39, 'T'),
+                (40..=51, 'C'),
+                (52..=52, 'E')
+            ])
+        );
+        assert_eq!(cap1.stats, stats(53));
+        assert_eq!(cap1.high_water, 1);
     }
 
     #[test]
@@ -899,25 +698,20 @@ mod tests {
             &[31, 7, 90, 14, 55, 2, 61, 23, 44, 17],
         ];
         let cfg = OfflineConfig::default();
-        let mut evicted_sets = Vec::new();
-        for ids in identities {
-            let schedule: Vec<(IpAddr, u16, u64)> = base
-                .iter()
-                .zip(ids)
-                .map(|(&ts, &id)| (client(id), 4000, ts))
-                .collect();
-            let closed = assert_tables_agree(&schedule, &cfg, 3);
-            let mut evicted: Vec<u64> = closed
-                .iter()
-                .filter(|cf| cf.cause == EvictionCause::CapPressure)
-                .map(|cf| cf.first_index)
-                .collect();
-            evicted.sort_unstable();
-            evicted_sets.push(evicted);
-        }
-        assert!(!evicted_sets[0].is_empty(), "cap never fired");
-        assert_eq!(evicted_sets[0], evicted_sets[1]);
-        assert_eq!(evicted_sets[0], evicted_sets[2]);
+        let closed: Vec<String> = identities
+            .iter()
+            .map(|ids| {
+                let schedule: Vec<(IpAddr, u16, u64)> = base
+                    .iter()
+                    .zip(*ids)
+                    .map(|(&ts, &id)| (client(id), 4000, ts))
+                    .collect();
+                replay(&schedule, &cfg, 3).closed
+            })
+            .collect();
+        assert!(closed[0].contains('C'), "cap never fired");
+        assert_eq!(closed[0], closed[1]);
+        assert_eq!(closed[0], closed[2]);
     }
 
     #[test]

@@ -154,7 +154,6 @@ impl<R: Read> PcapReader<R> {
                 Ok(0) => {
                     return Err(PcapError::Io(io::Error::new(
                         io::ErrorKind::UnexpectedEof,
-                        // tamperlint: allow(hot-path-alloc) — error-path message for a truncated capture; the read loop never reaches it on well-formed input
                         format!("pcap ends {filled} bytes into a record header"),
                     )));
                 }
@@ -169,7 +168,6 @@ impl<R: Read> PcapReader<R> {
         if incl_len > SNAPLEN {
             return Err(PcapError::OversizeRecord(incl_len));
         }
-        // tamperlint: allow(hot-path-alloc) — the record's frame buffer transfers ownership to the shard and outlives this reader
         let mut frame = vec![0u8; incl_len as usize];
         self.input.read_exact(&mut frame)?;
         Ok(Some(PcapRecord {

@@ -1,16 +1,14 @@
 //! Pluggable front-ends for the streaming engine: the [`FlowSource`]
-//! trait and its three implementations.
+//! trait and its two implementations.
 //!
 //! The engine in [`crate::engine`] is one reader thread fanning batches
 //! out to N shard workers over bounded channels. Everything specific to
 //! *where the stream comes from* lives behind [`FlowSource`]:
 //!
-//! * [`PcapSource`] — classic pcap bytes; items are raw frames stamped
-//!   with the capture clock, shards parse and assemble flows in a
-//!   [`FlowTable`].
-//! * [`RecordSource`] — already-assembled [`FlowRecord`]s from memory (or
-//!   any decoder — e.g. a JSONL reader — driving an iterator); shards
-//!   just account and emit.
+//! * [`PcapMemSource`] — a classic pcap capture held in memory; items are
+//!   byte ranges stamped with the capture clock, shards parse borrowed
+//!   views and assemble flows in a [`ColumnarFlowTable`], emitting
+//!   [`FlowBatch`]es.
 //! * [`SimSource`] — indexes into a deterministic generator such as
 //!   `worldgen::WorldSim::gen_session`; generation itself runs on the
 //!   shards so simulated worlds parallelize without an intermediate pcap.
@@ -28,16 +26,14 @@
 //! caller's observe closure in emission order.
 
 use crate::engine::EngineConfig;
-use crate::offline::{ClosedFlow, ColumnarFlowTable, EvictionCause, FlowTable, IngestStats};
+use crate::offline::{ColumnarFlowTable, EvictionCause, IngestStats};
 use crate::pcap::{PcapError, PcapReader, SNAPLEN};
-use crate::record::{FlowBatch, FlowRecord};
+use crate::record::FlowBatch;
 use bytes::Bytes;
-use std::io::Read;
 use std::marker::PhantomData;
-use std::net::IpAddr;
 use tamper_netsim::splitmix64;
 use tamper_obs::ScopeMetrics;
-use tamper_wire::{Packet, PacketView};
+use tamper_wire::PacketView;
 
 /// Deterministic per-shard counters, merged into
 /// [`crate::engine::EngineStats`] in shard order.
@@ -136,176 +132,6 @@ pub trait SourceShard {
 }
 
 // ---------------------------------------------------------------------
-// PcapSource — raw pcap bytes, parsed and assembled on the shards.
-// ---------------------------------------------------------------------
-
-/// One pcap record in flight: its own timestamp plus the capture clock
-/// (running max) at the moment it was read.
-pub struct PcapItem {
-    /// Record timestamp (seconds).
-    pub ts: u64,
-    /// Capture clock: running maximum timestamp up to this record.
-    pub stamp: u64,
-    /// Raw IP frame bytes.
-    pub frame: Vec<u8>,
-}
-
-/// [`FlowSource`] over a pcap byte stream — the engine's original diet.
-///
-/// The reader-side half frames records and maintains the capture clock;
-/// the shard-side half ([`PcapShard`]) does the checksum-validating parse,
-/// applies the inbound port filter, and assembles flows in a
-/// [`FlowTable`] with streaming timeout/cap eviction.
-pub struct PcapSource<R: Read> {
-    reader: PcapReader<R>,
-    stamp: u64,
-    corrupt: bool,
-    done: bool,
-}
-
-impl<R: Read> PcapSource<R> {
-    /// Open a pcap stream. Fails only on a malformed global header;
-    /// mid-stream corruption is reported via [`FlowSource::corrupt_tail`].
-    pub fn new(input: R) -> Result<PcapSource<R>, PcapError> {
-        Ok(PcapSource {
-            reader: PcapReader::new(input)?,
-            stamp: 0,
-            corrupt: false,
-            done: false,
-        })
-    }
-}
-
-impl<R: Read> FlowSource for PcapSource<R> {
-    type Item = PcapItem;
-    type Out = ClosedFlow;
-    type Shard = PcapShard;
-
-    fn fill(&mut self, out: &mut Vec<PcapItem>, max: usize) -> bool {
-        while out.len() < max && !self.done {
-            match self.reader.next_record() {
-                Ok(Some(rec)) => {
-                    let ts = u64::from(rec.ts_sec);
-                    self.stamp = self.stamp.max(ts);
-                    out.push(PcapItem {
-                        ts,
-                        stamp: self.stamp,
-                        frame: rec.frame,
-                    });
-                }
-                Ok(None) => self.done = true,
-                Err(_) => {
-                    // Corrupt or truncated tail: keep everything read so
-                    // far, record the damage, stop reading.
-                    self.corrupt = true;
-                    self.done = true;
-                }
-            }
-        }
-        !self.done
-    }
-
-    fn route(&self, _index: u64, item: &PcapItem, shards: usize) -> Option<usize> {
-        route_hash(&item.frame).map(|h| (h % shards as u64) as usize)
-    }
-
-    fn shard(&self, cfg: &EngineConfig) -> PcapShard {
-        PcapShard {
-            cfg: cfg.offline,
-            table: FlowTable::new(cfg.offline, cfg.per_shard_cap()),
-            closed: Vec::new(),
-        }
-    }
-
-    fn final_stamp(&self) -> u64 {
-        self.stamp
-    }
-
-    fn corrupt_tail(&self) -> bool {
-        self.corrupt
-    }
-}
-
-/// Shard worker for [`PcapSource`]: parse, filter, assemble, evict.
-pub struct PcapShard {
-    cfg: crate::offline::OfflineConfig,
-    table: FlowTable,
-    closed: Vec<ClosedFlow>,
-}
-
-impl PcapShard {
-    /// Move freshly closed flows to `emit`, splitting the eviction-cause
-    /// counters on the way.
-    fn hand_off(&mut self, stats: &mut ShardStats, emit: &mut Vec<ClosedFlow>) {
-        for cf in self.closed.drain(..) {
-            match cf.cause {
-                EvictionCause::Timeout => stats.evicted_timeout += 1,
-                EvictionCause::CapPressure => stats.evicted_cap += 1,
-                EvictionCause::EndOfCapture => stats.drained_eof += 1,
-            }
-            emit.push(cf);
-        }
-    }
-}
-
-impl SourceShard for PcapShard {
-    type Item = PcapItem;
-    type Out = ClosedFlow;
-
-    fn absorb(
-        &mut self,
-        index: u64,
-        item: PcapItem,
-        stats: &mut ShardStats,
-        emit: &mut Vec<ClosedFlow>,
-        sm: &mut ScopeMetrics,
-    ) {
-        let sw = sm.start();
-        let parsed = Packet::parse(&item.frame);
-        sm.stop("parse", sw);
-        match parsed {
-            Err(_) => stats.ingest.unparsable += 1,
-            Ok(pkt) => {
-                if !self.cfg.server_ports.contains(&pkt.tcp.dst_port) {
-                    stats.ingest.not_inbound += 1;
-                } else {
-                    let sw = sm.start();
-                    self.table.absorb(
-                        index,
-                        item.ts,
-                        item.stamp,
-                        &pkt,
-                        &mut stats.ingest,
-                        &mut self.closed,
-                    );
-                    sm.stop("absorb_evict", sw);
-                    self.hand_off(stats, emit);
-                    sm.gauge_max("live_flows", self.table.live() as u64);
-                }
-            }
-        }
-    }
-
-    fn finish(
-        &mut self,
-        final_stamp: u64,
-        stats: &mut ShardStats,
-        emit: &mut Vec<ClosedFlow>,
-        sm: &mut ScopeMetrics,
-    ) {
-        let sw = sm.start();
-        self.table.drain(final_stamp, &mut self.closed);
-        sm.stop("drain", sw);
-        self.hand_off(stats, emit);
-        sm.gauge_max("high_water", self.table.high_water() as u64);
-    }
-
-    fn high_water(&self) -> usize {
-        self.table.high_water()
-    }
-}
-
-// ---------------------------------------------------------------------
 // PcapMemSource — an in-memory pcap, framed zero-copy, assembled into
 // columnar FlowBatches on the shards.
 // ---------------------------------------------------------------------
@@ -329,7 +155,7 @@ pub struct PcapMemItem {
 /// pending [`FlowBatch`].
 pub const DEFAULT_BATCH_FLOWS: usize = 512;
 
-/// [`FlowSource`] over an in-memory pcap buffer — the columnar hot path.
+/// [`FlowSource`] over an in-memory pcap buffer.
 ///
 /// Framing is zero-copy: items are byte ranges into one shared [`Bytes`]
 /// buffer, shards parse borrowed [`PacketView`]s straight out of it and
@@ -364,7 +190,8 @@ impl PcapMemSource {
 
     /// Override the per-shard batch flush threshold (flows per emitted
     /// [`FlowBatch`]); clamped to at least 1.
-    pub fn with_batch_flows(mut self, flows: usize) -> PcapMemSource {
+    #[cfg(test)]
+    pub(crate) fn with_batch_flows(mut self, flows: usize) -> PcapMemSource {
         self.batch_flows = flows.max(1);
         self
     }
@@ -550,8 +377,8 @@ impl SourceShard for PcapBatchShard {
 
 /// Route a raw IP frame to a shard by hashing its 4-tuple, without a full
 /// (checksum-validating) parse. Returns `None` for frames that cannot be
-/// TCP/IP — every such frame would also fail [`Packet::parse`], so the
-/// reader counts it as unparsable without shipping it anywhere.
+/// TCP/IP — every such frame would also fail [`PacketView::parse`], so
+/// the reader counts it as unparsable without shipping it anywhere.
 pub(crate) fn route_hash(frame: &[u8]) -> Option<u64> {
     fn word(b: &[u8], at: usize) -> u64 {
         // Callers guard the frame length, but stay bounds-checked anyway:
@@ -593,110 +420,6 @@ fn mix(h: u64, v: u64) -> u64 {
 }
 
 // ---------------------------------------------------------------------
-// RecordSource — already-assembled FlowRecords.
-// ---------------------------------------------------------------------
-
-/// [`FlowSource`] over a stream of already-assembled [`FlowRecord`]s —
-/// in-memory vectors, or any decoder (e.g. a JSONL reader) driving an
-/// iterator. Each record is one finished flow, so shards only account
-/// and emit; routing hashes the flow 4-tuple so a fixed shard count
-/// always produces the same partition.
-pub struct RecordSource<I> {
-    iter: I,
-}
-
-impl<I: Iterator<Item = FlowRecord>> RecordSource<I> {
-    /// Wrap an iterator of flow records.
-    pub fn new(iter: I) -> RecordSource<I> {
-        RecordSource { iter }
-    }
-}
-
-impl RecordSource<std::vec::IntoIter<FlowRecord>> {
-    /// Convenience for an in-memory batch.
-    pub fn from_vec(records: Vec<FlowRecord>) -> RecordSource<std::vec::IntoIter<FlowRecord>> {
-        RecordSource::new(records.into_iter())
-    }
-}
-
-impl<I: Iterator<Item = FlowRecord>> FlowSource for RecordSource<I> {
-    type Item = FlowRecord;
-    type Out = ClosedFlow;
-    type Shard = RecordShard;
-
-    fn fill(&mut self, out: &mut Vec<FlowRecord>, max: usize) -> bool {
-        while out.len() < max {
-            match self.iter.next() {
-                Some(r) => out.push(r),
-                None => return false,
-            }
-        }
-        true
-    }
-
-    fn route(&self, _index: u64, item: &FlowRecord, shards: usize) -> Option<usize> {
-        Some((flow_tuple_hash(item) % shards as u64) as usize)
-    }
-
-    fn shard(&self, _cfg: &EngineConfig) -> RecordShard {
-        RecordShard
-    }
-}
-
-/// Shard worker for [`RecordSource`]: counts the record and emits it as a
-/// flow closed at end of stream.
-pub struct RecordShard;
-
-impl SourceShard for RecordShard {
-    type Item = FlowRecord;
-    type Out = ClosedFlow;
-
-    fn absorb(
-        &mut self,
-        index: u64,
-        item: FlowRecord,
-        stats: &mut ShardStats,
-        emit: &mut Vec<ClosedFlow>,
-        _sm: &mut ScopeMetrics,
-    ) {
-        stats.ingest.flows += 1;
-        stats.ingest.packets += item.packets.len() as u64;
-        stats.drained_eof += 1;
-        emit.push(ClosedFlow {
-            flow: item,
-            first_index: index,
-            cause: EvictionCause::EndOfCapture,
-        });
-    }
-
-    fn finish(
-        &mut self,
-        _final_stamp: u64,
-        _stats: &mut ShardStats,
-        _emit: &mut Vec<ClosedFlow>,
-        _sm: &mut ScopeMetrics,
-    ) {
-    }
-}
-
-/// Stable 4-tuple hash for assembled records — the same role
-/// [`route_hash`] plays for raw frames, over parsed addresses.
-fn flow_tuple_hash(r: &FlowRecord) -> u64 {
-    fn ip(h: u64, addr: &IpAddr) -> u64 {
-        match addr {
-            IpAddr::V4(v4) => mix(h, u64::from(u32::from_be_bytes(v4.octets()))),
-            IpAddr::V6(v6) => {
-                let v = u128::from_be_bytes(v6.octets());
-                mix(mix(h, (v >> 64) as u64), v as u64)
-            }
-        }
-    }
-    let mut h = ip(0x7461_6d70_6572_0007, &r.client_ip);
-    h = ip(h, &r.server_ip);
-    mix(h, (u64::from(r.src_port) << 16) | u64::from(r.dst_port))
-}
-
-// ---------------------------------------------------------------------
 // SimSource — deterministic generators (worldgen sessions).
 // ---------------------------------------------------------------------
 
@@ -707,13 +430,12 @@ fn flow_tuple_hash(r: &FlowRecord) -> u64 {
 /// # Partition and order
 ///
 /// Shard `t` owns the contiguous index chunk
-/// `[t * ceil(total / shards), ...)` — exactly the partition the legacy
-/// `worldgen` shard loop used — so the shard-order merge reproduces the
-/// serial fold order even for order-sensitive accumulators, at any shard
-/// count. To keep every shard busy despite chunked ownership, the reader
-/// pulls indices interleaved across chunks (first index of each chunk,
-/// then the second of each, ...); within a shard, indices still arrive
-/// in ascending order.
+/// `[t * ceil(total / shards), ...)`, so the shard-order merge reproduces
+/// the serial fold order even for order-sensitive accumulators, at any
+/// shard count. To keep every shard busy despite chunked ownership, the
+/// reader pulls indices interleaved across chunks (first index of each
+/// chunk, then the second of each, ...); within a shard, indices still
+/// arrive in ascending order.
 pub struct SimSource<'g, F, O> {
     gen: &'g F,
     total: u64,
@@ -897,40 +619,5 @@ mod tests {
                 last[t] = Some(*i);
             }
         }
-    }
-
-    #[test]
-    fn record_source_batches_and_exhausts() {
-        let rec = |sport: u16| FlowRecord {
-            client_ip: IpAddr::V4(Ipv4Addr::new(203, 0, 113, 9)),
-            server_ip: IpAddr::V4(Ipv4Addr::new(198, 51, 100, 1)),
-            src_port: sport,
-            dst_port: 443,
-            packets: Vec::new(),
-            observation_end_sec: 0,
-            truncated: false,
-        };
-        let mut src = RecordSource::from_vec((0..10u16).map(rec).collect());
-        let mut buf = Vec::new();
-        assert!(src.fill(&mut buf, 4));
-        assert_eq!(buf.len(), 4);
-        // Routing is per-flow stable and in range.
-        for r in &buf {
-            let t = src.route(0, r, 4).unwrap();
-            assert!(t < 4);
-            assert_eq!(src.route(9, r, 4), Some(t));
-        }
-        // Drain the rest the way the engine does: a cleared batch buffer
-        // per round, until fill reports end-of-stream.
-        let mut total = buf.len();
-        loop {
-            buf.clear();
-            let more = src.fill(&mut buf, 4);
-            total += buf.len();
-            if !more {
-                break;
-            }
-        }
-        assert_eq!(total, 10);
     }
 }

@@ -15,10 +15,10 @@
 //!   tear-down packets (bare RST vs RST+ACK, their count, and — for
 //!   multi-RST bursts — the relationship between their ack numbers).
 
-use crate::reorder::reconstruct_order_into;
+use crate::machine::classify_view;
 use crate::signature::{Classification, Signature, Stage};
-use crate::trigger::{self, TriggerInfo};
-use tamper_capture::{FlowRecord, PacketRecord};
+use crate::trigger::TriggerInfo;
+use tamper_capture::FlowRecord;
 
 /// Classifier tuning knobs (paper defaults; ablations override).
 #[derive(Debug, Clone, Copy)]
@@ -67,121 +67,7 @@ impl FlowAnalysis {
     }
 }
 
-/// A reusable classifier: the configuration plus the scratch buffers the
-/// feature pass needs.
-///
-/// [`classify`] allocates these buffers afresh on every call; hot paths —
-/// the streaming engine classifies every evicted flow, one shard thread at
-/// a time — construct one `Classifier` per shard and call
-/// [`Classifier::classify`] so the allocations amortize across the whole
-/// capture. Results are identical to the free function for any flow.
-pub struct Classifier {
-    cfg: ClassifierConfig,
-    /// Reconstructed packet order (indices into `flow.packets`).
-    order: Vec<usize>,
-    /// (is_pure_rst, ack) of every RST-flagged packet, in order.
-    rsts: Vec<(bool, u32)>,
-    /// Positions (in reconstructed order) of unique data-bearing packets
-    /// (payload > 0, not SYN), deduplicated by sequence number so
-    /// retransmissions don't shift the stage.
-    data_indices: Vec<usize>,
-    seen_data_seqs: Vec<u32>,
-    /// Positions of pure ACKs (no payload, no SYN/FIN/RST).
-    pure_ack_indices: Vec<usize>,
-}
-
-/// Per-flow scalar features (everything the scratch vectors don't hold).
-struct Scalars {
-    syn_count: usize,
-    has_fin: bool,
-    fin_index: Option<usize>,
-    first_rst_index: Option<usize>,
-    max_gap: u64,
-    tail_gap: u64,
-}
-
-impl Classifier {
-    /// A classifier with empty scratch buffers.
-    pub fn new(cfg: ClassifierConfig) -> Classifier {
-        Classifier {
-            cfg,
-            order: Vec::new(),
-            rsts: Vec::new(),
-            data_indices: Vec::new(),
-            seen_data_seqs: Vec::new(),
-            pure_ack_indices: Vec::new(),
-        }
-    }
-
-    /// The configuration this classifier applies.
-    pub fn config(&self) -> &ClassifierConfig {
-        &self.cfg
-    }
-
-    fn features(&mut self, flow: &FlowRecord) -> Scalars {
-        let packets = &flow.packets;
-        reconstruct_order_into(packets, &mut self.order);
-        self.rsts.clear();
-        self.data_indices.clear();
-        self.seen_data_seqs.clear();
-        self.pure_ack_indices.clear();
-
-        let mut syn_count = 0;
-        let mut has_fin = false;
-        let mut fin_index = None;
-        let mut first_rst_index = None;
-
-        for (i, &pi) in self.order.iter().enumerate() {
-            let p: &PacketRecord = &packets[pi];
-            let f = p.flags;
-            if f.has_syn() {
-                syn_count += 1;
-            } else if f.has_rst() {
-                if first_rst_index.is_none() {
-                    first_rst_index = Some(i);
-                }
-                self.rsts.push((f.is_pure_rst(), p.ack));
-            } else if f.has_fin() {
-                has_fin = true;
-                if fin_index.is_none() {
-                    fin_index = Some(i);
-                }
-            } else if p.has_payload() {
-                if !self.seen_data_seqs.contains(&p.seq) {
-                    self.seen_data_seqs.push(p.seq);
-                    self.data_indices.push(i);
-                }
-            } else if f.has_ack() {
-                self.pure_ack_indices.push(i);
-            }
-        }
-
-        let mut max_gap = 0;
-        for w in self.order.windows(2) {
-            max_gap = max_gap.max(packets[w[1]].ts_sec.saturating_sub(packets[w[0]].ts_sec));
-        }
-        let tail_gap = if flow.truncated {
-            // The record stopped because the 10-packet limit hit, not
-            // because the flow went quiet; the tail says nothing.
-            0
-        } else {
-            flow.tail_gap_after_last_packet()
-        };
-
-        Scalars {
-            syn_count,
-            has_fin,
-            fin_index,
-            first_rst_index,
-            max_gap,
-            tail_gap,
-        }
-    }
-}
-
 /// Pick the signature for a RST-terminated flow at a given stage.
-/// Shared with the sans-IO [`FlowMachine`](crate::machine::FlowMachine)
-/// so the two classification paths cannot drift.
 pub(crate) fn rst_signature(stage: Stage, rsts: &[(bool, u32)]) -> Option<Signature> {
     // Counting passes instead of collecting the pure-RST subsequence:
     // this runs per classified flow, inside the zero-alloc analyze path.
@@ -238,7 +124,7 @@ pub(crate) fn rst_signature(stage: Stage, rsts: &[(bool, u32)]) -> Option<Signat
 }
 
 /// The A4 ablation: collapse single/multi RST splits into the singular
-/// form. Shared with the sans-IO machine.
+/// form.
 pub(crate) fn merge_rst_counts(sig: Signature) -> Signature {
     use Signature::*;
     match sig {
@@ -274,113 +160,16 @@ pub(crate) fn merge_rst_counts(sig: Signature) -> Signature {
 /// assert_eq!(analysis.signature(), Some(Signature::SynRst));
 /// ```
 pub fn classify(flow: &FlowRecord, cfg: &ClassifierConfig) -> FlowAnalysis {
-    Classifier::new(*cfg).classify(flow)
-}
-
-impl Classifier {
-    /// Classify one flow record, reusing this classifier's scratch space.
-    pub fn classify(&mut self, flow: &FlowRecord) -> FlowAnalysis {
-        let trigger = trigger::extract(flow);
-        let f = self.features(flow);
-        let cfg = &self.cfg;
-        let rst_count = self.rsts.iter().filter(|(p, _)| *p).count();
-        let rst_ack_count = self.rsts.len() - rst_count;
-
-        let has_rst = !self.rsts.is_empty();
-        let silent =
-            !f.has_fin && (f.max_gap >= cfg.inactivity_secs || f.tail_gap >= cfg.inactivity_secs);
-        let possibly_tampered = has_rst || silent;
-
-        if !possibly_tampered || self.order.is_empty() {
-            return FlowAnalysis {
-                classification: Classification::NotTampered,
-                stage: None,
-                rst_count,
-                rst_ack_count,
-                trigger,
-            };
-        }
-
-        // Determine the stage boundary: the first RST for injection
-        // evidence, or the end of the recorded packets for silence
-        // evidence.
-        let boundary = f.first_rst_index.unwrap_or(self.order.len());
-        let data_before = self.data_indices.iter().filter(|&&i| i < boundary).count();
-        let acks_before = self
-            .pure_ack_indices
-            .iter()
-            .filter(|&&i| i < boundary)
-            .count();
-        let fin_before_rst = match (f.fin_index, f.first_rst_index) {
-            (Some(fi), Some(ri)) => fi < ri,
-            (Some(_), None) => true,
-            _ => false,
-        };
-
-        // The *sequence type* (stage) is assigned even when no signature
-        // will match — the paper reports per-stage shares of
-        // possibly-tampered traffic and, within each stage, the fraction
-        // its signatures cover (99.5% / 98.7% / 97.9% / 69.2%).
-        let stage = if data_before >= 2 {
-            Some(Stage::PostData)
-        } else if data_before == 1 {
-            Some(Stage::PostPsh)
-        } else if fin_before_rst {
-            // FIN with no data at all: an odd teardown; unclassifiable.
-            None
-        } else if acks_before == 0 {
-            Some(Stage::PostSyn)
-        } else if acks_before == 1 && f.syn_count == 1 {
-            Some(Stage::PostAck)
-        } else {
-            // e.g. "a connection terminated after a SYN and two ACKs":
-            // the paper's 2.3% residue.
-            None
-        };
-
-        let signature = stage.and_then(|st| {
-            if fin_before_rst {
-                // Teardown was already under way when the RST arrived
-                // (e.g. a client closing with unread data): counted in
-                // its stage but matching no signature.
-                return None;
-            }
-            if has_rst {
-                if st == Stage::PostSyn && f.syn_count != 1 {
-                    // Post-SYN signatures require "a single SYN".
-                    return None;
-                }
-                rst_signature(st, &self.rsts)
-            } else {
-                // Silence evidence.
-                match st {
-                    Stage::PostSyn if f.syn_count == 1 => Some(Signature::SynNone),
-                    Stage::PostSyn => None, // multiple SYNs then silence
-                    Stage::PostAck => Some(Signature::AckNone),
-                    // "No packets received after PSH+ACK packets" covers
-                    // both single and multiple data packets.
-                    Stage::PostPsh | Stage::PostData => Some(Signature::PshNone),
-                }
-            }
-        });
-
-        let signature = if cfg.split_rst_counts {
-            signature
-        } else {
-            signature.map(merge_rst_counts)
-        };
-
-        FlowAnalysis {
-            classification: match signature {
-                Some(sig) => Classification::Tampered(sig),
-                None => Classification::PossiblyTamperedOther,
-            },
-            stage,
-            rst_count,
-            rst_ack_count,
-            trigger,
-        }
-    }
+    classify_view(
+        cfg,
+        flow.dst_port,
+        flow.packets.as_slice(),
+        flow.truncated,
+        flow.observation_end_sec,
+        &mut Vec::new(),
+        &mut Vec::new(),
+        &mut Vec::new(),
+    )
 }
 
 #[cfg(test)]
@@ -388,6 +177,7 @@ mod tests {
     use super::*;
     use bytes::Bytes;
     use std::net::{IpAddr, Ipv4Addr};
+    use tamper_capture::PacketRecord;
     use tamper_wire::TcpFlags;
 
     fn rec(ts: u64, flags: TcpFlags, seq: u32, ack: u32, payload_len: u32) -> PacketRecord {
@@ -709,40 +499,5 @@ mod tests {
         v.push(rec(1, RST, 351, 700, 0));
         let a = classify_default(&flow(v, 30));
         assert_eq!(a.signature(), Some(Signature::PshRst));
-    }
-
-    #[test]
-    fn reused_classifier_matches_free_function() {
-        // One Classifier fed a mix of flow shapes back to back must give
-        // the same verdicts as a fresh classification of each — stale
-        // scratch state from one flow must never leak into the next.
-        let flows = vec![
-            flow(vec![rec(0, SYN, 100, 0, 0), rec(0, RST, 101, 0, 0)], 30),
-            flow(vec![rec(0, SYN, 100, 0, 0)], 30),
-            {
-                let mut v = psh_prefix();
-                v.push(rec(0, RST, 351, 700, 0));
-                v.push(rec(0, RA, 351, 700, 0));
-                flow(v, 30)
-            },
-            flow(
-                vec![
-                    rec(0, SYN, 100, 0, 0),
-                    rec(0, ACK, 101, 501, 0),
-                    rec(0, TcpFlags::FIN_ACK, 101, 501, 0),
-                ],
-                30,
-            ),
-            flow(vec![], 30),
-        ];
-        let mut clf = Classifier::new(ClassifierConfig::default());
-        for f in &flows {
-            let reused = clf.classify(f);
-            let fresh = classify_default(f);
-            assert_eq!(reused.classification, fresh.classification);
-            assert_eq!(reused.stage, fresh.stage);
-            assert_eq!(reused.rst_count, fresh.rst_count);
-            assert_eq!(reused.rst_ack_count, fresh.rst_ack_count);
-        }
     }
 }

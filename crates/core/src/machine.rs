@@ -1,11 +1,8 @@
 //! The sans-IO classification core: [`FlowMachine`].
 //!
-//! [`classify`](crate::classify::classify) is already a pure function of
-//! a finished [`FlowRecord`], but its stage logic lives in nested
-//! conditionals over scratch vectors, and its notion of "now" is a field
-//! smuggled inside the record (`observation_end_sec`). This module
-//! re-founds the same semantics as an explicit state machine in the
-//! happy-eyeballs sans-IO style:
+//! Classification is a pure function of a finished flow's packets and its
+//! observation horizon. This module states it as an explicit state
+//! machine in the happy-eyeballs sans-IO style:
 //!
 //! ```text
 //!             ┌───────────────────────────────────────────────┐
@@ -34,13 +31,8 @@
 //!   fixture so an unintended transition fails review.
 //! - **Replay determinism.** Same input sequence in, same output out —
 //!   there is no hidden state across `Start` boundaries.
-//!
-//! The machine produces bit-identical [`FlowAnalysis`] values to the
-//! legacy [`Classifier`](crate::classify::Classifier); the differential
-//! battery replays the entire golden corpus plus proptest-generated
-//! adversarial interleavings through both.
 
-use std::net::{IpAddr, Ipv4Addr};
+use std::net::IpAddr;
 
 use crate::classify::{merge_rst_counts, rst_signature, ClassifierConfig, FlowAnalysis};
 use crate::reorder::reconstruct_order_view_into;
@@ -86,8 +78,8 @@ impl Count {
 }
 
 /// The event alphabet: what one reordered packet means to the stage
-/// automaton. Classification priority matches the legacy feature pass:
-/// SYN wins over RST wins over FIN wins over payload wins over pure ACK.
+/// automaton. Classification priority: SYN wins over RST wins over FIN
+/// wins over payload wins over pure ACK.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Event {
     /// Any packet with SYN set (even SYN+RST: SYN has priority).
@@ -178,8 +170,8 @@ fn event_of_fields(
 /// The finite stage-evidence state: everything the paper's sequence-type
 /// assignment needs, folded packet by packet. `rst` doubles as the
 /// freeze bit — the stage counts stop at the first RST (the paper's
-/// stage boundary) while `syns` and `fin_any` keep counting, exactly as
-/// the legacy pass computes them over the whole flow.
+/// stage boundary) while `syns` and `fin_any` keep counting over the
+/// whole flow.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct StageState {
     /// SYN packets over the whole flow (never frozen).
@@ -249,8 +241,7 @@ pub const fn transition(s: StageState, ev: Event) -> StageState {
     }
 }
 
-/// The sequence type (stage) read off a terminal state — the flat-match
-/// twin of the legacy nested-conditional ladder.
+/// The sequence type (stage) read off a terminal state.
 pub const fn stage_of(s: StageState) -> Option<Stage> {
     match (s.data, s.fin_before, s.acks, s.syns) {
         (Count::Many, _, _, _) => Some(Stage::PostData),
@@ -322,13 +313,10 @@ pub enum Output {
 }
 
 /// The sans-IO per-flow classifier. See the module docs for the
-/// invariants; see [`Classifier`](crate::classify::Classifier) for the
-/// legacy equivalent it is differentially tested against.
+/// invariants.
 pub struct FlowMachine {
     cfg: ClassifierConfig,
-    client_ip: IpAddr,
-    server_ip: IpAddr,
-    src_port: u16,
+    /// Server port of the flow in progress (selects the trigger parser).
     dst_port: u16,
     /// Packet buffer in arrival order (reused across flows).
     packets: Vec<PacketRecord>,
@@ -345,9 +333,6 @@ impl FlowMachine {
     pub fn new(cfg: ClassifierConfig) -> FlowMachine {
         FlowMachine {
             cfg,
-            client_ip: IpAddr::V4(Ipv4Addr::UNSPECIFIED),
-            server_ip: IpAddr::V4(Ipv4Addr::UNSPECIFIED),
-            src_port: 0,
             dst_port: 0,
             packets: Vec::new(),
             order: Vec::new(),
@@ -361,26 +346,13 @@ impl FlowMachine {
         &self.cfg
     }
 
-    /// The 4-tuple of the flow currently in progress.
-    pub fn flow_tuple(&self) -> (IpAddr, IpAddr, u16, u16) {
-        (self.client_ip, self.server_ip, self.src_port, self.dst_port)
-    }
-
     /// Advance the machine by one input. Allocation-free once the scratch
     /// buffers are warm (buffer pushes reuse capacity released by the
     /// previous flow); the only allocations on the `End` path are inside
     /// the returned analysis (the extracted trigger domain).
     pub fn process(&mut self, input: Input, now: SimTime) -> Output {
         match input {
-            Input::Start {
-                client_ip,
-                server_ip,
-                src_port,
-                dst_port,
-            } => {
-                self.client_ip = client_ip;
-                self.server_ip = server_ip;
-                self.src_port = src_port;
+            Input::Start { dst_port, .. } => {
                 self.dst_port = dst_port;
                 self.packets.clear();
                 Output::Continue
@@ -627,7 +599,10 @@ mod tests {
     }
 
     #[test]
-    fn machine_matches_legacy_on_a_handful_of_shapes() {
+    fn reused_machine_matches_fresh_classify_on_a_handful_of_shapes() {
+        // One machine fed a mix of flow shapes back to back must give the
+        // same analyses as a fresh classification of each — stale scratch
+        // state from one flow must never leak into the next.
         let cfg = ClassifierConfig::default();
         let flows = [
             flow(vec![rec(100, TcpFlags::SYN, 100, 0, 0)], 130, false),
@@ -646,6 +621,26 @@ mod tests {
                     rec(101, TcpFlags::PSH_ACK, 101, 501, 5),
                     rec(101, TcpFlags::RST, 106, 0, 0),
                     rec(101, TcpFlags::RST, 106, 700, 0),
+                ],
+                130,
+                false,
+            ),
+            flow(
+                vec![
+                    rec(100, TcpFlags::SYN, 100, 0, 0),
+                    rec(100, TcpFlags::ACK, 101, 501, 0),
+                    rec(100, TcpFlags::PSH_ACK, 101, 501, 250),
+                    rec(100, TcpFlags::RST, 351, 700, 0),
+                    rec(100, TcpFlags::RST_ACK, 351, 700, 0),
+                ],
+                130,
+                false,
+            ),
+            flow(
+                vec![
+                    rec(100, TcpFlags::SYN, 100, 0, 0),
+                    rec(100, TcpFlags::ACK, 101, 501, 0),
+                    rec(100, TcpFlags::FIN_ACK, 101, 501, 0),
                 ],
                 130,
                 false,

@@ -4,8 +4,7 @@
 //!
 //! The pipeline's observability layer: named counters, gauges, monotonic
 //! stage timers, and fixed-bucket latency histograms, grouped into
-//! per-component **scopes** (`reader`, `shard<i>`, `merge`, `offline`,
-//! `report`).
+//! per-component **scopes** (`reader`, `shard<i>`, `merge`, `report`).
 //!
 //! # Determinism containment
 //!
@@ -157,8 +156,8 @@ impl Histogram {
 }
 
 /// The metrics of one pipeline scope (`reader`, `shard<i>`, `merge`,
-/// `offline`, `report`), owned by a single thread and published to a
-/// [`Registry`] when the scope's work is done.
+/// `report`), owned by a single thread and published to a [`Registry`]
+/// when the scope's work is done.
 #[derive(Debug)]
 pub struct ScopeMetrics {
     name: String,
@@ -208,11 +207,6 @@ impl ScopeMetrics {
     /// Scope name.
     pub fn name(&self) -> &str {
         &self.name
-    }
-
-    /// True when instruments record (scope came from a registry).
-    pub fn is_enabled(&self) -> bool {
-        self.enabled
     }
 
     /// Add `n` to a named counter.

@@ -118,7 +118,6 @@ impl Packet {
                 Ok(Packet {
                     ip: IpHeader::V4(ip),
                     tcp,
-                    // tamperlint: allow(hot-path-alloc) — the parsed packet owns its payload; the borrowed frame is a reused read buffer
                     payload: Bytes::copy_from_slice(payload),
                 })
             }
@@ -140,7 +139,6 @@ impl Packet {
                 Ok(Packet {
                     ip: IpHeader::V6(ip),
                     tcp,
-                    // tamperlint: allow(hot-path-alloc) — the parsed packet owns its payload; the borrowed frame is a reused read buffer
                     payload: Bytes::copy_from_slice(payload),
                 })
             }

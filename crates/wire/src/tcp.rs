@@ -138,7 +138,6 @@ impl TcpHeader {
             .checked_sub(TCP_HEADER_LEN)
             .ok_or(WireError::BadLength)?;
         let mut opts = Reader::new(r.take(opts_len)?);
-        // tamperlint: allow(hot-path-alloc) — zero-capacity Vec: headers without options (the common case) never touch the heap
         let mut options = Vec::new();
         while !opts.is_empty() {
             let kind = opts.u8()?;
@@ -169,7 +168,6 @@ impl TcpHeader {
                         },
                         _ => TcpOption::Unknown {
                             kind,
-                            // tamperlint: allow(hot-path-alloc) — unknown-option payload (≤40 B) owned by the parsed header; rare on real traffic
                             data: body.to_vec(),
                         },
                     };

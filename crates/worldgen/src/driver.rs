@@ -16,9 +16,7 @@ use rand::distributions::{Distribution, WeightedIndex};
 use rand::rngs::StdRng;
 use rand::Rng;
 use std::net::{IpAddr, Ipv4Addr, Ipv6Addr};
-use tamper_capture::{
-    collect, run_source_observed, CollectorConfig, EngineConfig, Sampler, SimSource,
-};
+use tamper_capture::{collect, run_source, CollectorConfig, EngineConfig, Sampler, SimSource};
 use tamper_middlebox::{ForcedStage, RuleSet, Vendor};
 use tamper_netsim::{
     derive_rng, run_session, splitmix64, ClientConfig, ClientKind, IpIdMode, Link, Path,
@@ -189,11 +187,6 @@ impl WorldSim {
     /// The configuration.
     pub fn config(&self) -> &WorldConfig {
         &self.cfg
-    }
-
-    /// The benign-anomaly rates in force.
-    pub fn benign_rates(&self) -> &BenignRates {
-        &self.benign
     }
 
     /// True if `domain` is on `country`'s block list (category coverage or
@@ -653,31 +646,21 @@ impl WorldSim {
         }
     }
 
-    /// Run across `threads` shards of the unified capture engine. Each
+    /// Run across `threads` shards of the capture engine — a thin shim
+    /// over [`tamper_capture::run_source`] with a [`SimSource`] front-end;
+    /// the driver has no sharding or merging machinery of its own. Each
     /// shard owns a contiguous chunk of session indices and folds into
     /// its own accumulator `T`; accumulators are merged in shard order,
     /// so results are byte-identical to a serial run — even for
     /// order-sensitive accumulators — at any thread count.
-    pub fn run_sharded<T, FI, FO, FM>(&self, threads: usize, init: FI, observe: FO, merge: FM) -> T
-    where
-        T: Send,
-        FI: Fn() -> T + Sync,
-        FO: Fn(&mut T, LabeledFlow) + Sync,
-        FM: FnMut(&mut T, T),
-    {
-        self.run_sharded_observed(threads, None, init, observe, merge)
-    }
-
-    /// [`WorldSim::run_sharded`] with an optional metrics registry
-    /// attached — a thin shim over [`tamper_capture::run_source_observed`]
-    /// with a [`SimSource`] front-end; the driver has no sharding or
-    /// merging machinery of its own. The engine publishes its uniform
+    ///
+    /// With a registry attached the engine publishes its uniform
     /// `reader` / `shard<i>` / `merge` scopes (per-shard `gen` stage
     /// timers, session/flow counters, a thread gauge on `merge`). With
     /// `None` every instrument is disabled (no clock reads); metrics
     /// never feed the merged accumulator, so attaching a registry cannot
     /// perturb byte-compared output.
-    pub fn run_sharded_observed<T, FI, FO, FM>(
+    pub fn run_sharded<T, FI, FO, FM>(
         &self,
         threads: usize,
         obs: Option<&Registry>,
@@ -696,7 +679,7 @@ impl WorldSim {
             ..EngineConfig::default()
         };
         let gen = |i: u64| self.gen_session(i);
-        let (acc, _stats) = run_source_observed(
+        let (acc, _stats) = run_source(
             SimSource::new(self.cfg.sessions, &gen),
             &cfg,
             obs,
@@ -718,41 +701,6 @@ impl WorldSim {
         }
         let h = splitmix64(self.cfg.seed ^ POP_ROUTE_SALT ^ ip_route_key(lf.flow.client_ip));
         (h % pops as u64) as usize
-    }
-
-    /// [`WorldSim::run_sharded_observed`] restricted to the slice of
-    /// traffic that lands on PoP `pop` of `pops`. The whole world is still
-    /// generated (routing must see every client), but only flows whose
-    /// [`WorldSim::pop_of`] matches reach `observe`. The union of the
-    /// accumulators over all `pops` values covers every flow exactly once.
-    #[allow(clippy::too_many_arguments)]
-    pub fn run_pop_observed<T, FI, FO, FM>(
-        &self,
-        threads: usize,
-        pops: usize,
-        pop: usize,
-        obs: Option<&Registry>,
-        init: FI,
-        observe: FO,
-        merge: FM,
-    ) -> T
-    where
-        T: Send,
-        FI: Fn() -> T + Sync,
-        FO: Fn(&mut T, LabeledFlow) + Sync,
-        FM: FnMut(&mut T, T),
-    {
-        self.run_sharded_observed(
-            threads,
-            obs,
-            init,
-            |acc, lf| {
-                if self.pop_of(pops, &lf) == pop {
-                    observe(acc, lf);
-                }
-            },
-            merge,
-        )
     }
 }
 
@@ -1027,6 +975,7 @@ mod tests {
         s.run(|lf| serial.push((lf.meta.start_unix, lf.flow.packets.len())));
         let sharded: Vec<(u64, usize)> = s.run_sharded(
             4,
+            None,
             Vec::new,
             |acc, lf| acc.push((lf.meta.start_unix, lf.flow.packets.len())),
             |a, mut b| a.append(&mut b),

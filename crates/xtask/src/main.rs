@@ -3,8 +3,9 @@
 //! the engine determinism suite re-run explicitly so a scheduling-dependent
 //! failure gets a second chance to surface, a smoke run of
 //! `classify --metrics-json` on the golden fixture pcap, a cross-thread
-//! byte-identity smoke of `report` (`--threads 1` vs `--threads 2`), the
-//! proptest suites re-run with `PROPTEST_CASES`/`PROPTEST_SEED` pinned,
+//! byte-identity smoke of `report` (`--threads 1` vs `--threads 2`), a
+//! build check and one short run of the stand-alone `benchmark/` package,
+//! the proptest suites re-run with `PROPTEST_CASES`/`PROPTEST_SEED` pinned,
 //! the zero-allocation discipline test and the linter's own fixture
 //! suite, and the tamperlint static-analysis gate in `--deny-new` mode
 //! (fail on any finding whose fingerprint is absent from the checked-in
@@ -508,161 +509,52 @@ fn multi_pop_smoke() -> Result<(), String> {
     Ok(())
 }
 
-/// Merge throughput smoke: run the `merge` bench (decode + fold of 8
-/// per-PoP partials, with its built-in unsplit-fold byte identity
-/// assertion) against a scratch path, and require a sane, non-zero
-/// throughput row. The committed `BENCH_merge.json` is the reference
-/// artifact; this step proves the bench still runs and the identity
-/// still holds without holding CI hostage to host noise.
-fn merge_bench_smoke() -> Result<(), String> {
+/// Pipeline bench smoke. Tier-1 never builds the stand-alone `benchmark/`
+/// workspace, so first `cargo check` it — an API change that breaks
+/// `probes` or `synth` fails here — then run the smallest end-to-end
+/// measurement (`pcap-mix`, 2 s window, no trace) and require the result
+/// line to report `"correct": true` and `"failed": 0`. This proves the
+/// benchmark still runs against this tree; regression gating stays with
+/// the paired parent/change runs of `BENCHMARK.json`.
+fn pipeline_bench_smoke() -> Result<(), String> {
     let root = repo_root();
-    let scratch = root.join("target").join("xtask-merge-bench.json");
-    let _ = std::fs::remove_file(&scratch);
-    eprintln!("==> merge bench: cargo bench --bench merge");
-    let status = Command::new("cargo")
-        .args(["bench", "-q", "--bench", "merge", "-p", "tamper-bench"])
-        .env("BENCH_OUT_PATH", &scratch)
+    let manifest = root.join("benchmark").join("Cargo.toml");
+    let manifest = manifest.to_string_lossy();
+    run(
+        "pipeline bench smoke",
+        "cargo",
+        &["check", "--manifest-path", &manifest, "--all-targets"],
+    )?;
+    eprintln!("==> pipeline bench smoke: tamperbench --workload pcap-mix --seconds 2 --trace 0");
+    let out = Command::new("cargo")
+        .args(["run", "--release", "--quiet", "--manifest-path", &manifest])
+        .args(["--bin", "tamperbench", "--", "--workload", "pcap-mix"])
+        .args(["--seconds", "2", "--trace", "0"])
         .current_dir(&root)
-        .stdout(std::process::Stdio::null())
-        .status()
-        .map_err(|e| format!("merge bench: failed to spawn cargo: {e}"))?;
-    if !status.success() {
-        return Err(format!("merge bench: bench exited with {status}"));
+        .stderr(std::process::Stdio::inherit())
+        .output()
+        .map_err(|e| format!("pipeline bench smoke: failed to spawn cargo: {e}"))?;
+    if !out.status.success() {
+        return Err(format!(
+            "pipeline bench smoke: tamperbench exited with {}",
+            out.status
+        ));
     }
-    let text = std::fs::read_to_string(&scratch)
-        .map_err(|e| format!("merge bench: bench wrote no JSON: {e}"))?;
-    let run = bench_numbers(&text).map_err(|e| format!("merge bench: bench output: {e}"))?;
-    if run.batched <= 0.0 {
-        return Err("merge bench: zero merged flows/s".into());
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    let line = stdout
+        .lines()
+        .rev()
+        .find(|l| l.starts_with('{'))
+        .ok_or_else(|| "pipeline bench smoke: no JSON result line".to_string())?;
+    let doc = tamper_worldgen::json::Json::parse(line)
+        .map_err(|e| format!("pipeline bench smoke: result line does not parse: {e}"))?;
+    let correct = doc.get("correct").and_then(|v| v.as_bool());
+    let failed = doc.get("failed").and_then(|v| v.as_u64());
+    if correct != Some(true) || failed != Some(0) {
+        return Err(format!("pipeline bench smoke: unhealthy result: {line}"));
     }
-    eprintln!("==> merge bench: {:.0} merged flows/s", run.batched);
+    eprintln!("==> pipeline bench smoke: correct, 0 failed");
     Ok(())
-}
-
-/// Throughput regression smoke: re-run the `classify_stream` bench and
-/// compare its single-thread flows/s against the committed
-/// `BENCH_classify_stream.json` at the repo root. A drop of more than 20%
-/// below the committed number fails the gate — that is the margin between
-/// "host noise" and "someone put a per-packet allocation back in the hot
-/// path". On a shared box, though, external load alone can cost 20%; the
-/// bench's own legacy-path row is the control for that. The legacy code
-/// is untouched by hot-path work and runs in the same process seconds
-/// apart, so genuine regressions collapse the batched/legacy *ratio*
-/// while host load leaves it intact: an absolute drop is forgiven only
-/// when the ratio stayed within 20% of the committed ratio. Three
-/// attempts guard against one unlucky scheduling window; the bench
-/// writes to a scratch path so the committed artifact stays untouched.
-fn throughput_smoke() -> Result<(), String> {
-    let root = repo_root();
-    let committed = root.join("BENCH_classify_stream.json");
-    let text = std::fs::read_to_string(&committed).map_err(|e| {
-        format!(
-            "throughput smoke: committed baseline {} unreadable: {e}",
-            committed.display()
-        )
-    })?;
-    let base =
-        bench_numbers(&text).map_err(|e| format!("throughput smoke: committed baseline: {e}"))?;
-    let floor = base.batched * 0.8;
-    let ratio_floor = base.ratio().map(|r| r * 0.8);
-    let scratch = root.join("target").join("xtask-bench-smoke.json");
-    let mut best = 0f64;
-    for attempt in 1..=3 {
-        let _ = std::fs::remove_file(&scratch);
-        eprintln!(
-            "==> throughput smoke: classify_stream attempt {attempt} \
-             (floor {floor:.0} flows/s)"
-        );
-        let status = Command::new("cargo")
-            .args([
-                "bench",
-                "-q",
-                "--bench",
-                "classify_stream",
-                "-p",
-                "tamper-bench",
-            ])
-            .env("BENCH_OUT_PATH", &scratch)
-            .current_dir(&root)
-            .stdout(std::process::Stdio::null())
-            .status()
-            .map_err(|e| format!("throughput smoke: failed to spawn cargo: {e}"))?;
-        if !status.success() {
-            return Err(format!("throughput smoke: bench exited with {status}"));
-        }
-        let text = std::fs::read_to_string(&scratch)
-            .map_err(|e| format!("throughput smoke: bench wrote no JSON: {e}"))?;
-        let run =
-            bench_numbers(&text).map_err(|e| format!("throughput smoke: bench output: {e}"))?;
-        if run.batched >= floor {
-            eprintln!(
-                "==> throughput smoke: {:.0} flows/s (baseline {:.0}, floor {floor:.0})",
-                run.batched, base.batched
-            );
-            return Ok(());
-        }
-        if let (Some(rf), Some(r)) = (ratio_floor, run.ratio()) {
-            if r >= rf {
-                eprintln!(
-                    "==> throughput smoke: {:.0} flows/s is under the floor, but the \
-                     legacy control slowed to match ({:.2}x vs committed {:.2}x) — \
-                     host load, not a regression",
-                    run.batched,
-                    r,
-                    base.ratio().unwrap_or(0.0)
-                );
-                return Ok(());
-            }
-        }
-        best = best.max(run.batched);
-        eprintln!(
-            "==> throughput smoke: attempt {attempt} measured {:.0} < floor {floor:.0}",
-            run.batched
-        );
-    }
-    Err(format!(
-        "throughput smoke: single-thread classify_stream stayed below 80% of the \
-         committed baseline across 3 runs without the legacy control slowing to \
-         match (best {best:.0} flows/s, floor {floor:.0}, baseline {:.0})",
-        base.batched
-    ))
-}
-
-/// The two single-thread throughput numbers of a bench JSON document:
-/// the batched engine path and the legacy per-flow control.
-struct BenchNumbers {
-    batched: f64,
-    legacy: Option<f64>,
-}
-
-impl BenchNumbers {
-    /// Batched-over-legacy speedup, when the control row is present.
-    fn ratio(&self) -> Option<f64> {
-        self.legacy.filter(|&l| l > 0.0).map(|l| self.batched / l)
-    }
-}
-
-fn bench_numbers(text: &str) -> Result<BenchNumbers, String> {
-    let doc = tamper_worldgen::json::Json::parse(text.trim())
-        .map_err(|e| format!("does not parse: {e}"))?;
-    let batched = doc
-        .get("runs")
-        .and_then(|v| v.as_array())
-        .and_then(|runs| {
-            runs.iter().find_map(|run| {
-                if run.get("threads")?.as_u64()? != 1 {
-                    return None;
-                }
-                run.get("flows_per_sec")?.as_u64().map(|v| v as f64)
-            })
-        })
-        .ok_or_else(|| "no single-thread run row".to_string())?;
-    let legacy = doc
-        .get("legacy")
-        .and_then(|l| l.get("flows_per_sec"))
-        .and_then(|v| v.as_u64())
-        .map(|v| v as f64);
-    Ok(BenchNumbers { batched, legacy })
 }
 
 /// Pinned proptest environment for the CI gate: an explicit case count
@@ -736,8 +628,7 @@ fn ci() -> Result<(), String> {
         sw.time("metrics smoke", metrics_smoke)?;
         sw.time("report smoke", report_determinism_smoke)?;
         sw.time("multi-pop smoke", multi_pop_smoke)?;
-        sw.time("throughput smoke", throughput_smoke)?;
-        sw.time("merge bench", merge_bench_smoke)?;
+        sw.time("pipeline bench smoke", pipeline_bench_smoke)?;
         sw.time("analyze", analyze_cold_warm)?;
         sw.time("lint bench", lint_bench)?;
         Ok(())
@@ -800,7 +691,7 @@ fn main() -> ExitCode {
             "unknown task {task:?}\n\nUSAGE: cargo xtask <task>\n\nTASKS:\n  \
              ci                 fmt + clippy + release build + workspace tests + \
              determinism gates + alloc discipline + lint suite + metrics + \
-             report + multi-pop + throughput + merge-bench smokes + \
+             report + multi-pop + pipeline-bench smokes + \
              tamperlint cold+warm --deny-new + lint bench\n  \
              analyze [--json] [--deny-new] [--write-baseline] [--prune-baseline]\n          \
              [--no-cache] [--explain <rule>]\n                     \

@@ -40,7 +40,7 @@ fn main() {
         )
     };
     let t0 = std::time::Instant::now();
-    let col = sim.run_sharded(threads, mk, |c, lf| c.observe(&lf), |a, b| a.merge(b));
+    let col = sim.run_sharded(threads, None, mk, |c, lf| c.observe(&lf), |a, b| a.merge(b));
     eprintln!(
         "[world] simulated+classified {} flows in {:.1}s",
         col.total,
@@ -69,6 +69,12 @@ fn main() {
             SEP13_2022_UNIX,
         )
     };
-    let iran_col = iran.run_sharded(threads, mk_iran, |c, lf| c.observe(&lf), |a, b| a.merge(b));
+    let iran_col = iran.run_sharded(
+        threads,
+        None,
+        mk_iran,
+        |c, lf| c.observe(&lf),
+        |a, b| a.merge(b),
+    );
     println!("{}", report::fig8(&iran_col.view()));
 }

@@ -46,7 +46,7 @@ fn main() {
             SEP13_2022_UNIX,
         )
     };
-    let col = sim.run_sharded(threads, mk, |c, lf| c.observe(&lf), |a, b| a.merge(b));
+    let col = sim.run_sharded(threads, None, mk, |c, lf| c.observe(&lf), |a, b| a.merge(b));
 
     // Figure 8: the full hourly TSV.
     println!("{}", report::fig8(&col.view()));

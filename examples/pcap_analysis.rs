@@ -16,7 +16,7 @@
 
 use std::collections::BTreeMap;
 use std::fs::File;
-use std::io::{BufReader, BufWriter};
+use std::io::BufWriter;
 use tamperscope::capture::{flows_from_pcap, OfflineConfig, PcapWriter};
 use tamperscope::core::{classify, max_rst_ipid_delta, ClassifierConfig};
 use tamperscope::middlebox::{RuleSet, Vendor};
@@ -96,10 +96,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         }
     };
 
-    let (flows, stats) = flows_from_pcap(
-        BufReader::new(File::open(&path)?),
-        &OfflineConfig::default(),
-    )?;
+    let (flows, stats) = flows_from_pcap(&std::fs::read(&path)?, &OfflineConfig::default())?;
     println!(
         "ingested {}: {} flows, {} packets ({} skipped outbound, {} unparsable)\n",
         path, stats.flows, stats.packets, stats.not_inbound, stats.unparsable

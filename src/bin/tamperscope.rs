@@ -23,8 +23,7 @@ use tamperscope::analysis::{
     summary_to_json, write_metrics_json, AggError, Collector, PartialAggregate,
 };
 use tamperscope::capture::{
-    run_source_observed, EngineConfig, FlowBatch, OfflineConfig, PcapMemSource, PcapWriter,
-    SimSource,
+    run_source, EngineConfig, FlowBatch, OfflineConfig, PcapMemSource, PcapWriter, SimSource,
 };
 use tamperscope::cli::Args;
 use tamperscope::core::{BatchClassifier, ClassifierConfig};
@@ -186,7 +185,6 @@ fn cmd_classify(args: &Args) -> ExitCode {
         offline: OfflineConfig::default(),
         threads: flag_u64!(args, "threads", 0) as usize,
         max_flows: flag_u64!(args, "max-flows", 0) as usize,
-        ..EngineConfig::default()
     };
     let clf_cfg = ClassifierConfig::default();
     let init = || ClassifySink {
@@ -248,7 +246,7 @@ fn cmd_classify(args: &Args) -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    let (mut sink, stats) = run_source_observed(src, &cfg, registry.as_ref(), init, observe, merge);
+    let (mut sink, stats) = run_source(src, &cfg, registry.as_ref(), init, observe, merge);
     eprintln!(
         "[{path}] {} flows / {} packets ({} non-inbound, {} unparsable frames skipped, {} threads)",
         stats.ingest.flows,
@@ -343,7 +341,7 @@ fn cmd_report(args: &Args) -> ExitCode {
     // Stderr progress timing goes through the obs stopwatch — the one
     // sanctioned wall-clock entry point — and never enters report bytes.
     let run_sw = Stopwatch::start();
-    let col = sim.run_sharded_observed(
+    let col = sim.run_sharded(
         threads,
         registry.as_ref(),
         mk,
@@ -435,7 +433,7 @@ fn cmd_pop_run(args: &Args) -> ExitCode {
             })
             .collect::<Vec<_>>()
     };
-    let cols = sim.run_sharded_observed(
+    let cols = sim.run_sharded(
         threads,
         None,
         mk,
@@ -556,7 +554,7 @@ fn cmd_iran(args: &Args) -> ExitCode {
     // file, never in the fig8 bytes.
     let metrics_path = args.get("metrics-json");
     let registry = metrics_path.map(|_| Registry::new());
-    let col = sim.run_sharded_observed(
+    let col = sim.run_sharded(
         threads,
         registry.as_ref(),
         mk,
@@ -686,7 +684,7 @@ fn cmd_synthesize(args: &Args) -> ExitCode {
         threads,
         ..EngineConfig::default()
     };
-    let (mut generated, _stats) = run_source_observed(
+    let (mut generated, _stats) = run_source(
         SimSource::new(sessions, &gen),
         &ecfg,
         registry.as_ref(),

@@ -12,33 +12,43 @@
 //! really amortize to zero once the machine is warm.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 
 use tamperscope::capture::{
-    run_engine, ClosedFlow, EngineConfig, FlowBatch, FlowTuple, OfflineConfig,
+    flows_from_pcap, EvictionCause, FlowBatch, FlowRecord, FlowTuple, OfflineConfig,
 };
 use tamperscope::core::{BatchClassifier, ClassifierConfig, FlowMachine};
 
-/// A counting pass-through allocator: every heap request bumps a global
-/// counter. Counting is process-wide, so measured sections must run with
-/// no other live threads.
+/// A counting pass-through allocator: every heap request bumps the
+/// calling thread's counter, so the two tests — which the harness runs on
+/// parallel threads — never see each other's allocations.
 struct CountingAlloc;
 
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    // Const-initialised and without a destructor: reading it inside the
+    // allocator neither allocates nor registers thread-exit work.
+    static ALLOCS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn bump() {
+    // `try_with`: a request after this thread's locals are gone is
+    // simply not counted.
+    let _ = ALLOCS.try_with(|c| c.set(c.get() + 1));
+}
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        bump();
         unsafe { System.alloc(layout) }
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        bump();
         unsafe { System.alloc_zeroed(layout) }
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        bump();
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 
@@ -50,12 +60,13 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
 
+/// Heap requests made so far by the calling thread.
 fn allocations() -> u64 {
-    ALLOCS.load(Ordering::Relaxed)
+    ALLOCS.with(Cell::get)
 }
 
-/// The golden corpus as closed flows, in first-seen order.
-fn golden_flows() -> Vec<ClosedFlow> {
+/// The golden corpus as flow records, in first-seen order.
+fn golden_flows() -> Vec<FlowRecord> {
     let bytes = std::fs::read(
         std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
             .join("tests")
@@ -63,20 +74,8 @@ fn golden_flows() -> Vec<ClosedFlow> {
             .join("golden.pcap"),
     )
     .expect("tests/fixtures/golden.pcap present");
-    let cfg = EngineConfig {
-        offline: OfflineConfig::default(),
-        threads: 1,
-        ..EngineConfig::default()
-    };
-    let (mut flows, _stats) = run_engine(
-        bytes.as_slice(),
-        &cfg,
-        Vec::new,
-        |sink: &mut Vec<ClosedFlow>, closed: ClosedFlow| sink.push(closed),
-        |a, mut b| a.append(&mut b),
-    )
-    .expect("golden corpus replays");
-    flows.sort_by_key(|cf| cf.first_index);
+    let (flows, _stats) =
+        flows_from_pcap(&bytes, &OfflineConfig::default()).expect("golden corpus replays");
     assert!(!flows.is_empty(), "golden corpus yielded no flows");
     flows
 }
@@ -86,13 +85,13 @@ fn warm_machine_analyzes_the_golden_corpus_without_allocating() {
     let flows = golden_flows();
     let mut machine = FlowMachine::new(ClassifierConfig::default());
 
-    // Warm pass: scratch buffers grow to the corpus' high-water marks
-    // (and any engine worker threads are already joined by now). Record
-    // which flows legitimately allocate a verdict-owned trigger domain.
+    // Warm pass: scratch buffers grow to the corpus' high-water marks.
+    // Record which flows legitimately allocate a verdict-owned trigger
+    // domain.
     let mut warm_verdicts = Vec::with_capacity(flows.len());
     let mut has_domain = Vec::with_capacity(flows.len());
-    for cf in &flows {
-        let analysis = machine.analyze(&cf.flow);
+    for flow in &flows {
+        let analysis = machine.analyze(flow);
         has_domain.push(analysis.trigger.domain.is_some());
         warm_verdicts.push(analysis.classification);
     }
@@ -104,7 +103,7 @@ fn warm_machine_analyzes_the_golden_corpus_without_allocating() {
         .iter()
         .zip(&has_domain)
         .filter(|(_, d)| !**d)
-        .map(|(cf, _)| cf)
+        .map(|(flow, _)| flow)
         .collect();
     assert!(
         measured.len() >= flows.len() / 2,
@@ -113,8 +112,8 @@ fn warm_machine_analyzes_the_golden_corpus_without_allocating() {
         flows.len()
     );
     let before = allocations();
-    for cf in &measured {
-        let analysis = machine.analyze(&cf.flow);
+    for flow in &measured {
+        let analysis = machine.analyze(flow);
         assert!(
             analysis.trigger.domain.is_none(),
             "domain appeared on re-analysis"
@@ -136,11 +135,11 @@ fn warm_machine_analyzes_the_golden_corpus_without_allocating() {
         .iter()
         .zip(&has_domain)
         .filter(|(_, d)| **d)
-        .map(|(cf, _)| cf)
+        .map(|(flow, _)| flow)
         .collect();
     let before = allocations();
-    for cf in &domain_flows {
-        assert!(machine.analyze(&cf.flow).trigger.domain.is_some());
+    for flow in &domain_flows {
+        assert!(machine.analyze(flow).trigger.domain.is_some());
     }
     let after = allocations();
     let per_flow_budget = 4 * domain_flows.len() as u64;
@@ -155,18 +154,18 @@ fn warm_machine_analyzes_the_golden_corpus_without_allocating() {
     // The measured pass produced the same verdicts the warm pass did.
     let verdicts: Vec<_> = flows
         .iter()
-        .map(|cf| machine.analyze(&cf.flow).classification)
+        .map(|flow| machine.analyze(flow).classification)
         .collect();
     assert_eq!(verdicts, warm_verdicts, "verdicts drifted between passes");
 }
 
-/// Pack closed flows into one columnar [`FlowBatch`], the shape the
-/// batched engine hands to per-shard sinks.
-fn batch_of(flows: &[&ClosedFlow]) -> FlowBatch {
+/// Pack flows into one columnar [`FlowBatch`], the shape the engine
+/// hands to per-shard sinks.
+fn batch_of(flows: &[&FlowRecord]) -> FlowBatch {
     let mut batch = FlowBatch::new();
-    for cf in flows {
+    for (i, flow) in flows.iter().enumerate() {
         let start = batch.packet_count() as u32;
-        for p in &cf.flow.packets {
+        for p in &flow.packets {
             batch.push_packet(
                 p.ts_sec,
                 p.flags,
@@ -181,16 +180,16 @@ fn batch_of(flows: &[&ClosedFlow]) -> FlowBatch {
         }
         batch.push_flow(
             FlowTuple {
-                client_ip: cf.flow.client_ip,
-                server_ip: cf.flow.server_ip,
-                src_port: cf.flow.src_port,
-                dst_port: cf.flow.dst_port,
+                client_ip: flow.client_ip,
+                server_ip: flow.server_ip,
+                src_port: flow.src_port,
+                dst_port: flow.dst_port,
             },
             start,
-            cf.first_index,
-            cf.flow.observation_end_sec,
-            cf.flow.truncated,
-            cf.cause,
+            i as u64,
+            flow.observation_end_sec,
+            flow.truncated,
+            EvictionCause::EndOfCapture,
         );
     }
     batch
@@ -202,9 +201,9 @@ fn warm_batch_classifier_processes_a_batch_without_allocating() {
     let mut machine = FlowMachine::new(ClassifierConfig::default());
     // Domain-bearing flows legitimately allocate their verdict-owned
     // host string; the zero-alloc guarantee covers everything else.
-    let domain_free: Vec<&ClosedFlow> = flows
+    let domain_free: Vec<&FlowRecord> = flows
         .iter()
-        .filter(|cf| machine.analyze(&cf.flow).trigger.domain.is_none())
+        .filter(|flow| machine.analyze(flow).trigger.domain.is_none())
         .collect();
     assert!(
         domain_free.len() >= flows.len() / 2,

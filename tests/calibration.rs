@@ -26,7 +26,7 @@ fn run_world(sessions: u64) -> (Collector, WorldSim) {
             sim.config().start_unix,
         )
     };
-    let col = sim.run_sharded(threads, mk, |c, lf| c.observe(&lf), |a, b| a.merge(b));
+    let col = sim.run_sharded(threads, None, mk, |c, lf| c.observe(&lf), |a, b| a.merge(b));
     (col, sim)
 }
 

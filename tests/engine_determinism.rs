@@ -1,8 +1,8 @@
 //! The engine's headline guarantee: classify output is a pure function of
 //! the capture bytes, not of the thread count. A synthesized capture runs
-//! through the streaming engine at 1, 2, and 8 shards and through the
-//! legacy buffered path; verdict lines, per-signature counts, and the
-//! deterministic summary JSON must be byte-identical everywhere.
+//! through the streaming engine at 1, 2, and 8 shards; verdict lines,
+//! per-signature counts, and the deterministic summary JSON must be
+//! byte-identical everywhere.
 
 use std::net::{IpAddr, Ipv4Addr};
 
@@ -11,10 +11,10 @@ use tamperscope::analysis::{
     report, summary_to_json, Collector,
 };
 use tamperscope::capture::{
-    flows_from_pcap, run_engine_observed, run_source, ClosedFlow, EngineConfig, EngineStats,
-    FlowRecord, OfflineConfig, PacketRecord, PcapWriter, RecordSource,
+    flows_from_pcap, run_source, EngineConfig, EngineStats, FlowBatch, FlowRecord, OfflineConfig,
+    PacketRecord, PcapMemSource, PcapWriter, SimSource,
 };
-use tamperscope::core::{classify, Classifier, ClassifierConfig, Signature};
+use tamperscope::core::{classify, BatchClassifier, ClassifierConfig, Signature};
 use tamperscope::obs::Registry;
 use tamperscope::wire::{PacketBuilder, TcpFlags, TcpHeader};
 use tamperscope::worldgen::json::Json;
@@ -130,7 +130,7 @@ fn synth_capture(n_flows: u32) -> Vec<u8> {
 }
 
 struct Sink {
-    clf: Classifier,
+    clf: BatchClassifier,
     col: Collector,
     lines: Vec<(u64, String)>,
 }
@@ -149,34 +149,34 @@ fn engine_output_observed(
     obs: Option<&Registry>,
 ) -> (String, Collector, EngineStats) {
     let cfg = EngineConfig {
-        offline: OfflineConfig::default(),
         threads,
         ..EngineConfig::default()
     };
     let clf_cfg = ClassifierConfig::default();
-    let (mut sink, stats) = run_engine_observed(
-        bytes,
+    let src = PcapMemSource::new(bytes::Bytes::copy_from_slice(bytes)).expect("pcap header");
+    let (mut sink, stats) = run_source(
+        src,
         &cfg,
         obs,
         || Sink {
-            clf: Classifier::new(clf_cfg),
+            clf: BatchClassifier::new(clf_cfg),
             col: capture_collector(clf_cfg, 0),
             lines: Vec::new(),
         },
-        |sink: &mut Sink, closed: ClosedFlow| {
-            let first_index = closed.first_index;
-            let lf = label_capture_flow(closed.flow);
-            let analysis = sink.clf.classify(&lf.flow);
-            sink.col.observe_analyzed(&lf, &analysis);
-            sink.lines
-                .push((first_index, flow_to_jsonl(&lf.flow, &analysis)));
+        |sink: &mut Sink, batch: FlowBatch| {
+            for (i, span) in batch.spans().iter().enumerate() {
+                let analysis = sink.clf.classify_span(&batch, i);
+                let lf = label_capture_flow(batch.materialize(i));
+                sink.col.observe_analyzed(&lf, &analysis);
+                sink.lines
+                    .push((span.first_index, flow_to_jsonl(&lf.flow, &analysis)));
+            }
         },
         |a, mut b| {
             a.col.merge(b.col);
             a.lines.append(&mut b.lines);
         },
-    )
-    .expect("engine run");
+    );
     sink.lines.sort_by_key(|(first_index, _)| *first_index);
     let text = sink
         .lines
@@ -185,22 +185,6 @@ fn engine_output_observed(
         .collect::<Vec<_>>()
         .join("\n");
     (text, sink.col, stats)
-}
-
-/// The legacy buffered path, producing the same verdict-line format.
-fn legacy_output(bytes: &[u8]) -> (String, Collector) {
-    let (flows, _stats) = flows_from_pcap(bytes, &OfflineConfig::default()).expect("legacy parse");
-    let clf_cfg = ClassifierConfig::default();
-    let mut clf = Classifier::new(clf_cfg);
-    let mut col = capture_collector(clf_cfg, 0);
-    let mut lines = Vec::new();
-    for flow in flows {
-        let lf = label_capture_flow(flow);
-        let analysis = clf.classify(&lf.flow);
-        col.observe_analyzed(&lf, &analysis);
-        lines.push(flow_to_jsonl(&lf.flow, &analysis));
-    }
-    (lines.join("\n"), col)
 }
 
 fn signature_counts(col: &Collector) -> [u64; 19] {
@@ -243,17 +227,6 @@ fn verdicts_are_byte_identical_across_thread_counts() {
         stats1.ingest.truncated_packets > 0,
         "no truncation happened"
     );
-}
-
-#[test]
-fn engine_matches_the_legacy_buffered_path() {
-    let bytes = synth_capture(96);
-    let (engine_text, engine_col, _) = engine_output(&bytes, 4);
-    let (legacy_text, legacy_col) = legacy_output(&bytes);
-    assert_eq!(engine_text, legacy_text);
-    assert_eq!(signature_counts(&engine_col), signature_counts(&legacy_col));
-    assert_eq!(engine_col.total, legacy_col.total);
-    assert_eq!(engine_col.possibly_tampered, legacy_col.possibly_tampered);
 }
 
 #[test]
@@ -324,11 +297,11 @@ fn wire_frame(flow: &FlowRecord, p: &PacketRecord) -> Vec<u8> {
     b.build().emit().to_vec()
 }
 
-/// Satellite: `SimSource → engine` is byte-identical to the legacy
+/// Satellite: `SimSource → engine` is byte-identical to the
 /// `WorldSim::run → pcap → classify` round trip on the golden world seed,
 /// at 1, 2, and 8 shards.
 #[test]
-fn sim_engine_matches_the_legacy_pcap_round_trip() {
+fn sim_engine_matches_the_pcap_round_trip() {
     let sim = golden_sim();
     let clf_cfg = ClassifierConfig::default();
 
@@ -336,6 +309,7 @@ fn sim_engine_matches_the_legacy_pcap_round_trip() {
     let engine_lines = |threads: usize| -> Vec<String> {
         sim.run_sharded(
             threads,
+            None,
             Vec::new,
             |acc: &mut Vec<String>, lf| {
                 let analysis = classify(&lf.flow, &clf_cfg);
@@ -351,8 +325,8 @@ fn sim_engine_matches_the_legacy_pcap_round_trip() {
     assert_eq!(eng1, eng2, "sim verdicts diverged between 1 and 2 shards");
     assert_eq!(eng1, eng8, "sim verdicts diverged between 1 and 8 shards");
 
-    // Legacy round trip: serial generation, flows written out as a
-    // time-ordered pcap, re-ingested through the offline reference path.
+    // Round trip: serial generation, flows written out as a time-ordered
+    // pcap, re-ingested through the capture path.
     let mut timed: Vec<(u64, Vec<u8>)> = Vec::new();
     let mut sim_flows = 0u64;
     sim.run(|lf| {
@@ -386,7 +360,7 @@ fn sim_engine_matches_the_legacy_pcap_round_trip() {
         sim_flows,
         "round trip split or merged flows"
     );
-    let mut legacy: Vec<String> = flows
+    let mut round_trip: Vec<String> = flows
         .iter()
         .map(|f| flow_to_jsonl(f, &classify(f, &clf_cfg)))
         .collect();
@@ -395,8 +369,8 @@ fn sim_engine_matches_the_legacy_pcap_round_trip() {
     // eviction order. Compare as sorted multisets, byte for byte.
     let mut engine_sorted = eng1;
     engine_sorted.sort_unstable();
-    legacy.sort_unstable();
-    assert_eq!(engine_sorted, legacy, "sim→engine vs pcap round trip");
+    round_trip.sort_unstable();
+    assert_eq!(engine_sorted, round_trip, "sim→engine vs pcap round trip");
 }
 
 /// Acceptance gate: `report` output (the full rendered report AND the JSON
@@ -407,7 +381,7 @@ fn report_is_byte_identical_across_threads_and_observation() {
     let sim = golden_sim();
     let lists = generate_lists(&sim);
     let render = |threads: usize, obs: Option<&Registry>| -> (String, String) {
-        let col = sim.run_sharded_observed(
+        let col = sim.run_sharded(
             threads,
             obs,
             || {
@@ -448,15 +422,15 @@ fn report_is_byte_identical_across_threads_and_observation() {
             obs_summary, base_summary,
             "observed summary bytes at {threads} threads"
         );
-        // The worldgen shim publishes through the unified engine: the
-        // engine's own scopes appear, the old bespoke scope does not.
+        // The worldgen shim publishes through the engine: the engine's
+        // own scopes appear, and no bespoke one.
         let snap = registry.snapshot();
         assert!(snap.scope("reader").is_some(), "no reader scope");
         assert!(snap.scope("shard0").is_some(), "no shard0 scope");
         assert!(snap.scope("merge").is_some(), "no merge scope");
         assert!(
             snap.scope("worldgen").is_none(),
-            "legacy worldgen scope leaked back"
+            "bespoke worldgen scope leaked back"
         );
     }
 }
@@ -507,7 +481,7 @@ fn metrics_observation_never_perturbs_deterministic_output() {
 }
 
 // ---------------------------------------------------------------------------
-// Satellite: RecordSource JSONL round trip
+// Satellite: flow-record JSONL round trip
 // ---------------------------------------------------------------------------
 
 /// Serialize a flow record as one JSONL line carrying every field the
@@ -618,32 +592,28 @@ fn record_from_json(j: &Json) -> FlowRecord {
     }
 }
 
-/// Drive a batch of assembled records through the sharded engine; return
-/// the verdict lines in stable (record-index) order.
-fn record_engine_lines(records: Vec<FlowRecord>, threads: usize) -> String {
+/// Drive a batch of assembled records through the sharded engine (as a
+/// [`SimSource`] over their indices); return the verdict lines in record
+/// order.
+fn record_engine_lines(records: &[FlowRecord], threads: usize) -> String {
     let cfg = EngineConfig {
-        offline: OfflineConfig::default(),
         threads,
         ..EngineConfig::default()
     };
     let clf_cfg = ClassifierConfig::default();
-    let (mut lines, stats) = run_source(
-        RecordSource::from_vec(records),
+    let gen = |i: u64| records.get(i as usize).cloned();
+    let (lines, stats) = run_source(
+        SimSource::new(records.len() as u64, &gen),
         &cfg,
+        None,
         Vec::new,
-        |acc: &mut Vec<(u64, String)>, closed: ClosedFlow| {
-            let analysis = classify(&closed.flow, &clf_cfg);
-            acc.push((closed.first_index, flow_to_jsonl(&closed.flow, &analysis)));
+        |acc: &mut Vec<String>, flow: FlowRecord| {
+            acc.push(flow_to_jsonl(&flow, &classify(&flow, &clf_cfg)));
         },
         |a, mut b| a.append(&mut b),
     );
     assert_eq!(stats.ingest.flows, lines.len() as u64);
-    lines.sort_by_key(|(first_index, _)| *first_index);
-    lines
-        .into_iter()
-        .map(|(_, l)| l)
-        .collect::<Vec<_>>()
-        .join("\n")
+    lines.join("\n")
 }
 
 /// Satellite: flow records survive a JSONL round trip exactly, and the
@@ -665,16 +635,16 @@ fn record_jsonl_round_trip_is_byte_identical_across_thread_counts() {
     assert_eq!(flows, decoded, "JSONL round trip altered a record");
 
     // Both batches drive the engine to the same verdict bytes everywhere.
-    let base = record_engine_lines(flows.clone(), 1);
+    let base = record_engine_lines(&flows, 1);
     assert!(!base.is_empty());
     for threads in [1usize, 2, 8] {
         assert_eq!(
-            record_engine_lines(flows.clone(), threads),
+            record_engine_lines(&flows, threads),
             base,
             "in-memory records diverged at {threads} threads"
         );
         assert_eq!(
-            record_engine_lines(decoded.clone(), threads),
+            record_engine_lines(&decoded, threads),
             base,
             "decoded JSONL records diverged at {threads} threads"
         );

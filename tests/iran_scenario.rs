@@ -20,7 +20,7 @@ fn run_iran(sessions: u64) -> (Collector, WorldSim) {
         .map(|n| n.get())
         .unwrap_or(4);
     let mk = || Collector::new(ClassifierConfig::default(), 1, 17, SEP13_2022_UNIX);
-    let col = sim.run_sharded(threads, mk, |c, lf| c.observe(&lf), |a, b| a.merge(b));
+    let col = sim.run_sharded(threads, None, mk, |c, lf| c.observe(&lf), |a, b| a.merge(b));
     (col, sim)
 }
 

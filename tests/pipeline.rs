@@ -6,7 +6,7 @@
 use std::net::{IpAddr, Ipv4Addr};
 use tamper_analysis::Collector;
 use tamper_capture::{
-    collect, flows_from_records, CollectorConfig, OfflineConfig, PcapRecord, Sampler,
+    collect, flows_from_pcap, CollectorConfig, OfflineConfig, PcapWriter, Sampler,
 };
 use tamper_core::{classify, ClassifierConfig, Signature, Stage};
 use tamper_middlebox::{RuleSet, Vendor};
@@ -62,15 +62,17 @@ fn pcap_round_trip_classifies_identically() {
         let direct_class = classify(&direct, &ClassifierConfig::default()).classification;
 
         // Pcap round-trip.
-        let records: Vec<PcapRecord> = trace
-            .inbound()
-            .map(|tp| PcapRecord {
-                ts_sec: tp.time.as_secs() as u32,
-                ts_usec: ((tp.time.as_nanos() % 1_000_000_000) / 1000) as u32,
-                frame: tp.packet.emit().to_vec(),
-            })
-            .collect();
-        let (flows, stats) = flows_from_records(&records, &OfflineConfig::default());
+        let mut pcap = PcapWriter::new(Vec::new()).unwrap();
+        for tp in trace.inbound() {
+            pcap.write_frame(
+                tp.time.as_secs() as u32,
+                ((tp.time.as_nanos() % 1_000_000_000) / 1000) as u32,
+                &tp.packet.emit(),
+            )
+            .unwrap();
+        }
+        let (flows, stats) =
+            flows_from_pcap(&pcap.into_inner(), &OfflineConfig::default()).unwrap();
         assert_eq!(flows.len(), 1, "{vendor:?}");
         assert_eq!(stats.unparsable, 0);
         let offline_class = classify(&flows[0], &ClassifierConfig::default()).classification;
@@ -213,6 +215,7 @@ fn sampling_ablation_preserves_proportions() {
             .unwrap_or(4);
         sim.run_sharded(
             threads,
+            None,
             || {
                 Collector::new(
                     ClassifierConfig::default(),

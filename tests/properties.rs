@@ -488,12 +488,12 @@ proptest! {
         }
     }
 
-    /// The sans-IO machine agrees with the legacy classifier byte-for-byte
-    /// on wrap-band flows, under both configs, and retransmit dedup still
-    /// works modulo 2^32: duplicating a post-wrap data packet never changes
-    /// the analysis.
+    /// One machine reused across a wrap-band flow and its retransmit twin
+    /// equals a fresh `classify()` on both, under both configs, and
+    /// retransmit dedup still works modulo 2^32: duplicating a post-wrap
+    /// data packet never changes the analysis.
     #[test]
-    fn wraparound_machine_matches_legacy_and_dedups(flow in arb_wrap_flow()) {
+    fn wraparound_reused_machine_matches_fresh_classify_and_dedups(flow in arb_wrap_flow()) {
         for cfg in [
             ClassifierConfig::default(),
             ClassifierConfig { split_rst_counts: false, ..ClassifierConfig::default() },
@@ -503,8 +503,8 @@ proptest! {
             prop_assert_eq!(machine.analyze(&flow), want.clone());
 
             // Exact retransmit of the last data packet: same seq, same
-            // length — must be deduplicated on both paths, even when the
-            // duplicated seq is a small post-wrap value.
+            // length — must be deduplicated, even when the duplicated seq
+            // is a small post-wrap value.
             if let Some(pos) = flow.packets.iter().rposition(|p| p.payload_len > 0) {
                 let mut dup = flow.clone();
                 let copy = dup.packets[pos].clone();
@@ -681,7 +681,7 @@ proptest! {
 // drops, never panic, on truncation, garbage frames, or bit corruption.
 // ---------------------------------------------------------------------------
 
-use tamper_capture::{run_engine, ClosedFlow, EngineConfig, OfflineConfig, PcapWriter};
+use tamper_capture::{run_source, EngineConfig, EngineStats, PcapError, PcapMemSource, PcapWriter};
 
 fn valid_frame(client_octet: u8, sport: u16, flags: TcpFlags, seq: u32) -> Vec<u8> {
     PacketBuilder::new(
@@ -708,21 +708,22 @@ fn small_capture(n: u8) -> Vec<u8> {
     w.into_inner()
 }
 
-fn run_collecting(
-    bytes: &[u8],
-) -> Result<(Vec<ClosedFlow>, tamper_capture::EngineStats), tamper_capture::PcapError> {
+fn run_collecting(bytes: &[u8]) -> Result<(Vec<FlowRecord>, EngineStats), PcapError> {
     let cfg = EngineConfig {
-        offline: OfflineConfig::default(),
         threads: 2,
         ..EngineConfig::default()
     };
-    run_engine(
-        bytes,
+    let src = PcapMemSource::new(Bytes::copy_from_slice(bytes))?;
+    Ok(run_source(
+        src,
         &cfg,
+        None,
         Vec::new,
-        |acc: &mut Vec<ClosedFlow>, cf| acc.push(cf),
+        |acc: &mut Vec<FlowRecord>, batch: FlowBatch| {
+            acc.extend((0..batch.flow_count()).map(|i| batch.materialize(i)));
+        },
         |a, mut b| a.append(&mut b),
-    )
+    ))
 }
 
 proptest! {
