@@ -19,6 +19,7 @@
 //!   parameter annotation makes it locally apparent.
 //! - bare `f(…)` — free functions anywhere plus same-file functions.
 
+use crate::effects::Effect;
 use crate::lexer::{Tok, TokKind};
 use crate::symbols::SymbolTable;
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
@@ -35,17 +36,69 @@ pub enum SinkKind {
 }
 
 impl SinkKind {
-    /// The rule family a transitive finding of this kind reports under.
-    pub fn rule(self) -> &'static str {
+    /// Every kind, in reporting order.
+    pub const ALL: [SinkKind; 3] = [SinkKind::Clock, SinkKind::Rng, SinkKind::Thread];
+
+    /// The rule a finding of this kind reports under, the effect a sink
+    /// gives its function, and the path prefix of the kind's sanctioned
+    /// home: tamper-obs owns the clock/rng reads, `capture::engine` owns
+    /// the one reader/shard/merge thread topology (the worldgen driver
+    /// once carried a second crossbeam shard loop — the `Thread` row keeps
+    /// it from coming back).
+    fn row(self) -> (&'static str, Effect, &'static str) {
         match self {
-            SinkKind::Clock => "ambient-clock",
-            SinkKind::Rng => "ambient-rng",
-            SinkKind::Thread => "thread-containment",
+            SinkKind::Clock => ("ambient-clock", Effect::ReadsClock, "crates/obs/"),
+            SinkKind::Rng => ("ambient-rng", Effect::ReadsRng, "crates/obs/"),
+            SinkKind::Thread => (
+                "thread-containment",
+                Effect::SpawnsThread,
+                "crates/capture/src/engine.rs",
+            ),
         }
+    }
+
+    /// The rule id, for textual and transitive findings alike.
+    pub fn rule(self) -> &'static str {
+        self.row().0
+    }
+
+    /// The effect a sink of this kind contributes.
+    pub fn effect(self) -> Effect {
+        self.row().1
+    }
+
+    /// Is `path` this kind's sanctioned home? Sinks there are
+    /// effect-transparent: no finding, no direct effect.
+    pub fn sanctioned(self, path: &str) -> bool {
+        path.starts_with(self.row().2)
     }
 }
 
-/// One ambient sink found in a function body.
+const CLOCK_MSG: &str =
+    "{}() reads the ambient clock; thread timestamps through the simulated clock instead";
+const RNG_MSG: &str = "{} draws ambient randomness; use a seeded generator";
+const POOL_MSG: &str = "{} outside capture::engine: the engine owns the only shard/merge \
+                        thread topology; plug in through a FlowSource";
+const SPAWN_MSG: &str = "thread spawning outside capture::engine: route parallel work \
+                         through the unified engine instead of a bespoke pool";
+
+/// The sink vocabulary: `(head, tail, kind, message)`. A row matches the
+/// path `head::tail`, or any mention of the bare `head` identifier when
+/// `tail` is `None`; `{}` in the message stands for the matched path.
+const SINKS: [(&str, Option<&str>, SinkKind, &str); 10] = [
+    ("Instant", Some("now"), SinkKind::Clock, CLOCK_MSG),
+    ("SystemTime", Some("now"), SinkKind::Clock, CLOCK_MSG),
+    ("thread_rng", None, SinkKind::Rng, RNG_MSG),
+    ("from_entropy", None, SinkKind::Rng, RNG_MSG),
+    ("OsRng", None, SinkKind::Rng, RNG_MSG),
+    ("getrandom", None, SinkKind::Rng, RNG_MSG),
+    ("rand", Some("random"), SinkKind::Rng, RNG_MSG),
+    ("crossbeam", None, SinkKind::Thread, POOL_MSG),
+    ("thread", Some("spawn"), SinkKind::Thread, SPAWN_MSG),
+    ("thread", Some("scope"), SinkKind::Thread, SPAWN_MSG),
+];
+
+/// One ambient sink found in the token stream.
 #[derive(Debug, Clone)]
 pub struct Sink {
     /// Sink family.
@@ -54,69 +107,31 @@ pub struct Sink {
     pub line: u32,
     /// What was called, for messages (`Instant::now`, `thread::spawn`, …).
     pub what: String,
+    /// The textual finding's message for this sink.
+    pub message: String,
 }
 
-/// Scan a code-token range for ambient sinks.
-pub fn find_sinks(code: &[Tok], start: usize, end: usize) -> Vec<Sink> {
+/// The sink whose pattern starts at code token `i`, if any.
+pub fn sink_at(code: &[Tok], i: usize) -> Option<Sink> {
     let ident = |i: usize| match code.get(i).map(|t| &t.kind) {
         Some(TokKind::Ident(s)) => Some(s.as_str()),
         _ => None,
     };
-    let punct = |i: usize| match code.get(i).map(|t| &t.kind) {
-        Some(TokKind::Punct(c)) => Some(*c),
-        _ => None,
+    let colon = |i: usize| matches!(code.get(i).map(|t| &t.kind), Some(TokKind::Punct(':')));
+    let head = ident(i)?;
+    let (_, tail, kind, message) = SINKS.iter().find(|(h, tail, _, _)| {
+        *h == head && tail.is_none_or(|t| colon(i + 1) && colon(i + 2) && ident(i + 3) == Some(t))
+    })?;
+    let what = match tail {
+        Some(t) => format!("{head}::{t}"),
+        None => head.to_string(),
     };
-    let path_pair = |i: usize, a: &str, b: &str| {
-        ident(i) == Some(a)
-            && punct(i + 1) == Some(':')
-            && punct(i + 2) == Some(':')
-            && ident(i + 3) == Some(b)
-    };
-    let mut out = Vec::new();
-    for (i, tok) in code
-        .iter()
-        .enumerate()
-        .take(end.min(code.len()))
-        .skip(start)
-    {
-        let line = tok.line;
-        if path_pair(i, "Instant", "now") || path_pair(i, "SystemTime", "now") {
-            out.push(Sink {
-                kind: SinkKind::Clock,
-                line,
-                what: format!("{}::now", ident(i).unwrap_or_default()),
-            });
-        }
-        if let Some(name @ ("thread_rng" | "from_entropy" | "OsRng" | "getrandom")) = ident(i) {
-            out.push(Sink {
-                kind: SinkKind::Rng,
-                line,
-                what: name.to_string(),
-            });
-        }
-        if path_pair(i, "rand", "random") {
-            out.push(Sink {
-                kind: SinkKind::Rng,
-                line,
-                what: "rand::random".to_string(),
-            });
-        }
-        if ident(i) == Some("crossbeam") {
-            out.push(Sink {
-                kind: SinkKind::Thread,
-                line,
-                what: "crossbeam".to_string(),
-            });
-        }
-        if path_pair(i, "thread", "spawn") || path_pair(i, "thread", "scope") {
-            out.push(Sink {
-                kind: SinkKind::Thread,
-                line,
-                what: format!("thread::{}", ident(i + 3).unwrap_or_default()),
-            });
-        }
-    }
-    out
+    Some(Sink {
+        kind: *kind,
+        line: code[i].line,
+        message: message.replace("{}", &what),
+        what,
+    })
 }
 
 /// One resolved call edge.
@@ -134,8 +149,6 @@ pub struct CallGraph {
     /// Outgoing edges per function id, sorted by callee, deduplicated
     /// (first call site wins).
     pub out: Vec<Vec<Edge>>,
-    /// Incoming callers per function id, sorted.
-    pub rin: Vec<Vec<usize>>,
     /// Dropped workspace calls per function id: `(line, rendered call)`
     /// for every call whose qualifier names a workspace type, module, or
     /// crate and whose bare name exists in the symbol table, yet the
@@ -152,7 +165,6 @@ impl CallGraph {
     pub fn build(sym: &SymbolTable) -> CallGraph {
         let n = sym.fns.len();
         let mut out: Vec<Vec<Edge>> = vec![Vec::new(); n];
-        let mut rin: Vec<Vec<usize>> = vec![Vec::new(); n];
         let mut dropped: Vec<Vec<(u32, String)>> = vec![Vec::new(); n];
         // Qualifiers that denote something *inside* the workspace: impl
         // owners, trait names, file stems, crate names (plus their
@@ -273,15 +285,8 @@ impl CallGraph {
             }
             out[i].sort_by_key(|e| (e.callee, e.line));
             out[i].dedup_by_key(|e| e.callee);
-            for e in &out[i] {
-                rin[e.callee].push(i);
-            }
         }
-        for callers in &mut rin {
-            callers.sort_unstable();
-            callers.dedup();
-        }
-        CallGraph { out, rin, dropped }
+        CallGraph { out, dropped }
     }
 
     /// Forward closure of `roots`, restricted to the `allowed` subgraph —
@@ -328,29 +333,6 @@ impl CallGraph {
             }
         }
         seen
-    }
-
-    /// Caller-ward taint from `seeds`: for every function that can reach a
-    /// seed, the next hop toward it (callee id + call-site line). Seeds
-    /// themselves are not in the map. BFS over sorted adjacency makes the
-    /// hop choice deterministic (shortest chain, lowest id ties).
-    pub fn taint(&self, seeds: &BTreeSet<usize>) -> BTreeMap<usize, Edge> {
-        let mut next: BTreeMap<usize, Edge> = BTreeMap::new();
-        let mut seen: BTreeSet<usize> = seeds.clone();
-        let mut queue: VecDeque<usize> = seeds.iter().copied().collect();
-        while let Some(i) = queue.pop_front() {
-            for &caller in &self.rin[i] {
-                if seen.insert(caller) {
-                    let line = self.out[caller]
-                        .iter()
-                        .find(|e| e.callee == i)
-                        .map_or(0, |e| e.line);
-                    next.insert(caller, Edge { callee: i, line });
-                    queue.push_back(caller);
-                }
-            }
-        }
-        next
     }
 }
 
@@ -405,29 +387,6 @@ mod tests {
     }
 
     #[test]
-    fn taint_flows_caller_ward_across_two_hops() {
-        let sym = table(&[
-            (
-                "crates/a/src/entry.rs",
-                "pub fn top(x: u8) { relay::mid(x); }",
-            ),
-            ("crates/a/src/relay.rs", "pub fn mid(x: u8) { bottom(x); }"),
-            (
-                "crates/a/src/sink.rs",
-                "pub fn bottom(x: u8) { let _ = std::time::Instant::now(); }",
-            ),
-        ]);
-        let g = CallGraph::build(&sym);
-        let seeds: BTreeSet<usize> = [id(&sym, "bottom")].into();
-        let taint = g.taint(&seeds);
-        let mid = id(&sym, "mid");
-        let top = id(&sym, "top");
-        assert_eq!(taint[&mid].callee, id(&sym, "bottom"));
-        assert_eq!(taint[&top].callee, mid);
-        assert!(!taint.contains_key(&id(&sym, "bottom")), "seeds excluded");
-    }
-
-    #[test]
     fn reachability_is_confined_to_the_allowed_subgraph() {
         let sym = table(&[
             (
@@ -464,8 +423,8 @@ mod tests {
             .into_iter()
             .filter(|t| !t.kind.is_comment())
             .collect();
-        let kinds: Vec<SinkKind> = find_sinks(&code, 0, code.len())
-            .into_iter()
+        let kinds: Vec<SinkKind> = (0..code.len())
+            .filter_map(|i| sink_at(&code, i))
             .map(|s| s.kind)
             .collect();
         assert_eq!(

@@ -25,7 +25,7 @@
 //! workspace module/type/crate but resolves to no symbol marks the
 //! *caller* `Unknown` (the callee could do anything).
 
-use crate::callgraph::CallGraph;
+use crate::callgraph::{CallGraph, SinkKind};
 use crate::lexer::{Tok, TokKind};
 use crate::rules::Finding;
 use crate::symbols::SymbolTable;
@@ -86,11 +86,6 @@ impl Effect {
 
     fn bit(self) -> u16 {
         1 << (Effect::ALL.iter().position(|e| *e == self).unwrap_or(0) as u16)
-    }
-
-    /// The effect for a stable name, for cache decoding.
-    pub fn from_name(name: &str) -> Option<Effect> {
-        Effect::ALL.iter().copied().find(|e| e.name() == name)
     }
 }
 
@@ -216,7 +211,7 @@ fn is_screaming(name: &str) -> bool {
 }
 
 /// Scan one body's token range for direct effects *not* covered by the
-/// sink scanner ([`crate::callgraph::find_sinks`]) or the allocation
+/// sink scanner ([`crate::callgraph::sink_at`]) or the allocation
 /// scanner ([`crate::dataflow::alloc_sites`]): panics, IO, global
 /// mutation, and unordered-map use.
 pub fn direct_effect_sites(code: &[Tok], start: usize, end: usize) -> Vec<EffectSite> {
@@ -496,6 +491,54 @@ pub fn registry_findings(
     out
 }
 
+/// Emit the transitive containment findings: one per function whose
+/// total — but not direct — effect set carries a [`SinkKind`]'s effect,
+/// anchored on the call site that starts the witness chain to the sink.
+/// A function with its own direct sink already carries the textual
+/// finding and is not reported again.
+pub fn containment_findings(
+    sym: &SymbolTable,
+    graph: &CallGraph,
+    sums: &Summaries,
+    in_scope: &dyn Fn(&str, SinkKind) -> bool,
+) -> Vec<Finding> {
+    let mut out = Vec::new();
+    for kind in SinkKind::ALL {
+        let effect = kind.effect();
+        for (fid, f) in sym.fns.iter().enumerate() {
+            if !sums.total[fid].contains(effect)
+                || sums.direct[fid].contains(effect)
+                || !in_scope(&f.file, kind)
+            {
+                continue;
+            }
+            let (chain, site) = sums.witness(graph, fid, effect);
+            let Some(&next) = chain.get(1) else { continue };
+            let line = graph.out[fid]
+                .iter()
+                .find(|e| e.callee == next)
+                .map_or(0, |e| e.line);
+            let path: Vec<&str> = chain[1..]
+                .iter()
+                .map(|&id| sym.fns[id].def.name.as_str())
+                .collect();
+            out.push(Finding::new(
+                &f.file,
+                line,
+                kind.rule(),
+                format!(
+                    "{}() transitively reaches {} (in {}) via {}",
+                    f.def.name,
+                    site.map_or("ambient sink", |s| s.what.as_str()),
+                    sym.fns[*chain.last().unwrap_or(&fid)].file,
+                    path.join(" → ")
+                ),
+            ));
+        }
+    }
+    out
+}
+
 /// Emit purity-audit findings: one per (resolved pure root, forbidden
 /// effect), at the root's definition line, with a witness chain.
 pub fn purity_findings(
@@ -596,27 +639,6 @@ pub enum GrowthKind {
     Evict,
     /// Compares the field's `len()` (a cap check).
     Cap,
-}
-
-impl GrowthKind {
-    /// Stable cache tag.
-    pub fn tag(self) -> &'static str {
-        match self {
-            GrowthKind::Insert => "I",
-            GrowthKind::Evict => "E",
-            GrowthKind::Cap => "C",
-        }
-    }
-
-    /// Decode a cache tag.
-    pub fn from_tag(tag: &str) -> Option<GrowthKind> {
-        match tag {
-            "I" => Some(GrowthKind::Insert),
-            "E" => Some(GrowthKind::Evict),
-            "C" => Some(GrowthKind::Cap),
-            _ => None,
-        }
-    }
 }
 
 /// One `self.<field>` collection operation in a body.
@@ -841,9 +863,6 @@ mod tests {
         assert!(!s.contains(Effect::Allocates));
         assert_eq!(s.iter().count(), 2);
         assert_eq!(s.render(), "{ReadsClock, Unknown}");
-        for e in Effect::ALL {
-            assert_eq!(Effect::from_name(e.name()), Some(e));
-        }
     }
 
     #[test]

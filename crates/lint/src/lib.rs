@@ -36,32 +36,27 @@
 //! | `taxonomy`     | signature.rs / golden / DESIGN.md   | drift between the three |
 //!
 //! The pipeline runs in five stages: lex, AST + symbols, call graph,
-//! per-function dataflow, and the interprocedural effect fixpoint. The
-//! first four are *per-file* and their artifacts are cached
-//! content-hash-keyed ([`cache`]) so a warm `cargo xtask analyze` touches
-//! only changed files; the fifpoint and the cross-file rules re-run every
-//! time (they are cheap: one SCC condensation and one pass in
-//! reverse-topological order). Per-function effect summaries power the
-//! containment rules (membership is a bitset test; witness chains are
-//! materialized on demand), the purity audit over [`PURE_ROOTS`], and the
-//! unbounded-growth rule. Files the parser loses sync on fail closed:
-//! every finding in them is kept, their functions carry the `Unknown`
-//! effect, and the dataflow rules treat every site as live.
+//! per-function dataflow, and the interprocedural effect fixpoint (one
+//! SCC condensation and one pass in reverse-topological order). The first
+//! four are per-file; the fixpoint and the cross-file rules consume their
+//! artifacts. Every run is a cold run: the whole repo analyzes in well
+//! under a second, so nothing is cached between runs. Per-function effect
+//! summaries power the containment rules (membership is a bitset test;
+//! witness chains are materialized on demand), the purity audit over
+//! [`PURE_ROOTS`], and the unbounded-growth rule. Files the parser loses
+//! sync on fail closed: every finding in them is kept, their functions
+//! carry the `Unknown` effect, and the dataflow rules treat every site as
+//! live.
 //!
 //! A finding is waived in source with
 //! `// tamperlint: allow(<rule>) — <reason>`; unused or malformed waivers
-//! are findings themselves. Every finding carries a stable
-//! line-number-independent [`fingerprint`]; `cargo xtask analyze` checks
-//! them against the committed [`baseline`] (`tamperlint.baseline`) in
-//! `--deny-new` mode, which is how `cargo xtask ci` runs the gate.
+//! are findings themselves. `cargo xtask analyze` — and with it
+//! `cargo xtask ci` — fails on any unwaived finding.
 
 pub mod ast;
-pub mod baseline;
-pub mod cache;
 pub mod callgraph;
 pub mod dataflow;
 pub mod effects;
-pub mod fingerprint;
 pub mod lexer;
 pub mod rules;
 pub mod symbols;
@@ -70,7 +65,7 @@ pub mod taxonomy;
 pub use rules::{parse_waiver, scope_for, FileLint, Finding, Scope, RULES};
 
 use crate::ast::ParsedFile;
-use crate::callgraph::{CallGraph, SinkKind};
+use crate::callgraph::CallGraph;
 use crate::effects::{Effect, EffectSet, EffectSite};
 use crate::rules::{FileScan, ScanCtx};
 use crate::symbols::SymbolTable;
@@ -120,13 +115,6 @@ pub struct Analysis {
     pub files_scanned: usize,
     /// Wall-clock runtime of the analysis.
     pub runtime_ms: u64,
-    /// Per-stage timings, microseconds (dataflow stages plus the effect
-    /// fixpoint).
-    pub rule_timings: Vec<(&'static str, u64)>,
-    /// Files whose per-file artifacts came from the incremental cache.
-    pub cache_hits: usize,
-    /// Files whose artifacts were (re)computed this run.
-    pub cache_misses: usize,
 }
 
 impl Analysis {
@@ -176,24 +164,10 @@ impl Analysis {
             self.waived.len(),
             self.runtime_ms
         ));
-        if self.cache_hits + self.cache_misses > 0 {
-            out.push_str(&format!(
-                "  cache: {} hit(s), {} miss(es)\n",
-                self.cache_hits, self.cache_misses
-            ));
-        }
         for (rule, fired, waived) in self.rule_counts() {
             if fired > 0 || waived > 0 {
                 out.push_str(&format!("  {rule}: {fired} finding(s), {waived} waived\n"));
             }
-        }
-        if !self.rule_timings.is_empty() {
-            let parts: Vec<String> = self
-                .rule_timings
-                .iter()
-                .map(|(stage, us)| format!("{stage} {us}µs"))
-                .collect();
-            out.push_str(&format!("  stages: {}\n", parts.join(", ")));
         }
         out.push_str(if self.ok() {
             "tamperlint: PASS\n"
@@ -205,10 +179,8 @@ impl Analysis {
 
     /// SARIF-shaped machine-readable report (hand-rolled JSON; the
     /// workspace is offline and vendors no JSON crate). One run, one
-    /// result per finding, fingerprints under `tamperlint/v1`, and the
-    /// gate counters — including per-stage timings (`effect-fixpoint`
-    /// alongside the dataflow stages) and the incremental-cache hit/miss
-    /// counters — in the run's `properties` bag.
+    /// result per finding, and the gate counters in the run's
+    /// `properties` bag.
     pub fn render_json(&self) -> String {
         let mut out = String::from("{\"version\":\"2.1.0\",");
         out.push_str("\"$schema\":\"https://json.schemastore.org/sarif-2.1.0.json\",");
@@ -226,13 +198,11 @@ impl Analysis {
                 format!(
                     "{{\"ruleId\":{},\"level\":\"error\",\"message\":{{\"text\":{}}},\
                      \"locations\":[{{\"physicalLocation\":{{\"artifactLocation\":\
-                     {{\"uri\":{}}},\"region\":{{\"startLine\":{}}}}}}}],\
-                     \"fingerprints\":{{\"tamperlint/v1\":{}}}}}",
+                     {{\"uri\":{}}},\"region\":{{\"startLine\":{}}}}}}}]}}",
                     json_escape(f.rule),
                     json_escape(&f.message),
                     json_escape(&f.file),
-                    f.line.max(1),
-                    json_escape(&f.fingerprint)
+                    f.line.max(1)
                 )
             })
             .collect();
@@ -242,18 +212,6 @@ impl Analysis {
         out.push_str(&format!("\"runtime_ms\":{},", self.runtime_ms));
         out.push_str(&format!("\"files_scanned\":{},", self.files_scanned));
         out.push_str(&format!("\"waived\":{},", self.waived.len()));
-        out.push_str(&format!(
-            "\"cache\":{{\"hits\":{},\"misses\":{}}},",
-            self.cache_hits, self.cache_misses
-        ));
-        out.push_str("\"dataflow_timing_us\":{");
-        let timings: Vec<String> = self
-            .rule_timings
-            .iter()
-            .map(|(stage, us)| format!("{}:{us}", json_escape(stage)))
-            .collect();
-        out.push_str(&timings.join(","));
-        out.push_str("},");
         out.push_str("\"rule_counts\":{");
         let counts: Vec<String> = self
             .rule_counts()
@@ -319,83 +277,34 @@ fn scan_ctx(files: &[(&str, &str)]) -> ScanCtx {
     ctx
 }
 
-/// Is a sink at this path effect-transparent? tamper-obs owns the
-/// clock/rng reads, `capture::engine` owns the thread topology; sinks in
-/// the sanctioned home neither seed containment taint nor count as
-/// direct effects.
-fn sanctioned_sink(path: &str, kind: SinkKind) -> bool {
-    match kind {
-        SinkKind::Clock | SinkKind::Rng => path.starts_with("crates/obs/"),
-        SinkKind::Thread => path == "crates/capture/src/engine.rs",
-    }
-}
-
-/// Accumulated per-stage build time, microseconds. Cached files
-/// contribute nothing (their stages never run), so a warm run's stage
-/// timings reflect only the changed files.
-#[derive(Debug, Default, Clone, Copy)]
-pub struct StageAcc {
-    /// Use-def chain construction.
-    pub dataflow_build: u64,
-    /// untrusted-len-alloc extraction.
-    pub untrusted_len: u64,
-    /// cast-truncation extraction.
-    pub cast: u64,
-    /// Allocation-site extraction (the graph walk is timed separately
-    /// and added in the pipeline).
-    pub alloc: u64,
-    /// Direct-effect and growth-site extraction (the fixpoint itself is
-    /// timed in the pipeline).
-    pub effect: u64,
-}
-
-/// Everything derived from one file in isolation — the unit the
-/// incremental cache stores. Phase 2 (symbols, call graph, effect
-/// fixpoint, cross-file rules) consumes artifacts only, never the source
-/// text, so a cache hit skips lexing, parsing, and every per-file rule.
-/// `scan.code` is empty for artifacts restored from the cache; the
-/// pre-normalized `norm_lines` map stands in for it at fingerprint time.
-pub struct FileArtifacts {
+/// Everything derived from one file in isolation. Phase 2 (symbols, call
+/// graph, effect fixpoint, cross-file rules) consumes these.
+struct FileArtifacts {
     /// The per-file scan: raw findings, waivers, tokens, parsed items.
-    pub scan: FileScan,
-    /// Ambient sinks per function (aligned with `scan.parsed.fns`).
-    pub fn_sinks: Vec<Vec<callgraph::Sink>>,
-    /// Direct effect set per function.
-    pub fn_effects: Vec<EffectSet>,
+    scan: FileScan,
+    /// Direct effect set per function (aligned with `scan.parsed.fns`).
+    fn_effects: Vec<EffectSet>,
     /// Direct effect sites per function, for witness messages.
-    pub fn_sites: Vec<Vec<EffectSite>>,
-    /// Allocation sites per function (hot-path scope only).
-    pub fn_allocs: Vec<Vec<dataflow::AllocSite>>,
+    fn_sites: Vec<Vec<EffectSite>>,
+    /// Allocation sites per function (pipeline scope only).
+    fn_allocs: Vec<Vec<dataflow::AllocSite>>,
     /// Long-lived-collection operations per function.
-    pub fn_growth: Vec<Vec<effects::GrowthSite>>,
-    /// Whole-file allocation sites for unparsed hot-scope files (fail
-    /// closed).
-    pub fail_closed_allocs: Vec<dataflow::AllocSite>,
-    /// Per-file dataflow findings (untrusted-len-alloc, cast-truncation).
-    pub dataflow_findings: Vec<Finding>,
-    /// Discarded-result candidates, filtered against the workspace
-    /// wire-error set in phase 2.
-    pub discard_cands: Vec<rules::DiscardCand>,
-    /// Normalized text for every line a finding could land on, so cached
-    /// (token-free) artifacts still fingerprint identically.
-    pub norm_lines: BTreeMap<u32, String>,
+    fn_growth: Vec<Vec<effects::GrowthSite>>,
+    /// Whole-file allocation sites for unparsed pipeline-scope files
+    /// (fail closed).
+    fail_closed_allocs: Vec<dataflow::AllocSite>,
 }
 
 /// Run every per-file stage over one source file.
-pub fn build_artifacts(
-    path: &str,
-    src: &str,
-    scope: Scope,
-    ctx: &ScanCtx,
-    acc: &mut StageAcc,
-) -> FileArtifacts {
-    let scan = rules::scan_file(path, src, scope, ctx);
+fn build_artifacts(path: &str, src: &str, ctx: &ScanCtx) -> FileArtifacts {
+    let scope = rules::scope_for(path);
+    let mut scan = rules::scan_file(path, src, ctx);
+    let parsed_ok = scan.parsed.parsed_ok;
     let nfns = scan.parsed.fns.len();
 
     // --- Dataflow: per-function use-def chains. ---
-    let t = Instant::now();
-    let wanted = scope.hot_alloc || scope.taint_len || scope.cast_trunc;
-    let flows: Vec<dataflow::FnFlow> = if wanted && scan.parsed.parsed_ok {
+    let wanted = scope.pipeline || scope.parse_surface || scope.seq_space;
+    let flows: Vec<dataflow::FnFlow> = if wanted && parsed_ok {
         scan.parsed
             .fns
             .iter()
@@ -404,192 +313,102 @@ pub fn build_artifacts(
     } else {
         Vec::new()
     };
-    acc.dataflow_build += t.elapsed().as_micros() as u64;
-
-    let mut dataflow_findings: Vec<Finding> = Vec::new();
+    let mut report = |rule: &'static str, found: Vec<dataflow::FlowFinding>| {
+        for ff in found {
+            scan.raw.push(Finding::new(path, ff.line, rule, ff.message));
+        }
+    };
 
     // untrusted-len-alloc: wire-derived lengths must be clamped before
     // sizing an allocation or indexing. Unparsed files fail closed.
-    let t = Instant::now();
-    if scope.taint_len {
-        if scan.parsed.parsed_ok {
-            for (local, f) in scan.parsed.fns.iter().enumerate() {
-                for ff in dataflow::untrusted_len_findings(&scan.code, f, &flows[local]) {
-                    dataflow_findings.push(Finding::new(
-                        path,
-                        ff.line,
-                        "untrusted-len-alloc",
-                        ff.message,
-                    ));
-                }
+    if scope.parse_surface {
+        let rule = "untrusted-len-alloc";
+        if parsed_ok {
+            for (f, flow) in scan.parsed.fns.iter().zip(&flows) {
+                report(rule, dataflow::untrusted_len_findings(&scan.code, f, flow));
             }
         } else {
-            for ff in dataflow::untrusted_len_fail_closed(&scan.code) {
-                dataflow_findings.push(Finding::new(
-                    path,
-                    ff.line,
-                    "untrusted-len-alloc",
-                    ff.message,
-                ));
-            }
+            report(rule, dataflow::untrusted_len_fail_closed(&scan.code));
         }
     }
-    acc.untrusted_len += t.elapsed().as_micros() as u64;
 
     // cast-truncation: raw `as` narrowing on seq/ack/len-named values.
-    let t = Instant::now();
-    if scope.cast_trunc {
-        if scan.parsed.parsed_ok {
-            for (local, f) in scan.parsed.fns.iter().enumerate() {
+    if scope.seq_space {
+        let rule = "cast-truncation";
+        if parsed_ok {
+            for (f, flow) in scan.parsed.fns.iter().zip(&flows) {
                 let (b0, b1) = f.body;
-                for ff in dataflow::cast_findings(&scan.code, b0, b1, Some(&flows[local])) {
-                    dataflow_findings.push(Finding::new(
-                        path,
-                        ff.line,
-                        "cast-truncation",
-                        ff.message,
-                    ));
-                }
+                let found = dataflow::cast_findings(&scan.code, b0, b1, Some(flow));
+                report(rule, found);
             }
         } else {
-            for ff in dataflow::cast_findings(&scan.code, 0, scan.code.len(), None) {
-                dataflow_findings.push(Finding::new(path, ff.line, "cast-truncation", ff.message));
-            }
+            let found = dataflow::cast_findings(&scan.code, 0, scan.code.len(), None);
+            report(rule, found);
         }
     }
-    acc.cast += t.elapsed().as_micros() as u64;
 
     // Allocation sites, for hot-path-alloc and the Allocates effect.
-    let t = Instant::now();
-    let (fn_allocs, fail_closed_allocs) = if scope.hot_alloc {
-        if scan.parsed.parsed_ok {
-            (
-                scan.parsed
-                    .fns
-                    .iter()
-                    .enumerate()
-                    .map(|(local, f)| {
-                        let (b0, b1) = f.body;
-                        dataflow::alloc_sites(&scan.code, b0, b1, flows.get(local))
-                    })
-                    .collect(),
-                Vec::new(),
-            )
+    let mut fn_allocs: Vec<Vec<dataflow::AllocSite>> = vec![Vec::new(); nfns];
+    let mut fail_closed_allocs = Vec::new();
+    if scope.pipeline {
+        if parsed_ok {
+            for (local, f) in scan.parsed.fns.iter().enumerate() {
+                let (b0, b1) = f.body;
+                fn_allocs[local] = dataflow::alloc_sites(&scan.code, b0, b1, flows.get(local));
+            }
         } else {
-            (
-                vec![Vec::new(); nfns],
-                dataflow::alloc_sites(&scan.code, 0, scan.code.len(), None),
-            )
+            fail_closed_allocs = dataflow::alloc_sites(&scan.code, 0, scan.code.len(), None);
         }
-    } else {
-        (vec![Vec::new(); nfns], Vec::new())
-    };
-    acc.alloc += t.elapsed().as_micros() as u64;
+    }
 
     // Direct effects (sinks + panics/IO/global/map idents + allocations)
     // and growth sites, per function.
-    let t = Instant::now();
-    let mut fn_sinks: Vec<Vec<callgraph::Sink>> = Vec::with_capacity(nfns);
     let mut fn_effects: Vec<EffectSet> = Vec::with_capacity(nfns);
     let mut fn_sites: Vec<Vec<EffectSite>> = Vec::with_capacity(nfns);
     let mut fn_growth: Vec<Vec<effects::GrowthSite>> = Vec::with_capacity(nfns);
     for (local, f) in scan.parsed.fns.iter().enumerate() {
         let (b0, b1) = f.body;
-        let sinks = callgraph::find_sinks(&scan.code, b0, b1);
-        let mut eff = EffectSet::EMPTY;
-        let mut sites: Vec<EffectSite> = Vec::new();
-        for s in &sinks {
-            if !sanctioned_sink(path, s.kind) {
-                let e = match s.kind {
-                    SinkKind::Clock => Effect::ReadsClock,
-                    SinkKind::Rng => Effect::ReadsRng,
-                    SinkKind::Thread => Effect::SpawnsThread,
-                };
-                eff.insert(e);
-                sites.push(EffectSite {
-                    effect: e,
-                    line: s.line,
-                    what: s.what.clone(),
-                });
-            }
-        }
+        let mut sites: Vec<EffectSite> = (b0..b1)
+            .filter_map(|i| callgraph::sink_at(&scan.code, i))
+            .filter(|s| !s.kind.sanctioned(path))
+            .map(|s| EffectSite {
+                effect: s.kind.effect(),
+                line: s.line,
+                what: s.what,
+            })
+            .collect();
         if let Some(site) = fn_allocs[local].first() {
-            eff.insert(Effect::Allocates);
             sites.push(EffectSite {
                 effect: Effect::Allocates,
                 line: site.line,
                 what: site.what.clone(),
             });
         }
-        for s in effects::direct_effect_sites(&scan.code, b0, b1) {
+        sites.extend(effects::direct_effect_sites(&scan.code, b0, b1));
+        let mut eff = EffectSet::EMPTY;
+        for s in &sites {
             eff.insert(s.effect);
-            sites.push(s);
         }
         fn_growth.push(effects::growth_sites(&scan.code, b0, b1));
-        fn_sinks.push(sinks);
         fn_effects.push(eff);
         fn_sites.push(sites);
     }
-    acc.effect += t.elapsed().as_micros() as u64;
-
-    let discard_cands = if scope.discard {
-        rules::discard_candidates(&scan.code)
-    } else {
-        Vec::new()
-    };
-
-    // Pre-normalize every line a finding could anchor to, so a cached
-    // artifact (tokens dropped) fingerprints byte-identically.
-    let mut lines: BTreeSet<u32> = BTreeSet::new();
-    lines.extend(scan.raw.iter().map(|f| f.line));
-    lines.extend(dataflow_findings.iter().map(|f| f.line));
-    lines.extend(scan.waivers.iter().map(|(w, _)| w.line));
-    for f in &scan.parsed.fns {
-        lines.insert(f.start_line);
-        lines.extend(f.calls.iter().map(|c| c.line));
-    }
-    for v in &fn_sinks {
-        lines.extend(v.iter().map(|s| s.line));
-    }
-    for v in &fn_sites {
-        lines.extend(v.iter().map(|s| s.line));
-    }
-    for v in &fn_allocs {
-        lines.extend(v.iter().map(|s| s.line));
-    }
-    for v in &fn_growth {
-        lines.extend(v.iter().map(|s| s.line));
-    }
-    lines.extend(fail_closed_allocs.iter().map(|s| s.line));
-    lines.extend(discard_cands.iter().map(|c| c.line));
-    let norm_lines: BTreeMap<u32, String> = lines
-        .into_iter()
-        .filter_map(|l| fingerprint::normalize_line(&scan.code, l).map(|t| (l, t)))
-        .collect();
 
     FileArtifacts {
         scan,
-        fn_sinks,
         fn_effects,
         fn_sites,
         fn_allocs,
         fn_growth,
         fail_closed_allocs,
-        dataflow_findings,
-        discard_cands,
-        norm_lines,
     }
 }
 
 /// Phase 2: the cross-file analyses over per-file artifacts, then waiver
-/// application. Returns one [`FileLint`] per artifact in order, the
-/// per-stage timings (microseconds), and — when `check_registry` is set
-/// (the whole-repo entry point) — any root-registry drift findings.
-fn run_pipeline(
-    arts: &mut [FileArtifacts],
-    acc: StageAcc,
-    check_registry: bool,
-) -> (Vec<FileLint>, Vec<(&'static str, u64)>, Vec<Finding>) {
+/// application. The findings come back unsorted and include — when
+/// `check_registry` is set (the whole-repo entry point) — any
+/// root-registry drift.
+fn run_pipeline(mut arts: Vec<FileArtifacts>, check_registry: bool) -> Analysis {
     // The linter's own sources are scanned (map-iter self-lint) but stay
     // out of the graph: the lint crate measures wall-clock by design and
     // must not become a phantom ambient sink for its callers.
@@ -610,7 +429,6 @@ fn run_pipeline(
     let n = sym.fns.len();
     let mut direct: Vec<EffectSet> = vec![EffectSet::EMPTY; n];
     let mut sites: Vec<Vec<EffectSite>> = vec![Vec::new(); n];
-    let mut fn_sinks: Vec<Vec<callgraph::Sink>> = vec![Vec::new(); n];
     let mut fn_growth: Vec<Vec<effects::GrowthSite>> = vec![Vec::new(); n];
     let mut fn_home: BTreeMap<usize, (usize, usize)> = BTreeMap::new();
     for (path, _) in &graph_files {
@@ -620,7 +438,6 @@ fn run_pipeline(
             fn_home.insert(*id, (si, local));
             direct[*id] = a.fn_effects[local];
             sites[*id] = a.fn_sites[local].clone();
-            fn_sinks[*id] = a.fn_sinks[local].clone();
             fn_growth[*id] = a.fn_growth[local].clone();
             if !a.scan.parsed.parsed_ok {
                 // Fail closed: a body in a lost-sync file could do
@@ -636,7 +453,6 @@ fn run_pipeline(
     }
 
     // --- The interprocedural effect fixpoint. ---
-    let t = Instant::now();
     for (fid, dropped) in graph.dropped.iter().enumerate() {
         for (line, call) in dropped {
             // Fail closed: a workspace-qualified call the resolver lost
@@ -650,114 +466,31 @@ fn run_pipeline(
         }
     }
     let sums = effects::Summaries::compute(&graph, direct, sites);
-    let fixpoint_us = acc.effect + t.elapsed().as_micros() as u64;
 
-    // --- Transitive containment findings, as summary queries. ---
-    // Membership (does this fn reach an unsanctioned sink?) is a bitset
-    // test on the totals; the caller-ward next-hop map is materialized
-    // only for kinds that actually have hits, purely to render the chain.
-    let mut extra: Vec<(usize, Finding)> = Vec::new();
-    for (kind, effect) in [
-        (SinkKind::Clock, Effect::ReadsClock),
-        (SinkKind::Rng, Effect::ReadsRng),
-        (SinkKind::Thread, Effect::SpawnsThread),
-    ] {
-        let hits: Vec<usize> = (0..n)
-            .filter(|&fid| {
-                if !sums.total[fid].contains(effect) || sums.direct[fid].contains(effect) {
-                    return false;
-                }
-                let fsym = &sym.fns[fid];
-                let Some(&si) = scan_idx.get(fsym.file.as_str()) else {
-                    return false;
-                };
-                let scope = arts[si].scan.scope;
-                let applies = match kind {
-                    SinkKind::Clock | SinkKind::Rng => scope.ambient,
-                    SinkKind::Thread => scope.thread_containment,
-                };
-                // A function with its own direct sink already carries the
-                // textual finding; don't double-report it transitively.
-                applies && !fn_sinks[fid].iter().any(|s| s.kind == kind)
-            })
-            .collect();
-        if hits.is_empty() {
-            continue;
-        }
-        let seeds: BTreeSet<usize> = (0..n)
-            .filter(|&fid| sums.direct[fid].contains(effect))
-            .collect();
-        let taint = graph.taint(&seeds);
-        for fid in hits {
-            let fsym = &sym.fns[fid];
-            let si = scan_idx[fsym.file.as_str()];
-            let Some(hop) = taint.get(&fid) else {
-                continue;
-            };
-            // Follow the hop chain down to the sink for the message.
-            let mut chain: Vec<String> = Vec::new();
-            let mut cur = hop.callee;
-            loop {
-                chain.push(sym.fns[cur].def.name.clone());
-                if seeds.contains(&cur) {
-                    break;
-                }
-                match taint.get(&cur) {
-                    Some(next) => cur = next.callee,
-                    None => break,
-                }
-            }
-            let sink = fn_sinks[cur]
-                .iter()
-                .find(|s| s.kind == kind)
-                .map_or_else(|| "ambient sink".to_string(), |s| s.what.clone());
-            extra.push((
-                si,
-                Finding::new(
-                    &fsym.file,
-                    hop.line,
-                    kind.rule(),
-                    format!(
-                        "{}() transitively reaches {} (in {}) via {}",
-                        fsym.def.name,
-                        sink,
-                        sym.fns[cur].file,
-                        chain.join(" → ")
-                    ),
-                ),
-            ));
-        }
-    }
-    for (si, f) in extra {
-        arts[si].scan.raw.push(f);
-    }
-
-    // --- Discarded-wire-error over the workspace return-type table. ---
-    let wire_fns = sym.wire_error_fns();
-    for a in arts.iter_mut() {
-        if a.scan.scope.discard {
-            let extra = rules::discard_filter(&a.scan.path, &a.discard_cands, &wire_fns);
-            a.scan.raw.extend(extra);
-        }
-    }
-
-    // --- Per-file dataflow findings (computed at artifact build). ---
-    for a in arts.iter_mut() {
-        let extra = a.dataflow_findings.clone();
-        a.scan.raw.extend(extra);
-    }
+    // --- Transitive containment, purity-audit (PURE_ROOTS must have empty
+    // effect sets) and unbounded-growth (long-lived fields need eviction
+    // evidence): summary queries, scoped to the pipeline crates. ---
+    let in_pipeline = |file: &str| rules::scope_for(file).pipeline;
+    let mut extra: Vec<Finding> =
+        effects::containment_findings(&sym, &graph, &sums, &|file, kind| {
+            in_pipeline(file) && !kind.sanctioned(file)
+        });
+    extra.extend(effects::purity_findings(
+        &sym,
+        &graph,
+        &sums,
+        &PURE_ROOTS,
+        &in_pipeline,
+    ));
+    extra.extend(effects::growth_findings(&sym, &fn_growth, &in_pipeline));
 
     // hot-path-alloc: fresh allocations on the forward closure of the
     // HOT_ROOTS registry, with the BFS discovery chain in the message.
     // The summaries gate the walk: if no hot root's total carries
     // Allocates, no reachable function has a site and the walk is skipped.
-    let t = Instant::now();
-    let mut hot_fns: BTreeSet<usize> = BTreeSet::new();
-    for (&id, &(si, _)) in &fn_home {
-        if arts[si].scan.scope.hot_alloc {
-            hot_fns.insert(id);
-        }
-    }
+    let hot_fns: BTreeSet<usize> = (0..n)
+        .filter(|&id| in_pipeline(&sym.fns[id].file))
+        .collect();
     let hot_roots: Vec<usize> = hot_fns
         .iter()
         .copied()
@@ -769,7 +502,6 @@ fn run_pipeline(
             })
         })
         .collect();
-    let mut extra: Vec<(usize, Finding)> = Vec::new();
     if hot_roots
         .iter()
         .any(|&r| sums.total[r].contains(Effect::Allocates))
@@ -806,82 +538,48 @@ fn run_pipeline(
                         chain[1..].join(" → ")
                     )
                 };
-                extra.push((
-                    si,
-                    Finding::new(&a.scan.path, site.line, "hot-path-alloc", message),
+                extra.push(Finding::new(
+                    &a.scan.path,
+                    site.line,
+                    "hot-path-alloc",
+                    message,
                 ));
             }
         }
     }
-    // Fail closed: a hot-scope file the parser lost sync on could hide
+    // Fail closed: a pipeline file the parser lost sync on could hide
     // hot-reachable functions, so every allocation site in it is flagged.
-    for (si, a) in arts.iter().enumerate() {
-        if a.scan.scope.hot_alloc && !a.scan.parsed.parsed_ok {
-            for site in &a.fail_closed_allocs {
-                extra.push((
-                    si,
-                    Finding::new(
-                        &a.scan.path,
-                        site.line,
-                        "hot-path-alloc",
-                        format!(
-                            "fresh allocation {} in a file the parser lost sync on (fail closed)",
-                            site.what
-                        ),
-                    ),
-                ));
-            }
+    for a in arts.iter() {
+        for site in &a.fail_closed_allocs {
+            extra.push(Finding::new(
+                &a.scan.path,
+                site.line,
+                "hot-path-alloc",
+                format!(
+                    "fresh allocation {} in a file the parser lost sync on (fail closed)",
+                    site.what
+                ),
+            ));
         }
     }
-    for (si, f) in extra {
-        arts[si].scan.raw.push(f);
-    }
-    let hot_us = acc.alloc + t.elapsed().as_micros() as u64;
-
-    // --- purity-audit: PURE_ROOTS must have empty effect sets. ---
-    let purity = {
-        let in_scope = |file: &str| {
-            scan_idx
-                .get(file)
-                .is_some_and(|&si| arts[si].scan.scope.purity)
-        };
-        effects::purity_findings(&sym, &graph, &sums, &PURE_ROOTS, &in_scope)
-    };
-    for f in purity {
+    for f in extra {
         if let Some(&si) = scan_idx.get(f.file.as_str()) {
             arts[si].scan.raw.push(f);
         }
     }
 
-    // --- unbounded-growth: long-lived fields need eviction evidence. ---
-    let growth = {
-        let in_scope = |file: &str| {
-            scan_idx
-                .get(file)
-                .is_some_and(|&si| arts[si].scan.scope.growth)
-        };
-        effects::growth_findings(&sym, &fn_growth, &in_scope)
-    };
-    for f in growth {
-        if let Some(&si) = scan_idx.get(f.file.as_str()) {
-            arts[si].scan.raw.push(f);
-        }
+    // --- Discarded-wire-error over the workspace return-type table. ---
+    let wire_fns = sym.wire_error_fns();
+    for a in arts.iter_mut().filter(|a| in_pipeline(&a.scan.path)) {
+        let cands = rules::discard_candidates(&a.scan.code);
+        let found = rules::discard_filter(&a.scan.path, &cands, &wire_fns);
+        a.scan.raw.extend(found);
     }
-
-    // --- root-registry drift (whole-repo runs only). ---
-    let registry = if check_registry {
-        effects::registry_findings(
-            &sym,
-            &[("HOT_ROOTS", &HOT_ROOTS), ("PURE_ROOTS", &PURE_ROOTS)],
-        )
-    } else {
-        Vec::new()
-    };
 
     // --- Untrusted-reachability scoping for panic/index. ---
     let mut surface: BTreeSet<usize> = BTreeSet::new();
     for (path, _) in &graph_files {
-        if arts[scan_idx[path.as_str()]].scan.scope.panic_index {
+        if rules::scope_for(path).parse_surface {
             surface.extend(sym.file_fns(path).iter().copied());
         }
     }
@@ -900,7 +598,7 @@ fn run_pipeline(
     let reachable = graph.reachable(roots, &surface);
     for a in arts.iter_mut() {
         // Fail closed: if the parser lost sync, keep every finding.
-        if !a.scan.scope.panic_index || !a.scan.parsed.parsed_ok {
+        if !rules::scope_for(&a.scan.path).parse_surface || !a.scan.parsed.parsed_ok {
             continue;
         }
         let ids = sym.file_fns(&a.scan.path);
@@ -918,82 +616,66 @@ fn run_pipeline(
     }
 
     // --- Waivers last, so retired findings surface stale waivers. ---
-    let lints = arts
-        .iter_mut()
-        .map(|a| {
-            rules::apply_waivers(
-                &a.scan.path,
-                std::mem::take(&mut a.scan.raw),
-                &a.scan.waivers,
-            )
-        })
+    let mut analysis = Analysis {
+        files_scanned: arts.len(),
+        ..Analysis::default()
+    };
+    for a in arts {
+        let lint = rules::apply_waivers(&a.scan.path, a.scan.raw, &a.scan.waivers);
+        analysis.findings.extend(lint.findings);
+        analysis.waived.extend(lint.waived);
+    }
+
+    // --- root-registry drift (whole-repo runs only). ---
+    if check_registry {
+        analysis.findings.extend(effects::registry_findings(
+            &sym,
+            &[("HOT_ROOTS", &HOT_ROOTS), ("PURE_ROOTS", &PURE_ROOTS)],
+        ));
+    }
+    analysis
+}
+
+/// Both phases over one in-memory workspace.
+fn run(files: &[(&str, &str)], check_registry: bool) -> Analysis {
+    let ctx = scan_ctx(files);
+    let arts = files
+        .iter()
+        .map(|(path, src)| build_artifacts(path, src, &ctx))
         .collect();
-    let timings = vec![
-        ("dataflow-build", acc.dataflow_build),
-        ("untrusted-len-alloc", acc.untrusted_len),
-        ("cast-truncation", acc.cast),
-        ("hot-path-alloc", hot_us),
-        ("effect-fixpoint", fixpoint_us),
-    ];
-    (lints, timings, registry)
+    run_pipeline(arts, check_registry)
+}
+
+/// Sort the findings and stamp the runtime.
+fn finish(mut analysis: Analysis, t0: Instant) -> Analysis {
+    analysis.findings.sort();
+    analysis.waived.sort();
+    analysis.runtime_ms = t0.elapsed().as_millis() as u64;
+    analysis
 }
 
 /// Analyze a set of in-memory sources as one workspace: the full
 /// two-phase pipeline (call graph and effect fixpoint included), no
-/// filesystem, no cache, no taxonomy or registry cross-checks. This is
-/// the entry point for multi-file fixture tests.
+/// filesystem, no taxonomy or registry cross-checks. This is the entry
+/// point for multi-file fixture tests.
 pub fn analyze_sources(files: &[(&str, &str)]) -> Analysis {
     let t0 = Instant::now();
-    let ctx = scan_ctx(files);
-    let mut acc = StageAcc::default();
-    let mut arts: Vec<FileArtifacts> = files
-        .iter()
-        .map(|(path, src)| build_artifacts(path, src, rules::scope_for(path), &ctx, &mut acc))
-        .collect();
-    let (lints, timings, _) = run_pipeline(&mut arts, acc, false);
-    let mut analysis = Analysis {
-        files_scanned: arts.len(),
-        rule_timings: timings,
-        ..Analysis::default()
-    };
-    for lint in lints {
-        analysis.findings.extend(lint.findings);
-        analysis.waived.extend(lint.waived);
-    }
-    finish(&mut analysis, &arts, t0);
-    analysis
+    finish(run(files, false), t0)
 }
 
-/// Lint one source string under an explicit scope. Single-file pipeline:
-/// the call graph sees only this file.
-pub fn lint_file(path: &str, src: &str, scope: Scope) -> FileLint {
-    let ctx = scan_ctx(&[(path, src)]);
-    let mut acc = StageAcc::default();
-    let mut arts = vec![build_artifacts(path, src, scope, &ctx, &mut acc)];
-    run_pipeline(&mut arts, acc, false)
-        .0
-        .pop()
-        .unwrap_or_default()
-}
-
-/// Lint one source string under the scope its path would get in the repo.
-/// This is the entry point the fixture tests use.
+/// Lint one source string under the scope its path would get in the repo;
+/// the call graph sees only this file. This is the entry point the
+/// single-fixture tests use.
 pub fn lint_source(repo_rel_path: &str, src: &str) -> FileLint {
-    lint_file(repo_rel_path, src, rules::scope_for(repo_rel_path))
+    let analysis = analyze_sources(&[(repo_rel_path, src)]);
+    FileLint {
+        findings: analysis.findings,
+        waived: analysis.waived,
+    }
 }
 
-/// Run the full gate against a repo checkout, without the incremental
-/// cache.
+/// Run the full gate against a repo checkout.
 pub fn analyze(root: &Path) -> Analysis {
-    analyze_with(root, None)
-}
-
-/// Run the full gate against a repo checkout. With `cache_path` set, the
-/// per-file artifacts are restored from / persisted to that file, keyed
-/// by content hash under a version+registry salt ([`cache`]); a stale,
-/// corrupt, or version-mismatched entry is a miss (fail closed), never a
-/// wrong answer.
-pub fn analyze_with(root: &Path, cache_path: Option<&Path>) -> Analysis {
     let t0 = Instant::now();
     let mut inputs: Vec<(String, String)> = Vec::new();
     for rel in source_files(root) {
@@ -1009,72 +691,9 @@ pub fn analyze_with(root: &Path, cache_path: Option<&Path>) -> Analysis {
         .iter()
         .map(|(p, s)| (p.as_str(), s.as_str()))
         .collect();
-    let ctx = scan_ctx(&borrowed);
-    let salt = cache::salt(&ctx);
-    let mut store = match cache_path {
-        Some(p) => cache::Store::load(p, salt),
-        None => cache::Store::empty(salt),
-    };
-    let mut acc = StageAcc::default();
-    let mut hits = 0usize;
-    let mut misses = 0usize;
-    let mut arts: Vec<FileArtifacts> = Vec::with_capacity(borrowed.len());
-    for (path, src) in &borrowed {
-        let hash = fingerprint::fnv1a64(src.as_bytes());
-        if cache_path.is_some() {
-            if let Some(art) = store.take_hit(path, hash) {
-                hits += 1;
-                arts.push(art);
-                continue;
-            }
-        }
-        let art = build_artifacts(path, src, rules::scope_for(path), &ctx, &mut acc);
-        if cache_path.is_some() {
-            store.record(path, hash, &art);
-        }
-        misses += 1;
-        arts.push(art);
-    }
-    let (lints, timings, registry) = run_pipeline(&mut arts, acc, true);
-    let mut analysis = Analysis {
-        files_scanned: arts.len(),
-        rule_timings: timings,
-        cache_hits: hits,
-        cache_misses: misses,
-        ..Analysis::default()
-    };
-    for lint in lints {
-        analysis.findings.extend(lint.findings);
-        analysis.waived.extend(lint.waived);
-    }
-    analysis.findings.extend(registry);
+    let mut analysis = run(&borrowed, true);
     analysis.findings.extend(taxonomy::check(root));
-    finish(&mut analysis, &arts, t0);
-    if let Some(p) = cache_path {
-        store.save(p);
-    }
-    analysis
-}
-
-/// Sort, fingerprint, and stamp the runtime. Fingerprint line text comes
-/// from the tokens when present (cold path) and from the pre-normalized
-/// `norm_lines` map for cached artifacts.
-fn finish(analysis: &mut Analysis, arts: &[FileArtifacts], t0: Instant) {
-    analysis.findings.sort();
-    analysis.waived.sort();
-    let by_path: BTreeMap<&str, &FileArtifacts> =
-        arts.iter().map(|a| (a.scan.path.as_str(), a)).collect();
-    let line_text = |file: &str, line: u32| {
-        by_path.get(file).and_then(|a| {
-            if a.scan.code.is_empty() {
-                a.norm_lines.get(&line).cloned()
-            } else {
-                fingerprint::normalize_line(&a.scan.code, line)
-            }
-        })
-    };
-    fingerprint::assign(&mut analysis.findings, &line_text);
-    analysis.runtime_ms = t0.elapsed().as_millis() as u64;
+    finish(analysis, t0)
 }
 
 /// All `.rs` files under the repo's first-party trees, repo-relative with
@@ -1118,16 +737,13 @@ mod tests {
     #[test]
     fn json_output_is_sarif_shaped() {
         let mut a = Analysis::default();
-        a.findings.push(Finding {
-            file: "crates/wire/src/x.rs".into(),
-            line: 3,
-            rule: "index",
-            message: "direct slice indexing \"quoted\"".into(),
-            fingerprint: "00aa11bb22cc33dd".into(),
-        });
+        a.findings.push(Finding::new(
+            "crates/wire/src/x.rs",
+            3,
+            "index",
+            "direct slice indexing \"quoted\"".into(),
+        ));
         a.files_scanned = 1;
-        a.cache_hits = 2;
-        a.cache_misses = 1;
         let json = a.render_json();
         assert!(json.starts_with('{') && json.ends_with('}'));
         assert!(json.contains("\"version\":\"2.1.0\""));
@@ -1135,9 +751,7 @@ mod tests {
         assert!(json.contains("\"ruleId\":\"index\""));
         assert!(json.contains("\"uri\":\"crates/wire/src/x.rs\""));
         assert!(json.contains("\"startLine\":3"));
-        assert!(json.contains("\"tamperlint/v1\":\"00aa11bb22cc33dd\""));
         assert!(json.contains("\"ok\":false"));
-        assert!(json.contains("\"cache\":{\"hits\":2,\"misses\":1}"));
         assert!(json.contains("\"index\":{\"findings\":1,\"waived\":0}"));
         assert!(json.contains("\\\"quoted\\\""));
         // Every rule is declared in the driver block.

@@ -22,34 +22,13 @@
 //! `unused waiver` finding instead of silently rotting.
 
 use crate::ast::{self, ParsedFile};
+use crate::callgraph;
 use crate::lexer::{lex, strip_test_modules, Tok, TokKind};
 use std::collections::BTreeSet;
 
-/// All lint rules, in reporting order.
-pub const RULES: [&str; 18] = [
-    "map-iter",
-    "ambient-clock",
-    "clock-containment",
-    "ambient-rng",
-    "thread-containment",
-    "panic",
-    "index",
-    "wraparound-arithmetic",
-    "exhaustive-signature-match",
-    "discarded-wire-error",
-    "hot-path-alloc",
-    "untrusted-len-alloc",
-    "cast-truncation",
-    "purity-audit",
-    "unbounded-growth",
-    "root-registry",
-    "taxonomy",
-    "waiver",
-];
-
-/// One paragraph of documentation per rule, for `cargo xtask analyze
-/// --explain <rule>`. Every entry of [`RULES`] must have one (enforced by
-/// a test), so a rule can never ship undocumented.
+/// Every rule with its one paragraph of documentation, in reporting
+/// order, for `cargo xtask analyze --explain <rule>`. [`RULES`] is derived
+/// from this table, so a rule can never ship undocumented.
 pub const EXPLANATIONS: [(&str, &str); 18] = [
     (
         "map-iter",
@@ -193,6 +172,17 @@ pub const EXPLANATIONS: [(&str, &str); 18] = [
     ),
 ];
 
+/// All lint rule ids, in reporting order.
+pub const RULES: [&str; EXPLANATIONS.len()] = {
+    let mut out = [""; EXPLANATIONS.len()];
+    let mut i = 0;
+    while i < out.len() {
+        out[i] = EXPLANATIONS[i].0;
+        i += 1;
+    }
+    out
+};
+
 /// The `--explain` text for one rule, if it is registered.
 pub fn explain(rule: &str) -> Option<&'static str> {
     EXPLANATIONS
@@ -212,20 +202,16 @@ pub struct Finding {
     pub rule: &'static str,
     /// Human-readable explanation.
     pub message: String,
-    /// Stable line-number-independent fingerprint (assigned by the
-    /// analysis pipeline; empty in per-file scan results).
-    pub fingerprint: String,
 }
 
 impl Finding {
-    /// A finding with no fingerprint yet.
+    /// Build a finding, copying the path.
     pub fn new(file: &str, line: u32, rule: &'static str, message: String) -> Finding {
         Finding {
             file: file.to_string(),
             line,
             rule,
             message,
-            fingerprint: String::new(),
         }
     }
 }
@@ -292,85 +278,55 @@ pub struct Scope {
     /// `map-iter`: output-producing crates (and the linter itself) must
     /// not use HashMap/HashSet.
     pub map_iter: bool,
-    /// `ambient-clock` / `ambient-rng`: the deterministic pipeline.
-    pub ambient: bool,
-    /// `thread-containment`: pipeline crates that must route parallel
-    /// work through `capture::engine` instead of spawning their own
-    /// threads.
-    pub thread_containment: bool,
-    /// `panic` / `index`: the untrusted-input parsing surface.
-    pub panic_index: bool,
-    /// `wraparound-arithmetic`: sequence-space math in `wire`/`core`.
-    pub wraparound: bool,
-    /// `exhaustive-signature-match`: pipeline crates matching on the
-    /// paper's `Signature` taxonomy.
-    pub sig_match: bool,
-    /// `discarded-wire-error`: pipeline crates must not silently swallow
-    /// `Result<_, WireError>`.
-    pub discard: bool,
-    /// `hot-path-alloc`: fresh allocations reachable from the declared
-    /// hot roots (see `HOT_ROOTS` in the crate root).
-    pub hot_alloc: bool,
-    /// `untrusted-len-alloc`: wire-derived lengths must be clamped before
-    /// sizing an allocation or indexing.
-    pub taint_len: bool,
-    /// `cast-truncation`: raw `as` narrowing of seq/ack/len/off-named
-    /// values in sequence-space code.
-    pub cast_trunc: bool,
-    /// `purity-audit`: the PURE_ROOTS registry's transitive effect sets
-    /// must be empty (see `effects` in the crate root).
-    pub purity: bool,
-    /// `unbounded-growth`: long-lived collection fields must have
-    /// reachable eviction/clear/cap evidence.
-    pub growth: bool,
+    /// The deterministic pipeline crates: `ambient-clock`, `ambient-rng`,
+    /// `clock-containment`, `thread-containment` (everywhere but the
+    /// sink's sanctioned home), `exhaustive-signature-match`,
+    /// `discarded-wire-error`, `hot-path-alloc`, `purity-audit` and
+    /// `unbounded-growth`.
+    pub pipeline: bool,
+    /// The untrusted-input parsing surface: `panic`, `index` and
+    /// `untrusted-len-alloc`.
+    pub parse_surface: bool,
+    /// Sequence-space math in `wire`/`core`: `wraparound-arithmetic` and
+    /// `cast-truncation`.
+    pub seq_space: bool,
 }
 
 impl Scope {
     /// True if no rule family applies (the file can be skipped entirely).
     pub fn is_empty(self) -> bool {
-        !(self.map_iter
-            || self.ambient
-            || self.thread_containment
-            || self.panic_index
-            || self.wraparound
-            || self.sig_match
-            || self.discard
-            || self.hot_alloc
-            || self.taint_len
-            || self.cast_trunc
-            || self.purity
-            || self.growth)
+        !(self.map_iter || self.pipeline || self.parse_surface || self.seq_space)
     }
 }
 
 /// Compute the rule scope for one repo-relative path.
 pub fn scope_for(path: &str) -> Scope {
-    // Ambient time/randomness: every first-party pipeline crate. Benchmarks,
-    // repo automation, and the linter itself measure wall-clock by design;
-    // tamper-obs is the one sanctioned home for wall-clock reads (the
-    // `clock-containment` rule routes everyone else through it).
+    // Every first-party pipeline crate. Benchmarks, repo automation, and
+    // the linter itself measure wall-clock by design; tamper-obs is the
+    // one sanctioned home for wall-clock reads (the `clock-containment`
+    // rule routes everyone else through it).
     let first_party =
         (path.starts_with("crates/") && path.contains("/src/")) || path.starts_with("src/");
     let exempt = path.starts_with("crates/bench/")
         || path.starts_with("crates/xtask/")
         || path.starts_with("crates/lint/")
         || path.starts_with("crates/obs/");
-    let pipeline = first_party && !exempt;
     Scope {
         // Determinism: anything that feeds report bytes — plus the linter
         // itself, which must render findings in a stable order.
         map_iter: path.starts_with("crates/analysis/src/")
             || path.starts_with("crates/core/src/")
             || path.starts_with("crates/lint/src/"),
-        ambient: pipeline,
-        // One sharding implementation: `capture::engine` owns the reader/
-        // shard/merge thread topology; everything else plugs in through a
-        // FlowSource. The worldgen driver once carried a second crossbeam
-        // shard loop — this rule keeps it from coming back.
-        thread_containment: pipeline && path != "crates/capture/src/engine.rs",
+        // The hot-root closure, the pure roots and the long-lived state
+        // can cross any pipeline crate, so every one of them is in scope;
+        // call-graph findings only materialize on functions proven
+        // reachable from a registered root.
+        pipeline: first_party && !exempt,
         // Panic-safety: bytes-off-the-wire parsing surface — including
-        // the partial-aggregate decoder, which reads untrusted .agg files.
-        panic_index: path.starts_with("crates/wire/src/")
+        // the partial-aggregate decoder, which reads untrusted .agg
+        // files. Untrusted lengths are read exactly where untrusted bytes
+        // are parsed.
+        parse_surface: path.starts_with("crates/wire/src/")
             || matches!(
                 path,
                 "crates/capture/src/pcap.rs"
@@ -381,32 +337,8 @@ pub fn scope_for(path: &str) -> Scope {
             ),
         // Sequence-space arithmetic lives in the wire parsers and the core
         // classifier; PR 3 fixed a real u32-wraparound bug in
-        // `core::reorder`, and this rule keeps the next one out.
-        wraparound: path.starts_with("crates/wire/src/") || path.starts_with("crates/core/src/"),
-        sig_match: pipeline,
-        discard: pipeline,
-        // The hot-root closure can cross any pipeline crate, so every one
-        // of them is in scope; findings only materialize on functions the
-        // call graph proves reachable from a hot root.
-        hot_alloc: pipeline,
-        // Untrusted lengths are read exactly where untrusted bytes are
-        // parsed: the same surface the panic/index rules police.
-        taint_len: path.starts_with("crates/wire/src/")
-            || matches!(
-                path,
-                "crates/capture/src/pcap.rs"
-                    | "crates/capture/src/offline.rs"
-                    | "crates/capture/src/engine.rs"
-                    | "crates/capture/src/source.rs"
-                    | "crates/analysis/src/aggfile.rs"
-            ),
-        // Narrowing casts on sequence-space values: same home as the
-        // wraparound rule.
-        cast_trunc: path.starts_with("crates/wire/src/") || path.starts_with("crates/core/src/"),
-        // The pure classify→aggregate→report roots and the long-lived
-        // state the serve daemon will keep both live in pipeline crates.
-        purity: pipeline,
-        growth: pipeline,
+        // `core::reorder`, and these rules keep the next one out.
+        seq_space: path.starts_with("crates/wire/src/") || path.starts_with("crates/core/src/"),
     }
 }
 
@@ -435,8 +367,6 @@ const NON_BINDING_PATTERN_IDENTS: [&str; 5] = ["ref", "mut", "true", "false", "b
 pub struct FileScan {
     /// Repo-relative path.
     pub path: String,
-    /// Rule scope the file was scanned under.
-    pub scope: Scope,
     /// Raw findings (waivers not yet applied).
     pub raw: Vec<Finding>,
     /// Waivers with the line set each covers.
@@ -462,10 +392,11 @@ fn is_seq_space_ident(name: &str) -> bool {
     SEQ_SPACE_SEGMENTS.contains(&last.to_ascii_lowercase().as_str())
 }
 
-/// Scan one file: collect waivers, run every single-file rule, parse the
-/// AST. Waivers are NOT applied here — the pipeline does that after the
-/// cross-file phases.
-pub fn scan_file(path: &str, src: &str, scope: Scope, ctx: &ScanCtx) -> FileScan {
+/// Scan one file under the scope its path gets: collect waivers, run every
+/// single-file rule, parse the AST. Waivers are NOT applied here — the
+/// pipeline does that after the cross-file phases.
+pub fn scan_file(path: &str, src: &str, ctx: &ScanCtx) -> FileScan {
+    let scope = scope_for(path);
     let toks = strip_test_modules(lex(src));
     let mut raw: Vec<Finding> = Vec::new();
 
@@ -515,13 +446,6 @@ pub fn scan_file(path: &str, src: &str, scope: Scope, ctx: &ScanCtx) -> FileScan
         Some(TokKind::Punct(c)) => Some(*c),
         _ => None,
     };
-    // `A :: B` at position i?
-    let path_pair = |i: usize, a: &str, b: &str| {
-        ident(i) == Some(a)
-            && punct(i + 1) == Some(':')
-            && punct(i + 2) == Some(':')
-            && ident(i + 3) == Some(b)
-    };
 
     for i in 0..code.len() {
         let line = code[i].line;
@@ -542,23 +466,19 @@ pub fn scan_file(path: &str, src: &str, scope: Scope, ctx: &ScanCtx) -> FileScan
             }
         }
 
-        if scope.ambient {
-            if path_pair(i, "SystemTime", "now") || path_pair(i, "Instant", "now") {
-                push_at(
-                    line,
-                    "ambient-clock",
-                    format!(
-                        "{}::now() reads the ambient clock; thread timestamps through \
-                         the simulated clock instead",
-                        ident(i).unwrap_or_default()
-                    ),
-                );
+        if scope.pipeline {
+            if let Some(sink) = callgraph::sink_at(&code, i) {
+                // One clock, one thread topology: a sink outside its
+                // kind's sanctioned home is a finding where it stands.
+                if !sink.kind.sanctioned(path) {
+                    push_at(line, sink.kind.rule(), sink.message);
+                }
             } else if let Some(name @ ("Instant" | "SystemTime")) = ident(i) {
                 // Any other mention of the clock types (use statements,
                 // struct fields, signatures) smuggles a clock handle into
                 // a pipeline crate. `tamper-obs` is the one sanctioned
-                // home for wall-clock reads; the `::now` form above is
-                // already the ambient-clock rule's finding.
+                // home for wall-clock reads; the `::now` form is a sink,
+                // and already the ambient-clock rule's finding.
                 push_at(
                     line,
                     "clock-containment",
@@ -568,44 +488,9 @@ pub fn scan_file(path: &str, src: &str, scope: Scope, ctx: &ScanCtx) -> FileScan
                     ),
                 );
             }
-            if let Some(name @ ("thread_rng" | "from_entropy" | "OsRng" | "getrandom")) = ident(i) {
-                push_at(
-                    line,
-                    "ambient-rng",
-                    format!("{name} draws ambient randomness; use a seeded generator"),
-                );
-            }
-            if path_pair(i, "rand", "random") {
-                push_at(
-                    line,
-                    "ambient-rng",
-                    "rand::random draws ambient randomness; use a seeded generator".to_string(),
-                );
-            }
         }
 
-        if scope.thread_containment {
-            if ident(i) == Some("crossbeam") {
-                push_at(
-                    line,
-                    "thread-containment",
-                    "crossbeam outside capture::engine: the engine owns the only \
-                     shard/merge thread topology; plug in through a FlowSource"
-                        .to_string(),
-                );
-            }
-            if path_pair(i, "thread", "spawn") || path_pair(i, "thread", "scope") {
-                push_at(
-                    line,
-                    "thread-containment",
-                    "thread spawning outside capture::engine: route parallel work \
-                     through the unified engine instead of a bespoke pool"
-                        .to_string(),
-                );
-            }
-        }
-
-        if scope.panic_index {
+        if scope.parse_surface {
             if punct(i) == Some('.') {
                 if let Some(name @ ("unwrap" | "expect")) = ident(i + 1) {
                     push_at(
@@ -648,7 +533,7 @@ pub fn scan_file(path: &str, src: &str, scope: Scope, ctx: &ScanCtx) -> FileScan
             }
         }
 
-        if scope.wraparound {
+        if scope.seq_space {
             if let Some(op @ ('+' | '-' | '*')) = punct(i) {
                 // `->` is an arrow, not a subtraction.
                 let arrow = op == '-' && punct(i + 1) == Some('>');
@@ -688,7 +573,7 @@ pub fn scan_file(path: &str, src: &str, scope: Scope, ctx: &ScanCtx) -> FileScan
 
     // --- AST-backed rules. ---
     let parsed = ast::parse(&code);
-    if scope.sig_match {
+    if scope.pipeline {
         for f in &parsed.fns {
             for m in &f.matches {
                 sig_match_findings(path, m, ctx, &mut raw);
@@ -698,7 +583,6 @@ pub fn scan_file(path: &str, src: &str, scope: Scope, ctx: &ScanCtx) -> FileScan
 
     FileScan {
         path: path.to_string(),
-        scope,
         raw,
         waivers,
         code,
@@ -795,9 +679,8 @@ const STD_AMBIGUOUS_METHODS: [&str; 9] = [
     "position",
 ];
 
-/// One discarded-result candidate site, extracted per file (cacheable)
-/// and filtered against the workspace-wide wire-error function set in
-/// phase 2.
+/// One discarded-result candidate site, extracted per file and filtered
+/// against the workspace-wide wire-error function set in phase 2.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DiscardCand {
     /// Line the finding would report on (the `let` or the `.ok()`).
@@ -940,13 +823,6 @@ pub fn discard_filter(
     out
 }
 
-/// The discarded-wire-error rule for one file, in one step (extraction +
-/// filter). Kept for single-shot callers; the pipeline caches
-/// [`discard_candidates`] per file and runs [`discard_filter`] per run.
-pub fn discard_findings(path: &str, code: &[Tok], wire_fns: &BTreeSet<String>) -> Vec<Finding> {
-    discard_filter(path, &discard_candidates(code), wire_fns)
-}
-
 /// Apply a file's waivers to its surviving raw findings. Called by the
 /// pipeline after the cross-file phases have added transitive findings
 /// and retired unreachable ones, so unused waivers surface accurately.
@@ -990,12 +866,12 @@ pub fn apply_waivers(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::lint_file;
+    use crate::lint_source;
 
     const WIRE: &str = "crates/wire/src/example.rs";
 
     fn rules_fired(path: &str, src: &str) -> Vec<&'static str> {
-        lint_file(path, src, scope_for(path))
+        lint_source(path, src)
             .findings
             .iter()
             .map(|f| f.rule)
@@ -1037,7 +913,7 @@ mod tests {
             }
             fn g(b: &[u8]) -> u8 { b[1] }
         ";
-        let lint = lint_file(WIRE, src, scope_for(WIRE));
+        let lint = lint_source(WIRE, src);
         assert_eq!(lint.waived.len(), 1);
         assert_eq!(lint.findings.len(), 1);
         assert_eq!(lint.findings[0].rule, "index");
@@ -1050,7 +926,7 @@ mod tests {
             // tamperlint: allow(panic) — stale excuse
             fn f() {}
         ";
-        let lint = lint_file(WIRE, src, scope_for(WIRE));
+        let lint = lint_source(WIRE, src);
         assert_eq!(lint.findings.len(), 1);
         assert_eq!(lint.findings[0].rule, "waiver");
         assert!(lint.findings[0].message.contains("unused waiver"));
@@ -1088,6 +964,12 @@ mod tests {
         assert!(!rules_fired(WIRE, src).is_empty());
         // Same code outside the untrusted-input surface: no finding.
         assert!(rules_fired("crates/analysis/src/x.rs", src).is_empty());
+        // tamper-obs and the benchmarks measure wall-clock by design: no
+        // pipeline rule applies to them.
+        let timed = "fn f() { let _ = (Instant::now(), Vec::<u8>::new(), thread_rng()); }";
+        assert!(!rules_fired("crates/core/src/x.rs", timed).is_empty());
+        assert!(rules_fired("crates/obs/src/lib.rs", timed).is_empty());
+        assert!(rules_fired("crates/bench/src/lib.rs", timed).is_empty());
     }
 
     #[test]
@@ -1100,7 +982,7 @@ mod tests {
                 next_seq + rel
             }
         ";
-        let lint = lint_file(WIRE, src, scope_for(WIRE));
+        let lint = lint_source(WIRE, src);
         let wraps: Vec<u32> = lint
             .findings
             .iter()
@@ -1128,11 +1010,7 @@ mod tests {
     #[test]
     fn wraparound_flags_compound_assignment() {
         let src = "fn f(len: u32, st: &mut St) { st.next_seq += len; }";
-        let lint = lint_file(
-            "crates/core/src/x.rs",
-            src,
-            scope_for("crates/core/src/x.rs"),
-        );
+        let lint = lint_source("crates/core/src/x.rs", src);
         assert_eq!(lint.findings.len(), 1);
         assert_eq!(lint.findings[0].rule, "wraparound-arithmetic");
     }
@@ -1159,7 +1037,7 @@ mod tests {
             }
         ";
         let path = "crates/core/src/x.rs";
-        let lint = lint_file(path, src, scope_for(path));
+        let lint = lint_source(path, src);
         let fired: Vec<(u32, &str)> = lint
             .findings
             .iter()

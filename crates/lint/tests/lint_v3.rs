@@ -1,8 +1,7 @@
 //! v3 gate tests: the dataflow rule families (`hot-path-alloc`,
 //! `untrusted-len-alloc`, `cast-truncation`) — fire/waive behaviour on
-//! fixtures, transitive reach from a hot root two hops out, fingerprint
-//! stability under line shifts, and determinism of the full pipeline
-//! with the new families active.
+//! fixtures, transitive reach from a hot root two hops out, and
+//! determinism of the full pipeline with the new families active.
 
 use tamper_lint::{analyze_sources, lint_source, Finding};
 
@@ -171,56 +170,21 @@ fn cast_waiver_suppresses_the_finding() {
     assert_eq!(fired(&lint.waived), vec![("cast-truncation", 3)]);
 }
 
-// --- fingerprint stability ---
-
-#[test]
-fn dataflow_fingerprints_survive_line_shifts() {
-    for fixture in [
-        include_str!("fixtures/bad_alloc.rs"),
-        include_str!("fixtures/bad_taint_len.rs"),
-        include_str!("fixtures/bad_cast.rs"),
-    ] {
-        let path = if fixture.contains("FlowMachine") {
-            CORE
-        } else {
-            WIRE
-        };
-        let shifted = format!("// padding line one\n// padding line two\n\n{fixture}");
-        let a = analyze_sources(&[(path, fixture)]);
-        let b = analyze_sources(&[(path, shifted.as_str())]);
-        assert!(!a.findings.is_empty());
-        let fa: Vec<&str> = a.findings.iter().map(|f| f.fingerprint.as_str()).collect();
-        let fb: Vec<&str> = b.findings.iter().map(|f| f.fingerprint.as_str()).collect();
-        assert_eq!(fa, fb, "fingerprints churned on a pure line shift");
-        let la: Vec<u32> = a.findings.iter().map(|f| f.line).collect();
-        let lb: Vec<u32> = b.findings.iter().map(|f| f.line).collect();
-        assert_ne!(la, lb, "the lines themselves must have moved");
-    }
-}
-
 // --- pipeline determinism with the new families active ---
 
 #[test]
-fn dataflow_stages_report_timings_and_stay_deterministic() {
+fn dataflow_pipeline_stays_deterministic() {
     let files = [
         (CORE, include_str!("fixtures/bad_alloc.rs")),
         (WIRE, include_str!("fixtures/bad_cast.rs")),
     ];
     let a = analyze_sources(&files);
     let b = analyze_sources(&files);
-    let fp = |x: &tamper_lint::Analysis| -> Vec<String> {
-        x.findings.iter().map(|f| f.fingerprint.clone()).collect()
-    };
-    assert_eq!(fp(&a), fp(&b), "dataflow pipeline is not deterministic");
-    let stages: Vec<&str> = a.rule_timings.iter().map(|(s, _)| *s).collect();
-    for want in [
-        "dataflow-build",
-        "untrusted-len-alloc",
-        "cast-truncation",
-        "hot-path-alloc",
-    ] {
-        assert!(stages.contains(&want), "missing stage {want}: {stages:?}");
-    }
+    assert!(!a.findings.is_empty());
+    assert_eq!(
+        a.findings, b.findings,
+        "dataflow pipeline is not deterministic"
+    );
 }
 
 #[test]

@@ -1,18 +1,11 @@
 //! tamperlint v4 suite: the effect-summary engine and everything built on
 //! it — purity-audit and unbounded-growth fire-and-waiver behavior, SCC
-//! fixpoint convergence, a differential check that the summary-based
-//! containment rules reproduce the pre-summary BFS implementation exactly,
-//! the root-registry drift check, rule explanations, and the incremental
-//! cache (hit, invalidation on edit, fail-closed corruption handling).
+//! fixpoint convergence, the containment rules' findings pinned on every
+//! fixture group, the root-registry drift check, and rule explanations.
 
-use std::collections::{BTreeMap, BTreeSet};
-use std::fs;
-use std::path::PathBuf;
-
-use tamper_lint::callgraph::{self, CallGraph, SinkKind};
 use tamper_lint::rules::{self, ScanCtx};
 use tamper_lint::symbols::SymbolTable;
-use tamper_lint::{analyze_sources, analyze_with, ast, effects, fingerprint, Analysis, Finding};
+use tamper_lint::{analyze_sources, effects, Finding};
 
 const CORE: &str = "crates/core/src/fixture.rs";
 const REPORT: &str = "crates/analysis/src/report.rs";
@@ -145,140 +138,115 @@ fn fixpoint_converges_on_a_recursive_cycle_and_propagates_effects() {
 }
 
 // ---------------------------------------------------------------------------
-// Differential parity: summary-based containment vs the pre-summary BFS
+// Containment pins: literal (rule, file, line) expectations per fixture group
 // ---------------------------------------------------------------------------
 
 const CONTAINMENT_RULES: [&str; 3] = ["ambient-clock", "ambient-rng", "thread-containment"];
 
-/// The pre-v4 BFS containment implementation, reconstructed verbatim from
-/// the public pieces it was built on: per-kind seed sets from textual
-/// sinks, one `CallGraph::taint` flood per kind, and the same hop-chain
-/// message rendering. Returns (rule, file, fingerprint) triples after
-/// waiver application.
-fn reference_containment(files: &[(&str, &str)]) -> BTreeSet<(String, String, String)> {
-    let ctx = ScanCtx::default();
-    let mut scans: Vec<rules::FileScan> = files
-        .iter()
-        .map(|(p, s)| rules::scan_file(p, s, rules::scope_for(p), &ctx))
-        .collect();
-    let graph_files: Vec<(String, ast::ParsedFile)> = scans
-        .iter()
-        .filter(|s| !s.path.starts_with("crates/lint/"))
-        .map(|s| (s.path.clone(), s.parsed.clone()))
-        .collect();
-    let sym = SymbolTable::build(&graph_files);
-    let graph = CallGraph::build(&sym);
-    let scan_idx: BTreeMap<String, usize> = scans
-        .iter()
-        .enumerate()
-        .map(|(i, s)| (s.path.clone(), i))
-        .collect();
+type Pin = (&'static str, &'static str, u32);
 
-    let mut fn_sinks: Vec<Vec<callgraph::Sink>> = vec![Vec::new(); sym.fns.len()];
-    let mut seeds: BTreeMap<SinkKind, BTreeSet<usize>> = BTreeMap::new();
-    for (path, _) in &graph_files {
-        let scan = &scans[scan_idx[path.as_str()]];
-        for (local, id) in sym.file_fns(path).iter().enumerate() {
-            let (b0, b1) = scan.parsed.fns[local].body;
-            let sinks = callgraph::find_sinks(&scan.code, b0, b1);
-            for s in &sinks {
-                let sanctioned = match s.kind {
-                    SinkKind::Clock | SinkKind::Rng => path.starts_with("crates/obs/"),
-                    SinkKind::Thread => path == "crates/capture/src/engine.rs",
-                };
-                if !sanctioned {
-                    seeds.entry(s.kind).or_default().insert(*id);
-                }
-            }
-            fn_sinks[*id] = sinks;
-        }
-    }
+/// `(rule, line)` containment findings of each single fixture linted alone
+/// at `CORE`; a fixture not listed here must produce none.
+const SINGLE_PINS: &[(&str, &[(&str, u32)])] = &[
+    (
+        "bad_ambient",
+        &[
+            ("ambient-clock", 5),
+            ("ambient-clock", 6),
+            ("ambient-rng", 7),
+            ("ambient-rng", 8),
+        ],
+    ),
+    ("bad_clock", &[("ambient-clock", 9)]),
+    (
+        "bad_recursion",
+        &[
+            ("ambient-clock", 6),  // poll_loop → tick → tock → stamp
+            ("ambient-clock", 11), // tick → tock → stamp
+            ("ambient-clock", 17), // tock → stamp
+            ("ambient-clock", 21), // textual: Instant::now()
+        ],
+    ),
+    (
+        "bad_thread",
+        &[
+            ("thread-containment", 2),
+            ("thread-containment", 5),
+            ("thread-containment", 6),
+            ("thread-containment", 7), // crossbeam ident…
+            ("thread-containment", 7), // …and its thread::scope
+        ],
+    ),
+];
 
-    let mut extra: Vec<(usize, Finding)> = Vec::new();
-    for (&kind, kind_seeds) in &seeds {
-        let taint = graph.taint(kind_seeds);
-        for (&fid, hop) in &taint {
-            let fsym = &sym.fns[fid];
-            let Some(&si) = scan_idx.get(fsym.file.as_str()) else {
-                continue;
-            };
-            let scope = scans[si].scope;
-            let applies = match kind {
-                SinkKind::Clock | SinkKind::Rng => scope.ambient,
-                SinkKind::Thread => scope.thread_containment,
-            };
-            if !applies || fn_sinks[fid].iter().any(|s| s.kind == kind) {
-                continue;
-            }
-            let mut chain: Vec<String> = Vec::new();
-            let mut cur = hop.callee;
-            loop {
-                chain.push(sym.fns[cur].def.name.clone());
-                if kind_seeds.contains(&cur) {
-                    break;
-                }
-                match taint.get(&cur) {
-                    Some(next) => cur = next.callee,
-                    None => break,
-                }
-            }
-            let sink = fn_sinks[cur]
-                .iter()
-                .find(|s| s.kind == kind)
-                .map_or_else(|| "ambient sink".to_string(), |s| s.what.clone());
-            extra.push((
-                si,
-                Finding::new(
-                    &fsym.file,
-                    hop.line,
-                    kind.rule(),
-                    format!(
-                        "{}() transitively reaches {} (in {}) via {}",
-                        fsym.def.name,
-                        sink,
-                        sym.fns[cur].file,
-                        chain.join(" → ")
-                    ),
-                ),
-            ));
-        }
-    }
-    for (si, f) in extra {
-        scans[si].raw.push(f);
-    }
+const TRIO_PINS: &[Pin] = &[
+    (
+        "ambient-clock",
+        "crates/analysis/src/transitive_entry.rs",
+        4,
+    ),
+    (
+        "ambient-clock",
+        "crates/analysis/src/transitive_relay.rs",
+        4,
+    ),
+    ("ambient-clock", "crates/analysis/src/transitive_sink.rs", 4),
+];
 
-    let mut findings: Vec<Finding> = Vec::new();
-    for scan in &scans {
-        let fl = rules::apply_waivers(&scan.path, scan.raw.clone(), &scan.waivers);
-        findings.extend(fl.findings);
-    }
-    findings.retain(|f| CONTAINMENT_RULES.contains(&f.rule));
-    findings.sort();
-    let by_path: BTreeMap<&str, &rules::FileScan> =
-        scans.iter().map(|s| (s.path.as_str(), s)).collect();
-    let line_text = |file: &str, line: u32| {
-        by_path
-            .get(file)
-            .and_then(|s| fingerprint::normalize_line(&s.code, line))
-    };
-    fingerprint::assign(&mut findings, &line_text);
-    findings
-        .into_iter()
-        .map(|f| (f.rule.to_string(), f.file, f.fingerprint))
-        .collect()
-}
+/// Singles re-homed to `crates/analysis/src/<name>.rs` plus the trio, as one
+/// workspace: bare `stamp()` in bad_recursion now also resolves to
+/// bad_ambient's `stamp`, which adds the three transitive ambient-rng rows.
+const COMBINED_PINS: &[Pin] = &[
+    ("ambient-clock", "crates/analysis/src/bad_ambient.rs", 5),
+    ("ambient-clock", "crates/analysis/src/bad_ambient.rs", 6),
+    ("ambient-clock", "crates/analysis/src/bad_clock.rs", 9),
+    ("ambient-clock", "crates/analysis/src/bad_recursion.rs", 6),
+    ("ambient-clock", "crates/analysis/src/bad_recursion.rs", 11),
+    ("ambient-clock", "crates/analysis/src/bad_recursion.rs", 17),
+    ("ambient-clock", "crates/analysis/src/bad_recursion.rs", 21),
+    (
+        "ambient-clock",
+        "crates/analysis/src/transitive_entry.rs",
+        4,
+    ),
+    (
+        "ambient-clock",
+        "crates/analysis/src/transitive_relay.rs",
+        4,
+    ),
+    ("ambient-clock", "crates/analysis/src/transitive_sink.rs", 4),
+    ("ambient-rng", "crates/analysis/src/bad_ambient.rs", 7),
+    ("ambient-rng", "crates/analysis/src/bad_ambient.rs", 8),
+    ("ambient-rng", "crates/analysis/src/bad_recursion.rs", 6),
+    ("ambient-rng", "crates/analysis/src/bad_recursion.rs", 11),
+    ("ambient-rng", "crates/analysis/src/bad_recursion.rs", 17),
+    ("thread-containment", "crates/analysis/src/bad_thread.rs", 2),
+    ("thread-containment", "crates/analysis/src/bad_thread.rs", 5),
+    ("thread-containment", "crates/analysis/src/bad_thread.rs", 6),
+    ("thread-containment", "crates/analysis/src/bad_thread.rs", 7),
+    ("thread-containment", "crates/analysis/src/bad_thread.rs", 7),
+];
 
-fn actual_containment(files: &[(&str, &str)]) -> BTreeSet<(String, String, String)> {
-    analyze_sources(files)
+/// The containment findings of one workspace, as sorted (rule, file, line).
+fn containment(files: &[(&str, &str)]) -> Vec<(&'static str, String, u32)> {
+    let mut got: Vec<_> = analyze_sources(files)
         .findings
         .into_iter()
         .filter(|f| CONTAINMENT_RULES.contains(&f.rule))
-        .map(|f| (f.rule.to_string(), f.file, f.fingerprint))
+        .map(|f| (f.rule, f.file, f.line))
+        .collect();
+    got.sort();
+    got
+}
+
+fn owned(pins: &[Pin]) -> Vec<(&'static str, String, u32)> {
+    pins.iter()
+        .map(|(r, f, l)| (*r, f.to_string(), *l))
         .collect()
 }
 
 #[test]
-fn summary_containment_matches_bfs_on_every_fixture() {
+fn containment_findings_match_the_pins_on_every_fixture() {
     let singles: &[(&str, &str)] = &[
         ("bad_alloc", include_str!("fixtures/bad_alloc.rs")),
         ("bad_ambient", include_str!("fixtures/bad_ambient.rs")),
@@ -299,10 +267,12 @@ fn summary_containment_matches_bfs_on_every_fixture() {
     ];
     let mut nonempty = 0;
     for (name, src) in singles {
-        let files = [(CORE, *src)];
-        let reference = reference_containment(&files);
-        let actual = actual_containment(&files);
-        assert_eq!(reference, actual, "fixture {name}");
+        let pins = SINGLE_PINS.iter().find(|(n, _)| n == name);
+        let want: Vec<Pin> = pins
+            .map(|(_, p)| p.iter().map(|(r, l)| (*r, CORE, *l)).collect())
+            .unwrap_or_default();
+        let actual = containment(&[(CORE, *src)]);
+        assert_eq!(actual, owned(&want), "fixture {name}");
         nonempty += usize::from(!actual.is_empty());
     }
     // Guard against vacuous equality: the clock/rng/thread fixtures must
@@ -323,11 +293,11 @@ fn summary_containment_matches_bfs_on_every_fixture() {
             include_str!("fixtures/transitive_sink.rs"),
         ),
     ];
-    let reference = reference_containment(&trio);
-    let actual = actual_containment(&trio);
+    let actual = containment(&trio);
     assert!(!actual.is_empty(), "transitive trio must fire");
-    assert_eq!(reference, actual, "transitive trio");
+    assert_eq!(actual, owned(TRIO_PINS), "transitive trio");
 
+    // The hot trio allocates but touches no clock, rng, or thread.
     let hot = [
         (
             "crates/analysis/src/transitive_hot_entry.rs",
@@ -342,11 +312,7 @@ fn summary_containment_matches_bfs_on_every_fixture() {
             include_str!("fixtures/transitive_hot_sink.rs"),
         ),
     ];
-    assert_eq!(
-        reference_containment(&hot),
-        actual_containment(&hot),
-        "hot trio"
-    );
+    assert_eq!(containment(&hot), owned(&[]), "hot trio");
 
     // Everything at once: cross-file name resolution, dropped edges, and
     // SCCs all in one graph.
@@ -356,10 +322,9 @@ fn summary_containment_matches_bfs_on_every_fixture() {
         .chain(trio.iter().map(|(p, s)| (p.to_string(), *s)))
         .collect();
     let mega_refs: Vec<(&str, &str)> = mega.iter().map(|(p, s)| (p.as_str(), *s)).collect();
-    let reference = reference_containment(&mega_refs);
-    let actual = actual_containment(&mega_refs);
+    let actual = containment(&mega_refs);
     assert!(!actual.is_empty());
-    assert_eq!(reference, actual, "combined fixture set");
+    assert_eq!(actual, owned(COMBINED_PINS), "combined fixture set");
 }
 
 // ---------------------------------------------------------------------------
@@ -372,7 +337,7 @@ fn root_registry_reports_unresolved_entries() {
                impl FlowMachine {\n    pub fn process(&mut self) {}\n}\n\
                pub fn helper() {}\n";
     let path = "crates/core/src/machine.rs";
-    let scan = rules::scan_file(path, src, rules::scope_for(path), &ScanCtx::default());
+    let scan = rules::scan_file(path, src, &ScanCtx::default());
     let sym = SymbolTable::build(&[(path.to_string(), scan.parsed.clone())]);
 
     // Resolvable entries: an impl method by owner, a free fn by file stem.
@@ -397,7 +362,7 @@ fn root_registry_reports_unresolved_entries() {
 }
 
 // ---------------------------------------------------------------------------
-// Explanations and timings
+// Explanations
 // ---------------------------------------------------------------------------
 
 #[test]
@@ -407,165 +372,4 @@ fn every_rule_has_an_explanation() {
         assert!(text.is_some(), "rule {rule} has no --explain text");
         assert!(text.unwrap().len() > 40, "rule {rule} explanation too thin");
     }
-    assert_eq!(rules::EXPLANATIONS.len(), tamper_lint::RULES.len());
-    for (rule, _) in rules::EXPLANATIONS {
-        assert!(
-            tamper_lint::RULES.contains(&rule),
-            "stale explanation for {rule}"
-        );
-    }
-}
-
-#[test]
-fn effect_fixpoint_stage_is_timed() {
-    let analysis = analyze_sources(&[(CORE, "fn quiet() {}\n")]);
-    assert!(
-        analysis
-            .rule_timings
-            .iter()
-            .any(|(name, _)| *name == "effect-fixpoint"),
-        "{:?}",
-        analysis.rule_timings
-    );
-}
-
-// ---------------------------------------------------------------------------
-// Incremental cache (integration, through analyze_with)
-// ---------------------------------------------------------------------------
-
-fn temp_repo(name: &str, files: &[(&str, &str)]) -> PathBuf {
-    let root = std::env::temp_dir().join(format!("tamperlint-v4-{name}-{}", std::process::id()));
-    let _ = fs::remove_dir_all(&root);
-    for (rel, src) in files {
-        let p = root.join(rel);
-        fs::create_dir_all(p.parent().unwrap()).unwrap();
-        fs::write(&p, src).unwrap();
-    }
-    root
-}
-
-/// Everything that must be byte-identical between cold and warm runs.
-fn digest(a: &Analysis) -> Vec<String> {
-    let mut out: Vec<String> = a
-        .findings
-        .iter()
-        .map(|f| {
-            format!(
-                "F\t{}\t{}\t{}\t{}\t{}",
-                f.fingerprint, f.rule, f.file, f.line, f.message
-            )
-        })
-        .collect();
-    out.extend(
-        a.waived
-            .iter()
-            .map(|f| format!("W\t{}\t{}\t{}", f.rule, f.file, f.line)),
-    );
-    out
-}
-
-const REPO_FILES: &[(&str, &str)] = &[
-    (
-        "crates/analysis/src/report.rs",
-        include_str!("fixtures/bad_impure.rs"),
-    ),
-    (
-        "crates/core/src/fixture.rs",
-        include_str!("fixtures/bad_growth.rs"),
-    ),
-];
-
-#[test]
-fn cache_warm_run_hits_every_file_and_reproduces_findings() {
-    let root = temp_repo("roundtrip", REPO_FILES);
-    let cache = root.join("target/tamperlint.cache");
-
-    let cold = analyze_with(&root, Some(&cache));
-    assert_eq!(cold.cache_hits, 0);
-    assert_eq!(cold.cache_misses, 2);
-    // The real rules run against the temp repo too: the impure root and
-    // the growing collection are both found, and the resolvable
-    // PURE_ROOTS entry ("report", "full_report") does not count as rot.
-    assert!(cold.findings.iter().any(|f| f.rule == "purity-audit"));
-    assert!(cold.findings.iter().any(|f| f.rule == "unbounded-growth"));
-    assert!(
-        !cold
-            .findings
-            .iter()
-            .any(|f| f.rule == "root-registry" && f.message.contains("full_report")),
-        "resolvable registry entry flagged as rot"
-    );
-
-    let warm = analyze_with(&root, Some(&cache));
-    assert_eq!(warm.cache_hits, 2, "warm run must hit every unchanged file");
-    assert_eq!(warm.cache_misses, 0);
-    assert_eq!(digest(&cold), digest(&warm));
-
-    let _ = fs::remove_dir_all(&root);
-}
-
-#[test]
-fn cache_invalidates_only_the_edited_file() {
-    let root = temp_repo("edit", REPO_FILES);
-    let cache = root.join("target/tamperlint.cache");
-
-    let cold = analyze_with(&root, Some(&cache));
-    assert_eq!(cold.cache_misses, 2);
-
-    // Appending a trailing comment changes the content hash but not the
-    // findings: exactly one miss, identical report.
-    let edited = root.join("crates/core/src/fixture.rs");
-    let mut src = fs::read_to_string(&edited).unwrap();
-    src.push_str("\n// trailing comment\n");
-    fs::write(&edited, src).unwrap();
-
-    let warm = analyze_with(&root, Some(&cache));
-    assert_eq!(warm.cache_hits, 1);
-    assert_eq!(warm.cache_misses, 1);
-    assert_eq!(digest(&cold), digest(&warm));
-
-    let _ = fs::remove_dir_all(&root);
-}
-
-#[test]
-fn cache_corruption_fails_closed() {
-    let root = temp_repo("corrupt", REPO_FILES);
-    let cache = root.join("target/tamperlint.cache");
-
-    let cold = analyze_with(&root, Some(&cache));
-    assert_eq!(cold.cache_misses, 2);
-
-    // Damage one record inside the first file's block: that file becomes
-    // a miss, the other still hits, findings are unchanged.
-    let text = fs::read_to_string(&cache).unwrap();
-    let mut lines: Vec<&str> = text.lines().collect();
-    assert!(lines.len() > 3, "cache unexpectedly small: {text:?}");
-    lines[2] = "@@@ not a cache record @@@";
-    fs::write(&cache, lines.join("\n")).unwrap();
-
-    let warm = analyze_with(&root, Some(&cache));
-    assert_eq!(warm.cache_hits + warm.cache_misses, 2);
-    assert!(warm.cache_misses >= 1, "corrupted block must not hit");
-    assert_eq!(digest(&cold), digest(&warm));
-
-    // A wrong version/salt header drops the whole store.
-    let text = fs::read_to_string(&cache).unwrap();
-    let rest: Vec<&str> = text.lines().skip(1).collect();
-    fs::write(
-        &cache,
-        format!(
-            "tamperlint-cache v999 0000000000000000\n{}",
-            rest.join("\n")
-        ),
-    )
-    .unwrap();
-    let bumped = analyze_with(&root, Some(&cache));
-    assert_eq!(
-        bumped.cache_hits, 0,
-        "version bump must invalidate everything"
-    );
-    assert_eq!(bumped.cache_misses, 2);
-    assert_eq!(digest(&cold), digest(&bumped));
-
-    let _ = fs::remove_dir_all(&root);
 }

@@ -1,13 +1,12 @@
-//! Waiver audit: the checked-in `tamperlint.baseline` declares how many
-//! in-source `// tamperlint: allow(...)` waivers the repo is expected to
-//! carry (`# waivers: N`). This test runs the real analyzer over the real
-//! tree and holds it to that number, so a new waiver (or a silently
-//! dropped one) must come with a reviewed baseline update — the same
-//! contract `--deny-new` enforces for findings.
+//! Waiver audit: `WAIVER_COUNT` and `WAIVED` declare the in-source
+//! `// tamperlint: allow(...)` waivers the repo is expected to carry. These
+//! tests run the real analyzer over the real tree and hold it to them, so
+//! a new waiver (or a silently dropped one) must come with a reviewed edit
+//! here.
 
+use std::collections::BTreeMap;
 use std::path::PathBuf;
 
-use tamper_lint::baseline::{Baseline, BASELINE_FILE};
 use tamper_lint::{analyze, scope_for};
 
 fn repo_root() -> PathBuf {
@@ -18,23 +17,49 @@ fn repo_root() -> PathBuf {
         .to_path_buf()
 }
 
-#[test]
-fn waiver_count_matches_the_baseline_declaration() {
-    let root = repo_root();
-    let text = std::fs::read_to_string(root.join(BASELINE_FILE))
-        .expect("tamperlint.baseline missing — run `cargo xtask analyze --write-baseline`");
-    let base = Baseline::parse(&text).expect("baseline parses");
-    let declared = base.expected_waivers.expect(
-        "tamperlint.baseline has no `# waivers: N` line — regenerate with \
-         `cargo xtask analyze --write-baseline`",
-    );
+/// The reviewed in-source waivers, as `(rule, file, count)` sorted by
+/// `(rule, file)`: 55 in all. A waiver added, dropped, or moved to another
+/// rule or file must come with a reviewed edit here.
+const WAIVED: &[(&str, &str, usize)] = &[
+    ("discarded-wire-error", "crates/core/src/trigger.rs", 3),
+    ("discarded-wire-error", "crates/middlebox/src/rules.rs", 2),
+    ("hot-path-alloc", "crates/netsim/src/client.rs", 1),
+    ("hot-path-alloc", "crates/netsim/src/endpoint.rs", 3),
+    ("hot-path-alloc", "crates/netsim/src/server.rs", 2),
+    ("hot-path-alloc", "crates/wire/src/http.rs", 3),
+    ("hot-path-alloc", "crates/wire/src/tcp.rs", 2),
+    ("hot-path-alloc", "crates/wire/src/tls.rs", 4),
+    ("index", "crates/capture/src/engine.rs", 5),
+    ("index", "crates/capture/src/offline.rs", 12),
+    ("index", "crates/capture/src/pcap.rs", 2),
+    ("index", "crates/capture/src/source.rs", 4),
+    ("panic", "crates/capture/src/engine.rs", 3),
+    ("unbounded-growth", "crates/analysis/src/agg.rs", 8),
+    ("unbounded-growth", "crates/capture/src/offline.rs", 1),
+];
 
-    let analysis = analyze(&root);
+#[test]
+fn waived_findings_match_the_reviewed_multiset() {
+    let mut got: BTreeMap<(&str, &str), usize> = BTreeMap::new();
+    let analysis = analyze(&repo_root());
+    for f in &analysis.waived {
+        *got.entry((f.rule, f.file.as_str())).or_default() += 1;
+    }
+    let got: Vec<(&str, &str, usize)> = got.into_iter().map(|((r, f), n)| (r, f, n)).collect();
+    assert_eq!(got, WAIVED);
+}
+
+/// The reviewed number of in-source waivers.
+const WAIVER_COUNT: usize = 55;
+
+#[test]
+fn waiver_count_matches_the_reviewed_declaration() {
+    let analysis = analyze(&repo_root());
     assert!(analysis.files_scanned > 0, "analyzer saw no files");
     assert_eq!(
         analysis.waived.len(),
-        declared,
-        "in-source waiver count drifted from the baseline declaration; \
+        WAIVER_COUNT,
+        "in-source waiver count drifted from the reviewed declaration; \
          waivers now present:\n{}",
         analysis
             .waived
@@ -43,21 +68,8 @@ fn waiver_count_matches_the_baseline_declaration() {
             .collect::<Vec<_>>()
             .join("\n")
     );
-
-    // Every current finding must be baselined (the same condition the
-    // `--deny-new` gate enforces), and the committed baseline must not
-    // carry stale accepted findings either.
-    let new = analysis.new_findings(&base);
-    assert!(
-        new.is_empty(),
-        "{} finding(s) not in the baseline: {:?}",
-        new.len(),
-        new
-    );
-    assert!(
-        analysis.stale_entries(&base).is_empty(),
-        "baseline carries entries no current finding matches — prune it"
-    );
+    // The gate itself: no unwaived finding.
+    assert!(analysis.ok(), "{}", analysis.render_human());
 }
 
 #[test]
@@ -75,14 +87,14 @@ fn sans_io_machine_modules_are_in_determinism_scope() {
         "crates/analysis/src/collector.rs",
     ] {
         let scope = scope_for(path);
-        assert!(scope.ambient, "{path} escaped the ambient/clock scope");
+        assert!(scope.pipeline, "{path} escaped the ambient/clock scope");
     }
     // The classification core is also in the deterministic-iteration
     // scope (its output feeds report bytes).
     assert!(scope_for("crates/core/src/machine.rs").map_iter);
     // And repo automation stays exempt: xtask measures wall time for the
     // CI summary by design.
-    assert!(!scope_for("crates/xtask/src/main.rs").ambient);
+    assert!(!scope_for("crates/xtask/src/main.rs").pipeline);
 }
 
 #[test]
@@ -91,8 +103,7 @@ fn partial_aggregate_modules_are_in_scope() {
     // wire/capture parsing surface under the panic/index and
     // untrusted-length rules.
     let decoder = scope_for("crates/analysis/src/aggfile.rs");
-    assert!(decoder.panic_index, "aggfile.rs escaped the panic scope");
-    assert!(decoder.taint_len, "aggfile.rs escaped the taint-len scope");
+    assert!(decoder.parse_surface, "aggfile.rs escaped the panic scope");
     // The aggregate layer feeds report bytes directly: deterministic
     // iteration and ambient-clock containment both apply.
     for path in [
@@ -102,6 +113,6 @@ fn partial_aggregate_modules_are_in_scope() {
     ] {
         let scope = scope_for(path);
         assert!(scope.map_iter, "{path} escaped the determinism scope");
-        assert!(scope.ambient, "{path} escaped the ambient/clock scope");
+        assert!(scope.pipeline, "{path} escaped the ambient/clock scope");
     }
 }

@@ -1,22 +1,16 @@
 //! Repo automation. `cargo xtask ci` is the one-command gate a PR must
-//! pass: formatting, clippy, release build, the full workspace test suite,
-//! the engine determinism suite re-run explicitly so a scheduling-dependent
-//! failure gets a second chance to surface, a smoke run of
-//! `classify --metrics-json` on the golden fixture pcap, a cross-thread
-//! byte-identity smoke of `report` (`--threads 1` vs `--threads 2`), a
-//! build check and one short run of the stand-alone `benchmark/` package,
-//! the proptest suites re-run with `PROPTEST_CASES`/`PROPTEST_SEED` pinned,
-//! the zero-allocation discipline test and the linter's own fixture
-//! suite, and the tamperlint static-analysis gate in `--deny-new` mode
-//! (fail on any finding whose fingerprint is absent from the checked-in
-//! `tamperlint.baseline`) — run cold (cache deleted) and then warm, with
-//! the warm run required to hit the incremental cache for every
-//! unchanged file and reproduce the cold findings byte-for-byte —
-//! followed by the lint throughput bench, which writes `BENCH_lint.json`
-//! and requires the warm path to be ≥3× faster than cold. Every step is
-//! timed and the run ends with a per-step wall-time summary.
-//! `cargo xtask analyze [--json] [--deny-new] [--write-baseline]
-//! [--prune-baseline] [--no-cache] [--explain <rule>]` runs tamperlint
+//! pass: formatting, clippy, release build, the full workspace test suite
+//! (the linter's own fixture suite included), the engine determinism suite
+//! re-run explicitly so a scheduling-dependent failure gets a second
+//! chance to surface, the golden corpus and the zero-allocation discipline
+//! test, the proptest suites re-run with `PROPTEST_CASES`/`PROPTEST_SEED`
+//! pinned, a smoke run of `classify --metrics-json` on the golden fixture
+//! pcap, a cross-thread byte-identity smoke of `report` (`--threads 1` vs
+//! `--threads 2`), the multi-PoP merge smoke, a build check and one short
+//! run of the stand-alone `benchmark/` package, and the tamperlint
+//! static-analysis gate (one in-process run; any unwaived finding fails).
+//! Every step is timed and the run ends with a per-step wall-time summary.
+//! `cargo xtask analyze [--json] [--explain <rule>]` runs tamperlint
 //! alone.
 
 use std::path::PathBuf;
@@ -90,233 +84,23 @@ fn repo_root() -> PathBuf {
         .to_path_buf()
 }
 
-/// How `analyze` judges the findings it collects.
-#[derive(Clone, Copy, PartialEq)]
-enum AnalyzeMode {
-    /// Fail on any unwaived finding.
-    Strict,
-    /// Fail only on fingerprints absent from the checked-in baseline
-    /// (`tamperlint.baseline`); a missing or unparsable baseline fails.
-    DenyNew,
-    /// Regenerate the baseline from the current findings.
-    WriteBaseline,
-    /// Drop stale baseline entries (fingerprints with no live finding);
-    /// never adds entries, and refreshes the declared waiver count.
-    PruneBaseline,
-}
-
-/// Where the incremental analysis cache lives (inside `target/` so a
-/// `cargo clean` also clears it).
-fn lint_cache_path() -> PathBuf {
-    repo_root().join("target").join("tamperlint.cache")
-}
-
-/// Run the tamperlint analysis in-process, with or without the
-/// incremental cache.
-fn run_analysis(use_cache: bool) -> tamper_lint::Analysis {
-    let root = repo_root();
-    if use_cache {
-        tamper_lint::analyze_with(&root, Some(&lint_cache_path()))
-    } else {
-        tamper_lint::analyze(&root)
-    }
-}
-
-/// Run the tamperlint gate in-process (xtask links tamper-lint directly).
-fn analyze(json: bool, mode: AnalyzeMode, use_cache: bool) -> Result<(), String> {
-    let analysis = run_analysis(use_cache);
+/// Run the tamperlint gate in-process (xtask links tamper-lint directly):
+/// print the report, fail on any unwaived finding.
+fn analyze(json: bool) -> Result<(), String> {
+    let analysis = tamper_lint::analyze(&repo_root());
     if json {
         println!("{}", analysis.render_json());
     } else {
         print!("{}", analysis.render_human());
     }
-    judge(&analysis, mode)
-}
-
-/// Apply an [`AnalyzeMode`]'s verdict to a finished analysis.
-fn judge(analysis: &tamper_lint::Analysis, mode: AnalyzeMode) -> Result<(), String> {
-    let root = repo_root();
-    let baseline_path = root.join(tamper_lint::baseline::BASELINE_FILE);
-    match mode {
-        AnalyzeMode::WriteBaseline => {
-            let text =
-                tamper_lint::baseline::Baseline::render(&analysis.findings, analysis.waived.len());
-            std::fs::write(&baseline_path, text)
-                .map_err(|e| format!("analyze: cannot write {}: {e}", baseline_path.display()))?;
-            eprintln!(
-                "analyze: wrote {} with {} entry(ies)",
-                baseline_path.display(),
-                analysis.findings.len()
-            );
-            Ok(())
-        }
-        AnalyzeMode::PruneBaseline => {
-            // Pruning edits an existing baseline; a missing one is an
-            // error, not an invitation to create an empty file.
-            let text = std::fs::read_to_string(&baseline_path).map_err(|e| {
-                format!(
-                    "analyze --prune-baseline: cannot read {}: {e}",
-                    baseline_path.display()
-                )
-            })?;
-            let base = tamper_lint::baseline::Baseline::parse(&text)
-                .map_err(|e| format!("analyze --prune-baseline: {e}"))?;
-            let stale = analysis.stale_entries(&base).len();
-            let kept: Vec<tamper_lint::Finding> = analysis
-                .findings
-                .iter()
-                .filter(|f| base.contains(&f.fingerprint))
-                .cloned()
-                .collect();
-            let out = tamper_lint::baseline::Baseline::render(&kept, analysis.waived.len());
-            std::fs::write(&baseline_path, out)
-                .map_err(|e| format!("analyze: cannot write {}: {e}", baseline_path.display()))?;
-            eprintln!(
-                "analyze: pruned {stale} stale entry(ies) from {}, kept {}",
-                baseline_path.display(),
-                kept.len()
-            );
-            Ok(())
-        }
-        AnalyzeMode::DenyNew => {
-            // Fail closed on a missing or corrupt baseline: CI must never
-            // silently run without one.
-            let text = std::fs::read_to_string(&baseline_path).map_err(|e| {
-                format!(
-                    "analyze --deny-new: cannot read {} (run `cargo xtask analyze \
-                     --write-baseline` and commit it): {e}",
-                    baseline_path.display()
-                )
-            })?;
-            let base = tamper_lint::baseline::Baseline::parse(&text)
-                .map_err(|e| format!("analyze --deny-new: {e}"))?;
-            for stale in analysis.stale_entries(&base) {
-                eprintln!(
-                    "analyze: stale baseline entry {} {} {} (finding fixed — prune it)",
-                    stale.fingerprint, stale.rule, stale.file
-                );
-            }
-            let new = analysis.new_findings(&base);
-            if new.is_empty() {
-                Ok(())
-            } else {
-                for f in &new {
-                    eprintln!(
-                        "analyze: NEW {}:{}: [{}] {} (fingerprint {})",
-                        f.file, f.line, f.rule, f.message, f.fingerprint
-                    );
-                }
-                Err(format!(
-                    "analyze: {} finding(s) not in the baseline",
-                    new.len()
-                ))
-            }
-        }
-        AnalyzeMode::Strict => {
-            if analysis.ok() {
-                Ok(())
-            } else {
-                Err(format!(
-                    "analyze: {} unwaived finding(s)",
-                    analysis.findings.len()
-                ))
-            }
-        }
+    if analysis.ok() {
+        Ok(())
+    } else {
+        Err(format!(
+            "analyze: {} unwaived finding(s)",
+            analysis.findings.len()
+        ))
     }
-}
-
-/// A byte-stable rendering of an analysis's findings and waivers, for
-/// cold-vs-warm identity checks (timings and counters excluded).
-fn findings_digest(analysis: &tamper_lint::Analysis) -> String {
-    let mut out = String::new();
-    for f in &analysis.findings {
-        out.push_str(&format!(
-            "{}\t{}\t{}\t{}\t{}\n",
-            f.fingerprint, f.rule, f.file, f.line, f.message
-        ));
-    }
-    out.push_str("--waived--\n");
-    for f in &analysis.waived {
-        out.push_str(&format!("{}\t{}\t{}\n", f.rule, f.file, f.line));
-    }
-    out
-}
-
-/// The cold/warm analyze gate: run tamperlint with an empty cache, check
-/// the baseline, then re-run warm and require every unchanged file to hit
-/// the cache with byte-identical findings.
-fn analyze_cold_warm() -> Result<(), String> {
-    let cache = lint_cache_path();
-    let _ = std::fs::remove_file(&cache);
-    eprintln!("==> analyze: tamperlint --deny-new (cold, in-process)");
-    let cold = run_analysis(true);
-    judge(&cold, AnalyzeMode::DenyNew)?;
-    eprintln!("==> analyze: tamperlint warm re-run (cache identity check)");
-    let warm = run_analysis(true);
-    if warm.cache_misses != 0 || warm.cache_hits != warm.files_scanned {
-        return Err(format!(
-            "analyze: warm run expected {} cache hit(s) on an unchanged tree, \
-             got {} hit(s) / {} miss(es)",
-            warm.files_scanned, warm.cache_hits, warm.cache_misses
-        ));
-    }
-    if findings_digest(&cold) != findings_digest(&warm) {
-        return Err("analyze: warm (cached) findings differ from the cold run".into());
-    }
-    eprintln!(
-        "==> analyze: warm run hit the cache for all {} file(s), findings identical \
-         ({} ms cold, {} ms warm)",
-        warm.files_scanned, cold.runtime_ms, warm.runtime_ms
-    );
-    Ok(())
-}
-
-/// Lint throughput bench: time the analysis cold (cache deleted) and warm
-/// (unchanged tree) over a few iterations, write the numbers to
-/// `BENCH_lint.json` at the repo root, and require the warm path to be at
-/// least 3× faster — the margin that keeps the gate cheap enough to never
-/// get skipped.
-fn lint_bench() -> Result<(), String> {
-    let root = repo_root();
-    let cache = lint_cache_path();
-    const ITERS: u32 = 3;
-    let mut cold_best = u128::MAX;
-    let mut warm_best = u128::MAX;
-    let mut files = 0usize;
-    for _ in 0..ITERS {
-        let _ = std::fs::remove_file(&cache);
-        let t = std::time::Instant::now();
-        let cold = run_analysis(true);
-        cold_best = cold_best.min(t.elapsed().as_micros());
-        let t = std::time::Instant::now();
-        let warm = run_analysis(true);
-        warm_best = warm_best.min(t.elapsed().as_micros());
-        if warm.cache_hits != warm.files_scanned {
-            return Err("lint bench: warm run missed the cache on an unchanged tree".into());
-        }
-        files = cold.files_scanned;
-    }
-    let speedup = cold_best as f64 / warm_best.max(1) as f64;
-    let out = format!(
-        "{{\n  \"bench\": \"lint_analyze\",\n  \"files\": {files},\n  \"iters\": {ITERS},\n  \
-         \"runs\": [\n    {{\"mode\": \"cold\", \"us\": {cold_best}}},\n    \
-         {{\"mode\": \"warm\", \"us\": {warm_best}}}\n  ],\n  \
-         \"warm_speedup\": {speedup:.2}\n}}\n"
-    );
-    let path = root.join("BENCH_lint.json");
-    std::fs::write(&path, &out)
-        .map_err(|e| format!("lint bench: cannot write {}: {e}", path.display()))?;
-    eprintln!(
-        "==> lint bench: cold {cold_best}µs, warm {warm_best}µs over {files} file(s) \
-         ({speedup:.1}x)"
-    );
-    if speedup < 3.0 {
-        return Err(format!(
-            "lint bench: warm analyze is only {speedup:.2}x faster than cold \
-             (gate requires ≥3x)"
-        ));
-    }
-    Ok(())
 }
 
 /// Smoke-run `tamperscope classify --metrics-json` on the golden fixture
@@ -602,16 +386,13 @@ fn ci() -> Result<(), String> {
             )
         })?;
         // The zero-allocation proof behind tamperlint's hot-path-alloc
-        // rule, and the linter's own fixture suite, each get a gated step.
+        // rule gets a gated step.
         sw.time("alloc discipline", || {
             run(
                 "alloc discipline",
                 "cargo",
                 &["test", "-q", "--test", "alloc_discipline"],
             )
-        })?;
-        sw.time("lint suite", || {
-            run("lint suite", "cargo", &["test", "-q", "-p", "tamper-lint"])
         })?;
         // The proptest suites re-run with the case count and seed pinned,
         // one step per test binary so its wall time lands in the summary.
@@ -629,8 +410,10 @@ fn ci() -> Result<(), String> {
         sw.time("report smoke", report_determinism_smoke)?;
         sw.time("multi-pop smoke", multi_pop_smoke)?;
         sw.time("pipeline bench smoke", pipeline_bench_smoke)?;
-        sw.time("analyze", analyze_cold_warm)?;
-        sw.time("lint bench", lint_bench)?;
+        sw.time("analyze", || {
+            eprintln!("==> analyze: tamperlint (in-process)");
+            analyze(false)
+        })?;
         Ok(())
     })();
     sw.summarize();
@@ -667,39 +450,17 @@ fn main() -> ExitCode {
                     }
                 }
             }
-            let json = args.iter().any(|a| a == "--json");
-            let deny_new = args.iter().any(|a| a == "--deny-new");
-            let write = args.iter().any(|a| a == "--write-baseline");
-            let prune = args.iter().any(|a| a == "--prune-baseline");
-            let use_cache = !args.iter().any(|a| a == "--no-cache");
-            let mode = match (write, deny_new, prune) {
-                (false, false, false) => AnalyzeMode::Strict,
-                (true, false, false) => AnalyzeMode::WriteBaseline,
-                (false, true, false) => AnalyzeMode::DenyNew,
-                (false, false, true) => AnalyzeMode::PruneBaseline,
-                _ => {
-                    eprintln!(
-                        "xtask: --write-baseline, --deny-new, and --prune-baseline \
-                         are mutually exclusive"
-                    );
-                    return ExitCode::FAILURE;
-                }
-            };
-            analyze(json, mode, use_cache)
+            analyze(args.iter().any(|a| a == "--json"))
         }
         _ => Err(format!(
             "unknown task {task:?}\n\nUSAGE: cargo xtask <task>\n\nTASKS:\n  \
              ci                 fmt + clippy + release build + workspace tests + \
-             determinism gates + alloc discipline + lint suite + metrics + \
-             report + multi-pop + pipeline-bench smokes + \
-             tamperlint cold+warm --deny-new + lint bench\n  \
-             analyze [--json] [--deny-new] [--write-baseline] [--prune-baseline]\n          \
-             [--no-cache] [--explain <rule>]\n                     \
+             determinism gates + alloc discipline + metrics + report + \
+             multi-pop + pipeline-bench smokes + tamperlint\n  \
+             analyze [--json] [--explain <rule>]\n                     \
              tamperlint static-analysis gate (determinism, purity, growth, \
-             panic-safety, wraparound, taxonomy, dataflow); --deny-new fails \
-             only on fingerprints absent from tamperlint.baseline, \
-             --write-baseline regenerates it, --prune-baseline drops stale \
-             entries, --no-cache skips the incremental cache, --explain \
+             panic-safety, wraparound, taxonomy, dataflow): fails on any \
+             unwaived finding; --json prints the SARIF report, --explain \
              prints one rule's rationale"
         )),
     };
