@@ -18,7 +18,7 @@ use tamper_core::{
 };
 use tamper_core::{ClassifierConfig, FlowAnalysis, Signature, Stage};
 use tamper_netsim::splitmix64;
-use tamper_worldgen::LabeledFlow;
+use tamper_worldgen::{ip_key, LabeledFlow};
 
 /// Number of classification cells per country: 19 signatures, plus
 /// "possibly tampered, unmatched", plus "not tampered".
@@ -265,20 +265,6 @@ fn stage_index(stage: Option<Stage>) -> usize {
         Some(Stage::PostPsh) => 2,
         Some(Stage::PostData) => 3,
         None => 4,
-    }
-}
-
-/// Stable 64-bit key for an IP address (used for pair-sequence keys and
-/// as the base of [`flow_priority`]).
-pub fn ip_key(ip: std::net::IpAddr) -> u64 {
-    match ip {
-        std::net::IpAddr::V4(v4) => splitmix64(u64::from(u32::from(v4))),
-        std::net::IpAddr::V6(v6) => {
-            let bits = u128::from_be_bytes(v6.octets());
-            let hi = (bits >> 64) as u64;
-            let lo = bits as u64;
-            splitmix64(hi ^ lo.rotate_left(32))
-        }
     }
 }
 

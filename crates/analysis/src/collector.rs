@@ -2,7 +2,7 @@
 //! every table and figure of the paper.
 //!
 //! The collector is a thin classification driver: it runs each flow
-//! through the sans-IO `tamper-core` classifier and folds the result
+//! through the `tamper-core` classifier and folds the result
 //! into the [`PartialAggregate`] it owns — the pure, serializable
 //! aggregation layer in [`crate::agg`]. Reads pass through via `Deref`;
 //! the aggregate itself can be encoded to a `.agg` file
@@ -11,18 +11,18 @@
 
 use std::ops::{Deref, DerefMut};
 
-use tamper_core::{ClassifierConfig, FlowAnalysis, FlowMachine};
+use tamper_core::{BatchClassifier, ClassifierConfig, FlowAnalysis};
 use tamper_worldgen::LabeledFlow;
 
 use crate::agg::PartialAggregate;
 
-/// The collector: a [`FlowMachine`] driving a [`PartialAggregate`].
+/// The collector: a [`BatchClassifier`] driving a [`PartialAggregate`].
 pub struct Collector {
     agg: PartialAggregate,
-    /// The sans-IO classifier this collector drives in [`Collector::observe`];
+    /// The classifier this collector drives in [`Collector::observe`];
     /// carries the scratch buffers so per-flow classification stays
     /// allocation-free across the whole run.
-    machine: FlowMachine,
+    classifier: BatchClassifier,
 }
 
 impl Collector {
@@ -43,13 +43,13 @@ impl Collector {
     ) -> Collector {
         Collector {
             agg: PartialAggregate::with_salt(cfg, n_countries, days, start_unix, world_salt),
-            machine: FlowMachine::new(cfg),
+            classifier: BatchClassifier::new(cfg),
         }
     }
 
-    /// Classify and record one flow through the sans-IO [`FlowMachine`].
+    /// Classify and record one flow.
     pub fn observe(&mut self, lf: &LabeledFlow) {
-        let analysis = self.machine.analyze(&lf.flow);
+        let analysis = self.classifier.classify_record(&lf.flow);
         self.agg.record(lf, &analysis);
     }
 

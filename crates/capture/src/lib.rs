@@ -21,7 +21,7 @@ pub use offline::{
     flows_from_pcap, ColumnarFlowTable, EvictionCause, FlowKey, FlowKeyHasher, IngestStats,
     OfflineConfig,
 };
-pub use pcap::{write_session_trace, PcapError, PcapReader, PcapRecord, PcapWriter};
+pub use pcap::{PcapError, PcapWriter};
 pub use pipeline::{collect, CollectorConfig};
 pub use record::{
     FlowBatch, FlowCols, FlowRecord, FlowSpan, FlowTuple, PacketRecord, PacketRow, NO_IP_ID,

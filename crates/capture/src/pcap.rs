@@ -5,7 +5,7 @@
 //! flows can be inspected with standard tooling, and *real* pcap files of
 //! server-side captures can be fed to the classifier.
 
-use std::io::{self, Read, Write};
+use std::io::{self, Write};
 use tamper_wire::Packet;
 
 const MAGIC: u32 = 0xa1b2_c3d4;
@@ -17,26 +17,17 @@ const LINKTYPE_RAW: u32 = 101;
 /// accept for any record's `incl_len` when reading. A corrupt length field
 /// must never translate into a multi-gigabyte allocation.
 pub const SNAPLEN: u32 = 65_535;
+/// Bytes in the global header; the first record starts here.
+pub(crate) const GLOBAL_HEADER_LEN: usize = 24;
 
-/// Read a little-endian u32 out of a fixed-offset window of a header
-/// buffer. The offsets are compile-time constants into stack arrays, so
-/// the slice is always exactly four bytes.
+/// Read a little-endian u32 out of a fixed-offset window of the global
+/// header. The offsets are compile-time constants into a slice already
+/// bounded to [`GLOBAL_HEADER_LEN`], so the window is always four bytes.
 fn le_u32(buf: &[u8], at: usize) -> u32 {
     let mut b = [0u8; 4];
-    // tamperlint: allow(index) — offsets are compile-time constants into fixed-size stack arrays filled by read_exact
+    // tamperlint: allow(index) — offsets are compile-time constants into the 24-byte header slice check_global_header bounded
     b.copy_from_slice(&buf[at..at + 4]);
     u32::from_le_bytes(b)
-}
-
-/// One captured record: a timestamp and the raw frame.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct PcapRecord {
-    /// Seconds since the epoch.
-    pub ts_sec: u32,
-    /// Microseconds within the second.
-    pub ts_usec: u32,
-    /// Raw IP frame bytes.
-    pub frame: Vec<u8>,
 }
 
 /// Streaming pcap writer.
@@ -79,117 +70,55 @@ impl<W: Write> PcapWriter<W> {
     }
 }
 
-/// Error from pcap reading.
-#[derive(Debug)]
+/// A global header the reader refuses. Damage past the header is not an
+/// error: [`PcapMemSource`](crate::source::PcapMemSource) frames every
+/// record before it and reports a corrupt tail.
+#[derive(Debug, PartialEq, Eq)]
 pub enum PcapError {
-    /// Underlying I/O failure.
-    Io(io::Error),
+    /// The capture is shorter than the 24-byte global header.
+    ShortHeader(usize),
     /// The global header was not a classic little-endian pcap header.
     BadMagic(u32),
     /// Unsupported link type (only LINKTYPE_RAW is handled).
     BadLinkType(u32),
-    /// A record header claimed a captured length beyond any plausible
-    /// snapshot — the file is corrupt past this point.
-    OversizeRecord(u32),
 }
 
 impl std::fmt::Display for PcapError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            PcapError::Io(e) => write!(f, "pcap I/O error: {e}"),
+            PcapError::ShortHeader(n) => write!(
+                f,
+                "pcap ends {n} bytes into its {GLOBAL_HEADER_LEN}-byte global header"
+            ),
             PcapError::BadMagic(m) => write!(f, "bad pcap magic {m:#x}"),
             PcapError::BadLinkType(l) => write!(f, "unsupported pcap link type {l}"),
-            PcapError::OversizeRecord(n) => {
-                write!(
-                    f,
-                    "pcap record claims {n} captured bytes (snaplen is {SNAPLEN})"
-                )
-            }
         }
     }
 }
 
 impl std::error::Error for PcapError {}
 
-impl From<io::Error> for PcapError {
-    fn from(e: io::Error) -> PcapError {
-        PcapError::Io(e)
+/// Validate the global header of a capture held in memory: a classic
+/// little-endian pcap of LINKTYPE_RAW frames.
+pub(crate) fn check_global_header(bytes: &[u8]) -> Result<(), PcapError> {
+    let Some(header) = bytes.get(..GLOBAL_HEADER_LEN) else {
+        return Err(PcapError::ShortHeader(bytes.len()));
+    };
+    let magic = le_u32(header, 0);
+    if magic != MAGIC {
+        return Err(PcapError::BadMagic(magic));
     }
-}
-
-/// Streaming pcap reader.
-pub struct PcapReader<R: Read> {
-    input: R,
-}
-
-impl<R: Read> PcapReader<R> {
-    /// Open a reader, validating the global header.
-    pub fn new(mut input: R) -> Result<PcapReader<R>, PcapError> {
-        let mut header = [0u8; 24];
-        input.read_exact(&mut header)?;
-        let magic = le_u32(&header, 0);
-        if magic != MAGIC {
-            return Err(PcapError::BadMagic(magic));
-        }
-        let linktype = le_u32(&header, 20);
-        if linktype != LINKTYPE_RAW {
-            return Err(PcapError::BadLinkType(linktype));
-        }
-        Ok(PcapReader { input })
+    let linktype = le_u32(header, 20);
+    if linktype != LINKTYPE_RAW {
+        return Err(PcapError::BadLinkType(linktype));
     }
-
-    /// Read the next record; `Ok(None)` at clean end-of-file.
-    ///
-    /// Only an EOF landing exactly on a record boundary is a clean end.
-    /// A cut mid-way through the 16-byte record header (or the frame
-    /// body) is a ragged tail and surfaces as an error, so callers can
-    /// count it rather than silently dropping up to 15 bytes.
-    pub fn next_record(&mut self) -> Result<Option<PcapRecord>, PcapError> {
-        let mut rec_header = [0u8; 16];
-        let mut filled = 0usize;
-        while filled < rec_header.len() {
-            // tamperlint: allow(index) — filled < rec_header.len() by the loop condition
-            match self.input.read(&mut rec_header[filled..]) {
-                Ok(0) if filled == 0 => return Ok(None),
-                Ok(0) => {
-                    return Err(PcapError::Io(io::Error::new(
-                        io::ErrorKind::UnexpectedEof,
-                        format!("pcap ends {filled} bytes into a record header"),
-                    )));
-                }
-                Ok(n) => filled += n,
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-                Err(e) => return Err(e.into()),
-            }
-        }
-        let ts_sec = le_u32(&rec_header, 0);
-        let ts_usec = le_u32(&rec_header, 4);
-        let incl_len = le_u32(&rec_header, 8);
-        if incl_len > SNAPLEN {
-            return Err(PcapError::OversizeRecord(incl_len));
-        }
-        let mut frame = vec![0u8; incl_len as usize];
-        self.input.read_exact(&mut frame)?;
-        Ok(Some(PcapRecord {
-            ts_sec,
-            ts_usec,
-            frame,
-        }))
-    }
-
-    /// Read all remaining records.
-    pub fn read_all(&mut self) -> Result<Vec<PcapRecord>, PcapError> {
-        let mut records = Vec::new();
-        while let Some(r) = self.next_record()? {
-            records.push(r);
-        }
-        Ok(records)
-    }
+    Ok(())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::source::{FlowSource, PcapMemItem, PcapMemSource};
     use bytes::Bytes;
     use std::net::{IpAddr, Ipv4Addr, Ipv6Addr};
     use tamper_wire::{PacketBuilder, TcpFlags};
@@ -206,6 +135,33 @@ mod tests {
         .build()
     }
 
+    /// Frame a whole capture with the engine's decoder: every record's
+    /// (timestamp, frame bytes), and whether the tail was corrupt.
+    fn read_back(bytes: &[u8]) -> (Vec<(u64, Vec<u8>)>, bool) {
+        let mut src = PcapMemSource::new(Bytes::copy_from_slice(bytes)).unwrap();
+        let mut items: Vec<PcapMemItem> = Vec::new();
+        while src.fill(&mut items, usize::MAX) {}
+        let records = items
+            .iter()
+            .map(|it| (it.ts, bytes[it.off..it.off + it.len as usize].to_vec()))
+            .collect();
+        (records, src.corrupt_tail())
+    }
+
+    /// The named error the decoder refuses a capture's global header with.
+    fn open_err(bytes: &[u8]) -> Option<PcapError> {
+        PcapMemSource::new(Bytes::copy_from_slice(bytes)).err()
+    }
+
+    /// A capture of `n` copies of [`v4_packet`].
+    fn capture(n: u32) -> Vec<u8> {
+        let mut w = PcapWriter::new(Vec::new()).unwrap();
+        for i in 0..n {
+            w.write_packet(1 + i, 2, &v4_packet()).unwrap();
+        }
+        w.into_inner()
+    }
+
     #[test]
     fn write_then_read_round_trips() {
         let mut w = PcapWriter::new(Vec::new()).unwrap();
@@ -213,13 +169,16 @@ mod tests {
         w.write_packet(101, 0, &v4_packet()).unwrap();
         let bytes = w.into_inner();
 
-        let mut r = PcapReader::new(&bytes[..]).unwrap();
-        let records = r.read_all().unwrap();
+        let (records, corrupt) = read_back(&bytes);
+        assert!(!corrupt);
         assert_eq!(records.len(), 2);
-        assert_eq!(records[0].ts_sec, 100);
-        assert_eq!(records[0].ts_usec, 250_000);
+        assert_eq!(records[0].0, 100);
+        assert_eq!(records[1].0, 101);
+        // The decoder keeps whole seconds only; the microseconds are on
+        // the wire, 4 bytes into the first record header.
+        assert_eq!(&bytes[28..32], &250_000u32.to_le_bytes());
         // Frames re-parse into identical packets.
-        let parsed = Packet::parse(&records[0].frame).unwrap();
+        let parsed = Packet::parse(&records[0].1).unwrap();
         assert_eq!(parsed.tcp.flags, TcpFlags::PSH_ACK);
         assert_eq!(&parsed.payload[..], b"GET / HTTP/1.1\r\n\r\n");
     }
@@ -231,27 +190,27 @@ mod tests {
         assert_eq!(bytes.len(), 24);
         assert_eq!(&bytes[0..4], &0xa1b2_c3d4u32.to_le_bytes());
         assert_eq!(&bytes[20..24], &101u32.to_le_bytes());
+        assert_eq!(open_err(&bytes), None);
     }
 
     #[test]
     fn rejects_bad_magic() {
         let bogus = [0u8; 24];
-        match PcapReader::new(&bogus[..]) {
-            Err(PcapError::BadMagic(0)) => {}
-            Err(other) => panic!("unexpected error {other:?}"),
-            Ok(_) => panic!("bogus header accepted"),
-        }
+        assert_eq!(open_err(&bogus), Some(PcapError::BadMagic(0)));
     }
 
     #[test]
     fn rejects_wrong_linktype() {
         let mut bytes = PcapWriter::new(Vec::new()).unwrap().into_inner();
         bytes[20..24].copy_from_slice(&1u32.to_le_bytes()); // Ethernet
-        match PcapReader::new(&bytes[..]) {
-            Err(PcapError::BadLinkType(1)) => {}
-            Err(other) => panic!("unexpected error {other:?}"),
-            Ok(_) => panic!("wrong linktype accepted"),
-        }
+        assert_eq!(open_err(&bytes), Some(PcapError::BadLinkType(1)));
+    }
+
+    #[test]
+    fn rejects_short_global_header() {
+        let bytes = capture(1);
+        assert_eq!(open_err(&bytes[..23]), Some(PcapError::ShortHeader(23)));
+        assert_eq!(open_err(&[]), Some(PcapError::ShortHeader(0)));
     }
 
     #[test]
@@ -266,66 +225,47 @@ mod tests {
         .build();
         let mut w = PcapWriter::new(Vec::new()).unwrap();
         w.write_packet(7, 8, &pkt).unwrap();
-        let bytes = w.into_inner();
-        let mut r = PcapReader::new(&bytes[..]).unwrap();
-        let rec = r.next_record().unwrap().unwrap();
-        let parsed = Packet::parse(&rec.frame).unwrap();
+        let (records, corrupt) = read_back(&w.into_inner());
+        assert!(!corrupt);
+        assert_eq!(records.len(), 1);
+        let parsed = Packet::parse(&records[0].1).unwrap();
         assert!(!parsed.ip.is_v4());
-        assert!(r.next_record().unwrap().is_none());
     }
 
     #[test]
-    fn oversize_record_is_rejected_not_allocated() {
-        let mut w = PcapWriter::new(Vec::new()).unwrap();
-        w.write_packet(1, 2, &v4_packet()).unwrap();
-        let mut bytes = w.into_inner();
-        // Corrupt the first record's incl_len (global header is 24 bytes,
-        // incl_len sits 8 bytes into the record header) to claim 1 GiB.
-        bytes[32..36].copy_from_slice(&(1u32 << 30).to_le_bytes());
-        let mut r = PcapReader::new(&bytes[..]).unwrap();
-        match r.next_record() {
-            Err(PcapError::OversizeRecord(n)) => assert_eq!(n, 1 << 30),
-            other => panic!("expected oversize error, got {other:?}"),
+    fn oversize_record_is_a_corrupt_tail_not_an_allocation() {
+        let mut bytes = capture(2);
+        // Corrupt the second record's incl_len (8 bytes into its record
+        // header) to claim 1 GiB.
+        let second = 24 + (bytes.len() - 24) / 2;
+        bytes[second + 8..second + 12].copy_from_slice(&(1u32 << 30).to_le_bytes());
+        let (records, corrupt) = read_back(&bytes);
+        assert!(corrupt);
+        assert_eq!(records.len(), 1, "the record before the damage survives");
+    }
+
+    #[test]
+    fn a_cut_inside_a_record_is_a_corrupt_tail() {
+        let full = capture(2);
+        let second = 24 + (full.len() - 24) / 2;
+        // 1 and 15 bytes into the 16-byte record header, then mid-frame.
+        for cut in [second + 1, second + 15, full.len() - 3] {
+            let (records, corrupt) = read_back(&full[..cut]);
+            assert!(corrupt, "cut at byte {cut}");
+            assert_eq!(records.len(), 1, "the record before the cut survives");
         }
+        // A cut exactly on the record boundary is a clean end.
+        let (records, corrupt) = read_back(&full[..second]);
+        assert!(!corrupt);
+        assert_eq!(records.len(), 1);
     }
-
-    #[test]
-    fn truncated_record_is_io_error() {
-        let mut w = PcapWriter::new(Vec::new()).unwrap();
-        w.write_packet(1, 2, &v4_packet()).unwrap();
-        let mut bytes = w.into_inner();
-        bytes.truncate(bytes.len() - 3);
-        let mut r = PcapReader::new(&bytes[..]).unwrap();
-        assert!(r.next_record().is_err());
-    }
-}
-
-/// Write every packet of a session trace (both directions, as received at
-/// the endpoints) to a pcap stream — the debugging view for Wireshark.
-pub fn write_session_trace<W: Write>(
-    writer: &mut PcapWriter<W>,
-    trace: &tamper_netsim::SessionTrace,
-) -> io::Result<u64> {
-    let mut written = 0;
-    for tp in &trace.packets {
-        let secs = tp.time.as_secs() as u32;
-        let usec = ((tp.time.as_nanos() % 1_000_000_000) / 1_000) as u32;
-        writer.write_packet(secs, usec, &tp.packet)?;
-        written += 1;
-    }
-    Ok(written)
-}
-
-#[cfg(test)]
-mod trace_export_tests {
-    use super::*;
-    use tamper_netsim::{
-        derive_rng, run_session, ClientConfig, Path, ServerConfig, SessionParams, SimDuration,
-        SimTime,
-    };
 
     #[test]
     fn session_trace_round_trips_through_pcap() {
+        use tamper_netsim::{
+            derive_rng, run_session, ClientConfig, Path, ServerConfig, SessionParams, SimDuration,
+            SimTime,
+        };
         let client = "203.0.113.30".parse().unwrap();
         let server = "198.51.100.1".parse().unwrap();
         let cfg = ClientConfig::default_tls(client, server, "exported.example");
@@ -336,19 +276,23 @@ mod trace_export_tests {
             &mut path,
             &mut rng,
         );
+        assert!(
+            trace.packets.len() > 10,
+            "both directions should be present"
+        );
         let mut w = PcapWriter::new(Vec::new()).unwrap();
-        let n = write_session_trace(&mut w, &trace).unwrap();
-        assert_eq!(n as usize, trace.packets.len());
-        assert!(n > 10, "both directions should be present");
-        let bytes = w.into_inner();
-        let mut r = PcapReader::new(&bytes[..]).unwrap();
-        let records = r.read_all().unwrap();
+        for tp in &trace.packets {
+            w.write_packet(tp.time.as_secs() as u32, 0, &tp.packet)
+                .unwrap();
+        }
+        let (records, corrupt) = read_back(&w.into_inner());
+        assert!(!corrupt);
         assert_eq!(records.len(), trace.packets.len());
         // Every frame re-parses, and both directions appear.
         let mut to_server = 0;
         let mut to_client = 0;
-        for rec in &records {
-            let pkt = Packet::parse(&rec.frame).unwrap();
+        for (_, frame) in &records {
+            let pkt = Packet::parse(frame).unwrap();
             if pkt.tcp.dst_port == 443 {
                 to_server += 1;
             } else {

@@ -80,23 +80,6 @@ pub struct FlowRecord {
     pub truncated: bool,
 }
 
-impl FlowRecord {
-    /// True for IPv4 flows.
-    pub fn is_ipv4(&self) -> bool {
-        self.client_ip.is_ipv4()
-    }
-
-    /// Seconds from the first logged packet to the observation end.
-    pub fn tail_gap_after_last_packet(&self) -> u64 {
-        self.packets
-            .iter()
-            .map(|p| p.ts_sec)
-            .max()
-            .map(|last| self.observation_end_sec.saturating_sub(last))
-            .unwrap_or(0)
-    }
-}
-
 /// Why the streaming flow table closed a flow.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum EvictionCause {
@@ -468,24 +451,6 @@ mod tests {
     }
 
     #[test]
-    fn tail_gap_measured_from_last_packet() {
-        let flow = FlowRecord {
-            client_ip: IpAddr::V4(Ipv4Addr::new(10, 0, 0, 1)),
-            server_ip: IpAddr::V4(Ipv4Addr::new(10, 0, 0, 2)),
-            src_port: 1,
-            dst_port: 443,
-            packets: vec![
-                PacketRecord::from_packet(100, &packet()),
-                PacketRecord::from_packet(103, &packet()),
-            ],
-            observation_end_sec: 130,
-            truncated: false,
-        };
-        assert_eq!(flow.tail_gap_after_last_packet(), 27);
-        assert!(flow.is_ipv4());
-    }
-
-    #[test]
     fn batch_round_trips_through_materialize() {
         let mut batch = FlowBatch::new();
         let t0 = FlowTuple {
@@ -530,7 +495,7 @@ mod tests {
         assert!(!f0.truncated);
 
         let f1 = batch.materialize(1);
-        assert!(!f1.is_ipv4());
+        assert!(f1.client_ip.is_ipv6());
         assert_eq!(f1.packets[0].ip_id, None);
         assert!(f1.truncated);
         assert_eq!(batch.spans()[1].cause, EvictionCause::EndOfCapture);
@@ -545,19 +510,5 @@ mod tests {
         assert!(batch.is_empty());
         assert_eq!(batch.packet_count(), 0);
         assert_eq!(batch.arena_bytes(), 0);
-    }
-
-    #[test]
-    fn empty_flow_has_zero_tail_gap() {
-        let flow = FlowRecord {
-            client_ip: IpAddr::V4(Ipv4Addr::new(10, 0, 0, 1)),
-            server_ip: IpAddr::V4(Ipv4Addr::new(10, 0, 0, 2)),
-            src_port: 1,
-            dst_port: 443,
-            packets: vec![],
-            observation_end_sec: 130,
-            truncated: false,
-        };
-        assert_eq!(flow.tail_gap_after_last_packet(), 0);
     }
 }

@@ -27,7 +27,7 @@
 
 use crate::engine::EngineConfig;
 use crate::offline::{ColumnarFlowTable, EvictionCause, IngestStats};
-use crate::pcap::{PcapError, PcapReader, SNAPLEN};
+use crate::pcap::{check_global_header, PcapError, GLOBAL_HEADER_LEN, SNAPLEN};
 use crate::record::FlowBatch;
 use bytes::Bytes;
 use std::marker::PhantomData;
@@ -160,10 +160,10 @@ pub const DEFAULT_BATCH_FLOWS: usize = 512;
 /// Framing is zero-copy: items are byte ranges into one shared [`Bytes`]
 /// buffer, shards parse borrowed [`PacketView`]s straight out of it and
 /// assemble flows in a [`ColumnarFlowTable`], emitting whole
-/// [`FlowBatch`]es. Record framing accepts and rejects exactly what
-/// [`PcapReader`] does: a malformed global header fails construction, an
-/// oversize length claim or a cut mid-header/mid-frame is a corrupt tail
-/// (everything framed before it is still processed).
+/// [`FlowBatch`]es. This is the one pcap record decoder: a malformed
+/// global header fails construction, an oversize length claim or a cut
+/// mid-header/mid-frame is a corrupt tail (everything framed before it
+/// is still processed).
 pub struct PcapMemSource {
     bytes: Bytes,
     pos: usize,
@@ -175,12 +175,12 @@ pub struct PcapMemSource {
 
 impl PcapMemSource {
     /// Wrap a complete pcap capture held in memory, validating the global
-    /// header exactly as [`PcapReader::new`] does.
+    /// header: short, bad magic or a link type other than raw IP is an error.
     pub fn new(bytes: Bytes) -> Result<PcapMemSource, PcapError> {
-        PcapReader::new(bytes.as_ref())?;
+        check_global_header(&bytes)?;
         Ok(PcapMemSource {
             bytes,
-            pos: 24,
+            pos: GLOBAL_HEADER_LEN,
             stamp: 0,
             corrupt: false,
             done: false,

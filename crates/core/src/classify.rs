@@ -15,7 +15,7 @@
 //!   tear-down packets (bare RST vs RST+ACK, their count, and — for
 //!   multi-RST bursts — the relationship between their ack numbers).
 
-use crate::machine::classify_view;
+use crate::batch::BatchClassifier;
 use crate::signature::{Classification, Signature, Stage};
 use crate::trigger::TriggerInfo;
 use tamper_capture::FlowRecord;
@@ -70,7 +70,7 @@ impl FlowAnalysis {
 /// Pick the signature for a RST-terminated flow at a given stage.
 pub(crate) fn rst_signature(stage: Stage, rsts: &[(bool, u32)]) -> Option<Signature> {
     // Counting passes instead of collecting the pure-RST subsequence:
-    // this runs per classified flow, inside the zero-alloc analyze path.
+    // this runs per classified flow, inside the zero-alloc classify path.
     let n_pure = rsts.iter().filter(|(p, _)| *p).count();
     let n_ra = rsts.len() - n_pure;
     match stage {
@@ -137,7 +137,9 @@ pub(crate) fn merge_rst_counts(sig: Signature) -> Signature {
     }
 }
 
-/// Classify one flow record.
+/// Classify one flow record with a fresh, throw-away
+/// [`BatchClassifier`]; loops hold one and call
+/// [`classify_record`](BatchClassifier::classify_record).
 ///
 /// ```
 /// use tamper_capture::{FlowRecord, PacketRecord};
@@ -160,16 +162,7 @@ pub(crate) fn merge_rst_counts(sig: Signature) -> Signature {
 /// assert_eq!(analysis.signature(), Some(Signature::SynRst));
 /// ```
 pub fn classify(flow: &FlowRecord, cfg: &ClassifierConfig) -> FlowAnalysis {
-    classify_view(
-        cfg,
-        flow.dst_port,
-        flow.packets.as_slice(),
-        flow.truncated,
-        flow.observation_end_sec,
-        &mut Vec::new(),
-        &mut Vec::new(),
-        &mut Vec::new(),
-    )
+    BatchClassifier::new(*cfg).classify_record(flow)
 }
 
 #[cfg(test)]
@@ -499,5 +492,62 @@ mod tests {
         v.push(rec(1, RST, 351, 700, 0));
         let a = classify_default(&flow(v, 30));
         assert_eq!(a.signature(), Some(Signature::PshRst));
+    }
+
+    #[test]
+    fn reused_classifier_matches_fresh_classify_on_a_handful_of_shapes() {
+        // One classifier fed a mix of flow shapes back to back must give
+        // the same analyses as a fresh classification of each — stale
+        // scratch state from one flow must never leak into the next.
+        let cfg = ClassifierConfig::default();
+        // Exact-timestamp collection (ablation A3) logs nanoseconds in
+        // the `ts_sec` field; the horizon is compared as the plain
+        // integer it is, never converted to another time unit.
+        let ns = 1_673_000_000_000_000_000u64;
+        let flows = [
+            flow(vec![rec(100, SYN, 100, 0, 0)], 130),
+            flow(vec![rec(ns, SYN, 100, 0, 0)], ns + 30_000_000_000),
+            flow(vec![rec(ns, SYN, 100, 0, 0)], u64::MAX),
+            flow(
+                vec![rec(100, SYN, 100, 0, 0), rec(100, RA, 101, 101, 0)],
+                130,
+            ),
+            flow(
+                vec![
+                    rec(100, SYN, 100, 0, 0),
+                    rec(100, ACK, 101, 501, 0),
+                    rec(101, PSH, 101, 501, 5),
+                    rec(101, RST, 106, 0, 0),
+                    rec(101, RST, 106, 700, 0),
+                ],
+                130,
+            ),
+            flow(
+                vec![
+                    rec(100, SYN, 100, 0, 0),
+                    rec(100, ACK, 101, 501, 0),
+                    rec(100, PSH, 101, 501, 250),
+                    rec(100, RST, 351, 700, 0),
+                    rec(100, RA, 351, 700, 0),
+                ],
+                130,
+            ),
+            flow(
+                vec![
+                    rec(100, SYN, 100, 0, 0),
+                    rec(100, ACK, 101, 501, 0),
+                    rec(100, FIN, 101, 501, 0),
+                ],
+                130,
+            ),
+            flow(Vec::new(), 130),
+        ];
+        let mut clf = BatchClassifier::new(cfg);
+        for f in &flows {
+            assert_eq!(clf.classify_record(f), classify(f, &cfg));
+        }
+        for f in &flows[..3] {
+            assert_eq!(clf.classify_record(f).signature(), Some(Signature::SynNone));
+        }
     }
 }

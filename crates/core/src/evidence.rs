@@ -6,9 +6,8 @@
 //! between consecutive packets of a flow); a middlebox forging a RST uses
 //! its own stack, so the forged packet's IP-ID and TTL usually jump.
 
-use crate::reorder::reconstruct_order_view_into;
-use crate::view::PacketsView;
-use tamper_capture::FlowRecord;
+use crate::reorder::reconstruct_order;
+use tamper_capture::{FlowRecord, PacketRecord};
 
 /// The ZMap scanner's famous fixed IP-ID.
 pub const ZMAP_IP_ID: u16 = 54321;
@@ -22,26 +21,26 @@ fn ipid_delta(a: u16, b: u16) -> u32 {
     (i32::from(a) - i32::from(b)).unsigned_abs()
 }
 
+/// The flow's packets in reconstructed order.
+fn in_order(flow: &FlowRecord) -> impl Iterator<Item = &PacketRecord> {
+    let mut order = Vec::new();
+    reconstruct_order(flow.packets.as_slice(), &mut order);
+    order.into_iter().map(|i| &flow.packets[i])
+}
+
 /// Maximum absolute IP-ID change between each RST-flagged packet and the
 /// nearest preceding non-RST packet. `None` if the flow has no RSTs, no
 /// IPv4 IP-IDs, or no preceding packet.
 pub fn max_rst_ipid_delta(flow: &FlowRecord) -> Option<u32> {
-    max_rst_ipid_delta_view(flow.packets.as_slice())
-}
-
-/// [`max_rst_ipid_delta`] over any packet storage layout.
-pub fn max_rst_ipid_delta_view<V: PacketsView + ?Sized>(v: &V) -> Option<u32> {
-    let mut order = Vec::new();
-    reconstruct_order_view_into(v, &mut order);
     let mut last_non_rst: Option<u16> = None;
     let mut max: Option<u32> = None;
-    for &i in &order {
-        if v.flags(i).has_rst() {
-            if let (Some(prev), Some(cur)) = (last_non_rst, v.ip_id(i)) {
+    for p in in_order(flow) {
+        if p.flags.has_rst() {
+            if let (Some(prev), Some(cur)) = (last_non_rst, p.ip_id) {
                 let d = ipid_delta(cur, prev);
                 max = Some(max.map_or(d, |m: u32| m.max(d)));
             }
-        } else if let Some(id) = v.ip_id(i) {
+        } else if let Some(id) = p.ip_id {
             last_non_rst = Some(id);
         }
     }
@@ -51,44 +50,29 @@ pub fn max_rst_ipid_delta_view<V: PacketsView + ?Sized>(v: &V) -> Option<u32> {
 /// Maximum absolute IP-ID change between consecutive packets — the
 /// baseline ("Not Tampering") statistic.
 pub fn max_consecutive_ipid_delta(flow: &FlowRecord) -> Option<u32> {
-    max_consecutive_ipid_delta_view(flow.packets.as_slice())
-}
-
-/// [`max_consecutive_ipid_delta`] over any packet storage layout.
-pub fn max_consecutive_ipid_delta_view<V: PacketsView + ?Sized>(v: &V) -> Option<u32> {
-    consecutive_ipid_deltas(v).1
+    consecutive_ipid_deltas(flow).1
 }
 
 /// Minimum absolute IP-ID change between consecutive packets — used for
 /// the paper's sanity check that ≥93% of connections have a minimum delta
 /// of 0 or 1.
 pub fn min_consecutive_ipid_delta(flow: &FlowRecord) -> Option<u32> {
-    min_consecutive_ipid_delta_view(flow.packets.as_slice())
-}
-
-/// [`min_consecutive_ipid_delta`] over any packet storage layout.
-pub fn min_consecutive_ipid_delta_view<V: PacketsView + ?Sized>(v: &V) -> Option<u32> {
-    consecutive_ipid_deltas(v).0
+    consecutive_ipid_deltas(flow).0
 }
 
 /// (min, max) absolute IP-ID delta over consecutive IPv4 packets in
-/// reconstructed order (IPv6 packets in between are skipped, matching the
-/// filtered-window semantics of the per-record path).
-fn consecutive_ipid_deltas<V: PacketsView + ?Sized>(v: &V) -> (Option<u32>, Option<u32>) {
-    let mut order = Vec::new();
-    reconstruct_order_view_into(v, &mut order);
+/// reconstructed order (IPv6 packets in between are skipped).
+fn consecutive_ipid_deltas(flow: &FlowRecord) -> (Option<u32>, Option<u32>) {
     let mut prev: Option<u16> = None;
     let mut min: Option<u32> = None;
     let mut max: Option<u32> = None;
-    for &i in &order {
-        if let Some(id) = v.ip_id(i) {
-            if let Some(p) = prev {
-                let d = ipid_delta(id, p);
-                min = Some(min.map_or(d, |m: u32| m.min(d)));
-                max = Some(max.map_or(d, |m: u32| m.max(d)));
-            }
-            prev = Some(id);
+    for id in in_order(flow).filter_map(|p| p.ip_id) {
+        if let Some(p) = prev {
+            let d = ipid_delta(id, p);
+            min = Some(min.map_or(d, |m: u32| m.min(d)));
+            max = Some(max.map_or(d, |m: u32| m.max(d)));
         }
+        prev = Some(id);
     }
     (min, max)
 }
@@ -97,26 +81,19 @@ fn consecutive_ipid_deltas<V: PacketsView + ?Sized>(v: &V) -> (Option<u32>, Opti
 /// non-RST packet; returns the change with the largest magnitude
 /// (Figure 3 plots signed changes in −255..255).
 pub fn max_rst_ttl_delta(flow: &FlowRecord) -> Option<i16> {
-    max_rst_ttl_delta_view(flow.packets.as_slice())
-}
-
-/// [`max_rst_ttl_delta`] over any packet storage layout.
-pub fn max_rst_ttl_delta_view<V: PacketsView + ?Sized>(v: &V) -> Option<i16> {
-    let mut order = Vec::new();
-    reconstruct_order_view_into(v, &mut order);
     let mut last_non_rst: Option<u8> = None;
     let mut max: Option<i16> = None;
-    for &i in &order {
-        if v.flags(i).has_rst() {
+    for p in in_order(flow) {
+        if p.flags.has_rst() {
             if let Some(prev) = last_non_rst {
-                let d = i16::from(v.ttl(i)) - i16::from(prev);
+                let d = i16::from(p.ttl) - i16::from(prev);
                 max = Some(match max {
                     Some(m) if m.abs() >= d.abs() => m,
                     _ => d,
                 });
             }
         } else {
-            last_non_rst = Some(v.ttl(i));
+            last_non_rst = Some(p.ttl);
         }
     }
     max
@@ -125,20 +102,17 @@ pub fn max_rst_ttl_delta_view<V: PacketsView + ?Sized>(v: &V) -> Option<i16> {
 /// Signed TTL change of largest magnitude between consecutive packets —
 /// baseline statistic.
 pub fn max_consecutive_ttl_delta(flow: &FlowRecord) -> Option<i16> {
-    max_consecutive_ttl_delta_view(flow.packets.as_slice())
-}
-
-/// [`max_consecutive_ttl_delta`] over any packet storage layout.
-pub fn max_consecutive_ttl_delta_view<V: PacketsView + ?Sized>(v: &V) -> Option<i16> {
-    let mut order = Vec::new();
-    reconstruct_order_view_into(v, &mut order);
+    let mut prev: Option<u8> = None;
     let mut max: Option<i16> = None;
-    for w in order.windows(2) {
-        let d = i16::from(v.ttl(w[1])) - i16::from(v.ttl(w[0]));
-        max = Some(match max {
-            Some(m) if m.abs() >= d.abs() => m,
-            _ => d,
-        });
+    for p in in_order(flow) {
+        if let Some(prev) = prev {
+            let d = i16::from(p.ttl) - i16::from(prev);
+            max = Some(match max {
+                Some(m) if m.abs() >= d.abs() => m,
+                _ => d,
+            });
+        }
+        prev = Some(p.ttl);
     }
     max
 }
@@ -162,23 +136,17 @@ pub struct ScannerMarks {
 /// require the evidence to actually exist (≥1 packet for the options
 /// mark, ≥2 IP-IDs for the fixed-IP-ID mark).
 pub fn scanner_marks(flow: &FlowRecord) -> ScannerMarks {
-    scanner_marks_view(flow.packets.as_slice())
-}
-
-/// [`scanner_marks`] over any packet storage layout.
-pub fn scanner_marks_view<V: PacketsView + ?Sized>(v: &V) -> ScannerMarks {
-    let no_tcp_options = !v.is_empty() && (0..v.len()).all(|i| !v.has_tcp_options(i));
-    let high_ttl = (0..v.len()).any(|i| v.ttl(i) >= HIGH_TTL);
+    let packets = &flow.packets;
+    let no_tcp_options = !packets.is_empty() && packets.iter().all(|p| !p.has_tcp_options);
+    let high_ttl = packets.iter().any(|p| p.ttl >= HIGH_TTL);
     let mut first_id: Option<u16> = None;
     let mut id_count = 0usize;
     let mut all_equal = true;
-    for i in 0..v.len() {
-        if let Some(id) = v.ip_id(i) {
-            id_count += 1;
-            match first_id {
-                None => first_id = Some(id),
-                Some(f) => all_equal &= id == f,
-            }
+    for id in packets.iter().filter_map(|p| p.ip_id) {
+        id_count += 1;
+        match first_id {
+            None => first_id = Some(id),
+            Some(f) => all_equal &= id == f,
         }
     }
     let fixed_nonzero_ipid = id_count >= 2 && first_id.is_some_and(|f| f != 0) && all_equal;
@@ -192,14 +160,10 @@ pub fn scanner_marks_view<V: PacketsView + ?Sized>(v: &V) -> ScannerMarks {
 /// True if the flow's initial SYN carries the ZMap fingerprint: IP-ID
 /// 54321 with an option-less TCP header (§4.2).
 pub fn is_zmap_fingerprint(flow: &FlowRecord) -> bool {
-    is_zmap_fingerprint_view(flow.packets.as_slice())
-}
-
-/// [`is_zmap_fingerprint`] over any packet storage layout.
-pub fn is_zmap_fingerprint_view<V: PacketsView + ?Sized>(v: &V) -> bool {
-    (0..v.len())
-        .find(|&i| v.flags(i).has_syn())
-        .is_some_and(|i| v.ip_id(i) == Some(ZMAP_IP_ID) && !v.has_tcp_options(i))
+    flow.packets
+        .iter()
+        .find(|p| p.flags.has_syn())
+        .is_some_and(|p| p.ip_id == Some(ZMAP_IP_ID) && !p.has_tcp_options)
 }
 
 #[cfg(test)]

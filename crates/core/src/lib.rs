@@ -5,8 +5,10 @@
 //! The paper's primary contribution as a library: passive detection of
 //! connection tampering from server-side flow records.
 //!
-//! Pipeline: a [`FlowRecord`](tamper_capture::FlowRecord) (≤10 inbound
-//! packets, 1-second timestamps, possibly out of order) is
+//! Pipeline: a flow (≤10 inbound packets, 1-second timestamps, possibly
+//! out of order; a row-wise [`FlowRecord`](tamper_capture::FlowRecord) or
+//! the column slices of a [`FlowBatch`](tamper_capture::FlowBatch), both
+//! through the one [`BatchClassifier`]) is
 //! [reordered](reorder), tested for **possibly-tampered** status (RST
 //! present, or a ≥3 s inactivity gap without a FIN), matched against the
 //! 19 [tampering signatures](signature::Signature) of Table 1, and
@@ -36,16 +38,8 @@ pub use evidence::{
     ZMAP_IP_ID,
 };
 pub use explain::explain;
-pub use machine::{
-    classify_view, event_of, reachable_graph, stage_of, transition, Count, Event, FlowMachine,
-    Input, Output, StageState,
-};
-pub use reorder::{
-    reconstruct_order, reconstruct_order_into, reconstruct_order_view_into, reordered,
-};
+pub use machine::{reachable_graph, stage_of, transition, Count, Event, StageState};
+pub use reorder::{reconstruct_order, reordered};
 pub use signature::{Classification, Signature, Stage};
-pub use trigger::{
-    extract as extract_trigger, extract_from_parts as extract_trigger_from_parts, user_agent,
-    AppProtocol, TriggerInfo,
-};
+pub use trigger::{user_agent, AppProtocol, TriggerInfo};
 pub use view::PacketsView;

@@ -1,47 +1,20 @@
-//! The sans-IO classification core: [`FlowMachine`].
+//! The stage automaton the classifier folds a flow through.
 //!
-//! Classification is a pure function of a finished flow's packets and its
-//! observation horizon. This module states it as an explicit state
-//! machine in the happy-eyeballs sans-IO style:
+//! [`BatchClassifier`](crate::batch::BatchClassifier) reconstructs a
+//! flow's packet order, maps each packet to a letter of a seven-letter
+//! [`Event`] alphabet ([`event_of`]), folds the letters through
+//! [`transition`], and reads the stage off the terminal [`StageState`]
+//! ([`stage_of`]). Everything here is a pure function:
 //!
-//! ```text
-//!             ┌───────────────────────────────────────────────┐
-//!   Input ───►│  FlowMachine::process(input, now) -> Output   │───► Output
-//!   Start     │                                               │     Continue
-//!   Packet    │  buffers packets; on End reconstructs order,  │     Analysis
-//!   End       │  folds Event stream through transition(),     │
-//!             │  reads verdict off the terminal StageState    │
-//!             └───────────────────────────────────────────────┘
-//! ```
-//!
-//! Invariants, enforced by `tests/state_machine.rs` and tamperlint:
-//!
-//! - **No ambient clock.** Time enters only through the `now` argument
-//!   (a [`SimTime`]); the tamperlint `clock-containment` rule covers this
-//!   module like every other pipeline crate.
-//! - **No allocation in `process` once warm.** All scratch buffers
-//!   (packet buffer, reconstructed order, RST multiset, data-seq dedup)
-//!   live in the machine and are reused across flows; `process` only
-//!   appends into them.
 //! - **Table-driven transitions.** The stage evidence is a tiny finite
-//!   state ([`StageState`], ≤ 216 points) advanced by a pure
-//!   [`transition`] function over a seven-letter [`Event`] alphabet —
-//!   flat match rows, no nested conditionals. The whole reachable graph
-//!   is enumerable ([`reachable_graph`]) and snapshotted as a golden
-//!   fixture so an unintended transition fails review.
-//! - **Replay determinism.** Same input sequence in, same output out —
-//!   there is no hidden state across `Start` boundaries.
+//!   state ([`StageState`], ≤ 216 points) advanced by flat match rows,
+//!   no nested conditionals.
+//! - **Enumerable.** The whole reachable graph ([`reachable_graph`]) is
+//!   snapshotted as a golden fixture by `tests/state_machine.rs`, so an
+//!   unintended transition fails review.
 
-use std::net::IpAddr;
-
-use crate::classify::{merge_rst_counts, rst_signature, ClassifierConfig, FlowAnalysis};
-use crate::reorder::reconstruct_order_view_into;
-use crate::signature::{Classification, Signature, Stage};
-use crate::trigger;
+use crate::signature::Stage;
 use crate::view::PacketsView;
-use tamper_capture::{FlowRecord, PacketRecord};
-use tamper_netsim::SimTime;
-use tamper_wire::TcpFlags;
 
 /// A saturating 0 / 1 / many counter — the only multiplicities the
 /// paper's stage logic ever distinguishes.
@@ -56,9 +29,6 @@ pub enum Count {
 }
 
 impl Count {
-    /// All values, for exhaustive enumeration.
-    pub const ALL: [Count; 3] = [Count::Zero, Count::One, Count::Many];
-
     /// Saturating increment.
     pub const fn bump(self) -> Count {
         match self {
@@ -124,36 +94,20 @@ impl Event {
     }
 }
 
-/// Classify one reordered packet into an [`Event`], deduplicating data
-/// segments by sequence number through `seen_data_seqs` (caller-owned
-/// scratch so the machine can reuse its allocation).
-pub fn event_of(p: &PacketRecord, seen_data_seqs: &mut Vec<u32>) -> Event {
-    event_of_fields(p.flags, p.seq, p.has_payload(), seen_data_seqs)
-}
-
-/// [`event_of`] for packet `i` of any storage layout.
-pub fn event_of_view<V: PacketsView + ?Sized>(
-    v: &V,
-    i: usize,
-    seen_data_seqs: &mut Vec<u32>,
-) -> Event {
-    event_of_fields(v.flags(i), v.seq(i), v.has_payload(i), seen_data_seqs)
-}
-
-/// The shared event-classification body.
-fn event_of_fields(
-    f: TcpFlags,
-    seq: u32,
-    has_payload: bool,
-    seen_data_seqs: &mut Vec<u32>,
-) -> Event {
+/// Classify packet `i` of a flow (any storage layout) into an
+/// [`Event`], deduplicating data segments by sequence number through
+/// `seen_data_seqs` (caller-owned scratch so the classifier can reuse its
+/// allocation).
+pub fn event_of<V: PacketsView + ?Sized>(v: &V, i: usize, seen_data_seqs: &mut Vec<u32>) -> Event {
+    let f = v.flags(i);
     if f.has_syn() {
         Event::Syn
     } else if f.has_rst() {
         Event::Rst
     } else if f.has_fin() {
         Event::Fin
-    } else if has_payload {
+    } else if v.has_payload(i) {
+        let seq = v.seq(i);
         if seen_data_seqs.contains(&seq) {
             Event::DupData
         } else {
@@ -276,285 +230,9 @@ pub fn reachable_graph() -> Vec<(StageState, Event, StageState)> {
     edges
 }
 
-/// One input to the [`FlowMachine`]. Events are owned: the machine takes
-/// custody of each packet record, so callers never hold references across
-/// `process` calls.
-#[derive(Debug, Clone)]
-pub enum Input {
-    /// A new flow begins. Resets all per-flow state.
-    Start {
-        /// Client (initiator) address.
-        client_ip: IpAddr,
-        /// Server (responder) address.
-        server_ip: IpAddr,
-        /// Client port.
-        src_port: u16,
-        /// Server port.
-        dst_port: u16,
-    },
-    /// One captured packet of the current flow, in arrival order.
-    Packet(PacketRecord),
-    /// The flow is over (evicted, timed out, or capture ended): produce
-    /// the verdict. `truncated` flags flows cut by the packet cap, whose
-    /// artificial tail silence must not count as evidence.
-    End {
-        /// The record hit the per-flow packet cap while still active.
-        truncated: bool,
-    },
-}
-
-/// What one `process` step yields.
-#[derive(Debug, Clone, PartialEq)]
-pub enum Output {
-    /// The machine absorbed the input; feed it more.
-    Continue,
-    /// Terminal verdict for the flow that just ended.
-    Analysis(FlowAnalysis),
-}
-
-/// The sans-IO per-flow classifier. See the module docs for the
-/// invariants.
-pub struct FlowMachine {
-    cfg: ClassifierConfig,
-    /// Server port of the flow in progress (selects the trigger parser).
-    dst_port: u16,
-    /// Packet buffer in arrival order (reused across flows).
-    packets: Vec<PacketRecord>,
-    /// Reconstructed packet order (indices into `packets`).
-    order: Vec<usize>,
-    /// (is_pure_rst, ack) of every RST event, in reconstructed order.
-    rsts: Vec<(bool, u32)>,
-    /// Data-segment dedup scratch.
-    seen_data_seqs: Vec<u32>,
-}
-
-impl FlowMachine {
-    /// A machine with empty scratch buffers.
-    pub fn new(cfg: ClassifierConfig) -> FlowMachine {
-        FlowMachine {
-            cfg,
-            dst_port: 0,
-            packets: Vec::new(),
-            order: Vec::new(),
-            rsts: Vec::new(),
-            seen_data_seqs: Vec::new(),
-        }
-    }
-
-    /// The configuration this machine applies.
-    pub fn config(&self) -> &ClassifierConfig {
-        &self.cfg
-    }
-
-    /// Advance the machine by one input. Allocation-free once the scratch
-    /// buffers are warm (buffer pushes reuse capacity released by the
-    /// previous flow); the only allocations on the `End` path are inside
-    /// the returned analysis (the extracted trigger domain).
-    pub fn process(&mut self, input: Input, now: SimTime) -> Output {
-        match input {
-            Input::Start { dst_port, .. } => {
-                self.dst_port = dst_port;
-                self.packets.clear();
-                Output::Continue
-            }
-            Input::Packet(p) => {
-                self.packets.push(p);
-                Output::Continue
-            }
-            Input::End { truncated } => Output::Analysis(self.finish(truncated, now)),
-        }
-    }
-
-    /// Convenience driver: replay a finished [`FlowRecord`] through the
-    /// machine. Equivalent to `Start`, one `Packet` per record, then
-    /// `End` at the record's observation horizon.
-    pub fn analyze(&mut self, flow: &FlowRecord) -> FlowAnalysis {
-        self.process(
-            Input::Start {
-                client_ip: flow.client_ip,
-                server_ip: flow.server_ip,
-                src_port: flow.src_port,
-                dst_port: flow.dst_port,
-            },
-            SimTime::ZERO,
-        );
-        for p in &flow.packets {
-            // Second-granularity capture timestamps saturate into the
-            // nanosecond SimTime domain.
-            let at = SimTime(p.ts_sec.saturating_mul(1_000_000_000));
-            self.process(Input::Packet(p.clone()), at);
-        }
-        let end = SimTime(flow.observation_end_sec.saturating_mul(1_000_000_000));
-        match self.process(
-            Input::End {
-                truncated: flow.truncated,
-            },
-            end,
-        ) {
-            Output::Analysis(a) => a,
-            Output::Continue => unreachable!("End always yields an analysis"),
-        }
-    }
-
-    /// Terminal step: reconstruct order, fold the event stream through
-    /// the transition table, and read the verdict off the final state.
-    fn finish(&mut self, truncated: bool, now: SimTime) -> FlowAnalysis {
-        classify_view(
-            &self.cfg,
-            self.dst_port,
-            self.packets.as_slice(),
-            truncated,
-            now.as_secs(),
-            &mut self.order,
-            &mut self.rsts,
-            &mut self.seen_data_seqs,
-        )
-    }
-}
-
-/// The one classification body, generic over packet storage.
-///
-/// Both terminal paths end here: [`FlowMachine::process`] on `Input::End`
-/// with its arrival-order `Vec<PacketRecord>` buffer, and
-/// [`BatchClassifier`](crate::batch::BatchClassifier) with the column
-/// slices of each finished flow in a batch — so the two produce
-/// bit-identical [`FlowAnalysis`] values by construction. The caller
-/// owns the three scratch buffers (reconstructed order, RST multiset,
-/// data-seq dedup); once they are warm no packet count inside the
-/// corpus' high-water marks allocates.
-#[allow(clippy::too_many_arguments)]
-pub fn classify_view<V: PacketsView + ?Sized>(
-    cfg: &ClassifierConfig,
-    dst_port: u16,
-    v: &V,
-    truncated: bool,
-    observation_end_sec: u64,
-    order: &mut Vec<usize>,
-    rsts: &mut Vec<(bool, u32)>,
-    seen_data_seqs: &mut Vec<u32>,
-) -> FlowAnalysis {
-    let trigger = trigger::extract_from_view(dst_port, v);
-    reconstruct_order_view_into(v, order);
-    rsts.clear();
-    seen_data_seqs.clear();
-
-    let mut state = StageState::START;
-    let mut max_gap = 0u64;
-    let mut prev_ts = None;
-    for &pi in order.iter() {
-        let ts = v.ts_sec(pi);
-        if let Some(prev) = prev_ts {
-            max_gap = max_gap.max(ts.saturating_sub(prev));
-        }
-        prev_ts = Some(ts);
-        let ev = event_of_view(v, pi, seen_data_seqs);
-        if ev == Event::Rst {
-            rsts.push((v.flags(pi).is_pure_rst(), v.ack(pi)));
-        }
-        state = transition(state, ev);
-    }
-
-    let tail_gap = if truncated {
-        // The record stopped because the packet cap hit, not because
-        // the flow went quiet; the tail says nothing.
-        0
-    } else {
-        (0..v.len())
-            .map(|i| v.ts_sec(i))
-            .max()
-            .map(|last| observation_end_sec.saturating_sub(last))
-            .unwrap_or(0)
-    };
-
-    let rst_count = rsts.iter().filter(|(pure, _)| *pure).count();
-    let rst_ack_count = rsts.len() - rst_count;
-    let silent =
-        !state.fin_any && (max_gap >= cfg.inactivity_secs || tail_gap >= cfg.inactivity_secs);
-    let possibly_tampered = state.rst || silent;
-
-    if !possibly_tampered || order.is_empty() {
-        return FlowAnalysis {
-            classification: Classification::NotTampered,
-            stage: None,
-            rst_count,
-            rst_ack_count,
-            trigger,
-        };
-    }
-
-    let stage = stage_of(state);
-    let signature = stage.and_then(|st| {
-        if state.fin_before {
-            // Teardown was already under way when the evidence
-            // arrived: counted in its stage, matching no signature.
-            return None;
-        }
-        if state.rst {
-            if st == Stage::PostSyn && state.syns != Count::One {
-                // Post-SYN signatures require "a single SYN".
-                return None;
-            }
-            rst_signature(st, rsts)
-        } else {
-            match st {
-                Stage::PostSyn if state.syns == Count::One => Some(Signature::SynNone),
-                Stage::PostSyn => None, // multiple SYNs then silence
-                Stage::PostAck => Some(Signature::AckNone),
-                Stage::PostPsh | Stage::PostData => Some(Signature::PshNone),
-            }
-        }
-    });
-    let signature = if cfg.split_rst_counts {
-        signature
-    } else {
-        signature.map(merge_rst_counts)
-    };
-
-    FlowAnalysis {
-        classification: match signature {
-            Some(sig) => Classification::Tampered(sig),
-            None => Classification::PossiblyTamperedOther,
-        },
-        stage,
-        rst_count,
-        rst_ack_count,
-        trigger,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::classify::classify;
-    use bytes::Bytes;
-    use tamper_wire::TcpFlags;
-
-    fn rec(ts: u64, flags: TcpFlags, seq: u32, ack: u32, payload_len: u32) -> PacketRecord {
-        PacketRecord {
-            ts_sec: ts,
-            flags,
-            seq,
-            ack,
-            ip_id: Some(1),
-            ttl: 52,
-            window: 65535,
-            payload_len,
-            payload: Bytes::from(vec![b'q'; payload_len as usize]),
-            has_tcp_options: true,
-        }
-    }
-
-    fn flow(packets: Vec<PacketRecord>, end: u64, truncated: bool) -> FlowRecord {
-        FlowRecord {
-            client_ip: "203.0.113.9".parse().unwrap(),
-            server_ip: "198.51.100.1".parse().unwrap(),
-            src_port: 40000,
-            dst_port: 443,
-            packets,
-            observation_end_sec: end,
-            truncated,
-        }
-    }
 
     #[test]
     fn transition_table_freezes_stage_counts_at_first_rst() {
@@ -596,61 +274,6 @@ mod tests {
             ..fin_first
         };
         assert_eq!(stage_of(data), Some(Stage::PostPsh));
-    }
-
-    #[test]
-    fn reused_machine_matches_fresh_classify_on_a_handful_of_shapes() {
-        // One machine fed a mix of flow shapes back to back must give the
-        // same analyses as a fresh classification of each — stale scratch
-        // state from one flow must never leak into the next.
-        let cfg = ClassifierConfig::default();
-        let flows = [
-            flow(vec![rec(100, TcpFlags::SYN, 100, 0, 0)], 130, false),
-            flow(
-                vec![
-                    rec(100, TcpFlags::SYN, 100, 0, 0),
-                    rec(100, TcpFlags::RST_ACK, 101, 101, 0),
-                ],
-                130,
-                false,
-            ),
-            flow(
-                vec![
-                    rec(100, TcpFlags::SYN, 100, 0, 0),
-                    rec(100, TcpFlags::ACK, 101, 501, 0),
-                    rec(101, TcpFlags::PSH_ACK, 101, 501, 5),
-                    rec(101, TcpFlags::RST, 106, 0, 0),
-                    rec(101, TcpFlags::RST, 106, 700, 0),
-                ],
-                130,
-                false,
-            ),
-            flow(
-                vec![
-                    rec(100, TcpFlags::SYN, 100, 0, 0),
-                    rec(100, TcpFlags::ACK, 101, 501, 0),
-                    rec(100, TcpFlags::PSH_ACK, 101, 501, 250),
-                    rec(100, TcpFlags::RST, 351, 700, 0),
-                    rec(100, TcpFlags::RST_ACK, 351, 700, 0),
-                ],
-                130,
-                false,
-            ),
-            flow(
-                vec![
-                    rec(100, TcpFlags::SYN, 100, 0, 0),
-                    rec(100, TcpFlags::ACK, 101, 501, 0),
-                    rec(100, TcpFlags::FIN_ACK, 101, 501, 0),
-                ],
-                130,
-                false,
-            ),
-            flow(Vec::new(), 130, false),
-        ];
-        let mut m = FlowMachine::new(cfg);
-        for f in &flows {
-            assert_eq!(m.analyze(f), classify(f, &cfg));
-        }
     }
 
     #[test]

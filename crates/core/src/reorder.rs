@@ -32,27 +32,16 @@ fn rank(f: TcpFlags) -> u8 {
     }
 }
 
-/// Return indices into `packets` in reconstructed arrival order.
+/// Fill `idx` with the flow's packet indices in reconstructed arrival
+/// order — the one sort key, over any packet storage layout. `idx` is a
+/// caller-owned buffer so the classifier (one call per finished flow) can
+/// reuse the allocation.
 ///
 /// Within each equal-timestamp bucket, packets sort by
 /// (rank, relative sequence number, relative ack, log index). Sequence
 /// numbers are taken relative to the flow's initial sequence number so
 /// wrap-around does not scramble ordering.
-pub fn reconstruct_order(packets: &[PacketRecord]) -> Vec<usize> {
-    let mut idx = Vec::new();
-    reconstruct_order_into(packets, &mut idx);
-    idx
-}
-
-/// [`reconstruct_order`] writing into a caller-owned buffer, so hot loops
-/// (one classification per evicted flow) can reuse the allocation.
-pub fn reconstruct_order_into(packets: &[PacketRecord], idx: &mut Vec<usize>) {
-    reconstruct_order_view_into(packets, idx);
-}
-
-/// [`reconstruct_order_into`] over any packet storage layout — the one
-/// sort key, shared by the `Vec<PacketRecord>` and columnar paths.
-pub fn reconstruct_order_view_into<V: PacketsView + ?Sized>(v: &V, idx: &mut Vec<usize>) {
+pub fn reconstruct_order<V: PacketsView + ?Sized>(v: &V, idx: &mut Vec<usize>) {
     // The ISN is the sequence number of the (lowest-ranked) SYN if one was
     // logged, else the minimum data sequence seen.
     let isn = (0..v.len())
@@ -76,7 +65,7 @@ pub fn reconstruct_order_view_into<V: PacketsView + ?Sized>(v: &V, idx: &mut Vec
     idx.extend(0..v.len());
     // Unstable sort: the trailing index makes every key unique, so order
     // is deterministic — and unlike the stable sort it never allocates,
-    // which the steady-state analyze path depends on.
+    // which the steady-state classify path depends on.
     idx.sort_unstable_by_key(|&i| {
         (
             v.ts_sec(i),
@@ -92,10 +81,9 @@ pub fn reconstruct_order_view_into<V: PacketsView + ?Sized>(v: &V, idx: &mut Vec
 
 /// Convenience: the packets themselves in reconstructed order.
 pub fn reordered(packets: &[PacketRecord]) -> Vec<&PacketRecord> {
-    reconstruct_order(packets)
-        .into_iter()
-        .map(|i| &packets[i])
-        .collect()
+    let mut order = Vec::new();
+    reconstruct_order(packets, &mut order);
+    order.into_iter().map(|i| &packets[i]).collect()
 }
 
 #[cfg(test)]
@@ -119,6 +107,12 @@ mod tests {
         }
     }
 
+    fn order_of(packets: &[PacketRecord]) -> Vec<usize> {
+        let mut order = Vec::new();
+        reconstruct_order(packets, &mut order);
+        order
+    }
+
     #[test]
     fn syn_sorts_before_ack_before_data_before_rst() {
         let packets = vec![
@@ -127,7 +121,7 @@ mod tests {
             rec(5, TcpFlags::ACK, 101, 0),
             rec(5, TcpFlags::SYN, 100, 0),
         ];
-        let order = reconstruct_order(&packets);
+        let order = order_of(&packets);
         let flags: Vec<_> = order.iter().map(|&i| packets[i].flags).collect();
         assert_eq!(
             flags,
@@ -146,7 +140,7 @@ mod tests {
             rec(10, TcpFlags::RST, 700, 0),
             rec(11, TcpFlags::SYN, 100, 0), // later second: stays later
         ];
-        let order = reconstruct_order(&packets);
+        let order = order_of(&packets);
         assert_eq!(order, vec![0, 1]);
     }
 
@@ -158,7 +152,7 @@ mod tests {
             rec(3, TcpFlags::PSH_ACK, isn.wrapping_add(1), 599),   // first data pkt (wraps)
             rec(3, TcpFlags::SYN, isn, 0),
         ];
-        let order = reconstruct_order(&packets);
+        let order = order_of(&packets);
         assert_eq!(order, vec![2, 1, 0]);
     }
 
@@ -174,20 +168,20 @@ mod tests {
         let mut late = rec(4, TcpFlags::ACK, 101, 0);
         late.ack = server_isn.wrapping_add(600); // wrapped: 597
         let packets = vec![late.clone(), early.clone()];
-        let order = reconstruct_order(&packets);
+        let order = order_of(&packets);
         assert_eq!(order, vec![1, 0], "earlier ack must sort first");
 
         // And an ack of 0 (pre-handshake) still sorts before both.
         let handshake = rec(4, TcpFlags::ACK, 101, 0); // ack == 0
         let packets = vec![late, handshake, early];
-        let order = reconstruct_order(&packets);
+        let order = order_of(&packets);
         assert_eq!(order, vec![1, 2, 0]);
     }
 
     #[test]
     fn stable_for_identical_keys() {
         let packets = vec![rec(1, TcpFlags::RST, 500, 0), rec(1, TcpFlags::RST, 500, 0)];
-        let order = reconstruct_order(&packets);
+        let order = order_of(&packets);
         assert_eq!(order, vec![0, 1]);
     }
 
@@ -204,6 +198,6 @@ mod tests {
 
     #[test]
     fn empty_input() {
-        assert!(reconstruct_order(&[]).is_empty());
+        assert!(order_of(&[]).is_empty());
     }
 }

@@ -5,7 +5,7 @@
 //! (paper §3.4).
 
 use crate::view::PacketsView;
-use tamper_capture::{FlowRecord, PacketRecord};
+use tamper_capture::FlowRecord;
 use tamper_wire::{http, tls};
 
 /// Application protocol of a flow, as inferred from its first data packet
@@ -29,30 +29,14 @@ pub struct TriggerInfo {
     pub protocol: AppProtocol,
 }
 
-/// Extract trigger information from a flow record.
-pub fn extract(flow: &FlowRecord) -> TriggerInfo {
-    extract_from_parts(flow.dst_port, &flow.packets)
-}
-
-/// [`extract`] over a flow's parts — the sans-IO machine calls this with
-/// its own packet buffer, before any [`FlowRecord`] exists.
-pub fn extract_from_parts(dst_port: u16, packets: &[PacketRecord]) -> TriggerInfo {
-    extract_from_view(dst_port, packets)
-}
-
-/// [`extract_from_parts`] over any packet storage layout — the batch
-/// classifier calls this with a column-slice view.
-pub fn extract_from_view<V: PacketsView + ?Sized>(dst_port: u16, v: &V) -> TriggerInfo {
+/// Extract trigger information from a flow's packets (any storage
+/// layout): inspect the first data payload, fall back to the destination
+/// port.
+pub fn extract<V: PacketsView + ?Sized>(dst_port: u16, v: &V) -> TriggerInfo {
     // First data-bearing packet (including data riding a SYN).
     let first_data = (0..v.len())
         .find(|&i| v.has_payload(i))
         .map(|i| v.payload(i));
-    from_first_payload(dst_port, first_data)
-}
-
-/// The shared extraction body: inspect the first data payload, fall back
-/// to the destination port.
-fn from_first_payload(dst_port: u16, first_data: Option<&[u8]>) -> TriggerInfo {
     if let Some(payload) = first_data {
         if tls::is_client_hello(payload) {
             return TriggerInfo {
@@ -134,6 +118,10 @@ mod tests {
             observation_end_sec: 100,
             truncated: false,
         }
+    }
+
+    fn extract(f: &FlowRecord) -> TriggerInfo {
+        super::extract(f.dst_port, f.packets.as_slice())
     }
 
     #[test]

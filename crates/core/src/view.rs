@@ -2,20 +2,19 @@
 //!
 //! Classification never needed owned [`PacketRecord`]s — only a handful
 //! of scalar fields per packet plus the first payload. [`PacketsView`]
-//! names exactly that surface, so one generic classification body (see
-//! [`classify_view`](crate::machine::classify_view)) serves both
+//! names exactly that surface, so the one generic classification body in
+//! [`BatchClassifier`](crate::batch::BatchClassifier) serves both
 //! storage layouts:
 //!
-//! - the [`FlowMachine`](crate::machine::FlowMachine)'s arrival-order
-//!   `Vec<PacketRecord>` buffer (`impl PacketsView for [PacketRecord]`),
-//! - the columnar [`FlowCols`](tamper_capture::FlowCols) slices a
-//!   [`FlowBatch`](tamper_capture::FlowBatch) hands to
-//!   [`BatchClassifier`](crate::batch::BatchClassifier).
+//! - a [`FlowRecord`](tamper_capture::FlowRecord)'s arrival-order rows
+//!   (`impl PacketsView for [PacketRecord]`),
+//! - the columnar [`FlowCols`](tamper_capture::FlowCols) slices of a
+//!   [`FlowBatch`](tamper_capture::FlowBatch).
 //!
 //! Both implementations monomorphize — the indirection costs nothing —
-//! and because the *same* generic body runs over both, the batch path is
-//! byte-identical to the per-flow path by construction (the
-//! `properties` differential suite checks it anyway).
+//! and because the *same* generic body runs over both, the column path is
+//! byte-identical to the row path by construction (the `properties`
+//! differential suite checks it anyway).
 
 use tamper_capture::PacketRecord;
 use tamper_wire::TcpFlags;
@@ -43,20 +42,11 @@ pub trait PacketsView {
     /// Acknowledgement number of packet `i`.
     fn ack(&self, i: usize) -> u32;
 
-    /// IPv4 identification field of packet `i`; `None` for IPv6.
-    fn ip_id(&self, i: usize) -> Option<u16>;
-
-    /// TTL / hop limit of packet `i`.
-    fn ttl(&self, i: usize) -> u8;
-
     /// Payload length of packet `i` as logged.
     fn payload_len(&self, i: usize) -> u32;
 
     /// Payload bytes of packet `i`.
     fn payload(&self, i: usize) -> &[u8];
-
-    /// True if packet `i`'s TCP header carried options.
-    fn has_tcp_options(&self, i: usize) -> bool;
 
     /// True if packet `i` carried data.
     fn has_payload(&self, i: usize) -> bool {
@@ -85,23 +75,11 @@ impl PacketsView for [PacketRecord] {
         self[i].ack
     }
 
-    fn ip_id(&self, i: usize) -> Option<u16> {
-        self[i].ip_id
-    }
-
-    fn ttl(&self, i: usize) -> u8 {
-        self[i].ttl
-    }
-
     fn payload_len(&self, i: usize) -> u32 {
         self[i].payload_len
     }
 
     fn payload(&self, i: usize) -> &[u8] {
         &self[i].payload
-    }
-
-    fn has_tcp_options(&self, i: usize) -> bool {
-        self[i].has_tcp_options
     }
 }

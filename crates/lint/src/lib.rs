@@ -79,12 +79,12 @@ use std::time::Instant;
 /// reach from these runs once per packet or per flow at line rate, so
 /// `hot-path-alloc` bans fresh allocations on the whole closure.
 pub const HOT_ROOTS: [(&str, &str); 6] = [
-    ("FlowMachine", "process"),
-    ("FlowMachine", "analyze"),
+    ("BatchClassifier", "classify_record"),
+    ("BatchClassifier", "classify_span"),
+    ("BatchClassifier", "classify_batch"),
     ("FlowSource", "fill"),
     ("SourceShard", "absorb"),
     ("EndpointMachine", "process"),
-    ("BatchClassifier", "classify_batch"),
 ];
 
 /// The declared pure roots of the classify→aggregate→report path:
@@ -96,7 +96,7 @@ pub const HOT_ROOTS: [(&str, &str); 6] = [
 /// tests: the same inputs must produce the same bytes because nothing on
 /// the path can observe anything else.
 pub const PURE_ROOTS: [(&str, &str); 6] = [
-    ("FlowMachine", "analyze"),
+    ("BatchClassifier", "classify_record"),
     ("PartialAggregate", "record"),
     ("PartialAggregate", "merge"),
     ("Collector", "observe"),

@@ -108,7 +108,7 @@ pub const EXPLANATIONS: [(&str, &str); 18] = [
     (
         "hot-path-alloc",
         "Functions call-graph-reachable from the HOT_ROOTS registry \
-         (FlowMachine::process, SourceShard::absorb, …) run once per packet or \
+         (BatchClassifier::classify_span, SourceShard::absorb, …) run once per packet or \
          per flow at line rate; a fresh Vec/format!/clone there is the \
          difference between 535k and 2M flows/s. Reuse caller-owned scratch \
          buffers instead. The discovery chain from the root is in the message.",
@@ -129,7 +129,7 @@ pub const EXPLANATIONS: [(&str, &str); 18] = [
     (
         "purity-audit",
         "Every entry in the PURE_ROOTS registry — the classify→aggregate→report \
-         path (FlowMachine::analyze, PartialAggregate::record/merge, \
+         path (BatchClassifier::classify_record, PartialAggregate::record/merge, \
          Collector::observe/merge, report::full_report) — must have an empty \
          transitive effect set: no clock, no rng, no thread, no unordered-map \
          iteration, no IO, no global mutation, and no Unknown (unparsed body or \

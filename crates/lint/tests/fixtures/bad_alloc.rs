@@ -1,9 +1,9 @@
 //! hot-path-alloc fixture: a declared hot root allocating directly; a
 //! cold sibling allocating freely stays clean.
-pub struct FlowMachine;
+pub struct BatchClassifier;
 
-impl FlowMachine {
-    pub fn process(&mut self) -> Vec<u8> {
+impl BatchClassifier {
+    pub fn classify_span(&mut self) -> Vec<u8> {
         let buf = Vec::new();
         let tag = format!("x");
         drop(tag);

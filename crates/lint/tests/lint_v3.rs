@@ -21,8 +21,8 @@ fn hot_alloc_fires_in_a_root_and_spares_cold_siblings() {
     assert_eq!(
         fired(&lint.findings),
         vec![
-            ("hot-path-alloc", 7), // Vec::new in process
-            ("hot-path-alloc", 8), // format! in process
+            ("hot-path-alloc", 7), // Vec::new in classify_span
+            ("hot-path-alloc", 8), // format! in classify_span
         ],
         "{:?}",
         lint.findings
@@ -30,7 +30,7 @@ fn hot_alloc_fires_in_a_root_and_spares_cold_siblings() {
     assert!(
         lint.findings[0]
             .message
-            .contains("in hot root FlowMachine::process"),
+            .contains("in hot root BatchClassifier::classify_span"),
         "{}",
         lint.findings[0].message
     );
@@ -70,7 +70,7 @@ fn hot_alloc_reaches_a_sink_two_hops_from_the_root() {
 fn hot_alloc_fires_in_the_batch_classifier_root() {
     // The columnar batch walk is a registered hot root: a fresh
     // allocation inside classify_batch must be flagged like one inside
-    // FlowMachine::process.
+    // classify_span.
     let src = "pub struct BatchClassifier;\n\
         impl BatchClassifier {\n    \
         pub fn classify_batch(&mut self) -> Vec<u8> {\n        \
@@ -94,10 +94,10 @@ fn hot_alloc_fires_in_the_batch_classifier_root() {
 
 #[test]
 fn hot_alloc_waiver_suppresses_the_finding() {
-    let src = "pub struct FlowMachine;\n\
-        impl FlowMachine {\n    \
-        pub fn process(&mut self) -> Vec<u8> {\n        \
-        // tamperlint: allow(hot-path-alloc) — fixture: scratch grown once at machine birth\n        \
+    let src = "pub struct BatchClassifier;\n\
+        impl BatchClassifier {\n    \
+        pub fn classify_record(&mut self) -> Vec<u8> {\n        \
+        // tamperlint: allow(hot-path-alloc) — fixture: scratch grown once at classifier birth\n        \
         Vec::new()\n    \
         }\n}\n";
     let lint = lint_source(CORE, src);

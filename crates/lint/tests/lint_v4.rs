@@ -333,19 +333,19 @@ fn containment_findings_match_the_pins_on_every_fixture() {
 
 #[test]
 fn root_registry_reports_unresolved_entries() {
-    let src = "pub struct FlowMachine;\n\
-               impl FlowMachine {\n    pub fn process(&mut self) {}\n}\n\
+    let src = "pub struct BatchClassifier;\n\
+               impl BatchClassifier {\n    pub fn classify_span(&mut self) {}\n}\n\
                pub fn helper() {}\n";
-    let path = "crates/core/src/machine.rs";
+    let path = "crates/core/src/batch.rs";
     let scan = rules::scan_file(path, src, &ScanCtx::default());
     let sym = SymbolTable::build(&[(path.to_string(), scan.parsed.clone())]);
 
     // Resolvable entries: an impl method by owner, a free fn by file stem.
-    let entries: &[(&str, &str)] = &[("FlowMachine", "process"), ("machine", "helper")];
+    let entries: &[(&str, &str)] = &[("BatchClassifier", "classify_span"), ("batch", "helper")];
     assert!(effects::registry_findings(&sym, &[("R", entries)]).is_empty());
 
     // A renamed-away entry is rot and must be reported.
-    let stale: &[(&str, &str)] = &[("FlowMachine", "vanished")];
+    let stale: &[(&str, &str)] = &[("BatchClassifier", "vanished")];
     let found = effects::registry_findings(&sym, &[("HOT_ROOTS", stale)]);
     assert_eq!(found.len(), 1);
     assert_eq!(found[0].rule, "root-registry");

@@ -18,7 +18,7 @@ fn repo_root() -> PathBuf {
 }
 
 /// The reviewed in-source waivers, as `(rule, file, count)` sorted by
-/// `(rule, file)`: 55 in all. A waiver added, dropped, or moved to another
+/// `(rule, file)`: 54 in all. A waiver added, dropped, or moved to another
 /// rule or file must come with a reviewed edit here.
 const WAIVED: &[(&str, &str, usize)] = &[
     ("discarded-wire-error", "crates/core/src/trigger.rs", 3),
@@ -31,7 +31,7 @@ const WAIVED: &[(&str, &str, usize)] = &[
     ("hot-path-alloc", "crates/wire/src/tls.rs", 4),
     ("index", "crates/capture/src/engine.rs", 5),
     ("index", "crates/capture/src/offline.rs", 12),
-    ("index", "crates/capture/src/pcap.rs", 2),
+    ("index", "crates/capture/src/pcap.rs", 1),
     ("index", "crates/capture/src/source.rs", 4),
     ("panic", "crates/capture/src/engine.rs", 3),
     ("unbounded-growth", "crates/analysis/src/agg.rs", 8),
@@ -50,7 +50,7 @@ fn waived_findings_match_the_reviewed_multiset() {
 }
 
 /// The reviewed number of in-source waivers.
-const WAIVER_COUNT: usize = 55;
+const WAIVER_COUNT: usize = 54;
 
 #[test]
 fn waiver_count_matches_the_reviewed_declaration() {
@@ -79,6 +79,7 @@ fn sans_io_machine_modules_are_in_determinism_scope() {
     // exactly the bug class the sans-IO refactor exists to prevent.
     for path in [
         "crates/core/src/machine.rs",
+        "crates/core/src/batch.rs",
         "crates/core/src/classify.rs",
         "crates/netsim/src/endpoint.rs",
         "crates/netsim/src/client.rs",
@@ -91,7 +92,7 @@ fn sans_io_machine_modules_are_in_determinism_scope() {
     }
     // The classification core is also in the deterministic-iteration
     // scope (its output feeds report bytes).
-    assert!(scope_for("crates/core/src/machine.rs").map_iter);
+    assert!(scope_for("crates/core/src/batch.rs").map_iter);
     // And repo automation stays exempt: xtask measures wall time for the
     // CI summary by design.
     assert!(!scope_for("crates/xtask/src/main.rs").pipeline);

@@ -44,9 +44,8 @@ impl<T> Actions<T> {
     }
 }
 
-/// One input to an endpoint state machine: the same sans-IO shape as the
-/// classifier's `FlowMachine` — owned events plus injected time, no
-/// sockets, no sleeps, no ambient clock.
+/// One input to an endpoint state machine, in the sans-IO shape: owned
+/// events plus injected time, no sockets, no sleeps, no ambient clock.
 #[derive(Debug)]
 pub enum EndpointInput<T> {
     /// The session begins. Clients emit their opening SYN here; servers

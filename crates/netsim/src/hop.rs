@@ -53,12 +53,6 @@ impl HopOutcome {
         self.inject_to_server.push((pkt, delay));
         self
     }
-
-    /// Add an injection toward the client.
-    pub fn with_injection_to_client(mut self, pkt: Packet, delay: SimDuration) -> HopOutcome {
-        self.inject_to_client.push((pkt, delay));
-        self
-    }
 }
 
 /// A point on the path that observes and may manipulate traffic.
@@ -120,11 +114,10 @@ mod tests {
         )
         .flags(TcpFlags::RST)
         .build();
-        let out = HopOutcome::drop_packet()
-            .with_injection_to_server(pkt.clone(), SimDuration::from_micros(10))
-            .with_injection_to_client(pkt, SimDuration::from_micros(20));
+        let out =
+            HopOutcome::drop_packet().with_injection_to_server(pkt, SimDuration::from_micros(10));
         assert!(!out.forward);
         assert_eq!(out.inject_to_server.len(), 1);
-        assert_eq!(out.inject_to_client.len(), 1);
+        assert!(out.inject_to_client.is_empty());
     }
 }

@@ -59,20 +59,6 @@ impl Path {
         }
     }
 
-    /// Total one-way latency over segments `from..links.len()`.
-    pub fn latency_from(&self, from: usize) -> SimDuration {
-        self.links[from..]
-            .iter()
-            .fold(SimDuration::ZERO, |acc, l| acc + l.latency)
-    }
-
-    /// Total one-way latency over segments `0..=to`.
-    pub fn latency_to(&self, to: usize) -> SimDuration {
-        self.links[..=to]
-            .iter()
-            .fold(SimDuration::ZERO, |acc, l| acc + l.latency)
-    }
-
     /// Sanity check the structural invariant.
     pub fn is_well_formed(&self) -> bool {
         self.links.len() == self.hops.len() + 1
@@ -88,7 +74,7 @@ mod tests {
     fn direct_path_is_well_formed() {
         let p = Path::direct(SimDuration::from_millis(40), 12);
         assert!(p.is_well_formed());
-        assert_eq!(p.latency_from(0), SimDuration::from_millis(40));
+        assert_eq!(p.links[0].latency, SimDuration::from_millis(40));
     }
 
     #[test]
@@ -99,8 +85,7 @@ mod tests {
             Link::new(SimDuration::from_millis(30), 8),
         );
         assert!(p.is_well_formed());
-        assert_eq!(p.latency_from(0), SimDuration::from_millis(40));
-        assert_eq!(p.latency_from(1), SimDuration::from_millis(30));
-        assert_eq!(p.latency_to(0), SimDuration::from_millis(10));
+        assert_eq!(p.links[0].latency, SimDuration::from_millis(10));
+        assert_eq!(p.links[1].latency, SimDuration::from_millis(30));
     }
 }

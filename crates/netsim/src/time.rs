@@ -39,11 +39,6 @@ impl SimTime {
     pub fn as_secs_f64(self) -> f64 {
         self.0 as f64 / 1e9
     }
-
-    /// Time elapsed since `earlier`; zero if `earlier` is later.
-    pub fn saturating_since(self, earlier: SimTime) -> SimDuration {
-        SimDuration(self.0.saturating_sub(earlier.0))
-    }
 }
 
 impl SimDuration {
@@ -135,14 +130,6 @@ mod tests {
         assert_eq!(t.as_nanos(), 10_500_000_000);
         assert_eq!(t.as_secs(), 10);
         assert_eq!(t - SimTime::from_secs(10), SimDuration::from_millis(500));
-    }
-
-    #[test]
-    fn saturating_since_clamps() {
-        let a = SimTime::from_secs(5);
-        let b = SimTime::from_secs(7);
-        assert_eq!(b.saturating_since(a), SimDuration::from_secs(2));
-        assert_eq!(a.saturating_since(b), SimDuration::ZERO);
     }
 
     #[test]

@@ -259,14 +259,6 @@ impl ScopeMetrics {
         t.total_ns = t.total_ns.saturating_add(ns);
     }
 
-    /// Stop `sw` and record the interval into the named latency histogram
-    /// (buckets: [`LATENCY_BUCKETS_NS`]).
-    pub fn stop_hist(&mut self, name: &'static str, sw: Stopwatch) {
-        if let Some(ns) = sw.elapsed_ns() {
-            self.record_hist(name, ns);
-        }
-    }
-
     /// Record a raw sample into the named latency histogram.
     pub fn record_hist(&mut self, name: &'static str, value: u64) {
         if !self.enabled {
@@ -501,7 +493,7 @@ mod tests {
         let sw = s.start();
         assert!(sw.elapsed_ns().is_none(), "disabled stopwatch read a clock");
         s.stop("stage", sw);
-        s.stop_hist("lat", sw);
+        s.record_hist("lat", 5);
         let reg = Registry::new();
         reg.publish(s);
         assert!(reg.snapshot().scopes.is_empty());

@@ -699,7 +699,7 @@ impl WorldSim {
         if pops <= 1 {
             return 0;
         }
-        let h = splitmix64(self.cfg.seed ^ POP_ROUTE_SALT ^ ip_route_key(lf.flow.client_ip));
+        let h = splitmix64(self.cfg.seed ^ POP_ROUTE_SALT ^ ip_key(lf.flow.client_ip));
         (h % pops as u64) as usize
     }
 }
@@ -708,10 +708,10 @@ impl WorldSim {
 /// seed, so routing never correlates with per-session generation streams.
 const POP_ROUTE_SALT: u64 = 0x9e6c_5f0a_7d01_b3e5;
 
-/// Collapse a client address to a routing key. Worldgen keeps its own
-/// copy (the analysis crate has an identical `ip_key` for reservoir
-/// priorities) because the dependency points the other way.
-fn ip_route_key(ip: IpAddr) -> u64 {
+/// Stable 64-bit key for an IP address: the base of PoP routing here and
+/// of the analysis crate's pair-sequence keys and reservoir priorities,
+/// so `.agg` bytes hang off its exact values.
+pub fn ip_key(ip: IpAddr) -> u64 {
     match ip {
         IpAddr::V4(v4) => splitmix64(u64::from(u32::from(v4))),
         IpAddr::V6(v6) => {
@@ -941,6 +941,20 @@ mod tests {
     use super::*;
     use crate::meta::GroundTruth;
     use tamper_core::{classify, ClassifierConfig, Signature};
+
+    #[test]
+    fn ip_key_values_are_pinned() {
+        // PoP routing and reservoir priorities (hence `.agg` bytes) hang
+        // off these exact values.
+        assert_eq!(
+            ip_key("203.0.113.7".parse().unwrap()),
+            5_372_407_712_213_790_696
+        );
+        assert_eq!(
+            ip_key("2001:db8::7".parse().unwrap()),
+            18_392_005_709_704_089_631
+        );
+    }
 
     fn sim(sessions: u64) -> WorldSim {
         WorldSim::new(WorldConfig {

@@ -56,7 +56,7 @@ pub use config::{world_from_json, world_to_json, ConfigError};
 pub use countries::{local_hour, pick_asn, Asn, Country, CountryIdx};
 pub use domains::{Category, Domain, DomainCatalog, DomainId};
 pub use driver::{
-    world_fingerprint, WorldConfig, WorldSim, FIREWALL_KEYWORD, FIREWALL_USER_AGENT,
+    ip_key, world_fingerprint, WorldConfig, WorldSim, FIREWALL_KEYWORD, FIREWALL_USER_AGENT,
     JAN12_2023_UNIX, SEP13_2022_UNIX,
 };
 pub use json::{Json, JsonError};

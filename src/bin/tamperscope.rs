@@ -59,17 +59,24 @@ USAGE:
     ExitCode::from(2)
 }
 
-/// Parse a numeric `--flag` strictly: a typo is a usage error, not a
-/// silently different run.
-macro_rules! flag_u64 {
-    ($args:expr, $name:expr, $default:expr) => {
-        match $args.get_u64_strict($name, $default) {
+/// Unwrap a parsed flag value, or report it and exit with the usage text.
+macro_rules! or_usage {
+    ($parsed:expr) => {
+        match $parsed {
             Ok(v) => v,
             Err(e) => {
                 eprintln!("tamperscope: {e}");
                 return usage();
             }
         }
+    };
+}
+
+/// Parse a numeric `--flag` strictly: a typo is a usage error, not a
+/// silently different run.
+macro_rules! flag_u64 {
+    ($args:expr, $name:expr, $default:expr) => {
+        or_usage!($args.get_u64_strict($name, $default))
     };
 }
 
@@ -269,12 +276,8 @@ fn cmd_classify(args: &Args) -> ExitCode {
         let _ = writeln!(out, "{}", engine_perf_to_json(&stats));
     }
     drop(out);
-    if let (Some(mpath), Some(reg)) = (metrics_path, &registry) {
-        if let Err(e) = write_metrics_json(mpath, &reg.snapshot()) {
-            eprintln!("cannot write {mpath}: {e}");
-            return ExitCode::FAILURE;
-        }
-        eprintln!("[{mpath}] engine metrics written");
+    if !write_metrics(metrics_path, registry.as_ref(), None, "engine") {
+        return ExitCode::FAILURE;
     }
     eprintln!(
         "{} of {} flows match a tampering signature ({})",
@@ -285,6 +288,7 @@ fn cmd_classify(args: &Args) -> ExitCode {
     ExitCode::SUCCESS
 }
 
+/// `--threads`, defaulting to the machine's parallelism.
 fn threads(args: &Args) -> Result<usize, String> {
     let default = std::thread::available_parallelism()
         .map(|n| n.get() as u64)
@@ -292,20 +296,45 @@ fn threads(args: &Args) -> Result<usize, String> {
     Ok(args.get_u64_strict("threads", default)? as usize)
 }
 
-fn cmd_report(args: &Args) -> ExitCode {
-    let threads = match threads(args) {
-        Ok(t) => t,
-        Err(e) => {
-            eprintln!("tamperscope: {e}");
-            return usage();
-        }
-    };
-    let cfg = WorldConfig {
-        sessions: flag_u64!(args, "sessions", 200_000),
-        days: flag_u64!(args, "days", 14) as u32,
-        seed: flag_u64!(args, "seed", 20230112),
+/// The world configuration shared by `report`, `pop-run` and `merge`, so
+/// a merged run can be byte-compared against a single-machine `report`
+/// of the same flags.
+fn world_config(args: &Args) -> Result<WorldConfig, String> {
+    Ok(WorldConfig {
+        sessions: args.get_u64_strict("sessions", 200_000)?,
+        days: args.get_u64_strict("days", 14)? as u32,
+        seed: args.get_u64_strict("seed", 20230112)?,
         ..Default::default()
+    })
+}
+
+/// The `--metrics-json` epilogue: publish the subcommand's own scope (if
+/// it kept one), write the registry's snapshot to the file and say so on
+/// stderr. Metrics live in this side file only, never in stdout bytes.
+/// False if the file could not be written.
+fn write_metrics(
+    path: Option<&str>,
+    registry: Option<&Registry>,
+    own_scope: Option<ScopeMetrics>,
+    what: &str,
+) -> bool {
+    let (Some(path), Some(reg)) = (path, registry) else {
+        return true;
     };
+    if let Some(scope) = own_scope {
+        reg.publish(scope);
+    }
+    if let Err(e) = write_metrics_json(path, &reg.snapshot()) {
+        eprintln!("cannot write {path}: {e}");
+        return false;
+    }
+    eprintln!("[{path}] {what} metrics written");
+    true
+}
+
+fn cmd_report(args: &Args) -> ExitCode {
+    let threads = or_usage!(threads(args));
+    let cfg = or_usage!(world_config(args));
     let sim = match args.get("world") {
         Some(path) => {
             let text = match std::fs::read_to_string(path) {
@@ -365,37 +394,14 @@ fn cmd_report(args: &Args) -> ExitCode {
         rep.stop("render", render_sw);
         println!("{text}");
     }
-    if let (Some(mpath), Some(reg)) = (metrics_path, &registry) {
-        reg.publish(rep);
-        if let Err(e) = write_metrics_json(mpath, &reg.snapshot()) {
-            eprintln!("cannot write {mpath}: {e}");
-            return ExitCode::FAILURE;
-        }
-        eprintln!("[{mpath}] pipeline metrics written");
+    if !write_metrics(metrics_path, registry.as_ref(), Some(rep), "pipeline") {
+        return ExitCode::FAILURE;
     }
     ExitCode::SUCCESS
 }
 
-/// The world configuration shared by `pop-run` and `merge` (and matching
-/// `report`'s defaults), so a merged run can be byte-compared against a
-/// single-machine `report` of the same flags.
-fn pop_world_config(args: &Args) -> Result<WorldConfig, String> {
-    Ok(WorldConfig {
-        sessions: args.get_u64_strict("sessions", 200_000)?,
-        days: args.get_u64_strict("days", 14)? as u32,
-        seed: args.get_u64_strict("seed", 20230112)?,
-        ..Default::default()
-    })
-}
-
 fn cmd_pop_run(args: &Args) -> ExitCode {
-    let threads = match threads(args) {
-        Ok(t) => t,
-        Err(e) => {
-            eprintln!("tamperscope: {e}");
-            return usage();
-        }
-    };
+    let threads = or_usage!(threads(args));
     let pops = flag_u64!(args, "pops", 0) as usize;
     if pops == 0 {
         eprintln!("tamperscope: pop-run requires --pops P (P >= 1)");
@@ -405,13 +411,7 @@ fn cmd_pop_run(args: &Args) -> ExitCode {
         eprintln!("tamperscope: pop-run requires --out DIR");
         return usage();
     };
-    let cfg = match pop_world_config(args) {
-        Ok(c) => c,
-        Err(e) => {
-            eprintln!("tamperscope: {e}");
-            return usage();
-        }
-    };
+    let cfg = or_usage!(world_config(args));
     if let Err(e) = std::fs::create_dir_all(out_dir) {
         eprintln!("cannot create {out_dir}: {e}");
         return ExitCode::FAILURE;
@@ -466,13 +466,7 @@ fn cmd_merge(args: &Args) -> ExitCode {
         eprintln!("tamperscope: merge requires at least one .agg file");
         return usage();
     }
-    let cfg = match pop_world_config(args) {
-        Ok(c) => c,
-        Err(e) => {
-            eprintln!("tamperscope: {e}");
-            return usage();
-        }
-    };
+    let cfg = or_usage!(world_config(args));
     let sim = WorldSim::new(cfg);
     // The same combined fingerprint `pop-run` stamps into each partial:
     // collector shape plus the world salt.
@@ -533,13 +527,7 @@ fn cmd_merge(args: &Args) -> ExitCode {
 }
 
 fn cmd_iran(args: &Args) -> ExitCode {
-    let threads = match threads(args) {
-        Ok(t) => t,
-        Err(e) => {
-            eprintln!("tamperscope: {e}");
-            return usage();
-        }
-    };
+    let threads = or_usage!(threads(args));
     let sim = WorldSim::new(WorldConfig {
         sessions: flag_u64!(args, "sessions", 120_000),
         days: 17,
@@ -570,13 +558,8 @@ fn cmd_iran(args: &Args) -> ExitCode {
     let text = report::fig8(&col.view());
     rep.stop("render", render_sw);
     println!("{text}");
-    if let (Some(mpath), Some(reg)) = (metrics_path, &registry) {
-        reg.publish(rep);
-        if let Err(e) = write_metrics_json(mpath, &reg.snapshot()) {
-            eprintln!("cannot write {mpath}: {e}");
-            return ExitCode::FAILURE;
-        }
-        eprintln!("[{mpath}] pipeline metrics written");
+    if !write_metrics(metrics_path, registry.as_ref(), Some(rep), "pipeline") {
+        return ExitCode::FAILURE;
     }
     ExitCode::SUCCESS
 }
@@ -647,13 +630,7 @@ fn cmd_synthesize(args: &Args) -> ExitCode {
     let Some(path) = args.positional.first() else {
         return usage();
     };
-    let threads = match threads(args) {
-        Ok(t) => t,
-        Err(e) => {
-            eprintln!("tamperscope: {e}");
-            return usage();
-        }
-    };
+    let threads = or_usage!(threads(args));
     let sessions = flag_u64!(args, "sessions", 200);
     let seed = flag_u64!(args, "seed", 7);
     let file = match File::create(path) {
@@ -703,12 +680,8 @@ fn cmd_synthesize(args: &Args) -> ExitCode {
             written += 1;
         }
     }
-    if let (Some(mpath), Some(reg)) = (metrics_path, &registry) {
-        if let Err(e) = write_metrics_json(mpath, &reg.snapshot()) {
-            eprintln!("cannot write {mpath}: {e}");
-            return ExitCode::FAILURE;
-        }
-        eprintln!("[{mpath}] pipeline metrics written");
+    if !write_metrics(metrics_path, registry.as_ref(), None, "pipeline") {
+        return ExitCode::FAILURE;
     }
     eprintln!("wrote {written} packets from {sessions} sessions to {path}");
     ExitCode::SUCCESS

@@ -1,15 +1,16 @@
-//! Allocation discipline: the steady-state analyze path must not touch
-//! the heap. A warm [`FlowMachine`] replaying the golden corpus performs
-//! **zero** allocations on every flow whose verdict carries no trigger
-//! domain — the machine's scratch buffers (packets, order, rsts, dedup)
-//! reuse capacity from earlier flows and payload `Bytes` clone by
-//! refcount. Flows that *do* yield a domain pay exactly the waived
-//! verdict-owned string and nothing else grows between passes.
+//! Allocation discipline: the steady-state classify path must not touch
+//! the heap. A warm [`BatchClassifier`] replaying the golden corpus
+//! performs **zero** allocations on every flow whose verdict carries no
+//! trigger domain, on both storage layouts (row-wise records and column
+//! batches) — the classifier's scratch buffers (order, rsts, dedup)
+//! reuse capacity from earlier flows. Flows that *do* yield a domain pay
+//! exactly the waived verdict-owned string and nothing else grows
+//! between passes.
 //!
 //! This is the runtime counterpart of tamperlint's static `hot-path-alloc`
 //! rule: the lint proves no allocation *constructor* is reachable from the
 //! hot roots, this test proves the surviving (waived, per-flow) sites
-//! really amortize to zero once the machine is warm.
+//! really amortize to zero once the classifier is warm.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -17,7 +18,7 @@ use std::cell::Cell;
 use tamperscope::capture::{
     flows_from_pcap, EvictionCause, FlowBatch, FlowRecord, FlowTuple, OfflineConfig,
 };
-use tamperscope::core::{BatchClassifier, ClassifierConfig, FlowMachine};
+use tamperscope::core::{classify, BatchClassifier, ClassifierConfig};
 
 /// A counting pass-through allocator: every heap request bumps the
 /// calling thread's counter, so the two tests — which the harness runs on
@@ -83,7 +84,7 @@ fn golden_flows() -> Vec<FlowRecord> {
 #[test]
 fn warm_machine_analyzes_the_golden_corpus_without_allocating() {
     let flows = golden_flows();
-    let mut machine = FlowMachine::new(ClassifierConfig::default());
+    let mut clf = BatchClassifier::new(ClassifierConfig::default());
 
     // Warm pass: scratch buffers grow to the corpus' high-water marks.
     // Record which flows legitimately allocate a verdict-owned trigger
@@ -91,14 +92,14 @@ fn warm_machine_analyzes_the_golden_corpus_without_allocating() {
     let mut warm_verdicts = Vec::with_capacity(flows.len());
     let mut has_domain = Vec::with_capacity(flows.len());
     for flow in &flows {
-        let analysis = machine.analyze(flow);
+        let analysis = clf.classify_record(flow);
         has_domain.push(analysis.trigger.domain.is_some());
         warm_verdicts.push(analysis.classification);
     }
 
     // Steady state: a second pass over the domain-free flows must not
-    // allocate at all — those flows exercise the full parse/reorder/
-    // classify path with zero heap traffic once the machine is warm.
+    // allocate at all — those flows exercise the full reorder/classify
+    // path with zero heap traffic once the classifier is warm.
     let measured: Vec<_> = flows
         .iter()
         .zip(&has_domain)
@@ -113,7 +114,7 @@ fn warm_machine_analyzes_the_golden_corpus_without_allocating() {
     );
     let before = allocations();
     for flow in &measured {
-        let analysis = machine.analyze(flow);
+        let analysis = clf.classify_record(flow);
         assert!(
             analysis.trigger.domain.is_none(),
             "domain appeared on re-analysis"
@@ -123,7 +124,7 @@ fn warm_machine_analyzes_the_golden_corpus_without_allocating() {
     assert_eq!(
         after - before,
         0,
-        "steady-state FlowMachine::analyze allocated {} time(s) over {} domain-free flows",
+        "steady-state BatchClassifier::classify_record allocated {} time(s) over {} domain-free flows",
         after - before,
         measured.len()
     );
@@ -139,7 +140,7 @@ fn warm_machine_analyzes_the_golden_corpus_without_allocating() {
         .collect();
     let before = allocations();
     for flow in &domain_flows {
-        assert!(machine.analyze(flow).trigger.domain.is_some());
+        assert!(clf.classify_record(flow).trigger.domain.is_some());
     }
     let after = allocations();
     let per_flow_budget = 4 * domain_flows.len() as u64;
@@ -154,7 +155,7 @@ fn warm_machine_analyzes_the_golden_corpus_without_allocating() {
     // The measured pass produced the same verdicts the warm pass did.
     let verdicts: Vec<_> = flows
         .iter()
-        .map(|flow| machine.analyze(flow).classification)
+        .map(|flow| clf.classify_record(flow).classification)
         .collect();
     assert_eq!(verdicts, warm_verdicts, "verdicts drifted between passes");
 }
@@ -198,12 +199,12 @@ fn batch_of(flows: &[&FlowRecord]) -> FlowBatch {
 #[test]
 fn warm_batch_classifier_processes_a_batch_without_allocating() {
     let flows = golden_flows();
-    let mut machine = FlowMachine::new(ClassifierConfig::default());
+    let cfg = ClassifierConfig::default();
     // Domain-bearing flows legitimately allocate their verdict-owned
     // host string; the zero-alloc guarantee covers everything else.
     let domain_free: Vec<&FlowRecord> = flows
         .iter()
-        .filter(|flow| machine.analyze(flow).trigger.domain.is_none())
+        .filter(|flow| classify(flow, &cfg).trigger.domain.is_none())
         .collect();
     assert!(
         domain_free.len() >= flows.len() / 2,
@@ -212,7 +213,7 @@ fn warm_batch_classifier_processes_a_batch_without_allocating() {
         flows.len()
     );
     let batch = batch_of(&domain_free);
-    let mut clf = BatchClassifier::new(ClassifierConfig::default());
+    let mut clf = BatchClassifier::new(cfg);
 
     // Warm pass: the classifier's scratch and output buffers grow to the
     // batch's high-water marks.
@@ -237,7 +238,7 @@ fn warm_batch_classifier_processes_a_batch_without_allocating() {
         n
     );
 
-    // And the batch path agrees with the per-flow machine, flow for flow.
+    // And a further pass yields the same verdicts.
     let again: Vec<_> = clf
         .classify_batch(&batch)
         .iter()

@@ -7,7 +7,7 @@ use bytes::Bytes;
 use proptest::prelude::*;
 use std::net::{IpAddr, Ipv4Addr, Ipv6Addr};
 use tamper_capture::{FlowRecord, PacketRecord};
-use tamper_core::{classify, reconstruct_order, ClassifierConfig};
+use tamper_core::{classify, reconstruct_order, BatchClassifier, ClassifierConfig};
 use tamper_wire::{Packet, PacketBuilder, TcpFlags, TcpHeader, TcpOption};
 
 fn arb_flags() -> impl Strategy<Value = TcpFlags> {
@@ -314,7 +314,8 @@ proptest! {
     /// non-decreasing.
     #[test]
     fn reconstruction_is_a_monotone_permutation(flow in arb_flow()) {
-        let order = reconstruct_order(&flow.packets);
+        let mut order = Vec::new();
+        reconstruct_order(flow.packets.as_slice(), &mut order);
         let mut sorted = order.clone();
         sorted.sort_unstable();
         prop_assert_eq!(sorted, (0..flow.packets.len()).collect::<Vec<_>>());
@@ -373,8 +374,6 @@ proptest! {
 // mid-flow. All arithmetic must be modular; none of the invariants above
 // may weaken near the wrap.
 // ---------------------------------------------------------------------------
-
-use tamper_core::FlowMachine;
 
 /// An ISN in the wraparound band: at most 64 below `u32::MAX`, so a
 /// handshake plus one data segment is guaranteed to cross zero.
@@ -477,7 +476,8 @@ proptest! {
     /// space wraps — it keys on timestamps, never on sequence numbers.
     #[test]
     fn wraparound_reconstruction_is_a_monotone_permutation(flow in arb_wrap_flow()) {
-        let order = reconstruct_order(&flow.packets);
+        let mut order = Vec::new();
+        reconstruct_order(flow.packets.as_slice(), &mut order);
         let mut sorted = order.clone();
         sorted.sort_unstable();
         prop_assert_eq!(sorted, (0..flow.packets.len()).collect::<Vec<_>>());
@@ -488,7 +488,7 @@ proptest! {
         }
     }
 
-    /// One machine reused across a wrap-band flow and its retransmit twin
+    /// One classifier reused across a wrap-band flow and its retransmit twin
     /// equals a fresh `classify()` on both, under both configs, and
     /// retransmit dedup still works modulo 2^32: duplicating a post-wrap
     /// data packet never changes the analysis.
@@ -499,8 +499,8 @@ proptest! {
             ClassifierConfig { split_rst_counts: false, ..ClassifierConfig::default() },
         ] {
             let want = classify(&flow, &cfg);
-            let mut machine = FlowMachine::new(cfg);
-            prop_assert_eq!(machine.analyze(&flow), want.clone());
+            let mut clf = BatchClassifier::new(cfg);
+            prop_assert_eq!(clf.classify_record(&flow), want.clone());
 
             // Exact retransmit of the last data packet: same seq, same
             // length — must be deduplicated, even when the duplicated seq
@@ -512,7 +512,7 @@ proptest! {
                 let want_dup = classify(&dup, &cfg);
                 prop_assert_eq!(want_dup.classification, want.classification);
                 prop_assert_eq!(want_dup.stage, want.stage);
-                prop_assert_eq!(machine.analyze(&dup), want_dup);
+                prop_assert_eq!(clf.classify_record(&dup), want_dup);
             }
         }
     }
@@ -557,14 +557,13 @@ proptest! {
 }
 
 // ---------------------------------------------------------------------------
-// Columnar batch classification: the BatchClassifier walking FlowCols
-// column slices must agree byte-for-byte with the per-flow FlowMachine
-// over the same flows — including wrap-band ISNs, empty and one-packet
-// flows, IPv6 (no IP-ID) packets, and truncated flows.
+// One type, two storage layouts: the BatchClassifier walking FlowCols
+// column slices must agree byte-for-byte with itself walking the
+// row-wise records of the same flows — including wrap-band ISNs, empty
+// and one-packet flows, IPv6 (no IP-ID) packets, and truncated flows.
 // ---------------------------------------------------------------------------
 
 use tamper_capture::{EvictionCause, FlowBatch, FlowTuple};
-use tamper_core::BatchClassifier;
 
 /// Degenerate flows the batch layout must get right: zero or one packet,
 /// arbitrary flags, wrap-band seq, IPv6-style missing IP-ID.
@@ -636,11 +635,11 @@ fn batch_from_records(flows: &[FlowRecord]) -> FlowBatch {
 }
 
 proptest! {
-    /// Random record batches through the BatchClassifier produce exactly
-    /// the `FlowAnalysis` the per-flow machine produces — for both
-    /// classifier configs, with truncation flags flipped per flow.
+    /// Random record batches packed into columns classify to exactly the
+    /// `FlowAnalysis` their materialized rows do — for both classifier
+    /// configs, with truncation flags flipped per flow.
     #[test]
-    fn batch_classifier_matches_flow_machine(
+    fn batch_classifier_matches_across_storage_layouts(
         flows in proptest::collection::vec(arb_any_flow(), 0..12),
         truncated_mask in any::<u16>(),
     ) {
@@ -657,10 +656,10 @@ proptest! {
             let mut clf = BatchClassifier::new(cfg);
             let analyses = clf.classify_batch(&batch).to_vec();
             prop_assert_eq!(analyses.len(), flows.len());
-            let mut machine = FlowMachine::new(cfg);
-            for (i, f) in flows.iter().enumerate() {
-                let want = machine.analyze(f);
-                prop_assert_eq!(&analyses[i], &want, "flow {} diverged", i);
+            let mut rows = BatchClassifier::new(cfg);
+            for (i, want) in analyses.iter().enumerate() {
+                let got = rows.classify_record(&batch.materialize(i));
+                prop_assert_eq!(&got, want, "flow {} diverged", i);
             }
         }
     }

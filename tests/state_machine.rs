@@ -1,12 +1,13 @@
-//! Model-based battery for the sans-IO state machines.
+//! Model-based battery for the classifier's stage automaton and the
+//! sans-IO endpoint machines.
 //!
 //! Two layers, per the testing strategy in DESIGN.md:
 //!
 //! 1. **Property battery** — proptest-generated adversarial interleavings
 //!    (wraparound seq/ack near `u32::MAX`, overlapping/ambiguous
 //!    segments, arbitrary flag soup, truncations, timer storms) assert
-//!    the machines never panic, that a warm, reused `FlowMachine` equals
-//!    a fresh `classify()`, and that they are replay-deterministic: the
+//!    the machines never panic, that a warm, reused `BatchClassifier`
+//!    equals a fresh `classify()`, and that they are replay-deterministic: the
 //!    same input sequence produces the same output sequence, twice;
 //!    random event sequences folded through the transition table land on
 //!    the stage the paper's counting definition assigns. (No ambient
@@ -26,8 +27,8 @@ use bytes::Bytes;
 use proptest::prelude::*;
 use tamperscope::capture::{FlowRecord, PacketRecord};
 use tamperscope::core::{
-    classify, reachable_graph, stage_of, transition, ClassifierConfig, Count, Event, FlowMachine,
-    Input, Output, Stage, StageState,
+    classify, reachable_graph, stage_of, transition, BatchClassifier, ClassifierConfig, Count,
+    Event, Stage, StageState,
 };
 use tamperscope::netsim::client::ClientTimer;
 use tamperscope::netsim::server::ServerTimer;
@@ -210,7 +211,7 @@ fn server_input(op: u8) -> EndpointInput<ServerTimer> {
 
 proptest! {
     /// Scratch-reuse hygiene + replay determinism: on arbitrary
-    /// adversarial flows a machine still warm from another flow (a) never
+    /// adversarial flows a classifier still warm from another flow (a) never
     /// panics, (b) equals a fresh `classify()` exactly, and (c) produces
     /// the same analysis when it replays the same flow again — under
     /// both configs.
@@ -221,12 +222,12 @@ proptest! {
     ) {
         for cfg in CONFIGS {
             let want = classify(&flow, &cfg);
-            let mut machine = FlowMachine::new(cfg);
-            machine.analyze(&warmup);
-            let first = machine.analyze(&flow);
-            let second = machine.analyze(&flow);
+            let mut clf = BatchClassifier::new(cfg);
+            clf.classify_record(&warmup);
+            let first = clf.classify_record(&flow);
+            let second = clf.classify_record(&flow);
             prop_assert_eq!(&first, &second, "replay diverged");
-            prop_assert_eq!(first, want, "warm machine diverged from a fresh classify()");
+            prop_assert_eq!(first, want, "warm classifier diverged from a fresh classify()");
         }
     }
 
@@ -263,9 +264,9 @@ proptest! {
         prop_assert_eq!(stage_of(state), want);
     }
 
-    /// Truncating the input stream at an arbitrary point (the collector
-    /// evicting a live flow) still yields a verdict, never a panic, and
-    /// leaves the machine reusable for the next flow.
+    /// Truncating a flow at an arbitrary point (the collector evicting a
+    /// live flow) still yields a verdict, never a panic, and leaves the
+    /// classifier reusable for the next flow.
     #[test]
     fn early_truncation_yields_a_verdict_and_clean_reuse(
         flow in arb_machine_flow(),
@@ -273,28 +274,14 @@ proptest! {
         trunc in proptest::bool::ANY,
     ) {
         let cfg = ClassifierConfig::default();
-        let mut machine = FlowMachine::new(cfg);
-        machine.process(
-            Input::Start {
-                client_ip: flow.client_ip,
-                server_ip: flow.server_ip,
-                src_port: flow.src_port,
-                dst_port: flow.dst_port,
-            },
-            SimTime::ZERO,
-        );
-        for p in flow.packets.iter().take(cut) {
-            let out = machine.process(Input::Packet(p.clone()), SimTime::from_secs(p.ts_sec));
-            prop_assert_eq!(out, Output::Continue);
-        }
-        let out = machine.process(
-            Input::End { truncated: trunc },
-            SimTime::from_secs(flow.observation_end_sec),
-        );
-        prop_assert!(matches!(out, Output::Analysis(_)));
-        // A fresh Start fully resets per-flow state: the reused machine
-        // still equals a fresh classify() of the complete flow.
-        prop_assert_eq!(machine.analyze(&flow), classify(&flow, &cfg));
+        let mut clf = BatchClassifier::new(cfg);
+        let mut prefix = flow.clone();
+        prefix.packets.truncate(cut);
+        prefix.truncated = trunc;
+        prop_assert_eq!(clf.classify_record(&prefix), classify(&prefix, &cfg));
+        // Nothing of the cut flow survives in the scratch: the reused
+        // classifier still equals a fresh classify() of the complete flow.
+        prop_assert_eq!(clf.classify_record(&flow), classify(&flow, &cfg));
     }
 
     /// The netsim client machine is replay-deterministic across every
