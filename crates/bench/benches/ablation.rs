@@ -29,11 +29,8 @@ fn world_with(sessions: u64, f: impl FnOnce(&mut WorldConfig)) -> WorldSim {
 }
 
 fn run_with_classifier(sim: &WorldSim, cfg: ClassifierConfig) -> Collector {
-    let threads = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(4);
     sim.run_sharded(
-        threads,
+        0,
         None,
         || {
             Collector::new(

@@ -45,11 +45,8 @@ pub fn collector_for(sim: &WorldSim) -> Collector {
 
 /// Run the full generate → capture → classify → aggregate pipeline.
 pub fn run_pipeline(sim: &WorldSim) -> Collector {
-    let threads = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(4);
     sim.run_sharded(
-        threads,
+        0,
         None,
         || collector_for(sim),
         |c, lf| c.observe(&lf),

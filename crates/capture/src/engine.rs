@@ -1,17 +1,19 @@
 //! The streaming, sharded classification engine.
 //!
-//! One reader thread pulls work items off a [`FlowSource`] and fans them
-//! out over bounded channels to N worker shards chosen by the source's
-//! pure routing function. Each shard owns the source's worker-side state
-//! (for pcap: a slice of the flow table, see [`ColumnarFlowTable`]), turns
-//! items into finished flows *as the stream runs*, and folds every emitted
-//! output into a caller-supplied accumulator. The per-shard accumulators
-//! are merged in shard order at the end, so the result is byte-identical
-//! for any thread count.
+//! One reader loop pulls work items off a [`FlowSource`], assigns each a
+//! global index, and delivers it to one of N worker shards chosen by the
+//! source's pure routing function. Delivery is the only thing the shard
+//! count selects: one shard runs inline on the reader's thread, N > 1
+//! shards are threads behind bounded channels. Each shard owns the
+//! source's worker-side state (for pcap: a slice of the flow table, see
+//! [`ColumnarFlowTable`]), turns items into finished flows *as the stream
+//! runs*, and folds every emitted output into a caller-supplied
+//! accumulator. The per-shard accumulators are merged in shard order at
+//! the end, so the result is byte-identical for any thread count.
 //!
 //! The two front-ends live in [`crate::source`]:
 //! [`crate::source::PcapMemSource`] (an in-memory capture, emitting
-//! columnar [`crate::FlowBatch`]es) and [`crate::source::SimSource`]
+//! [`crate::FlowBatch`]es) and [`crate::source::SimSource`]
 //! (deterministic generators — `worldgen` worlds stream straight in with
 //! no intermediate pcap and no second sharding implementation).
 //!
@@ -31,10 +33,11 @@
 //!    global index; [`FlowSource::route`] is a pure function of the item,
 //!    so a given shard count always yields the same partition, and
 //!    callers that need first-seen order sort emitted flows by index.
-//! 3. **End-of-stream flush.** The reader publishes the source's final
-//!    stamp through an atomic before closing the channels; each shard
-//!    flushes its buffered state against that stamp, so the
-//!    timeout-vs-end-of-capture split is also deterministic.
+//! 3. **End-of-stream flush.** The reader hands every shard the source's
+//!    final stamp (through an atomic published before the channels close,
+//!    or directly when the shard runs inline); each shard flushes its
+//!    buffered state against that stamp, so the timeout-vs-end-of-capture
+//!    split is also deterministic.
 //!
 //! The only scheduling- or shard-count-dependent outputs are the perf
 //! counters ([`EngineStats::channel_stalls`], [`EngineStats::threads`],
@@ -54,7 +57,7 @@
 
 use crate::offline::{IngestStats, OfflineConfig};
 use crate::source::{FlowSource, ShardStats, SourceShard};
-use crossbeam::channel::{bounded, Receiver, TrySendError};
+use crossbeam::channel::{bounded, Sender, TrySendError};
 use std::sync::atomic::{AtomicU64, Ordering};
 use tamper_obs::{Registry, ScopeMetrics};
 
@@ -133,81 +136,128 @@ pub struct EngineStats {
     pub threads: usize,
 }
 
+impl std::ops::AddAssign<ShardStats> for EngineStats {
+    fn add_assign(&mut self, shard: ShardStats) {
+        self.ingest += shard.ingest;
+        self.evicted_timeout += shard.evicted_timeout;
+        self.evicted_cap += shard.evicted_cap;
+        self.drained_eof += shard.drained_eof;
+    }
+}
+
 /// One item in flight to a shard, tagged with its global index.
 struct Routed<I> {
     index: u64,
     item: I,
 }
 
-/// What one shard hands back when its channel drains.
+/// The reader's end of one worker shard: the channel to it and the batch
+/// being filled for it.
+struct Lane<I> {
+    tx: Sender<Vec<Routed<I>>>,
+    pending: Vec<Routed<I>>,
+}
+
+impl<I> Lane<I> {
+    /// Send the pending batch, blocking — and counting a stall — while
+    /// the shard's channel is full.
+    fn flush(&mut self, stats: &mut EngineStats, rm: &mut ScopeMetrics) {
+        if self.pending.is_empty() {
+            return;
+        }
+        rm.count("batches_sent", 1);
+        match self.tx.try_send(std::mem::take(&mut self.pending)) {
+            Ok(()) => {}
+            Err(TrySendError::Full(batch)) => {
+                stats.channel_stalls += 1;
+                rm.count("channel_stalls", 1);
+                // Worker threads only exit when senders drop, so a
+                // blocking send can only fail on worker panic.
+                let sw = rm.start();
+                let _ = self.tx.send(batch);
+                rm.stop("stalled", sw);
+            }
+            Err(TrySendError::Disconnected(_)) => {}
+        }
+    }
+}
+
+/// The lane of the shard a source routed an item to. Sources contract to
+/// route in `0..lanes.len()`; clamp so a misbehaving impl degrades
+/// instead of panicking.
+fn lane_of<I>(lanes: &mut [Lane<I>], route: usize) -> &mut Lane<I> {
+    let shard = route.min(lanes.len().saturating_sub(1));
+    // tamperlint: allow(index) — clamped just above; the reader builds one lane per shard before routing anything
+    &mut lanes[shard]
+}
+
+/// One shard at work: the source's worker-side state, the caller's
+/// accumulator, and the outputs waiting to be folded into it.
+struct ShardRun<W: SourceShard, T> {
+    worker: W,
+    acc: T,
+    stats: ShardStats,
+    emit: Vec<W::Out>,
+    sm: ScopeMetrics,
+}
+
+/// What one shard hands back when its stream ends.
 struct ShardOutcome<T> {
     acc: T,
     stats: ShardStats,
     high_water: usize,
+    sm: ScopeMetrics,
 }
 
-/// Drain a shard's emitted outputs into its accumulator, charging the
-/// classify timer and latency histogram per output.
-fn fold_outputs<T, O, FO>(observe: &FO, acc: &mut T, emit: &mut Vec<O>, sm: &mut ScopeMetrics)
-where
-    FO: Fn(&mut T, O),
-{
-    for out in emit.drain(..) {
-        let sw = sm.start();
-        observe(acc, out);
-        // One clock read feeds both the stage timer and the latency
-        // histogram.
-        if let Some(ns) = sw.elapsed_ns() {
-            sm.record_timer("classify", ns);
-            sm.record_hist("classify_latency_ns", ns);
-        }
-    }
-}
-
-fn run_shard<W, T, FO>(
-    rx: Receiver<Vec<Routed<W::Item>>>,
-    mut worker: W,
-    final_stamp: &AtomicU64,
-    mut acc: T,
-    observe: &FO,
-    mut sm: ScopeMetrics,
-) -> (ShardOutcome<T>, ScopeMetrics)
-where
-    W: SourceShard,
-    FO: Fn(&mut T, W::Out),
-{
-    let mut stats = ShardStats::default();
-    let mut emit: Vec<W::Out> = Vec::new();
-
-    let fold = |acc: &mut T, emit: &mut Vec<W::Out>, sm: &mut ScopeMetrics| {
-        fold_outputs(observe, acc, emit, sm);
-    };
-
-    for batch in rx.iter() {
-        sm.count("batches", 1);
-        for msg in batch {
-            sm.count("records", 1);
-            worker.absorb(msg.index, msg.item, &mut stats, &mut emit, &mut sm);
-            fold(&mut acc, &mut emit, &mut sm);
-        }
-    }
-    // Channel closed: the reader has published the final capture stamp.
-    worker.finish(
-        final_stamp.load(Ordering::Acquire),
-        &mut stats,
-        &mut emit,
-        &mut sm,
-    );
-    fold(&mut acc, &mut emit, &mut sm);
-
-    (
-        ShardOutcome {
+impl<W: SourceShard, T> ShardRun<W, T> {
+    fn new(worker: W, acc: T, sm: ScopeMetrics) -> ShardRun<W, T> {
+        ShardRun {
+            worker,
             acc,
-            stats,
-            high_water: worker.high_water(),
-        },
-        sm,
-    )
+            stats: ShardStats::default(),
+            emit: Vec::new(),
+            sm,
+        }
+    }
+
+    /// Fold every emitted output into the accumulator, charging the
+    /// classify timer and latency histogram per output.
+    fn fold_outputs(&mut self, observe: &impl Fn(&mut T, W::Out)) {
+        for out in self.emit.drain(..) {
+            let sw = self.sm.start();
+            observe(&mut self.acc, out);
+            // One clock read feeds both the stage timer and the latency
+            // histogram.
+            if let Some(ns) = sw.elapsed_ns() {
+                self.sm.record_timer("classify", ns);
+                self.sm.record_hist("classify_latency_ns", ns);
+            }
+        }
+    }
+
+    fn absorb(&mut self, index: u64, item: W::Item, observe: &impl Fn(&mut T, W::Out)) {
+        self.sm.count("records", 1);
+        self.worker
+            .absorb(index, item, &mut self.stats, &mut self.emit, &mut self.sm);
+        self.fold_outputs(observe);
+    }
+
+    /// End of stream: flush the worker against the final capture stamp.
+    fn finish(mut self, final_stamp: u64, observe: &impl Fn(&mut T, W::Out)) -> ShardOutcome<T> {
+        self.worker
+            .finish(final_stamp, &mut self.stats, &mut self.emit, &mut self.sm);
+        self.fold_outputs(observe);
+        // Every flow a shard opens it also closes (eviction or final
+        // drain); an output may carry many flows, so count flows, not
+        // outputs.
+        self.sm.count("flows_closed", self.stats.ingest.flows);
+        ShardOutcome {
+            acc: self.acc,
+            stats: self.stats,
+            high_water: self.worker.high_water(),
+            sm: self.sm,
+        }
+    }
 }
 
 /// Run the streaming engine over any [`FlowSource`], with an optional
@@ -253,47 +303,69 @@ where
         threads,
         ..EngineStats::default()
     };
-
-    let final_ref = &final_stamp;
-    let init_ref = &init;
-    let observe_ref = &observe;
-
-    let mut rm = match obs {
-        Some(r) => r.scope("reader"),
+    let scope = |name: &str| match obs {
+        Some(r) => r.scope(name),
         None => ScopeMetrics::disabled(),
     };
+    let mut rm = scope("reader");
 
-    let outcomes: Vec<(ShardOutcome<T>, ScopeMetrics)> = if threads == 1 {
-        // Single-shard fast path: the one worker runs inline on the
-        // reader thread — the same item sequence and absorb order as the
-        // channel path, so the output is byte-identical, without a
-        // worker thread to hop to. `channel_stalls` stays 0.
-        let mut sm = match obs {
-            Some(r) => r.scope("shard0"),
-            None => ScopeMetrics::disabled(),
-        };
-        let mut worker = src.shard(cfg);
-        let mut shard_stats = ShardStats::default();
-        let mut acc = init();
-        let mut emit: Vec<S::Out> = Vec::new();
+    let outcomes: Vec<ShardOutcome<T>> = crossbeam::thread::scope(|s| {
+        // Delivery is the only thing the shard count selects. One shard
+        // runs inline on this thread — the same item sequence and absorb
+        // order as behind a channel, so the output is byte-identical,
+        // without a worker thread to hop to (`channel_stalls` stays 0).
+        // Otherwise every shard is a thread behind a bounded lane.
+        let mut inline = None;
+        let mut lanes = Vec::new();
+        let mut handles = Vec::new();
+        if threads == 1 {
+            inline = Some(ShardRun::new(src.shard(cfg), init(), scope("shard0")));
+        } else {
+            for i in 0..threads {
+                let (tx, rx) = bounded::<Vec<Routed<S::Item>>>(CHANNEL_CAPACITY);
+                lanes.push(Lane {
+                    tx,
+                    pending: Vec::new(),
+                });
+                let worker = src.shard(cfg);
+                let sm = scope(&format!("shard{i}"));
+                let (init, observe, final_stamp) = (&init, &observe, &final_stamp);
+                handles.push(s.spawn(move |_| {
+                    let mut run = ShardRun::new(worker, init(), sm);
+                    for batch in rx.iter() {
+                        run.sm.count("batches", 1);
+                        for msg in batch {
+                            run.absorb(msg.index, msg.item, observe);
+                        }
+                    }
+                    // Channel closed: the reader has published the final
+                    // capture stamp.
+                    run.finish(final_stamp.load(Ordering::Acquire), observe)
+                }));
+            }
+        }
+
+        let read_sw = rm.start();
         let mut pulled: Vec<S::Item> = Vec::with_capacity(BATCH_SIZE);
         let mut index = 0u64;
-        let read_sw = rm.start();
         loop {
             pulled.clear();
             let more = src.fill(&mut pulled, BATCH_SIZE);
             for item in pulled.drain(..) {
                 stats.records += 1;
                 rm.count("records", 1);
-                match src.route(index, &item, 1) {
-                    Some(_) => {
-                        sm.count("records", 1);
-                        worker.absorb(index, item, &mut shard_stats, &mut emit, &mut sm);
-                        fold_outputs(&observe, &mut acc, &mut emit, &mut sm);
-                    }
-                    None => {
+                match (src.route(index, &item, threads), &mut inline) {
+                    (None, _) => {
                         stats.ingest.unparsable += 1;
                         rm.count("unroutable", 1);
+                    }
+                    (Some(_), Some(run)) => run.absorb(index, item, &observe),
+                    (Some(route), None) => {
+                        let lane = lane_of(&mut lanes, route);
+                        lane.pending.push(Routed { index, item });
+                        if lane.pending.len() >= BATCH_SIZE {
+                            lane.flush(&mut stats, &mut rm);
+                        }
                     }
                 }
                 index += 1;
@@ -302,174 +374,60 @@ where
                 break;
             }
         }
+        for lane in &mut lanes {
+            lane.flush(&mut stats, &mut rm);
+        }
         stats.corrupt_tail = src.corrupt_tail();
         if stats.corrupt_tail {
             rm.count("corrupt_tail", 1);
         }
+        final_stamp.store(src.final_stamp(), Ordering::Release);
+        drop(lanes);
         rm.stop("read", read_sw);
-        worker.finish(src.final_stamp(), &mut shard_stats, &mut emit, &mut sm);
-        fold_outputs(&observe, &mut acc, &mut emit, &mut sm);
-        vec![(
-            ShardOutcome {
-                acc,
-                stats: shard_stats,
-                high_water: worker.high_water(),
-            },
-            sm,
-        )]
-    } else {
-        crossbeam::thread::scope(|s| {
-            let mut senders = Vec::with_capacity(threads);
-            let mut handles = Vec::with_capacity(threads);
-            for i in 0..threads {
-                let (tx, rx) = bounded::<Vec<Routed<S::Item>>>(CHANNEL_CAPACITY);
-                senders.push(tx);
-                let sm = match obs {
-                    Some(r) => r.scope(format!("shard{i}")),
-                    None => ScopeMetrics::disabled(),
-                };
-                let worker = src.shard(cfg);
-                handles.push(
-                    s.spawn(move |_| run_shard(rx, worker, final_ref, init_ref(), observe_ref, sm)),
-                );
-            }
 
-            // ---- reader loop (this thread) ----
-            let read_sw = rm.start();
-            let mut batches: Vec<Vec<Routed<S::Item>>> = (0..threads).map(|_| Vec::new()).collect();
-            let mut pulled: Vec<S::Item> = Vec::with_capacity(BATCH_SIZE);
-            let mut index = 0u64;
-            let flush = |shard: usize,
-                         batches: &mut Vec<Vec<Routed<S::Item>>>,
-                         stats: &mut EngineStats,
-                         rm: &mut ScopeMetrics| {
-                // tamperlint: allow(index) — shard < threads == batches.len(): routes are clamped below
-                let batch = std::mem::take(&mut batches[shard]);
-                if batch.is_empty() {
-                    return;
-                }
-                rm.count("batches_sent", 1);
-                // tamperlint: allow(index) — shard < threads == senders.len(): routes are clamped below
-                match senders[shard].try_send(batch) {
-                    Ok(()) => {}
-                    Err(TrySendError::Full(batch)) => {
-                        stats.channel_stalls += 1;
-                        rm.count("channel_stalls", 1);
-                        // Worker threads only exit when senders drop, so a
-                        // blocking send can only fail on worker panic.
-                        let sw = rm.start();
-                        // tamperlint: allow(index) — same in-bounds shard as the try_send above
-                        let _ = senders[shard].send(batch);
-                        rm.stop("stalled", sw);
-                    }
-                    Err(TrySendError::Disconnected(_)) => {}
-                }
-            };
-            loop {
-                pulled.clear();
-                let more = src.fill(&mut pulled, BATCH_SIZE);
-                for item in pulled.drain(..) {
-                    stats.records += 1;
-                    rm.count("records", 1);
-                    match src.route(index, &item, threads) {
-                        Some(t) => {
-                            // Sources contract to route in 0..threads; clamp
-                            // so a misbehaving impl degrades instead of
-                            // panicking.
-                            let shard = t.min(threads - 1);
-                            // tamperlint: allow(index) — shard < threads == batches.len() by the clamp above
-                            batches[shard].push(Routed { index, item });
-                            // tamperlint: allow(index) — same in-bounds shard as the push above
-                            if batches[shard].len() >= BATCH_SIZE {
-                                flush(shard, &mut batches, &mut stats, &mut rm);
-                            }
-                        }
-                        None => {
-                            stats.ingest.unparsable += 1;
-                            rm.count("unroutable", 1);
-                        }
-                    }
-                    index += 1;
-                }
-                if !more {
-                    break;
-                }
-            }
-            for shard in 0..threads {
-                flush(shard, &mut batches, &mut stats, &mut rm);
-            }
-            stats.corrupt_tail = src.corrupt_tail();
-            if stats.corrupt_tail {
-                rm.count("corrupt_tail", 1);
-            }
-            final_stamp.store(src.final_stamp(), Ordering::Release);
-            drop(senders);
-            rm.stop("read", read_sw);
-
-            handles
-                .into_iter()
+        inline
+            .into_iter()
+            .map(|run| run.finish(src.final_stamp(), &observe))
+            .chain(handles.into_iter().map(|h| {
                 // tamperlint: allow(panic) — join() only fails if the shard itself panicked; re-raising preserves the original panic
-                .map(|h| h.join().expect("engine shard panicked"))
-                .collect()
-        })
-        // tamperlint: allow(panic) — crossbeam scope() only fails if a scoped thread panicked; re-raising preserves it
-        .expect("engine thread scope panicked")
-    };
+                h.join().expect("engine shard panicked")
+            }))
+            .collect()
+    })
+    // tamperlint: allow(panic) — crossbeam scope() only fails if a scoped thread panicked; re-raising preserves it
+    .expect("engine thread scope panicked");
 
     // Merge shard accumulators and counters in shard order — deterministic.
-    let mut mm = match obs {
-        Some(r) => r.scope("merge"),
-        None => ScopeMetrics::disabled(),
-    };
+    let mut mm = scope("merge");
     let merge_sw = mm.start();
-    let mut shard_scopes: Vec<ScopeMetrics> = Vec::with_capacity(threads);
-    let mut shard_outcomes: Vec<ShardOutcome<T>> = Vec::with_capacity(threads);
-    for (o, mut sm) in outcomes {
-        // Every flow a shard opens it also closes (eviction or final
-        // drain); an output may carry many flows, so count flows, not
-        // outputs.
-        sm.count("flows_closed", o.stats.ingest.flows);
-        shard_outcomes.push(o);
-        shard_scopes.push(sm);
-    }
-    let mut it = shard_outcomes.into_iter();
-    // tamperlint: allow(panic) — threads is clamped to >= 1 above, so one shard always exists
-    let first = it.next().expect("at least one shard");
+    let mut merged: Option<T> = None;
     let mut sum_high_water = 0u64;
-    let mut fold_stats = |stats: &mut EngineStats, o: &ShardOutcome<T>| {
-        stats.ingest.flows += o.stats.ingest.flows;
-        stats.ingest.packets += o.stats.ingest.packets;
-        stats.ingest.truncated_packets += o.stats.ingest.truncated_packets;
-        stats.ingest.unparsable += o.stats.ingest.unparsable;
-        stats.ingest.not_inbound += o.stats.ingest.not_inbound;
-        stats.evicted_timeout += o.stats.evicted_timeout;
-        stats.evicted_cap += o.stats.evicted_cap;
-        stats.drained_eof += o.stats.drained_eof;
+    for o in outcomes {
+        stats += o.stats;
         // The engine's peak table occupancy is the *largest* per-shard
         // high-water mark, not the sum of them (the per-shard sum rides
         // the merge scope's `sum_high_water` gauge instead).
         stats.max_live_flows = stats.max_live_flows.max(o.high_water as u64);
         sum_high_water += o.high_water as u64;
-    };
-    fold_stats(&mut stats, &first);
-    let mut acc = first.acc;
-    for o in it {
-        fold_stats(&mut stats, &o);
-        merge(&mut acc, o.acc);
+        match merged.as_mut() {
+            None => merged = Some(o.acc),
+            Some(acc) => merge(acc, o.acc),
+        }
+        if let Some(r) = obs {
+            r.publish(o.sm);
+        }
     }
     mm.stop("merge", merge_sw);
     mm.gauge_set("threads", threads as u64);
     mm.gauge_max("sum_high_water", sum_high_water);
     mm.gauge_max("max_live_flows", stats.max_live_flows);
     if let Some(r) = obs {
-        for sm in shard_scopes {
-            r.publish(sm);
-        }
         r.publish(rm);
         r.publish(mm);
     }
 
-    (acc, stats)
+    // `resolved_threads` is at least 1, so a shard always reported.
+    (merged.unwrap_or_else(init), stats)
 }
 
 #[cfg(test)]
@@ -645,22 +603,26 @@ mod tests {
         let mut w = PcapWriter::new(Vec::new()).unwrap();
         w.write_frame(100, 0, &frame(client(1), 4000, TcpFlags::SYN, 1, b""))
             .unwrap();
-        w.write_frame(100, 1, &[0u8; 3]).unwrap(); // fails the route peek
-                                                   // Valid-looking v4/TCP shape but a corrupt checksum: routes to a
-                                                   // shard, fails full parse there.
+        // Fails the route peek: at two shards the reader drops it, at one
+        // `route` accepts everything and the shard's parse rejects it.
+        w.write_frame(100, 1, &[0u8; 3]).unwrap();
+        // Valid-looking v4/TCP shape but a corrupt checksum: routes to a
+        // shard, fails full parse there.
         let mut good = frame(client(1), 4001, TcpFlags::SYN, 1, b"");
         good[11] ^= 0xff;
         w.write_frame(100, 2, &good).unwrap();
         let bytes = w.into_inner();
-        let (_, stats) = collect_flows(
-            &bytes,
-            &EngineConfig {
-                threads: 2,
-                ..Default::default()
-            },
-        );
-        assert_eq!(stats.ingest.unparsable, 2);
-        assert_eq!(stats.ingest.flows, 1);
+        for threads in [1, 2] {
+            let (_, stats) = collect_flows(
+                &bytes,
+                &EngineConfig {
+                    threads,
+                    ..Default::default()
+                },
+            );
+            assert_eq!(stats.ingest.unparsable, 2, "threads={threads}");
+            assert_eq!(stats.ingest.flows, 1, "threads={threads}");
+        }
     }
 
     #[test]

@@ -18,14 +18,11 @@ pub mod source;
 
 pub use engine::{run_source, EngineConfig, EngineStats};
 pub use offline::{
-    flows_from_pcap, ColumnarFlowTable, EvictionCause, FlowKey, FlowKeyHasher, IngestStats,
-    OfflineConfig,
+    flows_from_pcap, ColumnarFlowTable, EvictionCause, FlowKeyHasher, IngestStats, OfflineConfig,
 };
 pub use pcap::{PcapError, PcapWriter};
 pub use pipeline::{collect, CollectorConfig};
-pub use record::{
-    FlowBatch, FlowCols, FlowRecord, FlowSpan, FlowTuple, PacketRecord, PacketRow, NO_IP_ID,
-};
+pub use record::{FlowBatch, FlowRecord, FlowRows, FlowSpan, FlowTuple, PacketRecord, PacketRow};
 pub use sampler::Sampler;
 pub use source::{
     FlowSource, PcapBatchShard, PcapMemItem, PcapMemSource, ShardStats, SimShard, SimSource,

@@ -7,7 +7,7 @@
 
 use crate::engine::{run_source, EngineConfig};
 use crate::pcap::PcapError;
-use crate::record::{FlowBatch, FlowRecord, FlowTuple, PacketRow, NO_IP_ID};
+use crate::record::{FlowBatch, FlowRecord, FlowTuple, PacketRow};
 use crate::source::PcapMemSource;
 use bytes::Bytes;
 use std::collections::HashMap;
@@ -17,20 +17,7 @@ use tamper_wire::PacketView;
 
 pub use crate::record::EvictionCause;
 
-/// A connection key: client/server addresses and ports.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct FlowKey {
-    /// Client address.
-    pub client_ip: IpAddr,
-    /// Server address.
-    pub server_ip: IpAddr,
-    /// Client port.
-    pub src_port: u16,
-    /// Server port.
-    pub dst_port: u16,
-}
-
-impl std::hash::Hash for FlowKey {
+impl std::hash::Hash for FlowTuple {
     /// Packed writes instead of the derived per-field walk: the derived
     /// impl issues ~8 small `Hasher::write` calls per lookup (enum tags,
     /// octet arrays, ports), which dominated the ingest profile. The
@@ -81,7 +68,7 @@ impl Default for OfflineConfig {
     }
 }
 
-/// A fast, non-keyed hasher for [`FlowKey`] lookups in the columnar
+/// A fast, non-keyed hasher for [`FlowTuple`] lookups in the flow
 /// table: one multiply-rotate fold per 8-byte chunk, finished with a
 /// splitmix64 avalanche. Flow tables are per-shard and bounded by the
 /// live-flow cap, and eviction order never depends on iteration order
@@ -112,7 +99,7 @@ impl Hasher for FlowKeyHasher {
 
     // Word-sized writes feed the mixer directly; the default trait
     // methods would round-trip each one through `write`'s chunking
-    // buffer. [`FlowKey::hash`] emits exactly these three widths.
+    // buffer. [`FlowTuple`]'s `Hash` emits exactly these three widths.
     fn write_u64(&mut self, v: u64) {
         self.mix(v);
     }
@@ -134,10 +121,9 @@ impl Hasher for FlowKeyHasher {
     }
 }
 
-/// One live flow's buffered packets in the columnar table. Slots are
-/// pooled: a closed flow's slot (and its two buffers' capacity) is
-/// recycled for the next flow birth, so a warm table absorbs without
-/// allocating.
+/// One live flow's staged packets. Slots are pooled: a closed flow's
+/// slot (and its two buffers' capacity) is recycled for the next flow
+/// birth, so a warm table absorbs without allocating.
 #[derive(Default)]
 struct Slot {
     tuple: FlowTuple,
@@ -159,24 +145,59 @@ impl Default for FlowTuple {
     }
 }
 
-impl Slot {
-    fn reset(&mut self, tuple: FlowTuple, first_index: u64, ts: u64) {
-        self.tuple = tuple;
-        self.first_index = first_index;
-        self.last_ts = ts;
-        self.truncated = false;
-        self.rows.clear();
-        self.payload.clear();
+/// The slot pool. Every index it hands out ([`SlotPool::open`]) stays in
+/// bounds for the pool's lifetime — slots are recycled, never removed —
+/// and the table only ever holds indices it got from here; the two
+/// accessors own that invariant.
+#[derive(Default)]
+struct SlotPool {
+    slots: Vec<Slot>,
+    free: Vec<u32>,
+}
+
+impl SlotPool {
+    /// A cleared slot for a flow born at record `first_index`, time `ts`.
+    fn open(&mut self, tuple: FlowTuple, first_index: u64, ts: u64) -> u32 {
+        let idx = match self.free.pop() {
+            Some(idx) => idx,
+            None => {
+                // Slots recycle through the free list, so the pool grows
+                // only to the table's live-flow high water.
+                self.slots.push(Slot::default());
+                (self.slots.len() - 1) as u32
+            }
+        };
+        let slot = self.get_mut(idx);
+        slot.tuple = tuple;
+        slot.first_index = first_index;
+        slot.last_ts = ts;
+        slot.truncated = false;
+        slot.rows.clear();
+        slot.payload.clear();
+        idx
     }
 
-    fn packets(&self) -> usize {
-        self.rows.len()
+    /// Return a closed flow's slot for reuse.
+    fn release(&mut self, idx: u32) {
+        self.free.push(idx);
+    }
+
+    fn get(&self, idx: u32) -> &Slot {
+        // tamperlint: allow(index) — idx was handed out by open(), and slots are never removed
+        &self.slots[idx as usize]
+    }
+
+    fn get_mut(&mut self, idx: u32) -> &mut Slot {
+        // tamperlint: allow(index) — idx was handed out by open(), and slots are never removed
+        &mut self.slots[idx as usize]
     }
 }
 
 /// A streaming flow assembler with inactivity-timeout eviction and an
 /// optional live-flow cap — the unit of state one engine shard owns. Live
-/// flows buffer into pooled column slots and close into a [`FlowBatch`].
+/// flows stage [`PacketRow`]s in pooled slots and close into a
+/// [`FlowBatch`] as the same rows. (Nothing here is columnar any more;
+/// the name stays because the frozen `benchmark/` package calls it.)
 ///
 /// Eviction decisions depend only on packet contents and the monotone
 /// capture clock (`stamp`), never on wall time or shard placement, so any
@@ -184,28 +205,27 @@ impl Slot {
 /// closed flows.
 pub struct ColumnarFlowTable {
     cfg: OfflineConfig,
-    flows: HashMap<FlowKey, u32, BuildHasherDefault<FlowKeyHasher>>,
-    slots: Vec<Slot>,
-    free: Vec<u32>,
+    flows: HashMap<FlowTuple, u32, BuildHasherDefault<FlowKeyHasher>>,
+    pool: SlotPool,
     max_live: usize,
     high_water: usize,
     last_sweep: u64,
-    expired_scratch: Vec<(u64, u64, FlowKey)>,
-    /// Lazy timer wheel over expiry seconds: bucket `(last_ts + timeout)
-    /// % wheel.len()` holds `(key, last_ts)` entries pushed whenever a
+    expired_scratch: Vec<(u64, u64, FlowTuple)>,
+    /// Lazy timer wheel over expiry seconds: the bucket of second
+    /// `last_ts + timeout` holds `(key, last_ts)` entries pushed whenever a
     /// flow's activity clock advances. Entries are validated against the
     /// live slot on drain, so stale ones (flow closed, or active again
     /// with a newer entry elsewhere) simply drop — the evicted set and
     /// order remain the same pure function of (last activity, first-seen
     /// index) as a full scan.
-    wheel: Vec<Vec<(FlowKey, u64)>>,
+    wheel: Vec<Vec<(FlowTuple, u64)>>,
     /// Next expiry second the wheel has not yet drained.
     wheel_pos: u64,
     /// The key and slot the previous packet landed in. Packets of one
     /// flow arrive in runs, so this skips the map probe for the common
     /// case. Cleared whenever any flow closes, which keeps the invariant
     /// simple: a populated cache always mirrors a live map entry.
-    last_hit: Option<(FlowKey, u32)>,
+    last_hit: Option<(FlowTuple, u32)>,
 }
 
 impl ColumnarFlowTable {
@@ -217,8 +237,7 @@ impl ColumnarFlowTable {
         ColumnarFlowTable {
             cfg,
             flows: HashMap::default(),
-            slots: Vec::new(),
-            free: Vec::new(),
+            pool: SlotPool::default(),
             max_live,
             high_water: 0,
             last_sweep: 0,
@@ -237,6 +256,13 @@ impl ColumnarFlowTable {
     /// Live flows currently held.
     pub fn live(&self) -> usize {
         self.flows.len()
+    }
+
+    /// The wheel bucket of expiry second `sec`.
+    fn bucket(&mut self, sec: u64) -> &mut Vec<(FlowTuple, u64)> {
+        let b = (sec % self.wheel.len() as u64) as usize;
+        // tamperlint: allow(index) — b is reduced modulo the wheel length, which new() clamps to at least 4
+        &mut self.wheel[b]
     }
 
     /// Absorb one parsed inbound packet. `index` is the reader-assigned
@@ -260,7 +286,7 @@ impl ColumnarFlowTable {
         out: &mut FlowBatch,
     ) {
         self.sweep(stamp, out);
-        let key = FlowKey {
+        let key = FlowTuple {
             client_ip: pv.src,
             server_ip: pv.dst,
             src_port: pv.src_port,
@@ -272,24 +298,7 @@ impl ColumnarFlowTable {
                 std::collections::hash_map::Entry::Occupied(e) => (*e.get(), false),
                 std::collections::hash_map::Entry::Vacant(e) => {
                     stats.flows += 1;
-                    let tuple = FlowTuple {
-                        client_ip: key.client_ip,
-                        server_ip: key.server_ip,
-                        src_port: key.src_port,
-                        dst_port: key.dst_port,
-                    };
-                    let idx = match self.free.pop() {
-                        Some(idx) => idx,
-                        None => {
-                            // tamperlint: allow(unbounded-growth) — pool slots recycle through the free list; live size is bounded by the eviction wheel
-                            self.slots.push(Slot::default());
-                            (self.slots.len() - 1) as u32
-                        }
-                    };
-                    // tamperlint: allow(index) — idx came off the free list or was just pushed; both are in-bounds pool slots
-                    self.slots[idx as usize].reset(tuple, index, ts);
-                    e.insert(idx);
-                    (idx, true)
+                    (*e.insert(self.pool.open(key, index, ts)), true)
                 }
             },
         };
@@ -297,19 +306,15 @@ impl ColumnarFlowTable {
         // Queue a wheel entry whenever the flow's activity clock advances;
         // the entry carries the last_ts it was queued for, so older
         // entries for the same flow invalidate lazily on drain.
-        // tamperlint: allow(index) — the flow map only holds indices of live pool slots
-        let prev_last = self.slots[slot_idx as usize].last_ts;
+        let prev_last = self.pool.get(slot_idx).last_ts;
         let new_last = prev_last.max(ts);
         if born || ts > prev_last {
-            let b = (new_last.saturating_add(self.cfg.flow_timeout_secs) % self.wheel.len() as u64)
-                as usize;
-            // tamperlint: allow(index) — bucket index is reduced modulo the wheel length
-            self.wheel[b].push((key, new_last));
+            self.bucket(new_last.saturating_add(self.cfg.flow_timeout_secs))
+                .push((key, new_last));
         }
-        // tamperlint: allow(index) — the flow map only holds indices of live pool slots
-        let slot = &mut self.slots[slot_idx as usize];
+        let slot = self.pool.get_mut(slot_idx);
         slot.last_ts = new_last;
-        if slot.packets() >= self.cfg.max_packets {
+        if slot.rows.len() >= self.cfg.max_packets {
             slot.truncated = true;
             stats.truncated_packets += 1;
         } else {
@@ -317,9 +322,9 @@ impl ColumnarFlowTable {
                 ts_sec: ts,
                 seq: pv.seq,
                 ack: pv.ack,
-                ip_id: pv.ip_id.map_or(NO_IP_ID, u32::from),
                 payload_off: slot.payload.len() as u32,
                 payload_len: pv.payload.len() as u32,
+                ip_id: pv.ip_id,
                 window: pv.window,
                 flags: pv.flags,
                 ttl: pv.ttl,
@@ -346,21 +351,17 @@ impl ColumnarFlowTable {
         }
         self.last_sweep = stamp;
         let timeout = self.cfg.flow_timeout_secs;
-        let wheel_len = self.wheel.len() as u64;
         let mut expired = std::mem::take(&mut self.expired_scratch);
         expired.clear();
         // One bucket per expiry second the clock passed, capped at a
         // single lap — a second lap would revisit the same buckets.
         let start = self.wheel_pos;
-        let gap = stamp.saturating_sub(start).min(wheel_len);
+        let gap = stamp.saturating_sub(start).min(self.wheel.len() as u64);
         for s in start..start + gap {
-            let b = (s % wheel_len) as usize;
-            // tamperlint: allow(index) — bucket index is reduced modulo the wheel length
-            let mut entries = std::mem::take(&mut self.wheel[b]);
+            let mut entries = std::mem::take(self.bucket(s));
             entries.retain(|&(key, entry_last)| match self.flows.get(&key) {
                 Some(&slot_idx) => {
-                    // tamperlint: allow(index) — the flow map only holds indices of live pool slots
-                    let slot = &self.slots[slot_idx as usize];
+                    let slot = self.pool.get(slot_idx);
                     if slot.last_ts != entry_last {
                         false // superseded by a newer entry
                     } else if slot.last_ts + timeout < stamp {
@@ -372,8 +373,7 @@ impl ColumnarFlowTable {
                 }
                 None => false, // flow already closed
             });
-            // tamperlint: allow(index) — same in-bounds bucket the entries came from
-            self.wheel[b] = entries;
+            *self.bucket(s) = entries;
         }
         self.wheel_pos = stamp;
         expired.sort_unstable_by_key(|&(last_ts, first_index, _)| (last_ts, first_index));
@@ -395,8 +395,7 @@ impl ColumnarFlowTable {
             .flows
             .iter()
             .min_by_key(|(_, &slot_idx)| {
-                // tamperlint: allow(index) — the flow map only holds indices of live pool slots
-                let slot = &self.slots[slot_idx as usize];
+                let slot = self.pool.get(slot_idx);
                 (slot.last_ts, slot.first_index)
             })
             .map(|(k, _)| *k);
@@ -416,11 +415,9 @@ impl ColumnarFlowTable {
         self.last_hit = None;
         let timeout = self.cfg.flow_timeout_secs;
         let mut rest: Vec<u32> = self.flows.drain().map(|(_, slot_idx)| slot_idx).collect();
-        // tamperlint: allow(index) — the flow map only holds indices of live pool slots
-        rest.sort_unstable_by_key(|&slot_idx| self.slots[slot_idx as usize].first_index);
+        rest.sort_unstable_by_key(|&slot_idx| self.pool.get(slot_idx).first_index);
         for slot_idx in rest {
-            // tamperlint: allow(index) — same live pool indices, drained from the map above
-            let cause = if self.slots[slot_idx as usize].last_ts + timeout < final_stamp {
+            let cause = if self.pool.get(slot_idx).last_ts + timeout < final_stamp {
                 EvictionCause::Timeout
             } else {
                 EvictionCause::EndOfCapture
@@ -429,25 +426,23 @@ impl ColumnarFlowTable {
         }
     }
 
-    /// Copy one slot's columns into the output batch and recycle the slot.
+    /// Append one slot's rows to the output batch and recycle the slot.
     fn close_into(&mut self, slot_idx: u32, cause: EvictionCause, out: &mut FlowBatch) {
-        // tamperlint: allow(index) — callers pass indices removed from the flow map, all live pool slots
-        let slot = &self.slots[slot_idx as usize];
+        let slot = self.pool.get(slot_idx);
         let last = slot.rows.iter().map(|r| r.ts_sec).max().unwrap_or(0);
         // Mirror an online collector that watched the flow for the timeout
         // window after its last retained packet.
         let observation_end_sec = last + self.cfg.flow_timeout_secs;
-        let pkt_start = out.packet_count() as u32;
-        out.extend_rows(&slot.rows, &slot.payload);
-        out.push_flow(
+        out.push_rows(
             slot.tuple,
-            pkt_start,
+            &slot.rows,
+            &slot.payload,
             slot.first_index,
             observation_end_sec,
             slot.truncated,
             cause,
         );
-        self.free.push(slot_idx);
+        self.pool.release(slot_idx);
     }
 }
 
@@ -504,6 +499,16 @@ pub struct IngestStats {
     pub not_inbound: u64,
 }
 
+impl std::ops::AddAssign for IngestStats {
+    fn add_assign(&mut self, other: IngestStats) {
+        self.flows += other.flows;
+        self.packets += other.packets;
+        self.truncated_packets += other.truncated_packets;
+        self.unparsable += other.unparsable;
+        self.not_inbound += other.not_inbound;
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -526,7 +531,11 @@ mod tests {
         seq: u32,
         payload: &'static [u8],
     ) -> Vec<u8> {
-        PacketBuilder::new(src, server(), sport, 443)
+        let dst = match src {
+            IpAddr::V4(_) => server(),
+            IpAddr::V6(_) => "::ffff:198.51.100.1".parse().unwrap(),
+        };
+        PacketBuilder::new(src, dst, sport, 443)
             .flags(flags)
             .seq(seq)
             .payload(Bytes::from_static(payload))
@@ -683,6 +692,20 @@ mod tests {
         );
         assert_eq!(cap1.stats, stats(53));
         assert_eq!(cap1.high_water, 1);
+    }
+
+    #[test]
+    fn a_v4_tuple_and_its_v6_mapped_twin_are_two_flows() {
+        // `FlowTuple`'s packed hash widens v4 addresses to their v6-mapped
+        // form next to a v6 one, so these two keys may share a bucket;
+        // `Eq` must still keep them apart.
+        let v4 = Ipv4Addr::new(203, 0, 113, 9);
+        let schedule = [
+            (IpAddr::V4(v4), 4000, 100),
+            (IpAddr::V6(v4.to_ipv6_mapped()), 4000, 100),
+        ];
+        let twins = replay(&schedule, &OfflineConfig::default(), 0);
+        assert_eq!(twins.closed, "0E 1E");
     }
 
     #[test]

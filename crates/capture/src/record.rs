@@ -4,6 +4,13 @@
 //! connection: up to ten **inbound** packets with full headers and
 //! payloads, timestamped at one-second granularity, possibly logged out of
 //! order. Nothing else about the connection is available downstream.
+//!
+//! The same packet has one other shape: a [`PacketRow`], whose payload is
+//! a range of a shared arena instead of an owned buffer. The flow table
+//! stages rows, a [`FlowBatch`] carries the rows of many finished flows,
+//! and the classifier reads them in place through [`FlowRows`];
+//! [`FlowBatch::materialize`] and [`FlowBatch::push_record`] convert
+//! between the two shapes.
 
 use bytes::Bytes;
 use std::net::IpAddr;
@@ -94,9 +101,10 @@ pub enum EvictionCause {
     EndOfCapture,
 }
 
-/// An interned flow 4-tuple: stored once per flow in a batch instead of
-/// once per packet.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+/// A flow 4-tuple. The flow table keys live flows by it (see its packed
+/// `Hash` in [`crate::offline`]) and every finished flow's [`FlowSpan`]
+/// carries it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FlowTuple {
     /// Client (source) address.
     pub client_ip: IpAddr,
@@ -109,12 +117,12 @@ pub struct FlowTuple {
 }
 
 /// One finished flow inside a [`FlowBatch`]: an index range into the
-/// packed packet columns plus the per-flow metadata a [`FlowRecord`]
-/// would carry.
-#[derive(Debug, Clone, Copy)]
+/// batch's packet rows plus the per-flow metadata a [`FlowRecord`] would
+/// carry.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FlowSpan {
-    /// Index into the batch's interned tuples.
-    pub tuple: u32,
+    /// The flow's 4-tuple.
+    pub tuple: FlowTuple,
     /// First packet row of this flow (inclusive).
     pub pkt_start: u32,
     /// One past the last packet row of this flow.
@@ -129,54 +137,37 @@ pub struct FlowSpan {
     pub cause: EvictionCause,
 }
 
-/// Sentinel in the batch `ip_id` column for packets without an IPv4
-/// identification field (IPv6).
-pub const NO_IP_ID: u32 = u32::MAX;
-
-/// One packet staged in a live-flow slot, row form. The flow table
-/// buffers rows per live flow (one push per packet) and transposes them
-/// into [`FlowBatch`] columns in bulk when the flow closes — see
-/// [`FlowBatch::extend_rows`]. `payload_off`/`payload_len` index the
-/// staging slot's own payload buffer; `ip_id` uses the [`NO_IP_ID`]
-/// sentinel.
-#[derive(Clone, Copy, Debug, Default)]
-#[allow(missing_docs)] // field meanings match the FlowBatch columns documented above
+/// One staged packet: a [`PacketRecord`] whose payload is a range of a
+/// shared byte arena instead of an owned buffer. This is the one layout
+/// from the flow table (where `payload_off` indexes the live flow's own
+/// staging buffer) through [`FlowBatch`] (where it indexes the batch
+/// arena) to the classifier.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[allow(missing_docs)] // field meanings match `PacketRecord`'s
 pub struct PacketRow {
     pub ts_sec: u64,
     pub seq: u32,
     pub ack: u32,
-    pub ip_id: u32,
     pub payload_off: u32,
     pub payload_len: u32,
+    pub ip_id: Option<u16>,
     pub window: u16,
     pub flags: TcpFlags,
     pub ttl: u8,
     pub has_tcp_options: bool,
 }
 
-/// Arena/SoA storage for a batch of finished flows.
+/// A batch of finished flows: packet rows, one payload arena, and one
+/// [`FlowSpan`] per flow.
 ///
-/// Packet fields live in packed parallel columns, payload bytes in one
-/// shared arena, and each flow is a [`FlowSpan`] index range — no
-/// per-flow `Vec<PacketRecord>`, no per-packet `Bytes`. A shard fills a
-/// batch as its flow table evicts, hands it downstream whole, and the
-/// classifier walks it through [`FlowCols`] column slices. `clear()`
-/// retains every buffer's capacity, so a recycled batch ingests and
-/// classifies without touching the heap.
-#[derive(Debug, Default)]
+/// No per-flow `Vec<PacketRecord>`, no per-packet `Bytes`: a shard appends
+/// each flow its table closes ([`push_rows`](Self::push_rows)), hands the
+/// batch downstream whole, and the classifier walks it through
+/// [`FlowRows`] slices without touching the heap.
+#[derive(Debug, Default, PartialEq, Eq)]
 pub struct FlowBatch {
-    ts_sec: Vec<u64>,
-    flags: Vec<TcpFlags>,
-    seq: Vec<u32>,
-    ack: Vec<u32>,
-    ip_id: Vec<u32>,
-    ttl: Vec<u8>,
-    window: Vec<u16>,
-    payload_off: Vec<u32>,
-    payload_len: Vec<u32>,
-    has_tcp_options: Vec<bool>,
+    rows: Vec<PacketRow>,
     arena: Vec<u8>,
-    tuples: Vec<FlowTuple>,
     spans: Vec<FlowSpan>,
 }
 
@@ -191,11 +182,6 @@ impl FlowBatch {
         self.spans.len()
     }
 
-    /// Number of packet rows across all flows.
-    pub fn packet_count(&self) -> usize {
-        self.ts_sec.len()
-    }
-
     /// Payload arena occupancy in bytes.
     pub fn arena_bytes(&self) -> usize {
         self.arena.len()
@@ -206,92 +192,69 @@ impl FlowBatch {
         self.spans.is_empty()
     }
 
-    /// Drop all rows but keep every buffer's capacity.
-    pub fn clear(&mut self) {
-        self.ts_sec.clear();
-        self.flags.clear();
-        self.seq.clear();
-        self.ack.clear();
-        self.ip_id.clear();
-        self.ttl.clear();
-        self.window.clear();
-        self.payload_off.clear();
-        self.payload_len.clear();
-        self.has_tcp_options.clear();
-        self.arena.clear();
-        self.tuples.clear();
-        self.spans.clear();
-    }
-
-    /// Append one packet row. Rows between the previous flow's end and the
-    /// next [`push_flow`](Self::push_flow) belong to the flow being built.
+    /// Append one closed flow from the flow table's staging: `rows` with
+    /// `payload_off` relative to `payload`, rebased onto this batch's
+    /// arena.
     #[allow(clippy::too_many_arguments)]
-    pub fn push_packet(
-        &mut self,
-        ts_sec: u64,
-        flags: TcpFlags,
-        seq: u32,
-        ack: u32,
-        ip_id: Option<u16>,
-        ttl: u8,
-        window: u16,
-        payload: &[u8],
-        has_tcp_options: bool,
-    ) {
-        self.ts_sec.push(ts_sec);
-        self.flags.push(flags);
-        self.seq.push(seq);
-        self.ack.push(ack);
-        self.ip_id.push(ip_id.map_or(NO_IP_ID, u32::from));
-        self.ttl.push(ttl);
-        self.window.push(window);
-        self.payload_off.push(self.arena.len() as u32);
-        self.payload_len.push(payload.len() as u32);
-        self.has_tcp_options.push(has_tcp_options);
-        self.arena.extend_from_slice(payload);
-    }
-
-    /// Append a staged flow's packet rows in one pass: one bulk extend
-    /// per column instead of ten capacity checks per packet. `payload`
-    /// is the staging arena the rows' `payload_off` values index into;
-    /// offsets are rebased onto this batch's arena.
-    pub fn extend_rows(&mut self, rows: &[PacketRow], payload: &[u8]) {
-        let base = self.arena.len() as u32;
-        self.ts_sec.extend(rows.iter().map(|r| r.ts_sec));
-        self.flags.extend(rows.iter().map(|r| r.flags));
-        self.seq.extend(rows.iter().map(|r| r.seq));
-        self.ack.extend(rows.iter().map(|r| r.ack));
-        self.ip_id.extend(rows.iter().map(|r| r.ip_id));
-        self.ttl.extend(rows.iter().map(|r| r.ttl));
-        self.window.extend(rows.iter().map(|r| r.window));
-        self.payload_off
-            .extend(rows.iter().map(|r| base + r.payload_off));
-        self.payload_len.extend(rows.iter().map(|r| r.payload_len));
-        self.has_tcp_options
-            .extend(rows.iter().map(|r| r.has_tcp_options));
-        self.arena.extend_from_slice(payload);
-    }
-
-    /// Seal the packet rows from `pkt_start` to the current end as one
-    /// finished flow.
-    pub fn push_flow(
+    pub fn push_rows(
         &mut self,
         tuple: FlowTuple,
-        pkt_start: u32,
+        rows: &[PacketRow],
+        payload: &[u8],
         first_index: u64,
         observation_end_sec: u64,
         truncated: bool,
         cause: EvictionCause,
     ) {
-        let tuple_idx = self.tuples.len() as u32;
-        self.tuples.push(tuple);
+        let pkt_start = self.rows.len() as u32;
+        let base = self.arena.len() as u32;
+        self.rows.extend(rows.iter().map(|r| PacketRow {
+            payload_off: base + r.payload_off,
+            ..*r
+        }));
+        self.arena.extend_from_slice(payload);
         self.spans.push(FlowSpan {
-            tuple: tuple_idx,
+            tuple,
             pkt_start,
-            pkt_end: self.ts_sec.len() as u32,
+            pkt_end: self.rows.len() as u32,
             first_index,
             observation_end_sec,
             truncated,
+            cause,
+        });
+    }
+
+    /// Append one owned record — the inverse of
+    /// [`materialize`](Self::materialize).
+    pub fn push_record(&mut self, flow: &FlowRecord, first_index: u64, cause: EvictionCause) {
+        let pkt_start = self.rows.len() as u32;
+        for p in &flow.packets {
+            self.rows.push(PacketRow {
+                ts_sec: p.ts_sec,
+                seq: p.seq,
+                ack: p.ack,
+                payload_off: self.arena.len() as u32,
+                payload_len: p.payload.len() as u32,
+                ip_id: p.ip_id,
+                window: p.window,
+                flags: p.flags,
+                ttl: p.ttl,
+                has_tcp_options: p.has_tcp_options,
+            });
+            self.arena.extend_from_slice(&p.payload);
+        }
+        self.spans.push(FlowSpan {
+            tuple: FlowTuple {
+                client_ip: flow.client_ip,
+                server_ip: flow.server_ip,
+                src_port: flow.src_port,
+                dst_port: flow.dst_port,
+            },
+            pkt_start,
+            pkt_end: self.rows.len() as u32,
+            first_index,
+            observation_end_sec: flow.observation_end_sec,
+            truncated: flow.truncated,
             cause,
         });
     }
@@ -301,26 +264,11 @@ impl FlowBatch {
         &self.spans
     }
 
-    /// The 4-tuple of a span.
-    pub fn tuple(&self, span: &FlowSpan) -> &FlowTuple {
-        &self.tuples[span.tuple as usize]
-    }
-
-    /// Column slices for flow `i` — the classifier's view of one flow.
-    pub fn flow_cols(&self, i: usize) -> FlowCols<'_> {
+    /// The packet rows of flow `i` — the classifier's view of one flow.
+    pub fn flow_rows(&self, i: usize) -> FlowRows<'_> {
         let span = &self.spans[i];
-        let r = span.pkt_start as usize..span.pkt_end as usize;
-        FlowCols {
-            ts_sec: &self.ts_sec[r.clone()],
-            flags: &self.flags[r.clone()],
-            seq: &self.seq[r.clone()],
-            ack: &self.ack[r.clone()],
-            ip_id: &self.ip_id[r.clone()],
-            ttl: &self.ttl[r.clone()],
-            window: &self.window[r.clone()],
-            payload_off: &self.payload_off[r.clone()],
-            payload_len: &self.payload_len[r.clone()],
-            has_tcp_options: &self.has_tcp_options[r],
+        FlowRows {
+            rows: &self.rows[span.pkt_start as usize..span.pkt_end as usize],
             arena: &self.arena,
         }
     }
@@ -329,27 +277,29 @@ impl FlowBatch {
     /// and evidence labeling, off the classification hot path.
     pub fn materialize(&self, i: usize) -> FlowRecord {
         let span = &self.spans[i];
-        let tuple = self.tuple(span);
-        let cols = self.flow_cols(i);
-        let packets = (0..cols.len())
-            .map(|p| PacketRecord {
-                ts_sec: cols.ts_sec[p],
-                flags: cols.flags[p],
-                seq: cols.seq[p],
-                ack: cols.ack[p],
-                ip_id: cols.ip_id_of(p),
-                ttl: cols.ttl[p],
-                window: cols.window[p],
-                payload_len: cols.payload_len[p],
-                payload: Bytes::copy_from_slice(cols.payload_of(p)),
-                has_tcp_options: cols.has_tcp_options[p],
+        let flow = self.flow_rows(i);
+        let packets = flow
+            .rows
+            .iter()
+            .enumerate()
+            .map(|(p, r)| PacketRecord {
+                ts_sec: r.ts_sec,
+                flags: r.flags,
+                seq: r.seq,
+                ack: r.ack,
+                ip_id: r.ip_id,
+                ttl: r.ttl,
+                window: r.window,
+                payload_len: r.payload_len,
+                payload: Bytes::copy_from_slice(flow.payload_of(p)),
+                has_tcp_options: r.has_tcp_options,
             })
             .collect();
         FlowRecord {
-            client_ip: tuple.client_ip,
-            server_ip: tuple.server_ip,
-            src_port: tuple.src_port,
-            dst_port: tuple.dst_port,
+            client_ip: span.tuple.client_ip,
+            server_ip: span.tuple.server_ip,
+            src_port: span.tuple.src_port,
+            dst_port: span.tuple.dst_port,
             packets,
             observation_end_sec: span.observation_end_sec,
             truncated: span.truncated,
@@ -357,66 +307,31 @@ impl FlowBatch {
     }
 }
 
-/// Borrowed column slices of one flow inside a [`FlowBatch`] — all
-/// slices share the flow's packet range; `arena` is the whole batch
-/// payload arena (offsets in `payload_off` are absolute).
+/// The borrowed packet rows of one flow inside a [`FlowBatch`]; `arena` is
+/// the whole batch payload arena (each row's `payload_off` is absolute).
 #[derive(Debug, Clone, Copy)]
-pub struct FlowCols<'a> {
-    /// Arrival timestamps (seconds).
-    pub ts_sec: &'a [u64],
-    /// TCP flag bytes.
-    pub flags: &'a [TcpFlags],
-    /// Sequence numbers.
-    pub seq: &'a [u32],
-    /// Acknowledgement numbers.
-    pub ack: &'a [u32],
-    /// IPv4 identification, [`NO_IP_ID`] on IPv6.
-    pub ip_id: &'a [u32],
-    /// TTLs / hop limits.
-    pub ttl: &'a [u8],
-    /// Receive windows.
-    pub window: &'a [u16],
-    /// Absolute payload offsets into `arena`.
-    pub payload_off: &'a [u32],
-    /// Payload lengths.
-    pub payload_len: &'a [u32],
-    /// TCP-options-present bits.
-    pub has_tcp_options: &'a [bool],
+pub struct FlowRows<'a> {
+    /// The flow's packets, in log order.
+    pub rows: &'a [PacketRow],
     /// The batch payload arena.
     pub arena: &'a [u8],
 }
 
-impl FlowCols<'_> {
-    /// Number of packets in the flow.
-    pub fn len(&self) -> usize {
-        self.ts_sec.len()
-    }
-
-    /// True if the flow logged no packets.
-    pub fn is_empty(&self) -> bool {
-        self.ts_sec.is_empty()
-    }
-
+impl FlowRows<'_> {
     /// Payload bytes of packet `i`.
     pub fn payload_of(&self, i: usize) -> &[u8] {
-        let off = self.payload_off[i] as usize;
-        &self.arena[off..off + self.payload_len[i] as usize]
-    }
-
-    /// IPv4 identification of packet `i`, decoded from the sentinel column.
-    pub fn ip_id_of(&self, i: usize) -> Option<u16> {
-        let raw = self.ip_id[i];
-        if raw == NO_IP_ID {
-            None
-        } else {
-            Some(raw as u16)
-        }
+        let r = &self.rows[i];
+        let off = r.payload_off as usize;
+        &self.arena[off..off + r.payload_len as usize]
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::{run_source, EngineConfig};
+    use crate::pcap::{PcapWriter, GLOBAL_HEADER_LEN};
+    use crate::source::PcapMemSource;
     use std::net::Ipv4Addr;
     use tamper_wire::PacketBuilder;
 
@@ -451,64 +366,57 @@ mod tests {
     }
 
     #[test]
-    fn batch_round_trips_through_materialize() {
-        let mut batch = FlowBatch::new();
-        let t0 = FlowTuple {
-            client_ip: IpAddr::V4(Ipv4Addr::new(10, 0, 0, 1)),
-            server_ip: IpAddr::V4(Ipv4Addr::new(10, 0, 0, 2)),
-            src_port: 4000,
-            dst_port: 443,
-        };
-        batch.push_packet(100, TcpFlags::SYN, 1, 0, Some(7), 52, 65535, b"", true);
-        batch.push_packet(
-            101,
-            TcpFlags::PSH_ACK,
-            2,
-            9,
-            Some(8),
-            52,
-            1000,
-            b"abc",
-            false,
+    fn push_record_inverts_materialize_on_the_golden_corpus() {
+        let mut capture = std::fs::read(concat!(
+            env!("CARGO_MANIFEST_DIR"),
+            "/../../tests/fixtures/golden.pcap"
+        ))
+        .expect("tests/fixtures/golden.pcap present");
+        // The corpus is all IPv4, so append the no-IP-ID case: the records
+        // of an IPv6 flow with and without payload.
+        let mut v6 = PcapWriter::new(Vec::new()).unwrap();
+        for (flags, payload) in [
+            (TcpFlags::SYN, &b""[..]),
+            (TcpFlags::PSH_ACK, &b"GET / HTTP/1.1\r\n"[..]),
+        ] {
+            let pkt = PacketBuilder::new(
+                "2001:db8::1".parse().unwrap(),
+                "2001:db8::2".parse().unwrap(),
+                4001,
+                80,
+            )
+            .flags(flags)
+            .payload(Bytes::copy_from_slice(payload))
+            .build();
+            v6.write_packet(200, 0, &pkt).unwrap();
+        }
+        capture.extend_from_slice(&v6.into_inner()[GLOBAL_HEADER_LEN..]);
+
+        let (batches, _) = run_source(
+            PcapMemSource::new(capture.into()).unwrap(),
+            &EngineConfig::default(),
+            None,
+            Vec::new,
+            |acc: &mut Vec<FlowBatch>, batch| acc.push(batch),
+            |a, mut b| a.append(&mut b),
         );
-        batch.push_flow(t0, 0, 5, 131, false, EvictionCause::Timeout);
-        let t1 = FlowTuple {
-            client_ip: "2001:db8::1".parse().unwrap(),
-            server_ip: "2001:db8::2".parse().unwrap(),
-            src_port: 4001,
-            dst_port: 80,
-        };
-        batch.push_packet(200, TcpFlags::RST, 3, 0, None, 200, 0, b"", false);
-        batch.push_flow(t1, 2, 9, 230, true, EvictionCause::EndOfCapture);
-
-        assert_eq!(batch.flow_count(), 2);
-        assert_eq!(batch.packet_count(), 3);
-        assert_eq!(batch.arena_bytes(), 3);
-
-        let f0 = batch.materialize(0);
-        assert_eq!(f0.client_ip, t0.client_ip);
-        assert_eq!(f0.packets.len(), 2);
-        assert_eq!(f0.packets[0].flags, TcpFlags::SYN);
-        assert_eq!(f0.packets[1].payload, Bytes::from_static(b"abc"));
-        assert_eq!(f0.packets[1].ip_id, Some(8));
-        assert_eq!(f0.observation_end_sec, 131);
-        assert!(!f0.truncated);
-
-        let f1 = batch.materialize(1);
-        assert!(f1.client_ip.is_ipv6());
-        assert_eq!(f1.packets[0].ip_id, None);
-        assert!(f1.truncated);
-        assert_eq!(batch.spans()[1].cause, EvictionCause::EndOfCapture);
-
-        let cols = batch.flow_cols(0);
-        assert_eq!(cols.len(), 2);
-        assert_eq!(cols.payload_of(1), b"abc");
-        assert_eq!(cols.ip_id_of(0), Some(7));
-        assert_eq!(batch.flow_cols(1).ip_id_of(0), None);
-
-        batch.clear();
-        assert!(batch.is_empty());
-        assert_eq!(batch.packet_count(), 0);
-        assert_eq!(batch.arena_bytes(), 0);
+        let mut packets = Vec::new();
+        for batch in &batches {
+            let mut again = FlowBatch::new();
+            for (i, span) in batch.spans().iter().enumerate() {
+                let record = batch.materialize(i);
+                again.push_record(&record, span.first_index, span.cause);
+                packets.extend(record.packets);
+            }
+            assert_eq!(&again, batch);
+        }
+        assert_eq!(
+            batches.iter().map(FlowBatch::flow_count).sum::<usize>(),
+            21 + 1
+        );
+        assert!(packets.iter().any(|p| p.ip_id.is_none()));
+        assert!(packets.iter().any(|p| p.ip_id.is_some()));
+        assert!(packets.iter().any(|p| p.payload.is_empty()));
+        assert!(packets.iter().any(|p| p.has_payload()));
     }
 }

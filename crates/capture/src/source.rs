@@ -1,9 +1,10 @@
 //! Pluggable front-ends for the streaming engine: the [`FlowSource`]
 //! trait and its two implementations.
 //!
-//! The engine in [`crate::engine`] is one reader thread fanning batches
-//! out to N shard workers over bounded channels. Everything specific to
-//! *where the stream comes from* lives behind [`FlowSource`]:
+//! The engine in [`crate::engine`] is one reader loop delivering items to
+//! N shard workers (inline at one shard, over bounded channels
+//! otherwise). Everything specific to *where the stream comes from* lives
+//! behind [`FlowSource`]:
 //!
 //! * [`PcapMemSource`] — a classic pcap capture held in memory; items are
 //!   byte ranges stamped with the capture clock, shards parse borrowed
@@ -20,10 +21,11 @@
 //! owns it. Routing must be a pure function of the item (never of
 //! scheduling), so the partition of work — and therefore every
 //! deterministic output — is identical for a given shard count.
-//! [`SourceShard::absorb`] and [`SourceShard::finish`] run on worker
-//! threads; they fold per-shard counters into a [`ShardStats`] and push
-//! finished units of work into `emit`, which the engine hands to the
-//! caller's observe closure in emission order.
+//! [`SourceShard::absorb`] and [`SourceShard::finish`] run on the shard's
+//! thread (the reader's own at one shard); they fold per-shard counters
+//! into a [`ShardStats`] and push finished units of work into `emit`,
+//! which the engine hands to the caller's observe closure in emission
+//! order.
 
 use crate::engine::EngineConfig;
 use crate::offline::{ColumnarFlowTable, EvictionCause, IngestStats};
@@ -53,7 +55,8 @@ pub struct ShardStats {
 /// A pull-based, shardable stream of work for the engine.
 ///
 /// Implementations are driven from the reader thread; the shards they
-/// build via [`FlowSource::shard`] are moved onto worker threads.
+/// build via [`FlowSource::shard`] are moved onto worker threads when
+/// there is more than one.
 pub trait FlowSource {
     /// One unit of work in flight from the reader to a shard.
     type Item: Send;
@@ -133,7 +136,7 @@ pub trait SourceShard {
 
 // ---------------------------------------------------------------------
 // PcapMemSource — an in-memory pcap, framed zero-copy, assembled into
-// columnar FlowBatches on the shards.
+// FlowBatches on the shards.
 // ---------------------------------------------------------------------
 
 /// One pcap record framed inside a shared in-memory capture: byte range

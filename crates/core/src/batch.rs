@@ -3,10 +3,10 @@
 //! Classification is a pure function of a finished flow's packets and its
 //! observation horizon. One generic body reads the packets through
 //! [`PacketsView`], so the same code serves both layouts the pipeline
-//! holds flows in: the column slices of a [`FlowBatch`]
+//! holds flows in: the arena-backed [`FlowRows`] of a [`FlowBatch`]
 //! ([`classify_span`](BatchClassifier::classify_span) /
 //! [`classify_batch`](BatchClassifier::classify_batch), the pcap engine's
-//! path) and the row-wise [`FlowRecord`]
+//! path) and the owned [`FlowRecord`]
 //! ([`classify_record`](BatchClassifier::classify_record), the simulator's
 //! path) — verdicts are identical by construction. The classifier owns
 //! its scratch buffers and reuses them across flows and batches: warm
@@ -20,32 +20,32 @@ use crate::reorder::reconstruct_order;
 use crate::signature::{Classification, Signature, Stage};
 use crate::trigger;
 use crate::view::PacketsView;
-use tamper_capture::{FlowBatch, FlowCols, FlowRecord};
+use tamper_capture::{FlowBatch, FlowRecord, FlowRows};
 use tamper_wire::TcpFlags;
 
-impl PacketsView for FlowCols<'_> {
+impl PacketsView for FlowRows<'_> {
     fn len(&self) -> usize {
-        FlowCols::len(self)
+        self.rows.len()
     }
 
     fn ts_sec(&self, i: usize) -> u64 {
-        self.ts_sec[i]
+        self.rows[i].ts_sec
     }
 
     fn flags(&self, i: usize) -> TcpFlags {
-        self.flags[i]
+        self.rows[i].flags
     }
 
     fn seq(&self, i: usize) -> u32 {
-        self.seq[i]
+        self.rows[i].seq
     }
 
     fn ack(&self, i: usize) -> u32 {
-        self.ack[i]
+        self.rows[i].ack
     }
 
     fn payload_len(&self, i: usize) -> u32 {
-        self.payload_len[i]
+        self.rows[i].payload_len
     }
 
     fn payload(&self, i: usize) -> &[u8] {
@@ -94,11 +94,9 @@ impl BatchClassifier {
     /// materialized [`FlowRecord`].
     pub fn classify_span(&mut self, batch: &FlowBatch, i: usize) -> FlowAnalysis {
         let span = &batch.spans()[i];
-        let tuple = batch.tuple(span);
-        let cols = batch.flow_cols(i);
         self.classify_view(
-            tuple.dst_port,
-            &cols,
+            span.tuple.dst_port,
+            &batch.flow_rows(i),
             span.truncated,
             span.observation_end_sec,
         )
@@ -224,61 +222,66 @@ impl BatchClassifier {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::net::{IpAddr, Ipv4Addr};
-    use tamper_capture::{EvictionCause, FlowTuple};
-    use tamper_wire::TcpFlags;
-
-    fn tuple(sport: u16) -> FlowTuple {
-        FlowTuple {
-            client_ip: IpAddr::V4(Ipv4Addr::new(203, 0, 113, 7)),
-            server_ip: IpAddr::V4(Ipv4Addr::new(198, 51, 100, 1)),
-            src_port: sport,
-            dst_port: 443,
-        }
-    }
+    use tamper_capture::{EvictionCause, PacketRecord};
 
     #[test]
-    fn columns_match_materialized_rows() {
+    fn arena_rows_match_owned_records() {
+        let syn = PacketRecord {
+            ts_sec: 100,
+            flags: TcpFlags::SYN,
+            seq: 1,
+            ack: 0,
+            ip_id: Some(7),
+            ttl: 64,
+            window: 1024,
+            payload_len: 0,
+            payload: bytes::Bytes::new(),
+            has_tcp_options: false,
+        };
+        let data = PacketRecord {
+            flags: TcpFlags::PSH_ACK,
+            seq: 2,
+            ack: 900,
+            payload_len: 5,
+            payload: bytes::Bytes::from_static(b"hello"),
+            ..syn.clone()
+        };
+        let rst = PacketRecord {
+            ts_sec: 101,
+            flags: TcpFlags::RST,
+            seq: 7,
+            ..syn.clone()
+        };
+        let syn_data_rst = FlowRecord {
+            client_ip: "203.0.113.7".parse().unwrap(),
+            server_ip: "198.51.100.1".parse().unwrap(),
+            src_port: 4000,
+            dst_port: 443,
+            packets: vec![syn.clone(), data, rst],
+            observation_end_sec: 131,
+            truncated: false,
+        };
+        let empty = FlowRecord {
+            packets: Vec::new(),
+            ..syn_data_rst.clone()
+        };
+        let truncated_syn = FlowRecord {
+            packets: vec![syn],
+            truncated: true,
+            ..syn_data_rst.clone()
+        };
+        let flows = [syn_data_rst, empty, truncated_syn];
         let mut batch = FlowBatch::new();
-        // Flow 0: SYN, data, RST.
-        batch.push_packet(100, TcpFlags::SYN, 1, 0, Some(7), 64, 1024, b"", false);
-        batch.push_packet(
-            100,
-            TcpFlags::PSH_ACK,
-            2,
-            900,
-            Some(8),
-            64,
-            1024,
-            b"hello",
-            false,
-        );
-        batch.push_packet(101, TcpFlags::RST, 7, 0, Some(9), 44, 0, b"", false);
-        batch.push_flow(tuple(4000), 0, 0, 131, false, EvictionCause::EndOfCapture);
-        // Flow 1: empty (zero packets).
-        batch.push_flow(tuple(4001), 3, 1, 131, false, EvictionCause::EndOfCapture);
-        // Flow 2: single truncated SYN.
-        batch.push_packet(105, TcpFlags::SYN, 9, 0, None, 32, 512, b"", true);
-        batch.push_flow(tuple(4002), 3, 2, 140, true, EvictionCause::Timeout);
+        for (i, f) in flows.iter().enumerate() {
+            batch.push_record(f, i as u64, EvictionCause::EndOfCapture);
+        }
 
         let mut clf = BatchClassifier::new(ClassifierConfig::default());
         let got: Vec<FlowAnalysis> = clf.classify_batch(&batch).to_vec();
-        assert_eq!(got.len(), 3);
         let mut rows = BatchClassifier::new(ClassifierConfig::default());
-        for (i, analysis) in got.iter().enumerate() {
-            let record = batch.materialize(i);
-            assert_eq!(analysis, &rows.classify_record(&record), "flow {i}");
-        }
-    }
-
-    #[test]
-    fn scratch_is_reused_across_batches() {
-        let mut clf = BatchClassifier::new(ClassifierConfig::default());
-        let mut batch = FlowBatch::new();
-        batch.push_packet(10, TcpFlags::SYN, 1, 0, Some(1), 64, 64, b"", false);
-        batch.push_flow(tuple(5000), 0, 0, 41, false, EvictionCause::EndOfCapture);
-        let first = clf.classify_batch(&batch).to_vec();
-        let second = clf.classify_batch(&batch).to_vec();
-        assert_eq!(first, second);
+        let want: Vec<FlowAnalysis> = flows.iter().map(|f| rows.classify_record(f)).collect();
+        assert_eq!(got, want);
+        // Scratch and output buffers are reused across batches.
+        assert_eq!(clf.classify_batch(&batch), got);
     }
 }

@@ -6,9 +6,9 @@
 //! connection tampering from server-side flow records.
 //!
 //! Pipeline: a flow (≤10 inbound packets, 1-second timestamps, possibly
-//! out of order; a row-wise [`FlowRecord`](tamper_capture::FlowRecord) or
-//! the column slices of a [`FlowBatch`](tamper_capture::FlowBatch), both
-//! through the one [`BatchClassifier`]) is
+//! out of order; an owned [`FlowRecord`](tamper_capture::FlowRecord) or
+//! the arena-backed rows of a [`FlowBatch`](tamper_capture::FlowBatch),
+//! both through the one [`BatchClassifier`]) is
 //! [reordered](reorder), tested for **possibly-tampered** status (RST
 //! present, or a ≥3 s inactivity gap without a FIN), matched against the
 //! 19 [tampering signatures](signature::Signature) of Table 1, and

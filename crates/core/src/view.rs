@@ -6,14 +6,15 @@
 //! [`BatchClassifier`](crate::batch::BatchClassifier) serves both
 //! storage layouts:
 //!
-//! - a [`FlowRecord`](tamper_capture::FlowRecord)'s arrival-order rows
+//! - a [`FlowRecord`](tamper_capture::FlowRecord)'s owned packets
 //!   (`impl PacketsView for [PacketRecord]`),
-//! - the columnar [`FlowCols`](tamper_capture::FlowCols) slices of a
-//!   [`FlowBatch`](tamper_capture::FlowBatch).
+//! - the [`FlowRows`](tamper_capture::FlowRows) of a
+//!   [`FlowBatch`](tamper_capture::FlowBatch): the same fields per
+//!   packet, with the payload a range of the batch arena.
 //!
 //! Both implementations monomorphize — the indirection costs nothing —
-//! and because the *same* generic body runs over both, the column path is
-//! byte-identical to the row path by construction (the `properties`
+//! and because the *same* generic body runs over both, the arena path is
+//! byte-identical to the owned path by construction (the `properties`
 //! differential suite checks it anyway).
 
 use tamper_capture::PacketRecord;

@@ -68,6 +68,46 @@ impl IpHeader {
     }
 }
 
+/// The IP-layer front half of both parsers: the network header and the
+/// TCP segment it frames, with every fail-closed check on capture bytes —
+/// version, protocol, segment bounds, TCP checksum over the pseudo-header
+/// — made exactly once.
+fn parse_ip(frame: &[u8]) -> Result<(IpHeader, &[u8])> {
+    let version = frame.first().map(|b| b >> 4).ok_or(WireError::Truncated)?;
+    match version {
+        4 => {
+            let (ip, off) = Ipv4Header::parse(frame)?;
+            if ip.protocol != 6 {
+                return Err(WireError::UnsupportedProtocol(ip.protocol));
+            }
+            // Ipv4Header::parse guarantees off <= total_len <= frame.len().
+            let segment = frame
+                .get(off..ip.total_len as usize)
+                .ok_or(WireError::BadLength)?;
+            if tcp_checksum_v4(ip.src, ip.dst, segment) != 0 {
+                return Err(WireError::BadChecksum);
+            }
+            Ok((IpHeader::V4(ip), segment))
+        }
+        6 => {
+            let (ip, off) = Ipv6Header::parse(frame)?;
+            if ip.next_header != 6 {
+                return Err(WireError::UnsupportedProtocol(ip.next_header));
+            }
+            // Ipv6Header::parse guarantees the segment fits in the frame.
+            let seg_end = off
+                .checked_add(ip.payload_len as usize)
+                .ok_or(WireError::BadLength)?;
+            let segment = frame.get(off..seg_end).ok_or(WireError::BadLength)?;
+            if tcp_checksum_v6(ip.src, ip.dst, segment) != 0 {
+                return Err(WireError::BadChecksum);
+            }
+            Ok((IpHeader::V6(ip), segment))
+        }
+        v => Err(WireError::BadVersion(v)),
+    }
+}
+
 /// A parsed or constructed TCP/IP packet.
 ///
 /// ```
@@ -99,51 +139,14 @@ impl Packet {
     /// Parse a frame starting at the IP header. Verifies the IPv4 header
     /// checksum and the TCP checksum over the pseudo-header.
     pub fn parse(frame: &[u8]) -> Result<Packet> {
-        let version = frame.first().map(|b| b >> 4).ok_or(WireError::Truncated)?;
-        match version {
-            4 => {
-                let (ip, off) = Ipv4Header::parse(frame)?;
-                if ip.protocol != 6 {
-                    return Err(WireError::UnsupportedProtocol(ip.protocol));
-                }
-                // Ipv4Header::parse guarantees off <= total_len <= frame.len().
-                let segment = frame
-                    .get(off..ip.total_len as usize)
-                    .ok_or(WireError::BadLength)?;
-                if tcp_checksum_v4(ip.src, ip.dst, segment) != 0 {
-                    return Err(WireError::BadChecksum);
-                }
-                let (tcp, data_off) = TcpHeader::parse(segment)?;
-                let payload = segment.get(data_off..).ok_or(WireError::BadLength)?;
-                Ok(Packet {
-                    ip: IpHeader::V4(ip),
-                    tcp,
-                    payload: Bytes::copy_from_slice(payload),
-                })
-            }
-            6 => {
-                let (ip, off) = Ipv6Header::parse(frame)?;
-                if ip.next_header != 6 {
-                    return Err(WireError::UnsupportedProtocol(ip.next_header));
-                }
-                // Ipv6Header::parse guarantees the segment fits in the frame.
-                let seg_end = off
-                    .checked_add(ip.payload_len as usize)
-                    .ok_or(WireError::BadLength)?;
-                let segment = frame.get(off..seg_end).ok_or(WireError::BadLength)?;
-                if tcp_checksum_v6(ip.src, ip.dst, segment) != 0 {
-                    return Err(WireError::BadChecksum);
-                }
-                let (tcp, data_off) = TcpHeader::parse(segment)?;
-                let payload = segment.get(data_off..).ok_or(WireError::BadLength)?;
-                Ok(Packet {
-                    ip: IpHeader::V6(ip),
-                    tcp,
-                    payload: Bytes::copy_from_slice(payload),
-                })
-            }
-            v => Err(WireError::BadVersion(v)),
-        }
+        let (ip, segment) = parse_ip(frame)?;
+        let (tcp, data_off) = TcpHeader::parse(segment)?;
+        let payload = segment.get(data_off..).ok_or(WireError::BadLength)?;
+        Ok(Packet {
+            ip,
+            tcp,
+            payload: Bytes::copy_from_slice(payload),
+        })
     }
 
     /// Emit the packet as a checksummed frame.
@@ -174,23 +177,18 @@ impl Packet {
         buf[ck_at..ck_at + 2].copy_from_slice(&ck.to_be_bytes());
         buf.freeze()
     }
-
-    /// Payload length in bytes.
-    pub fn payload_len(&self) -> usize {
-        self.payload.len()
-    }
 }
 
 /// A borrowed, allocation-free view of one parsed frame.
 ///
-/// This is the columnar ingest path's counterpart of [`Packet::parse`]:
-/// the same validation (IPv4 header checksum, TCP checksum over the
-/// pseudo-header, TCP option-length walk) with the payload left as a
-/// slice into the caller's frame and the option list reduced to the
+/// This is the ingest path's counterpart of [`Packet::parse`]: the same
+/// IP-layer front half (one shared function), then the same TCP
+/// validation (option-length walk) with the payload left as a slice into
+/// the caller's frame and the option list reduced to the
 /// `has_tcp_options` bit the classifier actually consumes. A frame is
 /// accepted by [`PacketView::parse`] if and only if [`Packet::parse`]
 /// accepts it, with the same error on rejection — the equivalence tests
-/// below and the `properties` suite hold the two parsers together.
+/// below and the `properties` suite hold the two TCP halves together.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PacketView<'a> {
     /// Source address.
@@ -220,63 +218,12 @@ pub struct PacketView<'a> {
 }
 
 impl<'a> PacketView<'a> {
-    /// Parse a frame starting at the IP header without allocating.
+    /// Parse a frame starting at the IP header without allocating: after
+    /// the shared IP-layer front half, read the TCP fixed header, validate
+    /// the option region exactly as [`TcpHeader::parse`] does (without
+    /// materializing the option list), and borrow the payload.
     pub fn parse(frame: &'a [u8]) -> Result<PacketView<'a>> {
-        let version = frame.first().map(|b| b >> 4).ok_or(WireError::Truncated)?;
-        match version {
-            4 => {
-                let (ip, off) = Ipv4Header::parse(frame)?;
-                if ip.protocol != 6 {
-                    return Err(WireError::UnsupportedProtocol(ip.protocol));
-                }
-                let segment = frame
-                    .get(off..ip.total_len as usize)
-                    .ok_or(WireError::BadLength)?;
-                if tcp_checksum_v4(ip.src, ip.dst, segment) != 0 {
-                    return Err(WireError::BadChecksum);
-                }
-                Self::finish_tcp(
-                    IpAddr::V4(ip.src),
-                    IpAddr::V4(ip.dst),
-                    ip.ttl,
-                    Some(ip.identification),
-                    segment,
-                )
-            }
-            6 => {
-                let (ip, off) = Ipv6Header::parse(frame)?;
-                if ip.next_header != 6 {
-                    return Err(WireError::UnsupportedProtocol(ip.next_header));
-                }
-                let seg_end = off
-                    .checked_add(ip.payload_len as usize)
-                    .ok_or(WireError::BadLength)?;
-                let segment = frame.get(off..seg_end).ok_or(WireError::BadLength)?;
-                if tcp_checksum_v6(ip.src, ip.dst, segment) != 0 {
-                    return Err(WireError::BadChecksum);
-                }
-                Self::finish_tcp(
-                    IpAddr::V6(ip.src),
-                    IpAddr::V6(ip.dst),
-                    ip.hop_limit,
-                    None,
-                    segment,
-                )
-            }
-            v => Err(WireError::BadVersion(v)),
-        }
-    }
-
-    /// Parse the TCP fixed header, validate the option region exactly as
-    /// [`TcpHeader::parse`] does (without materializing the option list),
-    /// and borrow the payload.
-    fn finish_tcp(
-        src: IpAddr,
-        dst: IpAddr,
-        ttl: u8,
-        ip_id: Option<u16>,
-        segment: &'a [u8],
-    ) -> Result<PacketView<'a>> {
+        let (ip, segment) = parse_ip(frame)?;
         let mut r = crate::reader::Reader::new(segment);
         let src_port = r.u16()?;
         let dst_port = r.u16()?;
@@ -315,10 +262,10 @@ impl<'a> PacketView<'a> {
         }
         let payload = segment.get(data_offset..).ok_or(WireError::BadLength)?;
         Ok(PacketView {
-            src,
-            dst,
-            ttl,
-            ip_id,
+            src: ip.src(),
+            dst: ip.dst(),
+            ttl: ip.ttl(),
+            ip_id: ip.ip_id(),
             src_port,
             dst_port,
             seq,

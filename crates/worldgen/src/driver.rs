@@ -646,7 +646,8 @@ impl WorldSim {
         }
     }
 
-    /// Run across `threads` shards of the capture engine — a thin shim
+    /// Run across `threads` shards of the capture engine (0 = one per
+    /// available core, as [`EngineConfig::threads`] has it) — a thin shim
     /// over [`tamper_capture::run_source`] with a [`SimSource`] front-end;
     /// the driver has no sharding or merging machinery of its own. Each
     /// shard owns a contiguous chunk of session indices and folds into
@@ -675,7 +676,7 @@ impl WorldSim {
         FM: FnMut(&mut T, T),
     {
         let cfg = EngineConfig {
-            threads: threads.max(1),
+            threads,
             ..EngineConfig::default()
         };
         let gen = |i: u64| self.gen_session(i);

@@ -35,9 +35,6 @@ fn main() {
         catalog_size: 2000,
         ..Default::default()
     });
-    let threads = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(4);
     let mk = || {
         Collector::new(
             ClassifierConfig::default(),
@@ -46,7 +43,7 @@ fn main() {
             SEP13_2022_UNIX,
         )
     };
-    let col = sim.run_sharded(threads, None, mk, |c, lf| c.observe(&lf), |a, b| a.merge(b));
+    let col = sim.run_sharded(0, None, mk, |c, lf| c.observe(&lf), |a, b| a.merge(b));
 
     // Figure 8: the full hourly TSV.
     println!("{}", report::fig8(&col.view()));

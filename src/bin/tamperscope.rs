@@ -1,14 +1,5 @@
 //! `tamperscope` — the command-line front end.
 //!
-//! ```text
-//! tamperscope classify <capture.pcap> [--jsonl] [--port 80 --port 443]
-//! tamperscope report   [--sessions N] [--days D] [--seed S] [--threads T]
-//! tamperscope iran     [--sessions N] [--seed S]
-//! tamperscope synthesize <out.pcap> [--sessions N] [--tamper-share F]
-//! tamperscope signatures
-//! tamperscope world-spec   (the calibration table as JSON lines)
-//! ```
-//!
 //! `classify` is the production path: feed it a server-side raw-IP pcap
 //! (LINKTYPE_RAW) and it prints per-flow verdicts or JSON lines. The other
 //! subcommands drive the simulation substrate that reproduces the paper.
@@ -85,7 +76,7 @@ fn main() -> ExitCode {
     let Some(cmd) = raw.first().cloned() else {
         return usage();
     };
-    let args = Args::parse(&raw[1..]);
+    let args = or_usage!(Args::parse(&raw[1..]));
     match cmd.as_str() {
         "classify" => cmd_classify(&args),
         "report" => cmd_report(&args),
@@ -159,8 +150,7 @@ enum ClassifyMode {
     Explain,
 }
 
-/// Per-shard classify state: a scratch-reusing columnar batch
-/// classifier, a collector slice, and the output lines tagged with each
+/// Per-shard classify state: a scratch-reusing batch classifier, a collector slice, and the output lines tagged with each
 /// flow's global first-record index so the merged output sorts into a
 /// thread-count-independent order.
 struct ClassifySink {
@@ -203,7 +193,7 @@ fn cmd_classify(args: &Args) -> ExitCode {
     let observe = |sink: &mut ClassifySink, batch: FlowBatch| {
         for i in 0..batch.flow_count() {
             let first_index = batch.spans()[i].first_index;
-            // Verdicts come straight off the column slices; the owning
+            // Verdicts come straight off the batch's rows; the owning
             // record is materialized only for labeling and rendering.
             let analysis = sink.clf.classify_span(&batch, i);
             let lf = label_capture_flow(batch.materialize(i));
@@ -288,14 +278,6 @@ fn cmd_classify(args: &Args) -> ExitCode {
     ExitCode::SUCCESS
 }
 
-/// `--threads`, defaulting to the machine's parallelism.
-fn threads(args: &Args) -> Result<usize, String> {
-    let default = std::thread::available_parallelism()
-        .map(|n| n.get() as u64)
-        .unwrap_or(4);
-    Ok(args.get_u64_strict("threads", default)? as usize)
-}
-
 /// The world configuration shared by `report`, `pop-run` and `merge`, so
 /// a merged run can be byte-compared against a single-machine `report`
 /// of the same flags.
@@ -333,7 +315,7 @@ fn write_metrics(
 }
 
 fn cmd_report(args: &Args) -> ExitCode {
-    let threads = or_usage!(threads(args));
+    let threads = flag_u64!(args, "threads", 0) as usize;
     let cfg = or_usage!(world_config(args));
     let sim = match args.get("world") {
         Some(path) => {
@@ -401,7 +383,7 @@ fn cmd_report(args: &Args) -> ExitCode {
 }
 
 fn cmd_pop_run(args: &Args) -> ExitCode {
-    let threads = or_usage!(threads(args));
+    let threads = flag_u64!(args, "threads", 0) as usize;
     let pops = flag_u64!(args, "pops", 0) as usize;
     if pops == 0 {
         eprintln!("tamperscope: pop-run requires --pops P (P >= 1)");
@@ -527,7 +509,7 @@ fn cmd_merge(args: &Args) -> ExitCode {
 }
 
 fn cmd_iran(args: &Args) -> ExitCode {
-    let threads = or_usage!(threads(args));
+    let threads = flag_u64!(args, "threads", 0) as usize;
     let sim = WorldSim::new(WorldConfig {
         sessions: flag_u64!(args, "sessions", 120_000),
         days: 17,
@@ -630,7 +612,7 @@ fn cmd_synthesize(args: &Args) -> ExitCode {
     let Some(path) = args.positional.first() else {
         return usage();
     };
-    let threads = or_usage!(threads(args));
+    let threads = flag_u64!(args, "threads", 0) as usize;
     let sessions = flag_u64!(args, "sessions", 200);
     let seed = flag_u64!(args, "seed", 7);
     let file = match File::create(path) {

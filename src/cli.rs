@@ -5,22 +5,24 @@
 //! the next token is decided by the [`VALUE_FLAGS`] list, not by peeking
 //! at the token's shape — peeking made boolean flags swallow whatever
 //! followed them (`classify --jsonl capture.pcap` used to parse with no
-//! positional at all, rejecting a perfectly good invocation).
+//! positional at all, rejecting a perfectly good invocation). A flag in
+//! neither list is an error: a typo must not be a silently different run.
 
-/// Flags that take a value. Everything else parses as boolean.
+/// Flags that take a value.
 pub const VALUE_FLAGS: &[&str] = &[
     "sessions",
     "days",
     "seed",
     "threads",
     "world",
-    "port",
     "max-flows",
     "metrics-json",
-    "tamper-share",
     "pops",
     "out",
 ];
+
+/// Flags that take none.
+const BOOL_FLAGS: &[&str] = &["jsonl", "explain", "json-summary", "full"];
 
 /// Parsed command line: positionals in order, flags with optional values.
 #[derive(Debug, Default)]
@@ -32,30 +34,32 @@ pub struct Args {
 }
 
 impl Args {
-    /// Parse raw tokens (everything after the subcommand).
-    pub fn parse(raw: &[String]) -> Args {
+    /// Parse raw tokens (everything after the subcommand). A `--flag` no
+    /// subcommand knows is an error naming it.
+    pub fn parse(raw: &[String]) -> Result<Args, String> {
         let mut positional = Vec::new();
         let mut flags = Vec::new();
         let mut it = raw.iter();
         while let Some(a) = it.next() {
-            if let Some(name) = a.strip_prefix("--") {
-                let (name, value) = match name.split_once('=') {
-                    Some((n, v)) => (n.to_owned(), Some(v.to_owned())),
-                    None => {
-                        let value = if VALUE_FLAGS.contains(&name) {
-                            it.next().cloned()
-                        } else {
-                            None
-                        };
-                        (name.to_owned(), value)
-                    }
+            if let Some(flag) = a.strip_prefix("--") {
+                let (name, given) = match flag.split_once('=') {
+                    Some((n, v)) => (n, Some(v.to_owned())),
+                    None => (flag, None),
                 };
-                flags.push((name, value));
+                let takes_value = VALUE_FLAGS.contains(&name);
+                if !takes_value && !BOOL_FLAGS.contains(&name) {
+                    return Err(format!("unknown flag --{name}"));
+                }
+                let value = match given {
+                    None if takes_value => it.next().cloned(),
+                    given => given,
+                };
+                flags.push((name.to_owned(), value));
             } else {
                 positional.push(a.clone());
             }
         }
-        Args { positional, flags }
+        Ok(Args { positional, flags })
     }
 
     /// The value of the last `--name`, if any was given with a value.
@@ -65,17 +69,6 @@ impl Args {
             .rev()
             .find(|(n, _)| n == name)
             .and_then(|(_, v)| v.as_deref())
-    }
-
-    /// Parse the value of `--name` as u64, falling back to `default`.
-    ///
-    /// Swallows bad values (`--threads=abc` yields `default`); prefer
-    /// [`Args::get_u64_strict`] anywhere a typo should be a usage error
-    /// instead of a silently different run.
-    pub fn get_u64(&self, name: &str, default: u64) -> u64 {
-        self.get(name)
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(default)
     }
 
     /// Parse the value of `--name` as u64, erroring on a flag given
@@ -103,7 +96,7 @@ mod tests {
 
     fn args(tokens: &[&str]) -> Args {
         let raw: Vec<String> = tokens.iter().map(|s| s.to_string()).collect();
-        Args::parse(&raw)
+        Args::parse(&raw).expect("known flags only")
     }
 
     #[test]
@@ -119,15 +112,15 @@ mod tests {
     #[test]
     fn value_flags_consume_the_next_token() {
         let a = args(&["--threads", "8", "capture.pcap", "--max-flows", "1000"]);
-        assert_eq!(a.get_u64("threads", 0), 8);
-        assert_eq!(a.get_u64("max-flows", 0), 1000);
+        assert_eq!(a.get_u64_strict("threads", 0), Ok(8));
+        assert_eq!(a.get_u64_strict("max-flows", 0), Ok(1000));
         assert_eq!(a.positional, vec!["capture.pcap"]);
     }
 
     #[test]
     fn equals_syntax_works_for_any_flag() {
         let a = args(&["--seed=42", "--jsonl", "--world=spec.json"]);
-        assert_eq!(a.get_u64("seed", 0), 42);
+        assert_eq!(a.get_u64_strict("seed", 0), Ok(42));
         assert_eq!(a.get("world"), Some("spec.json"));
         assert!(a.has("jsonl"));
     }
@@ -135,7 +128,7 @@ mod tests {
     #[test]
     fn last_occurrence_wins() {
         let a = args(&["--seed", "1", "--seed", "2"]);
-        assert_eq!(a.get_u64("seed", 0), 2);
+        assert_eq!(a.get_u64_strict("seed", 0), Ok(2));
     }
 
     #[test]
@@ -143,7 +136,7 @@ mod tests {
         let a = args(&["--threads"]);
         assert!(a.has("threads"));
         assert_eq!(a.get("threads"), None);
-        assert_eq!(a.get_u64("threads", 3), 3);
+        assert!(a.get_u64_strict("threads", 3).is_err());
     }
 
     #[test]
@@ -156,7 +149,6 @@ mod tests {
     #[test]
     fn strict_parse_rejects_garbage_instead_of_defaulting() {
         let a = args(&["--threads=abc"]);
-        assert_eq!(a.get_u64("threads", 1), 1); // the lenient trap
         let err = a.get_u64_strict("threads", 1).unwrap_err();
         assert!(err.contains("--threads"), "{err}");
         assert!(err.contains("abc"), "{err}");

@@ -1,7 +1,7 @@
 //! Allocation discipline: the steady-state classify path must not touch
 //! the heap. A warm [`BatchClassifier`] replaying the golden corpus
 //! performs **zero** allocations on every flow whose verdict carries no
-//! trigger domain, on both storage layouts (row-wise records and column
+//! trigger domain, on both storage layouts (owned records and arena-backed
 //! batches) — the classifier's scratch buffers (order, rsts, dedup)
 //! reuse capacity from earlier flows. Flows that *do* yield a domain pay
 //! exactly the waived verdict-owned string and nothing else grows
@@ -15,9 +15,7 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
-use tamperscope::capture::{
-    flows_from_pcap, EvictionCause, FlowBatch, FlowRecord, FlowTuple, OfflineConfig,
-};
+use tamperscope::capture::{flows_from_pcap, EvictionCause, FlowBatch, FlowRecord, OfflineConfig};
 use tamperscope::core::{classify, BatchClassifier, ClassifierConfig};
 
 /// A counting pass-through allocator: every heap request bumps the
@@ -160,38 +158,12 @@ fn warm_machine_analyzes_the_golden_corpus_without_allocating() {
     assert_eq!(verdicts, warm_verdicts, "verdicts drifted between passes");
 }
 
-/// Pack flows into one columnar [`FlowBatch`], the shape the engine
-/// hands to per-shard sinks.
+/// Pack flows into one [`FlowBatch`], the shape the engine hands to
+/// per-shard sinks.
 fn batch_of(flows: &[&FlowRecord]) -> FlowBatch {
     let mut batch = FlowBatch::new();
     for (i, flow) in flows.iter().enumerate() {
-        let start = batch.packet_count() as u32;
-        for p in &flow.packets {
-            batch.push_packet(
-                p.ts_sec,
-                p.flags,
-                p.seq,
-                p.ack,
-                p.ip_id,
-                p.ttl,
-                p.window,
-                &p.payload,
-                p.has_tcp_options,
-            );
-        }
-        batch.push_flow(
-            FlowTuple {
-                client_ip: flow.client_ip,
-                server_ip: flow.server_ip,
-                src_port: flow.src_port,
-                dst_port: flow.dst_port,
-            },
-            start,
-            i as u64,
-            flow.observation_end_sec,
-            flow.truncated,
-            EvictionCause::EndOfCapture,
-        );
+        batch.push_record(flow, i as u64, EvictionCause::EndOfCapture);
     }
     batch
 }

@@ -15,9 +15,6 @@ fn run_world(sessions: u64) -> (Collector, WorldSim) {
         catalog_size: 1500,
         ..Default::default()
     });
-    let threads = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(4);
     let mk = || {
         Collector::new(
             ClassifierConfig::default(),
@@ -26,7 +23,7 @@ fn run_world(sessions: u64) -> (Collector, WorldSim) {
             sim.config().start_unix,
         )
     };
-    let col = sim.run_sharded(threads, None, mk, |c, lf| c.observe(&lf), |a, b| a.merge(b));
+    let col = sim.run_sharded(0, None, mk, |c, lf| c.observe(&lf), |a, b| a.merge(b));
     (col, sim)
 }
 

@@ -163,6 +163,29 @@ fn report_json_summary_is_valid_shape() {
     assert!(line.starts_with('{') && line.ends_with('}'));
     assert!(line.contains("\"total_flows\":"));
     assert!(line.contains("\"possibly_tampered\":"));
+
+    // `--threads 0` is the default spelled out (one shard per core), not
+    // one shard: same bytes, and the same shard count in the metrics.
+    let shards = |extra: &[&str]| {
+        let metrics = tmp("threads0.json");
+        let out = bin()
+            .args(["report", "--sessions", "4000", "--days", "2"])
+            .args([
+                "--json-summary",
+                "--metrics-json",
+                metrics.to_str().unwrap(),
+            ])
+            .args(extra)
+            .output()
+            .expect("report");
+        assert!(out.status.success());
+        let doc = std::fs::read_to_string(&metrics).expect("metrics written");
+        let _ = std::fs::remove_file(&metrics);
+        let (_, gauge) = doc.split_once("\"threads\":").expect("threads gauge");
+        let shards: String = gauge.chars().take_while(char::is_ascii_digit).collect();
+        (out.stdout, shards)
+    };
+    assert_eq!(shards(&["--threads", "0"]), shards(&[]));
 }
 
 #[test]
@@ -193,23 +216,43 @@ fn unknown_subcommand_fails_with_usage() {
 
 #[test]
 fn unparseable_numeric_flag_is_a_usage_error() {
-    // `--threads=abc` used to silently fall back to the default and run
-    // anyway; strict parsing makes a typo a usage failure (exit 2).
-    for args in [
-        vec!["report", "--sessions", "abc"],
-        vec!["report", "--threads=abc"],
-        vec!["iran", "--sessions", "abc"],
-        vec!["synthesize", "/tmp/never-written.pcap", "--seed", "-1"],
-        vec!["report", "--threads"],
+    // `--threads=abc`, a typo (`--jsnol`) or a flag nothing reads
+    // (`--port`) used to be a silently different run; each is a usage
+    // failure (exit 2) that names the flag.
+    for (args, why) in [
+        (
+            "report --sessions abc",
+            "--sessions: \"abc\" is not an unsigned integer",
+        ),
+        (
+            "report --threads=abc",
+            "--threads: \"abc\" is not an unsigned integer",
+        ),
+        (
+            "iran --sessions abc",
+            "--sessions: \"abc\" is not an unsigned integer",
+        ),
+        (
+            "synthesize /tmp/never-written.pcap --seed -1",
+            "--seed: \"-1\" is not",
+        ),
+        ("report --threads", "--threads requires a value"),
+        (
+            "classify tests/fixtures/golden.pcap --jsnol",
+            "unknown flag --jsnol\n",
+        ),
+        (
+            "classify tests/fixtures/golden.pcap --port 8080",
+            "unknown flag --port\n",
+        ),
+        ("report --thread 1", "unknown flag --thread\n"),
     ] {
-        let out = bin().args(&args).output().expect("run");
+        let out = bin().args(args.split(' ')).output().expect("run");
         assert_eq!(out.status.code(), Some(2), "{args:?} did not exit 2");
+        assert!(out.stdout.is_empty(), "{args:?} ran anyway");
         let err = String::from_utf8(out.stderr).unwrap();
         assert!(err.contains("USAGE"), "{args:?}: {err}");
-        assert!(
-            err.contains("is not an unsigned integer") || err.contains("requires a value"),
-            "{args:?}: {err}"
-        );
+        assert!(err.contains(why), "{args:?}: {err}");
     }
 }
 

@@ -16,11 +16,8 @@ fn run_iran(sessions: u64) -> (Collector, WorldSim) {
         catalog_size: 800,
         ..Default::default()
     });
-    let threads = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(4);
     let mk = || Collector::new(ClassifierConfig::default(), 1, 17, SEP13_2022_UNIX);
-    let col = sim.run_sharded(threads, None, mk, |c, lf| c.observe(&lf), |a, b| a.merge(b));
+    let col = sim.run_sharded(0, None, mk, |c, lf| c.observe(&lf), |a, b| a.merge(b));
     (col, sim)
 }
 

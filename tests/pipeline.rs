@@ -210,11 +210,8 @@ fn sampling_ablation_preserves_proportions() {
             sample_denominator: denominator,
             ..Default::default()
         });
-        let threads = std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(4);
         sim.run_sharded(
-            threads,
+            0,
             None,
             || {
                 Collector::new(

@@ -557,13 +557,13 @@ proptest! {
 }
 
 // ---------------------------------------------------------------------------
-// One type, two storage layouts: the BatchClassifier walking FlowCols
-// column slices must agree byte-for-byte with itself walking the
-// row-wise records of the same flows — including wrap-band ISNs, empty
+// One type, two storage layouts: the BatchClassifier walking the
+// arena-backed FlowRows of a batch must agree byte-for-byte with itself
+// walking the owned records of the same flows — including wrap-band ISNs, empty
 // and one-packet flows, IPv6 (no IP-ID) packets, and truncated flows.
 // ---------------------------------------------------------------------------
 
-use tamper_capture::{EvictionCause, FlowBatch, FlowTuple};
+use tamper_capture::{EvictionCause, FlowBatch};
 
 /// Degenerate flows the batch layout must get right: zero or one packet,
 /// arbitrary flags, wrap-band seq, IPv6-style missing IP-ID.
@@ -599,44 +599,18 @@ fn arb_any_flow() -> impl Strategy<Value = FlowRecord> {
     prop_oneof![arb_flow(), arb_wrap_flow(), arb_tiny_flow()]
 }
 
-/// Pack owned records into the columnar arena layout, one span per flow.
+/// Pack owned records into one arena-backed batch, one span per flow.
 fn batch_from_records(flows: &[FlowRecord]) -> FlowBatch {
     let mut batch = FlowBatch::new();
     for (i, f) in flows.iter().enumerate() {
-        let start = batch.packet_count() as u32;
-        for p in &f.packets {
-            batch.push_packet(
-                p.ts_sec,
-                p.flags,
-                p.seq,
-                p.ack,
-                p.ip_id,
-                p.ttl,
-                p.window,
-                &p.payload,
-                p.has_tcp_options,
-            );
-        }
-        batch.push_flow(
-            FlowTuple {
-                client_ip: f.client_ip,
-                server_ip: f.server_ip,
-                src_port: f.src_port,
-                dst_port: f.dst_port,
-            },
-            start,
-            i as u64,
-            f.observation_end_sec,
-            f.truncated,
-            EvictionCause::EndOfCapture,
-        );
+        batch.push_record(f, i as u64, EvictionCause::EndOfCapture);
     }
     batch
 }
 
 proptest! {
-    /// Random record batches packed into columns classify to exactly the
-    /// `FlowAnalysis` their materialized rows do — for both classifier
+    /// Random records packed into a batch arena classify to exactly the
+    /// `FlowAnalysis` their materialized owned records do — for both classifier
     /// configs, with truncation flags flipped per flow.
     #[test]
     fn batch_classifier_matches_across_storage_layouts(
