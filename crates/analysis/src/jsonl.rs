@@ -6,6 +6,9 @@
 //! loads, or the paper's own aggregation pipelines.
 
 use crate::fmt::pct_f;
+use std::borrow::BorrowMut;
+use std::fmt::Write;
+use std::net::IpAddr;
 use tamper_capture::FlowRecord;
 use tamper_core::{
     max_rst_ipid_delta, max_rst_ttl_delta, AppProtocol, Classification, FlowAnalysis,
@@ -14,6 +17,16 @@ use tamper_core::{
 /// Escape a string per RFC 8259.
 pub fn escape_json(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
+    escape_into(&mut out, s);
+    out
+}
+
+/// Append `s` to `out`, escaped per RFC 8259.
+fn escape_into(out: &mut String, s: &str) {
+    // Every key and almost every value is plain: one scan, one copy.
+    if !s.bytes().any(|b| b < 0x20 || b == b'"' || b == b'\\') {
+        return out.push_str(s);
+    }
     for ch in s.chars() {
         match ch {
             '"' => out.push_str("\\\""),
@@ -21,119 +34,144 @@ pub fn escape_json(s: &str) -> String {
             '\n' => out.push_str("\\n"),
             '\r' => out.push_str("\\r"),
             '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
+            c if (c as u32) < 0x20 => {
+                let _ = write!(out, "\\u{:04x}", c as u32);
+            }
             c => out.push(c),
         }
     }
-    out
 }
 
-/// Incremental single-line JSON object writer.
+/// Incremental single-line JSON object writer over a `String` — its own
+/// ([`JsonObject::new`]) or one it is handed ([`JsonObject::append_to`]),
+/// so many objects can share a buffer. No field allocates.
 ///
 /// ```
 /// use tamper_analysis::JsonObject;
 /// let line = JsonObject::new().str("k", "v\"x").uint("n", 3).finish();
 /// assert_eq!(line, "{\"k\":\"v\\\"x\",\"n\":3}");
 /// ```
-#[derive(Debug, Default)]
-pub struct JsonObject {
-    body: String,
+#[derive(Debug)]
+pub struct JsonObject<S = String> {
+    out: S,
+    /// Where this object's first field starts in `out` (just past `{`).
+    body: usize,
 }
 
 impl JsonObject {
-    /// Start an empty object.
+    /// Start an empty object in a buffer of its own.
     pub fn new() -> JsonObject {
-        JsonObject::default()
+        JsonObject::append_to(String::new())
+    }
+}
+
+impl Default for JsonObject {
+    fn default() -> JsonObject {
+        JsonObject::new()
+    }
+}
+
+impl<S: BorrowMut<String>> JsonObject<S> {
+    /// Start an empty object at the end of `out` (a `String` or a
+    /// `&mut String`), leaving what is already there untouched.
+    pub fn append_to(mut out: S) -> JsonObject<S> {
+        out.borrow_mut().push('{');
+        let body = out.borrow().len();
+        JsonObject { out, body }
     }
 
-    fn sep(&mut self) {
-        if !self.body.is_empty() {
-            self.body.push(',');
+    /// A separator if needed, then `"key":`; returns the value's buffer.
+    fn key(&mut self, key: &str) -> &mut String {
+        let out = self.out.borrow_mut();
+        if out.len() > self.body {
+            out.push(',');
         }
+        out.push('"');
+        escape_into(out, key);
+        out.push_str("\":");
+        out
+    }
+
+    /// Add `value`'s `Display` text as is: a number, `null`, nested JSON.
+    fn bare(mut self, key: &str, value: impl std::fmt::Display) -> JsonObject<S> {
+        let _ = write!(self.key(key), "{value}");
+        self
     }
 
     /// Add a string field.
-    pub fn str(mut self, key: &str, value: &str) -> JsonObject {
-        self.sep();
-        self.body.push_str(&format!(
-            "\"{}\":\"{}\"",
-            escape_json(key),
-            escape_json(value)
-        ));
+    pub fn str(mut self, key: &str, value: &str) -> JsonObject<S> {
+        let out = self.key(key);
+        out.push('"');
+        escape_into(out, value);
+        out.push('"');
         self
     }
 
     /// Add an optional string field (`null` when absent).
-    pub fn opt_str(self, key: &str, value: Option<&str>) -> JsonObject {
+    pub fn opt_str(self, key: &str, value: Option<&str>) -> JsonObject<S> {
         match value {
             Some(v) => self.str(key, v),
             None => self.null(key),
         }
     }
 
-    /// Add an integer field.
-    pub fn int(mut self, key: &str, value: i64) -> JsonObject {
-        self.sep();
-        self.body
-            .push_str(&format!("\"{}\":{value}", escape_json(key)));
+    /// Add an IP address as a string field (its text needs no escaping).
+    pub fn ip(mut self, key: &str, value: IpAddr) -> JsonObject<S> {
+        let _ = write!(self.key(key), "\"{value}\"");
         self
     }
 
+    /// Add an integer field.
+    pub fn int(self, key: &str, value: i64) -> JsonObject<S> {
+        self.bare(key, value)
+    }
+
     /// Add an unsigned field.
-    pub fn uint(mut self, key: &str, value: u64) -> JsonObject {
-        self.sep();
-        self.body
-            .push_str(&format!("\"{}\":{value}", escape_json(key)));
-        self
+    pub fn uint(self, key: &str, value: u64) -> JsonObject<S> {
+        self.bare(key, value)
     }
 
     /// Add a float field (NaN/∞ become `null`; negative zero is
     /// normalized).
-    pub fn float(mut self, key: &str, value: f64) -> JsonObject {
-        self.sep();
-        let value = if value == 0.0 { 0.0 } else { value };
+    pub fn float(self, key: &str, value: f64) -> JsonObject<S> {
         if value.is_finite() {
-            self.body
-                .push_str(&format!("\"{}\":{value}", escape_json(key)));
+            self.bare(key, if value == 0.0 { 0.0 } else { value })
         } else {
-            self.body
-                .push_str(&format!("\"{}\":null", escape_json(key)));
+            self.null(key)
         }
-        self
     }
 
     /// Add a boolean field.
-    pub fn bool(mut self, key: &str, value: bool) -> JsonObject {
-        self.sep();
-        self.body
-            .push_str(&format!("\"{}\":{value}", escape_json(key)));
-        self
+    pub fn bool(self, key: &str, value: bool) -> JsonObject<S> {
+        self.bare(key, value)
     }
 
     /// Add a pre-serialized JSON value verbatim (nested objects/arrays).
-    pub fn raw(mut self, key: &str, value: &str) -> JsonObject {
-        self.sep();
-        self.body
-            .push_str(&format!("\"{}\":{value}", escape_json(key)));
-        self
+    pub fn raw(self, key: &str, value: &str) -> JsonObject<S> {
+        self.bare(key, value)
     }
 
     /// Add an explicit null.
-    pub fn null(mut self, key: &str) -> JsonObject {
-        self.sep();
-        self.body
-            .push_str(&format!("\"{}\":null", escape_json(key)));
-        self
+    pub fn null(self, key: &str) -> JsonObject<S> {
+        self.bare(key, "null")
     }
 
-    /// Finish: the `{...}` line.
-    pub fn finish(self) -> String {
-        format!("{{{}}}", self.body)
+    /// Finish: close the `{...}` and give the buffer back.
+    pub fn finish(mut self) -> S {
+        self.out.borrow_mut().push('}');
+        self.out
     }
 }
 
 /// Serialize one classified flow as a JSON line.
 pub fn flow_to_jsonl(flow: &FlowRecord, analysis: &FlowAnalysis) -> String {
+    let mut line = String::new();
+    flow_to_jsonl_into(&mut line, flow, analysis);
+    line
+}
+
+/// Append one classified flow's JSON line (no trailing newline) to `out`.
+pub fn flow_to_jsonl_into(out: &mut String, flow: &FlowRecord, analysis: &FlowAnalysis) {
     let (verdict, signature) = match analysis.classification {
         Classification::Tampered(sig) => ("tampered", Some(sig.label())),
         Classification::PossiblyTamperedOther => ("possibly_tampered", None),
@@ -144,9 +182,9 @@ pub fn flow_to_jsonl(flow: &FlowRecord, analysis: &FlowAnalysis) -> String {
         AppProtocol::Http => "http",
         AppProtocol::Other => "other",
     };
-    let mut obj = JsonObject::new()
-        .str("client_ip", &flow.client_ip.to_string())
-        .str("server_ip", &flow.server_ip.to_string())
+    let mut obj = JsonObject::append_to(out)
+        .ip("client_ip", flow.client_ip)
+        .ip("server_ip", flow.server_ip)
         .uint("src_port", u64::from(flow.src_port))
         .uint("dst_port", u64::from(flow.dst_port))
         .uint("packets", flow.packets.len() as u64)
@@ -166,7 +204,7 @@ pub fn flow_to_jsonl(flow: &FlowRecord, analysis: &FlowAnalysis) -> String {
         Some(d) => obj.int("max_rst_ttl_delta", i64::from(d)),
         None => obj.null("max_rst_ttl_delta"),
     };
-    obj.finish()
+    obj.finish();
 }
 
 /// A compact JSON summary of a collector run (headline statistics).
@@ -218,6 +256,20 @@ mod tests {
             line,
             "{\"a\":\"x\",\"b\":-3,\"c\":7,\"d\":true,\"e\":null,\"f\":0.5,\"g\":null}"
         );
+    }
+
+    #[test]
+    fn objects_append_to_a_shared_buffer_and_escape_like_escape_json() {
+        let mut buf = String::from("{\"first\":1}\n");
+        JsonObject::append_to(&mut buf).uint("n", 2).finish();
+        assert_eq!(buf, "{\"first\":1}\n{\"n\":2}");
+
+        let nasty = "q\"b\\s\n\r\t\u{0}\u{1f}\u{7f} ∅ é";
+        buf.clear();
+        JsonObject::append_to(&mut buf).str(nasty, nasty).finish();
+        let escaped = escape_json(nasty);
+        assert_eq!(buf, format!("{{\"{escaped}\":\"{escaped}\"}}"));
+        assert_eq!(escaped, "q\\\"b\\\\s\\n\\r\\t\\u0000\\u001f\u{7f} ∅ é");
     }
 
     #[test]

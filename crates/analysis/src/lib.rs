@@ -37,7 +37,7 @@ pub use capture::{
 };
 pub use collector::Collector;
 pub use fmt::{pct, pct_f, Table};
-pub use jsonl::{escape_json, flow_to_jsonl, summary_to_json, JsonObject};
+pub use jsonl::{escape_json, flow_to_jsonl, flow_to_jsonl_into, summary_to_json, JsonObject};
 pub use metrics::{metrics_to_json, write_metrics_json};
 pub use paper::{comparison_table, comparisons, Comparison};
 pub use stats::{ols_slope, slope_through_origin, Cdf};

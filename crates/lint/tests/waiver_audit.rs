@@ -18,7 +18,7 @@ fn repo_root() -> PathBuf {
 }
 
 /// The reviewed in-source waivers, as `(rule, file, count)` sorted by
-/// `(rule, file)`: 40 in all. A waiver added, dropped, or moved to another
+/// `(rule, file)`: 42 in all. A waiver added, dropped, or moved to another
 /// rule or file must come with a reviewed edit here.
 const WAIVED: &[(&str, &str, usize)] = &[
     ("discarded-wire-error", "crates/core/src/trigger.rs", 3),
@@ -30,11 +30,12 @@ const WAIVED: &[(&str, &str, usize)] = &[
     ("hot-path-alloc", "crates/wire/src/tcp.rs", 2),
     ("hot-path-alloc", "crates/wire/src/tls.rs", 4),
     ("index", "crates/capture/src/engine.rs", 1),
-    ("index", "crates/capture/src/offline.rs", 4),
+    ("index", "crates/capture/src/offline.rs", 3),
     ("index", "crates/capture/src/pcap.rs", 1),
     ("index", "crates/capture/src/source.rs", 4),
     ("panic", "crates/capture/src/engine.rs", 2),
     ("unbounded-growth", "crates/analysis/src/agg.rs", 8),
+    ("unbounded-growth", "src/cli.rs", 3),
 ];
 
 #[test]
@@ -49,7 +50,7 @@ fn waived_findings_match_the_reviewed_multiset() {
 }
 
 /// The reviewed number of in-source waivers.
-const WAIVER_COUNT: usize = 40;
+const WAIVER_COUNT: usize = 42;
 
 #[test]
 fn waiver_count_matches_the_reviewed_declaration() {

@@ -4,20 +4,22 @@
 //! (LINKTYPE_RAW) and it prints per-flow verdicts or JSON lines. The other
 //! subcommands drive the simulation substrate that reproduces the paper.
 
+use std::fmt::Write as _;
 use std::fs::File;
 use std::io::{BufWriter, Write};
 use std::process::ExitCode;
 
 use tamperscope::analysis::{
     capture_collector, capture_summary_to_json, config_fingerprint, decode_agg, encode_agg,
-    engine_perf_to_json, flow_to_jsonl, label_capture_flow, merge_checked, pct, report,
+    engine_perf_to_json, flow_to_jsonl_into, label_capture_flow, merge_checked, pct, report,
     summary_to_json, write_metrics_json, AggError, Collector, PartialAggregate,
 };
 use tamperscope::capture::{
-    run_source, EngineConfig, FlowBatch, OfflineConfig, PcapMemSource, PcapWriter, SimSource,
+    run_source, EngineConfig, FlowBatch, FlowRecord, OfflineConfig, PcapMemSource, PcapWriter,
+    SimSource,
 };
-use tamperscope::cli::Args;
-use tamperscope::core::{BatchClassifier, ClassifierConfig};
+use tamperscope::cli::{Args, VerdictLines};
+use tamperscope::core::{BatchClassifier, ClassifierConfig, FlowAnalysis};
 use tamperscope::middlebox::{RuleSet, Vendor, ALL_VENDORS};
 use tamperscope::netsim::{
     derive_rng, run_session, ClientConfig, Link, Path, ServerConfig, SessionParams, SimDuration,
@@ -143,20 +145,30 @@ fn cmd_world_spec(args: &Args) -> ExitCode {
     ExitCode::SUCCESS
 }
 
-#[derive(Clone, Copy, PartialEq)]
-enum ClassifyMode {
-    Lines,
-    Jsonl,
-    Explain,
+/// `classify`'s default output: one aligned line per flow.
+fn verdict_line(text: &mut String, flow: &FlowRecord, analysis: &FlowAnalysis) {
+    let verdict = match analysis.signature() {
+        Some(sig) => format!("TAMPERED  {sig}"),
+        None if analysis.is_possibly_tampered() => "possibly tampered".to_owned(),
+        None => "clean".to_owned(),
+    };
+    let domain = analysis.trigger.domain.as_deref().unwrap_or("-");
+    let _ = write!(
+        text,
+        "{}:{} -> :{}  [{} pkts]  {verdict:<40} {domain}",
+        flow.client_ip,
+        flow.src_port,
+        flow.dst_port,
+        flow.packets.len()
+    );
 }
 
-/// Per-shard classify state: a scratch-reusing batch classifier, a collector slice, and the output lines tagged with each
-/// flow's global first-record index so the merged output sorts into a
-/// thread-count-independent order.
+/// Per-shard classify state: a scratch-reusing batch classifier, a
+/// collector slice, and the shard's rendered output.
 struct ClassifySink {
     clf: BatchClassifier,
     col: Collector,
-    lines: Vec<(u64, String)>,
+    lines: VerdictLines,
     matched: u64,
 }
 
@@ -171,12 +183,12 @@ fn cmd_classify(args: &Args) -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    let mode = if args.has("jsonl") {
-        ClassifyMode::Jsonl
+    let render: fn(&mut String, &FlowRecord, &FlowAnalysis) = if args.has("jsonl") {
+        flow_to_jsonl_into
     } else if args.has("explain") {
-        ClassifyMode::Explain
+        |text, flow, analysis| text.push_str(&tamperscope::core::explain(flow, analysis))
     } else {
-        ClassifyMode::Lines
+        verdict_line
     };
     let cfg = EngineConfig {
         offline: OfflineConfig::default(),
@@ -187,12 +199,11 @@ fn cmd_classify(args: &Args) -> ExitCode {
     let init = || ClassifySink {
         clf: BatchClassifier::new(clf_cfg),
         col: capture_collector(clf_cfg, 0),
-        lines: Vec::new(),
+        lines: VerdictLines::default(),
         matched: 0,
     };
     let observe = |sink: &mut ClassifySink, batch: FlowBatch| {
-        for i in 0..batch.flow_count() {
-            let first_index = batch.spans()[i].first_index;
+        for (i, span) in batch.spans().iter().enumerate() {
             // Verdicts come straight off the batch's rows; the owning
             // record is materialized only for labeling and rendering.
             let analysis = sink.clf.classify_span(&batch, i);
@@ -201,34 +212,13 @@ fn cmd_classify(args: &Args) -> ExitCode {
             if analysis.signature().is_some() {
                 sink.matched += 1;
             }
-            let flow = &lf.flow;
-            let line = match mode {
-                ClassifyMode::Jsonl => flow_to_jsonl(flow, &analysis),
-                ClassifyMode::Explain => tamperscope::core::explain(flow, &analysis),
-                ClassifyMode::Lines => {
-                    let verdict = match analysis.signature() {
-                        Some(sig) => format!("TAMPERED  {sig}"),
-                        None if analysis.is_possibly_tampered() => "possibly tampered".to_owned(),
-                        None => "clean".to_owned(),
-                    };
-                    let domain = analysis.trigger.domain.as_deref().unwrap_or("-");
-                    format!(
-                        "{}:{} -> :{}  [{} pkts]  {:<40} {}",
-                        flow.client_ip,
-                        flow.src_port,
-                        flow.dst_port,
-                        flow.packets.len(),
-                        verdict,
-                        domain
-                    )
-                }
-            };
-            sink.lines.push((first_index, line));
+            sink.lines
+                .push(span.first_index, |text| render(text, &lf.flow, &analysis));
         }
     };
-    let merge = |a: &mut ClassifySink, mut b: ClassifySink| {
+    let merge = |a: &mut ClassifySink, b: ClassifySink| {
         a.col.merge(b.col);
-        a.lines.append(&mut b.lines);
+        a.lines.merge(b.lines);
         a.matched += b.matched;
     };
     // Metrics ride a side registry and land in their own file, so the
@@ -243,7 +233,7 @@ fn cmd_classify(args: &Args) -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    let (mut sink, stats) = run_source(src, &cfg, registry.as_ref(), init, observe, merge);
+    let (sink, stats) = run_source(src, &cfg, registry.as_ref(), init, observe, merge);
     eprintln!(
         "[{path}] {} flows / {} packets ({} non-inbound, {} unparsable frames skipped, {} threads)",
         stats.ingest.flows,
@@ -255,17 +245,23 @@ fn cmd_classify(args: &Args) -> ExitCode {
     if stats.corrupt_tail {
         eprintln!("[{path}] warning: capture tail is corrupt; trailing records dropped");
     }
-    sink.lines.sort_by_key(|(first_index, _)| *first_index);
-    let stdout = std::io::stdout();
-    let mut out = BufWriter::new(stdout.lock());
-    for (_, line) in &sink.lines {
-        let _ = writeln!(out, "{line}");
+    let mut out = BufWriter::new(std::io::stdout().lock());
+    let written = sink.lines.write_sorted(&mut out).and_then(|()| {
+        if args.has("json-summary") {
+            writeln!(out, "{}", capture_summary_to_json(&sink.col, &stats))?;
+            writeln!(out, "{}", engine_perf_to_json(&stats))?;
+        }
+        out.flush()
+    });
+    // A reader that hung up (`| head`) has what it wanted; any other
+    // failure means verdicts were lost.
+    match written {
+        Err(e) if e.kind() != std::io::ErrorKind::BrokenPipe => {
+            eprintln!("cannot write verdicts: {e}");
+            return ExitCode::FAILURE;
+        }
+        _ => {}
     }
-    if args.has("json-summary") {
-        let _ = writeln!(out, "{}", capture_summary_to_json(&sink.col, &stats));
-        let _ = writeln!(out, "{}", engine_perf_to_json(&stats));
-    }
-    drop(out);
     if !write_metrics(metrics_path, registry.as_ref(), None, "engine") {
         return ExitCode::FAILURE;
     }

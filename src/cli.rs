@@ -8,6 +8,8 @@
 //! positional at all, rejecting a perfectly good invocation). A flag in
 //! neither list is an error: a typo must not be a silently different run.
 
+use std::io::{self, Write};
+
 /// Flags that take a value.
 pub const VALUE_FLAGS: &[&str] = &[
     "sessions",
@@ -90,6 +92,51 @@ impl Args {
     }
 }
 
+/// `classify`'s per-flow output: every flow's text in one buffer plus a
+/// `(first_index, offset, length)` entry each, so shards render in place,
+/// merge by appending, and write in global first-record order.
+#[derive(Debug, Default)]
+pub struct VerdictLines {
+    text: String,
+    index: Vec<(u64, usize, usize)>,
+}
+
+impl VerdictLines {
+    /// Add the flow first seen at record `first_index`: `render` appends
+    /// its text to the buffer, and a newline follows.
+    pub fn push(&mut self, first_index: u64, render: impl FnOnce(&mut String)) {
+        let off = self.text.len();
+        render(&mut self.text);
+        // tamperlint: allow(unbounded-growth) — one capture file's flows, dropped by `write_sorted`
+        self.text.push('\n');
+        // tamperlint: allow(unbounded-growth) — one capture file's flows, dropped by `write_sorted`
+        self.index.push((first_index, off, self.text.len() - off));
+    }
+
+    /// Append another shard's flows.
+    pub fn merge(&mut self, other: VerdictLines) {
+        let base = self.text.len();
+        self.text.push_str(&other.text);
+        // tamperlint: allow(unbounded-growth) — one capture file's flows, dropped by `write_sorted`
+        self.index.extend(
+            other
+                .index
+                .iter()
+                .map(|&(i, off, len)| (i, base + off, len)),
+        );
+    }
+
+    /// Write every flow's text, once, in `first_index` order.
+    pub fn write_sorted(mut self, out: &mut impl Write) -> io::Result<()> {
+        self.index
+            .sort_unstable_by_key(|&(first_index, _, _)| first_index);
+        for &(_, off, len) in &self.index {
+            out.write_all(&self.text.as_bytes()[off..off + len])?;
+        }
+        Ok(())
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -97,6 +144,19 @@ mod tests {
     fn args(tokens: &[&str]) -> Args {
         let raw: Vec<String> = tokens.iter().map(|s| s.to_string()).collect();
         Args::parse(&raw).expect("known flags only")
+    }
+
+    #[test]
+    fn verdict_lines_merge_shards_and_write_in_first_index_order() {
+        let mut a = VerdictLines::default();
+        a.push(7, |t| t.push_str("seven"));
+        a.push(2, |t| t.push_str("two\nlines"));
+        let mut b = VerdictLines::default();
+        b.push(5, |t| t.push_str("five"));
+        a.merge(b);
+        let mut out = Vec::new();
+        a.write_sorted(&mut out).unwrap();
+        assert_eq!(out, b"two\nlines\nfive\nseven\n");
     }
 
     #[test]

@@ -267,6 +267,62 @@ fn classify_missing_file_fails_cleanly() {
     assert!(err.contains("cannot open"));
 }
 
+/// `classify tests/fixtures/golden.pcap <flags>`: stdout of a successful run.
+fn classify_golden(flags: &[&str]) -> Vec<u8> {
+    let golden = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/fixtures/golden.pcap");
+    let out = bin()
+        .args(["classify", golden])
+        .args(flags)
+        .output()
+        .expect("classify");
+    assert!(
+        out.status.success(),
+        "{flags:?}: {}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    out.stdout
+}
+
+#[test]
+fn classify_output_bytes_ignore_thread_count_and_cap() {
+    for mode in [&[][..], &["--jsonl"], &["--explain"]] {
+        let with = |extra: &[&str]| classify_golden(&[mode, extra].concat());
+        let one = with(&["--threads", "1"]);
+        assert!(!one.is_empty());
+        for threads in ["2", "8"] {
+            assert!(with(&["--threads", threads]) == one, "{mode:?} x{threads}");
+        }
+        // The cap is per shard, so it splits flows differently at each
+        // thread count — but at one count, the same way every run.
+        let capped = ["--threads", "2", "--max-flows", "4"];
+        assert!(with(&capped) != one, "{mode:?}: cap 4 never fired");
+        assert!(with(&capped) == with(&capped), "{mode:?} --max-flows 4");
+    }
+    let golden_verdicts = std::fs::read(concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/tests/fixtures/golden.verdicts.jsonl"
+    ))
+    .unwrap();
+    assert!(classify_golden(&["--jsonl"]) == golden_verdicts);
+}
+
+#[test]
+fn classify_fails_when_stdout_cannot_take_the_verdicts() {
+    let Ok(full) = std::fs::OpenOptions::new().write(true).open("/dev/full") else {
+        return; // no /dev/full on this platform
+    };
+    let golden = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/fixtures/golden.pcap");
+    let out = bin()
+        .args(["classify", golden, "--jsonl"])
+        .stdout(full)
+        .output()
+        .expect("classify");
+    assert_eq!(out.status.code(), Some(1));
+    let err = String::from_utf8(out.stderr).unwrap();
+    assert!(err.contains("cannot write verdicts: "), "{err}");
+    assert!(!err.contains("flows match"), "{err}");
+}
+
 #[test]
 fn custom_world_round_trips_through_cli() {
     // Export the calibrated world, load it back, and run a small report.
