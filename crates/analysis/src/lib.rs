@@ -40,6 +40,6 @@ pub use fmt::{pct, pct_f, Table};
 pub use jsonl::{escape_json, flow_to_jsonl, flow_to_jsonl_into, summary_to_json, JsonObject};
 pub use metrics::{metrics_to_json, write_metrics_json};
 pub use paper::{comparison_table, comparisons, Comparison};
-pub use stats::{ols_slope, slope_through_origin, Cdf};
+pub use stats::{slope_through_origin, Cdf};
 pub use tamper_worldgen::TestList;
 pub use view::ReportView;

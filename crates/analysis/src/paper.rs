@@ -1,6 +1,6 @@
 //! The paper's reported numbers, as named constants — the single source
 //! for calibration targets, EXPERIMENTS.md comparisons, and the
-//! paper-vs-measured table printed by `global_report`.
+//! paper-vs-measured table printed by `examples/quickstart.rs`.
 //!
 //! All values are from "Global, Passive Detection of Connection Tampering"
 //! (SIGCOMM 2023), §4–§5.

@@ -750,29 +750,6 @@ pub fn fig10(col: &ReportView) -> String {
     )
 }
 
-/// Fraction of repeat-pair transitions that stay on the diagonal — the
-/// headline consistency number for Appendix B.
-pub fn fig10_diagonal_mass(col: &ReportView) -> f64 {
-    let mut diag = 0u64;
-    let mut total = 0u64;
-    for seq in &col.pair_codes {
-        if seq.len() < 2 {
-            continue;
-        }
-        let first = seq[0];
-        for &next in &seq[1..] {
-            total += 1;
-            if next == first {
-                diag += 1;
-            }
-        }
-    }
-    if total == 0 {
-        return f64::NAN;
-    }
-    diag as f64 / total as f64
-}
-
 // ---------------------------------------------------------------------------
 // Validation (§4.2, §4.3) and ground truth
 // ---------------------------------------------------------------------------
@@ -827,8 +804,7 @@ pub fn validation(col: &ReportView) -> String {
 
 /// Assemble the complete standard-scenario report: every table and figure
 /// except the Iran case study (which needs its own scenario world). This
-/// is what `examples/global_report.rs` and the CLI `report` subcommand
-/// print.
+/// is what the CLI `report` and `merge` subcommands print.
 pub fn full_report(col: &ReportView, sim: &WorldSim, lists: &TestLists) -> String {
     let mut out = String::new();
     let mut push = |s: String| {
@@ -1019,12 +995,8 @@ mod tests {
     }
 
     #[test]
-    fn fig10_diagonal_in_unit_range() {
+    fn fig10_renders() {
         let (col, _) = tiny();
-        let d = fig10_diagonal_mass(&col.view());
-        if !d.is_nan() {
-            assert!((0.0..=1.0).contains(&d));
-        }
         assert!(fig10(&col.view()).contains("first \\ next"));
     }
 

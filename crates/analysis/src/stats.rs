@@ -67,26 +67,6 @@ pub fn slope_through_origin(points: &[(f64, f64)]) -> f64 {
     }
 }
 
-/// Ordinary least-squares slope with intercept, for robustness checks.
-pub fn ols_slope(points: &[(f64, f64)]) -> f64 {
-    let n = points.len() as f64;
-    if points.is_empty() {
-        return f64::NAN;
-    }
-    let mx = points.iter().map(|p| p.0).sum::<f64>() / n;
-    let my = points.iter().map(|p| p.1).sum::<f64>() / n;
-    let (mut sxy, mut sxx) = (0.0, 0.0);
-    for &(x, y) in points {
-        sxy += (x - mx) * (y - my);
-        sxx += (x - mx) * (x - mx);
-    }
-    if sxx == 0.0 {
-        f64::NAN
-    } else {
-        sxy / sxx
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -116,14 +96,7 @@ mod tests {
     }
 
     #[test]
-    fn ols_slope_with_offset() {
-        let pts: Vec<(f64, f64)> = (0..10).map(|i| (i as f64, 3.0 + 0.5 * i as f64)).collect();
-        assert!((ols_slope(&pts) - 0.5).abs() < 1e-9);
-    }
-
-    #[test]
     fn degenerate_slopes_are_nan() {
         assert!(slope_through_origin(&[]).is_nan());
-        assert!(ols_slope(&[(1.0, 1.0)]).is_nan());
     }
 }

@@ -39,7 +39,7 @@ pub use evidence::{
 };
 pub use explain::explain;
 pub use machine::{reachable_graph, stage_of, transition, Count, Event, StageState};
-pub use reorder::{reconstruct_order, reordered};
+pub use reorder::reconstruct_order;
 pub use signature::{Classification, Signature, Stage};
 pub use trigger::{user_agent, AppProtocol, TriggerInfo};
 pub use view::PacketsView;

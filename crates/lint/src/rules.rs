@@ -301,14 +301,13 @@ impl Scope {
 
 /// Compute the rule scope for one repo-relative path.
 pub fn scope_for(path: &str) -> Scope {
-    // Every first-party pipeline crate. Benchmarks, repo automation, and
-    // the linter itself measure wall-clock by design; tamper-obs is the
+    // Every first-party pipeline crate. Repo automation and the linter
+    // itself measure wall-clock by design; tamper-obs is the
     // one sanctioned home for wall-clock reads (the `clock-containment`
     // rule routes everyone else through it).
     let first_party =
         (path.starts_with("crates/") && path.contains("/src/")) || path.starts_with("src/");
-    let exempt = path.starts_with("crates/bench/")
-        || path.starts_with("crates/xtask/")
+    let exempt = path.starts_with("crates/xtask/")
         || path.starts_with("crates/lint/")
         || path.starts_with("crates/obs/");
     Scope {
@@ -964,12 +963,11 @@ mod tests {
         assert!(!rules_fired(WIRE, src).is_empty());
         // Same code outside the untrusted-input surface: no finding.
         assert!(rules_fired("crates/analysis/src/x.rs", src).is_empty());
-        // tamper-obs and the benchmarks measure wall-clock by design: no
-        // pipeline rule applies to them.
+        // tamper-obs measures wall-clock by design: no pipeline rule
+        // applies to it.
         let timed = "fn f() { let _ = (Instant::now(), Vec::<u8>::new(), thread_rng()); }";
         assert!(!rules_fired("crates/core/src/x.rs", timed).is_empty());
         assert!(rules_fired("crates/obs/src/lib.rs", timed).is_empty());
-        assert!(rules_fired("crates/bench/src/lib.rs", timed).is_empty());
     }
 
     #[test]

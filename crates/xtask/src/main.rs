@@ -1,17 +1,13 @@
 //! Repo automation. `cargo xtask ci` is the one-command gate a PR must
-//! pass: formatting, clippy, release build, the full workspace test suite
-//! (the linter's own fixture suite included), the engine determinism suite
-//! re-run explicitly so a scheduling-dependent failure gets a second
-//! chance to surface, the golden corpus and the zero-allocation discipline
-//! test, the proptest suites re-run with `PROPTEST_CASES`/`PROPTEST_SEED`
-//! pinned, a smoke run of `classify --metrics-json` on the golden fixture
-//! pcap, a cross-thread byte-identity smoke of `report` (`--threads 1` vs
-//! `--threads 2`), the multi-PoP merge smoke, a build check and one short
-//! run of the stand-alone `benchmark/` package, and the tamperlint
-//! static-analysis gate (one in-process run; any unwaived finding fails).
-//! Every step is timed and the run ends with a per-step wall-time summary.
-//! `cargo xtask analyze [--json] [--explain <rule>]` runs tamperlint
-//! alone.
+//! pass, each check run once: formatting, clippy, release build, the full
+//! workspace test suite (the linter's own fixture suite included), the
+//! proptest suites re-run with `PROPTEST_CASES`/`PROPTEST_SEED` pinned, a
+//! smoke run of `classify --metrics-json` on the golden fixture pcap, a
+//! build check and one short run of the stand-alone `benchmark/` package,
+//! and the tamperlint static-analysis gate (one in-process run; any
+//! unwaived finding fails). Every step is timed and the run ends with a
+//! per-step wall-time summary. `cargo xtask analyze [--json] [--explain
+//! <rule>]` runs tamperlint alone.
 
 use std::path::PathBuf;
 use std::process::{Command, ExitCode};
@@ -166,133 +162,6 @@ fn metrics_smoke() -> Result<(), String> {
     Ok(())
 }
 
-/// Cross-thread-count byte-identity smoke: `report` on a small world must
-/// emit identical stdout at `--threads 1` and `--threads 2`. Any diff means
-/// the sharded engine leaked scheduling into report bytes — fail the gate.
-fn report_determinism_smoke() -> Result<(), String> {
-    let root = repo_root();
-    let run_at = |threads: &str| -> Result<Vec<u8>, String> {
-        eprintln!(
-            "==> report smoke: tamperscope report --sessions 4000 --days 2 \
-             --seed 20230112 --threads {threads}"
-        );
-        let out = Command::new("cargo")
-            .args([
-                "run",
-                "--release",
-                "--quiet",
-                "--bin",
-                "tamperscope",
-                "--",
-                "report",
-                "--sessions",
-                "4000",
-                "--days",
-                "2",
-                "--seed",
-                "20230112",
-                "--threads",
-                threads,
-            ])
-            .current_dir(&root)
-            .output()
-            .map_err(|e| format!("report smoke: failed to spawn cargo: {e}"))?;
-        if !out.status.success() {
-            return Err(format!(
-                "report smoke: report --threads {threads} exited with {}:\n{}",
-                out.status,
-                String::from_utf8_lossy(&out.stderr)
-            ));
-        }
-        Ok(out.stdout)
-    };
-    let one = run_at("1")?;
-    let two = run_at("2")?;
-    if one.is_empty() {
-        return Err("report smoke: report produced no output".into());
-    }
-    if one != two {
-        return Err("report smoke: --threads 1 and --threads 2 report bytes differ".into());
-    }
-    eprintln!(
-        "==> report smoke: {} byte(s), identical at 1 and 2 threads",
-        one.len()
-    );
-    Ok(())
-}
-
-/// Multi-PoP pipeline smoke: split a small world across 3 points of
-/// presence with `pop-run`, `merge` the emitted partial aggregates, and
-/// require the merged report bytes to equal a single-machine `report` of
-/// the same flags. This is the merge pipeline's headline identity, run
-/// against the real binary end to end.
-fn multi_pop_smoke() -> Result<(), String> {
-    let root = repo_root();
-    let dir = root.join("target").join("xtask-pop-smoke");
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).map_err(|e| format!("multi-pop smoke: mkdir: {e}"))?;
-    let world_flags = ["--sessions", "4000", "--days", "2", "--seed", "20230112"];
-    let tamperscope = |step: &str, args: &[&str]| -> Result<Vec<u8>, String> {
-        let out = Command::new("cargo")
-            .args(["run", "--release", "--quiet", "--bin", "tamperscope", "--"])
-            .args(args)
-            .current_dir(&root)
-            .output()
-            .map_err(|e| format!("multi-pop smoke: failed to spawn cargo: {e}"))?;
-        if !out.status.success() {
-            return Err(format!(
-                "multi-pop smoke: {step} exited with {}:\n{}",
-                out.status,
-                String::from_utf8_lossy(&out.stderr)
-            ));
-        }
-        Ok(out.stdout)
-    };
-
-    let dir_s = dir.to_string_lossy().into_owned();
-    eprintln!("==> multi-pop smoke: tamperscope pop-run --pops 3 --out {dir_s}");
-    let mut args: Vec<&str> = vec!["pop-run", "--pops", "3", "--out", &dir_s];
-    args.extend_from_slice(&world_flags);
-    tamperscope("pop-run", &args)?;
-
-    let parts: Vec<String> = (0..3)
-        .map(|i| {
-            dir.join(format!("pop{i}.agg"))
-                .to_string_lossy()
-                .into_owned()
-        })
-        .collect();
-    for p in &parts {
-        if !std::path::Path::new(p).exists() {
-            return Err(format!("multi-pop smoke: pop-run did not write {p}"));
-        }
-    }
-    eprintln!("==> multi-pop smoke: tamperscope merge pop0..2.agg");
-    let mut args: Vec<&str> = vec!["merge"];
-    args.extend(parts.iter().map(String::as_str));
-    args.extend_from_slice(&world_flags);
-    let merged = tamperscope("merge", &args)?;
-
-    eprintln!("==> multi-pop smoke: tamperscope report (single-machine reference)");
-    let mut args: Vec<&str> = vec!["report", "--threads", "2"];
-    args.extend_from_slice(&world_flags);
-    let single = tamperscope("report", &args)?;
-
-    if merged.is_empty() {
-        return Err("multi-pop smoke: merge produced no output".into());
-    }
-    if merged != single {
-        return Err(
-            "multi-pop smoke: merged 3-PoP report differs from the single-machine report".into(),
-        );
-    }
-    eprintln!(
-        "==> multi-pop smoke: {} byte(s), 3-PoP merge identical to single run",
-        merged.len()
-    );
-    Ok(())
-}
-
 /// Pipeline bench smoke. Tier-1 never builds the stand-alone `benchmark/`
 /// workspace, so first `cargo check` it — an API change that breaks
 /// `probes` or `synth` fails here — then run the smallest end-to-end
@@ -368,32 +237,6 @@ fn ci() -> Result<(), String> {
         sw.time("test", || {
             run("test", "cargo", &["test", "--workspace", "-q"])
         })?;
-        // The headline guarantee deserves its own gate: run the determinism
-        // suite again so a flaky scheduling-dependent divergence has a second
-        // chance to surface outside the big batch.
-        sw.time("determinism", || {
-            run(
-                "determinism",
-                "cargo",
-                &["test", "-q", "--test", "engine_determinism"],
-            )
-        })?;
-        sw.time("golden corpus", || {
-            run(
-                "golden corpus",
-                "cargo",
-                &["test", "-q", "--test", "golden_corpus"],
-            )
-        })?;
-        // The zero-allocation proof behind tamperlint's hot-path-alloc
-        // rule gets a gated step.
-        sw.time("alloc discipline", || {
-            run(
-                "alloc discipline",
-                "cargo",
-                &["test", "-q", "--test", "alloc_discipline"],
-            )
-        })?;
         // The proptest suites re-run with the case count and seed pinned,
         // one step per test binary so its wall time lands in the summary.
         for suite in ["properties", "state_machine"] {
@@ -407,8 +250,6 @@ fn ci() -> Result<(), String> {
             })?;
         }
         sw.time("metrics smoke", metrics_smoke)?;
-        sw.time("report smoke", report_determinism_smoke)?;
-        sw.time("multi-pop smoke", multi_pop_smoke)?;
         sw.time("pipeline bench smoke", pipeline_bench_smoke)?;
         sw.time("analyze", || {
             eprintln!("==> analyze: tamperlint (in-process)");
@@ -455,8 +296,8 @@ fn main() -> ExitCode {
         _ => Err(format!(
             "unknown task {task:?}\n\nUSAGE: cargo xtask <task>\n\nTASKS:\n  \
              ci                 fmt + clippy + release build + workspace tests + \
-             determinism gates + alloc discipline + metrics + report + \
-             multi-pop + pipeline-bench smokes + tamperlint\n  \
+             pinned-seed proptests + metrics + pipeline-bench smokes + \
+             tamperlint\n  \
              analyze [--json] [--explain <rule>]\n                     \
              tamperlint static-analysis gate (determinism, purity, growth, \
              panic-safety, wraparound, taxonomy, dataflow): fails on any \

@@ -1,12 +1,12 @@
 //! Quickstart: simulate one censored and one clean connection, watch the
 //! classifier tell them apart, then run a small world and print the
-//! headline numbers.
+//! headline numbers next to the paper's.
 //!
 //! ```sh
 //! cargo run --release --example quickstart
 //! ```
 
-use tamperscope::analysis::pct_f;
+use tamperscope::analysis::{comparison_table, pct_f};
 use tamperscope::capture::collect;
 use tamperscope::core::{max_rst_ipid_delta, max_rst_ttl_delta};
 use tamperscope::netsim::{derive_rng, Link};
@@ -118,4 +118,7 @@ fn main() {
         pct_f(col.truth.recall()),
         pct_f(col.truth.precision())
     );
+
+    // 4. The same world against the paper's headline statistics.
+    println!("\n{}", comparison_table(&col));
 }

@@ -286,6 +286,16 @@ fn world_config(args: &Args) -> Result<WorldConfig, String> {
     })
 }
 
+/// An empty collector shaped for `sim`'s world: its countries, its hours.
+fn world_collector(sim: &WorldSim) -> Collector {
+    Collector::new(
+        ClassifierConfig::default(),
+        sim.world().len(),
+        sim.config().days,
+        sim.config().start_unix,
+    )
+}
+
 /// The `--metrics-json` epilogue: publish the subcommand's own scope (if
 /// it kept one), write the registry's snapshot to the file and say so on
 /// stderr. Metrics live in this side file only, never in stdout bytes.
@@ -335,14 +345,7 @@ fn cmd_report(args: &Args) -> ExitCode {
         }
         None => WorldSim::new(cfg),
     };
-    let mk = || {
-        Collector::new(
-            ClassifierConfig::default(),
-            sim.world().len(),
-            sim.config().days,
-            sim.config().start_unix,
-        )
-    };
+    let mk = || world_collector(&sim);
     let metrics_path = args.get("metrics-json");
     let registry = metrics_path.map(|_| Registry::new());
     // Stderr progress timing goes through the obs stopwatch — the one
@@ -514,7 +517,7 @@ fn cmd_iran(args: &Args) -> ExitCode {
         scenario: Scenario::IranProtest,
         ..Default::default()
     });
-    let mk = || Collector::new(ClassifierConfig::default(), 1, 17, SEP13_2022_UNIX);
+    let mk = || world_collector(&sim);
     // Same side-registry discipline as `classify`/`report`: the engine's
     // reader/shard<i>/merge scopes plus a `report` scope, in their own
     // file, never in the fig8 bytes.
@@ -604,6 +607,24 @@ fn synth_session(
     (i, packets)
 }
 
+/// Write every session's packets and flush: the tail of any capture sits
+/// in the `BufWriter`, and dropping that would lose its write error. The
+/// packet count on success.
+fn write_capture(
+    mut writer: PcapWriter<BufWriter<File>>,
+    sessions: &[SynthSession],
+) -> std::io::Result<u64> {
+    let mut written = 0u64;
+    for (_, packets) in sessions {
+        for (secs, usec, pkt) in packets {
+            writer.write_packet(*secs, *usec, pkt)?;
+            written += 1;
+        }
+    }
+    writer.into_inner().flush()?;
+    Ok(written)
+}
+
 fn cmd_synthesize(args: &Args) -> ExitCode {
     let Some(path) = args.positional.first() else {
         return usage();
@@ -618,7 +639,7 @@ fn cmd_synthesize(args: &Args) -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    let mut writer = match PcapWriter::new(BufWriter::new(file)) {
+    let writer = match PcapWriter::new(BufWriter::new(file)) {
         Ok(w) => w,
         Err(e) => {
             eprintln!("cannot write {path}: {e}");
@@ -648,16 +669,13 @@ fn cmd_synthesize(args: &Args) -> ExitCode {
         |a: &mut Vec<SynthSession>, mut b| a.append(&mut b),
     );
     generated.sort_unstable_by_key(|(i, _)| *i);
-    let mut written = 0u64;
-    for (_, packets) in &generated {
-        for (secs, usec, pkt) in packets {
-            if writer.write_packet(*secs, *usec, pkt).is_err() {
-                eprintln!("write error");
-                return ExitCode::FAILURE;
-            }
-            written += 1;
+    let written = match write_capture(writer, &generated) {
+        Ok(n) => n,
+        Err(e) => {
+            eprintln!("cannot write {path}: {e}");
+            return ExitCode::FAILURE;
         }
-    }
+    };
     if !write_metrics(metrics_path, registry.as_ref(), None, "pipeline") {
         return ExitCode::FAILURE;
     }

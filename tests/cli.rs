@@ -323,6 +323,23 @@ fn classify_fails_when_stdout_cannot_take_the_verdicts() {
     assert!(!err.contains("flows match"), "{err}");
 }
 
+/// One session is 7 packets, well under the `BufWriter`'s 8 KiB: only the
+/// final flush ever reaches the device.
+#[test]
+fn synthesize_fails_when_the_capture_cannot_be_written() {
+    if !std::path::Path::new("/dev/full").exists() {
+        return; // no /dev/full on this platform
+    }
+    let out = bin()
+        .args(["synthesize", "/dev/full", "--sessions", "1"])
+        .output()
+        .expect("synthesize");
+    assert_eq!(out.status.code(), Some(1));
+    let err = String::from_utf8(out.stderr).unwrap();
+    assert!(err.contains("cannot write /dev/full: "), "{err}");
+    assert!(!err.contains("wrote"), "{err}");
+}
+
 #[test]
 fn custom_world_round_trips_through_cli() {
     // Export the calibrated world, load it back, and run a small report.

@@ -2,9 +2,12 @@
 //! world across points of presence, each emitting a serialized partial
 //! aggregate, and `tamperscope merge` combines them into a full report
 //! that must be byte-identical to the single-machine `report` run — at
-//! any thread count and any merge order. Plus the fail-closed decode
-//! paths: corrupt or mismatched `.agg` inputs are named errors with exit
-//! code 2, never panics.
+//! any thread count and any merge order — and to the committed
+//! `tests/fixtures/report_4k.golden.txt`, so every table and figure the
+//! CLI emits is pinned (re-bless an intentional change with
+//! `UPDATE_GOLDEN=1 cargo test --test multi_pop`). Plus the fail-closed
+//! decode paths: corrupt or mismatched `.agg` inputs are named errors
+//! with exit code 2, never panics.
 
 use std::path::PathBuf;
 use std::process::Command;
@@ -59,8 +62,9 @@ fn single_report(threads: u32) -> Vec<u8> {
 }
 
 /// The golden identity: a 4-PoP split merged back together renders the
-/// exact bytes of a single-machine report, and the single-machine report
-/// itself is thread-count-invariant (1/2/8).
+/// exact bytes of a single-machine report, the single-machine report
+/// itself is thread-count-invariant (1/2/8), and those bytes are the
+/// committed golden.
 #[test]
 fn four_pop_merge_matches_single_machine_report() {
     let dir = tmp_dir("golden");
@@ -78,6 +82,19 @@ fn four_pop_merge_matches_single_machine_report() {
     );
 
     let t1 = single_report(1);
+    let golden_path = concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/tests/fixtures/report_4k.golden.txt"
+    );
+    if std::env::var_os("UPDATE_GOLDEN").is_some() {
+        std::fs::write(golden_path, &t1).unwrap();
+    }
+    let golden = std::fs::read(golden_path)
+        .expect("tests/fixtures/report_4k.golden.txt missing — run with UPDATE_GOLDEN=1");
+    assert!(
+        t1 == golden,
+        "report bytes differ from report_4k.golden.txt; if intentional, re-bless with UPDATE_GOLDEN=1"
+    );
     assert_eq!(
         merged.stdout, t1,
         "merged 4-PoP report differs from single-machine report"

@@ -1,10 +1,13 @@
-//! Pipeline equivalence and ablation tests: the pcap round-trip matches
-//! direct collection, the sampler preserves proportions (ablation A5),
-//! timestamp quantization does not change verdicts (ablation A3), and the
-//! 10-packet window ablation behaves as DESIGN.md predicts (A2).
+//! Pipeline equivalence and ablation tests (DESIGN.md A1–A5). Per flow:
+//! the pcap round-trip matches direct collection, timestamp quantization
+//! does not change verdicts (A3), and a 4-packet window hides Post-Data
+//! tampering (A2). In aggregate, over simulated worlds that each vary
+//! one collection or classification choice: the inactivity threshold
+//! (A1), the packet window (A2), quantization (A3), merged vs split
+//! RST-count signatures (A4) and 1-in-N sampling (A5).
 
 use std::net::{IpAddr, Ipv4Addr};
-use tamper_analysis::Collector;
+use tamper_analysis::{report::stage_share, Collector};
 use tamper_capture::{
     collect, flows_from_pcap, CollectorConfig, OfflineConfig, PcapWriter, Sampler,
 };
@@ -199,49 +202,174 @@ fn packet_window_ablation_hides_late_tampering() {
     );
 }
 
+/// The world every aggregate ablation below varies one knob of.
+fn ablation_world() -> WorldConfig {
+    WorldConfig {
+        sessions: 25_000,
+        days: 2,
+        catalog_size: 800,
+        ..Default::default()
+    }
+}
+
+/// Simulate `world` once and aggregate every flow under each classifier
+/// configuration in `clfs`, so variants that differ only in the
+/// classifier see the identical flows.
+fn run_world<const N: usize>(world: WorldConfig, clfs: [ClassifierConfig; N]) -> [Collector; N] {
+    let sim = WorldSim::new(world);
+    sim.run_sharded(
+        0,
+        None,
+        || {
+            clfs.map(|clf| {
+                Collector::new(
+                    clf,
+                    sim.world().len(),
+                    sim.config().days,
+                    sim.config().start_unix,
+                )
+            })
+        },
+        |cols, lf| cols.iter_mut().for_each(|c| c.observe(&lf)),
+        |a, b| a.iter_mut().zip(b).for_each(|(x, y)| x.merge(y)),
+    )
+}
+
+fn run_paper_classifier(world: WorldConfig) -> Collector {
+    let [col] = run_world(world, [ClassifierConfig::default()]);
+    col
+}
+
+/// What EXPERIMENTS.md's ablation rows report: flows kept, possibly
+/// tampered, and per stage the flows and the signature matches.
+fn headline(col: &Collector) -> (u64, u64, [u64; 5], [u64; 5]) {
+    (
+        col.total,
+        col.possibly_tampered,
+        col.stage_counts,
+        col.stage_matched,
+    )
+}
+
+fn possibly_tampered_share(col: &Collector) -> f64 {
+    col.possibly_tampered as f64 / col.total as f64
+}
+
+/// Ablations A1 and A4, which vary only the classifier, over one
+/// simulated world. A1: with 1-second timestamps a 1 s, 3 s or 10 s
+/// inactivity threshold selects the same flows. A4: merging the
+/// single-vs-multiple RST splits folds 19 observed signatures into 13 and
+/// moves no flow across a stage or in or out of the matched set.
+#[test]
+fn classifier_ablations_move_no_flow_across_the_headline() {
+    let paper = ClassifierConfig::default();
+    let [t1, t3, t10, merged] = run_world(
+        ablation_world(),
+        [
+            ClassifierConfig {
+                inactivity_secs: 1,
+                ..paper
+            },
+            paper,
+            ClassifierConfig {
+                inactivity_secs: 10,
+                ..paper
+            },
+            ClassifierConfig {
+                split_rst_counts: false,
+                ..paper
+            },
+        ],
+    );
+    assert!(t3.possibly_tampered > 0);
+    assert_eq!(headline(&t1), headline(&t3), "A1: 1 s vs 3 s");
+    assert_eq!(headline(&t10), headline(&t3), "A1: 10 s vs 3 s");
+
+    let distinct_signatures = |col: &Collector| {
+        (0..Signature::ALL.len())
+            .filter(|&sig| col.country_class.iter().any(|c| c[sig] > 0))
+            .count()
+    };
+    assert_eq!(headline(&merged), headline(&t3), "A4: merged vs split");
+    assert_eq!(distinct_signatures(&t3), 19);
+    assert_eq!(distinct_signatures(&merged), 13);
+}
+
+/// Ablation A2 in aggregate: a 4-packet window never reaches a Post-Data
+/// teardown, so that stage empties and the possibly-tampered share falls
+/// with it; 20 packets see nothing 10 did not (the paper's choice of 10).
+#[test]
+fn packet_window_ablation_in_aggregate() {
+    let window = |max_packets: usize| {
+        let mut world = ablation_world();
+        world.collector.max_packets = max_packets;
+        run_paper_classifier(world)
+    };
+    let (w4, w10, w20) = (window(4), window(10), window(20));
+    assert!(w10.stage_counts[3] > 0, "the paper window sees Post-Data");
+    assert_eq!(w4.stage_counts[3], 0, "window 4 still sees Post-Data");
+    assert!(
+        possibly_tampered_share(&w4) < possibly_tampered_share(&w10) - 0.05,
+        "window 4 {} vs window 10 {}",
+        possibly_tampered_share(&w4),
+        possibly_tampered_share(&w10)
+    );
+    assert_eq!(headline(&w20), headline(&w10), "window 20 vs 10");
+}
+
+/// Ablation A3 in aggregate: exact timestamps select the same flows and
+/// match the same number of them as the paper's 1-second timestamps;
+/// only a handful move between adjacent stages.
+#[test]
+fn quantization_ablation_in_aggregate() {
+    let quantized = run_paper_classifier(ablation_world());
+    let mut world = ablation_world();
+    world.collector.quantize_timestamps = false;
+    world.collector.shuffle_within_second = false;
+    let exact = run_paper_classifier(world);
+    assert_eq!(exact.total, quantized.total);
+    assert_eq!(exact.possibly_tampered, quantized.possibly_tampered);
+    assert_eq!(
+        exact.stage_matched.iter().sum::<u64>(),
+        quantized.stage_matched.iter().sum::<u64>(),
+        "signature coverage"
+    );
+    for stage in [
+        Stage::PostSyn,
+        Stage::PostAck,
+        Stage::PostPsh,
+        Stage::PostData,
+    ] {
+        let q = stage_share(&quantized.view(), stage);
+        let e = stage_share(&exact.view(), stage);
+        assert!((q - e).abs() <= 0.01, "{stage:?}: {q} vs {e}");
+    }
+}
+
 /// Ablation A5: sampling 1-in-N preserves the headline proportions.
 #[test]
 fn sampling_ablation_preserves_proportions() {
-    let make = |denominator: u64| {
-        let sim = WorldSim::new(WorldConfig {
-            sessions: if denominator == 1 { 25_000 } else { 250_000 },
-            days: 2,
-            catalog_size: 800,
-            sample_denominator: denominator,
-            ..Default::default()
-        });
-        sim.run_sharded(
-            0,
-            None,
-            || {
-                Collector::new(
-                    ClassifierConfig::default(),
-                    sim.world().len(),
-                    2,
-                    sim.config().start_unix,
-                )
-            },
-            |c, lf| c.observe(&lf),
-            |a, b| a.merge(b),
-        )
-    };
-    let full = make(1);
-    let sampled = make(10);
+    let full = run_paper_classifier(ablation_world());
+    let sampled = run_paper_classifier(WorldConfig {
+        sessions: 250_000,
+        sample_denominator: 10,
+        ..ablation_world()
+    });
     // 250k generated at 1-in-10 yields about as many kept flows as the
     // unsampled 25k run — i.e. the sampler really dropped ~90%.
     let ratio = sampled.total as f64 / full.total as f64;
     assert!((0.8..1.25).contains(&ratio), "sample ratio {ratio}");
     // ...but the possibly-tampered proportion is stable.
-    let p_full = full.possibly_tampered as f64 / full.total as f64;
-    let p_sampled = sampled.possibly_tampered as f64 / sampled.total as f64;
+    let p_full = possibly_tampered_share(&full);
+    let p_sampled = possibly_tampered_share(&sampled);
     assert!(
         (p_full - p_sampled).abs() < 0.03,
         "full {p_full} vs sampled {p_sampled}"
     );
     // Stage shares stay within a few points too.
     for stage in [Stage::PostSyn, Stage::PostData] {
-        let s_full = tamper_analysis::report::stage_share(&full.view(), stage);
-        let s_sampled = tamper_analysis::report::stage_share(&sampled.view(), stage);
+        let s_full = stage_share(&full.view(), stage);
+        let s_sampled = stage_share(&sampled.view(), stage);
         assert!(
             (s_full - s_sampled).abs() < 0.06,
             "{stage:?}: {s_full} vs {s_sampled}"
