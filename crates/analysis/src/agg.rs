@@ -12,10 +12,7 @@
 //! lives in [`crate::view::ReportView`].
 
 use std::collections::BTreeMap;
-use tamper_core::{
-    is_zmap_fingerprint, max_consecutive_ipid_delta, max_consecutive_ttl_delta, max_rst_ipid_delta,
-    max_rst_ttl_delta, min_consecutive_ipid_delta, scanner_marks, user_agent,
-};
+use tamper_core::{is_zmap_fingerprint, scanner_marks, user_agent};
 use tamper_core::{ClassifierConfig, FlowAnalysis, Signature, Stage};
 use tamper_netsim::splitmix64;
 use tamper_worldgen::{ip_key, LabeledFlow};
@@ -573,21 +570,22 @@ impl PartialAggregate {
             None if !a.is_possibly_tampered() => Some(19),
             None => None,
         };
+        let ev = &a.evidence;
         if let Some(ri) = res_idx {
             let pri = flow_priority(lf);
             let delta = if ri == 19 {
-                max_consecutive_ipid_delta(&lf.flow)
+                ev.max_consecutive_ipid
             } else {
-                max_rst_ipid_delta(&lf.flow)
+                ev.max_rst_ipid
             };
             if let Some(d) = delta {
                 // tamperlint: allow(unbounded-growth) — fixed-length Vec of Reservoirs; Reservoir::insert keeps lowest-K
                 self.ipid_res[ri].insert(pri, d);
             }
             let delta = if ri == 19 {
-                max_consecutive_ttl_delta(&lf.flow)
+                ev.max_consecutive_ttl
             } else {
-                max_rst_ttl_delta(&lf.flow)
+                ev.max_rst_ttl
             };
             if let Some(d) = delta {
                 // tamperlint: allow(unbounded-growth) — fixed-length Vec of Reservoirs; Reservoir::insert keeps lowest-K
@@ -596,7 +594,7 @@ impl PartialAggregate {
         }
 
         // V3 baselines.
-        if let Some(min) = min_consecutive_ipid_delta(&lf.flow) {
+        if let Some(min) = ev.min_consecutive_ipid {
             self.ipid_flows += 1;
             if min <= 1 {
                 self.ipid_min_le1 += 1;
@@ -605,7 +603,7 @@ impl PartialAggregate {
                 self.ipid_min_gt100 += 1;
             }
         }
-        if let Some(max) = max_consecutive_ttl_delta(&lf.flow) {
+        if let Some(max) = ev.max_consecutive_ttl {
             self.ttl_flows += 1;
             if max.abs() <= 1 {
                 self.ttl_max_le1 += 1;

@@ -10,9 +10,7 @@ use std::borrow::BorrowMut;
 use std::fmt::Write;
 use std::net::IpAddr;
 use tamper_capture::FlowRecord;
-use tamper_core::{
-    max_rst_ipid_delta, max_rst_ttl_delta, AppProtocol, Classification, FlowAnalysis,
-};
+use tamper_core::{AppProtocol, Classification, FlowAnalysis};
 
 /// Escape a string per RFC 8259.
 pub fn escape_json(s: &str) -> String {
@@ -196,11 +194,11 @@ pub fn flow_to_jsonl_into(out: &mut String, flow: &FlowRecord, analysis: &FlowAn
         .opt_str("trigger_domain", analysis.trigger.domain.as_deref())
         .uint("rst_count", analysis.rst_count as u64)
         .uint("rst_ack_count", analysis.rst_ack_count as u64);
-    obj = match max_rst_ipid_delta(flow) {
+    obj = match analysis.evidence.max_rst_ipid {
         Some(d) => obj.uint("max_rst_ipid_delta", u64::from(d)),
         None => obj.null("max_rst_ipid_delta"),
     };
-    obj = match max_rst_ttl_delta(flow) {
+    obj = match analysis.evidence.max_rst_ttl {
         Some(d) => obj.int("max_rst_ttl_delta", i64::from(d)),
         None => obj.null("max_rst_ttl_delta"),
     };

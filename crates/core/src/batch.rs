@@ -15,6 +15,7 @@
 //! either layout; the `alloc_discipline` suite enforces that budget.
 
 use crate::classify::{merge_rst_counts, rst_signature, ClassifierConfig, FlowAnalysis};
+use crate::evidence::EvidenceFold;
 use crate::machine::{event_of, stage_of, transition, Count, Event, StageState};
 use crate::reorder::reconstruct_order;
 use crate::signature::{Classification, Signature, Stage};
@@ -50,6 +51,14 @@ impl PacketsView for FlowRows<'_> {
 
     fn payload(&self, i: usize) -> &[u8] {
         self.payload_of(i)
+    }
+
+    fn ip_id(&self, i: usize) -> Option<u16> {
+        self.rows[i].ip_id
+    }
+
+    fn ttl(&self, i: usize) -> u8 {
+        self.rows[i].ttl
     }
 }
 
@@ -102,6 +111,13 @@ impl BatchClassifier {
         )
     }
 
+    /// The reconstructed packet order (indices in log order) of the flow
+    /// classified last — what an explanation narrates, without sorting
+    /// the flow a second time.
+    pub fn order(&self) -> &[usize] {
+        &self.order
+    }
+
     /// Classify every flow in the batch, in span order. The returned
     /// slice lives until the next `classify_batch` call.
     pub fn classify_batch(&mut self, batch: &FlowBatch) -> &[FlowAnalysis] {
@@ -115,7 +131,8 @@ impl BatchClassifier {
 
     /// The one classification body, generic over packet storage:
     /// reconstruct order, fold the event stream through the transition
-    /// table, and read the verdict off the final state. `truncated`
+    /// table (and the header fields into the injection evidence), and
+    /// read the verdict off the final state. `truncated`
     /// flags flows cut by the packet cap, whose artificial tail silence
     /// must not count as evidence. Once the scratch is warm no packet
     /// count inside the corpus' high-water marks allocates; the only
@@ -134,9 +151,11 @@ impl BatchClassifier {
         self.seen_data_seqs.clear();
 
         let mut state = StageState::START;
+        let mut evidence = EvidenceFold::EMPTY;
         let mut max_gap = 0u64;
         let mut prev_ts = None;
         for &pi in self.order.iter() {
+            evidence.push(v.flags(pi).has_rst(), v.ip_id(pi), v.ttl(pi));
             let ts = v.ts_sec(pi);
             if let Some(prev) = prev_ts {
                 max_gap = max_gap.max(ts.saturating_sub(prev));
@@ -167,6 +186,7 @@ impl BatchClassifier {
         let silent =
             !state.fin_any && (max_gap >= cfg.inactivity_secs || tail_gap >= cfg.inactivity_secs);
         let possibly_tampered = state.rst || silent;
+        let evidence = evidence.finish();
 
         if !possibly_tampered || self.order.is_empty() {
             return FlowAnalysis {
@@ -175,6 +195,7 @@ impl BatchClassifier {
                 rst_count,
                 rst_ack_count,
                 trigger,
+                evidence,
             };
         }
 
@@ -215,6 +236,7 @@ impl BatchClassifier {
             rst_count,
             rst_ack_count,
             trigger,
+            evidence,
         }
     }
 }

@@ -16,6 +16,7 @@
 //!   multi-RST bursts — the relationship between their ack numbers).
 
 use crate::batch::BatchClassifier;
+use crate::evidence::FlowEvidence;
 use crate::signature::{Classification, Signature, Stage};
 use crate::trigger::TriggerInfo;
 use tamper_capture::FlowRecord;
@@ -53,6 +54,8 @@ pub struct FlowAnalysis {
     pub rst_ack_count: usize,
     /// Trigger domain / protocol extracted from payloads.
     pub trigger: TriggerInfo,
+    /// IP-ID / TTL injection evidence over the reconstructed order.
+    pub evidence: FlowEvidence,
 }
 
 impl FlowAnalysis {

@@ -6,8 +6,7 @@
 //! between consecutive packets of a flow); a middlebox forging a RST uses
 //! its own stack, so the forged packet's IP-ID and TTL usually jump.
 
-use crate::reorder::reconstruct_order;
-use tamper_capture::{FlowRecord, PacketRecord};
+use tamper_capture::FlowRecord;
 
 /// The ZMap scanner's famous fixed IP-ID.
 pub const ZMAP_IP_ID: u16 = 54321;
@@ -15,106 +14,116 @@ pub const ZMAP_IP_ID: u16 = 54321;
 /// Hiesgen et al. (paper §4.2).
 pub const HIGH_TTL: u8 = 200;
 
+/// The §4.2–4.3 header-continuity statistics of one flow, over its
+/// packets in reconstructed order. The classifier computes them in the
+/// same pass that folds the flow through the stage automaton and returns
+/// them as [`FlowAnalysis::evidence`](crate::FlowAnalysis::evidence).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct FlowEvidence {
+    /// Maximum absolute IP-ID change between each RST-flagged packet and
+    /// the nearest preceding non-RST packet (Figure 2). `None` if the
+    /// flow has no RSTs, no IPv4 IP-IDs, or no preceding packet.
+    pub max_rst_ipid: Option<u32>,
+    /// Minimum absolute IP-ID change between consecutive IPv4 packets —
+    /// the paper's sanity check that ≥93% of connections have a minimum
+    /// delta of 0 or 1. IPv6 packets in between are skipped.
+    pub min_consecutive_ipid: Option<u32>,
+    /// Maximum absolute IP-ID change between consecutive IPv4 packets —
+    /// the baseline ("Not Tampering") statistic.
+    pub max_consecutive_ipid: Option<u32>,
+    /// Signed TTL change of largest magnitude between each RST packet and
+    /// the nearest preceding non-RST packet (Figure 3 plots −255..255).
+    pub max_rst_ttl: Option<i16>,
+    /// Signed TTL change of largest magnitude between consecutive
+    /// packets — the baseline statistic.
+    pub max_consecutive_ttl: Option<i16>,
+}
+
+impl FlowEvidence {
+    /// Nothing to measure: the evidence of a flow with no packets.
+    pub const NONE: FlowEvidence = FlowEvidence {
+        max_rst_ipid: None,
+        min_consecutive_ipid: None,
+        max_consecutive_ipid: None,
+        max_rst_ttl: None,
+        max_consecutive_ttl: None,
+    };
+}
+
 /// Absolute difference between two IP-IDs (no wrap folding: the paper
 /// plots plain absolute change, with the x-axis running to 65535).
 fn ipid_delta(a: u16, b: u16) -> u32 {
     (i32::from(a) - i32::from(b)).unsigned_abs()
 }
 
-/// The flow's packets in reconstructed order.
-fn in_order(flow: &FlowRecord) -> impl Iterator<Item = &PacketRecord> {
-    let mut order = Vec::new();
-    reconstruct_order(flow.packets.as_slice(), &mut order);
-    order.into_iter().map(|i| &flow.packets[i])
+/// The signed change of larger magnitude; the earlier one on a tie.
+fn larger_ttl_change(max: Option<i16>, d: i16) -> Option<i16> {
+    match max {
+        Some(m) if m.abs() >= d.abs() => Some(m),
+        _ => Some(d),
+    }
 }
 
-/// Maximum absolute IP-ID change between each RST-flagged packet and the
-/// nearest preceding non-RST packet. `None` if the flow has no RSTs, no
-/// IPv4 IP-IDs, or no preceding packet.
-pub fn max_rst_ipid_delta(flow: &FlowRecord) -> Option<u32> {
-    let mut last_non_rst: Option<u16> = None;
-    let mut max: Option<u32> = None;
-    for p in in_order(flow) {
-        if p.flags.has_rst() {
-            if let (Some(prev), Some(cur)) = (last_non_rst, p.ip_id) {
-                let d = ipid_delta(cur, prev);
-                max = Some(max.map_or(d, |m: u32| m.max(d)));
+/// [`FlowEvidence`] under construction: fed one packet at a time, in
+/// reconstructed order.
+#[derive(Debug)]
+pub(crate) struct EvidenceFold {
+    evidence: FlowEvidence,
+    /// IP-ID of the latest IPv4 packet, and of the latest non-RST one.
+    prev_ipid: Option<u16>,
+    non_rst_ipid: Option<u16>,
+    /// TTL of the latest packet, and of the latest non-RST one.
+    prev_ttl: Option<u8>,
+    non_rst_ttl: Option<u8>,
+}
+
+impl EvidenceFold {
+    /// Nothing folded yet.
+    pub(crate) const EMPTY: EvidenceFold = EvidenceFold {
+        evidence: FlowEvidence::NONE,
+        prev_ipid: None,
+        non_rst_ipid: None,
+        prev_ttl: None,
+        non_rst_ttl: None,
+    };
+
+    /// Fold in the next packet of the reconstructed order.
+    pub(crate) fn push(&mut self, rst: bool, ip_id: Option<u16>, ttl: u8) {
+        let ev = &mut self.evidence;
+        if let Some(id) = ip_id {
+            if let Some(p) = self.prev_ipid {
+                let d = ipid_delta(id, p);
+                ev.min_consecutive_ipid = Some(ev.min_consecutive_ipid.map_or(d, |m| m.min(d)));
+                ev.max_consecutive_ipid = Some(ev.max_consecutive_ipid.map_or(d, |m| m.max(d)));
             }
-        } else if let Some(id) = p.ip_id {
-            last_non_rst = Some(id);
+            self.prev_ipid = Some(id);
         }
-    }
-    max
-}
-
-/// Maximum absolute IP-ID change between consecutive packets — the
-/// baseline ("Not Tampering") statistic.
-pub fn max_consecutive_ipid_delta(flow: &FlowRecord) -> Option<u32> {
-    consecutive_ipid_deltas(flow).1
-}
-
-/// Minimum absolute IP-ID change between consecutive packets — used for
-/// the paper's sanity check that ≥93% of connections have a minimum delta
-/// of 0 or 1.
-pub fn min_consecutive_ipid_delta(flow: &FlowRecord) -> Option<u32> {
-    consecutive_ipid_deltas(flow).0
-}
-
-/// (min, max) absolute IP-ID delta over consecutive IPv4 packets in
-/// reconstructed order (IPv6 packets in between are skipped).
-fn consecutive_ipid_deltas(flow: &FlowRecord) -> (Option<u32>, Option<u32>) {
-    let mut prev: Option<u16> = None;
-    let mut min: Option<u32> = None;
-    let mut max: Option<u32> = None;
-    for id in in_order(flow).filter_map(|p| p.ip_id) {
-        if let Some(p) = prev {
-            let d = ipid_delta(id, p);
-            min = Some(min.map_or(d, |m: u32| m.min(d)));
-            max = Some(max.map_or(d, |m: u32| m.max(d)));
+        if let Some(prev) = self.prev_ttl {
+            let d = i16::from(ttl) - i16::from(prev);
+            ev.max_consecutive_ttl = larger_ttl_change(ev.max_consecutive_ttl, d);
         }
-        prev = Some(id);
-    }
-    (min, max)
-}
-
-/// Signed TTL change between each RST packet and the nearest preceding
-/// non-RST packet; returns the change with the largest magnitude
-/// (Figure 3 plots signed changes in −255..255).
-pub fn max_rst_ttl_delta(flow: &FlowRecord) -> Option<i16> {
-    let mut last_non_rst: Option<u8> = None;
-    let mut max: Option<i16> = None;
-    for p in in_order(flow) {
-        if p.flags.has_rst() {
-            if let Some(prev) = last_non_rst {
-                let d = i16::from(p.ttl) - i16::from(prev);
-                max = Some(match max {
-                    Some(m) if m.abs() >= d.abs() => m,
-                    _ => d,
-                });
+        self.prev_ttl = Some(ttl);
+        if rst {
+            if let (Some(prev), Some(cur)) = (self.non_rst_ipid, ip_id) {
+                let d = ipid_delta(cur, prev);
+                ev.max_rst_ipid = Some(ev.max_rst_ipid.map_or(d, |m| m.max(d)));
+            }
+            if let Some(prev) = self.non_rst_ttl {
+                let d = i16::from(ttl) - i16::from(prev);
+                ev.max_rst_ttl = larger_ttl_change(ev.max_rst_ttl, d);
             }
         } else {
-            last_non_rst = Some(p.ttl);
+            if ip_id.is_some() {
+                self.non_rst_ipid = ip_id;
+            }
+            self.non_rst_ttl = Some(ttl);
         }
     }
-    max
-}
 
-/// Signed TTL change of largest magnitude between consecutive packets —
-/// baseline statistic.
-pub fn max_consecutive_ttl_delta(flow: &FlowRecord) -> Option<i16> {
-    let mut prev: Option<u8> = None;
-    let mut max: Option<i16> = None;
-    for p in in_order(flow) {
-        if let Some(prev) = prev {
-            let d = i16::from(p.ttl) - i16::from(prev);
-            max = Some(match max {
-                Some(m) if m.abs() >= d.abs() => m,
-                _ => d,
-            });
-        }
-        prev = Some(p.ttl);
+    /// The statistics over every packet pushed.
+    pub(crate) fn finish(self) -> FlowEvidence {
+        self.evidence
     }
-    max
 }
 
 /// The three scanner properties of Hiesgen et al. evaluated in §4.2.
@@ -169,6 +178,7 @@ pub fn is_zmap_fingerprint(flow: &FlowRecord) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::classify::{classify, ClassifierConfig};
     use bytes::Bytes;
     use std::net::{IpAddr, Ipv4Addr};
     use tamper_capture::PacketRecord;
@@ -208,6 +218,11 @@ mod tests {
         }
     }
 
+    /// The evidence the classifier computes for `f`.
+    fn evidence(f: &FlowRecord) -> FlowEvidence {
+        classify(f, &ClassifierConfig::default()).evidence
+    }
+
     #[test]
     fn injected_rst_shows_large_ipid_jump() {
         let f = flow(vec![
@@ -215,8 +230,9 @@ mod tests {
             rec(0, TcpFlags::ACK, 101, Some(1001), 52, true),
             rec(0, TcpFlags::RST, 101, Some(48000), 101, false),
         ]);
-        assert_eq!(max_rst_ipid_delta(&f), Some(46999));
-        assert_eq!(max_rst_ttl_delta(&f), Some(49));
+        let e = evidence(&f);
+        assert_eq!(e.max_rst_ipid, Some(46999));
+        assert_eq!(e.max_rst_ttl, Some(49));
     }
 
     #[test]
@@ -226,8 +242,9 @@ mod tests {
             rec(0, TcpFlags::ACK, 101, Some(8), 52, true),
             rec(0, TcpFlags::RST, 101, Some(9), 52, true),
         ]);
-        assert_eq!(max_rst_ipid_delta(&f), Some(1));
-        assert_eq!(max_rst_ttl_delta(&f), Some(0));
+        let e = evidence(&f);
+        assert_eq!(e.max_rst_ipid, Some(1));
+        assert_eq!(e.max_rst_ttl, Some(0));
     }
 
     #[test]
@@ -237,17 +254,19 @@ mod tests {
             rec(0, TcpFlags::ACK, 101, Some(11), 52, true),
             rec(1, TcpFlags::ACK, 101, Some(13), 52, true),
         ]);
-        assert_eq!(max_consecutive_ipid_delta(&f), Some(2));
-        assert_eq!(min_consecutive_ipid_delta(&f), Some(1));
-        assert_eq!(max_consecutive_ttl_delta(&f), Some(0));
+        let e = evidence(&f);
+        assert_eq!(e.max_consecutive_ipid, Some(2));
+        assert_eq!(e.min_consecutive_ipid, Some(1));
+        assert_eq!(e.max_consecutive_ttl, Some(0));
     }
 
     #[test]
     fn no_rst_no_rst_delta() {
         let f = flow(vec![rec(0, TcpFlags::SYN, 100, Some(10), 52, true)]);
-        assert_eq!(max_rst_ipid_delta(&f), None);
-        assert_eq!(max_rst_ttl_delta(&f), None);
-        assert_eq!(max_consecutive_ipid_delta(&f), None);
+        let e = evidence(&f);
+        assert_eq!(e.max_rst_ipid, None);
+        assert_eq!(e.max_rst_ttl, None);
+        assert_eq!(e.max_consecutive_ipid, None);
     }
 
     #[test]
@@ -256,9 +275,10 @@ mod tests {
             rec(0, TcpFlags::SYN, 100, None, 52, true),
             rec(0, TcpFlags::RST, 101, None, 101, true),
         ]);
-        assert_eq!(max_rst_ipid_delta(&f), None);
+        let e = evidence(&f);
+        assert_eq!(e.max_rst_ipid, None);
         // TTL evidence still works on IPv6 (hop limit).
-        assert_eq!(max_rst_ttl_delta(&f), Some(49));
+        assert_eq!(e.max_rst_ttl, Some(49));
     }
 
     #[test]
@@ -267,7 +287,8 @@ mod tests {
             rec(0, TcpFlags::SYN, 100, Some(1), 120, true),
             rec(0, TcpFlags::RST, 101, Some(2), 40, true),
         ]);
-        assert_eq!(max_rst_ttl_delta(&f), Some(-80));
+        let e = evidence(&f);
+        assert_eq!(e.max_rst_ttl, Some(-80));
     }
 
     #[test]

@@ -3,23 +3,25 @@
 //! signature — the operator-facing counterpart of the paper's Table 1.
 
 use crate::classify::FlowAnalysis;
-use crate::evidence::{max_rst_ipid_delta, max_rst_ttl_delta};
-use crate::reorder::reordered;
 use crate::signature::Classification;
 use tamper_capture::FlowRecord;
 use tamper_wire::tls;
 
 /// Produce a multi-line explanation of one flow's classification.
-pub fn explain(flow: &FlowRecord, analysis: &FlowAnalysis) -> String {
+/// `order` is the flow's reconstructed packet order as the classifier
+/// that produced `analysis` left it
+/// ([`BatchClassifier::order`](crate::BatchClassifier::order)), so the
+/// narrative never sorts the flow again.
+pub fn explain(flow: &FlowRecord, analysis: &FlowAnalysis, order: &[usize]) -> String {
     let mut out = String::new();
     out.push_str(&format!(
         "flow {}:{} → {}:{}\n",
         flow.client_ip, flow.src_port, flow.server_ip, flow.dst_port
     ));
 
-    let ordered = reordered(&flow.packets);
-    let t0 = ordered.first().map(|p| p.ts_sec).unwrap_or(0);
-    for (i, p) in ordered.iter().enumerate() {
+    let ordered = || order.iter().map(|&i| &flow.packets[i]);
+    let t0 = ordered().next().map(|p| p.ts_sec).unwrap_or(0);
+    for (i, p) in ordered().enumerate() {
         let mut notes: Vec<String> = Vec::new();
         if p.flags.has_syn() && p.payload_len > 0 {
             notes.push(format!("{}-byte payload on the SYN", p.payload_len));
@@ -63,7 +65,7 @@ pub fn explain(flow: &FlowRecord, analysis: &FlowAnalysis) -> String {
     }
 
     // Silence tail.
-    if let Some(last) = ordered.last() {
+    if let Some(last) = ordered().next_back() {
         let tail = flow.observation_end_sec.saturating_sub(last.ts_sec);
         if !flow.truncated && tail >= 3 {
             out.push_str(&format!(
@@ -96,7 +98,7 @@ pub fn explain(flow: &FlowRecord, analysis: &FlowAnalysis) -> String {
 
     // Evidence.
     if analysis.classification.signature().is_some() {
-        match max_rst_ipid_delta(flow) {
+        match analysis.evidence.max_rst_ipid {
             Some(d) if d > 1 => out.push_str(&format!(
                 "evidence: IP-ID jumps by {d} at the reset — a different stack forged it\n"
             )),
@@ -105,7 +107,7 @@ pub fn explain(flow: &FlowRecord, analysis: &FlowAnalysis) -> String {
             ),
             None => {}
         }
-        match max_rst_ttl_delta(flow) {
+        match analysis.evidence.max_rst_ttl {
             Some(d) if d.abs() > 1 => out.push_str(&format!(
                 "evidence: TTL shifts by {d} at the reset — different path or initial TTL\n"
             )),
@@ -121,7 +123,8 @@ pub fn explain(flow: &FlowRecord, analysis: &FlowAnalysis) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::classify::{classify, ClassifierConfig};
+    use crate::batch::BatchClassifier;
+    use crate::classify::ClassifierConfig;
     use bytes::Bytes;
     use std::net::{IpAddr, Ipv4Addr};
     use tamper_capture::PacketRecord;
@@ -140,6 +143,13 @@ mod tests {
             payload,
             has_tcp_options: true,
         }
+    }
+
+    /// Classify `f` and explain it from the classifier's own order.
+    fn explain_flow(f: &FlowRecord) -> String {
+        let mut clf = BatchClassifier::new(ClassifierConfig::default());
+        let a = clf.classify_record(f);
+        explain(f, &a, clf.order())
     }
 
     fn flow(packets: Vec<PacketRecord>) -> FlowRecord {
@@ -170,8 +180,7 @@ mod tests {
         f.packets[3].ttl = 101;
         f.packets[4].ip_id = Some(43_000);
         f.packets[4].ttl = 101;
-        let a = classify(&f, &ClassifierConfig::default());
-        let text = explain(&f, &a);
+        let text = explain_flow(&f);
         assert!(text.contains("SNI \"blocked.example\""));
         assert!(text.contains("TAMPERED — ⟨PSH+ACK → RST+ACK; RST+ACK⟩"));
         assert!(text.contains("IP-ID jumps by"));
@@ -181,8 +190,7 @@ mod tests {
     #[test]
     fn silent_flow_mentions_silence() {
         let f = flow(vec![rec(100, TcpFlags::SYN, 1, 0, Bytes::new())]);
-        let a = classify(&f, &ClassifierConfig::default());
-        let text = explain(&f, &a);
+        let text = explain_flow(&f);
         assert!(text.contains("30s of silence"));
         assert!(text.contains("⟨SYN → ∅⟩"));
     }
@@ -194,8 +202,7 @@ mod tests {
             rec(100, TcpFlags::ACK, 2, 10, Bytes::new()),
             rec(101, TcpFlags::FIN_ACK, 2, 10, Bytes::new()),
         ]);
-        let a = classify(&f, &ClassifierConfig::default());
-        let text = explain(&f, &a);
+        let text = explain_flow(&f);
         assert!(text.contains("not tampered"));
     }
 
@@ -207,8 +214,7 @@ mod tests {
                 .collect(),
         );
         f.truncated = true;
-        let a = classify(&f, &ClassifierConfig::default());
-        let text = explain(&f, &a);
+        let text = explain_flow(&f);
         assert!(text.contains("truncated at the packet limit"));
     }
 
@@ -221,8 +227,7 @@ mod tests {
             rec(100, TcpFlags::PSH_ACK, 1001, 1, get),
             rec(100, TcpFlags::RST, 2000, 0, Bytes::new()),
         ]);
-        let a = classify(&f, &ClassifierConfig::default());
-        let text = explain(&f, &a);
+        let text = explain_flow(&f);
         assert!(text.contains("HTTP GET /page Host: host.example"));
     }
 }

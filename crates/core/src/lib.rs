@@ -33,9 +33,7 @@ pub mod view;
 pub use batch::BatchClassifier;
 pub use classify::{classify, ClassifierConfig, FlowAnalysis};
 pub use evidence::{
-    is_zmap_fingerprint, max_consecutive_ipid_delta, max_consecutive_ttl_delta, max_rst_ipid_delta,
-    max_rst_ttl_delta, min_consecutive_ipid_delta, scanner_marks, ScannerMarks, HIGH_TTL,
-    ZMAP_IP_ID,
+    is_zmap_fingerprint, scanner_marks, FlowEvidence, ScannerMarks, HIGH_TTL, ZMAP_IP_ID,
 };
 pub use explain::explain;
 pub use machine::{reachable_graph, stage_of, transition, Count, Event, StageState};

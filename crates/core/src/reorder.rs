@@ -8,7 +8,6 @@
 //! triggered them.
 
 use crate::view::PacketsView;
-use tamper_capture::PacketRecord;
 use tamper_wire::TcpFlags;
 
 /// Coarse within-bucket rank of a packet.
@@ -79,17 +78,11 @@ pub fn reconstruct_order<V: PacketsView + ?Sized>(v: &V, idx: &mut Vec<usize>) {
     });
 }
 
-/// Convenience: the packets themselves in reconstructed order.
-pub fn reordered(packets: &[PacketRecord]) -> Vec<&PacketRecord> {
-    let mut order = Vec::new();
-    reconstruct_order(packets, &mut order);
-    order.into_iter().map(|i| &packets[i]).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use bytes::Bytes;
+    use tamper_capture::PacketRecord;
     use tamper_wire::TcpFlags;
 
     fn rec(ts: u64, flags: TcpFlags, seq: u32, payload_len: u32) -> PacketRecord {
@@ -183,17 +176,6 @@ mod tests {
         let packets = vec![rec(1, TcpFlags::RST, 500, 0), rec(1, TcpFlags::RST, 500, 0)];
         let order = order_of(&packets);
         assert_eq!(order, vec![0, 1]);
-    }
-
-    #[test]
-    fn reordered_returns_refs_in_order() {
-        let packets = vec![
-            rec(2, TcpFlags::PSH_ACK, 101, 10),
-            rec(2, TcpFlags::SYN, 100, 0),
-        ];
-        let r = reordered(&packets);
-        assert!(r[0].flags.has_syn());
-        assert!(r[1].has_payload());
     }
 
     #[test]

@@ -1,7 +1,8 @@
 //! The classifier's read-only window onto a flow's packets.
 //!
 //! Classification never needed owned [`PacketRecord`]s — only a handful
-//! of scalar fields per packet plus the first payload. [`PacketsView`]
+//! of scalar fields per packet (the IP-ID and TTL among them, for the
+//! injection evidence) plus the first payload. [`PacketsView`]
 //! names exactly that surface, so the one generic classification body in
 //! [`BatchClassifier`](crate::batch::BatchClassifier) serves both
 //! storage layouts:
@@ -49,6 +50,12 @@ pub trait PacketsView {
     /// Payload bytes of packet `i`.
     fn payload(&self, i: usize) -> &[u8];
 
+    /// IPv4 identification of packet `i` (`None` for IPv6).
+    fn ip_id(&self, i: usize) -> Option<u16>;
+
+    /// TTL / hop limit of packet `i` as received.
+    fn ttl(&self, i: usize) -> u8;
+
     /// True if packet `i` carried data.
     fn has_payload(&self, i: usize) -> bool {
         self.payload_len(i) > 0
@@ -82,5 +89,13 @@ impl PacketsView for [PacketRecord] {
 
     fn payload(&self, i: usize) -> &[u8] {
         &self[i].payload
+    }
+
+    fn ip_id(&self, i: usize) -> Option<u16> {
+        self[i].ip_id
+    }
+
+    fn ttl(&self, i: usize) -> u8 {
+        self[i].ttl
     }
 }

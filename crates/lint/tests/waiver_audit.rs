@@ -18,14 +18,13 @@ fn repo_root() -> PathBuf {
 }
 
 /// The reviewed in-source waivers, as `(rule, file, count)` sorted by
-/// `(rule, file)`: 42 in all. A waiver added, dropped, or moved to another
+/// `(rule, file)`: 38 in all. A waiver added, dropped, or moved to another
 /// rule or file must come with a reviewed edit here.
 const WAIVED: &[(&str, &str, usize)] = &[
     ("discarded-wire-error", "crates/core/src/trigger.rs", 3),
     ("discarded-wire-error", "crates/middlebox/src/rules.rs", 2),
     ("hot-path-alloc", "crates/netsim/src/client.rs", 1),
-    ("hot-path-alloc", "crates/netsim/src/endpoint.rs", 3),
-    ("hot-path-alloc", "crates/netsim/src/server.rs", 2),
+    ("hot-path-alloc", "crates/netsim/src/endpoint.rs", 1),
     ("hot-path-alloc", "crates/wire/src/http.rs", 3),
     ("hot-path-alloc", "crates/wire/src/tcp.rs", 2),
     ("hot-path-alloc", "crates/wire/src/tls.rs", 4),
@@ -50,7 +49,7 @@ fn waived_findings_match_the_reviewed_multiset() {
 }
 
 /// The reviewed number of in-source waivers.
-const WAIVER_COUNT: usize = 42;
+const WAIVER_COUNT: usize = 38;
 
 #[test]
 fn waiver_count_matches_the_reviewed_declaration() {

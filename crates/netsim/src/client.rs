@@ -279,7 +279,8 @@ pub struct Client {
 }
 
 impl Client {
-    /// Create the endpoint; call [`Client::start`] to kick off the session.
+    /// Create the endpoint; feed it [`EndpointInput::Start`] to kick off
+    /// the session.
     pub fn new(cfg: ClientConfig) -> Client {
         let ip_id = IpIdGen::new(cfg.ip_id);
         Client {
@@ -331,8 +332,7 @@ impl Client {
     }
 
     /// Begin the connection: emits the SYN and arms initial timers.
-    pub fn start(&mut self, _now: SimTime, rng: &mut StdRng) -> Actions<ClientTimer> {
-        let mut actions = Actions::none();
+    fn start(&mut self, rng: &mut StdRng, actions: &mut Actions<ClientTimer>) {
         let syn_payload = self.cfg.request.syn_bytes().unwrap_or_default();
         let payload_len = syn_payload.len() as u32;
         let mut b = self
@@ -365,28 +365,27 @@ impl Client {
                 actions.arm(ClientTimer::RetransmitSyn, self.syn_rto);
             }
         }
-        actions
     }
 
     /// Handle a packet that arrived at the client.
-    pub fn on_packet(
+    fn on_packet(
         &mut self,
         now: SimTime,
         pkt: &Packet,
         rng: &mut StdRng,
-    ) -> Actions<ClientTimer> {
-        let mut actions = Actions::none();
+        actions: &mut Actions<ClientTimer>,
+    ) {
         if self.state == State::Closed {
-            return actions;
+            return;
         }
         if self.cfg.kind == ClientKind::MultiSynVanish {
             // Deaf to everything: the return path is broken.
-            return actions;
+            return;
         }
         if pkt.tcp.flags.has_rst() {
             // Injected or genuine reset: the stack aborts immediately.
             self.state = State::Closed;
-            return actions;
+            return;
         }
         // Track the peer's timestamp for TSecr fidelity.
         for opt in &pkt.tcp.options {
@@ -407,7 +406,7 @@ impl Client {
                         .build();
                     actions.emit(rst, SimDuration::ZERO);
                     self.state = State::Closed;
-                    return actions;
+                    return;
                 }
                 ClientKind::HappyEyeballsRst { .. } if self.he_cancelled => {
                     let rst = self
@@ -417,11 +416,11 @@ impl Client {
                         .build();
                     actions.emit(rst, SimDuration::ZERO);
                     self.state = State::Closed;
-                    return actions;
+                    return;
                 }
                 ClientKind::HappyEyeballsSilent { .. } if self.he_cancelled => {
                     self.state = State::Closed;
-                    return actions;
+                    return;
                 }
                 _ => {}
             }
@@ -442,7 +441,7 @@ impl Client {
             } = self.cfg.kind
             {
                 self.state = State::Closed;
-                return actions;
+                return;
             }
             if self.cfg.kind == ClientKind::DupAckThenVanish {
                 let opts = self.seg_options(now);
@@ -455,7 +454,7 @@ impl Client {
                     .build();
                 actions.emit(dup, SimDuration::from_millis(2));
                 self.state = State::Closed;
-                return actions;
+                return;
             }
             // Schedule the request (if the behaviour sends one).
             if let ClientKind::Stall { stall } = self.cfg.kind {
@@ -464,14 +463,8 @@ impl Client {
                 // Send directly after the think time instead of a timer
                 // round-trip; simpler and equivalent.
                 self.request_bytes = Some(req);
-                let send = self.send_request(now, rng);
-                for (p, d) in send.emits {
-                    actions.emit(p, d + self.cfg.request_delay);
-                }
-                for (t, d) in send.timers {
-                    actions.arm(t, d + self.cfg.request_delay);
-                }
-            } else if self.cfg.request.syn_bytes().is_some() {
+                self.send_request(now, self.cfg.request_delay, rng, actions);
+            } else if matches!(self.cfg.request, RequestPayload::HttpInSyn { .. }) {
                 // Request already rode the SYN; just await the response.
                 self.state = State::Requested;
                 self.responses_pending = 1;
@@ -479,7 +472,7 @@ impl Client {
                 // No request at all (shouldn't happen for Normal).
                 self.state = State::Requested;
             }
-            return actions;
+            return;
         }
 
         // Data from the server.
@@ -495,7 +488,7 @@ impl Client {
                     .options(opts)
                     .build();
                 actions.emit(ack, SimDuration::ZERO);
-                return actions;
+                return;
             }
             self.rcv_nxt = self.rcv_nxt.wrapping_add(pkt.payload.len() as u32);
             self.response_started = true;
@@ -510,7 +503,7 @@ impl Client {
                         .build();
                     actions.emit(rst, SimDuration::ZERO);
                     self.state = State::Closed;
-                    return actions;
+                    return;
                 }
             }
             if let ClientKind::VanishAfter {
@@ -519,7 +512,7 @@ impl Client {
             {
                 if self.response_segments_seen >= 1 {
                     self.state = State::Closed;
-                    return actions;
+                    return;
                 }
             }
 
@@ -549,7 +542,7 @@ impl Client {
                     actions.arm(ClientTimer::Close, SimDuration::from_millis(10));
                 }
             }
-            return actions;
+            return;
         }
 
         // Server FIN (possibly carried with ACK).
@@ -582,16 +575,20 @@ impl Client {
                 self.snd_nxt = self.snd_nxt.wrapping_add(1);
             }
             self.state = State::Closed;
-            return actions;
         }
-
-        actions
     }
 
-    fn send_request(&mut self, now: SimTime, rng: &mut StdRng) -> Actions<ClientTimer> {
-        let mut actions = Actions::none();
+    /// Send the first request `offset` after now (the think time when it
+    /// follows the handshake directly) and arm its retransmission.
+    fn send_request(
+        &mut self,
+        now: SimTime,
+        offset: SimDuration,
+        rng: &mut StdRng,
+        actions: &mut Actions<ClientTimer>,
+    ) {
         let Some(req) = self.request_bytes.clone() else {
-            return actions;
+            return;
         };
         let opts = self.seg_options(now);
         let pkt = self
@@ -602,7 +599,7 @@ impl Client {
             .options(opts)
             .payload(req.clone())
             .build();
-        actions.emit(pkt, SimDuration::ZERO);
+        actions.emit(pkt, offset);
         self.snd_nxt = self.snd_nxt.wrapping_add(req.len() as u32);
         self.state = State::Requested;
         self.responses_pending = self.responses_pending.saturating_add(1);
@@ -613,29 +610,28 @@ impl Client {
         } = self.cfg.kind
         {
             self.state = State::Closed;
-            return actions;
+            return;
         }
-        actions.arm(ClientTimer::RetransmitRequest, self.req_rto);
-        actions
+        actions.arm(ClientTimer::RetransmitRequest, self.req_rto + offset);
     }
 
     /// Handle a timer firing.
-    pub fn on_timer(
+    fn on_timer(
         &mut self,
         now: SimTime,
         timer: ClientTimer,
         rng: &mut StdRng,
-    ) -> Actions<ClientTimer> {
-        let mut actions = Actions::none();
+        actions: &mut Actions<ClientTimer>,
+    ) {
         if self.state == State::Closed {
-            return actions;
+            return;
         }
         match timer {
             ClientTimer::RetransmitSyn => {
                 if self.state == State::SynSent {
                     if self.syn_retries_left == 0 {
                         self.state = State::Closed;
-                        return actions;
+                        return;
                     }
                     self.syn_retries_left -= 1;
                     let syn_payload = self.cfg.request.syn_bytes().unwrap_or_default();
@@ -656,7 +652,7 @@ impl Client {
                 if self.state == State::Requested && !self.response_started {
                     if self.req_retries_left == 0 {
                         self.state = State::Closed;
-                        return actions;
+                        return;
                     }
                     self.req_retries_left -= 1;
                     if let Some(req) = self.request_bytes.clone() {
@@ -713,9 +709,7 @@ impl Client {
                 if self.state == State::Established {
                     if let Some(req) = self.cfg.request.first_bytes(self.cfg.tls_random) {
                         self.request_bytes = Some(req);
-                        let send = self.send_request(now, rng);
-                        actions.emits.extend(send.emits);
-                        actions.timers.extend(send.timers);
+                        self.send_request(now, SimDuration::ZERO, rng, actions);
                     }
                 }
             }
@@ -745,7 +739,6 @@ impl Client {
                 }
             }
         }
-        actions
     }
 }
 
@@ -757,14 +750,15 @@ impl EndpointMachine for Client {
     /// RNG draw order is part of the golden-trace contract).
     fn process(
         &mut self,
-        input: EndpointInput<ClientTimer>,
+        input: EndpointInput<'_, ClientTimer>,
         now: SimTime,
         rng: &mut StdRng,
-    ) -> Actions<ClientTimer> {
+        out: &mut Actions<ClientTimer>,
+    ) {
         match input {
-            EndpointInput::Start => self.start(now, rng),
-            EndpointInput::Packet(pkt) => self.on_packet(now, &pkt, rng),
-            EndpointInput::Timer(t) => self.on_timer(now, t, rng),
+            EndpointInput::Start => self.start(rng, out),
+            EndpointInput::Packet(pkt) => self.on_packet(now, pkt, rng, out),
+            EndpointInput::Timer(t) => self.on_timer(now, t, rng, out),
         }
     }
 
@@ -784,6 +778,7 @@ pub fn client_ttl(pkt: &Packet) -> u8 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::endpoint::step;
     use crate::rng::derive_rng;
     use std::net::Ipv4Addr;
 
@@ -799,7 +794,7 @@ mod tests {
         let (src, dst) = addrs();
         let mut c = Client::new(ClientConfig::default_tls(src, dst, "example.com"));
         let mut rng = derive_rng(1, 1);
-        let a = c.start(SimTime::ZERO, &mut rng);
+        let a = step(&mut c, EndpointInput::Start, SimTime::ZERO, &mut rng);
         assert_eq!(a.emits.len(), 1);
         let syn = &a.emits[0].0;
         assert_eq!(syn.tcp.flags, TcpFlags::SYN);
@@ -818,7 +813,7 @@ mod tests {
         cfg.request = RequestPayload::None;
         let mut c = Client::new(cfg);
         let mut rng = derive_rng(1, 2);
-        let a = c.start(SimTime::ZERO, &mut rng);
+        let a = step(&mut c, EndpointInput::Start, SimTime::ZERO, &mut rng);
         let syn = &a.emits[0].0;
         assert!(syn.tcp.has_no_options());
         assert_eq!(syn.ip.ip_id(), Some(54321));
@@ -833,13 +828,18 @@ mod tests {
         cfg.request = RequestPayload::None;
         let mut c = Client::new(cfg);
         let mut rng = derive_rng(1, 3);
-        let _ = c.start(SimTime::ZERO, &mut rng);
+        let _ = step(&mut c, EndpointInput::Start, SimTime::ZERO, &mut rng);
         let synack = PacketBuilder::new(dst, src, 443, 40000)
             .flags(TcpFlags::SYN_ACK)
             .seq(9999)
             .ack(0x1000_0001)
             .build();
-        let a = c.on_packet(SimTime::from_secs(1), &synack, &mut rng);
+        let a = step(
+            &mut c,
+            EndpointInput::Packet(&synack),
+            SimTime::from_secs(1),
+            &mut rng,
+        );
         assert_eq!(a.emits.len(), 1);
         let rst = &a.emits[0].0;
         assert_eq!(rst.tcp.flags, TcpFlags::RST);
@@ -852,13 +852,18 @@ mod tests {
         let (src, dst) = addrs();
         let mut c = Client::new(ClientConfig::default_tls(src, dst, "blocked.example"));
         let mut rng = derive_rng(1, 4);
-        let _ = c.start(SimTime::ZERO, &mut rng);
+        let _ = step(&mut c, EndpointInput::Start, SimTime::ZERO, &mut rng);
         let synack = PacketBuilder::new(dst, src, 443, 40000)
             .flags(TcpFlags::SYN_ACK)
             .seq(5000)
             .ack(0x1000_0001)
             .build();
-        let a = c.on_packet(SimTime::from_secs(1), &synack, &mut rng);
+        let a = step(
+            &mut c,
+            EndpointInput::Packet(&synack),
+            SimTime::from_secs(1),
+            &mut rng,
+        );
         // ACK plus the (delayed) ClientHello.
         assert_eq!(a.emits.len(), 2);
         assert_eq!(a.emits[0].0.tcp.flags, TcpFlags::ACK);
@@ -879,11 +884,16 @@ mod tests {
         let (src, dst) = addrs();
         let mut c = Client::new(ClientConfig::default_tls(src, dst, "x"));
         let mut rng = derive_rng(1, 5);
-        let _ = c.start(SimTime::ZERO, &mut rng);
+        let _ = step(&mut c, EndpointInput::Start, SimTime::ZERO, &mut rng);
         let rst = PacketBuilder::new(dst, src, 443, 40000)
             .flags(TcpFlags::RST_ACK)
             .build();
-        let a = c.on_packet(SimTime::from_secs(1), &rst, &mut rng);
+        let a = step(
+            &mut c,
+            EndpointInput::Packet(&rst),
+            SimTime::from_secs(1),
+            &mut rng,
+        );
         assert!(a.emits.is_empty());
         assert!(c.is_closed());
     }
@@ -893,13 +903,28 @@ mod tests {
         let (src, dst) = addrs();
         let mut c = Client::new(ClientConfig::default_tls(src, dst, "x"));
         let mut rng = derive_rng(1, 6);
-        let _ = c.start(SimTime::ZERO, &mut rng);
-        let a1 = c.on_timer(SimTime::from_secs(1), ClientTimer::RetransmitSyn, &mut rng);
+        let _ = step(&mut c, EndpointInput::Start, SimTime::ZERO, &mut rng);
+        let a1 = step(
+            &mut c,
+            EndpointInput::Timer(ClientTimer::RetransmitSyn),
+            SimTime::from_secs(1),
+            &mut rng,
+        );
         assert_eq!(a1.emits.len(), 1);
         assert_eq!(a1.emits[0].0.tcp.flags, TcpFlags::SYN);
-        let a2 = c.on_timer(SimTime::from_secs(3), ClientTimer::RetransmitSyn, &mut rng);
+        let a2 = step(
+            &mut c,
+            EndpointInput::Timer(ClientTimer::RetransmitSyn),
+            SimTime::from_secs(3),
+            &mut rng,
+        );
         assert_eq!(a2.emits.len(), 1);
-        let a3 = c.on_timer(SimTime::from_secs(7), ClientTimer::RetransmitSyn, &mut rng);
+        let a3 = step(
+            &mut c,
+            EndpointInput::Timer(ClientTimer::RetransmitSyn),
+            SimTime::from_secs(7),
+            &mut rng,
+        );
         assert!(a3.emits.is_empty());
         assert!(c.is_closed());
     }
@@ -913,7 +938,7 @@ mod tests {
         };
         let mut c = Client::new(cfg);
         let mut rng = derive_rng(1, 7);
-        let a = c.start(SimTime::ZERO, &mut rng);
+        let a = step(&mut c, EndpointInput::Start, SimTime::ZERO, &mut rng);
         assert_eq!(a.emits.len(), 1);
         assert!(a.timers.is_empty());
         assert!(c.is_closed());
@@ -928,10 +953,11 @@ mod tests {
         };
         let mut c = Client::new(cfg);
         let mut rng = derive_rng(1, 8);
-        let _ = c.start(SimTime::ZERO, &mut rng);
-        let _ = c.on_timer(
+        let _ = step(&mut c, EndpointInput::Start, SimTime::ZERO, &mut rng);
+        let _ = step(
+            &mut c,
+            EndpointInput::Timer(ClientTimer::HappyEyeballsCancel),
             SimTime(250_000_000),
-            ClientTimer::HappyEyeballsCancel,
             &mut rng,
         );
         let synack = PacketBuilder::new(dst, src, 443, 40000)
@@ -939,7 +965,12 @@ mod tests {
             .seq(5000)
             .ack(0x1000_0001)
             .build();
-        let a = c.on_packet(SimTime(300_000_000), &synack, &mut rng);
+        let a = step(
+            &mut c,
+            EndpointInput::Packet(&synack),
+            SimTime(300_000_000),
+            &mut rng,
+        );
         assert_eq!(a.emits.len(), 1);
         assert_eq!(a.emits[0].0.tcp.flags, TcpFlags::RST);
         assert!(c.is_closed());
@@ -950,13 +981,18 @@ mod tests {
         let (src, dst) = addrs();
         let mut c = Client::new(ClientConfig::default_tls(src, dst, "ok.example"));
         let mut rng = derive_rng(1, 9);
-        let _ = c.start(SimTime::ZERO, &mut rng);
+        let _ = step(&mut c, EndpointInput::Start, SimTime::ZERO, &mut rng);
         let synack = PacketBuilder::new(dst, src, 443, 40000)
             .flags(TcpFlags::SYN_ACK)
             .seq(5000)
             .ack(0x1000_0001)
             .build();
-        let _ = c.on_packet(SimTime(1_000_000), &synack, &mut rng);
+        let _ = step(
+            &mut c,
+            EndpointInput::Packet(&synack),
+            SimTime(1_000_000),
+            &mut rng,
+        );
         // Server response: one PSH-terminated segment.
         let resp = PacketBuilder::new(dst, src, 443, 40000)
             .flags(TcpFlags::PSH_ACK)
@@ -964,10 +1000,20 @@ mod tests {
             .ack(c.snd_nxt)
             .payload(Bytes::from_static(b"HTTP/1.1 200 OK\r\n\r\nhi"))
             .build();
-        let a = c.on_packet(SimTime(2_000_000), &resp, &mut rng);
+        let a = step(
+            &mut c,
+            EndpointInput::Packet(&resp),
+            SimTime(2_000_000),
+            &mut rng,
+        );
         assert!(a.emits.iter().any(|(p, _)| p.tcp.flags == TcpFlags::ACK));
         assert!(a.timers.iter().any(|(t, _)| *t == ClientTimer::Close));
-        let close = c.on_timer(SimTime(3_000_000), ClientTimer::Close, &mut rng);
+        let close = step(
+            &mut c,
+            EndpointInput::Timer(ClientTimer::Close),
+            SimTime(3_000_000),
+            &mut rng,
+        );
         assert_eq!(close.emits.len(), 1);
         assert!(close.emits[0].0.tcp.flags.has_fin());
     }
@@ -976,6 +1022,7 @@ mod tests {
 #[cfg(test)]
 mod extra_kind_tests {
     use super::*;
+    use crate::endpoint::step;
     use crate::rng::derive_rng;
     use std::net::{IpAddr, Ipv4Addr};
 
@@ -993,13 +1040,18 @@ mod extra_kind_tests {
         cfg.kind = ClientKind::DupAckThenVanish;
         let mut c = Client::new(cfg);
         let mut rng = derive_rng(3, 1);
-        let _ = c.start(SimTime::ZERO, &mut rng);
+        let _ = step(&mut c, EndpointInput::Start, SimTime::ZERO, &mut rng);
         let synack = tamper_wire::PacketBuilder::new(dst, src, 443, 40000)
             .flags(TcpFlags::SYN_ACK)
             .seq(5000)
             .ack(0x1000_0001)
             .build();
-        let a = c.on_packet(SimTime(1_000_000), &synack, &mut rng);
+        let a = step(
+            &mut c,
+            EndpointInput::Packet(&synack),
+            SimTime(1_000_000),
+            &mut rng,
+        );
         let acks: Vec<_> = a
             .emits
             .iter()
@@ -1016,15 +1068,25 @@ mod extra_kind_tests {
         cfg.kind = ClientKind::FinThenRst;
         let mut c = Client::new(cfg);
         let mut rng = derive_rng(3, 2);
-        let _ = c.start(SimTime::ZERO, &mut rng);
+        let _ = step(&mut c, EndpointInput::Start, SimTime::ZERO, &mut rng);
         let synack = tamper_wire::PacketBuilder::new(dst, src, 443, 40000)
             .flags(TcpFlags::SYN_ACK)
             .seq(5000)
             .ack(0x1000_0001)
             .build();
-        let _ = c.on_packet(SimTime(1_000_000), &synack, &mut rng);
+        let _ = step(
+            &mut c,
+            EndpointInput::Packet(&synack),
+            SimTime(1_000_000),
+            &mut rng,
+        );
         // Skip straight to the close timer (state Requested after request).
-        let a = c.on_timer(SimTime(5_000_000), ClientTimer::Close, &mut rng);
+        let a = step(
+            &mut c,
+            EndpointInput::Timer(ClientTimer::Close),
+            SimTime(5_000_000),
+            &mut rng,
+        );
         let flags: Vec<_> = a.emits.iter().map(|(p, _)| p.tcp.flags).collect();
         assert_eq!(flags, vec![TcpFlags::FIN_ACK, TcpFlags::RST]);
         assert!(c.is_closed());

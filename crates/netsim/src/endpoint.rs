@@ -7,7 +7,9 @@ use rand::Rng;
 use tamper_wire::{Packet, TcpOption};
 
 /// What an endpoint wants done after handling a packet or timer: packets to
-/// emit (after a relative delay) and timers to arm.
+/// emit (after a relative delay) and timers to arm. The caller owns one
+/// buffer per endpoint for a whole session and drains it after every
+/// [`EndpointMachine::process`] call, so handlers only ever push.
 #[derive(Debug)]
 pub struct Actions<T> {
     /// Packets to send, each after the given delay from "now".
@@ -19,20 +21,13 @@ pub struct Actions<T> {
 impl<T> Default for Actions<T> {
     fn default() -> Actions<T> {
         Actions {
-            // tamperlint: allow(hot-path-alloc) — zero-capacity Vecs: the empty Actions shell defers any heap use to the first emit
             emits: Vec::new(),
-            // tamperlint: allow(hot-path-alloc) — zero-capacity Vecs: the empty Actions shell defers any heap use to the first emit
             timers: Vec::new(),
         }
     }
 }
 
 impl<T> Actions<T> {
-    /// No packets, no timers.
-    pub fn none() -> Actions<T> {
-        Actions::default()
-    }
-
     /// Queue a packet for emission after `delay`.
     pub fn emit(&mut self, pkt: Packet, delay: SimDuration) {
         self.emits.push((pkt, delay));
@@ -44,34 +39,38 @@ impl<T> Actions<T> {
     }
 }
 
-/// One input to an endpoint state machine, in the sans-IO shape: owned
-/// events plus injected time, no sockets, no sleeps, no ambient clock.
+/// One input to an endpoint state machine, in the sans-IO shape: events
+/// plus injected time, no sockets, no sleeps, no ambient clock. A packet
+/// is lent, not handed over: the driver moves it into the trace after the
+/// endpoint has read it.
 #[derive(Debug)]
-pub enum EndpointInput<T> {
+pub enum EndpointInput<'a, T> {
     /// The session begins. Clients emit their opening SYN here; servers
     /// simply listen.
     Start,
     /// A packet arrived from the wire.
-    Packet(Packet),
+    Packet(&'a Packet),
     /// A previously armed timer fired.
     Timer(T),
 }
 
-/// The unified sans-IO endpoint interface: `process(input, now, rng)`
+/// The unified sans-IO endpoint interface: `process(input, now, rng, out)`
 /// is the single entry point the session driver calls for both sides.
-/// Implementations must be pure of IO — everything they want done comes
-/// back as [`Actions`], and time only enters through `now`.
+/// Implementations must be pure of IO — everything they want done is
+/// pushed onto `out`, and time only enters through `now`.
 pub trait EndpointMachine {
     /// The endpoint's timer vocabulary.
     type Timer;
 
-    /// Advance the machine by one input.
+    /// Advance the machine by one input, pushing the resulting emits and
+    /// timers onto `out` (which the caller drains between calls).
     fn process(
         &mut self,
-        input: EndpointInput<Self::Timer>,
+        input: EndpointInput<'_, Self::Timer>,
         now: SimTime,
         rng: &mut StdRng,
-    ) -> Actions<Self::Timer>;
+        out: &mut Actions<Self::Timer>,
+    );
 
     /// True once the endpoint has reached its terminal state.
     fn is_closed(&self) -> bool;
@@ -151,6 +150,20 @@ pub fn segment_options(tsval: u32, tsecr: u32) -> Vec<TcpOption> {
 /// Millisecond-resolution TCP timestamp value for a simulated instant.
 pub fn tsval_at(t: SimTime) -> u32 {
     (t.as_nanos() / 1_000_000) as u32
+}
+
+/// One `process` call's actions, in a buffer of their own — the unit
+/// tests' view of a machine, one input at a time.
+#[cfg(test)]
+pub(crate) fn step<M: EndpointMachine>(
+    machine: &mut M,
+    input: EndpointInput<'_, M::Timer>,
+    now: SimTime,
+    rng: &mut StdRng,
+) -> Actions<M::Timer> {
+    let mut out = Actions::default();
+    machine.process(input, now, rng, &mut out);
+    out
 }
 
 #[cfg(test)]

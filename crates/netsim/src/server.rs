@@ -16,6 +16,13 @@ use tamper_wire::{Packet, PacketBuilder, TcpFlags, TcpHeader};
 
 use std::net::IpAddr;
 
+/// Bytes per response segment.
+const SEGMENT_LEN: usize = 1200;
+
+/// Every response segment's body: one static buffer the emitted packets
+/// share instead of a fresh allocation per segment.
+static RESPONSE_BODY: [u8; SEGMENT_LEN] = [b'D'; SEGMENT_LEN];
+
 /// Static configuration of the server side of one session.
 #[derive(Debug, Clone)]
 pub struct ServerConfig {
@@ -25,10 +32,9 @@ pub struct ServerConfig {
     pub port: u16,
     /// Server initial sequence number.
     pub isn: u32,
-    /// Number of response segments per request.
+    /// Number of response segments per request (each `SEGMENT_LEN`
+    /// bytes).
     pub response_segments: u8,
-    /// Bytes per response segment.
-    pub segment_len: u16,
     /// Server think time before the response.
     pub response_delay: SimDuration,
     /// Initial TTL on server packets.
@@ -43,7 +49,6 @@ impl ServerConfig {
             port,
             isn: 0x7000_0000,
             response_segments: 3,
-            segment_len: 1200,
             response_delay: SimDuration::from_millis(3),
             initial_ttl: 64,
         }
@@ -120,7 +125,7 @@ impl Server {
         segment_options(tsval_at(now), self.client_tsval)
     }
 
-    fn send_synack(&mut self, now: SimTime, rng: &mut StdRng, actions: &mut Actions<ServerTimer>) {
+    fn send_synack(&mut self, rng: &mut StdRng, actions: &mut Actions<ServerTimer>) {
         let isn = self.cfg.isn;
         let rcv_nxt = self.rcv_nxt;
         let Some(b) = self.builder(rng) else { return };
@@ -131,7 +136,6 @@ impl Server {
             .options(TcpHeader::standard_syn_options())
             .build();
         actions.emit(synack, SimDuration::ZERO);
-        let _ = now;
     }
 
     fn send_response(
@@ -148,9 +152,7 @@ impl Server {
             } else {
                 TcpFlags::ACK
             };
-            let len = self.cfg.segment_len as usize;
-            // tamperlint: allow(hot-path-alloc) — the response body is owned by the emitted packet; the sim composes owned packets by design
-            let body = Bytes::from(vec![b'D'; len]);
+            let body = Bytes::from_static(&RESPONSE_BODY);
             let opts = self.seg_options(now);
             let seq = self.snd_nxt;
             let ack = self.rcv_nxt;
@@ -165,26 +167,26 @@ impl Server {
             // Space segments by 1 ms of serialization plus think time.
             let delay = self.cfg.response_delay + SimDuration::from_millis(u64::from(i));
             actions.emit(pkt, delay);
-            self.snd_nxt = self.snd_nxt.wrapping_add(len as u32);
+            self.snd_nxt = self.snd_nxt.wrapping_add(SEGMENT_LEN as u32);
         }
     }
 
     /// Handle an inbound packet (this call is also the capture point: the
-    /// session driver records the packet before invoking it).
-    pub fn on_packet(
+    /// session driver moves the packet into the trace once it returns).
+    fn on_packet(
         &mut self,
         now: SimTime,
         pkt: &Packet,
         rng: &mut StdRng,
-    ) -> Actions<ServerTimer> {
-        let mut actions = Actions::none();
+        actions: &mut Actions<ServerTimer>,
+    ) {
         if self.state == State::Closed {
-            return actions;
+            return;
         }
         if pkt.tcp.flags.has_rst() {
             // Genuine or injected reset: tear down immediately and silently.
             self.state = State::Closed;
-            return actions;
+            return;
         }
         for opt in &pkt.tcp.options {
             if let tamper_wire::TcpOption::Timestamps { tsval, .. } = opt {
@@ -203,13 +205,13 @@ impl Server {
                 self.snd_nxt = self.cfg.isn.wrapping_add(1);
                 self.buffered_syn_request = !pkt.payload.is_empty();
                 self.state = State::SynReceived;
-                self.send_synack(now, rng, &mut actions);
+                self.send_synack(rng, actions);
                 actions.arm(ServerTimer::RetransmitSynAck, self.synack_rto);
             } else {
                 // Duplicate SYN (client retransmission): re-ACK it.
-                self.send_synack(now, rng, &mut actions);
+                self.send_synack(rng, actions);
             }
-            return actions;
+            return;
         }
 
         if self.state == State::SynReceived && pkt.tcp.flags.has_ack() && pkt.payload.is_empty() {
@@ -217,9 +219,9 @@ impl Server {
             if self.buffered_syn_request {
                 // The request rode the SYN (§4.1): respond now.
                 self.buffered_syn_request = false;
-                self.send_response(now, rng, &mut actions);
+                self.send_response(now, rng, actions);
             }
-            return actions;
+            return;
         }
 
         if !pkt.payload.is_empty() {
@@ -243,7 +245,7 @@ impl Server {
                         SimDuration::ZERO,
                     );
                 }
-                return actions;
+                return;
             }
             self.rcv_nxt = self.rcv_nxt.wrapping_add(pkt.payload.len() as u32);
             let opts = self.seg_options(now);
@@ -259,8 +261,8 @@ impl Server {
                     SimDuration::ZERO,
                 );
             }
-            self.send_response(now, rng, &mut actions);
-            return actions;
+            self.send_response(now, rng, actions);
+            return;
         }
 
         if pkt.tcp.flags.has_fin() {
@@ -281,39 +283,36 @@ impl Server {
             }
             self.snd_nxt = self.snd_nxt.wrapping_add(1);
             self.state = State::FinWait;
-            return actions;
+            return;
         }
 
         // Pure ACK in Established / FinWait: bookkeeping only.
         if self.state == State::FinWait && pkt.tcp.ack == self.snd_nxt {
             self.state = State::Closed;
         }
-        actions
     }
 
     /// Handle a timer firing.
-    pub fn on_timer(
+    fn on_timer(
         &mut self,
-        now: SimTime,
         timer: ServerTimer,
         rng: &mut StdRng,
-    ) -> Actions<ServerTimer> {
-        let mut actions = Actions::none();
+        actions: &mut Actions<ServerTimer>,
+    ) {
         match timer {
             ServerTimer::RetransmitSynAck => {
                 if self.state == State::SynReceived {
                     if self.synack_retries_left == 0 {
                         self.state = State::Closed;
-                        return actions;
+                        return;
                     }
                     self.synack_retries_left -= 1;
-                    self.send_synack(now, rng, &mut actions);
+                    self.send_synack(rng, actions);
                     self.synack_rto = self.synack_rto.double();
                     actions.arm(ServerTimer::RetransmitSynAck, self.synack_rto);
                 }
             }
         }
-        actions
     }
 }
 
@@ -325,14 +324,15 @@ impl EndpointMachine for Server {
     /// packet/timer handlers.
     fn process(
         &mut self,
-        input: EndpointInput<ServerTimer>,
+        input: EndpointInput<'_, ServerTimer>,
         now: SimTime,
         rng: &mut StdRng,
-    ) -> Actions<ServerTimer> {
+        out: &mut Actions<ServerTimer>,
+    ) {
         match input {
-            EndpointInput::Start => Actions::none(),
-            EndpointInput::Packet(pkt) => self.on_packet(now, &pkt, rng),
-            EndpointInput::Timer(t) => self.on_timer(now, t, rng),
+            EndpointInput::Start => {}
+            EndpointInput::Packet(pkt) => self.on_packet(now, pkt, rng, out),
+            EndpointInput::Timer(t) => self.on_timer(t, rng, out),
         }
     }
 
@@ -344,6 +344,7 @@ impl EndpointMachine for Server {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::endpoint::step;
     use crate::rng::derive_rng;
     use std::net::Ipv4Addr;
 
@@ -367,7 +368,12 @@ mod tests {
         let (client, server) = addrs();
         let mut s = Server::new(ServerConfig::default_edge(server, 443));
         let mut rng = derive_rng(2, 1);
-        let a = s.on_packet(SimTime::ZERO, &syn(client, server), &mut rng);
+        let a = step(
+            &mut s,
+            EndpointInput::Packet(&syn(client, server)),
+            SimTime::ZERO,
+            &mut rng,
+        );
         assert_eq!(a.emits.len(), 1);
         let synack = &a.emits[0].0;
         assert_eq!(synack.tcp.flags, TcpFlags::SYN_ACK);
@@ -380,20 +386,25 @@ mod tests {
         let (client, server) = addrs();
         let mut s = Server::new(ServerConfig::default_edge(server, 443));
         let mut rng = derive_rng(2, 2);
-        let _ = s.on_packet(SimTime::ZERO, &syn(client, server), &mut rng);
+        let _ = step(
+            &mut s,
+            EndpointInput::Packet(&syn(client, server)),
+            SimTime::ZERO,
+            &mut rng,
+        );
         let ack = PacketBuilder::new(client, server, 40000, 443)
             .flags(TcpFlags::ACK)
             .seq(101)
             .ack(0x7000_0001)
             .build();
-        let _ = s.on_packet(SimTime(1), &ack, &mut rng);
+        let _ = step(&mut s, EndpointInput::Packet(&ack), SimTime(1), &mut rng);
         let data = PacketBuilder::new(client, server, 40000, 443)
             .flags(TcpFlags::PSH_ACK)
             .seq(101)
             .ack(0x7000_0001)
             .payload(Bytes::from_static(b"GET / HTTP/1.1\r\nHost: x\r\n\r\n"))
             .build();
-        let a = s.on_packet(SimTime(2), &data, &mut rng);
+        let a = step(&mut s, EndpointInput::Packet(&data), SimTime(2), &mut rng);
         // One ACK plus three response segments, last carrying PSH.
         assert_eq!(a.emits.len(), 4);
         assert_eq!(a.emits[0].0.tcp.flags, TcpFlags::ACK);
@@ -406,16 +417,26 @@ mod tests {
         let (client, server) = addrs();
         let mut s = Server::new(ServerConfig::default_edge(server, 443));
         let mut rng = derive_rng(2, 3);
-        let _ = s.on_packet(SimTime::ZERO, &syn(client, server), &mut rng);
+        let _ = step(
+            &mut s,
+            EndpointInput::Packet(&syn(client, server)),
+            SimTime::ZERO,
+            &mut rng,
+        );
         let rst = PacketBuilder::new(client, server, 40000, 443)
             .flags(TcpFlags::RST)
             .seq(101)
             .build();
-        let a = s.on_packet(SimTime(1), &rst, &mut rng);
+        let a = step(&mut s, EndpointInput::Packet(&rst), SimTime(1), &mut rng);
         assert!(a.emits.is_empty());
         assert!(s.is_closed());
         // Subsequent packets are ignored.
-        let late = s.on_packet(SimTime(2), &syn(client, server), &mut rng);
+        let late = step(
+            &mut s,
+            EndpointInput::Packet(&syn(client, server)),
+            SimTime(2),
+            &mut rng,
+        );
         assert!(late.emits.is_empty());
     }
 
@@ -424,22 +445,30 @@ mod tests {
         let (client, server) = addrs();
         let mut s = Server::new(ServerConfig::default_edge(server, 443));
         let mut rng = derive_rng(2, 4);
-        let _ = s.on_packet(SimTime::ZERO, &syn(client, server), &mut rng);
-        let a1 = s.on_timer(
+        let _ = step(
+            &mut s,
+            EndpointInput::Packet(&syn(client, server)),
+            SimTime::ZERO,
+            &mut rng,
+        );
+        let a1 = step(
+            &mut s,
+            EndpointInput::Timer(ServerTimer::RetransmitSynAck),
             SimTime::from_secs(1),
-            ServerTimer::RetransmitSynAck,
             &mut rng,
         );
         assert_eq!(a1.emits.len(), 1);
-        let a2 = s.on_timer(
+        let a2 = step(
+            &mut s,
+            EndpointInput::Timer(ServerTimer::RetransmitSynAck),
             SimTime::from_secs(3),
-            ServerTimer::RetransmitSynAck,
             &mut rng,
         );
         assert_eq!(a2.emits.len(), 1);
-        let a3 = s.on_timer(
+        let a3 = step(
+            &mut s,
+            EndpointInput::Timer(ServerTimer::RetransmitSynAck),
             SimTime::from_secs(7),
-            ServerTimer::RetransmitSynAck,
             &mut rng,
         );
         assert!(a3.emits.is_empty());
@@ -456,7 +485,12 @@ mod tests {
             .seq(100)
             .payload(Bytes::from_static(b"GET / HTTP/1.1\r\nHost: x\r\n\r\n"))
             .build();
-        let a = s.on_packet(SimTime::ZERO, &syn_with_data, &mut rng);
+        let a = step(
+            &mut s,
+            EndpointInput::Packet(&syn_with_data),
+            SimTime::ZERO,
+            &mut rng,
+        );
         assert_eq!(a.emits[0].0.tcp.flags, TcpFlags::SYN_ACK);
         // Handshake ACK releases the buffered response.
         let ack = PacketBuilder::new(client, server, 40000, 80)
@@ -464,7 +498,7 @@ mod tests {
             .seq(128)
             .ack(0x7000_0001)
             .build();
-        let b = s.on_packet(SimTime(1), &ack, &mut rng);
+        let b = step(&mut s, EndpointInput::Packet(&ack), SimTime(1), &mut rng);
         assert_eq!(b.emits.len(), 3); // response segments only
     }
 
@@ -473,19 +507,24 @@ mod tests {
         let (client, server) = addrs();
         let mut s = Server::new(ServerConfig::default_edge(server, 443));
         let mut rng = derive_rng(2, 6);
-        let _ = s.on_packet(SimTime::ZERO, &syn(client, server), &mut rng);
+        let _ = step(
+            &mut s,
+            EndpointInput::Packet(&syn(client, server)),
+            SimTime::ZERO,
+            &mut rng,
+        );
         let ack = PacketBuilder::new(client, server, 40000, 443)
             .flags(TcpFlags::ACK)
             .seq(101)
             .ack(0x7000_0001)
             .build();
-        let _ = s.on_packet(SimTime(1), &ack, &mut rng);
+        let _ = step(&mut s, EndpointInput::Packet(&ack), SimTime(1), &mut rng);
         let fin = PacketBuilder::new(client, server, 40000, 443)
             .flags(TcpFlags::FIN_ACK)
             .seq(101)
             .ack(0x7000_0001)
             .build();
-        let a = s.on_packet(SimTime(2), &fin, &mut rng);
+        let a = step(&mut s, EndpointInput::Packet(&fin), SimTime(2), &mut rng);
         assert_eq!(a.emits.len(), 1);
         assert!(a.emits[0].0.tcp.flags.has_fin());
         assert!(!s.is_closed());
@@ -495,7 +534,7 @@ mod tests {
             .seq(102)
             .ack(0x7000_0002)
             .build();
-        let _ = s.on_packet(SimTime(3), &last, &mut rng);
+        let _ = step(&mut s, EndpointInput::Packet(&last), SimTime(3), &mut rng);
         assert!(s.is_closed());
     }
 }

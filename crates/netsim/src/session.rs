@@ -5,7 +5,7 @@
 //! given the session RNG: events are ordered by (time, insertion sequence).
 
 use crate::client::{Client, ClientConfig, ClientTimer};
-use crate::endpoint::{EndpointInput, EndpointMachine};
+use crate::endpoint::{Actions, EndpointInput, EndpointMachine};
 use crate::hop::HopCtx;
 use crate::path::Path;
 use crate::server::{Server, ServerConfig, ServerTimer};
@@ -82,6 +82,29 @@ impl SessionParams {
             server,
             start,
             horizon: SimDuration::from_secs(30),
+        }
+    }
+}
+
+/// Events a session's heap is sized for up front: no simulated-world
+/// session has more than ten in flight at once.
+const HEAP_CAPACITY: usize = 16;
+/// Packets a session's trace is sized for up front: the longest
+/// simulated-world exchange delivers 22, both directions together.
+const TRACE_CAPACITY: usize = 24;
+
+/// An endpoint machine and the one action buffer it writes into for the
+/// whole session; the driver drains the buffer after every call.
+struct Endpoint<M: EndpointMachine> {
+    machine: M,
+    out: Actions<M::Timer>,
+}
+
+impl<M: EndpointMachine> Endpoint<M> {
+    fn new(machine: M) -> Endpoint<M> {
+        Endpoint {
+            machine,
+            out: Actions::default(),
         }
     }
 }
@@ -181,13 +204,13 @@ impl<'a> Driver<'a> {
     }
 
     /// Deliver one sans-IO input to an endpoint machine and scatter the
-    /// resulting actions into the event heap — the single dispatch point
+    /// actions it pushed into the event heap — the single dispatch point
     /// both sides of the session share. `side` picks the emission
     /// direction; `wrap` lifts the endpoint's timers into [`EvKind`].
     fn drive<M, W>(
         &mut self,
-        machine: &mut M,
-        input: EndpointInput<M::Timer>,
+        ep: &mut Endpoint<M>,
+        input: EndpointInput<'_, M::Timer>,
         now: SimTime,
         side: Node,
         wrap: W,
@@ -196,14 +219,14 @@ impl<'a> Driver<'a> {
         M: EndpointMachine,
         W: Fn(M::Timer) -> EvKind,
     {
-        let actions = machine.process(input, now, rng);
-        for (pkt, delay) in actions.emits {
+        ep.machine.process(input, now, rng, &mut ep.out);
+        for (pkt, delay) in ep.out.emits.drain(..) {
             match side {
                 Node::Server => self.emit_from_server(now + delay, pkt, Origin::Server, rng),
                 _ => self.emit_from_client(now + delay, pkt, Origin::Client, rng),
             }
         }
-        for (timer, delay) in actions.timers {
+        for (timer, delay) in ep.out.timers.drain(..) {
             self.push(now + delay, wrap(timer));
         }
     }
@@ -237,15 +260,15 @@ pub fn run_session(params: SessionParams, path: &mut Path, rng: &mut StdRng) -> 
     debug_assert!(path.is_well_formed());
     let start = params.start;
     let end = start + params.horizon;
-    let mut client = Client::new(params.client);
-    let mut server = Server::new(params.server);
+    let mut client = Endpoint::new(Client::new(params.client));
+    let mut server = Endpoint::new(Server::new(params.server));
     let mut tamper_events = Vec::new();
 
     let mut driver = Driver {
-        heap: BinaryHeap::new(),
+        heap: BinaryHeap::with_capacity(HEAP_CAPACITY),
         seq: 0,
         path,
-        trace: Vec::new(),
+        trace: Vec::with_capacity(TRACE_CAPACITY),
     };
 
     // Kick off: the client's initial actions.
@@ -327,37 +350,39 @@ pub fn run_session(params: SessionParams, path: &mut Path, rng: &mut StdRng) -> 
                         driver.inject_to_client(now + delay, i, inj, rng);
                     }
                 }
+                // The endpoint reads the packet first; then it moves into
+                // the trace (nothing reads the trace during `drive`).
                 Node::Server => {
-                    driver.trace.push(TracedPacket {
-                        time: now,
-                        dir: Direction::ToServer,
-                        origin,
-                        packet: pkt.clone(),
-                    });
                     driver.drive(
                         &mut server,
-                        EndpointInput::Packet(pkt),
+                        EndpointInput::Packet(&pkt),
                         now,
                         Node::Server,
                         EvKind::ServerTimer,
                         rng,
                     );
-                }
-                Node::Client => {
                     driver.trace.push(TracedPacket {
                         time: now,
-                        dir: Direction::ToClient,
+                        dir: Direction::ToServer,
                         origin,
-                        packet: pkt.clone(),
+                        packet: pkt,
                     });
+                }
+                Node::Client => {
                     driver.drive(
                         &mut client,
-                        EndpointInput::Packet(pkt),
+                        EndpointInput::Packet(&pkt),
                         now,
                         Node::Client,
                         EvKind::ClientTimer,
                         rng,
                     );
+                    driver.trace.push(TracedPacket {
+                        time: now,
+                        dir: Direction::ToClient,
+                        origin,
+                        packet: pkt,
+                    });
                 }
             },
         }

@@ -37,6 +37,13 @@ impl From<JsonError> for ConfigError {
     }
 }
 
+/// Most countries a world may hold: a client address carries its
+/// country index in one octet.
+pub(crate) const MAX_COUNTRIES: usize = 256;
+/// Most ASes a country may have: a client address carries the AS-local
+/// index (0..=249) in one octet.
+pub(crate) const MAX_AS_PER_COUNTRY: usize = 250;
+
 fn err<T>(message: impl Into<String>) -> Result<T, ConfigError> {
     Err(ConfigError {
         message: message.into(),
@@ -264,6 +271,12 @@ pub fn world_from_json(text: &str) -> Result<Vec<CountrySpec>, ConfigError> {
     if entries.is_empty() {
         return err("world must contain at least one country");
     }
+    if entries.len() > MAX_COUNTRIES {
+        return err(format!(
+            "world has {} countries; at most {MAX_COUNTRIES} fit the client address plan",
+            entries.len()
+        ));
+    }
     let mut world = Vec::with_capacity(entries.len());
     for (i, entry) in entries.iter().enumerate() {
         let code = entry
@@ -278,11 +291,17 @@ pub fn world_from_json(text: &str) -> Result<Vec<CountrySpec>, ConfigError> {
         if weight <= 0.0 {
             return err(format!("{ctx}: weight must be positive"));
         }
-        let n_ases = entry
-            .get("n_ases")
-            .and_then(Json::as_u64)
-            .unwrap_or(4)
-            .max(1) as usize;
+        let n_ases = match entry.get("n_ases") {
+            None => 4,
+            Some(v) => match v.as_u64() {
+                Some(n) if (1..=MAX_AS_PER_COUNTRY as u64).contains(&n) => n as usize,
+                _ => {
+                    return err(format!(
+                        "{ctx}: \"n_ases\" must be an integer in 1..={MAX_AS_PER_COUNTRY}"
+                    ))
+                }
+            },
+        };
         let country = Country {
             code,
             weight,
@@ -398,5 +417,40 @@ mod tests {
                 "{text}: expected \"{needle}\" in \"{e}\""
             );
         }
+    }
+
+    /// A world of `n` minimal countries, each with the given `n_ases`
+    /// JSON value.
+    fn world_of(n: usize, n_ases: &str) -> String {
+        let countries: Vec<String> = (0..n)
+            .map(|i| format!(r#"{{"code":"C{i}","weight":1,"n_ases":{n_ases}}}"#))
+            .collect();
+        format!("[{}]", countries.join(","))
+    }
+
+    #[test]
+    fn as_count_outside_the_address_plan_is_rejected() {
+        for n_ases in ["0", "251", "100000000", "2.5", "-1", "\"4\""] {
+            let e = world_from_json(&world_of(1, n_ases)).expect_err(n_ases);
+            assert_eq!(
+                e.to_string(),
+                "world config error: country C0: \"n_ases\" must be an integer in 1..=250",
+                "n_ases {n_ases}"
+            );
+        }
+        for n_ases in ["1", "250"] {
+            let world = world_from_json(&world_of(1, n_ases)).expect(n_ases);
+            assert_eq!(world[0].country.n_ases.to_string(), n_ases);
+        }
+    }
+
+    #[test]
+    fn more_countries_than_the_address_plan_holds_is_rejected() {
+        let e = world_from_json(&world_of(257, "4")).expect_err("257 countries");
+        assert_eq!(
+            e.to_string(),
+            "world config error: world has 257 countries; at most 256 fit the client address plan"
+        );
+        assert_eq!(world_from_json(&world_of(256, "4")).unwrap().len(), 256);
     }
 }

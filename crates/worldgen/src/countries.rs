@@ -42,21 +42,42 @@ pub struct Country {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Asn(pub u32);
 
-/// Pick an AS for a connection: AS sizes follow a Zipf(1.1) skew so one
-/// or two ASes dominate (as in real eyeball markets).
-pub fn pick_asn(country_idx: CountryIdx, n_ases: usize, u: f64) -> Asn {
-    debug_assert!(n_ases > 0);
-    // Inverse-CDF sample of P(i) ∝ 1/(i+1)^1.1 over 0..n_ases.
-    let s = 1.1f64;
-    let norm: f64 = (0..n_ases).map(|i| 1.0 / ((i + 1) as f64).powf(s)).sum();
-    let mut acc = 0.0;
-    for i in 0..n_ases {
-        acc += (1.0 / ((i + 1) as f64).powf(s)) / norm;
-        if u <= acc {
-            return Asn(u32::from(country_idx) * 1000 + i as u32);
-        }
+/// A country's AS picker: AS sizes follow a Zipf(1.1) skew so one or two
+/// ASes dominate (as in real eyeball markets). The cumulative table is
+/// built once per country, when the world is assembled; a pick is a
+/// search over it.
+#[derive(Debug, Clone)]
+pub(crate) struct AsSampler {
+    /// `cdf[i]` = P(AS ≤ i), accumulated in index order.
+    cdf: Vec<f64>,
+}
+
+impl AsSampler {
+    /// The inverse-CDF table of P(i) ∝ 1/(i+1)^1.1 over `0..n_ases`.
+    pub(crate) fn new(n_ases: usize) -> AsSampler {
+        assert!(n_ases > 0, "a country needs at least one AS");
+        let s = 1.1f64;
+        let norm: f64 = (0..n_ases).map(|i| 1.0 / ((i + 1) as f64).powf(s)).sum();
+        let mut acc = 0.0;
+        let cdf = (0..n_ases)
+            .map(|i| {
+                acc += (1.0 / ((i + 1) as f64).powf(s)) / norm;
+                acc
+            })
+            .collect();
+        AsSampler { cdf }
     }
-    Asn(u32::from(country_idx) * 1000 + (n_ases - 1) as u32)
+
+    /// The AS of `country` a uniform draw `u` lands on: the first whose
+    /// cumulative share reaches `u` (the last if rounding leaves `u`
+    /// above them all).
+    pub(crate) fn pick(&self, country: CountryIdx, u: f64) -> Asn {
+        let i = self
+            .cdf
+            .partition_point(|&acc| acc < u)
+            .min(self.cdf.len() - 1);
+        Asn(u32::from(country) * 1000 + i as u32)
+    }
 }
 
 /// Deterministic per-AS enforcement multiplier with mean ≈ 1.
@@ -87,15 +108,21 @@ mod tests {
     #[test]
     fn asn_pick_is_skewed_and_bounded() {
         let n = 10;
+        let table = AsSampler::new(n);
         let mut counts = vec![0u32; n];
         for k in 0..10_000 {
             let u = (k as f64 + 0.5) / 10_000.0;
-            let Asn(a) = pick_asn(3, n, u);
+            let Asn(a) = table.pick(3, u);
             counts[(a - 3000) as usize] += 1;
         }
         assert!(counts[0] > counts[5], "AS sizes should be skewed");
         assert!(counts.iter().all(|&c| c > 0), "every AS gets some traffic");
         assert_eq!(counts.iter().sum::<u32>(), 10_000);
+        // The edges: u = 0 is the largest AS, u past the last cumulative
+        // share (rounding) the smallest.
+        assert_eq!(table.pick(3, 0.0), Asn(3000));
+        assert_eq!(table.pick(3, 1.5), Asn(3009));
+        assert_eq!(AsSampler::new(1).pick(7, 0.99), Asn(7000));
     }
 
     #[test]

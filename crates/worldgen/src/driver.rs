@@ -5,8 +5,9 @@
 //! `(seed, session index)`, so generation is order-independent and can be
 //! sharded across threads without changing a single byte of output.
 
+use crate::config::{MAX_AS_PER_COUNTRY, MAX_COUNTRIES};
 use crate::countries::{
-    as_enforcement_multiplier, day_index, local_hour, pick_asn, Asn, CountryIdx,
+    as_enforcement_multiplier, day_index, local_hour, AsSampler, Asn, CountryIdx,
 };
 use crate::domains::{Category, Domain, DomainCatalog, DomainId};
 use crate::meta::{BenignKind, GroundTruth, LabeledFlow, SessionMeta};
@@ -83,6 +84,7 @@ pub struct WorldSim {
     country_weights: WeightedIndex<f64>,
     domain_samplers: Vec<WeightedIndex<f64>>,
     hour_samplers: Vec<WeightedIndex<f64>>,
+    as_samplers: Vec<AsSampler>,
     sampler: Sampler,
     /// The four designated SYN-payload magnet domains (§4.1: 93% of HTTP
     /// SYN payloads target four domains).
@@ -121,6 +123,19 @@ impl WorldSim {
     /// in `cfg` still applies, keyed by country index.
     pub fn with_world(cfg: WorldConfig, world: Vec<CountrySpec>) -> WorldSim {
         assert!(!world.is_empty(), "world must contain at least one country");
+        // Client addresses pack the country and the AS-local index into
+        // one octet each; past these bounds distinct clients would merge.
+        assert!(
+            world.len() <= MAX_COUNTRIES,
+            "world has {} countries; at most {MAX_COUNTRIES}",
+            world.len()
+        );
+        assert!(
+            world
+                .iter()
+                .all(|s| (1..=MAX_AS_PER_COUNTRY).contains(&s.country.n_ases)),
+            "every country needs 1..={MAX_AS_PER_COUNTRY} ASes"
+        );
         let n_countries = world.len() as u16;
         let catalog = DomainCatalog::generate(cfg.seed, cfg.catalog_size, n_countries, 0.4);
         let country_weights =
@@ -143,6 +158,10 @@ impl WorldSim {
                 .collect();
             hour_samplers.push(WeightedIndex::new(hours).expect("hour weights"));
         }
+        let as_samplers = world
+            .iter()
+            .map(|s| AsSampler::new(s.country.n_ases))
+            .collect();
         let mut diurnal_norm = Vec::with_capacity(world.len());
         for spec in world.iter() {
             let (mut num, mut den) = (0.0, 0.0);
@@ -168,6 +187,7 @@ impl WorldSim {
             country_weights,
             domain_samplers,
             hour_samplers,
+            as_samplers,
             sampler,
             syn_payload_magnets,
             diurnal_norm,
@@ -256,7 +276,7 @@ impl WorldSim {
         let lh = local_hour(ts, spec.country.tz_offset_hours);
 
         // --- Placement ----------------------------------------------------
-        let asn = pick_asn(country, spec.country.n_ases, rng.gen());
+        let asn = self.as_samplers[country as usize].pick(country, rng.gen());
         let ipv6 = rng.gen::<f64>() < spec.country.ipv6_share;
         let mut http = rng.gen::<f64>() < spec.country.http_share;
 
@@ -1250,6 +1270,19 @@ mod helper_tests {
                 }
             }
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "every country needs 1..=250 ASes")]
+    fn with_world_rejects_more_ases_than_the_address_plan_holds() {
+        let mut world = world_spec();
+        world[0].country.n_ases = 251;
+        let cfg = WorldConfig {
+            sessions: 0,
+            catalog_size: 100,
+            ..Default::default()
+        };
+        WorldSim::with_world(cfg, world);
     }
 
     #[test]

@@ -53,7 +53,7 @@ pub mod scenario;
 pub mod testlists;
 
 pub use config::{world_from_json, world_to_json, ConfigError};
-pub use countries::{local_hour, pick_asn, Asn, Country, CountryIdx};
+pub use countries::{local_hour, Asn, Country, CountryIdx};
 pub use domains::{Category, Domain, DomainCatalog, DomainId};
 pub use driver::{
     ip_key, world_fingerprint, WorldConfig, WorldSim, FIREWALL_KEYWORD, FIREWALL_USER_AGENT,

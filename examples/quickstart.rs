@@ -8,7 +8,6 @@
 
 use tamperscope::analysis::{comparison_table, pct_f};
 use tamperscope::capture::collect;
-use tamperscope::core::{max_rst_ipid_delta, max_rst_ttl_delta};
 use tamperscope::netsim::{derive_rng, Link};
 use tamperscope::prelude::*;
 use tamperscope::worldgen::country_index;
@@ -56,10 +55,10 @@ fn describe(label: &str, flow: &FlowRecord) {
     if let Some(domain) = &analysis.trigger.domain {
         println!("   trigger:   {domain}");
     }
-    if let Some(d) = max_rst_ipid_delta(flow) {
+    if let Some(d) = analysis.evidence.max_rst_ipid {
         println!("   evidence:  max IP-ID jump at the RST = {d}");
     }
-    if let Some(d) = max_rst_ttl_delta(flow) {
+    if let Some(d) = analysis.evidence.max_rst_ttl {
         println!("   evidence:  TTL change at the RST = {d}");
     }
     println!();

@@ -183,12 +183,16 @@ fn cmd_classify(args: &Args) -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    let render: fn(&mut String, &FlowRecord, &FlowAnalysis) = if args.has("jsonl") {
-        flow_to_jsonl_into
+    // Every renderer is handed the classifier's reconstructed order;
+    // only the explanation narrates it.
+    let render: fn(&mut String, &FlowRecord, &FlowAnalysis, &[usize]) = if args.has("jsonl") {
+        |text, flow, analysis, _| flow_to_jsonl_into(text, flow, analysis)
     } else if args.has("explain") {
-        |text, flow, analysis| text.push_str(&tamperscope::core::explain(flow, analysis))
+        |text, flow, analysis, order| {
+            text.push_str(&tamperscope::core::explain(flow, analysis, order))
+        }
     } else {
-        verdict_line
+        |text, flow, analysis, _| verdict_line(text, flow, analysis)
     };
     let cfg = EngineConfig {
         offline: OfflineConfig::default(),
@@ -212,8 +216,10 @@ fn cmd_classify(args: &Args) -> ExitCode {
             if analysis.signature().is_some() {
                 sink.matched += 1;
             }
-            sink.lines
-                .push(span.first_index, |text| render(text, &lf.flow, &analysis));
+            let order = sink.clf.order();
+            sink.lines.push(span.first_index, |text| {
+                render(text, &lf.flow, &analysis, order)
+            });
         }
     };
     let merge = |a: &mut ClassifySink, b: ClassifySink| {

@@ -10,13 +10,18 @@
 //! This is the runtime counterpart of tamperlint's static `hot-path-alloc`
 //! rule: the lint proves no allocation *constructor* is reachable from the
 //! hot roots, this test proves the surviving (waived, per-flow) sites
-//! really amortize to zero once the classifier is warm.
+//! really amortize to zero once the classifier is warm. The simulator side
+//! has a budget instead of a zero: one direct TLS session's heap requests
+//! may not grow back past what the allocation-free session loop needs.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 use tamperscope::capture::{flows_from_pcap, EvictionCause, FlowBatch, FlowRecord, OfflineConfig};
 use tamperscope::core::{classify, BatchClassifier, ClassifierConfig};
+use tamperscope::netsim::{
+    derive_rng, run_session, ClientConfig, Path, ServerConfig, SessionParams, SimDuration, SimTime,
+};
 
 /// A counting pass-through allocator: every heap request bumps the
 /// calling thread's counter, so the two tests — which the harness runs on
@@ -217,4 +222,38 @@ fn warm_batch_classifier_processes_a_batch_without_allocating() {
         .map(|a| a.classification)
         .collect();
     assert_eq!(again, warm, "verdicts drifted between batch passes");
+}
+
+/// Heap requests one direct TLS session may make: the packets themselves
+/// (option lists, the ClientHello), one action buffer per endpoint, and
+/// the event heap and trace, each sized once. A fresh `Actions` per
+/// `process` call, a clone per delivered packet or a body per response
+/// segment takes it back past 60.
+const DIRECT_SESSION_ALLOC_BUDGET: u64 = 30;
+
+#[test]
+fn one_direct_tls_session_stays_within_its_allocation_budget() {
+    let client_ip = "203.0.113.2".parse().unwrap();
+    let server_ip = "198.51.100.1".parse().unwrap();
+    // The `netsim.session.direct` probe's session.
+    let cfg = ClientConfig::default_tls(client_ip, server_ip, "fine.example.org");
+    let params = SessionParams::new(
+        cfg,
+        ServerConfig::default_edge(server_ip, 443),
+        SimTime::ZERO,
+    );
+    let mut path = Path::direct(SimDuration::from_millis(50), 13);
+    let mut rng = derive_rng(11, 0);
+    let before = allocations();
+    let trace = run_session(params, &mut path, &mut rng);
+    let after = allocations();
+    assert!(
+        trace.inbound().count() >= 6,
+        "the session ran to a graceful close"
+    );
+    assert!(
+        after - before <= DIRECT_SESSION_ALLOC_BUDGET,
+        "one direct TLS session made {} heap requests; budget {DIRECT_SESSION_ALLOC_BUDGET}",
+        after - before
+    );
 }

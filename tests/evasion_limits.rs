@@ -12,7 +12,6 @@
 use std::net::{IpAddr, Ipv4Addr};
 use tamper_capture::{collect, CollectorConfig};
 use tamper_core::{classify, Classification, ClassifierConfig, Signature};
-use tamper_core::{max_rst_ipid_delta, max_rst_ttl_delta};
 use tamper_middlebox::{InjectorStack, RuleSet, StealthHijacker, Vendor};
 use tamper_netsim::{
     derive_rng, run_session, ClientConfig, Link, Path, ServerConfig, SessionParams, SimDuration,
@@ -124,7 +123,7 @@ fn stealthy_injector_defeats_evidence_but_not_signatures() {
     let loud = run(InjectorStack::typical(), 77);
     let loud_analysis = classify(&loud, &ClassifierConfig::default());
     assert_eq!(loud_analysis.signature(), Some(Signature::PshRstAckRstAck));
-    assert!(max_rst_ipid_delta(&loud).is_some_and(|d| d > 100));
+    assert!(loud_analysis.evidence.max_rst_ipid.is_some_and(|d| d > 100));
 
     // Stealthy injector: same signature, silent evidence.
     let quiet = run(InjectorStack::stealthy(), 78);
@@ -135,11 +134,14 @@ fn stealthy_injector_defeats_evidence_but_not_signatures() {
         "flag-sequence detection is independent of header quirks"
     );
     assert!(
-        max_rst_ipid_delta(&quiet).is_none_or(|d| d <= 1),
+        quiet_analysis.evidence.max_rst_ipid.is_none_or(|d| d <= 1),
         "copied IP-ID leaves no discontinuity"
     );
     assert!(
-        max_rst_ttl_delta(&quiet).is_none_or(|d| d.abs() <= 1),
+        quiet_analysis
+            .evidence
+            .max_rst_ttl
+            .is_none_or(|d| d.abs() <= 1),
         "copied TTL leaves no discontinuity"
     );
 }

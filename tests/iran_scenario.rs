@@ -2,7 +2,11 @@
 //! reproduce the paper's qualitative findings — sharp escalation from the
 //! protest onset, evening-hour peaks, mobile-ISP concentration, and
 //! domination by post-handshake drops/RST+ACK injection and ⟨SYN → RST⟩.
+//! The CLI's `iran` text at 20k sessions is pinned byte for byte in
+//! `tests/fixtures/iran_20k.golden.txt` (re-bless an intentional change
+//! with `UPDATE_GOLDEN=1 cargo test --test iran_scenario`).
 
+use std::process::Command;
 use tamper_analysis::Collector;
 use tamper_core::{ClassifierConfig, Signature};
 use tamper_worldgen::{Scenario, WorldConfig, WorldSim, SEP13_2022_UNIX};
@@ -104,6 +108,40 @@ fn peak_hours_exceed_forty_percent_timeouts() {
         .map(|(row, &t)| f64::from(row[sig]) / f64::from(t))
         .fold(0.0f64, f64::max);
     assert!(peak > 0.30, "peak hourly ⟨SYN; ACK → ∅⟩ rate only {peak}");
+}
+
+/// The scenario-overlay path end to end: `tamperscope iran --sessions
+/// 20000` prints the committed golden at one and two threads.
+#[test]
+fn iran_text_matches_the_golden_at_any_thread_count() {
+    let golden_path = concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/tests/fixtures/iran_20k.golden.txt"
+    );
+    let iran = |threads: u32| {
+        let out = Command::new(env!("CARGO_BIN_EXE_tamperscope"))
+            .args(["iran", "--sessions", "20000", "--threads"])
+            .arg(threads.to_string())
+            .output()
+            .expect("iran");
+        assert!(
+            out.status.success(),
+            "iran failed: {}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        out.stdout
+    };
+    let t1 = iran(1);
+    if std::env::var_os("UPDATE_GOLDEN").is_some() {
+        std::fs::write(golden_path, &t1).unwrap();
+    }
+    let golden = std::fs::read(golden_path)
+        .expect("tests/fixtures/iran_20k.golden.txt missing — run with UPDATE_GOLDEN=1");
+    assert!(
+        t1 == golden,
+        "iran bytes differ from iran_20k.golden.txt; if intentional, re-bless with UPDATE_GOLDEN=1"
+    );
+    assert_eq!(iran(2), t1, "iran bytes changed at 2 threads");
 }
 
 #[test]

@@ -611,15 +611,28 @@ fn batch_from_records(flows: &[FlowRecord]) -> FlowBatch {
 proptest! {
     /// Random records packed into a batch arena classify to exactly the
     /// `FlowAnalysis` their materialized owned records do — for both classifier
-    /// configs, with truncation flags flipped per flow.
+    /// configs, with truncation flags flipped per flow. The analysis carries
+    /// the IP-ID/TTL evidence, so this also pins that both layouts compute
+    /// the same `FlowAnalysis::evidence`; per-packet IP-IDs (some absent,
+    /// as on IPv6) and TTLs are redrawn from `header_seed` so it has
+    /// something to differ on.
     #[test]
     fn batch_classifier_matches_across_storage_layouts(
         flows in proptest::collection::vec(arb_any_flow(), 0..12),
         truncated_mask in any::<u16>(),
+        header_seed in any::<u64>(),
     ) {
         let mut flows = flows;
         for (i, f) in flows.iter_mut().enumerate() {
             f.truncated = (truncated_mask >> (i % 16)) & 1 == 1;
+        }
+        let mut h = header_seed;
+        for p in flows.iter_mut().flat_map(|f| f.packets.iter_mut()) {
+            h = h
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            p.ip_id = (h >> 61 != 0).then_some((h >> 32) as u16);
+            p.ttl = (h >> 48) as u8;
         }
         let batch = batch_from_records(&flows);
         prop_assert_eq!(batch.flow_count(), flows.len());

@@ -33,10 +33,10 @@ use tamperscope::core::{
 use tamperscope::netsim::client::ClientTimer;
 use tamperscope::netsim::server::ServerTimer;
 use tamperscope::netsim::{
-    derive_rng, Client, ClientConfig, ClientKind, EndpointInput, EndpointMachine, Server,
+    derive_rng, Actions, Client, ClientConfig, ClientKind, EndpointInput, EndpointMachine, Server,
     ServerConfig, SimDuration, SimTime, VanishStage,
 };
-use tamperscope::wire::{PacketBuilder, TcpFlags};
+use tamperscope::wire::{Packet, PacketBuilder, TcpFlags};
 
 fn fixture(name: &str) -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR"))
@@ -169,27 +169,59 @@ fn client_kind(idx: usize) -> ClientKind {
     }
 }
 
-fn client_input(op: u8) -> EndpointInput<ClientTimer> {
+/// One scripted endpoint input; it owns its packet, which the machine
+/// only borrows.
+enum Scripted<T> {
+    Packet(Packet),
+    Timer(T),
+}
+
+impl<T: Copy> Scripted<T> {
+    fn input(&self) -> EndpointInput<'_, T> {
+        match self {
+            Scripted::Packet(p) => EndpointInput::Packet(p),
+            Scripted::Timer(t) => EndpointInput::Timer(*t),
+        }
+    }
+}
+
+fn client_input(op: u8) -> Scripted<ClientTimer> {
     match op % 10 {
-        0 => EndpointInput::Packet(downlink(TcpFlags::SYN_ACK, 0x7000_0000, 0x1000_0001, b"")),
-        1 => EndpointInput::Packet(downlink(TcpFlags::ACK, 0x7000_0001, 0x1000_0001, b"")),
-        2 => EndpointInput::Packet(downlink(
+        0 => Scripted::Packet(downlink(TcpFlags::SYN_ACK, 0x7000_0000, 0x1000_0001, b"")),
+        1 => Scripted::Packet(downlink(TcpFlags::ACK, 0x7000_0001, 0x1000_0001, b"")),
+        2 => Scripted::Packet(downlink(
             TcpFlags::PSH_ACK,
             0x7000_0001,
             0x1000_0001,
             b"resp",
         )),
-        3 => EndpointInput::Packet(downlink(TcpFlags::FIN_ACK, 0x7000_0005, 0x1000_0001, b"")),
-        4 => EndpointInput::Packet(downlink(TcpFlags::RST, 0x7000_0001, 0, b"")),
-        5 => EndpointInput::Timer(ClientTimer::RetransmitSyn),
-        6 => EndpointInput::Timer(ClientTimer::RetransmitRequest),
-        7 => EndpointInput::Timer(ClientTimer::HappyEyeballsCancel),
-        8 => EndpointInput::Timer(ClientTimer::SecondRequest),
-        _ => EndpointInput::Timer(ClientTimer::Close),
+        3 => Scripted::Packet(downlink(TcpFlags::FIN_ACK, 0x7000_0005, 0x1000_0001, b"")),
+        4 => Scripted::Packet(downlink(TcpFlags::RST, 0x7000_0001, 0, b"")),
+        5 => Scripted::Timer(ClientTimer::RetransmitSyn),
+        6 => Scripted::Timer(ClientTimer::RetransmitRequest),
+        7 => Scripted::Timer(ClientTimer::HappyEyeballsCancel),
+        8 => Scripted::Timer(ClientTimer::SecondRequest),
+        _ => Scripted::Timer(ClientTimer::Close),
     }
 }
 
-fn server_input(op: u8) -> EndpointInput<ServerTimer> {
+/// Feed one input to `machine` and render the actions it pushed.
+fn step<M>(
+    machine: &mut M,
+    input: EndpointInput<'_, M::Timer>,
+    now: SimTime,
+    rng: &mut rand::rngs::StdRng,
+) -> String
+where
+    M: EndpointMachine,
+    M::Timer: std::fmt::Debug,
+{
+    let mut out = Actions::default();
+    machine.process(input, now, rng, &mut out);
+    format!("{out:?}")
+}
+
+fn server_input(op: u8) -> Scripted<ServerTimer> {
     let uplink = |flags: TcpFlags, seq: u32, payload: &'static [u8]| {
         PacketBuilder::new(CLIENT, SERVER, 40_000, 443)
             .flags(flags)
@@ -200,12 +232,12 @@ fn server_input(op: u8) -> EndpointInput<ServerTimer> {
             .build()
     };
     match op % 6 {
-        0 => EndpointInput::Packet(uplink(TcpFlags::SYN, 0x1000_0000, b"")),
-        1 => EndpointInput::Packet(uplink(TcpFlags::ACK, 0x1000_0001, b"")),
-        2 => EndpointInput::Packet(uplink(TcpFlags::PSH_ACK, 0x1000_0001, b"hello")),
-        3 => EndpointInput::Packet(uplink(TcpFlags::FIN_ACK, 0x1000_0006, b"")),
-        4 => EndpointInput::Packet(uplink(TcpFlags::RST, 0x1000_0001, b"")),
-        _ => EndpointInput::Timer(ServerTimer::RetransmitSynAck),
+        0 => Scripted::Packet(uplink(TcpFlags::SYN, 0x1000_0000, b"")),
+        1 => Scripted::Packet(uplink(TcpFlags::ACK, 0x1000_0001, b"")),
+        2 => Scripted::Packet(uplink(TcpFlags::PSH_ACK, 0x1000_0001, b"hello")),
+        3 => Scripted::Packet(uplink(TcpFlags::FIN_ACK, 0x1000_0006, b"")),
+        4 => Scripted::Packet(uplink(TcpFlags::RST, 0x1000_0001, b"")),
+        _ => Scripted::Timer(ServerTimer::RetransmitSynAck),
     }
 }
 
@@ -300,13 +332,12 @@ proptest! {
             let mut client = Client::new(cfg);
             let mut rng = derive_rng(seed, 17);
             let mut now = SimTime::from_secs(1);
-            let mut log = String::new();
-            let a = client.process(EndpointInput::Start, now, &mut rng);
-            log.push_str(&format!("{a:?}\n"));
+            let mut log = step(&mut client, EndpointInput::Start, now, &mut rng);
+            log.push('\n');
             for (op, dt) in &script {
                 now += SimDuration::from_secs(*dt);
-                let a = client.process(client_input(*op), now, &mut rng);
-                log.push_str(&format!("{a:?}|closed={}\n", client.is_closed()));
+                let a = step(&mut client, client_input(*op).input(), now, &mut rng);
+                log.push_str(&format!("{a}|closed={}\n", client.is_closed()));
             }
             log
         };
@@ -323,13 +354,12 @@ proptest! {
             let mut server = Server::new(ServerConfig::default_edge(SERVER, 443));
             let mut rng = derive_rng(seed, 23);
             let mut now = SimTime::from_secs(1);
-            let mut log = String::new();
-            let a = server.process(EndpointInput::Start, now, &mut rng);
-            log.push_str(&format!("{a:?}\n"));
+            let mut log = step(&mut server, EndpointInput::Start, now, &mut rng);
+            log.push('\n');
             for (op, dt) in &script {
                 now += SimDuration::from_secs(*dt);
-                let a = server.process(server_input(*op), now, &mut rng);
-                log.push_str(&format!("{a:?}|closed={}\n", server.is_closed()));
+                let a = step(&mut server, server_input(*op).input(), now, &mut rng);
+                log.push_str(&format!("{a}|closed={}\n", server.is_closed()));
             }
             log
         };
