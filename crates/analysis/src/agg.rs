@@ -519,7 +519,6 @@ impl PartialAggregate {
 
         // AS view.
         let as_key = (lf.meta.country, lf.meta.asn.0);
-        // tamperlint: allow(unbounded-growth) — keyed by (country, ASN), both from finite worldgen tables
         let as_entry = self.as_counts.entry(as_key).or_insert((0, 0));
         as_entry.0 += 1;
         if matched_any {
@@ -554,7 +553,6 @@ impl PartialAggregate {
         // Domain view (ground-truth domain labels mirror the paper's use
         // of the SNI/Host it observed or the CDN's own hostname records).
         if let Some(d) = lf.meta.domain {
-            // tamperlint: allow(unbounded-growth) — keyed by (country, domain) from the fixed monitored-domain table
             let cell = self.domain_cells.entry((lf.meta.country, d)).or_default();
             cell.seen += 1;
             if matched_psh {
@@ -579,7 +577,6 @@ impl PartialAggregate {
                 ev.max_rst_ipid
             };
             if let Some(d) = delta {
-                // tamperlint: allow(unbounded-growth) — fixed-length Vec of Reservoirs; Reservoir::insert keeps lowest-K
                 self.ipid_res[ri].insert(pri, d);
             }
             let delta = if ri == 19 {
@@ -588,7 +585,6 @@ impl PartialAggregate {
                 ev.max_rst_ttl
             };
             if let Some(d) = delta {
-                // tamperlint: allow(unbounded-growth) — fixed-length Vec of Reservoirs; Reservoir::insert keeps lowest-K
                 self.ttl_res[ri].insert(pri, d);
             }
         }
@@ -636,7 +632,6 @@ impl PartialAggregate {
             if syn_payload {
                 self.port80_syn_payload += 1;
                 if let Some(d) = lf.meta.domain {
-                    // tamperlint: allow(unbounded-growth) — keyed by domain id from the fixed monitored-domain table
                     *self.syn_payload_domains.entry(d).or_default() += 1;
                 }
             }
@@ -721,7 +716,6 @@ impl PartialAggregate {
             }
         }
         for (k, v) in other.as_counts {
-            // tamperlint: allow(unbounded-growth) — merge unions the same finite (country, ASN) key space
             let e = self.as_counts.entry(k).or_insert((0, 0));
             e.0 += v.0;
             e.1 += v.1;
@@ -753,7 +747,6 @@ impl PartialAggregate {
             }
         }
         for (k, v) in other.domain_cells {
-            // tamperlint: allow(unbounded-growth) — merge unions the same finite (country, domain) key space
             let e = self.domain_cells.entry(k).or_default();
             e.seen += v.seen;
             e.psh_tampered += v.psh_tampered;
@@ -778,7 +771,6 @@ impl PartialAggregate {
         self.port443_flows += other.port443_flows;
         self.port443_syn_payload += other.port443_syn_payload;
         for (k, v) in other.syn_payload_domains {
-            // tamperlint: allow(unbounded-growth) — merge unions the same fixed monitored-domain key space
             *self.syn_payload_domains.entry(k).or_default() += v;
         }
         self.truth.true_positive += other.truth.true_positive;
@@ -861,6 +853,35 @@ mod tests {
             merged.merge(part);
         }
         assert_eq!(whole, merged);
+    }
+
+    #[test]
+    fn merge_keeps_the_lowest_pair_keys_in_either_order() {
+        // Two partials that together hold PAIR_KEY_CAP + 100 distinct keys,
+        // interleaved so both contribute to the kept set.
+        let keys: Vec<(u64, u32)> = (0..PAIR_KEY_CAP as u64 + 100)
+            .map(|i| (splitmix64(i), (i % 3) as u32))
+            .collect();
+        let empty = PartialAggregate::new(ClassifierConfig::default(), 1, 1, 0);
+        let (mut a, mut b) = (empty.clone(), empty);
+        for (i, &key) in keys.iter().enumerate() {
+            let part = if i % 2 == 0 { &mut a } else { &mut b };
+            part.pair_seqs
+                .entry(key)
+                .or_default()
+                .insert(i as u64, 0, 1);
+        }
+        let mut want = keys;
+        want.sort_unstable();
+        want.truncate(PAIR_KEY_CAP);
+        let (mut ab, mut ba) = (a.clone(), b.clone());
+        ab.merge(b);
+        ba.merge(a);
+        for merged in [&ab, &ba] {
+            let got: Vec<(u64, u32)> = merged.pair_seqs.keys().copied().collect();
+            assert_eq!(got, want);
+        }
+        assert_eq!(ab.pair_seqs, ba.pair_seqs);
     }
 
     #[test]

@@ -26,8 +26,8 @@ use tamper_core::ClassifierConfig;
 use tamper_wire::{Reader, WireError};
 
 use crate::agg::{
-    DomainCell, PairSeq, PartialAggregate, Reservoir, TruthStats, N_CLASSES, PAIR_SEQ_CAP,
-    RESERVOIR_CAP,
+    DomainCell, PairSeq, PartialAggregate, Reservoir, TruthStats, N_CLASSES, PAIR_KEY_CAP,
+    PAIR_SEQ_CAP, RESERVOIR_CAP,
 };
 
 /// File magic: "TAGG".
@@ -488,6 +488,11 @@ pub fn decode(bytes: &[u8]) -> Result<PartialAggregate, AggError> {
         }
         pair_seqs.insert(key, PairSeq::from_entries(entries));
     }
+    // `record` and `merge` both keep at most PAIR_KEY_CAP keys, so a longer
+    // table was not written by this pipeline.
+    if pair_seqs.len() > PAIR_KEY_CAP {
+        return Err(AggError::Malformed("pair_seqs over key capacity"));
+    }
 
     if !r.is_empty() {
         return Err(AggError::Malformed("trailing bytes after body"));
@@ -612,6 +617,27 @@ mod tests {
         match decode(&bytes) {
             Err(AggError::UnsupportedVersion(v)) => assert_eq!(v, 0xFF01),
             other => panic!("expected UnsupportedVersion, got {:?}", other.err()),
+        }
+    }
+
+    #[test]
+    fn pair_table_over_key_capacity_is_a_named_error() {
+        let mut agg = sample();
+        agg.pair_seqs.clear();
+        for ip in 0..PAIR_KEY_CAP as u64 {
+            agg.pair_seqs.entry((ip, 1)).or_default().insert(ip, 0, 1);
+        }
+        // A full table decodes …
+        let at_cap = decode(&encode(&agg)).unwrap();
+        assert_eq!(at_cap.pair_seqs.len(), PAIR_KEY_CAP);
+        // … one key more does not.
+        agg.pair_seqs
+            .entry((u64::MAX, 1))
+            .or_default()
+            .insert(0, 0, 1);
+        match decode(&encode(&agg)) {
+            Err(AggError::Malformed("pair_seqs over key capacity")) => {}
+            other => panic!("expected the key-capacity error, got {:?}", other.err()),
         }
     }
 

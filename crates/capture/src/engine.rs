@@ -57,8 +57,8 @@
 
 use crate::offline::{IngestStats, OfflineConfig};
 use crate::source::{FlowSource, ShardStats, SourceShard};
-use crossbeam::channel::{bounded, Sender, TrySendError};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::mpsc::{sync_channel, SyncSender, TrySendError};
 use tamper_obs::{Registry, ScopeMetrics};
 
 /// Items per channel message (amortizes channel overhead).
@@ -154,7 +154,7 @@ struct Routed<I> {
 /// The reader's end of one worker shard: the channel to it and the batch
 /// being filled for it.
 struct Lane<I> {
-    tx: Sender<Vec<Routed<I>>>,
+    tx: SyncSender<Vec<Routed<I>>>,
     pending: Vec<Routed<I>>,
 }
 
@@ -309,7 +309,7 @@ where
     };
     let mut rm = scope("reader");
 
-    let outcomes: Vec<ShardOutcome<T>> = crossbeam::thread::scope(|s| {
+    let outcomes: Vec<ShardOutcome<T>> = std::thread::scope(|s| {
         // Delivery is the only thing the shard count selects. One shard
         // runs inline on this thread — the same item sequence and absorb
         // order as behind a channel, so the output is byte-identical,
@@ -322,7 +322,7 @@ where
             inline = Some(ShardRun::new(src.shard(cfg), init(), scope("shard0")));
         } else {
             for i in 0..threads {
-                let (tx, rx) = bounded::<Vec<Routed<S::Item>>>(CHANNEL_CAPACITY);
+                let (tx, rx) = sync_channel::<Vec<Routed<S::Item>>>(CHANNEL_CAPACITY);
                 lanes.push(Lane {
                     tx,
                     pending: Vec::new(),
@@ -330,7 +330,7 @@ where
                 let worker = src.shard(cfg);
                 let sm = scope(&format!("shard{i}"));
                 let (init, observe, final_stamp) = (&init, &observe, &final_stamp);
-                handles.push(s.spawn(move |_| {
+                handles.push(s.spawn(move || {
                     let mut run = ShardRun::new(worker, init(), sm);
                     for batch in rx.iter() {
                         run.sm.count("batches", 1);
@@ -393,9 +393,7 @@ where
                 h.join().expect("engine shard panicked")
             }))
             .collect()
-    })
-    // tamperlint: allow(panic) — crossbeam scope() only fails if a scoped thread panicked; re-raising preserves it
-    .expect("engine thread scope panicked");
+    });
 
     // Merge shard accumulators and counters in shard order — deterministic.
     let mut mm = scope("merge");

@@ -40,13 +40,13 @@ pub fn extract<V: PacketsView + ?Sized>(dst_port: u16, v: &V) -> TriggerInfo {
     if let Some(payload) = first_data {
         if tls::is_client_hello(payload) {
             return TriggerInfo {
-                // tamperlint: allow(discarded-wire-error) — best-effort trigger extraction: a malformed ClientHello means no SNI by design
+                // Best-effort trigger extraction: a malformed ClientHello means no SNI by design
                 domain: tls::parse_sni(payload).ok().flatten(),
                 protocol: AppProtocol::Tls,
             };
         }
         if http::is_http_request(payload) {
-            // tamperlint: allow(discarded-wire-error) — best-effort trigger extraction: a malformed request means no Host by design
+            // Best-effort trigger extraction: a malformed request means no Host by design
             let host = http::parse_host(payload).ok().flatten();
             return TriggerInfo {
                 domain: host,
@@ -74,7 +74,7 @@ pub fn user_agent(flow: &FlowRecord) -> Option<String> {
         .filter(|p| p.has_payload())
         .find_map(|p| {
             http::parse_request(&p.payload)
-                // tamperlint: allow(discarded-wire-error) — best-effort User-Agent sniff: a malformed request simply yields none
+                // Best-effort User-Agent sniff: a malformed request simply yields none
                 .ok()
                 .and_then(|r| r.user_agent)
         })

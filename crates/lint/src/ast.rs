@@ -2,8 +2,8 @@
 //!
 //! This is deliberately not a full Rust grammar: it recovers just the
 //! structure the call-graph rules need — items (`mod`/`impl`/`trait`/`fn`),
-//! function signatures (name, owner type, flattened parameter and return
-//! types), the call expressions and `match` expressions inside each body —
+//! function signatures (name, owner type, flattened parameter types), the
+//! call expressions and `match` expressions inside each body —
 //! and records source line spans for everything. Anything it cannot parse
 //! it skips conservatively; a file whose item structure loses sync is
 //! marked `parsed_ok = false` and downstream rules must fail closed
@@ -31,8 +31,6 @@ pub struct FnDef {
     /// binding ident (`self` for receivers, the last ident for `mut x`,
     /// `""` when the pattern binds nothing recoverable).
     pub param_names: Vec<String>,
-    /// Flattened return type text, `""` when the function returns unit.
-    pub ret: String,
     /// 1-based line of the `fn` keyword.
     pub start_line: u32,
     /// 1-based line of the closing brace (or of the `;` for bodyless
@@ -449,11 +447,9 @@ impl Parser<'_> {
             j += 1;
         }
         i = close + 1;
-        // Return type.
-        let mut ret = String::new();
+        // Skip the return type.
         if self.punct(i) == Some('-') && self.punct(i + 1) == Some('>') {
             i += 2;
-            let ret_start = i;
             while i < end {
                 match (self.ident(i), self.punct(i)) {
                     (Some("where"), _) | (_, Some('{')) | (_, Some(';')) => break,
@@ -461,7 +457,6 @@ impl Parser<'_> {
                     _ => i += 1,
                 }
             }
-            ret = self.flatten(ret_start, i);
         }
         if self.ident(i) == Some("where") {
             while i < end && self.punct(i) != Some('{') && self.punct(i) != Some(';') {
@@ -479,7 +474,6 @@ impl Parser<'_> {
                 trait_of: trait_of.map(str::to_string),
                 params,
                 param_names,
-                ret,
                 start_line,
                 end_line: self.line(i),
                 body: (i, i),
@@ -509,7 +503,6 @@ impl Parser<'_> {
             trait_of: trait_of.map(str::to_string),
             params,
             param_names,
-            ret,
             start_line,
             end_line: self.line(body_close.min(end.saturating_sub(1))),
             body,
@@ -948,7 +941,6 @@ mod tests {
         );
         assert_eq!(p.fns[0].params, vec!["&[u8]"]);
         assert_eq!(p.fns[1].params, vec!["Self"]);
-        assert_eq!(p.fns[1].ret, "Result<Option<PcapRecord>,PcapError>");
         // helper's qualified call resolves with its qualifier.
         let call = &p.fns[2].calls[0];
         assert_eq!(call.name, "parse");

@@ -31,7 +31,7 @@ pub enum SinkKind {
     Clock,
     /// `thread_rng`, `from_entropy`, `OsRng`, `getrandom`, `rand::random`.
     Rng,
-    /// `crossbeam`, `thread::spawn`, `thread::scope`.
+    /// `thread::spawn`, `thread::scope`.
     Thread,
 }
 
@@ -43,8 +43,8 @@ impl SinkKind {
     /// gives its function, and the path prefix of the kind's sanctioned
     /// home: tamper-obs owns the clock/rng reads, `capture::engine` owns
     /// the one reader/shard/merge thread topology (the worldgen driver
-    /// once carried a second crossbeam shard loop — the `Thread` row keeps
-    /// it from coming back).
+    /// once carried a second shard loop — the `Thread` row keeps it from
+    /// coming back).
     fn row(self) -> (&'static str, Effect, &'static str) {
         match self {
             SinkKind::Clock => ("ambient-clock", Effect::ReadsClock, "crates/obs/"),
@@ -77,15 +77,13 @@ impl SinkKind {
 const CLOCK_MSG: &str =
     "{}() reads the ambient clock; thread timestamps through the simulated clock instead";
 const RNG_MSG: &str = "{} draws ambient randomness; use a seeded generator";
-const POOL_MSG: &str = "{} outside capture::engine: the engine owns the only shard/merge \
-                        thread topology; plug in through a FlowSource";
 const SPAWN_MSG: &str = "thread spawning outside capture::engine: route parallel work \
                          through the unified engine instead of a bespoke pool";
 
 /// The sink vocabulary: `(head, tail, kind, message)`. A row matches the
 /// path `head::tail`, or any mention of the bare `head` identifier when
 /// `tail` is `None`; `{}` in the message stands for the matched path.
-const SINKS: [(&str, Option<&str>, SinkKind, &str); 10] = [
+const SINKS: [(&str, Option<&str>, SinkKind, &str); 9] = [
     ("Instant", Some("now"), SinkKind::Clock, CLOCK_MSG),
     ("SystemTime", Some("now"), SinkKind::Clock, CLOCK_MSG),
     ("thread_rng", None, SinkKind::Rng, RNG_MSG),
@@ -93,7 +91,6 @@ const SINKS: [(&str, Option<&str>, SinkKind, &str); 10] = [
     ("OsRng", None, SinkKind::Rng, RNG_MSG),
     ("getrandom", None, SinkKind::Rng, RNG_MSG),
     ("rand", Some("random"), SinkKind::Rng, RNG_MSG),
-    ("crossbeam", None, SinkKind::Thread, POOL_MSG),
     ("thread", Some("spawn"), SinkKind::Thread, SPAWN_MSG),
     ("thread", Some("scope"), SinkKind::Thread, SPAWN_MSG),
 ];
@@ -149,15 +146,6 @@ pub struct CallGraph {
     /// Outgoing edges per function id, sorted by callee, deduplicated
     /// (first call site wins).
     pub out: Vec<Vec<Edge>>,
-    /// Dropped workspace calls per function id: `(line, rendered call)`
-    /// for every call whose qualifier names a workspace type, module, or
-    /// crate and whose bare name exists in the symbol table, yet the
-    /// resolver produced no target. The effect engine treats these as
-    /// `Unknown` on the caller — a call that *looks* intra-workspace but
-    /// resolves to nothing could do anything, so it fails closed. Foreign
-    /// calls (`Vec::with_capacity`, `mem::take`) never land here: their
-    /// qualifiers match no workspace owner, stem, or crate.
-    pub dropped: Vec<Vec<(u32, String)>>,
 }
 
 impl CallGraph {
@@ -165,22 +153,6 @@ impl CallGraph {
     pub fn build(sym: &SymbolTable) -> CallGraph {
         let n = sym.fns.len();
         let mut out: Vec<Vec<Edge>> = vec![Vec::new(); n];
-        let mut dropped: Vec<Vec<(u32, String)>> = vec![Vec::new(); n];
-        // Qualifiers that denote something *inside* the workspace: impl
-        // owners, trait names, file stems, crate names (plus their
-        // `tamper_`-prefixed package forms).
-        let mut workspace_quals: BTreeSet<String> = BTreeSet::new();
-        for f in &sym.fns {
-            workspace_quals.insert(f.stem.clone());
-            workspace_quals.insert(f.krate.clone());
-            workspace_quals.insert(format!("tamper_{}", f.krate));
-            if let Some(o) = &f.def.owner {
-                workspace_quals.insert(o.clone());
-            }
-            if let Some(t) = &f.def.trait_of {
-                workspace_quals.insert(t.clone());
-            }
-        }
         for (i, f) in sym.fns.iter().enumerate() {
             for call in &f.def.calls {
                 let cands = sym.named(&call.name);
@@ -259,21 +231,6 @@ impl CallGraph {
                         }),
                     );
                 }
-                if targets.is_empty() && !cands.is_empty() {
-                    // The bare name exists in the workspace. If the call
-                    // was qualified into workspace territory and still
-                    // resolved to nothing, the resolver lost the edge —
-                    // record it so effect summaries can fail closed.
-                    let workspace_qualified = match &call.qualifier {
-                        Some(q) if q == "Self" => f.def.owner.is_some(),
-                        Some(q) => workspace_quals.contains(q.as_str()),
-                        None => false,
-                    };
-                    if workspace_qualified && !call.method {
-                        let q = call.qualifier.as_deref().unwrap_or("");
-                        dropped[i].push((call.line, format!("{q}::{}", call.name)));
-                    }
-                }
                 for t in targets {
                     if t != i {
                         out[i].push(Edge {
@@ -286,7 +243,7 @@ impl CallGraph {
             out[i].sort_by_key(|e| (e.callee, e.line));
             out[i].dedup_by_key(|e| e.callee);
         }
-        CallGraph { out, dropped }
+        CallGraph { out }
     }
 
     /// Forward closure of `roots`, restricted to the `allowed` subgraph —

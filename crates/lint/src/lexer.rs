@@ -207,8 +207,8 @@ impl Lexer<'_> {
                             self.line += 1;
                         }
                         Some(other) => {
-                            // \u{…}, \xNN and friends: keep the raw text; the
-                            // taxonomy sources use literal UTF-8, not escapes.
+                            // \u{…}, \xNN and friends: keep the raw text; no
+                            // rule reads string contents that closely.
                             out.push('\\');
                             out.push(other as char);
                         }

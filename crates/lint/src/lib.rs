@@ -21,19 +21,16 @@
 //! | `ambient-clock`| all pipeline crates                 | `SystemTime::now`, `Instant::now` — textual *or reached transitively through the effect summaries* |
 //! | `clock-containment` | all pipeline crates (obs exempt) | any other `Instant`/`SystemTime` mention; clocks only via `tamper-obs` |
 //! | `ambient-rng`  | all pipeline crates                 | `thread_rng`, `from_entropy`, `OsRng`, `rand::random` — textual or transitive |
-//! | `thread-containment` | all pipeline crates (engine exempt) | `crossbeam`, `thread::spawn`, `thread::scope` — textual or transitive |
+//! | `thread-containment` | all pipeline crates (engine exempt) | `thread::spawn`, `thread::scope` — textual or transitive |
 //! | `panic`        | untrusted-reachable fns on the parse surface | `.unwrap()`, `.expect()`, `panic!`, `unreachable!` |
 //! | `index`        | untrusted-reachable fns on the parse surface | direct slice indexing |
 //! | `wraparound-arithmetic` | `wire/*`, `core/*`         | raw `+`/`-`/`*` on seq/ack/offset-named values |
 //! | `exhaustive-signature-match` | all pipeline crates   | `_` wildcards / catch-all bindings in a `match` over `Signature` |
-//! | `discarded-wire-error` | all pipeline crates         | `let _ =` / `.ok()` swallowing a `Result<_, WireError>` |
 //! | `hot-path-alloc` | all pipeline crates             | fresh allocations ([`dataflow::alloc_sites`]) on functions call-graph-reachable from the [`HOT_ROOTS`] registry |
 //! | `untrusted-len-alloc` | untrusted-reachable parse surface | wire-derived lengths flowing into `with_capacity`/`vec![_; n]`/index sinks unclamped |
 //! | `cast-truncation` | `wire/*`, `core/*`             | raw `as` narrowing of seq/ack/len/off-named values |
-//! | `purity-audit` | all pipeline crates                 | any non-empty determinism-relevant effect set on a [`PURE_ROOTS`] entry |
-//! | `unbounded-growth` | all pipeline crates             | insertions into long-lived collection fields with no eviction/clear/cap on the same field |
-//! | `root-registry` | registries in this crate            | `HOT_ROOTS`/`PURE_ROOTS` entries that resolve to no function |
-//! | `taxonomy`     | signature.rs / golden / DESIGN.md   | drift between the three |
+//! | `root-registry` | [`HOT_ROOTS`] in this crate        | entries that resolve to no function |
+//! | `waiver`       | every scanned file                  | malformed or unused `tamperlint: allow(…)` comments |
 //!
 //! The pipeline runs in five stages: lex, AST + symbols, call graph,
 //! per-function dataflow, and the interprocedural effect fixpoint (one
@@ -42,10 +39,9 @@
 //! artifacts. Every run is a cold run: the whole repo analyzes in well
 //! under a second, so nothing is cached between runs. Per-function effect
 //! summaries power the containment rules (membership is a bitset test;
-//! witness chains are materialized on demand), the purity audit over
-//! [`PURE_ROOTS`], and the unbounded-growth rule. Files the parser loses
-//! sync on fail closed: every finding in them is kept, their functions
-//! carry the `Unknown` effect, and the dataflow rules treat every site as
+//! witness chains are materialized on demand) and gate the hot-path
+//! allocation walk. Files the parser loses sync on fail closed: every
+//! finding in them is kept and the dataflow rules treat every site as
 //! live.
 //!
 //! A finding is waived in source with
@@ -60,7 +56,6 @@ pub mod effects;
 pub mod lexer;
 pub mod rules;
 pub mod symbols;
-pub mod taxonomy;
 
 pub use rules::{parse_waiver, scope_for, FileLint, Finding, Scope, RULES};
 
@@ -77,31 +72,15 @@ use std::time::Instant;
 /// matched against a function's `impl` owner *or* the trait an
 /// `impl Trait for Type` block implements. Everything the call graph can
 /// reach from these runs once per packet or per flow at line rate, so
-/// `hot-path-alloc` bans fresh allocations on the whole closure.
-pub const HOT_ROOTS: [(&str, &str); 6] = [
+/// `hot-path-alloc` bans fresh allocations on the whole closure. No entry's
+/// closure lies inside another's: `classify_span` is reached through
+/// `classify_batch`.
+pub const HOT_ROOTS: [(&str, &str); 5] = [
     ("BatchClassifier", "classify_record"),
-    ("BatchClassifier", "classify_span"),
     ("BatchClassifier", "classify_batch"),
     ("FlowSource", "fill"),
     ("SourceShard", "absorb"),
     ("EndpointMachine", "process"),
-];
-
-/// The declared pure roots of the classify→aggregate→report path:
-/// `(owner, fn)` pairs (free functions match by file stem) whose
-/// *transitive* effect set must be empty under
-/// [`EffectSet::purity_mask`] — no clock, rng, thread, unordered-map
-/// iteration, IO, global mutation, or `Unknown` anywhere in the closure.
-/// This is the static proof behind the engine-determinism byte-identity
-/// tests: the same inputs must produce the same bytes because nothing on
-/// the path can observe anything else.
-pub const PURE_ROOTS: [(&str, &str); 6] = [
-    ("BatchClassifier", "classify_record"),
-    ("PartialAggregate", "record"),
-    ("PartialAggregate", "merge"),
-    ("Collector", "observe"),
-    ("Collector", "merge"),
-    ("report", "full_report"),
 ];
 
 /// The outcome of a whole-repo analysis.
@@ -271,7 +250,7 @@ fn scan_ctx(files: &[(&str, &str)]) -> ScanCtx {
     let mut ctx = ScanCtx::default();
     for (path, src) in files {
         if *path == "signature.rs" || path.ends_with("/signature.rs") {
-            ctx.signature_variants = taxonomy::signature_variant_names(src);
+            ctx.signature_variants = rules::signature_variant_names(src);
         }
     }
     ctx
@@ -288,8 +267,6 @@ struct FileArtifacts {
     fn_sites: Vec<Vec<EffectSite>>,
     /// Allocation sites per function (pipeline scope only).
     fn_allocs: Vec<Vec<dataflow::AllocSite>>,
-    /// Long-lived-collection operations per function.
-    fn_growth: Vec<Vec<effects::GrowthSite>>,
     /// Whole-file allocation sites for unparsed pipeline-scope files
     /// (fail closed).
     fail_closed_allocs: Vec<dataflow::AllocSite>,
@@ -361,11 +338,9 @@ fn build_artifacts(path: &str, src: &str, ctx: &ScanCtx) -> FileArtifacts {
         }
     }
 
-    // Direct effects (sinks + panics/IO/global/map idents + allocations)
-    // and growth sites, per function.
+    // Direct effects (sinks + allocations), per function.
     let mut fn_effects: Vec<EffectSet> = Vec::with_capacity(nfns);
     let mut fn_sites: Vec<Vec<EffectSite>> = Vec::with_capacity(nfns);
-    let mut fn_growth: Vec<Vec<effects::GrowthSite>> = Vec::with_capacity(nfns);
     for (local, f) in scan.parsed.fns.iter().enumerate() {
         let (b0, b1) = f.body;
         let mut sites: Vec<EffectSite> = (b0..b1)
@@ -384,12 +359,10 @@ fn build_artifacts(path: &str, src: &str, ctx: &ScanCtx) -> FileArtifacts {
                 what: site.what.clone(),
             });
         }
-        sites.extend(effects::direct_effect_sites(&scan.code, b0, b1));
         let mut eff = EffectSet::EMPTY;
         for s in &sites {
             eff.insert(s.effect);
         }
-        fn_growth.push(effects::growth_sites(&scan.code, b0, b1));
         fn_effects.push(eff);
         fn_sites.push(sites);
     }
@@ -399,7 +372,6 @@ fn build_artifacts(path: &str, src: &str, ctx: &ScanCtx) -> FileArtifacts {
         fn_effects,
         fn_sites,
         fn_allocs,
-        fn_growth,
         fail_closed_allocs,
     }
 }
@@ -429,7 +401,6 @@ fn run_pipeline(mut arts: Vec<FileArtifacts>, check_registry: bool) -> Analysis 
     let n = sym.fns.len();
     let mut direct: Vec<EffectSet> = vec![EffectSet::EMPTY; n];
     let mut sites: Vec<Vec<EffectSite>> = vec![Vec::new(); n];
-    let mut fn_growth: Vec<Vec<effects::GrowthSite>> = vec![Vec::new(); n];
     let mut fn_home: BTreeMap<usize, (usize, usize)> = BTreeMap::new();
     for (path, _) in &graph_files {
         let si = scan_idx[path.as_str()];
@@ -438,51 +409,19 @@ fn run_pipeline(mut arts: Vec<FileArtifacts>, check_registry: bool) -> Analysis 
             fn_home.insert(*id, (si, local));
             direct[*id] = a.fn_effects[local];
             sites[*id] = a.fn_sites[local].clone();
-            fn_growth[*id] = a.fn_growth[local].clone();
-            if !a.scan.parsed.parsed_ok {
-                // Fail closed: a body in a lost-sync file could do
-                // anything.
-                direct[*id].insert(Effect::Unknown);
-                sites[*id].push(EffectSite {
-                    effect: Effect::Unknown,
-                    line: a.scan.parsed.fns[local].start_line,
-                    what: "body in a file the parser lost sync on".to_string(),
-                });
-            }
         }
     }
 
     // --- The interprocedural effect fixpoint. ---
-    for (fid, dropped) in graph.dropped.iter().enumerate() {
-        for (line, call) in dropped {
-            // Fail closed: a workspace-qualified call the resolver lost
-            // could reach anything.
-            direct[fid].insert(Effect::Unknown);
-            sites[fid].push(EffectSite {
-                effect: Effect::Unknown,
-                line: *line,
-                what: format!("unresolved workspace call `{call}`"),
-            });
-        }
-    }
     let sums = effects::Summaries::compute(&graph, direct, sites);
 
-    // --- Transitive containment, purity-audit (PURE_ROOTS must have empty
-    // effect sets) and unbounded-growth (long-lived fields need eviction
-    // evidence): summary queries, scoped to the pipeline crates. ---
+    // --- Transitive containment: summary queries, scoped to the pipeline
+    // crates. ---
     let in_pipeline = |file: &str| rules::scope_for(file).pipeline;
     let mut extra: Vec<Finding> =
         effects::containment_findings(&sym, &graph, &sums, &|file, kind| {
             in_pipeline(file) && !kind.sanctioned(file)
         });
-    extra.extend(effects::purity_findings(
-        &sym,
-        &graph,
-        &sums,
-        &PURE_ROOTS,
-        &in_pipeline,
-    ));
-    extra.extend(effects::growth_findings(&sym, &fn_growth, &in_pipeline));
 
     // hot-path-alloc: fresh allocations on the forward closure of the
     // HOT_ROOTS registry, with the BFS discovery chain in the message.
@@ -568,14 +507,6 @@ fn run_pipeline(mut arts: Vec<FileArtifacts>, check_registry: bool) -> Analysis 
         }
     }
 
-    // --- Discarded-wire-error over the workspace return-type table. ---
-    let wire_fns = sym.wire_error_fns();
-    for a in arts.iter_mut().filter(|a| in_pipeline(&a.scan.path)) {
-        let cands = rules::discard_candidates(&a.scan.code);
-        let found = rules::discard_filter(&a.scan.path, &cands, &wire_fns);
-        a.scan.raw.extend(found);
-    }
-
     // --- Untrusted-reachability scoping for panic/index. ---
     let mut surface: BTreeSet<usize> = BTreeSet::new();
     for (path, _) in &graph_files {
@@ -628,10 +559,9 @@ fn run_pipeline(mut arts: Vec<FileArtifacts>, check_registry: bool) -> Analysis 
 
     // --- root-registry drift (whole-repo runs only). ---
     if check_registry {
-        analysis.findings.extend(effects::registry_findings(
-            &sym,
-            &[("HOT_ROOTS", &HOT_ROOTS), ("PURE_ROOTS", &PURE_ROOTS)],
-        ));
+        analysis
+            .findings
+            .extend(effects::registry_findings(&sym, &HOT_ROOTS));
     }
     analysis
 }
@@ -656,7 +586,7 @@ fn finish(mut analysis: Analysis, t0: Instant) -> Analysis {
 
 /// Analyze a set of in-memory sources as one workspace: the full
 /// two-phase pipeline (call graph and effect fixpoint included), no
-/// filesystem, no taxonomy or registry cross-checks. This is the entry
+/// filesystem, no registry cross-check. This is the entry
 /// point for multi-file fixture tests.
 pub fn analyze_sources(files: &[(&str, &str)]) -> Analysis {
     let t0 = Instant::now();
@@ -691,9 +621,7 @@ pub fn analyze(root: &Path) -> Analysis {
         .iter()
         .map(|(p, s)| (p.as_str(), s.as_str()))
         .collect();
-    let mut analysis = run(&borrowed, true);
-    analysis.findings.extend(taxonomy::check(root));
-    finish(analysis, t0)
+    finish(run(&borrowed, true), t0)
 }
 
 /// All `.rs` files under the repo's first-party trees, repo-relative with

@@ -13,12 +13,11 @@
 //! outlive the code it excuses.
 //!
 //! This module owns the per-file scan: waiver collection, the token-window
-//! rules, and the AST-backed wraparound-arithmetic and exhaustive-
-//! signature-match rules. Cross-file analyses (call-graph containment, the
-//! discarded-wire-error rule, untrusted-reachability scoping of
-//! panic/index) run in the [`crate`] pipeline over the retained
-//! [`FileScan`]s, and waivers are applied only after those phases so a
-//! waiver whose finding the call graph retires turns into an
+//! rules, and the AST-backed exhaustive-signature-match rule. Cross-file
+//! analyses (call-graph containment, hot-path allocation, untrusted-
+//! reachability scoping of panic/index) run in the [`crate`] pipeline over
+//! the retained [`FileScan`]s, and waivers are applied only after those
+//! phases so a waiver whose finding the call graph retires turns into an
 //! `unused waiver` finding instead of silently rotting.
 
 use crate::ast::{self, ParsedFile};
@@ -29,7 +28,7 @@ use std::collections::BTreeSet;
 /// Every rule with its one paragraph of documentation, in reporting
 /// order, for `cargo xtask analyze --explain <rule>`. [`RULES`] is derived
 /// from this table, so a rule can never ship undocumented.
-pub const EXPLANATIONS: [(&str, &str); 18] = [
+pub const EXPLANATIONS: [(&str, &str); 14] = [
     (
         "map-iter",
         "HashMap/HashSet iteration order varies per process (SipHash keys are \
@@ -65,7 +64,7 @@ pub const EXPLANATIONS: [(&str, &str); 18] = [
         "thread-containment",
         "capture::engine owns the one reader/shard/merge thread topology, and \
          engine_determinism proves it merges deterministically at any thread \
-         count. A bespoke thread::spawn/crossbeam pool elsewhere would be a \
+         count. A bespoke thread::spawn/thread::scope pool elsewhere would be a \
          second interleaving source with no such proof; plug in through a \
          FlowSource instead.",
     ),
@@ -99,16 +98,9 @@ pub const EXPLANATIONS: [(&str, &str); 18] = [
          `name @ (V1 | V2 | …)` keeps a binding while staying exhaustive.",
     ),
     (
-        "discarded-wire-error",
-        "`let _ = …` or `.ok()` on a Result<_, WireError> silently swallows a \
-         parse failure, deflating the tamper counts the paper reports. Handle \
-         the error, thread it into the evidence stream, or waive with a reason \
-         stating why dropping it is sound.",
-    ),
-    (
         "hot-path-alloc",
         "Functions call-graph-reachable from the HOT_ROOTS registry \
-         (BatchClassifier::classify_span, SourceShard::absorb, …) run once per packet or \
+         (BatchClassifier::classify_batch, SourceShard::absorb, …) run once per packet or \
          per flow at line rate; a fresh Vec/format!/clone there is the \
          difference between 535k and 2M flows/s. Reuse caller-owned scratch \
          buffers instead. The discovery chain from the root is in the message.",
@@ -127,40 +119,11 @@ pub const EXPLANATIONS: [(&str, &str); 18] = [
          try_from or clamp first so narrowing is explicit and checked.",
     ),
     (
-        "purity-audit",
-        "Every entry in the PURE_ROOTS registry — the classify→aggregate→report \
-         path (BatchClassifier::classify_record, PartialAggregate::record/merge, \
-         Collector::observe/merge, report::full_report) — must have an empty \
-         transitive effect set: no clock, no rng, no thread, no unordered-map \
-         iteration, no IO, no global mutation, and no Unknown (unparsed body or \
-         unresolved workspace call) anywhere in its call closure. This turns \
-         the runtime byte-identity tests into a static proof; the witness call \
-         chain to the offending effect is in the message.",
-    ),
-    (
-        "unbounded-growth",
-        "An insertion (push/insert/entry/extend/…) into a collection field of a \
-         long-lived type — one with process/absorb/observe/record/merge-style \
-         methods, i.e. state that survives across per-packet calls — with no \
-         eviction, clear, reassignment, or len-cap on the same field anywhere \
-         in the workspace. A long-running ingest daemon accumulates such a \
-         field forever; bound it (cap, sweep, ring buffer) or waive with the \
-         reason the key space is finite.",
-    ),
-    (
         "root-registry",
-        "HOT_ROOTS and PURE_ROOTS entries are matched against the symbol table \
-         by (owner, name). An entry that resolves to no function is rename rot: \
+        "HOT_ROOTS entries are matched against the symbol table by (owner, \
+         name). An entry that resolves to no function is rename rot: \
          the gate it anchors has silently stopped firing. Update the registry \
          entry or restore the function it names.",
-    ),
-    (
-        "taxonomy",
-        "The 19-signature taxonomy must agree across its three homes: the \
-         Signature enum in core, the golden corpus labels, and the DESIGN.md \
-         table. Drift between them means the code classifies a signature the \
-         docs don't define (or vice versa); this cross-check fails on any \
-         mismatch in either direction.",
     ),
     (
         "waiver",
@@ -280,9 +243,8 @@ pub struct Scope {
     pub map_iter: bool,
     /// The deterministic pipeline crates: `ambient-clock`, `ambient-rng`,
     /// `clock-containment`, `thread-containment` (everywhere but the
-    /// sink's sanctioned home), `exhaustive-signature-match`,
-    /// `discarded-wire-error`, `hot-path-alloc`, `purity-audit` and
-    /// `unbounded-growth`.
+    /// sink's sanctioned home), `exhaustive-signature-match` and
+    /// `hot-path-alloc`.
     pub pipeline: bool,
     /// The untrusted-input parsing surface: `panic`, `index` and
     /// `untrusted-len-alloc`.
@@ -316,10 +278,10 @@ pub fn scope_for(path: &str) -> Scope {
         map_iter: path.starts_with("crates/analysis/src/")
             || path.starts_with("crates/core/src/")
             || path.starts_with("crates/lint/src/"),
-        // The hot-root closure, the pure roots and the long-lived state
-        // can cross any pipeline crate, so every one of them is in scope;
-        // call-graph findings only materialize on functions proven
-        // reachable from a registered root.
+        // The hot-root closure and the ambient-sink call chains can cross
+        // any pipeline crate, so every one of them is in scope; call-graph
+        // findings only materialize on functions proven reachable from a
+        // registered root or a sink.
         pipeline: first_party && !exempt,
         // Panic-safety: bytes-off-the-wire parsing surface — including
         // the partial-aggregate decoder, which reads untrusted .agg
@@ -589,6 +551,44 @@ pub fn scan_file(path: &str, src: &str, ctx: &ScanCtx) -> FileScan {
     }
 }
 
+/// The `Signature` enum's variant names, parsed from the source of
+/// `signature.rs` — what [`sig_match_findings`] uses to recognize
+/// `use Signature::*`-style arms. Empty when the file declares no
+/// `enum Signature`.
+pub fn signature_variant_names(src: &str) -> BTreeSet<String> {
+    let code: Vec<Tok> = strip_test_modules(lex(src))
+        .into_iter()
+        .filter(|t| !t.kind.is_comment())
+        .collect();
+    let ident = |i: usize, want: &str| matches!(code.get(i).map(|t| &t.kind), Some(TokKind::Ident(s)) if s == want);
+    let Some(open) = (0..code.len()).find(|&i| {
+        ident(i, "enum")
+            && ident(i + 1, "Signature")
+            && matches!(code.get(i + 2).map(|t| &t.kind), Some(TokKind::Punct('{')))
+    }) else {
+        return BTreeSet::new();
+    };
+    // Variants are the first ident after the opening brace or a depth-0
+    // comma; attribute and payload tokens sit one bracket deeper.
+    let mut names = BTreeSet::new();
+    let mut depth = 0usize;
+    let mut expect_variant = true;
+    for t in &code[open + 3..] {
+        match &t.kind {
+            TokKind::Punct('}') if depth == 0 => break,
+            TokKind::Punct('{' | '(' | '[') => depth += 1,
+            TokKind::Punct('}' | ')' | ']') => depth = depth.saturating_sub(1),
+            TokKind::Punct(',') if depth == 0 => expect_variant = true,
+            TokKind::Ident(v) if depth == 0 && expect_variant => {
+                names.insert(v.clone());
+                expect_variant = false;
+            }
+            _ => {}
+        }
+    }
+    names
+}
+
 /// The exhaustive-signature-match rule for one `match` expression: if any
 /// arm pattern names the `Signature` type or one of its variants, the
 /// match is "on Signature" and may use neither `_` wildcards nor catch-all
@@ -662,166 +662,6 @@ fn sig_match_findings(path: &str, m: &ast::MatchExpr, ctx: &ScanCtx, raw: &mut V
     }
 }
 
-/// Method names shared with std/core (`text.parse()`, `iter.next()`, …).
-/// The discard rule skips *method-form* matches on these — a name-based
-/// symbol table cannot tell `str::parse` from `Packet::parse` — but
-/// qualified-path and bare calls stay eligible.
-const STD_AMBIGUOUS_METHODS: [&str; 9] = [
-    "parse",
-    "take",
-    "next",
-    "skip",
-    "get",
-    "read",
-    "ok",
-    "from_utf8",
-    "position",
-];
-
-/// One discarded-result candidate site, extracted per file and filtered
-/// against the workspace-wide wire-error function set in phase 2.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct DiscardCand {
-    /// Line the finding would report on (the `let` or the `.ok()`).
-    pub line: u32,
-    /// True for the `let _ = …;` form, false for the `.ok()` chain.
-    pub let_form: bool,
-    /// Eligible callee names at the site, in source order. The let form
-    /// fires on the *first* name that is a wire-error function; the
-    /// `.ok()` form carries exactly one name (the receiver's callee).
-    pub names: Vec<String>,
-}
-
-/// Extract the discarded-result candidates from one file's tokens:
-/// `let _ = …;` statements and `.ok()` chains, with every eligible callee
-/// name recorded. Method-form matches on std-ambiguous names are skipped
-/// at extraction time (a name-based symbol table cannot tell `str::parse`
-/// from `Packet::parse`); the wire-error filter happens in
-/// [`discard_filter`], which has the workspace return-type table.
-pub fn discard_candidates(code: &[Tok]) -> Vec<DiscardCand> {
-    let ident = |i: usize| match code.get(i).map(|t| &t.kind) {
-        Some(TokKind::Ident(s)) => Some(s.as_str()),
-        _ => None,
-    };
-    let punct = |i: usize| match code.get(i).map(|t| &t.kind) {
-        Some(TokKind::Punct(c)) => Some(*c),
-        _ => None,
-    };
-    // Is the call at name-index `k` eligible? Method form is skipped for
-    // std-ambiguous names; qualified and bare forms always count.
-    let eligible = |k: usize, name: &str| {
-        let method = k >= 1 && punct(k - 1) == Some('.');
-        !(method && STD_AMBIGUOUS_METHODS.contains(&name))
-    };
-    let mut out = Vec::new();
-    for i in 0..code.len() {
-        // `let _ = <expr>;` — record every eligible call name in order.
-        if ident(i) == Some("let") && ident(i + 1) == Some("_") && punct(i + 2) == Some('=') {
-            let mut depth = 0i32;
-            let mut end = i + 3;
-            while end < code.len() {
-                match punct(end) {
-                    Some('(') | Some('[') | Some('{') => depth += 1,
-                    Some(')') | Some(']') | Some('}') => depth -= 1,
-                    Some(';') if depth == 0 => break,
-                    _ => {}
-                }
-                end += 1;
-            }
-            let mut names = Vec::new();
-            for k in i + 3..end {
-                let Some(name) = ident(k) else { continue };
-                if punct(k + 1) == Some('(') && eligible(k, name) {
-                    names.push(name.to_string());
-                }
-            }
-            if !names.is_empty() {
-                out.push(DiscardCand {
-                    line: code[i].line,
-                    let_form: true,
-                    names,
-                });
-            }
-        }
-        // `<call>(…).ok()` — record the receiver's callee.
-        if punct(i) == Some('.')
-            && ident(i + 1) == Some("ok")
-            && punct(i + 2) == Some('(')
-            && punct(i + 3) == Some(')')
-            && i >= 1
-            && punct(i - 1) == Some(')')
-        {
-            // Back-match the receiver's argument parens to its callee.
-            let mut depth = 0i32;
-            let mut j = i - 1;
-            loop {
-                match punct(j) {
-                    Some(')') | Some(']') => depth += 1,
-                    Some('(') | Some('[') => {
-                        depth -= 1;
-                        if depth == 0 {
-                            break;
-                        }
-                    }
-                    _ => {}
-                }
-                if j == 0 {
-                    break;
-                }
-                j -= 1;
-            }
-            if j >= 1 {
-                if let Some(name) = ident(j - 1) {
-                    if eligible(j - 1, name) {
-                        out.push(DiscardCand {
-                            line: code[i + 1].line,
-                            let_form: false,
-                            names: vec![name.to_string()],
-                        });
-                    }
-                }
-            }
-        }
-    }
-    out
-}
-
-/// Filter discard candidates against the workspace wire-error function
-/// set, producing the discarded-wire-error findings.
-pub fn discard_filter(
-    path: &str,
-    cands: &[DiscardCand],
-    wire_fns: &BTreeSet<String>,
-) -> Vec<Finding> {
-    let mut out = Vec::new();
-    for c in cands {
-        if c.let_form {
-            if let Some(name) = c.names.iter().find(|n| wire_fns.contains(n.as_str())) {
-                out.push(Finding::new(
-                    path,
-                    c.line,
-                    "discarded-wire-error",
-                    format!(
-                        "`let _ =` discards the Result<_, WireError> from `{name}`; \
-                         handle the error or waive with a reason"
-                    ),
-                ));
-            }
-        } else if let Some(name) = c.names.first().filter(|n| wire_fns.contains(n.as_str())) {
-            out.push(Finding::new(
-                path,
-                c.line,
-                "discarded-wire-error",
-                format!(
-                    ".ok() swallows the WireError from `{name}`; propagate \
-                     it or waive with a reason"
-                ),
-            ));
-        }
-    }
-    out
-}
-
 /// Apply a file's waivers to its surviving raw findings. Called by the
 /// pipeline after the cross-file phases have added transitive findings
 /// and retired unreachable ones, so unused waivers surface accurately.
@@ -888,8 +728,8 @@ mod tests {
             Some(("panic".into(), "join propagates".into()))
         );
         assert_eq!(
-            parse_waiver(" tamperlint: allow(discarded-wire-error) — best effort").unwrap(),
-            Some(("discarded-wire-error".into(), "best effort".into()))
+            parse_waiver(" tamperlint: allow(hot-path-alloc) — best effort").unwrap(),
+            Some(("hot-path-alloc".into(), "best effort".into()))
         );
         assert_eq!(parse_waiver(" ordinary comment").unwrap(), None);
     }
@@ -946,7 +786,7 @@ mod tests {
 
     #[test]
     fn thread_containment_flags_pipeline_crates_but_not_the_engine() {
-        let src = "fn f() { crossbeam::thread::scope(|s| { s.spawn(|_| {}); }); }";
+        let src = "fn f() { std::thread::scope(|s| { s.spawn(|| {}); }); }";
         assert!(rules_fired("crates/worldgen/src/driver.rs", src).contains(&"thread-containment"));
         let std_src = "fn f() { std::thread::spawn(|| {}); }";
         assert!(rules_fired("crates/analysis/src/x.rs", std_src).contains(&"thread-containment"));
@@ -1011,6 +851,16 @@ mod tests {
         let lint = lint_source("crates/core/src/x.rs", src);
         assert_eq!(lint.findings.len(), 1);
         assert_eq!(lint.findings[0].rule, "wraparound-arithmetic");
+    }
+
+    #[test]
+    fn signature_variants_come_from_the_real_enum() {
+        let names = signature_variant_names(include_str!("../../core/src/signature.rs"));
+        assert_eq!(names.len(), 19);
+        assert!(names.contains("SynNone") && names.contains("DataRstAck"));
+        // Stage's variants are a different enum.
+        assert!(!names.contains("PostSyn"));
+        assert!(signature_variant_names("enum Stage { A, B }").is_empty());
     }
 
     #[test]

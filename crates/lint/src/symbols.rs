@@ -1,18 +1,16 @@
 //! The workspace symbol table: every parsed function, indexed by name,
-//! with its crate and file stem retained for the call graph's qualified-
-//! path resolution (`pcap::read_all` resolves via the file stem,
+//! with its file stem retained for the call graph's qualified-path
+//! resolution (`pcap::read_all` resolves via the file stem,
 //! `Packet::parse` via the impl owner).
 
 use crate::ast::{FnDef, ParsedFile};
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 
 /// One function in the workspace.
 #[derive(Debug, Clone)]
 pub struct FnSym {
     /// Repo-relative path (forward slashes).
     pub file: String,
-    /// Crate name (`crates/<name>/…` → `name`; top-level `src/` → `bin`).
-    pub krate: String,
     /// File stem (`crates/capture/src/pcap.rs` → `pcap`), for module-
     /// qualified call resolution.
     pub stem: String,
@@ -27,13 +25,6 @@ pub struct SymbolTable {
     pub fns: Vec<FnSym>,
     by_name: BTreeMap<String, Vec<usize>>,
     by_file: BTreeMap<String, Vec<usize>>,
-}
-
-/// Crate name for a repo-relative path.
-pub fn krate_of(path: &str) -> &str {
-    path.strip_prefix("crates/")
-        .and_then(|rest| rest.split('/').next())
-        .unwrap_or("bin")
 }
 
 /// File stem for a repo-relative path.
@@ -54,7 +45,6 @@ impl SymbolTable {
                 tab.by_name.entry(def.name.clone()).or_default().push(id);
                 tab.fns.push(FnSym {
                     file: path.clone(),
-                    krate: krate_of(path).to_string(),
                     stem: file_stem(path).to_string(),
                     def: def.clone(),
                 });
@@ -74,63 +64,14 @@ impl SymbolTable {
     pub fn file_fns(&self, file: &str) -> &[usize] {
         self.by_file.get(file).map_or(&[], Vec::as_slice)
     }
-
-    /// Names of functions whose return type carries a `WireError`: an
-    /// explicit `WireError` in the return text, or any `Result` returned
-    /// from `crates/wire/src/` (the crate-local alias
-    /// `wire::Result<T> = Result<T, WireError>`).
-    pub fn wire_error_fns(&self) -> BTreeSet<String> {
-        self.fns
-            .iter()
-            .filter(|f| {
-                f.def.ret.contains("WireError")
-                    || (f.file.starts_with("crates/wire/src/") && f.def.ret.starts_with("Result"))
-            })
-            .map(|f| f.def.name.clone())
-            .collect()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ast;
-    use crate::lexer::{lex, strip_test_modules};
-
-    fn parsed(src: &str) -> ParsedFile {
-        let code: Vec<_> = strip_test_modules(lex(src))
-            .into_iter()
-            .filter(|t| !t.kind.is_comment())
-            .collect();
-        ast::parse(&code)
-    }
 
     #[test]
-    fn crate_and_stem_extraction() {
-        assert_eq!(krate_of("crates/capture/src/pcap.rs"), "capture");
-        assert_eq!(krate_of("src/main.rs"), "bin");
+    fn stem_extraction() {
         assert_eq!(file_stem("crates/capture/src/pcap.rs"), "pcap");
-    }
-
-    #[test]
-    fn wire_error_set_uses_alias_and_explicit_forms() {
-        let files = vec![
-            (
-                "crates/wire/src/tls.rs".to_string(),
-                parsed("pub fn parse_sni(p: &[u8]) -> Result<Option<String>> { todo() }"),
-            ),
-            (
-                "crates/core/src/x.rs".to_string(),
-                parsed(
-                    "pub fn explicit() -> Result<u8, WireError> { todo() }\n\
-                     pub fn plain() -> Result<u8, String> { todo() }",
-                ),
-            ),
-        ];
-        let tab = SymbolTable::build(&files);
-        let w = tab.wire_error_fns();
-        assert!(w.contains("parse_sni"));
-        assert!(w.contains("explicit"));
-        assert!(!w.contains("plain"));
     }
 }

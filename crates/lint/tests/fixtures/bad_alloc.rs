@@ -3,7 +3,7 @@
 pub struct BatchClassifier;
 
 impl BatchClassifier {
-    pub fn classify_span(&mut self) -> Vec<u8> {
+    pub fn classify_batch(&mut self) -> Vec<u8> {
         let buf = Vec::new();
         let tag = format!("x");
         drop(tag);

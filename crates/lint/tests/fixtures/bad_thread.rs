@@ -1,10 +1,9 @@
 // Fixture: bespoke thread topology outside capture::engine.
-use crossbeam::channel::bounded;
+use std::sync::mpsc::sync_channel;
 
 fn shard_by_hand() {
     std::thread::spawn(|| {});
     std::thread::scope(|_s| {});
-    crossbeam::thread::scope(|_s| {}).ok();
 }
 
 #[cfg(test)]

@@ -1,6 +1,5 @@
 //! v2 gate tests: the AST-backed rule families (wraparound-arithmetic,
-//! exhaustive-signature-match, discarded-wire-error) and transitive
-//! containment across files.
+//! exhaustive-signature-match) and transitive containment across files.
 
 use tamper_lint::{analyze_sources, lint_source, Finding};
 
@@ -69,36 +68,6 @@ fn sig_match_waiver_suppresses_the_finding() {
     let lint = lint_source(ANALYSIS, src);
     assert!(lint.findings.is_empty(), "{:?}", lint.findings);
     assert_eq!(fired(&lint.waived), vec![("exhaustive-signature-match", 6)]);
-}
-
-// --- discarded-wire-error ---
-
-#[test]
-fn discard_fires_on_let_underscore_and_ok() {
-    let lint = lint_source(ANALYSIS, include_str!("fixtures/bad_discard.rs"));
-    assert_eq!(
-        fired(&lint.findings),
-        vec![
-            ("discarded-wire-error", 8), // let _ = decode_header(b);
-            ("discarded-wire-error", 9), // decode_header(b).ok()
-        ]
-    );
-    assert!(lint.findings[0].message.contains("`let _ =` discards"));
-    assert!(lint.findings[1].message.contains(".ok() swallows"));
-    // The propagating caller (`careful`) stayed clean.
-}
-
-#[test]
-fn discard_waiver_suppresses_the_finding() {
-    let src = "pub struct WireError;\n\
-        pub fn decode(b: &[u8]) -> Result<u8, WireError> {\n    \
-        b.first().copied().ok_or(WireError)\n}\n\
-        pub fn probe(b: &[u8]) -> bool {\n    \
-        // tamperlint: allow(discarded-wire-error) — fixture: presence probe only, the error is the signal\n    \
-        decode(b).ok().is_some()\n}\n";
-    let lint = lint_source(ANALYSIS, src);
-    assert!(lint.findings.is_empty(), "{:?}", lint.findings);
-    assert_eq!(fired(&lint.waived), vec![("discarded-wire-error", 7)]);
 }
 
 // --- transitive containment ---

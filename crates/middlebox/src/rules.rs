@@ -83,10 +83,10 @@ impl RuleSet {
     /// the TLS SNI or the HTTP Host header.
     pub fn extract_domain(payload: &[u8]) -> Option<String> {
         if tls::is_client_hello(payload) {
-            // tamperlint: allow(discarded-wire-error) — DPI boxes drop unparsable ClientHellos silently; mirroring that is the point
+            // DPI boxes drop unparsable ClientHellos silently; mirroring that is the point
             return tls::parse_sni(payload).ok().flatten();
         }
-        // tamperlint: allow(discarded-wire-error) — DPI boxes drop unparsable requests silently; mirroring that is the point
+        // DPI boxes drop unparsable requests silently; mirroring that is the point
         http::parse_request(payload).ok().and_then(|r| r.host)
     }
 

@@ -299,8 +299,8 @@ fn main() -> ExitCode {
              pinned-seed proptests + metrics + pipeline-bench smokes + \
              tamperlint\n  \
              analyze [--json] [--explain <rule>]\n                     \
-             tamperlint static-analysis gate (determinism, purity, growth, \
-             panic-safety, wraparound, taxonomy, dataflow): fails on any \
+             tamperlint static-analysis gate (determinism, containment, \
+             panic-safety, wraparound, hot-path allocation, dataflow): fails on any \
              unwaived finding; --json prints the SARIF report, --explain \
              prints one rule's rationale"
         )),

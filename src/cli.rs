@@ -107,9 +107,7 @@ impl VerdictLines {
     pub fn push(&mut self, first_index: u64, render: impl FnOnce(&mut String)) {
         let off = self.text.len();
         render(&mut self.text);
-        // tamperlint: allow(unbounded-growth) — one capture file's flows, dropped by `write_sorted`
         self.text.push('\n');
-        // tamperlint: allow(unbounded-growth) — one capture file's flows, dropped by `write_sorted`
         self.index.push((first_index, off, self.text.len() - off));
     }
 
@@ -117,7 +115,6 @@ impl VerdictLines {
     pub fn merge(&mut self, other: VerdictLines) {
         let base = self.text.len();
         self.text.push_str(&other.text);
-        // tamperlint: allow(unbounded-growth) — one capture file's flows, dropped by `write_sorted`
         self.index.extend(
             other
                 .index
