@@ -12,8 +12,8 @@
 //! the end, so the result is byte-identical for any thread count.
 //!
 //! The two front-ends live in [`crate::source`]:
-//! [`crate::source::PcapMemSource`] (an in-memory capture, emitting
-//! [`crate::FlowBatch`]es) and [`crate::source::SimSource`]
+//! [`crate::source::PcapMemSource`] (a capture read window by window,
+//! emitting [`crate::FlowBatch`]es) and [`crate::source::SimSource`]
 //! (deterministic generators — `worldgen` worlds stream straight in with
 //! no intermediate pcap and no second sharding implementation).
 //!
@@ -32,12 +32,15 @@
 //! 2. **Stable routing and ordering.** The reader assigns each item a
 //!    global index; [`FlowSource::route`] is a pure function of the item,
 //!    so a given shard count always yields the same partition, and
-//!    callers that need first-seen order sort emitted flows by index.
+//!    callers that need first-seen order sort emitted flows by index —
+//!    or, streaming, release those below every shard's latest batch
+//!    watermark ([`crate::FlowBatch::watermark`]).
 //! 3. **End-of-stream flush.** The reader hands every shard the source's
 //!    final stamp (through an atomic published before the channels close,
 //!    or directly when the shard runs inline); each shard flushes its
-//!    buffered state against that stamp, so the timeout-vs-end-of-capture
-//!    split is also deterministic.
+//!    buffered state against that stamp — in pieces, each folded before
+//!    the next — so the timeout-vs-end-of-capture split is also
+//!    deterministic.
 //!
 //! The only scheduling- or shard-count-dependent outputs are the perf
 //! counters ([`EngineStats::channel_stalls`], [`EngineStats::threads`],
@@ -53,7 +56,9 @@
 //! past that (counted in [`EngineStats::evicted_cap`]), so live flows
 //! never exceed `N * max(1, M / N)` — at most `M` whenever `N ≤ M`.
 //! Channels are bounded, so a slow shard backpressures the reader instead
-//! of growing a queue.
+//! of growing a queue — and a pcap item holds its capture window, so the
+//! windows alive at once are bounded by the items in flight, not by the
+//! capture length.
 
 use crate::offline::{IngestStats, OfflineConfig};
 use crate::source::{FlowSource, ShardStats, SourceShard};
@@ -134,6 +139,19 @@ pub struct EngineStats {
     /// Worker shards used (scheduling-dependent when auto-detected;
     /// exclude from byte-compared output).
     pub threads: usize,
+}
+
+impl EngineStats {
+    /// The capture path's closed ledger: every record pulled is a packet
+    /// kept, a packet past its flow's cap, not inbound, or unparsable; and
+    /// every flow opened was closed by exactly one of timeout, cap
+    /// pressure or the end-of-capture drain. (A generator source opens
+    /// flows without records, so only pcap runs balance.)
+    pub fn is_conserved(&self) -> bool {
+        let i = &self.ingest;
+        self.records == i.packets + i.truncated_packets + i.not_inbound + i.unparsable
+            && i.flows == self.evicted_timeout + self.evicted_cap + self.drained_eof
+    }
 }
 
 impl std::ops::AddAssign<ShardStats> for EngineStats {
@@ -242,10 +260,15 @@ impl<W: SourceShard, T> ShardRun<W, T> {
         self.fold_outputs(observe);
     }
 
-    /// End of stream: flush the worker against the final capture stamp.
+    /// End of stream: flush the worker against the final capture stamp,
+    /// folding each piece it emits before asking for the next.
     fn finish(mut self, final_stamp: u64, observe: &impl Fn(&mut T, W::Out)) -> ShardOutcome<T> {
-        self.worker
-            .finish(final_stamp, &mut self.stats, &mut self.emit, &mut self.sm);
+        while self
+            .worker
+            .finish(final_stamp, &mut self.stats, &mut self.emit, &mut self.sm)
+        {
+            self.fold_outputs(observe);
+        }
         self.fold_outputs(observe);
         // Every flow a shard opens it also closes (eviction or final
         // drain); an output may carry many flows, so count flows, not
@@ -261,7 +284,8 @@ impl<W: SourceShard, T> ShardRun<W, T> {
 }
 
 /// Run the streaming engine over any [`FlowSource`], with an optional
-/// [`Registry`] attached.
+/// [`Registry`] attached. The source is borrowed, so the caller can still
+/// ask it about the stream afterwards (a pcap source's read error).
 ///
 /// `init` builds one accumulator per shard, `observe` folds each emitted
 /// output into its shard's accumulator, and `merge` combines shard
@@ -269,7 +293,8 @@ impl<W: SourceShard, T> ShardRun<W, T> {
 /// `analysis::Collector` drops in directly.
 ///
 /// When `obs` is `Some`, the run publishes a `reader` scope (pull and
-/// routing counters, channel stall accounting, whole-read timer), one
+/// routing counters, channel stall accounting, whole-read timer, the
+/// source's own gauges such as pcap's `live_windows_max`), one
 /// `shard<i>` scope per worker (source stage timers — parse/absorb for
 /// pcap, gen for simulators — classify timing with a latency histogram,
 /// occupancy gauges for table-backed sources), and a `merge` scope
@@ -281,7 +306,7 @@ impl<W: SourceShard, T> ShardRun<W, T> {
 /// registry only, never the returned accumulator or [`EngineStats`], so
 /// attaching a registry cannot perturb byte-compared output.
 pub fn run_source<S, T, FI, FO, FM>(
-    mut src: S,
+    src: &mut S,
     cfg: &EngineConfig,
     obs: Option<&Registry>,
     init: FI,
@@ -381,6 +406,7 @@ where
         if stats.corrupt_tail {
             rm.count("corrupt_tail", 1);
         }
+        src.publish(&mut rm);
         final_stamp.store(src.final_stamp(), Ordering::Release);
         drop(lanes);
         rm.stop("read", read_sw);
@@ -465,25 +491,64 @@ mod tests {
     /// One closed flow: first-seen index, owned record, eviction cause.
     type Closed = (u64, FlowRecord, EvictionCause);
 
+    /// One shard's batches: `(watermark, lowest first_index in the batch)`.
+    type ShardBatches = Vec<(u64, u64)>;
+
+    /// Every closed flow in first-seen order, the run's counters, and each
+    /// shard's batches in emission order as `(watermark, lowest
+    /// first_index in the batch)`. Every run checks the
+    /// watermark promise as batches arrive — no flow a shard emits sits
+    /// below a watermark it already reported, and its watermarks never
+    /// move back — and that the capture ledger balances.
+    fn run_pcap(
+        mut src: PcapMemSource,
+        cfg: &EngineConfig,
+        obs: Option<&Registry>,
+    ) -> (Vec<Closed>, EngineStats, Vec<ShardBatches>) {
+        let ((mut flows, watermarks), stats) = run_source(
+            &mut src,
+            cfg,
+            obs,
+            || (Vec::new(), vec![Vec::new()]),
+            |(acc, marks): &mut (Vec<Closed>, Vec<ShardBatches>), batch: FlowBatch| {
+                let shard = &mut marks[0];
+                let floor = shard.last().map_or(0, |&(w, _)| w);
+                for (i, span) in batch.spans().iter().enumerate() {
+                    assert!(
+                        span.first_index >= floor,
+                        "flow {} emitted below watermark {floor}",
+                        span.first_index
+                    );
+                    acc.push((span.first_index, batch.materialize(i), span.cause));
+                }
+                assert!(batch.watermark() >= floor, "watermark moved back");
+                let lowest = batch.spans().iter().map(|s| s.first_index).min();
+                shard.push((batch.watermark(), lowest.unwrap_or(u64::MAX)));
+            },
+            |a, mut b| {
+                a.0.append(&mut b.0);
+                a.1.append(&mut b.1);
+            },
+        );
+        assert!(stats.is_conserved(), "{stats:?}");
+        for shard in &watermarks {
+            assert_eq!(
+                shard.last().map(|b| b.0),
+                Some(u64::MAX),
+                "a shard never finished"
+            );
+        }
+        flows.sort_unstable_by_key(|&(first_index, _, _)| first_index);
+        (flows, stats, watermarks)
+    }
+
     /// Collect every closed flow in first-seen order.
     fn collect_from(
         src: PcapMemSource,
         cfg: &EngineConfig,
         obs: Option<&Registry>,
     ) -> (Vec<Closed>, EngineStats) {
-        let (mut flows, stats) = run_source(
-            src,
-            cfg,
-            obs,
-            Vec::new,
-            |acc: &mut Vec<Closed>, batch: FlowBatch| {
-                for (i, span) in batch.spans().iter().enumerate() {
-                    acc.push((span.first_index, batch.materialize(i), span.cause));
-                }
-            },
-            |a, mut b| a.append(&mut b),
-        );
-        flows.sort_unstable_by_key(|&(first_index, _, _)| first_index);
+        let (flows, stats, _) = run_pcap(src, cfg, obs);
         (flows, stats)
     }
 
@@ -492,12 +557,51 @@ mod tests {
         collect_from(src, cfg, None)
     }
 
+    /// Window sizes the streamed reader is checked at (`None`: default).
+    const WINDOWS: [Option<usize>; 4] = [Some(17), Some(100), Some(4096), None];
+
+    /// The same capture read through `from_reader`, `window` bytes at a time.
+    fn collect_streamed(
+        bytes: &[u8],
+        window: Option<usize>,
+        cfg: &EngineConfig,
+    ) -> (Vec<Closed>, EngineStats) {
+        let mut src = PcapMemSource::from_reader(std::io::Cursor::new(bytes.to_vec())).unwrap();
+        if let Some(w) = window {
+            src = src.with_window(w);
+        }
+        collect_from(src, cfg, None)
+    }
+
+    /// Thread counts crossed with no cap and a tight one.
+    fn configs(cap: usize) -> Vec<EngineConfig> {
+        [(1, 0), (2, 0), (8, 0), (1, cap), (2, cap), (8, cap)]
+            .into_iter()
+            .map(|(threads, max_flows)| EngineConfig {
+                threads,
+                max_flows,
+                ..EngineConfig::default()
+            })
+            .collect()
+    }
+
     fn capture(n_flows: u32) -> Vec<u8> {
+        capture_with(n_flows, false)
+    }
+
+    /// `n_flows` three-packet flows a second apart; `pinned` adds one more,
+    /// born at record 0, that sends an ACK every 10 s for the whole
+    /// capture and so never times out.
+    fn capture_with(n_flows: u32, pinned: bool) -> Vec<u8> {
         let mut w = PcapWriter::new(Vec::new()).unwrap();
         for i in 0..n_flows {
             let c = client((1 + i % 200) as u8);
             let sport = 4000 + (i % 10_000) as u16;
             let t = 100 + i;
+            if pinned && i % 10 == 0 {
+                w.write_frame(t, 0, &frame(client(250), 9999, TcpFlags::ACK, i, b""))
+                    .unwrap();
+            }
             w.write_frame(t, 0, &frame(c, sport, TcpFlags::SYN, 1, b""))
                 .unwrap();
             w.write_frame(t, 1, &frame(c, sport, TcpFlags::ACK, 2, b""))
@@ -506,6 +610,18 @@ mod tests {
                 .unwrap();
         }
         w.into_inner()
+    }
+
+    /// Byte offsets at which the records of a well-formed capture start.
+    fn record_starts(bytes: &[u8]) -> Vec<usize> {
+        let mut starts = Vec::new();
+        let mut at = 24;
+        while at < bytes.len() {
+            starts.push(at);
+            let len = u32::from_le_bytes(bytes[at + 8..at + 12].try_into().unwrap());
+            at += 16 + len as usize;
+        }
+        starts
     }
 
     #[test]
@@ -573,11 +689,6 @@ mod tests {
             stats.max_live_flows
         );
         assert!(stats.max_live_flows > 0, "peak occupancy must be observed");
-        // Every opened flow is still accounted for exactly once.
-        assert_eq!(
-            stats.ingest.flows,
-            stats.evicted_timeout + stats.evicted_cap + stats.drained_eof
-        );
     }
 
     #[test]
@@ -702,7 +813,7 @@ mod tests {
                 ..EngineConfig::default()
             };
             let (got, stats) = run_source(
-                SimSource::new(total, &gen),
+                &mut SimSource::new(total, &gen),
                 &cfg,
                 None,
                 Vec::new,
@@ -712,6 +823,97 @@ mod tests {
             assert_eq!(got, serial, "threads={threads}");
             assert_eq!(stats.records, total);
             assert_eq!(stats.ingest.flows, serial.len() as u64);
+        }
+    }
+
+    #[test]
+    fn window_edges_change_nothing() {
+        let bytes = capture(300);
+        for cfg in configs(8) {
+            let base = collect_flows(&bytes, &cfg);
+            assert!(base.1.evicted_timeout > 0 || cfg.max_flows > 0);
+            assert_eq!(base.1.evicted_cap > 0, cfg.max_flows > 0, "{cfg:?}");
+            for window in WINDOWS {
+                let got = collect_streamed(&bytes, window, &cfg);
+                assert!(got == base, "window {window:?}, {cfg:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn a_tail_torn_anywhere_in_the_last_two_records_reads_the_same_streamed() {
+        let full = capture(6);
+        let starts = record_starts(&full);
+        for cut in starts[starts.len() - 2]..full.len() {
+            let torn = &full[..cut];
+            for cfg in configs(4) {
+                let base = collect_flows(torn, &cfg);
+                assert_eq!(base.1.corrupt_tail, !starts.contains(&cut), "cut {cut}");
+                for window in WINDOWS {
+                    let got = collect_streamed(torn, window, &cfg);
+                    assert!(got == base, "cut {cut}, window {window:?}, {cfg:?}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn an_oversize_length_straddling_a_window_edge_is_a_corrupt_tail() {
+        // A 90-byte first record puts the second record's incl_len at
+        // stream bytes 122..126: across the edge of a 100-byte window,
+        // which starts right after the 24-byte global header.
+        static PAD: [u8; 64] = [b'x'; 64];
+        let pad = 74 - frame(client(1), 4000, TcpFlags::ACK, 1, b"").len();
+        let first = frame(client(1), 4000, TcpFlags::ACK, 1, &PAD[..pad]);
+        let mut w = PcapWriter::new(Vec::new()).unwrap();
+        w.write_frame(100, 0, &first).unwrap();
+        w.write_frame(101, 0, &frame(client(2), 4001, TcpFlags::SYN, 1, b""))
+            .unwrap();
+        let mut bytes = w.into_inner();
+        let incl_len = 24 + 16 + first.len() + 8;
+        assert!(incl_len < 24 + 100 && 24 + 100 < incl_len + 4);
+        bytes[incl_len..incl_len + 4].copy_from_slice(&(1u32 << 30).to_le_bytes());
+        for cfg in configs(1) {
+            let base = collect_flows(&bytes, &cfg);
+            assert!(base.1.corrupt_tail);
+            assert_eq!((base.1.records, base.0.len()), (1, 1));
+            for window in WINDOWS {
+                assert!(collect_streamed(&bytes, window, &cfg) == base, "{window:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn watermarks_hold_behind_a_flow_open_for_the_whole_capture() {
+        let bytes = capture_with(200, true);
+        for cfg in configs(32) {
+            let base = collect_flows(&bytes, &cfg);
+            let pinned = base.0.first().map(|(i, _, cause)| (*i, *cause));
+            if cfg.max_flows == 0 {
+                assert_eq!(pinned, Some((0, EvictionCause::EndOfCapture)));
+            } else {
+                assert!(base.1.evicted_cap > 0, "cap never shed");
+            }
+            for batch_flows in [1, 7, 512] {
+                let src = PcapMemSource::new(Bytes::copy_from_slice(&bytes))
+                    .unwrap()
+                    .with_batch_flows(batch_flows);
+                let (flows, stats, watermarks) = run_pcap(src, &cfg, None);
+                assert!(flows == base.0 && stats == base.1, "{batch_flows} {cfg:?}");
+                if cfg.max_flows > 0 || batch_flows == 512 {
+                    continue;
+                }
+                // The shard holding the pinned flow promises nothing past
+                // its birth, record 0, until the batch that closes it.
+                let held = |batches: &ShardBatches| {
+                    let closed = batches.iter().position(|&(_, lowest)| lowest == 0);
+                    closed.is_some_and(|k| k > 0 && batches[..k].iter().all(|&(w, _)| w == 0))
+                };
+                assert!(watermarks.iter().any(held), "{batch_flows} {cfg:?}");
+                if cfg.threads == 1 {
+                    assert!(held(&watermarks[0]));
+                }
+            }
         }
     }
 }

@@ -10,7 +10,7 @@ use crate::pcap::PcapError;
 use crate::record::{FlowBatch, FlowRecord, FlowTuple, PacketRow};
 use crate::source::PcapMemSource;
 use bytes::Bytes;
-use std::collections::{BTreeMap, HashMap};
+use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::hash::{BuildHasherDefault, Hasher};
 use std::net::IpAddr;
 use tamper_wire::PacketView;
@@ -177,9 +177,17 @@ impl SlotPool {
         idx
     }
 
-    /// Return a closed flow's slot for reuse.
+    /// Return a closed flow's slot for reuse. Its `first_index` becomes a
+    /// value no flow is born at, so a birth record naming the slot reads
+    /// as dead until the slot is reopened — for a later-born flow.
     fn release(&mut self, idx: u32) {
+        self.get_mut(idx).first_index = u64::MAX;
         self.free.push(idx);
+    }
+
+    /// True while the flow born at `first_index` still owns slot `idx`.
+    fn is_live(&self, first_index: u64, idx: u32) -> bool {
+        self.get(idx).first_index == first_index
     }
 
     fn get(&self, idx: u32) -> &Slot {
@@ -213,6 +221,13 @@ pub struct ColumnarFlowTable {
     /// index)` — the eviction order itself. Timeouts pop the front while it
     /// is expired; the cap pops the front once.
     by_age: BTreeMap<(u64, u64), u32>,
+    /// `(first-seen index, slot)` of flows in birth order, which is
+    /// ascending index order — the front is the oldest-born live flow
+    /// (`by_age` orders by last activity, so it cannot say). Closing a
+    /// flow leaves its entry behind: dead entries are popped off the
+    /// front, and swept out once they outnumber the live ones, so the
+    /// queue stays O(live) even while one old flow stays open.
+    births: VecDeque<(u64, u32)>,
     /// The key and slot the previous packet landed in. Packets of one
     /// flow arrive in runs, so this skips the map probe for the common
     /// case. Cleared whenever any flow closes, which keeps the invariant
@@ -230,8 +245,16 @@ impl ColumnarFlowTable {
             max_live,
             high_water: 0,
             by_age: BTreeMap::new(),
+            births: VecDeque::new(),
             last_hit: None,
         }
+    }
+
+    /// First-seen index of the oldest-born live flow, if any flow is live.
+    /// Every flow this table closes from now on was born at or after it,
+    /// or is born later still.
+    pub(crate) fn oldest_live_index(&self) -> Option<u64> {
+        self.births.front().map(|&(first_index, _)| first_index)
     }
 
     /// Most live flows ever held at once.
@@ -289,6 +312,7 @@ impl ColumnarFlowTable {
         let slot = self.pool.get_mut(slot_idx);
         if born {
             self.by_age.insert((ts, index), slot_idx);
+            self.births.push_back((index, slot_idx));
         } else if ts > slot.last_ts {
             self.by_age.remove(&(slot.last_ts, slot.first_index));
             self.by_age.insert((ts, slot.first_index), slot_idx);
@@ -345,11 +369,20 @@ impl ColumnarFlowTable {
     /// count as timeout evictions (their shard just saw no later packet
     /// to trigger the sweep); the rest close as end-of-capture.
     pub fn drain(&mut self, final_stamp: u64, out: &mut FlowBatch) {
+        self.drain_into(final_stamp, out, usize::MAX);
+    }
+
+    /// [`drain`](Self::drain) in pieces: close remaining flows, oldest-born
+    /// first, until `out` holds `max` flows. True while flows remain.
+    pub(crate) fn drain_into(&mut self, final_stamp: u64, out: &mut FlowBatch, max: usize) -> bool {
         let timeout = self.cfg.flow_timeout_secs;
-        let mut rest: Vec<((u64, u64), u32)> =
-            std::mem::take(&mut self.by_age).into_iter().collect();
-        rest.sort_unstable_by_key(|&((_, first_index), _)| first_index);
-        for ((last_ts, _), slot_idx) in rest {
+        while out.flow_count() < max {
+            // `close_into` keeps the front of `births` live.
+            let Some(&(first_index, slot_idx)) = self.births.front() else {
+                return false;
+            };
+            let last_ts = self.pool.get(slot_idx).last_ts;
+            self.by_age.remove(&(last_ts, first_index));
             let cause = if last_ts + timeout < final_stamp {
                 EvictionCause::Timeout
             } else {
@@ -357,6 +390,7 @@ impl ColumnarFlowTable {
             };
             self.close_into(slot_idx, cause, out);
         }
+        !self.births.is_empty()
     }
 
     /// Append one slot's rows (already off `by_age`) to the output batch,
@@ -379,6 +413,17 @@ impl ColumnarFlowTable {
             cause,
         );
         self.pool.release(slot_idx);
+        let pool = &self.pool;
+        while let Some(&(first_index, idx)) = self.births.front() {
+            if pool.is_live(first_index, idx) {
+                break;
+            }
+            self.births.pop_front();
+        }
+        if self.births.len() > 2 * self.flows.len() + 64 {
+            self.births
+                .retain(|&(first_index, idx)| pool.is_live(first_index, idx));
+        }
     }
 }
 
@@ -397,14 +442,14 @@ pub fn flows_from_pcap(
     bytes: &[u8],
     cfg: &OfflineConfig,
 ) -> Result<(Vec<FlowRecord>, IngestStats), PcapError> {
-    let src = PcapMemSource::new(Bytes::copy_from_slice(bytes))?;
+    let mut src = PcapMemSource::new(Bytes::copy_from_slice(bytes))?;
     let engine = EngineConfig {
         offline: *cfg,
         threads: 1,
         max_flows: 0,
     };
     let (mut flows, stats) = run_source(
-        src,
+        &mut src,
         &engine,
         None,
         Vec::new,

@@ -19,14 +19,16 @@ const LINKTYPE_RAW: u32 = 101;
 pub const SNAPLEN: u32 = 65_535;
 /// Bytes in the global header; the first record starts here.
 pub(crate) const GLOBAL_HEADER_LEN: usize = 24;
+/// Bytes in each record header: ts_sec, ts_usec, incl_len, orig_len.
+pub(crate) const RECORD_HEADER_LEN: usize = 16;
 
-/// Read a little-endian u32 out of a fixed-offset window of the global
-/// header. The offsets are compile-time constants into a slice already
-/// bounded to [`GLOBAL_HEADER_LEN`], so the window is always four bytes.
-fn le_u32(buf: &[u8], at: usize) -> u32 {
+/// Read a little-endian u32 at a fixed offset of a header. Callers bound
+/// the header first; a short one still reads as zero instead of panicking.
+pub(crate) fn le_u32(buf: &[u8], at: usize) -> u32 {
     let mut b = [0u8; 4];
-    // tamperlint: allow(index) — offsets are compile-time constants into the 24-byte header slice check_global_header bounded
-    b.copy_from_slice(&buf[at..at + 4]);
+    if let Some(s) = buf.get(at..at + 4) {
+        b.copy_from_slice(s);
+    }
     u32::from_le_bytes(b)
 }
 
@@ -72,7 +74,8 @@ impl<W: Write> PcapWriter<W> {
 
 /// A global header the reader refuses. Damage past the header is not an
 /// error: [`PcapMemSource`](crate::source::PcapMemSource) frames every
-/// record before it and reports a corrupt tail.
+/// record before it and reports a corrupt tail. (A reader-backed source
+/// reports these wrapped in an [`io::Error`]; see the `From` impl.)
 #[derive(Debug, PartialEq, Eq)]
 pub enum PcapError {
     /// The capture is shorter than the 24-byte global header.
@@ -98,7 +101,15 @@ impl std::fmt::Display for PcapError {
 
 impl std::error::Error for PcapError {}
 
-/// Validate the global header of a capture held in memory: a classic
+impl From<PcapError> for io::Error {
+    /// A refused header, as the `InvalidData` error of the read that
+    /// produced it; its message is the [`PcapError`]'s own.
+    fn from(e: PcapError) -> io::Error {
+        io::Error::new(io::ErrorKind::InvalidData, e)
+    }
+}
+
+/// Validate a capture's global header (its first 24 bytes): a classic
 /// little-endian pcap of LINKTYPE_RAW frames.
 pub(crate) fn check_global_header(bytes: &[u8]) -> Result<(), PcapError> {
     let Some(header) = bytes.get(..GLOBAL_HEADER_LEN) else {
@@ -136,21 +147,44 @@ mod tests {
     }
 
     /// Frame a whole capture with the engine's decoder: every record's
-    /// (timestamp, frame bytes), and whether the tail was corrupt.
+    /// (timestamp, frame bytes), and whether the tail was corrupt. The
+    /// capture streamed through small windows must frame the same way.
     fn read_back(bytes: &[u8]) -> (Vec<(u64, Vec<u8>)>, bool) {
-        let mut src = PcapMemSource::new(Bytes::copy_from_slice(bytes)).unwrap();
-        let mut items: Vec<PcapMemItem> = Vec::new();
-        while src.fill(&mut items, usize::MAX) {}
-        let records = items
-            .iter()
-            .map(|it| (it.ts, bytes[it.off..it.off + it.len as usize].to_vec()))
-            .collect();
-        (records, src.corrupt_tail())
+        let frame_all = |mut src: PcapMemSource| {
+            let mut items: Vec<PcapMemItem> = Vec::new();
+            while src.fill(&mut items, usize::MAX) {}
+            let records: Vec<(u64, Vec<u8>)> = items
+                .iter()
+                .map(|it| {
+                    assert_eq!(it.frame(), &bytes[it.off..it.off + it.len as usize]);
+                    (it.ts, it.frame().to_vec())
+                })
+                .collect();
+            (records, src.corrupt_tail())
+        };
+        let whole = frame_all(PcapMemSource::new(Bytes::copy_from_slice(bytes)).unwrap());
+        for window in [1, 17, 100] {
+            let streamed = PcapMemSource::from_reader(io::Cursor::new(bytes.to_vec()))
+                .unwrap()
+                .with_window(window);
+            assert_eq!(frame_all(streamed), whole, "window {window}");
+        }
+        whole
     }
 
-    /// The named error the decoder refuses a capture's global header with.
+    /// The named error the decoder refuses a capture's global header with;
+    /// a reader-backed source refuses it with the same error and message.
     fn open_err(bytes: &[u8]) -> Option<PcapError> {
-        PcapMemSource::new(Bytes::copy_from_slice(bytes)).err()
+        let whole = PcapMemSource::new(Bytes::copy_from_slice(bytes)).err();
+        let streamed = PcapMemSource::from_reader(io::Cursor::new(bytes.to_vec()))
+            .err()
+            .map(|e| {
+                assert_eq!(e.kind(), io::ErrorKind::InvalidData);
+                assert_eq!(Some(e.to_string()), whole.as_ref().map(ToString::to_string));
+                *e.into_inner().unwrap().downcast::<PcapError>().unwrap()
+            });
+        assert_eq!(streamed, whole);
+        whole
     }
 
     /// A capture of `n` copies of [`v4_packet`].
@@ -211,6 +245,10 @@ mod tests {
         let bytes = capture(1);
         assert_eq!(open_err(&bytes[..23]), Some(PcapError::ShortHeader(23)));
         assert_eq!(open_err(&[]), Some(PcapError::ShortHeader(0)));
+        assert_eq!(
+            PcapError::ShortHeader(23).to_string(),
+            "pcap ends 23 bytes into its 24-byte global header"
+        );
     }
 
     #[test]

@@ -169,6 +169,7 @@ pub struct FlowBatch {
     rows: Vec<PacketRow>,
     arena: Vec<u8>,
     spans: Vec<FlowSpan>,
+    watermark: u64,
 }
 
 impl FlowBatch {
@@ -190,6 +191,19 @@ impl FlowBatch {
     /// True if the batch holds no flows.
     pub fn is_empty(&self) -> bool {
         self.spans.is_empty()
+    }
+
+    /// The emitting shard's promise, made when it sealed the batch: no
+    /// flow it closes later has a `first_index` below this. A consumer
+    /// merging shards by `first_index` can release everything below the
+    /// minimum over all shards. 0 (promising nothing) until sealed.
+    pub fn watermark(&self) -> u64 {
+        self.watermark
+    }
+
+    /// Stamp the batch with its shard's watermark as it is handed off.
+    pub(crate) fn seal(&mut self, watermark: u64) {
+        self.watermark = watermark;
     }
 
     /// Append one closed flow from the flow table's staging: `rows` with
@@ -393,7 +407,7 @@ mod tests {
         capture.extend_from_slice(&v6.into_inner()[GLOBAL_HEADER_LEN..]);
 
         let (batches, _) = run_source(
-            PcapMemSource::new(capture.into()).unwrap(),
+            &mut PcapMemSource::new(capture.into()).unwrap(),
             &EngineConfig::default(),
             None,
             Vec::new,
@@ -408,12 +422,14 @@ mod tests {
                 again.push_record(&record, span.first_index, span.cause);
                 packets.extend(record.packets);
             }
+            again.seal(batch.watermark());
             assert_eq!(&again, batch);
         }
         assert_eq!(
             batches.iter().map(FlowBatch::flow_count).sum::<usize>(),
             21 + 1
         );
+        assert!(batches.iter().any(|b| b.watermark() == u64::MAX));
         assert!(packets.iter().any(|p| p.ip_id.is_none()));
         assert!(packets.iter().any(|p| p.ip_id.is_some()));
         assert!(packets.iter().any(|p| p.payload.is_empty()));

@@ -6,10 +6,11 @@
 //! otherwise). Everything specific to *where the stream comes from* lives
 //! behind [`FlowSource`]:
 //!
-//! * [`PcapMemSource`] — a classic pcap capture held in memory; items are
-//!   byte ranges stamped with the capture clock, shards parse borrowed
-//!   views and assemble flows in a [`ColumnarFlowTable`], emitting
-//!   [`FlowBatch`]es.
+//! * [`PcapMemSource`] — a classic pcap capture, read through a window
+//!   that is refilled from a reader (or one buffer holding all of it);
+//!   items are frames stamped with the capture clock, shards parse
+//!   borrowed views and assemble flows in a [`ColumnarFlowTable`],
+//!   emitting [`FlowBatch`]es.
 //! * [`SimSource`] — indexes into a deterministic generator such as
 //!   `worldgen::WorldSim::gen_session`; generation itself runs on the
 //!   shards so simulated worlds parallelize without an intermediate pcap.
@@ -29,9 +30,13 @@
 
 use crate::engine::EngineConfig;
 use crate::offline::{ColumnarFlowTable, EvictionCause, IngestStats};
-use crate::pcap::{check_global_header, PcapError, GLOBAL_HEADER_LEN, SNAPLEN};
+use crate::pcap::{
+    check_global_header, le_u32, PcapError, GLOBAL_HEADER_LEN, RECORD_HEADER_LEN, SNAPLEN,
+};
 use crate::record::FlowBatch;
 use bytes::Bytes;
+use std::collections::VecDeque;
+use std::io::{self, Read};
 use std::marker::PhantomData;
 use tamper_netsim::splitmix64;
 use tamper_obs::ScopeMetrics;
@@ -96,6 +101,10 @@ pub trait FlowSource {
     fn corrupt_tail(&self) -> bool {
         false
     }
+
+    /// At end of stream, fold source-specific gauges into the reader's
+    /// metrics scope.
+    fn publish(&self, _rm: &mut ScopeMetrics) {}
 }
 
 /// Worker-side half of a [`FlowSource`]: turns routed items into emitted
@@ -117,15 +126,17 @@ pub trait SourceShard {
         sm: &mut ScopeMetrics,
     );
 
-    /// The channel closed: flush everything still buffered against the
-    /// stream's final capture stamp.
+    /// The channel closed: flush what is still buffered against the
+    /// stream's final capture stamp. True if more is left — the engine
+    /// folds what was emitted and calls again, so a large table drains
+    /// in bounded pieces.
     fn finish(
         &mut self,
         final_stamp: u64,
         stats: &mut ShardStats,
         emit: &mut Vec<Self::Out>,
         sm: &mut ScopeMetrics,
-    );
+    ) -> bool;
 
     /// Peak buffered-state occupancy (live-flow high-water mark for
     /// table-backed shards; 0 for stateless ones).
@@ -135,41 +146,82 @@ pub trait SourceShard {
 }
 
 // ---------------------------------------------------------------------
-// PcapMemSource — an in-memory pcap, framed zero-copy, assembled into
-// FlowBatches on the shards.
+// PcapMemSource — a pcap capture read window by window, framed zero-copy,
+// assembled into FlowBatches on the shards.
 // ---------------------------------------------------------------------
 
-/// One pcap record framed inside a shared in-memory capture: byte range
-/// plus timestamps. The frame bytes stay in the source's buffer — the
-/// reader ships 24 bytes per record instead of a heap `Vec<u8>`.
-#[derive(Debug, Clone, Copy)]
+/// One pcap record framed inside a capture window: a refcounted handle on
+/// the window, the frame's place in it, and the record's timestamps. The
+/// frame bytes are never copied; a window is freed once the last record
+/// framed in it has been absorbed.
+#[derive(Clone)]
 pub struct PcapMemItem {
     /// Record timestamp (seconds).
     pub ts: u64,
     /// Capture clock: running maximum timestamp up to this record.
     pub stamp: u64,
-    /// Byte offset of the raw IP frame inside the capture buffer.
+    /// Byte offset of the raw IP frame in the whole capture stream.
     pub off: usize,
     /// Frame length in bytes.
     pub len: u32,
+    window: Bytes,
+    at: usize,
+}
+
+impl PcapMemItem {
+    /// The raw IP frame.
+    pub(crate) fn frame(&self) -> &[u8] {
+        // tamperlint: allow(index) — fill() only emits items whose frame range it bounds-checked against the window
+        &self.window[self.at..self.at + self.len as usize]
+    }
+}
+
+impl std::fmt::Debug for PcapMemItem {
+    /// The record's fields, not the (up to megabytes of) window it holds.
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("PcapMemItem")
+            .field("ts", &self.ts)
+            .field("stamp", &self.stamp)
+            .field("off", &self.off)
+            .field("len", &self.len)
+            .finish_non_exhaustive()
+    }
 }
 
 /// Default flow count at which a [`PcapBatchShard`] seals and emits its
 /// pending [`FlowBatch`].
 pub const DEFAULT_BATCH_FLOWS: usize = 512;
 
-/// [`FlowSource`] over an in-memory pcap buffer.
+/// Bytes a reader-backed [`PcapMemSource`] reads per window.
+const DEFAULT_WINDOW_BYTES: usize = 1 << 20;
+
+/// [`FlowSource`] over a pcap capture, framed one window at a time.
 ///
-/// Framing is zero-copy: items are byte ranges into one shared [`Bytes`]
-/// buffer, shards parse borrowed [`PacketView`]s straight out of it and
-/// assemble flows in a [`ColumnarFlowTable`], emitting whole
-/// [`FlowBatch`]es. This is the one pcap record decoder: a malformed
-/// global header fails construction, an oversize length claim or a cut
-/// mid-header/mid-frame is a corrupt tail (everything framed before it
-/// is still processed).
+/// A window is one shared [`Bytes`] buffer: [`PcapMemSource::new`] takes
+/// a whole capture as a single window, [`PcapMemSource::from_reader`]
+/// refills a ~1 MiB window from any [`Read`], carrying a record cut by
+/// the window edge into the next one. Items hold their window, shards
+/// parse borrowed [`PacketView`]s straight out of it and assemble flows
+/// in a [`ColumnarFlowTable`], emitting whole [`FlowBatch`]es — so memory
+/// is the windows still in flight, not the capture. This is the one pcap
+/// record decoder: a malformed global header fails construction, an
+/// oversize length claim or a cut mid-header/mid-frame is a corrupt tail
+/// (everything framed before it is still processed), and a read error
+/// ends the stream with [`PcapMemSource::read_error`] set.
 pub struct PcapMemSource {
-    bytes: Bytes,
+    /// The window being framed, its first byte's offset in the stream,
+    /// and the next unread byte in it.
+    window: Bytes,
+    base: usize,
     pos: usize,
+    /// Where refills come from: `None` for a capture handed over whole,
+    /// and once the stream has ended or failed.
+    reader: Option<Box<dyn Read>>,
+    /// Earlier windows that items in flight may still hold, oldest first.
+    retired: VecDeque<Bytes>,
+    window_bytes: usize,
+    live_windows_max: usize,
+    error: Option<io::Error>,
     stamp: u64,
     corrupt: bool,
     done: bool,
@@ -181,14 +233,50 @@ impl PcapMemSource {
     /// header: short, bad magic or a link type other than raw IP is an error.
     pub fn new(bytes: Bytes) -> Result<PcapMemSource, PcapError> {
         check_global_header(&bytes)?;
-        Ok(PcapMemSource {
-            bytes,
+        Ok(PcapMemSource::starting(bytes, None))
+    }
+
+    /// Stream a pcap capture from `reader`, one window at a time. The
+    /// global header is read and validated here: a read error fails
+    /// construction, and so does a header [`PcapMemSource::new`] would
+    /// refuse (its [`PcapError`] inside an `InvalidData` error). A read
+    /// error later on ends the stream; see [`PcapMemSource::read_error`].
+    pub fn from_reader(mut reader: impl Read + 'static) -> io::Result<PcapMemSource> {
+        let mut header = Vec::with_capacity(GLOBAL_HEADER_LEN);
+        reader
+            .by_ref()
+            .take(GLOBAL_HEADER_LEN as u64)
+            .read_to_end(&mut header)?;
+        check_global_header(&header)?;
+        Ok(PcapMemSource::starting(
+            header.into(),
+            Some(Box::new(reader)),
+        ))
+    }
+
+    /// A source whose first window holds the validated global header.
+    fn starting(window: Bytes, reader: Option<Box<dyn Read>>) -> PcapMemSource {
+        PcapMemSource {
+            window,
+            base: 0,
             pos: GLOBAL_HEADER_LEN,
+            reader,
+            retired: VecDeque::new(),
+            window_bytes: DEFAULT_WINDOW_BYTES,
+            live_windows_max: 1,
+            error: None,
             stamp: 0,
             corrupt: false,
             done: false,
             batch_flows: DEFAULT_BATCH_FLOWS,
-        })
+        }
+    }
+
+    /// The read error that ended the stream early, if any. Records framed
+    /// before it were still processed, and it is never reported as a
+    /// corrupt tail.
+    pub fn read_error(&self) -> Option<&io::Error> {
+        self.error.as_ref()
     }
 
     /// Override the per-shard batch flush threshold (flows per emitted
@@ -199,10 +287,82 @@ impl PcapMemSource {
         self
     }
 
-    /// The framed byte range of an item, as a borrowed slice.
-    fn frame_of<'a>(bytes: &'a Bytes, item: &PcapMemItem) -> &'a [u8] {
-        // tamperlint: allow(index) — fill() only emits items whose frame range it bounds-checked against the buffer
-        &bytes[item.off..item.off + item.len as usize]
+    /// Override the bytes read per window (a window still grows to hold
+    /// one whole record); clamped to at least 1.
+    #[cfg(test)]
+    pub(crate) fn with_window(mut self, bytes: usize) -> PcapMemSource {
+        self.window_bytes = bytes.max(1);
+        self
+    }
+
+    /// Make `need` unread bytes available, refilling the window if a
+    /// reader is left. False if the stream ends (or fails) first.
+    fn buffer(&mut self, need: usize) -> bool {
+        if self.window.len() - self.pos < need {
+            self.refill(need);
+        }
+        self.window.len() - self.pos >= need
+    }
+
+    /// Start a new window: the unread tail of the current one (a record
+    /// cut by the window edge), then as much of the stream as fits in
+    /// `max(window_bytes, need)` bytes. The buffer of a retired window no
+    /// item holds any more is reused when there is one.
+    fn refill(&mut self, need: usize) {
+        if self.reader.is_none() {
+            return;
+        }
+        let mut next = self.recycle().unwrap_or_default();
+        let carry = self.window.get(self.pos..).unwrap_or_default();
+        let cap = self.window_bytes.max(need);
+        next.reserve(cap);
+        next.extend_from_slice(carry);
+        // `need` exceeds the carried bytes, or there would be no refill.
+        let want = (cap - carry.len()) as u64;
+        if let Some(reader) = self.reader.as_mut() {
+            match reader.take(want).read_to_end(&mut next) {
+                Ok(n) if (n as u64) < want => self.reader = None, // EOF
+                Ok(_) => {}
+                Err(e) => {
+                    self.error = Some(e);
+                    self.reader = None;
+                }
+            }
+        }
+        let old = std::mem::replace(&mut self.window, next.into());
+        self.base += self.pos;
+        self.pos = 0;
+        self.retired.push_back(old);
+        self.live_windows_max = self.live_windows_max.max(self.retired.len() + 1);
+    }
+
+    /// Free the retired windows no item holds any more, keeping one
+    /// buffer back (cleared) for the next window.
+    fn recycle(&mut self) -> Option<Vec<u8>> {
+        let mut spare = None;
+        for _ in 0..self.retired.len() {
+            let Some(w) = self.retired.pop_front() else {
+                break;
+            };
+            match w.try_into_mut() {
+                Ok(buf) if spare.is_none() => {
+                    let mut buf: Vec<u8> = buf.into();
+                    buf.clear();
+                    spare = Some(buf);
+                }
+                Ok(_) => {}
+                Err(w) => self.retired.push_back(w),
+            }
+        }
+        spare
+    }
+
+    /// Stop framing. `torn` marks the damage a corrupt tail — unless a
+    /// read error cut the stream, which is reported as that instead.
+    fn end(&mut self, torn: bool) {
+        self.corrupt = torn && self.error.is_none();
+        self.done = true;
+        self.reader = None;
     }
 }
 
@@ -213,40 +373,31 @@ impl FlowSource for PcapMemSource {
 
     fn fill(&mut self, out: &mut Vec<PcapMemItem>, max: usize) -> bool {
         while out.len() < max && !self.done {
-            let rem = self.bytes.len() - self.pos;
-            if rem == 0 {
-                self.done = true;
+            if !self.buffer(RECORD_HEADER_LEN) {
+                // The stream ended on a record boundary (clean) or inside
+                // a record header (a ragged tail).
+                self.end(self.pos < self.window.len());
                 break;
             }
-            if rem < 16 {
-                // Ragged tail: EOF inside a record header.
-                self.corrupt = true;
-                self.done = true;
+            let header = self.window.get(self.pos..).unwrap_or_default();
+            let ts = u64::from(le_u32(header, 0));
+            let incl_len = le_u32(header, 8);
+            if incl_len > SNAPLEN || !self.buffer(RECORD_HEADER_LEN + incl_len as usize) {
+                // Oversize length claim, or the stream ended inside the
+                // frame body.
+                self.end(true);
                 break;
             }
-            // tamperlint: allow(index) — rem >= 16 was checked just above
-            let header = &self.bytes[self.pos..self.pos + 16];
-            let mut w = [0u8; 4];
-            // tamperlint: allow(index) — compile-time offsets into the 16-byte header slice
-            w.copy_from_slice(&header[0..4]);
-            let ts = u64::from(u32::from_le_bytes(w));
-            // tamperlint: allow(index) — compile-time offsets into the 16-byte header slice
-            w.copy_from_slice(&header[8..12]);
-            let incl_len = u32::from_le_bytes(w);
-            if incl_len > SNAPLEN || (rem - 16) < incl_len as usize {
-                // Oversize length claim, or EOF inside the frame body.
-                self.corrupt = true;
-                self.done = true;
-                break;
-            }
-            let off = self.pos + 16;
-            self.pos = off + incl_len as usize;
+            let at = self.pos + RECORD_HEADER_LEN;
+            self.pos = at + incl_len as usize;
             self.stamp = self.stamp.max(ts);
             out.push(PcapMemItem {
                 ts,
                 stamp: self.stamp,
-                off,
+                off: self.base + at,
                 len: incl_len,
+                window: self.window.clone(),
+                at,
             });
         }
         !self.done
@@ -259,13 +410,12 @@ impl FlowSource for PcapMemSource {
             // same field the reader charges unroutable frames to.
             return Some(0);
         }
-        route_hash(PcapMemSource::frame_of(&self.bytes, item)).map(|h| (h % shards as u64) as usize)
+        route_hash(item.frame()).map(|h| (h % shards as u64) as usize)
     }
 
     fn shard(&self, cfg: &EngineConfig) -> PcapBatchShard {
         PcapBatchShard {
             cfg: cfg.offline,
-            bytes: self.bytes.clone(),
             table: ColumnarFlowTable::new(cfg.offline, cfg.per_shard_cap()),
             pending: FlowBatch::new(),
             batch_flows: self.batch_flows,
@@ -279,30 +429,38 @@ impl FlowSource for PcapMemSource {
     fn corrupt_tail(&self) -> bool {
         self.corrupt
     }
+
+    fn publish(&self, rm: &mut ScopeMetrics) {
+        rm.gauge_max("live_windows_max", self.live_windows_max as u64);
+    }
 }
 
 /// Shard worker for [`PcapMemSource`]: parse borrowed views, assemble in
 /// a [`ColumnarFlowTable`], emit sealed [`FlowBatch`]es.
+///
+/// Every batch is sealed with the shard's watermark (see
+/// [`FlowBatch::watermark`]): the oldest-born live flow's first-seen
+/// index, or one past the last record absorbed when nothing is live. At
+/// end of stream the table drains oldest-born first, one batch at a
+/// time, and the last batch — emitted even when empty — seals with
+/// `u64::MAX`.
 pub struct PcapBatchShard {
     cfg: crate::offline::OfflineConfig,
-    bytes: Bytes,
     table: ColumnarFlowTable,
     pending: FlowBatch,
     batch_flows: usize,
 }
 
 impl PcapBatchShard {
-    /// Seal the pending batch and emit it, folding its eviction-cause
-    /// counters into `stats` on the way.
+    /// Seal the pending batch with `watermark` and emit it, folding its
+    /// eviction-cause counters into `stats` on the way.
     fn hand_off(
         &mut self,
+        watermark: u64,
         stats: &mut ShardStats,
         emit: &mut Vec<FlowBatch>,
         sm: &mut ScopeMetrics,
     ) {
-        if self.pending.is_empty() {
-            return;
-        }
         let sw = sm.start();
         sm.gauge_max("arena_bytes", self.pending.arena_bytes() as u64);
         sm.gauge_max("batch_flows", self.pending.flow_count() as u64);
@@ -313,6 +471,7 @@ impl PcapBatchShard {
                 EvictionCause::EndOfCapture => stats.drained_eof += 1,
             }
         }
+        self.pending.seal(watermark);
         emit.push(std::mem::take(&mut self.pending));
         sm.stop("batch", sw);
     }
@@ -330,9 +489,8 @@ impl SourceShard for PcapBatchShard {
         emit: &mut Vec<FlowBatch>,
         sm: &mut ScopeMetrics,
     ) {
-        let frame = PcapMemSource::frame_of(&self.bytes, &item);
         let sw = sm.start();
-        let parsed = PacketView::parse(frame);
+        let parsed = PacketView::parse(item.frame());
         sm.stop("parse", sw);
         match parsed {
             Err(_) => stats.ingest.unparsable += 1,
@@ -352,7 +510,8 @@ impl SourceShard for PcapBatchShard {
                     sm.stop("absorb_evict", sw);
                     sm.gauge_max("live_flows", self.table.live() as u64);
                     if self.pending.flow_count() >= self.batch_flows {
-                        self.hand_off(stats, emit, sm);
+                        let watermark = self.table.oldest_live_index().unwrap_or(index + 1);
+                        self.hand_off(watermark, stats, emit, sm);
                     }
                 }
             }
@@ -365,12 +524,16 @@ impl SourceShard for PcapBatchShard {
         stats: &mut ShardStats,
         emit: &mut Vec<FlowBatch>,
         sm: &mut ScopeMetrics,
-    ) {
+    ) -> bool {
         let sw = sm.start();
-        self.table.drain(final_stamp, &mut self.pending);
+        let more = self
+            .table
+            .drain_into(final_stamp, &mut self.pending, self.batch_flows);
         sm.stop("drain", sw);
-        self.hand_off(stats, emit, sm);
+        let watermark = self.table.oldest_live_index().unwrap_or(u64::MAX);
+        self.hand_off(watermark, stats, emit, sm);
         sm.gauge_max("high_water", self.table.high_water() as u64);
+        more
     }
 
     fn high_water(&self) -> usize {
@@ -555,7 +718,8 @@ where
         _stats: &mut ShardStats,
         _emit: &mut Vec<O>,
         _sm: &mut ScopeMetrics,
-    ) {
+    ) -> bool {
+        false
     }
 }
 
@@ -578,6 +742,88 @@ mod tests {
         .build()
         .emit()
         .to_vec()
+    }
+
+    /// A capture of `n` one-SYN flows, one second apart.
+    fn syn_capture(n: u8) -> Vec<u8> {
+        let mut w = crate::pcap::PcapWriter::new(Vec::new()).unwrap();
+        for i in 0..n {
+            w.write_frame(100 + u32::from(i), 0, &frame(1 + i, 4000, TcpFlags::SYN))
+                .unwrap();
+        }
+        w.into_inner()
+    }
+
+    /// Hands out `data` up to byte `fail_at`, then fails every read.
+    struct FailingReader {
+        data: Vec<u8>,
+        pos: usize,
+        fail_at: usize,
+    }
+
+    impl Read for FailingReader {
+        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+            if self.pos >= self.fail_at {
+                return Err(io::Error::other("disk on fire"));
+            }
+            let n = buf.len().min(self.fail_at - self.pos);
+            buf[..n].copy_from_slice(&self.data[self.pos..self.pos + n]);
+            self.pos += n;
+            Ok(n)
+        }
+    }
+
+    #[test]
+    fn a_read_error_ends_the_stream_and_is_not_a_corrupt_tail() {
+        let data = syn_capture(20);
+        let record = (data.len() - GLOBAL_HEADER_LEN) / 20;
+        // Half-way through the eighth record.
+        let fail_at = GLOBAL_HEADER_LEN + 7 * record + record / 2;
+        let reader = FailingReader {
+            data,
+            pos: 0,
+            fail_at,
+        };
+        let mut src = PcapMemSource::from_reader(reader).unwrap().with_window(100);
+        let (mut framed, mut items) = (0, Vec::new());
+        loop {
+            let more = src.fill(&mut items, 3);
+            framed += items.len();
+            items.clear();
+            if !more {
+                break;
+            }
+        }
+        assert_eq!(framed, 7, "every record read before the error");
+        assert!(!src.corrupt_tail());
+        let err = src.read_error().map(ToString::to_string);
+        assert_eq!(err.as_deref(), Some("disk on fire"));
+    }
+
+    #[test]
+    fn streamed_windows_are_recycled_once_their_records_are_absorbed() {
+        let data = syn_capture(200);
+        let mut src = PcapMemSource::from_reader(std::io::Cursor::new(data.clone()))
+            .unwrap()
+            .with_window(512);
+        let (mut framed, mut items) = (0, Vec::new());
+        loop {
+            items.clear();
+            let more = src.fill(&mut items, 4);
+            for it in &items {
+                assert_eq!(it.frame(), &data[it.off..it.off + it.len as usize]);
+            }
+            framed += items.len();
+            if !more {
+                break;
+            }
+        }
+        assert_eq!(framed, 200);
+        assert!(!src.corrupt_tail() && src.read_error().is_none());
+        // ~25 windows went by; the current one, the one the last pull's
+        // items still held, and at most one awaiting reuse were ever live.
+        assert!(src.base > 20 * 512, "{}", src.base);
+        assert!(src.live_windows_max <= 3, "{}", src.live_windows_max);
     }
 
     #[test]

@@ -18,7 +18,7 @@ fn repo_root() -> PathBuf {
 }
 
 /// The reviewed in-source waivers, as `(rule, file, count)` sorted by
-/// `(rule, file)`: 21 in all. A waiver added, dropped, or moved to another
+/// `(rule, file)`: 17 in all. A waiver added, dropped, or moved to another
 /// rule or file must come with a reviewed edit here.
 const WAIVED: &[(&str, &str, usize)] = &[
     ("hot-path-alloc", "crates/netsim/src/client.rs", 1),
@@ -28,8 +28,7 @@ const WAIVED: &[(&str, &str, usize)] = &[
     ("hot-path-alloc", "crates/wire/src/tls.rs", 4),
     ("index", "crates/capture/src/engine.rs", 1),
     ("index", "crates/capture/src/offline.rs", 3),
-    ("index", "crates/capture/src/pcap.rs", 1),
-    ("index", "crates/capture/src/source.rs", 4),
+    ("index", "crates/capture/src/source.rs", 1),
     ("panic", "crates/capture/src/engine.rs", 1),
 ];
 
@@ -45,7 +44,7 @@ fn waived_findings_match_the_reviewed_multiset() {
 }
 
 /// The reviewed number of in-source waivers.
-const WAIVER_COUNT: usize = 21;
+const WAIVER_COUNT: usize = 17;
 
 #[test]
 fn waiver_count_matches_the_reviewed_declaration() {

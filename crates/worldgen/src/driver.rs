@@ -701,7 +701,7 @@ impl WorldSim {
         };
         let gen = |i: u64| self.gen_session(i);
         let (acc, _stats) = run_source(
-            SimSource::new(self.cfg.sessions, &gen),
+            &mut SimSource::new(self.cfg.sessions, &gen),
             &cfg,
             obs,
             init,

@@ -101,9 +101,11 @@ fn analyze(json: bool) -> Result<(), String> {
 
 /// Smoke-run `tamperscope classify --metrics-json` on the golden fixture
 /// pcap. The run must succeed, the metrics file must exist and parse with
-/// the workspace JSON parser, and it must report a nonzero number of
-/// classified flows — otherwise the observability surface has silently
-/// rotted and the step fails the gate.
+/// the workspace JSON parser, it must report a nonzero number of
+/// classified flows, and it must carry the streaming-memory gauges
+/// (`verdicts.buffered_lines_max`, `reader.live_windows_max`) — otherwise
+/// the observability surface has silently rotted and the step fails the
+/// gate.
 fn metrics_smoke() -> Result<(), String> {
     let root = repo_root();
     let pcap = root.join("tests").join("fixtures").join("golden.pcap");
@@ -157,8 +159,21 @@ fn metrics_smoke() -> Result<(), String> {
     let scopes = doc
         .get("scopes")
         .and_then(|v| v.as_array())
-        .map_or(0, <[_]>::len);
-    eprintln!("==> metrics smoke: {flows} flow(s) classified, {scopes} scope(s) published");
+        .unwrap_or_default();
+    for (scope, gauge) in [
+        ("verdicts", "buffered_lines_max"),
+        ("reader", "live_windows_max"),
+    ] {
+        scopes
+            .iter()
+            .find(|s| s.get("scope").and_then(|v| v.as_str()) == Some(scope))
+            .and_then(|s| s.get("gauges")?.get(gauge)?.as_u64())
+            .ok_or_else(|| format!("metrics smoke: no {scope}.{gauge} gauge"))?;
+    }
+    eprintln!(
+        "==> metrics smoke: {flows} flow(s) classified, {} scope(s) published",
+        scopes.len()
+    );
     Ok(())
 }
 

@@ -8,6 +8,7 @@ use std::fmt::Write as _;
 use std::fs::File;
 use std::io::{BufWriter, Write};
 use std::process::ExitCode;
+use std::sync::{Mutex, MutexGuard};
 
 use tamperscope::analysis::{
     capture_collector, capture_summary_to_json, config_fingerprint, decode_agg, encode_agg,
@@ -18,7 +19,7 @@ use tamperscope::capture::{
     run_source, EngineConfig, FlowBatch, FlowRecord, OfflineConfig, PcapMemSource, PcapWriter,
     SimSource,
 };
-use tamperscope::cli::{Args, VerdictLines};
+use tamperscope::cli::{Args, VerdictLines, VerdictSegment};
 use tamperscope::core::{BatchClassifier, ClassifierConfig, FlowAnalysis};
 use tamperscope::middlebox::{RuleSet, Vendor, ALL_VENDORS};
 use tamperscope::netsim::{
@@ -164,20 +165,28 @@ fn verdict_line(text: &mut String, flow: &FlowRecord, analysis: &FlowAnalysis) {
 }
 
 /// Per-shard classify state: a scratch-reusing batch classifier, a
-/// collector slice, and the shard's rendered output.
+/// collector slice, and the shard's slot in the shared verdict writer.
 struct ClassifySink {
     clf: BatchClassifier,
     col: Collector,
-    lines: VerdictLines,
+    shard: usize,
     matched: u64,
+}
+
+/// Why the shared verdict writer can be poisoned: the panic itself is
+/// re-raised when the engine joins that shard.
+const POISONED: &str = "a classify shard panicked while holding the verdict writer";
+
+fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().expect(POISONED)
 }
 
 fn cmd_classify(args: &Args) -> ExitCode {
     let Some(path) = args.positional.first() else {
         return usage();
     };
-    let bytes = match std::fs::read(path) {
-        Ok(b) => b,
+    let file = match File::open(path) {
+        Ok(f) => f,
         Err(e) => {
             eprintln!("cannot open {path}: {e}");
             return ExitCode::FAILURE;
@@ -194,19 +203,31 @@ fn cmd_classify(args: &Args) -> ExitCode {
     } else {
         |text, flow, analysis, _| verdict_line(text, flow, analysis)
     };
-    let cfg = EngineConfig {
+    let mut cfg = EngineConfig {
         offline: OfflineConfig::default(),
         threads: flag_u64!(args, "threads", 0) as usize,
         max_flows: flag_u64!(args, "max-flows", 0) as usize,
     };
+    // The writer needs the shard count up front: a shard that has not
+    // reported yet must hold every line back.
+    cfg.threads = cfg.resolved_threads();
+    let mut src = match PcapMemSource::from_reader(file) {
+        Ok(s) => s,
+        Err(e) => {
+            eprintln!("cannot read {path}: {e}");
+            return ExitCode::FAILURE;
+        }
+    };
+    let lines = Mutex::new(VerdictLines::new(std::io::stdout(), cfg.threads));
     let clf_cfg = ClassifierConfig::default();
     let init = || ClassifySink {
         clf: BatchClassifier::new(clf_cfg),
         col: capture_collector(clf_cfg, 0),
-        lines: VerdictLines::default(),
+        shard: lock(&lines).join(),
         matched: 0,
     };
     let observe = |sink: &mut ClassifySink, batch: FlowBatch| {
+        let mut segment = VerdictSegment::default();
         for (i, span) in batch.spans().iter().enumerate() {
             // Verdicts come straight off the batch's rows; the owning
             // record is materialized only for labeling and rendering.
@@ -217,14 +238,14 @@ fn cmd_classify(args: &Args) -> ExitCode {
                 sink.matched += 1;
             }
             let order = sink.clf.order();
-            sink.lines.push(span.first_index, |text| {
+            segment.push(span.first_index, |text| {
                 render(text, &lf.flow, &analysis, order)
             });
         }
+        lock(&lines).push(sink.shard, segment, batch.watermark());
     };
     let merge = |a: &mut ClassifySink, b: ClassifySink| {
         a.col.merge(b.col);
-        a.lines.merge(b.lines);
         a.matched += b.matched;
     };
     // Metrics ride a side registry and land in their own file, so the
@@ -232,14 +253,12 @@ fn cmd_classify(args: &Args) -> ExitCode {
     // (and across thread counts).
     let metrics_path = args.get("metrics-json");
     let registry = metrics_path.map(|_| Registry::new());
-    let src = match PcapMemSource::new(bytes.into()) {
-        Ok(s) => s,
-        Err(e) => {
-            eprintln!("cannot read {path}: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let (sink, stats) = run_source(src, &cfg, registry.as_ref(), init, observe, merge);
+    let (sink, stats) = run_source(&mut src, &cfg, registry.as_ref(), init, observe, merge);
+    let lines = lines.into_inner().expect(POISONED);
+    if let Some(e) = src.read_error() {
+        eprintln!("cannot read {path}: {e}");
+        return ExitCode::FAILURE;
+    }
     eprintln!(
         "[{path}] {} flows / {} packets ({} non-inbound, {} unparsable frames skipped, {} threads)",
         stats.ingest.flows,
@@ -251,24 +270,29 @@ fn cmd_classify(args: &Args) -> ExitCode {
     if stats.corrupt_tail {
         eprintln!("[{path}] warning: capture tail is corrupt; trailing records dropped");
     }
-    let mut out = BufWriter::new(std::io::stdout().lock());
-    let written = sink.lines.write_sorted(&mut out).and_then(|()| {
-        if args.has("json-summary") {
-            writeln!(out, "{}", capture_summary_to_json(&sink.col, &stats))?;
-            writeln!(out, "{}", engine_perf_to_json(&stats))?;
-        }
-        out.flush()
-    });
+    let mut vm = match &registry {
+        Some(r) => r.scope("verdicts"),
+        None => ScopeMetrics::disabled(),
+    };
+    vm.gauge_max("buffered_lines_max", lines.buffered_max() as u64);
+    let mut tail = String::new();
+    if args.has("json-summary") {
+        tail = format!(
+            "{}\n{}\n",
+            capture_summary_to_json(&sink.col, &stats),
+            engine_perf_to_json(&stats)
+        );
+    }
     // A reader that hung up (`| head`) has what it wanted; any other
     // failure means verdicts were lost.
-    match written {
+    match lines.finish(tail.as_bytes()) {
         Err(e) if e.kind() != std::io::ErrorKind::BrokenPipe => {
             eprintln!("cannot write verdicts: {e}");
             return ExitCode::FAILURE;
         }
         _ => {}
     }
-    if !write_metrics(metrics_path, registry.as_ref(), None, "engine") {
+    if !write_metrics(metrics_path, registry.as_ref(), Some(vm), "engine") {
         return ExitCode::FAILURE;
     }
     eprintln!(
@@ -667,7 +691,7 @@ fn cmd_synthesize(args: &Args) -> ExitCode {
         ..EngineConfig::default()
     };
     let (mut generated, _stats) = run_source(
-        SimSource::new(sessions, &gen),
+        &mut SimSource::new(sessions, &gen),
         &ecfg,
         registry.as_ref(),
         Vec::new,

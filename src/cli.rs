@@ -8,7 +8,9 @@
 //! positional at all, rejecting a perfectly good invocation). A flag in
 //! neither list is an error: a typo must not be a silently different run.
 
-use std::io::{self, Write};
+use std::cmp::Reverse;
+use std::collections::binary_heap::{BinaryHeap, PeekMut};
+use std::io::{self, BufWriter, Write};
 
 /// Flags that take a value.
 pub const VALUE_FLAGS: &[&str] = &[
@@ -92,45 +94,150 @@ impl Args {
     }
 }
 
-/// `classify`'s per-flow output: every flow's text in one buffer plus a
-/// `(first_index, offset, length)` entry each, so shards render in place,
-/// merge by appending, and write in global first-record order.
+/// One shard's rendered batch: every flow's text in one buffer plus a
+/// `(first_index, start, end)` entry each, so a shard renders in place
+/// and hands the whole batch to [`VerdictLines`] at once.
 #[derive(Debug, Default)]
-pub struct VerdictLines {
+pub struct VerdictSegment {
     text: String,
-    index: Vec<(u64, usize, usize)>,
+    lines: Vec<(u64, usize, usize)>,
+    /// Lines already written (after [`VerdictLines::push`] sorted them).
+    next: usize,
 }
 
-impl VerdictLines {
+impl VerdictSegment {
     /// Add the flow first seen at record `first_index`: `render` appends
     /// its text to the buffer, and a newline follows.
     pub fn push(&mut self, first_index: u64, render: impl FnOnce(&mut String)) {
-        let off = self.text.len();
+        let start = self.text.len();
         render(&mut self.text);
         self.text.push('\n');
-        self.index.push((first_index, off, self.text.len() - off));
+        self.lines.push((first_index, start, self.text.len()));
     }
+}
 
-    /// Append another shard's flows.
-    pub fn merge(&mut self, other: VerdictLines) {
-        let base = self.text.len();
-        self.text.push_str(&other.text);
-        self.index.extend(
-            other
-                .index
-                .iter()
-                .map(|&(i, off, len)| (i, base + off, len)),
-        );
-    }
+/// `classify`'s one ordered writer, shared by every shard.
+///
+/// A shard pushes each rendered batch with the watermark its flow batch
+/// was sealed with: the lowest `first_index` it may still emit. A line
+/// is written as soon as its `first_index` is below every shard's
+/// watermark — no flow still to come can sort ahead of it — so the
+/// output is in global `first_index` order and only lines not yet
+/// writable are held. A segment is freed once its last line is written.
+/// The first write error is latched: nothing is written after it, and
+/// [`VerdictLines::finish`] returns it.
+#[derive(Debug)]
+pub struct VerdictLines<W: Write> {
+    out: BufWriter<W>,
+    failed: Option<io::Error>,
+    watermarks: Vec<u64>,
+    joined: usize,
+    /// Segments holding unwritten lines; `None` slots are free.
+    segments: Vec<Option<VerdictSegment>>,
+    /// Each held segment's next unwritten line, smallest `first_index`
+    /// on top.
+    heads: BinaryHeap<Reverse<(u64, usize)>>,
+    buffered: usize,
+    buffered_max: usize,
+}
 
-    /// Write every flow's text, once, in `first_index` order.
-    pub fn write_sorted(mut self, out: &mut impl Write) -> io::Result<()> {
-        self.index
-            .sort_unstable_by_key(|&(first_index, _, _)| first_index);
-        for &(_, off, len) in &self.index {
-            out.write_all(&self.text.as_bytes()[off..off + len])?;
+impl<W: Write> VerdictLines<W> {
+    /// A writer onto `out` for `shards` shards, none of which has
+    /// promised anything yet.
+    pub fn new(out: W, shards: usize) -> VerdictLines<W> {
+        VerdictLines {
+            out: BufWriter::new(out),
+            failed: None,
+            watermarks: vec![0; shards],
+            joined: 0,
+            segments: Vec::new(),
+            heads: BinaryHeap::new(),
+            buffered: 0,
+            buffered_max: 0,
         }
-        Ok(())
+    }
+
+    /// Claim the next shard slot (call once per shard, before its first
+    /// push).
+    pub fn join(&mut self) -> usize {
+        self.joined += 1;
+        self.joined - 1
+    }
+
+    /// Take `shard`'s rendered batch and its new `watermark`, then write
+    /// every line now below all shards' watermarks.
+    pub fn push(&mut self, shard: usize, mut segment: VerdictSegment, watermark: u64) {
+        if let Some(w) = self.watermarks.get_mut(shard) {
+            *w = watermark;
+        }
+        segment
+            .lines
+            .sort_unstable_by_key(|&(first_index, _, _)| first_index);
+        if let Some(&(head, _, _)) = segment.lines.first() {
+            self.buffered += segment.lines.len();
+            self.buffered_max = self.buffered_max.max(self.buffered);
+            let slot = match self.segments.iter().position(Option::is_none) {
+                Some(free) => free,
+                None => {
+                    self.segments.push(None);
+                    self.segments.len() - 1
+                }
+            };
+            self.segments[slot] = Some(segment);
+            self.heads.push(Reverse((head, slot)));
+        }
+        let floor = self.watermarks.iter().copied().min().unwrap_or(u64::MAX);
+        self.write_below(floor);
+    }
+
+    /// Write, in `first_index` order, every held line below `floor`.
+    fn write_below(&mut self, floor: u64) {
+        while let Some(mut top) = self.heads.peek_mut() {
+            let Reverse((first_index, slot)) = *top;
+            if first_index >= floor {
+                break;
+            }
+            let segment = self.segments[slot]
+                .as_mut()
+                .expect("every head names a held segment");
+            let (_, start, end) = segment.lines[segment.next];
+            if self.failed.is_none() {
+                if let Err(e) = self.out.write_all(&segment.text.as_bytes()[start..end]) {
+                    self.failed = Some(e);
+                }
+            }
+            segment.next += 1;
+            self.buffered -= 1;
+            match segment.lines.get(segment.next) {
+                Some(&(next, _, _)) => top.0 = (next, slot),
+                None => {
+                    PeekMut::pop(top);
+                    self.segments[slot] = None;
+                }
+            }
+        }
+    }
+
+    /// Most lines held at once, waiting for the watermarks to pass them.
+    pub fn buffered_max(&self) -> usize {
+        self.buffered_max
+    }
+
+    /// Write every line still held, then `tail`, and flush. Returns the
+    /// sink, or the first write error — in which case whatever was still
+    /// buffered is dropped unwritten.
+    pub fn finish(mut self, tail: &[u8]) -> io::Result<W> {
+        self.write_below(u64::MAX);
+        if self.failed.is_none() {
+            if let Err(e) = self.out.write_all(tail).and_then(|()| self.out.flush()) {
+                self.failed = Some(e);
+            }
+        }
+        let (out, _unwritten) = self.out.into_parts();
+        match self.failed {
+            Some(e) => Err(e),
+            None => Ok(out),
+        }
     }
 }
 
@@ -143,17 +250,101 @@ mod tests {
         Args::parse(&raw).expect("known flags only")
     }
 
+    type Step<'a> = (usize, &'a [(u64, &'a str)], u64, &'a str);
+
+    /// A segment of `(first_index, text)` lines.
+    fn segment(lines: &[(u64, &str)]) -> VerdictSegment {
+        let mut seg = VerdictSegment::default();
+        for &(first_index, text) in lines {
+            seg.push(first_index, |t| t.push_str(text));
+        }
+        seg
+    }
+
     #[test]
     fn verdict_lines_merge_shards_and_write_in_first_index_order() {
-        let mut a = VerdictLines::default();
-        a.push(7, |t| t.push_str("seven"));
-        a.push(2, |t| t.push_str("two\nlines"));
-        let mut b = VerdictLines::default();
-        b.push(5, |t| t.push_str("five"));
-        a.merge(b);
-        let mut out = Vec::new();
-        a.write_sorted(&mut out).unwrap();
-        assert_eq!(out, b"two\nlines\nfive\nseven\n");
+        let mut lines = VerdictLines::new(Vec::new(), 2);
+        let (a, b) = (lines.join(), lines.join());
+        lines.push(a, segment(&[(7, "seven"), (2, "two\nlines")]), u64::MAX);
+        lines.push(b, segment(&[(5, "five")]), u64::MAX);
+        let out = lines.finish(b"tail\n").unwrap();
+        assert_eq!(out, b"two\nlines\nfive\nseven\ntail\n");
+    }
+
+    #[test]
+    fn verdict_lines_write_only_below_every_shards_watermark() {
+        // Two shards push out of order under interleaved watermarks; after
+        // each push exactly the lines below both watermarks are out.
+        let mut lines = VerdictLines::new(Vec::new(), 2);
+        let (a, b) = (lines.join(), lines.join());
+        // (shard, its batch, its new watermark, everything written so far)
+        let steps: [Step; 6] = [
+            (a, &[(4, "4"), (0, "0")], 6, ""),
+            (b, &[(3, "3")], 1, "0\n"),
+            (b, &[(1, "1"), (5, "5")], 5, "0\n1\n3\n4\n"),
+            (a, &[(9, "9"), (7, "7")], 10, "0\n1\n3\n4\n"),
+            (a, &[], u64::MAX, "0\n1\n3\n4\n"),
+            (b, &[(8, "8")], u64::MAX, "0\n1\n3\n4\n5\n7\n8\n9\n"),
+        ];
+        for (shard, seg, watermark, written) in steps {
+            lines.push(shard, segment(seg), watermark);
+            lines.out.flush().unwrap();
+            assert_eq!(String::from_utf8_lossy(lines.out.get_ref()), written);
+        }
+        assert_eq!(lines.buffered_max(), 4);
+        assert!(
+            lines.segments.iter().all(Option::is_none),
+            "a segment leaked"
+        );
+        let out = lines.finish(b"").unwrap();
+        assert_eq!(out, b"0\n1\n3\n4\n5\n7\n8\n9\n");
+    }
+
+    /// A sink that takes `room` bytes, then fails every write.
+    #[derive(Debug)]
+    struct Full {
+        took: Vec<u8>,
+        room: usize,
+    }
+
+    impl Write for Full {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            if self.took.len() + buf.len() > self.room {
+                return Err(io::Error::other("device full"));
+            }
+            self.took.extend_from_slice(buf);
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn verdict_lines_latch_the_first_write_error() {
+        let long = "x".repeat(10_000);
+        let mut lines = VerdictLines::new(
+            Full {
+                took: Vec::new(),
+                room: 20_000,
+            },
+            1,
+        );
+        let shard = lines.join();
+        for i in 0..4 {
+            lines.push(shard, segment(&[(i, &long)]), i + 1);
+        }
+        assert!(lines.failed.is_some());
+        let took = lines.out.get_ref().took.len();
+        lines.push(shard, segment(&[(9, "late")]), u64::MAX);
+        assert_eq!(
+            lines.out.get_ref().took.len(),
+            took,
+            "written after the error"
+        );
+        let err = lines.finish(b"summary\n").unwrap_err();
+        assert_eq!(err.to_string(), "device full");
     }
 
     #[test]

@@ -323,6 +323,112 @@ fn classify_fails_when_stdout_cannot_take_the_verdicts() {
     assert!(!err.contains("flows match"), "{err}");
 }
 
+#[test]
+fn classify_fails_when_the_capture_cannot_be_read() {
+    // A directory opens but fails its first read: a read error, never a
+    // corrupt tail or an empty capture.
+    let dir = std::env::temp_dir();
+    let out = bin()
+        .args(["classify", dir.to_str().unwrap(), "--jsonl"])
+        .output()
+        .expect("classify");
+    assert_eq!(out.status.code(), Some(1));
+    assert!(out.stdout.is_empty());
+    let err = String::from_utf8(out.stderr).unwrap();
+    assert!(
+        err.contains(&format!("cannot read {}: ", dir.display())),
+        "{err}"
+    );
+    assert!(!err.contains("corrupt"), "{err}");
+}
+
+/// `synthesize` `sessions` sessions into a temp capture; its path.
+fn synthesized(name: &str, sessions: u32) -> std::path::PathBuf {
+    let pcap = tmp(name);
+    let out = bin()
+        .args(["synthesize", pcap.to_str().unwrap(), "--threads", "1"])
+        .args(["--sessions", &sessions.to_string()])
+        .output()
+        .expect("synthesize");
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    pcap
+}
+
+#[test]
+fn classify_exits_quietly_when_the_reader_hangs_up() {
+    use std::io::BufRead;
+    // Several 1 MiB read windows, and far more verdict bytes than a pipe
+    // holds: the hang-up lands mid-stream.
+    let pcap = synthesized("hangup.pcap", 8_000);
+    assert!(std::fs::metadata(&pcap).unwrap().len() > 2 << 20);
+    let mut child = bin()
+        .args([
+            "classify",
+            pcap.to_str().unwrap(),
+            "--jsonl",
+            "--threads",
+            "1",
+        ])
+        .stdout(std::process::Stdio::piped())
+        .stderr(std::process::Stdio::piped())
+        .spawn()
+        .expect("classify");
+    let mut first = String::new();
+    let mut stdout = std::io::BufReader::new(child.stdout.take().unwrap());
+    stdout.read_line(&mut first).unwrap();
+    drop(stdout);
+    let out = child.wait_with_output().expect("classify");
+    let _ = std::fs::remove_file(&pcap);
+    assert!(first.starts_with("{\"client_ip\":"), "{first}");
+    assert_eq!(out.status.code(), Some(0));
+    let err = String::from_utf8(out.stderr).unwrap();
+    assert!(!err.contains("cannot write"), "{err}");
+}
+
+/// `classify --jsonl --threads 1` on a synthesized capture of `sessions`
+/// sessions: the most verdict lines it held back at once.
+fn buffered_lines_max(sessions: u32) -> u64 {
+    let pcap = synthesized(&format!("held{sessions}.pcap"), sessions);
+    let metrics = tmp(&format!("held{sessions}.json"));
+    let out = bin()
+        .args([
+            "classify",
+            pcap.to_str().unwrap(),
+            "--jsonl",
+            "--threads",
+            "1",
+        ])
+        .args(["--metrics-json", metrics.to_str().unwrap()])
+        .output()
+        .expect("classify");
+    assert!(out.status.success());
+    let doc = std::fs::read_to_string(&metrics).expect("metrics written");
+    let _ = std::fs::remove_file(&pcap);
+    let _ = std::fs::remove_file(&metrics);
+    let (_, gauge) = doc
+        .split_once("\"buffered_lines_max\":")
+        .expect("buffered_lines_max gauge");
+    let digits: String = gauge.chars().take_while(char::is_ascii_digit).collect();
+    digits.parse().unwrap()
+}
+
+#[test]
+fn classify_holds_verdicts_by_live_flows_not_capture_length() {
+    // Verdicts are written as the live-flow watermark passes them, so the
+    // lines held at once do not grow with the capture: four times the
+    // sessions, at most one more batch of held lines.
+    let (short, long) = (buffered_lines_max(2_000), buffered_lines_max(8_000));
+    assert!(short > 0);
+    assert!(
+        long <= short + 512,
+        "2k sessions held {short}, 8k held {long}"
+    );
+}
+
 /// One session is 7 packets, well under the `BufWriter`'s 8 KiB: only the
 /// final flush ever reaches the device.
 #[test]

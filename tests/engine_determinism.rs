@@ -153,9 +153,9 @@ fn engine_output_observed(
         ..EngineConfig::default()
     };
     let clf_cfg = ClassifierConfig::default();
-    let src = PcapMemSource::new(bytes::Bytes::copy_from_slice(bytes)).expect("pcap header");
+    let mut src = PcapMemSource::new(bytes::Bytes::copy_from_slice(bytes)).expect("pcap header");
     let (mut sink, stats) = run_source(
-        src,
+        &mut src,
         &cfg,
         obs,
         || Sink {
@@ -177,6 +177,7 @@ fn engine_output_observed(
             a.lines.append(&mut b.lines);
         },
     );
+    assert!(stats.is_conserved(), "{stats:?}");
     sink.lines.sort_by_key(|(first_index, _)| *first_index);
     let text = sink
         .lines
@@ -227,6 +228,45 @@ fn verdicts_are_byte_identical_across_thread_counts() {
         stats1.ingest.truncated_packets > 0,
         "no truncation happened"
     );
+}
+
+/// A capture run's counters, flows discarded.
+fn ledger(mut src: PcapMemSource, cfg: &EngineConfig) -> EngineStats {
+    run_source(&mut src, cfg, None, || (), |_, _: FlowBatch| {}, |_, _| {}).1
+}
+
+#[test]
+fn capture_ledger_balances_at_any_shard_count_and_cap() {
+    // Every record is a kept packet, a packet past its flow's cap, not
+    // inbound, or unparsable; every flow opened is closed exactly once —
+    // whether the capture is handed over whole or streamed from a reader.
+    let bytes = synth_capture(120);
+    for threads in [1usize, 2, 8] {
+        for max_flows in [0usize, 16] {
+            let cfg = EngineConfig {
+                threads,
+                max_flows,
+                ..EngineConfig::default()
+            };
+            let whole = ledger(
+                PcapMemSource::new(bytes::Bytes::copy_from_slice(&bytes)).expect("pcap header"),
+                &cfg,
+            );
+            let streamed = ledger(
+                PcapMemSource::from_reader(std::io::Cursor::new(bytes.clone()))
+                    .expect("pcap header"),
+                &cfg,
+            );
+            assert!(whole.is_conserved(), "{threads}/{max_flows}: {whole:?}");
+            assert_eq!(streamed, whole, "{threads}/{max_flows}");
+            assert!(whole.ingest.truncated_packets > 0 && whole.ingest.not_inbound == 0);
+            assert_eq!(
+                whole.evicted_cap > 0,
+                max_flows > 0,
+                "{threads}/{max_flows}"
+            );
+        }
+    }
 }
 
 #[test]
@@ -603,7 +643,7 @@ fn record_engine_lines(records: &[FlowRecord], threads: usize) -> String {
     let clf_cfg = ClassifierConfig::default();
     let gen = |i: u64| records.get(i as usize).cloned();
     let (lines, stats) = run_source(
-        SimSource::new(records.len() as u64, &gen),
+        &mut SimSource::new(records.len() as u64, &gen),
         &cfg,
         None,
         Vec::new,

@@ -699,9 +699,9 @@ fn run_collecting(bytes: &[u8]) -> Result<(Vec<FlowRecord>, EngineStats), PcapEr
         threads: 2,
         ..EngineConfig::default()
     };
-    let src = PcapMemSource::new(Bytes::copy_from_slice(bytes))?;
+    let mut src = PcapMemSource::new(Bytes::copy_from_slice(bytes))?;
     Ok(run_source(
-        src,
+        &mut src,
         &cfg,
         None,
         Vec::new,
