@@ -19,18 +19,18 @@ use tamper_worldgen::{ip_key, LabeledFlow};
 
 /// Number of classification cells per country: 19 signatures, plus
 /// "possibly tampered, unmatched", plus "not tampered".
-pub const N_CLASSES: usize = 21;
+pub(crate) const N_CLASSES: usize = 21;
 /// Index of the unmatched possibly-tampered cell.
-pub const CLASS_OTHER: usize = 19;
+pub(crate) const CLASS_OTHER: usize = 19;
 /// Index of the not-tampered cell.
-pub const CLASS_NOT_TAMPERED: usize = 20;
+pub(crate) const CLASS_NOT_TAMPERED: usize = 20;
 
 /// Evidence-reservoir capacity per class (the paper samples up to 1,000
 /// connections per signature for Figures 2 and 3).
-pub const RESERVOIR_CAP: usize = 1000;
+pub(crate) const RESERVOIR_CAP: usize = 1000;
 
 /// Cap on per-(ip, domain) Post-PSH class sequences (Appendix B).
-pub const PAIR_SEQ_CAP: usize = 8;
+pub(crate) const PAIR_SEQ_CAP: usize = 8;
 
 /// Cap on the number of `(ip, domain)` pair-sequence *keys* a partial
 /// keeps: the lowest `PAIR_KEY_CAP` keys in `(ip_key, domain)` order.
@@ -38,7 +38,7 @@ pub const PAIR_SEQ_CAP: usize = 8;
 /// a key can never re-enter once capped out (every kept key is smaller),
 /// so per-PoP partials still merge to exactly the single-machine map —
 /// while a long-running ingest stays bounded.
-pub const PAIR_KEY_CAP: usize = 65536;
+pub(crate) const PAIR_KEY_CAP: usize = 65536;
 
 /// Ground-truth confusion counts (simulation-only luxury).
 #[derive(Debug, Clone, Copy, Default)]
@@ -102,7 +102,7 @@ pub struct Reservoir<T> {
 
 impl<T: Copy + Ord> Reservoir<T> {
     /// An empty reservoir.
-    pub fn new() -> Reservoir<T> {
+    pub(crate) fn new() -> Reservoir<T> {
         Reservoir {
             entries: Vec::new(),
         }
@@ -110,7 +110,7 @@ impl<T: Copy + Ord> Reservoir<T> {
 
     /// Offer one sample; kept only while it ranks inside the lowest
     /// `RESERVOIR_CAP` keys seen so far.
-    pub fn insert(&mut self, priority: u64, value: T) {
+    pub(crate) fn insert(&mut self, priority: u64, value: T) {
         let key = (priority, value);
         if self.entries.len() >= RESERVOIR_CAP {
             if let Some(last) = self.entries.last() {
@@ -125,29 +125,24 @@ impl<T: Copy + Ord> Reservoir<T> {
     }
 
     /// Fold another reservoir in; keep-lowest-k of the union.
-    pub fn merge(&mut self, other: &Reservoir<T>) {
+    pub(crate) fn merge(&mut self, other: &Reservoir<T>) {
         for &(p, v) in &other.entries {
             self.insert(p, v);
         }
     }
 
     /// Number of retained samples.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.entries.len()
     }
 
-    /// True when no samples are retained.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-
     /// Retained sample values, in canonical `(priority, value)` order.
-    pub fn values(&self) -> impl Iterator<Item = T> + '_ {
+    pub(crate) fn values(&self) -> impl Iterator<Item = T> + '_ {
         self.entries.iter().map(|e| e.1)
     }
 
     /// Retained `(priority, value)` entries, sorted ascending.
-    pub fn entries(&self) -> &[(u64, T)] {
+    pub(crate) fn entries(&self) -> &[(u64, T)] {
         &self.entries
     }
 
@@ -172,7 +167,7 @@ pub struct PairSeq {
 
 impl PairSeq {
     /// Offer one observation.
-    pub fn insert(&mut self, ts: u64, tie: u64, code: u8) {
+    pub(crate) fn insert(&mut self, ts: u64, tie: u64, code: u8) {
         let key = (ts, tie, code);
         if self.entries.len() >= PAIR_SEQ_CAP {
             if let Some(last) = self.entries.last() {
@@ -187,29 +182,24 @@ impl PairSeq {
     }
 
     /// Fold another sequence in.
-    pub fn merge(&mut self, other: &PairSeq) {
+    pub(crate) fn merge(&mut self, other: &PairSeq) {
         for &(ts, tie, code) in &other.entries {
             self.insert(ts, tie, code);
         }
     }
 
     /// Number of retained observations.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.entries.len()
     }
 
-    /// True when no observations are retained.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-
     /// Class codes in time order.
-    pub fn codes(&self) -> impl Iterator<Item = u8> + '_ {
+    pub(crate) fn codes(&self) -> impl Iterator<Item = u8> + '_ {
         self.entries.iter().map(|e| e.2)
     }
 
     /// Retained `(timestamp, tie, code)` entries, sorted ascending.
-    pub fn entries(&self) -> &[(u64, u64, u8)] {
+    pub(crate) fn entries(&self) -> &[(u64, u64, u8)] {
         &self.entries
     }
 
@@ -221,7 +211,7 @@ impl PairSeq {
 }
 
 /// Map a signature to its Fig 10 class code (Post-PSH only).
-pub fn postpsh_class_code(sig: Option<Signature>) -> Option<u8> {
+pub(crate) fn postpsh_class_code(sig: Option<Signature>) -> Option<u8> {
     use Signature::*;
     Some(match sig {
         None => 0,
@@ -241,7 +231,7 @@ pub fn postpsh_class_code(sig: Option<Signature>) -> Option<u8> {
 }
 
 /// Human label for a Fig 10 class code.
-pub fn class_code_label(code: u8) -> &'static str {
+pub(crate) fn class_code_label(code: u8) -> &'static str {
     match code {
         0 => "Not Tampering",
         1 => Signature::PshNone.label(),
@@ -270,7 +260,7 @@ fn stage_index(stage: Option<Stage>) -> usize {
 /// sequence number). Pure in the flow, so every PoP computes the same
 /// priority for the same flow regardless of arrival order — the property
 /// the mergeable reservoirs rest on.
-pub fn flow_priority(lf: &LabeledFlow) -> u64 {
+pub(crate) fn flow_priority(lf: &LabeledFlow) -> u64 {
     let mut h = ip_key(lf.flow.client_ip);
     h = splitmix64(h ^ (u64::from(lf.flow.src_port) << 16) ^ u64::from(lf.flow.dst_port));
     h = splitmix64(h ^ lf.meta.start_unix);
@@ -408,7 +398,7 @@ pub struct PartialAggregate {
 impl PartialAggregate {
     /// Create an empty aggregate for a world of `n_countries` over `days`,
     /// salted with a workload identity (0 for single-machine runs).
-    pub fn with_salt(
+    pub(crate) fn with_salt(
         cfg: ClassifierConfig,
         n_countries: usize,
         days: u32,
@@ -459,7 +449,7 @@ impl PartialAggregate {
     }
 
     /// Create an empty aggregate with salt 0 (single-machine runs).
-    pub fn new(
+    pub(crate) fn new(
         cfg: ClassifierConfig,
         n_countries: usize,
         days: u32,
@@ -469,7 +459,7 @@ impl PartialAggregate {
     }
 
     /// Number of countries this aggregate was sized for.
-    pub fn n_countries(&self) -> usize {
+    pub(crate) fn n_countries(&self) -> usize {
         self.n_countries
     }
 
@@ -479,7 +469,7 @@ impl PartialAggregate {
     }
 
     /// First hour bucket's unix timestamp.
-    pub fn start_unix(&self) -> u64 {
+    pub(crate) fn start_unix(&self) -> u64 {
         self.start_unix
     }
 
@@ -489,7 +479,7 @@ impl PartialAggregate {
     }
 
     /// Record a flow that was already classified.
-    pub fn record(&mut self, lf: &LabeledFlow, a: &FlowAnalysis) {
+    pub(crate) fn record(&mut self, lf: &LabeledFlow, a: &FlowAnalysis) {
         let c = lf.meta.country as usize;
         debug_assert!(c < self.n_countries);
         self.total += 1;

@@ -31,9 +31,9 @@ use crate::agg::{
 };
 
 /// File magic: "TAGG".
-pub const AGG_MAGIC: [u8; 4] = *b"TAGG";
+pub(crate) const AGG_MAGIC: [u8; 4] = *b"TAGG";
 /// Current format version.
-pub const AGG_FORMAT_VERSION: u16 = 1;
+pub(crate) const AGG_FORMAT_VERSION: u16 = 1;
 
 /// Named decode/merge failures; each maps to CLI exit 2 with a message.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

@@ -2,14 +2,14 @@
 
 /// A simple aligned text table.
 #[derive(Debug, Default)]
-pub struct Table {
+pub(crate) struct Table {
     header: Vec<String>,
     rows: Vec<Vec<String>>,
 }
 
 impl Table {
     /// Start a table with the given column headers.
-    pub fn new<I: IntoIterator<Item = S>, S: Into<String>>(header: I) -> Table {
+    pub(crate) fn new<I: IntoIterator<Item = S>, S: Into<String>>(header: I) -> Table {
         Table {
             header: header.into_iter().map(Into::into).collect(),
             rows: Vec::new(),
@@ -17,25 +17,15 @@ impl Table {
     }
 
     /// Append a row (padded/truncated to the header width).
-    pub fn row<I: IntoIterator<Item = S>, S: Into<String>>(&mut self, cells: I) {
+    pub(crate) fn row<I: IntoIterator<Item = S>, S: Into<String>>(&mut self, cells: I) {
         let mut row: Vec<String> = cells.into_iter().map(Into::into).collect();
         row.resize(self.header.len(), String::new());
         self.rows.push(row);
     }
 
-    /// Number of data rows.
-    pub fn len(&self) -> usize {
-        self.rows.len()
-    }
-
-    /// True when no rows have been added.
-    pub fn is_empty(&self) -> bool {
-        self.rows.is_empty()
-    }
-
     /// Render with column alignment (display-width aware enough for the
     /// signature glyphs used in labels).
-    pub fn render(&self) -> String {
+    pub(crate) fn render(&self) -> String {
         let ncols = self.header.len();
         let width = |s: &str| s.chars().count();
         let mut widths: Vec<usize> = self.header.iter().map(|h| width(h)).collect();
@@ -103,8 +93,6 @@ mod tests {
         assert!(lines[0].starts_with("name"));
         assert!(lines[1].starts_with("---"));
         assert!(lines[3].starts_with("longer-name"));
-        assert_eq!(t.len(), 2);
-        assert!(!t.is_empty());
     }
 
     #[test]

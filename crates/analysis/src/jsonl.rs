@@ -13,7 +13,8 @@ use tamper_capture::FlowRecord;
 use tamper_core::{AppProtocol, Classification, FlowAnalysis};
 
 /// Escape a string per RFC 8259.
-pub fn escape_json(s: &str) -> String {
+#[cfg(test)]
+fn escape_json(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
     escape_into(&mut out, s);
     out
@@ -72,7 +73,7 @@ impl Default for JsonObject {
 impl<S: BorrowMut<String>> JsonObject<S> {
     /// Start an empty object at the end of `out` (a `String` or a
     /// `&mut String`), leaving what is already there untouched.
-    pub fn append_to(mut out: S) -> JsonObject<S> {
+    pub(crate) fn append_to(mut out: S) -> JsonObject<S> {
         out.borrow_mut().push('{');
         let body = out.borrow().len();
         JsonObject { out, body }
@@ -106,7 +107,7 @@ impl<S: BorrowMut<String>> JsonObject<S> {
     }
 
     /// Add an optional string field (`null` when absent).
-    pub fn opt_str(self, key: &str, value: Option<&str>) -> JsonObject<S> {
+    pub(crate) fn opt_str(self, key: &str, value: Option<&str>) -> JsonObject<S> {
         match value {
             Some(v) => self.str(key, v),
             None => self.null(key),
@@ -114,7 +115,7 @@ impl<S: BorrowMut<String>> JsonObject<S> {
     }
 
     /// Add an IP address as a string field (its text needs no escaping).
-    pub fn ip(mut self, key: &str, value: IpAddr) -> JsonObject<S> {
+    pub(crate) fn ip(mut self, key: &str, value: IpAddr) -> JsonObject<S> {
         let _ = write!(self.key(key), "\"{value}\"");
         self
     }
@@ -140,17 +141,17 @@ impl<S: BorrowMut<String>> JsonObject<S> {
     }
 
     /// Add a boolean field.
-    pub fn bool(self, key: &str, value: bool) -> JsonObject<S> {
+    pub(crate) fn bool(self, key: &str, value: bool) -> JsonObject<S> {
         self.bare(key, value)
     }
 
     /// Add a pre-serialized JSON value verbatim (nested objects/arrays).
-    pub fn raw(self, key: &str, value: &str) -> JsonObject<S> {
+    pub(crate) fn raw(self, key: &str, value: &str) -> JsonObject<S> {
         self.bare(key, value)
     }
 
     /// Add an explicit null.
-    pub fn null(self, key: &str) -> JsonObject<S> {
+    pub(crate) fn null(self, key: &str) -> JsonObject<S> {
         self.bare(key, "null")
     }
 

@@ -1,4 +1,5 @@
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
 //! # tamper-analysis
 //!
@@ -14,32 +15,26 @@
 //! N per-PoP partials merged in any order reproduce the single-machine
 //! report byte-for-byte.
 
-pub mod agg;
-pub mod aggfile;
-pub mod capture;
-pub mod collector;
-pub mod fmt;
-pub mod jsonl;
-pub mod metrics;
-pub mod paper;
+mod agg;
+mod aggfile;
+mod capture;
+mod collector;
+mod fmt;
+mod jsonl;
+mod metrics;
+mod paper;
 pub mod report;
-pub mod stats;
-pub mod view;
+mod stats;
+mod view;
 
-pub use agg::{
-    class_code_label, config_fingerprint, flow_priority, postpsh_class_code, DomainCell, PairSeq,
-    PartialAggregate, Reservoir, TruthStats, CLASS_NOT_TAMPERED, CLASS_OTHER, N_CLASSES,
-    PAIR_SEQ_CAP, RESERVOIR_CAP,
-};
+pub use agg::{config_fingerprint, PartialAggregate};
 pub use aggfile::{decode as decode_agg, encode as encode_agg, merge_checked, AggError};
 pub use capture::{
     capture_collector, capture_summary_to_json, engine_perf_to_json, label_capture_flow,
 };
 pub use collector::Collector;
-pub use fmt::{pct, pct_f, Table};
-pub use jsonl::{escape_json, flow_to_jsonl, flow_to_jsonl_into, summary_to_json, JsonObject};
+pub use fmt::{pct, pct_f};
+pub use jsonl::{flow_to_jsonl, flow_to_jsonl_into, summary_to_json, JsonObject};
 pub use metrics::{metrics_to_json, write_metrics_json};
-pub use paper::{comparison_table, comparisons, Comparison};
-pub use stats::{slope_through_origin, Cdf};
-pub use tamper_worldgen::TestList;
-pub use view::ReportView;
+pub use paper::comparison_table;
+pub use stats::slope_through_origin;

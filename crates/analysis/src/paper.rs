@@ -6,54 +6,30 @@
 //! (SIGCOMM 2023), §4–§5.
 
 /// §4.1: share of all connections that are possibly tampered.
-pub const POSSIBLY_TAMPERED: f64 = 0.257;
+pub(crate) const POSSIBLY_TAMPERED: f64 = 0.257;
 
 /// §4.1: stage shares of possibly-tampered connections
 /// (Post-SYN, Post-ACK, Post-PSH, Post-Data, other).
-pub const STAGE_SHARES: [f64; 5] = [0.432, 0.161, 0.053, 0.330, 0.023];
+pub(crate) const STAGE_SHARES: [f64; 5] = [0.432, 0.161, 0.053, 0.330, 0.023];
 
 /// §4.1: signature coverage within each stage.
-pub const STAGE_COVERAGE: [f64; 4] = [0.995, 0.987, 0.979, 0.692];
+pub(crate) const STAGE_COVERAGE: [f64; 4] = [0.995, 0.987, 0.979, 0.692];
 
 /// §4.1: overall coverage of the 19 signatures.
-pub const TOTAL_COVERAGE: f64 = 0.869;
-
-/// §5.1: Turkmenistan's share of connections matching any signature.
-pub const TM_MATCH_RATE: f64 = 0.84;
-
-/// §5.1: share of TM's tampered connections that are `⟨SYN; ACK → RST⟩`.
-pub const TM_ACK_RST_SHARE: f64 = 0.664;
-
-/// §5.1: Peru's match rate.
-pub const PE_MATCH_RATE: f64 = 0.539;
-
-/// §5.1: Mexico's match rate.
-pub const MX_MATCH_RATE: f64 = 0.301;
-
-/// §5.3: IPv4-vs-IPv6 regression slope (Figure 7a).
-pub const V4_V6_SLOPE: f64 = 0.92;
-
-/// §5.3: TLS-vs-HTTP regression slope (Figure 7b).
-pub const TLS_HTTP_SLOPE: f64 = 0.3;
-
-/// §4.2: share of `⟨SYN → RST⟩` matches attributable to ZMap.
-pub const ZMAP_SHARE_OF_SYN_RST: f64 = 0.01;
-
-/// §4.1: share of port-80 SYNs carrying an HTTP payload (2023-01-17).
-pub const PORT80_SYN_PAYLOAD: f64 = 0.38;
+pub(crate) const TOTAL_COVERAGE: f64 = 0.869;
 
 /// §4.1: share of those payloads going to the top four domains.
-pub const SYN_PAYLOAD_TOP4: f64 = 0.93;
+pub(crate) const SYN_PAYLOAD_TOP4: f64 = 0.93;
 
 /// §4.3: share of connections with min consecutive |ΔIP-ID| ≤ 1.
-pub const IPID_MIN_LE1: f64 = 0.934;
+pub(crate) const IPID_MIN_LE1: f64 = 0.934;
 
 /// §4.3: share of connections with min consecutive |ΔIP-ID| > 100.
-pub const IPID_MIN_GT100: f64 = 0.042;
+pub(crate) const IPID_MIN_GT100: f64 = 0.042;
 
 /// One paper-vs-measured comparison row.
 #[derive(Debug, Clone)]
-pub struct Comparison {
+pub(crate) struct Comparison {
     /// What is being compared.
     pub statistic: &'static str,
     /// The paper's value.
@@ -64,13 +40,13 @@ pub struct Comparison {
 
 impl Comparison {
     /// Ratio of measured to paper value (NaN when paper value is 0).
-    pub fn ratio(&self) -> f64 {
+    pub(crate) fn ratio(&self) -> f64 {
         self.measured / self.paper
     }
 }
 
 /// Compute the headline paper-vs-measured comparisons from a collector.
-pub fn comparisons(col: &crate::Collector) -> Vec<Comparison> {
+pub(crate) fn comparisons(col: &crate::Collector) -> Vec<Comparison> {
     let pt = col.possibly_tampered as f64 / col.total.max(1) as f64;
     let mut rows = vec![Comparison {
         statistic: "possibly tampered share",
@@ -136,7 +112,7 @@ pub fn comparisons(col: &crate::Collector) -> Vec<Comparison> {
 
 /// Render the comparison table.
 pub fn comparison_table(col: &crate::Collector) -> String {
-    let mut t = crate::Table::new(["Statistic", "Paper", "Measured", "Ratio"]);
+    let mut t = crate::fmt::Table::new(["Statistic", "Paper", "Measured", "Ratio"]);
     for c in comparisons(col) {
         t.row([
             c.statistic.to_owned(),

@@ -11,13 +11,13 @@ use crate::stats::{slope_through_origin, Cdf};
 use crate::view::ReportView;
 use std::collections::{BTreeMap, BTreeSet};
 use tamper_core::{Signature, Stage};
-use tamper_worldgen::{country_index, Category, TestLists, WorldSim};
+use tamper_worldgen::{country_index, Category, TestList, TestLists, WorldSim};
 
 /// Regions highlighted in the paper's Tables 2 and 3.
-pub const FOCUS_REGIONS: [&str; 9] = ["CN", "IN", "IR", "KR", "MX", "PE", "RU", "US", "GB"];
+pub(crate) const FOCUS_REGIONS: [&str; 9] = ["CN", "IN", "IR", "KR", "MX", "PE", "RU", "US", "GB"];
 
 /// Countries in Figure 6's longitudinal comparison.
-pub const FIG6_COUNTRIES: [&str; 7] = ["CN", "DE", "GB", "IN", "IR", "RU", "US"];
+pub(crate) const FIG6_COUNTRIES: [&str; 7] = ["CN", "DE", "GB", "IN", "IR", "RU", "US"];
 
 // ---------------------------------------------------------------------------
 // Table 1 + §4.1 headline statistics
@@ -317,7 +317,7 @@ pub fn fig5(col: &ReportView, sim: &WorldSim, min_flows: u64) -> String {
 /// Figure 6: hourly percentage of connections matching Post-ACK/Post-PSH
 /// signatures for the selected countries (TSV: hour, then one column per
 /// country).
-pub fn fig6(col: &ReportView, sim: &WorldSim, codes: &[&str]) -> String {
+pub(crate) fn fig6(col: &ReportView, sim: &WorldSim, codes: &[&str]) -> String {
     let world = sim.world();
     let indices: Vec<usize> = codes
         .iter()
@@ -368,7 +368,7 @@ pub fn diurnal_contrast(col: &ReportView, sim: &WorldSim, code: &str) -> Option<
 
 /// Figure 9 (Appendix A): hourly percentage of connections matching each
 /// signature, globally (TSV).
-pub fn fig9(col: &ReportView) -> String {
+pub(crate) fn fig9(col: &ReportView) -> String {
     let mut out = String::from("Figure 9 — hourly match % per signature (global)\nhour");
     for sig in Signature::ALL {
         out.push_str(&format!("\t{}", sig.label()));
@@ -410,7 +410,7 @@ pub fn fig8(col: &ReportView) -> String {
 
 /// Figure 7(a): per-country Post-ACK/Post-PSH match % on IPv4 vs IPv6,
 /// with the through-origin regression slope.
-pub fn fig7a(col: &ReportView, sim: &WorldSim, min_flows: u64) -> String {
+pub(crate) fn fig7a(col: &ReportView, sim: &WorldSim, min_flows: u64) -> String {
     let world = sim.world();
     let mut points: Vec<(f64, f64)> = Vec::new();
     let mut t = Table::new(["Country", "IPv4 %", "IPv6 %"]);
@@ -436,7 +436,7 @@ pub fn fig7a(col: &ReportView, sim: &WorldSim, min_flows: u64) -> String {
 }
 
 /// Figure 7(b): per-country Post-PSH match % on TLS vs HTTP, with slope.
-pub fn fig7b(col: &ReportView, sim: &WorldSim, min_flows: u64) -> String {
+pub(crate) fn fig7b(col: &ReportView, sim: &WorldSim, min_flows: u64) -> String {
     let world = sim.world();
     let mut points: Vec<(f64, f64)> = Vec::new();
     let mut t = Table::new(["Country", "TLS %", "HTTP %"]);
@@ -593,7 +593,12 @@ fn observed_tampered_domains(
 
 /// Table 3: coverage of each test list over the passively observed
 /// tampered domains, per region, in exact (eTLD+1) and substring modes.
-pub fn table3(col: &ReportView, sim: &WorldSim, lists: &TestLists, threshold: u32) -> String {
+pub(crate) fn table3(
+    col: &ReportView,
+    sim: &WorldSim,
+    lists: &TestLists,
+    threshold: u32,
+) -> String {
     let world = sim.world();
     let mut regions: Vec<(String, Option<u16>)> = vec![("Global".to_owned(), None)];
     for code in ["CN", "IN", "IR", "KR", "MX", "PE", "RU", "US"] {
@@ -621,7 +626,7 @@ pub fn table3(col: &ReportView, sim: &WorldSim, lists: &TestLists, threshold: u3
     };
 
     for list in &lists.fixed {
-        let mut row = vec![list.name.clone(), list.len().to_string()];
+        let mut row = vec![list.name.clone(), list.entries.len().to_string()];
         for obs in &observed {
             row.push(coverage(&|d| list.contains(d), obs));
         }
@@ -643,7 +648,7 @@ pub fn table3(col: &ReportView, sim: &WorldSim, lists: &TestLists, threshold: u3
     }
     // Unions.
     let union_pred = |names: &[&str]| {
-        let members: Vec<&crate::TestList> = lists
+        let members: Vec<&TestList> = lists
             .fixed
             .iter()
             .filter(|l| names.contains(&l.name.as_str()))
@@ -673,7 +678,7 @@ pub fn table3(col: &ReportView, sim: &WorldSim, lists: &TestLists, threshold: u3
     }
     // Substring best-case rows.
     {
-        let members: Vec<&crate::TestList> = lists
+        let members: Vec<&TestList> = lists
             .fixed
             .iter()
             .filter(|l| l.name.starts_with("Citizenlab") || l.name.starts_with("Greatfire"))
@@ -755,7 +760,7 @@ pub fn fig10(col: &ReportView) -> String {
 // ---------------------------------------------------------------------------
 
 /// The §4.1–§4.3 validation numbers plus simulation-only ground truth.
-pub fn validation(col: &ReportView) -> String {
+pub(crate) fn validation(col: &ReportView) -> String {
     let mut out = String::from("Validation (paper §4.1–4.3)\n\n");
     out.push_str(&format!(
         "V1 scanners: {} of ⟨SYN → RST⟩ matches carry the ZMap fingerprint (IP-ID 54321, no options)\n",
@@ -832,7 +837,7 @@ pub fn full_report(col: &ReportView, sim: &WorldSim, lists: &TestLists) -> Strin
 /// The anatomy of the benign population (§4.2, simulation-only): for each
 /// benign client behaviour, where its flows land in the classification —
 /// which signature absorbs it, or whether it stays unmatched/clean.
-pub fn benign_attribution(col: &ReportView) -> String {
+pub(crate) fn benign_attribution(col: &ReportView) -> String {
     let mut t = Table::new([
         "Benign behaviour",
         "n",

@@ -26,7 +26,7 @@ pub struct ReportView<'a> {
 
 impl<'a> ReportView<'a> {
     /// Materialize the sample vectors for one aggregate.
-    pub fn new(agg: &'a PartialAggregate) -> ReportView<'a> {
+    pub(crate) fn new(agg: &'a PartialAggregate) -> ReportView<'a> {
         ReportView {
             agg,
             ipid_samples: agg.ipid_res.iter().map(|r| r.values().collect()).collect(),

@@ -95,7 +95,7 @@ impl EngineConfig {
     }
 
     /// Per-shard live-flow cap (0 = unbounded).
-    pub fn per_shard_cap(&self) -> usize {
+    pub(crate) fn per_shard_cap(&self) -> usize {
         if self.max_flows == 0 {
             0
         } else {
@@ -457,8 +457,8 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::offline::EvictionCause;
     use crate::pcap::PcapWriter;
+    use crate::record::EvictionCause;
     use crate::record::{FlowBatch, FlowRecord};
     use crate::source::{PcapMemSource, SimSource};
     use bytes::Bytes;

@@ -1,4 +1,5 @@
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
 //! # tamper-capture
 //!
@@ -8,23 +9,18 @@
 //! quantization, and out-of-order logging — plus a classic libpcap
 //! writer/reader so captures interoperate with standard tooling.
 
-pub mod engine;
-pub mod offline;
-pub mod pcap;
-pub mod pipeline;
-pub mod record;
-pub mod sampler;
-pub mod source;
+mod engine;
+mod offline;
+mod pcap;
+mod pipeline;
+mod record;
+mod sampler;
+mod source;
 
 pub use engine::{run_source, EngineConfig, EngineStats};
-pub use offline::{
-    flows_from_pcap, ColumnarFlowTable, EvictionCause, FlowKeyHasher, IngestStats, OfflineConfig,
-};
+pub use offline::{flows_from_pcap, ColumnarFlowTable, IngestStats, OfflineConfig};
 pub use pcap::{PcapError, PcapWriter};
 pub use pipeline::{collect, CollectorConfig};
-pub use record::{FlowBatch, FlowRecord, FlowRows, FlowSpan, FlowTuple, PacketRecord, PacketRow};
+pub use record::{EvictionCause, FlowBatch, FlowRecord, FlowRows, PacketRecord};
 pub use sampler::Sampler;
-pub use source::{
-    FlowSource, PcapBatchShard, PcapMemItem, PcapMemSource, ShardStats, SimShard, SimSource,
-    SourceShard, DEFAULT_BATCH_FLOWS,
-};
+pub use source::{FlowSource, PcapMemItem, PcapMemSource, SimSource, DEFAULT_BATCH_FLOWS};

@@ -15,7 +15,7 @@ use std::hash::{BuildHasherDefault, Hasher};
 use std::net::IpAddr;
 use tamper_wire::PacketView;
 
-pub use crate::record::EvictionCause;
+use crate::record::EvictionCause;
 
 impl std::hash::Hash for FlowTuple {
     /// Packed writes instead of the derived per-field walk: the derived
@@ -76,7 +76,7 @@ impl Default for OfflineConfig {
 /// buys nothing here — but its ~2× lookup cost was visible on the ingest
 /// profile.
 #[derive(Default)]
-pub struct FlowKeyHasher {
+pub(crate) struct FlowKeyHasher {
     state: u64,
 }
 
@@ -263,7 +263,7 @@ impl ColumnarFlowTable {
     }
 
     /// Live flows currently held.
-    pub fn live(&self) -> usize {
+    pub(crate) fn live(&self) -> usize {
         self.flows.len()
     }
 
@@ -696,12 +696,10 @@ mod tests {
     }
 
     #[test]
-    fn eviction_cost_is_flat_in_the_cap() {
+    fn cap_pressure_holds_exactly_the_cap() {
         // One-packet flows from 60k distinct tuples, every one past the cap
-        // shedding the oldest. Both runs share a process and a host, so
-        // their ratio is the algorithm's: a scan per shed flow costs 32x
-        // more at 32 Ki than at 1 Ki, a pop off the ordered index about
-        // the same (the slack is the larger table's cache misses).
+        // shedding the oldest. That shedding stays O(log live) is gated end
+        // to end by the benchmark's `pcap-flood` wall time, not here.
         let frames: Vec<Vec<u8>> = (0..60_000u32)
             .map(|i| {
                 let src = IpAddr::V4(Ipv4Addr::from(0x0a00_0000 + i));
@@ -716,24 +714,15 @@ mod tests {
             let mut table = ColumnarFlowTable::new(OfflineConfig::default(), cap);
             let mut stats = IngestStats::default();
             let mut batch = FlowBatch::new();
-            let sw = std::time::Instant::now();
             for (index, pv) in views.iter().enumerate() {
                 let ts = 100 + index as u64 / 20_000;
                 table.absorb(index as u64, ts, ts, pv, &mut stats, &mut batch);
             }
-            let elapsed = sw.elapsed();
             assert_eq!(table.live(), cap);
             assert_eq!(batch.flow_count(), frames.len() - cap);
-            elapsed
         };
-        // Best of two each: the first also warms the allocator, and a
-        // neighbour test stealing the core must hit both runs of one cap.
-        let best = |cap: usize| flood(cap).min(flood(cap));
-        let (small, large) = (best(1 << 10), best(1 << 15));
-        assert!(
-            large < small * 4,
-            "cap 1 Ki took {small:?}, cap 32 Ki took {large:?}"
-        );
+        flood(1 << 10);
+        flood(1 << 15);
     }
 
     #[test]

@@ -16,7 +16,7 @@ const LINKTYPE_RAW: u32 = 101;
 /// Snapshot length written to our own headers, and the hard upper bound we
 /// accept for any record's `incl_len` when reading. A corrupt length field
 /// must never translate into a multi-gigabyte allocation.
-pub const SNAPLEN: u32 = 65_535;
+pub(crate) const SNAPLEN: u32 = 65_535;
 /// Bytes in the global header; the first record starts here.
 pub(crate) const GLOBAL_HEADER_LEN: usize = 24;
 /// Bytes in each record header: ts_sec, ts_usec, incl_len, orig_len.

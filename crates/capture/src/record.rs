@@ -45,7 +45,7 @@ pub struct PacketRecord {
 
 impl PacketRecord {
     /// Build a record from a received packet and its quantized timestamp.
-    pub fn from_packet(ts_sec: u64, pkt: &Packet) -> PacketRecord {
+    pub(crate) fn from_packet(ts_sec: u64, pkt: &Packet) -> PacketRecord {
         PacketRecord {
             ts_sec,
             flags: pkt.tcp.flags,
@@ -210,7 +210,7 @@ impl FlowBatch {
     /// `payload_off` relative to `payload`, rebased onto this batch's
     /// arena.
     #[allow(clippy::too_many_arguments)]
-    pub fn push_rows(
+    pub(crate) fn push_rows(
         &mut self,
         tuple: FlowTuple,
         rows: &[PacketRow],

@@ -55,11 +55,6 @@ impl Sampler {
         h = splitmix64(h ^ (u64::from(src_port) << 32) ^ conn_seq);
         h.is_multiple_of(self.denominator)
     }
-
-    /// The configured denominator.
-    pub fn denominator(&self) -> u64 {
-        self.denominator
-    }
 }
 
 #[cfg(test)]

@@ -29,10 +29,11 @@
 //! order.
 
 use crate::engine::EngineConfig;
-use crate::offline::{ColumnarFlowTable, EvictionCause, IngestStats};
+use crate::offline::{ColumnarFlowTable, IngestStats};
 use crate::pcap::{
     check_global_header, le_u32, PcapError, GLOBAL_HEADER_LEN, RECORD_HEADER_LEN, SNAPLEN,
 };
+use crate::record::EvictionCause;
 use crate::record::FlowBatch;
 use bytes::Bytes;
 use std::collections::VecDeque;

@@ -9,10 +9,10 @@
 use tamper_capture::FlowRecord;
 
 /// The ZMap scanner's famous fixed IP-ID.
-pub const ZMAP_IP_ID: u16 = 54321;
+pub(crate) const ZMAP_IP_ID: u16 = 54321;
 /// TTLs at or above this are "high" per the scanner heuristics of
 /// Hiesgen et al. (paper §4.2).
-pub const HIGH_TTL: u8 = 200;
+pub(crate) const HIGH_TTL: u8 = 200;
 
 /// The §4.2–4.3 header-continuity statistics of one flow, over its
 /// packets in reconstructed order. The classifier computes them in the
@@ -41,7 +41,7 @@ pub struct FlowEvidence {
 
 impl FlowEvidence {
     /// Nothing to measure: the evidence of a flow with no packets.
-    pub const NONE: FlowEvidence = FlowEvidence {
+    pub(crate) const NONE: FlowEvidence = FlowEvidence {
         max_rst_ipid: None,
         min_consecutive_ipid: None,
         max_consecutive_ipid: None,

@@ -1,4 +1,5 @@
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
 //! # tamper-core
 //!
@@ -20,24 +21,21 @@
 //! touches simulation ground truth, which lives only in `tamper-netsim`
 //! traces and is used by tests to measure precision/recall.
 
-pub mod batch;
-pub mod classify;
-pub mod evidence;
-pub mod explain;
-pub mod machine;
-pub mod reorder;
-pub mod signature;
-pub mod trigger;
-pub mod view;
+mod batch;
+mod classify;
+mod evidence;
+mod explain;
+mod machine;
+mod reorder;
+mod signature;
+mod trigger;
+mod view;
 
 pub use batch::BatchClassifier;
 pub use classify::{classify, ClassifierConfig, FlowAnalysis};
-pub use evidence::{
-    is_zmap_fingerprint, scanner_marks, FlowEvidence, ScannerMarks, HIGH_TTL, ZMAP_IP_ID,
-};
+pub use evidence::{is_zmap_fingerprint, scanner_marks};
 pub use explain::explain;
 pub use machine::{reachable_graph, stage_of, transition, Count, Event, StageState};
 pub use reorder::reconstruct_order;
 pub use signature::{Classification, Signature, Stage};
-pub use trigger::{user_agent, AppProtocol, TriggerInfo};
-pub use view::PacketsView;
+pub use trigger::{user_agent, AppProtocol};

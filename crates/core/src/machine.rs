@@ -38,7 +38,7 @@ impl Count {
     }
 
     /// Compact label for fixtures and diagnostics.
-    pub const fn label(self) -> &'static str {
+    pub(crate) const fn label(self) -> &'static str {
         match self {
             Count::Zero => "0",
             Count::One => "1",
@@ -98,7 +98,11 @@ impl Event {
 /// [`Event`], deduplicating data segments by sequence number through
 /// `seen_data_seqs` (caller-owned scratch so the classifier can reuse its
 /// allocation).
-pub fn event_of<V: PacketsView + ?Sized>(v: &V, i: usize, seen_data_seqs: &mut Vec<u32>) -> Event {
+pub(crate) fn event_of<V: PacketsView + ?Sized>(
+    v: &V,
+    i: usize,
+    seen_data_seqs: &mut Vec<u32>,
+) -> Event {
     let f = v.flags(i);
     if f.has_syn() {
         Event::Syn

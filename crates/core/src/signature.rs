@@ -21,14 +21,6 @@ pub enum Stage {
 }
 
 impl Stage {
-    /// All stages in presentation order.
-    pub const ALL: [Stage; 4] = [
-        Stage::PostSyn,
-        Stage::PostAck,
-        Stage::PostPsh,
-        Stage::PostData,
-    ];
-
     /// Human-readable stage name as used in the paper.
     pub fn label(self) -> &'static str {
         match self {
@@ -199,12 +191,6 @@ impl Signature {
             DataRstAck => "—",
         }
     }
-
-    /// True if the paper presents this signature as novel (no prior work
-    /// recorded the exact pattern or phenomenon).
-    pub fn is_novel(self) -> bool {
-        self.prior_work() == "—"
-    }
 }
 
 impl fmt::Display for Signature {
@@ -228,12 +214,12 @@ pub enum Classification {
 
 impl Classification {
     /// True if the flow counted as possibly tampered (signature or not).
-    pub fn is_possibly_tampered(self) -> bool {
+    pub(crate) fn is_possibly_tampered(self) -> bool {
         !matches!(self, Classification::NotTampered)
     }
 
     /// The matched signature, if any.
-    pub fn signature(self) -> Option<Signature> {
+    pub(crate) fn signature(self) -> Option<Signature> {
         match self {
             Classification::Tampered(s) => Some(s),
             _ => None,
@@ -282,7 +268,7 @@ mod tests {
         let novel: Vec<Signature> = Signature::ALL
             .iter()
             .copied()
-            .filter(|s| s.is_novel())
+            .filter(|s| s.prior_work() == "—")
             .collect();
         assert_eq!(
             novel,

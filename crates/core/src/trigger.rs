@@ -32,7 +32,7 @@ pub struct TriggerInfo {
 /// Extract trigger information from a flow's packets (any storage
 /// layout): inspect the first data payload, fall back to the destination
 /// port.
-pub fn extract<V: PacketsView + ?Sized>(dst_port: u16, v: &V) -> TriggerInfo {
+pub(crate) fn extract<V: PacketsView + ?Sized>(dst_port: u16, v: &V) -> TriggerInfo {
     // First data-bearing packet (including data riding a SYN).
     let first_data = (0..v.len())
         .find(|&i| v.has_payload(i))

@@ -27,11 +27,6 @@ pub trait PacketsView {
     /// Number of packets in the flow.
     fn len(&self) -> usize;
 
-    /// True if the flow logged no packets.
-    fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
     /// Capture timestamp (seconds) of packet `i`.
     fn ts_sec(&self, i: usize) -> u64;
 

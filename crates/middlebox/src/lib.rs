@@ -1,4 +1,5 @@
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
 //! # tamper-middlebox
 //!
@@ -15,16 +16,14 @@
 //! network-stack quirks (IP-ID and TTL initialization) that the paper's
 //! §4.3 evidence detects.
 
-pub mod rules;
-pub mod spec;
-pub mod stealth;
-pub mod tamperbox;
-pub mod vendors;
+mod rules;
+mod spec;
+mod stealth;
+mod tamperbox;
+mod vendors;
 
-pub use rules::{MatchReason, RuleSet};
-pub use spec::{
-    AckStrategy, InjectorStack, RstKind, RstSpec, TamperAction, TriggerStages, TtlMode,
-};
+pub use rules::RuleSet;
+pub use spec::InjectorStack;
 pub use stealth::StealthHijacker;
 pub use tamperbox::{ForcedStage, TamperingMiddlebox};
 pub use vendors::{Vendor, ALL_VENDORS};

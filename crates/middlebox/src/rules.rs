@@ -12,7 +12,7 @@ use tamper_wire::{http, tls, Packet};
 
 /// What part of the packet matched.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum MatchReason {
+pub(crate) enum MatchReason {
     /// Destination IP is on the block list (SYN-stage trigger).
     BlockedIp(IpAddr),
     /// The middlebox blocks every connection it can see (blanket ban).
@@ -68,7 +68,7 @@ impl RuleSet {
     }
 
     /// Evaluate a SYN packet (stage: connection open).
-    pub fn match_syn(&self, pkt: &Packet) -> Option<MatchReason> {
+    pub(crate) fn match_syn(&self, pkt: &Packet) -> Option<MatchReason> {
         if self.blanket_ban {
             return Some(MatchReason::BlanketBan);
         }
@@ -81,7 +81,7 @@ impl RuleSet {
 
     /// Extract the domain a DPI box would see in a first data packet:
     /// the TLS SNI or the HTTP Host header.
-    pub fn extract_domain(payload: &[u8]) -> Option<String> {
+    pub(crate) fn extract_domain(payload: &[u8]) -> Option<String> {
         if tls::is_client_hello(payload) {
             // DPI boxes drop unparsable ClientHellos silently; mirroring that is the point
             return tls::parse_sni(payload).ok().flatten();
@@ -91,7 +91,7 @@ impl RuleSet {
     }
 
     /// Evaluate a first data packet (stage: request visible).
-    pub fn match_first_data(&self, payload: &[u8]) -> Option<MatchReason> {
+    pub(crate) fn match_first_data(&self, payload: &[u8]) -> Option<MatchReason> {
         if self.blanket_ban {
             return Some(MatchReason::BlanketBan);
         }
@@ -113,22 +113,13 @@ impl RuleSet {
     }
 
     /// Evaluate any cleartext payload for keyword rules.
-    pub fn match_keywords(&self, payload: &[u8]) -> Option<MatchReason> {
+    pub(crate) fn match_keywords(&self, payload: &[u8]) -> Option<MatchReason> {
         for kw in &self.keywords {
             if http::contains_keyword(payload, kw) {
                 return Some(MatchReason::Keyword(kw.clone()));
             }
         }
         None
-    }
-
-    /// True if the rule set can never fire.
-    pub fn is_empty(&self) -> bool {
-        !self.blanket_ban
-            && self.blocked_ips.is_empty()
-            && self.blocked_domains.is_empty()
-            && self.domain_substrings.is_empty()
-            && self.keywords.is_empty()
     }
 }
 
@@ -217,12 +208,5 @@ mod tests {
     fn no_domain_no_match() {
         let rules = RuleSet::domains(["a.example"]);
         assert_eq!(rules.match_first_data(b"\x00\x01binary"), None);
-    }
-
-    #[test]
-    fn empty_detection() {
-        assert!(RuleSet::default().is_empty());
-        assert!(!RuleSet::blanket().is_empty());
-        assert!(!RuleSet::domains(["x"]).is_empty());
     }
 }

@@ -7,7 +7,7 @@ use tamper_netsim::{IpIdMode, SimDuration};
 
 /// RST flavour.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum RstKind {
+pub(crate) enum RstKind {
     /// Bare RST.
     Rst,
     /// RST+ACK.
@@ -16,7 +16,7 @@ pub enum RstKind {
 
 /// How the injector fills the acknowledgement number of a forged RST.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum AckStrategy {
+pub(crate) enum AckStrategy {
     /// Use the best current estimate of the peer's next sequence number.
     Exact,
     /// Hard zero — produces the paper's novel `RST;RST₀` signature.
@@ -25,13 +25,11 @@ pub enum AckStrategy {
     /// that fire several RSTs at successive window positions, producing
     /// `RST ≠ RST`.
     Offset(u32),
-    /// A fresh random value per packet.
-    Random,
 }
 
 /// One forged tear-down packet.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RstSpec {
+pub(crate) struct RstSpec {
     /// RST or RST+ACK.
     pub kind: RstKind,
     /// Acknowledgement strategy (ignored for bare RSTs, which carry no
@@ -41,7 +39,7 @@ pub struct RstSpec {
 
 impl RstSpec {
     /// A bare RST with an exact-sequence guess.
-    pub const fn rst() -> RstSpec {
+    pub(crate) const fn rst() -> RstSpec {
         RstSpec {
             kind: RstKind::Rst,
             ack: AckStrategy::Exact,
@@ -49,7 +47,7 @@ impl RstSpec {
     }
 
     /// An exact RST+ACK.
-    pub const fn rst_ack() -> RstSpec {
+    pub(crate) const fn rst_ack() -> RstSpec {
         RstSpec {
             kind: RstKind::RstAck,
             ack: AckStrategy::Exact,
@@ -121,26 +119,27 @@ pub struct TriggerStages {
 
 impl TriggerStages {
     /// Only the first data packet.
-    pub const FIRST_DATA: TriggerStages = TriggerStages {
+    pub(crate) const FIRST_DATA: TriggerStages = TriggerStages {
         on_syn: false,
         on_first_data: true,
         on_later_data: false,
     };
     /// Only SYNs.
-    pub const SYN: TriggerStages = TriggerStages {
+    pub(crate) const SYN: TriggerStages = TriggerStages {
         on_syn: true,
         on_first_data: false,
         on_later_data: false,
     };
     /// Any data packet.
-    pub const ANY_DATA: TriggerStages = TriggerStages {
+    #[cfg(test)]
+    pub(crate) const ANY_DATA: TriggerStages = TriggerStages {
         on_syn: false,
         on_first_data: true,
         on_later_data: true,
     };
     /// Only later data packets (commercial firewalls keying on content
     /// beyond the request line).
-    pub const LATER_DATA: TriggerStages = TriggerStages {
+    pub(crate) const LATER_DATA: TriggerStages = TriggerStages {
         on_syn: false,
         on_first_data: false,
         on_later_data: true,
@@ -149,7 +148,7 @@ impl TriggerStages {
 
 /// What the middlebox does when a rule fires.
 #[derive(Debug, Clone, PartialEq)]
-pub enum TamperAction {
+pub(crate) enum TamperAction {
     /// In-path blocking: optionally drop the triggering packet, then drop
     /// every subsequent packet of the flow in both directions.
     DropFlow {

@@ -69,7 +69,7 @@ pub struct TamperingMiddlebox {
 
 impl TamperingMiddlebox {
     /// Build a middlebox from its parts.
-    pub fn new(
+    pub(crate) fn new(
         rules: RuleSet,
         stages: TriggerStages,
         action: TamperAction,
@@ -102,12 +102,11 @@ impl TamperingMiddlebox {
         }
     }
 
-    fn ack_value(&self, strategy: AckStrategy, base: u32, ctx: &mut HopCtx<'_>) -> u32 {
+    fn ack_value(&self, strategy: AckStrategy, base: u32) -> u32 {
         match strategy {
             AckStrategy::Exact => base,
             AckStrategy::Zero => 0,
             AckStrategy::Offset(o) => base.wrapping_add(o),
-            AckStrategy::Random => ctx.rng.gen(),
         }
     }
 
@@ -125,7 +124,7 @@ impl TamperingMiddlebox {
         b = match spec.kind {
             RstKind::Rst => b.flags(TcpFlags::RST),
             RstKind::RstAck => {
-                let ack = self.ack_value(spec.ack, self.flow.server_next, ctx);
+                let ack = self.ack_value(spec.ack, self.flow.server_next);
                 b.flags(TcpFlags::RST_ACK).ack(ack)
             }
         };
@@ -133,7 +132,7 @@ impl TamperingMiddlebox {
         // though the ACK flag is clear — the `RST = RST` / `RST ≠ RST` /
         // `RST; RST₀` distinctions in Table 1 are drawn from those values.
         if spec.kind == RstKind::Rst {
-            let ack = self.ack_value(spec.ack, self.flow.server_next, ctx);
+            let ack = self.ack_value(spec.ack, self.flow.server_next);
             b = b.ack(ack);
         }
         Some(b.build())
@@ -153,7 +152,7 @@ impl TamperingMiddlebox {
         b = match spec.kind {
             RstKind::Rst => b.flags(TcpFlags::RST),
             RstKind::RstAck => {
-                let ack = self.ack_value(spec.ack, self.flow.client_next, ctx);
+                let ack = self.ack_value(spec.ack, self.flow.client_next);
                 b.flags(TcpFlags::RST_ACK).ack(ack)
             }
         };

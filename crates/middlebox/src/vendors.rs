@@ -22,8 +22,6 @@ use tamper_netsim::{IpIdMode, SimDuration};
 /// let mb = Vendor::GfwDoubleRstAck.build(RuleSet::domains(["blocked.example"]));
 /// // `mb` implements `tamper_netsim::Hop` and can be placed on a Path.
 /// let _hop: Box<dyn tamper_netsim::Hop> = Box::new(mb);
-/// assert!(!Vendor::GfwDoubleRstAck.requires_in_path()); // on-path injector
-/// assert!(Vendor::DataDropAll.requires_in_path()); // dropping needs in-path
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Vendor {
@@ -128,7 +126,7 @@ impl Vendor {
     }
 
     /// The action this vendor takes when it fires.
-    pub fn action(&self) -> TamperAction {
+    pub(crate) fn action(&self) -> TamperAction {
         let rst = RstSpec::rst;
         let rst_ack = RstSpec::rst_ack;
         match *self {
@@ -255,7 +253,7 @@ impl Vendor {
     }
 
     /// A plausible default stack profile for this vendor.
-    pub fn default_stack(&self) -> InjectorStack {
+    pub(crate) fn default_stack(&self) -> InjectorStack {
         match self {
             // The ack-guessing Korean ISP shows random TTLs (paper §4.3).
             Vendor::AckGuessBurst { .. } => InjectorStack {
@@ -291,15 +289,6 @@ impl Vendor {
     pub fn build_with_stack(&self, rules: RuleSet, stack: InjectorStack) -> TamperingMiddlebox {
         TamperingMiddlebox::new(rules, self.stages(), self.action(), stack)
     }
-
-    /// True if this vendor needs to be in-path (drops packets); on-path
-    /// (copy-tap) deployment suffices otherwise.
-    pub fn requires_in_path(&self) -> bool {
-        match self.action() {
-            TamperAction::DropFlow { .. } => true,
-            TamperAction::Inject { drop_trigger, .. } => drop_trigger,
-        }
-    }
 }
 
 #[cfg(test)]
@@ -312,15 +301,6 @@ mod tests {
         assert!(Vendor::DataDropAll.stages().on_first_data);
         assert!(Vendor::FirewallRst.stages().on_later_data);
         assert!(!Vendor::FirewallRst.stages().on_first_data);
-    }
-
-    #[test]
-    fn in_path_requirement() {
-        assert!(Vendor::SynDropAll.requires_in_path());
-        assert!(Vendor::DataDropAll.requires_in_path());
-        assert!(Vendor::DataDropRst { n: 1 }.requires_in_path());
-        assert!(!Vendor::GfwDoubleRstAck.requires_in_path());
-        assert!(!Vendor::PshRst.requires_in_path());
     }
 
     #[test]

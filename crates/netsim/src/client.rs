@@ -14,7 +14,7 @@ use crate::endpoint::{
 use crate::time::{SimDuration, SimTime};
 use bytes::Bytes;
 use rand::rngs::StdRng;
-use tamper_wire::{http, tls, IpHeader, Packet, PacketBuilder, TcpFlags, TcpHeader};
+use tamper_wire::{http, tls, Packet, PacketBuilder, TcpFlags, TcpHeader};
 
 use std::net::IpAddr;
 
@@ -305,7 +305,7 @@ impl Client {
     }
 
     /// True once the client will take no further action.
-    pub fn is_closed(&self) -> bool {
+    pub(crate) fn is_closed(&self) -> bool {
         self.state == State::Closed
     }
 
@@ -764,14 +764,6 @@ impl EndpointMachine for Client {
 
     fn is_closed(&self) -> bool {
         Client::is_closed(self)
-    }
-}
-
-/// Extract the client's initial TTL guess for tests.
-pub fn client_ttl(pkt: &Packet) -> u8 {
-    match &pkt.ip {
-        IpHeader::V4(h) => h.ttl,
-        IpHeader::V6(h) => h.hop_limit,
     }
 }
 

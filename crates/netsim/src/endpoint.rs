@@ -29,12 +29,12 @@ impl<T> Default for Actions<T> {
 
 impl<T> Actions<T> {
     /// Queue a packet for emission after `delay`.
-    pub fn emit(&mut self, pkt: Packet, delay: SimDuration) {
+    pub(crate) fn emit(&mut self, pkt: Packet, delay: SimDuration) {
         self.emits.push((pkt, delay));
     }
 
     /// Arm a timer.
-    pub fn arm(&mut self, timer: T, delay: SimDuration) {
+    pub(crate) fn arm(&mut self, timer: T, delay: SimDuration) {
         self.timers.push((timer, delay));
     }
 }
@@ -138,7 +138,7 @@ impl IpIdGen {
 
 /// The options a modern stack puts on non-SYN segments once timestamps
 /// were negotiated: `NOP NOP Timestamps`.
-pub fn segment_options(tsval: u32, tsecr: u32) -> Vec<TcpOption> {
+pub(crate) fn segment_options(tsval: u32, tsecr: u32) -> Vec<TcpOption> {
     // tamperlint: allow(hot-path-alloc) — three-entry option list owned by the emitted segment; the sim composes owned packets by design
     vec![
         TcpOption::Nop,
@@ -148,7 +148,7 @@ pub fn segment_options(tsval: u32, tsecr: u32) -> Vec<TcpOption> {
 }
 
 /// Millisecond-resolution TCP timestamp value for a simulated instant.
-pub fn tsval_at(t: SimTime) -> u32 {
+pub(crate) fn tsval_at(t: SimTime) -> u32 {
     (t.as_nanos() / 1_000_000) as u32
 }
 

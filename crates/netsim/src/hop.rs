@@ -62,47 +62,11 @@ pub trait Hop {
     fn on_packet(&mut self, ctx: &mut HopCtx<'_>, pkt: &Packet, dir: Direction) -> HopOutcome;
 }
 
-/// A hop that forwards everything — the identity middlebox.
-#[derive(Debug, Default, Clone, Copy)]
-pub struct TransparentHop;
-
-impl Hop for TransparentHop {
-    fn on_packet(&mut self, _ctx: &mut HopCtx<'_>, _pkt: &Packet, _dir: Direction) -> HopOutcome {
-        HopOutcome::pass()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::rng::derive_rng;
     use std::net::{IpAddr, Ipv4Addr};
     use tamper_wire::{PacketBuilder, TcpFlags};
-
-    #[test]
-    fn transparent_hop_forwards() {
-        let pkt = PacketBuilder::new(
-            IpAddr::V4(Ipv4Addr::new(10, 0, 0, 1)),
-            IpAddr::V4(Ipv4Addr::new(10, 0, 0, 2)),
-            1,
-            2,
-        )
-        .flags(TcpFlags::SYN)
-        .build();
-        let mut rng = derive_rng(1, 1);
-        let mut events = Vec::new();
-        let mut ctx = HopCtx {
-            now: SimTime::ZERO,
-            rng: &mut rng,
-            tamper_events: &mut events,
-            hop_index: 0,
-        };
-        let out = TransparentHop.on_packet(&mut ctx, &pkt, Direction::ToServer);
-        assert!(out.forward);
-        assert!(out.inject_to_server.is_empty());
-        assert!(out.inject_to_client.is_empty());
-        assert!(events.is_empty());
-    }
 
     #[test]
     fn outcome_builders() {

@@ -1,4 +1,5 @@
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
 //! # tamper-netsim
 //!
@@ -51,23 +52,21 @@
 //! ```
 
 pub mod client;
-pub mod endpoint;
-pub mod hop;
-pub mod path;
-pub mod rng;
+mod endpoint;
+mod hop;
+mod path;
+mod rng;
 pub mod server;
-pub mod session;
-pub mod time;
-pub mod trace;
+mod session;
+mod time;
+mod trace;
 
 pub use client::{Client, ClientConfig, ClientKind, RequestPayload, VanishStage};
 pub use endpoint::{Actions, EndpointInput, EndpointMachine, IpIdGen, IpIdMode};
-pub use hop::{Hop, HopCtx, HopOutcome, TransparentHop};
+pub use hop::{Hop, HopCtx, HopOutcome};
 pub use path::{Link, Path};
 pub use rng::{derive_rng, splitmix64};
 pub use server::{Server, ServerConfig};
 pub use session::{run_session, SessionParams};
 pub use time::{SimDuration, SimTime};
-pub use trace::{
-    Direction, Mechanism, Origin, SessionTrace, TamperEvent, TracedPacket, TriggerStage,
-};
+pub use trace::{Direction, Mechanism, SessionTrace, TamperEvent, TriggerStage};

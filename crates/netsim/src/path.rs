@@ -50,17 +50,8 @@ impl Path {
         }
     }
 
-    /// A path with a single middlebox splitting the given latency between
-    /// the client-side and server-side segments.
-    pub fn with_hop(client_side: Link, hop: Box<dyn Hop>, server_side: Link) -> Path {
-        Path {
-            links: vec![client_side, server_side],
-            hops: vec![hop],
-        }
-    }
-
     /// Sanity check the structural invariant.
-    pub fn is_well_formed(&self) -> bool {
+    pub(crate) fn is_well_formed(&self) -> bool {
         self.links.len() == self.hops.len() + 1
     }
 }
@@ -68,24 +59,11 @@ impl Path {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::hop::TransparentHop;
 
     #[test]
     fn direct_path_is_well_formed() {
         let p = Path::direct(SimDuration::from_millis(40), 12);
         assert!(p.is_well_formed());
         assert_eq!(p.links[0].latency, SimDuration::from_millis(40));
-    }
-
-    #[test]
-    fn single_hop_path_latencies() {
-        let p = Path::with_hop(
-            Link::new(SimDuration::from_millis(10), 4),
-            Box::new(TransparentHop),
-            Link::new(SimDuration::from_millis(30), 8),
-        );
-        assert!(p.is_well_formed());
-        assert_eq!(p.links[0].latency, SimDuration::from_millis(10));
-        assert_eq!(p.links[1].latency, SimDuration::from_millis(30));
     }
 }

@@ -107,7 +107,7 @@ impl Server {
     }
 
     /// True once the connection is torn down.
-    pub fn is_closed(&self) -> bool {
+    pub(crate) fn is_closed(&self) -> bool {
         self.state == State::Closed
     }
 

@@ -36,14 +36,14 @@ impl SimTime {
     }
 
     /// Seconds since the epoch as a float, for reporting.
-    pub fn as_secs_f64(self) -> f64 {
+    pub(crate) fn as_secs_f64(self) -> f64 {
         self.0 as f64 / 1e9
     }
 }
 
 impl SimDuration {
     /// Zero-length duration.
-    pub const ZERO: SimDuration = SimDuration(0);
+    pub(crate) const ZERO: SimDuration = SimDuration(0);
 
     /// From whole seconds.
     pub const fn from_secs(secs: u64) -> SimDuration {
@@ -65,18 +65,13 @@ impl SimDuration {
         self.0
     }
 
-    /// Milliseconds (truncating).
-    pub const fn as_millis(self) -> u64 {
-        self.0 / 1_000_000
-    }
-
     /// Seconds as a float.
-    pub fn as_secs_f64(self) -> f64 {
+    pub(crate) fn as_secs_f64(self) -> f64 {
         self.0 as f64 / 1e9
     }
 
     /// Saturating doubling — used for exponential retransmission backoff.
-    pub fn double(self) -> SimDuration {
+    pub(crate) fn double(self) -> SimDuration {
         SimDuration(self.0.saturating_mul(2))
     }
 }

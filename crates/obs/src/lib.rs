@@ -1,4 +1,5 @@
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
 //! # tamper-obs
 //!
@@ -42,7 +43,7 @@ use std::time::Instant;
 ///
 /// Chosen for per-flow classification work: sub-microsecond through
 /// 100 ms, roughly geometric.
-pub const LATENCY_BUCKETS_NS: [u64; 12] = [
+pub(crate) const LATENCY_BUCKETS_NS: [u64; 12] = [
     500,
     1_000,
     2_000,
@@ -70,7 +71,7 @@ pub struct Stopwatch(Option<Instant>);
 
 impl Stopwatch {
     /// A stopwatch that never reads the clock and records nothing.
-    pub fn disabled() -> Stopwatch {
+    pub(crate) fn disabled() -> Stopwatch {
         Stopwatch(None)
     }
 
@@ -116,7 +117,7 @@ pub struct Histogram {
 
 impl Histogram {
     /// An empty histogram over the given bounds.
-    pub fn new(bounds: &'static [u64]) -> Histogram {
+    pub(crate) fn new(bounds: &'static [u64]) -> Histogram {
         Histogram {
             bounds,
             counts: vec![0; bounds.len() + 1],
@@ -127,7 +128,7 @@ impl Histogram {
     }
 
     /// Record one sample.
-    pub fn record(&mut self, value: u64) {
+    pub(crate) fn record(&mut self, value: u64) {
         let idx = self
             .bounds
             .iter()
@@ -142,7 +143,7 @@ impl Histogram {
     }
 
     /// Fold another histogram (same bounds) into this one.
-    pub fn merge(&mut self, other: &Histogram) {
+    pub(crate) fn merge(&mut self, other: &Histogram) {
         if self.bounds != other.bounds {
             return;
         }
@@ -179,7 +180,7 @@ fn slot<'a, T: Default>(items: &'a mut Vec<(&'static str, T)>, name: &'static st
 
 impl ScopeMetrics {
     /// An enabled scope (normally obtained via [`Registry::scope`]).
-    pub fn new(name: impl Into<String>) -> ScopeMetrics {
+    pub(crate) fn new(name: impl Into<String>) -> ScopeMetrics {
         ScopeMetrics {
             name: name.into(),
             enabled: true,
@@ -202,11 +203,6 @@ impl ScopeMetrics {
             timers: Vec::new(),
             histograms: Vec::new(),
         }
-    }
-
-    /// Scope name.
-    pub fn name(&self) -> &str {
-        &self.name
     }
 
     /// Add `n` to a named counter.

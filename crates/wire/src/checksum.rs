@@ -5,19 +5,19 @@ use std::net::{Ipv4Addr, Ipv6Addr};
 
 /// Running one's-complement sum that can be fed incrementally.
 #[derive(Debug, Clone, Copy, Default)]
-pub struct Checksum {
+pub(crate) struct Checksum {
     sum: u32,
 }
 
 impl Checksum {
     /// Start a new checksum computation.
-    pub fn new() -> Checksum {
+    pub(crate) fn new() -> Checksum {
         Checksum { sum: 0 }
     }
 
     /// Feed a byte slice. Odd-length slices are padded with a zero byte, so
     /// only the final slice of a message may have odd length.
-    pub fn add_bytes(&mut self, data: &[u8]) {
+    pub(crate) fn add_bytes(&mut self, data: &[u8]) {
         let mut chunks = data.chunks_exact(2);
         for c in &mut chunks {
             if let &[a, b] = c {
@@ -30,18 +30,18 @@ impl Checksum {
     }
 
     /// Feed a single big-endian 16-bit word.
-    pub fn add_u16(&mut self, word: u16) {
+    pub(crate) fn add_u16(&mut self, word: u16) {
         self.sum += u32::from(word);
     }
 
     /// Feed a big-endian 32-bit word as two 16-bit words.
-    pub fn add_u32(&mut self, word: u32) {
+    pub(crate) fn add_u32(&mut self, word: u32) {
         self.add_u16((word >> 16) as u16);
         self.add_u16(word as u16);
     }
 
     /// Finish: fold carries and complement.
-    pub fn finish(self) -> u16 {
+    pub(crate) fn finish(self) -> u16 {
         let mut sum = self.sum;
         while sum > 0xFFFF {
             sum = (sum & 0xFFFF) + (sum >> 16);
@@ -52,7 +52,7 @@ impl Checksum {
 
 /// Checksum of a standalone byte buffer (e.g. an IPv4 header with its
 /// checksum field zeroed).
-pub fn internet_checksum(data: &[u8]) -> u16 {
+pub(crate) fn internet_checksum(data: &[u8]) -> u16 {
     let mut c = Checksum::new();
     c.add_bytes(data);
     c.finish()
@@ -62,7 +62,7 @@ pub fn internet_checksum(data: &[u8]) -> u16 {
 ///
 /// `segment` must be the full TCP header (with checksum field zeroed) plus
 /// payload.
-pub fn tcp_checksum_v4(src: Ipv4Addr, dst: Ipv4Addr, segment: &[u8]) -> u16 {
+pub(crate) fn tcp_checksum_v4(src: Ipv4Addr, dst: Ipv4Addr, segment: &[u8]) -> u16 {
     let mut c = Checksum::new();
     c.add_bytes(&src.octets());
     c.add_bytes(&dst.octets());
@@ -75,7 +75,7 @@ pub fn tcp_checksum_v4(src: Ipv4Addr, dst: Ipv4Addr, segment: &[u8]) -> u16 {
 }
 
 /// TCP checksum over the IPv6 pseudo-header plus segment bytes.
-pub fn tcp_checksum_v6(src: Ipv6Addr, dst: Ipv6Addr, segment: &[u8]) -> u16 {
+pub(crate) fn tcp_checksum_v6(src: Ipv6Addr, dst: Ipv6Addr, segment: &[u8]) -> u16 {
     let mut c = Checksum::new();
     c.add_bytes(&src.octets());
     c.add_bytes(&dst.octets());

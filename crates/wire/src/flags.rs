@@ -17,23 +17,23 @@ pub struct TcpFlags(u8);
 
 impl TcpFlags {
     /// No flags set.
-    pub const EMPTY: TcpFlags = TcpFlags(0);
+    pub(crate) const EMPTY: TcpFlags = TcpFlags(0);
     /// Connection-teardown request (graceful).
-    pub const FIN: TcpFlags = TcpFlags(0x01);
+    pub(crate) const FIN: TcpFlags = TcpFlags(0x01);
     /// Connection-open request.
     pub const SYN: TcpFlags = TcpFlags(0x02);
     /// Abortive reset.
     pub const RST: TcpFlags = TcpFlags(0x04);
     /// Push: deliver buffered data to the application.
-    pub const PSH: TcpFlags = TcpFlags(0x08);
+    pub(crate) const PSH: TcpFlags = TcpFlags(0x08);
     /// Acknowledgement field is significant.
     pub const ACK: TcpFlags = TcpFlags(0x10);
     /// Urgent pointer is significant (rare in the wild, kept for fidelity).
-    pub const URG: TcpFlags = TcpFlags(0x20);
+    pub(crate) const URG: TcpFlags = TcpFlags(0x20);
     /// ECN echo.
-    pub const ECE: TcpFlags = TcpFlags(0x40);
+    pub(crate) const ECE: TcpFlags = TcpFlags(0x40);
     /// Congestion window reduced.
-    pub const CWR: TcpFlags = TcpFlags(0x80);
+    pub(crate) const CWR: TcpFlags = TcpFlags(0x80);
 
     /// `SYN+ACK`, the second step of the three-way handshake.
     pub const SYN_ACK: TcpFlags = TcpFlags(0x12);
@@ -63,15 +63,9 @@ impl TcpFlags {
         self.0 & other.0 == other.0
     }
 
-    /// True if any flag in `other` is set in `self`.
-    #[inline]
-    pub const fn intersects(self, other: TcpFlags) -> bool {
-        self.0 & other.0 != 0
-    }
-
     /// True if no flags are set.
     #[inline]
-    pub const fn is_empty(self) -> bool {
+    pub(crate) const fn is_empty(self) -> bool {
         self.0 == 0
     }
 
@@ -107,12 +101,6 @@ impl TcpFlags {
     #[inline]
     pub const fn is_pure_rst(self) -> bool {
         self.has_rst() && !self.has_ack()
-    }
-
-    /// True for `RST+ACK`.
-    #[inline]
-    pub const fn is_rst_ack(self) -> bool {
-        self.has_rst() && self.has_ack()
     }
 }
 
@@ -205,21 +193,17 @@ mod tests {
     }
 
     #[test]
-    fn contains_and_intersects() {
+    fn contains() {
         let f = TcpFlags::PSH_ACK;
         assert!(f.contains(TcpFlags::PSH));
         assert!(f.contains(TcpFlags::ACK));
         assert!(!f.contains(TcpFlags::SYN));
-        assert!(f.intersects(TcpFlags::SYN | TcpFlags::ACK));
-        assert!(!f.intersects(TcpFlags::SYN | TcpFlags::RST));
     }
 
     #[test]
     fn pure_rst_vs_rst_ack() {
         assert!(TcpFlags::RST.is_pure_rst());
         assert!(!TcpFlags::RST_ACK.is_pure_rst());
-        assert!(TcpFlags::RST_ACK.is_rst_ack());
-        assert!(!TcpFlags::RST.is_rst_ack());
         assert!(!TcpFlags::ACK.has_rst());
     }
 

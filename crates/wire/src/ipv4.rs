@@ -12,7 +12,7 @@ use bytes::{BufMut, BytesMut};
 use std::net::Ipv4Addr;
 
 /// Length of the option-less IPv4 header we emit and accept.
-pub const IPV4_HEADER_LEN: usize = 20;
+pub(crate) const IPV4_HEADER_LEN: usize = 20;
 
 /// An IPv4 header. Options are not supported (parsed headers with options
 /// are rejected with [`WireError::BadLength`]); none of the traffic modelled
@@ -40,7 +40,7 @@ pub struct Ipv4Header {
 impl Ipv4Header {
     /// A TCP header template with sensible defaults; callers fill in
     /// addresses and per-packet fields.
-    pub fn tcp_template(src: Ipv4Addr, dst: Ipv4Addr) -> Ipv4Header {
+    pub(crate) fn tcp_template(src: Ipv4Addr, dst: Ipv4Addr) -> Ipv4Header {
         Ipv4Header {
             dscp_ecn: 0,
             total_len: 0, // filled by the emitter
@@ -55,7 +55,7 @@ impl Ipv4Header {
 
     /// Parse a header from the start of `data`, verifying the header
     /// checksum. Returns the header and the byte offset of the payload.
-    pub fn parse(data: &[u8]) -> Result<(Ipv4Header, usize)> {
+    pub(crate) fn parse(data: &[u8]) -> Result<(Ipv4Header, usize)> {
         let mut r = Reader::new(data);
         let hdr = r.take(IPV4_HEADER_LEN).map_err(|_| WireError::Truncated)?;
         let mut h = Reader::new(hdr);
@@ -97,7 +97,7 @@ impl Ipv4Header {
 
     /// Emit the header into `buf` with `payload_len` bytes of payload to
     /// follow; computes total length and header checksum.
-    pub fn emit(&self, buf: &mut BytesMut, payload_len: usize) {
+    pub(crate) fn emit(&self, buf: &mut BytesMut, payload_len: usize) {
         // The sim never builds >64KiB datagrams; saturate rather than wrap
         // the on-wire total-length field if a caller ever does.
         let total = u16::try_from(IPV4_HEADER_LEN + payload_len).unwrap_or(u16::MAX);

@@ -8,7 +8,7 @@ use bytes::{BufMut, BytesMut};
 use std::net::Ipv6Addr;
 
 /// Length of the fixed IPv6 header.
-pub const IPV6_HEADER_LEN: usize = 40;
+pub(crate) const IPV6_HEADER_LEN: usize = 40;
 
 /// An IPv6 fixed header.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -31,7 +31,7 @@ pub struct Ipv6Header {
 
 impl Ipv6Header {
     /// A TCP header template with sensible defaults.
-    pub fn tcp_template(src: Ipv6Addr, dst: Ipv6Addr) -> Ipv6Header {
+    pub(crate) fn tcp_template(src: Ipv6Addr, dst: Ipv6Addr) -> Ipv6Header {
         Ipv6Header {
             traffic_class: 0,
             flow_label: 0,
@@ -78,7 +78,7 @@ impl Ipv6Header {
     }
 
     /// Emit the header into `buf` with `payload_len` payload bytes to follow.
-    pub fn emit(&self, buf: &mut BytesMut, payload_len: usize) {
+    pub(crate) fn emit(&self, buf: &mut BytesMut, payload_len: usize) {
         buf.put_u8(0x60 | (self.traffic_class >> 4));
         buf.put_u8((self.traffic_class << 4) | ((self.flow_label >> 16) as u8 & 0x0F));
         buf.put_u16((self.flow_label & 0xFFFF) as u16);

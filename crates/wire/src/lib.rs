@@ -1,4 +1,5 @@
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
 //! # tamper-wire
 //!
@@ -30,24 +31,23 @@
 //! - [`tls`] — ClientHello construction and SNI extraction.
 //! - [`http`] — HTTP/1.x request construction and parsing.
 
-pub mod checksum;
-pub mod error;
-pub mod flags;
+mod checksum;
+mod error;
+mod flags;
 pub mod http;
-pub mod ipv4;
-pub mod ipv6;
-pub mod packet;
-pub mod reader;
-pub mod tcp;
+mod ipv4;
+mod ipv6;
+mod packet;
+mod reader;
+mod tcp;
 pub mod tls;
 
 pub use error::WireError;
 pub use flags::TcpFlags;
-pub use ipv4::Ipv4Header;
 pub use ipv6::Ipv6Header;
-pub use packet::{IpHeader, Packet, PacketBuilder, PacketView};
+pub use packet::{Packet, PacketBuilder, PacketView};
 pub use reader::Reader;
 pub use tcp::{TcpHeader, TcpOption};
 
 /// Result alias used throughout the crate.
-pub type Result<T> = std::result::Result<T, WireError>;
+pub(crate) type Result<T> = std::result::Result<T, WireError>;

@@ -279,11 +279,6 @@ impl<'a> PacketView<'a> {
             payload,
         })
     }
-
-    /// True for IPv4 frames.
-    pub fn is_v4(&self) -> bool {
-        self.src.is_ipv4()
-    }
 }
 
 /// Fluent builder for constructing packets in simulators and tests.
@@ -416,7 +411,7 @@ mod tests {
         let parsed = Packet::parse(&frame).unwrap();
         assert_eq!(parsed.tcp.flags, TcpFlags::SYN);
         assert_eq!(parsed.ip.ip_id(), None);
-        assert_eq!(parsed.tcp.mss(), Some(1460));
+        assert!(parsed.tcp.options.contains(&TcpOption::Mss(1460)));
     }
 
     #[test]
@@ -468,7 +463,7 @@ mod tests {
                 assert_eq!(v.window, p.tcp.window);
                 assert_eq!(v.has_tcp_options, !p.tcp.options.is_empty());
                 assert_eq!(v.payload, &p.payload[..]);
-                assert_eq!(v.is_v4(), p.ip.is_v4());
+                assert_eq!(v.src.is_ipv4(), p.ip.is_v4());
             }
             (Err(e), Err(ve)) => assert_eq!(e, ve, "parsers rejected with different errors"),
             (p, v) => panic!("parsers disagree on acceptance: parse={p:?} view={v:?}"),

@@ -22,7 +22,7 @@ impl<'a> Reader<'a> {
     }
 
     /// Bytes consumed so far.
-    pub fn pos(&self) -> usize {
+    pub(crate) fn pos(&self) -> usize {
         self.pos
     }
 
@@ -37,7 +37,7 @@ impl<'a> Reader<'a> {
     }
 
     /// Read the next `n` bytes as a borrowed slice.
-    pub fn take(&mut self, n: usize) -> Result<&'a [u8]> {
+    pub(crate) fn take(&mut self, n: usize) -> Result<&'a [u8]> {
         let end = self.pos.checked_add(n).ok_or(WireError::Truncated)?;
         let s = self.data.get(self.pos..end).ok_or(WireError::Truncated)?;
         self.pos = end;
@@ -45,7 +45,7 @@ impl<'a> Reader<'a> {
     }
 
     /// Advance past `n` bytes.
-    pub fn skip(&mut self, n: usize) -> Result<()> {
+    pub(crate) fn skip(&mut self, n: usize) -> Result<()> {
         self.take(n).map(|_| ())
     }
 

@@ -12,7 +12,7 @@ use crate::{Result, WireError};
 use bytes::{BufMut, BytesMut};
 
 /// Minimum (option-less) TCP header length.
-pub const TCP_HEADER_LEN: usize = 20;
+pub(crate) const TCP_HEADER_LEN: usize = 20;
 
 /// A TCP option.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -45,7 +45,7 @@ pub enum TcpOption {
 
 impl TcpOption {
     /// Encoded length in bytes.
-    pub fn wire_len(&self) -> usize {
+    pub(crate) fn wire_len(&self) -> usize {
         match self {
             TcpOption::Eol | TcpOption::Nop => 1,
             TcpOption::Mss(_) => 4,
@@ -81,7 +81,7 @@ pub struct TcpHeader {
 
 impl TcpHeader {
     /// A header with all-zero numeric fields and no options.
-    pub fn new(src_port: u16, dst_port: u16, flags: TcpFlags) -> TcpHeader {
+    pub(crate) fn new(src_port: u16, dst_port: u16, flags: TcpFlags) -> TcpHeader {
         TcpHeader {
             src_port,
             dst_port,
@@ -96,17 +96,9 @@ impl TcpHeader {
     }
 
     /// Total header length including options, padded to a 4-byte multiple.
-    pub fn header_len(&self) -> usize {
+    pub(crate) fn header_len(&self) -> usize {
         let opt_len: usize = self.options.iter().map(TcpOption::wire_len).sum();
         TCP_HEADER_LEN + opt_len.div_ceil(4) * 4
-    }
-
-    /// Look up the MSS option, if present.
-    pub fn mss(&self) -> Option<u16> {
-        self.options.iter().find_map(|o| match o {
-            TcpOption::Mss(v) => Some(*v),
-            _ => None,
-        })
     }
 
     /// True if the header carries no options at all — one of the scanner
@@ -119,7 +111,7 @@ impl TcpHeader {
     /// header and the byte offset of the payload. The checksum is *not*
     /// verified here because it needs the IP pseudo-header; see
     /// [`crate::packet::Packet::parse`].
-    pub fn parse(data: &[u8]) -> Result<(TcpHeader, usize)> {
+    pub(crate) fn parse(data: &[u8]) -> Result<(TcpHeader, usize)> {
         let mut r = Reader::new(data);
         let src_port = r.u16()?;
         let dst_port = r.u16()?;
@@ -190,7 +182,7 @@ impl TcpHeader {
 
     /// Emit the header into `buf` with the checksum field zeroed; the caller
     /// computes and patches the checksum over the pseudo-header + segment.
-    pub fn emit(&self, buf: &mut BytesMut) {
+    pub(crate) fn emit(&self, buf: &mut BytesMut) {
         let header_len = self.header_len();
         debug_assert!(header_len <= 60, "options overflow the data offset field");
         buf.put_u16(self.src_port);
@@ -281,7 +273,7 @@ mod tests {
         assert_eq!(parsed.src_port, h.src_port);
         assert_eq!(parsed.seq, h.seq);
         assert_eq!(parsed.flags, h.flags);
-        assert_eq!(parsed.mss(), Some(1460));
+        assert!(parsed.options.contains(&TcpOption::Mss(1460)));
         // Padding NOPs may be appended but all real options survive.
         for opt in &h.options {
             assert!(parsed.options.contains(opt), "missing {opt:?}");

@@ -10,7 +10,7 @@
 use tamper_netsim::splitmix64;
 
 /// Index of a country in the world registry.
-pub type CountryIdx = u16;
+pub(crate) type CountryIdx = u16;
 
 /// Static properties of one country.
 #[derive(Debug, Clone)]
@@ -84,20 +84,20 @@ impl AsSampler {
 ///
 /// Centralized countries get multipliers near 1 for every AS; decentralized
 /// ones spread in [0, 2].
-pub fn as_enforcement_multiplier(seed: u64, asn: Asn, centralization: f64) -> f64 {
+pub(crate) fn as_enforcement_multiplier(seed: u64, asn: Asn, centralization: f64) -> f64 {
     let u = (splitmix64(seed ^ 0xA5A5 ^ u64::from(asn.0)) % 10_000) as f64 / 10_000.0;
     let spread = (1.0 - centralization).clamp(0.0, 1.0);
     1.0 + spread * (2.0 * u - 1.0)
 }
 
 /// Local hour (0..24) for a UTC timestamp in a country.
-pub fn local_hour(unix_secs: u64, tz_offset_hours: i32) -> u32 {
+pub(crate) fn local_hour(unix_secs: u64, tz_offset_hours: i32) -> u32 {
     let shifted = unix_secs as i64 + i64::from(tz_offset_hours) * 3600;
     ((shifted.rem_euclid(86_400)) / 3600) as u32
 }
 
 /// Day index (whole days since the scenario start).
-pub fn day_index(unix_secs: u64, start_unix: u64) -> u64 {
+pub(crate) fn day_index(unix_secs: u64, start_unix: u64) -> u64 {
     unix_secs.saturating_sub(start_unix) / 86_400
 }
 

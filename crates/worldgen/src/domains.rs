@@ -130,7 +130,7 @@ impl Category {
 }
 
 /// Identifier of a domain in the catalog.
-pub type DomainId = u32;
+pub(crate) type DomainId = u32;
 
 /// One domain.
 #[derive(Debug, Clone)]
@@ -156,7 +156,6 @@ pub struct Domain {
 /// The catalog.
 pub struct DomainCatalog {
     domains: Vec<Domain>,
-    by_category: Vec<Vec<DomainId>>,
 }
 
 const TLDS: [&str; 5] = ["com", "net", "org", "info", "io"];
@@ -165,11 +164,15 @@ impl DomainCatalog {
     /// Generate a catalog of `n` domains, deterministically from `seed`.
     /// `n_countries` bounds the home-country assignment; `regional_share`
     /// is the fraction of domains that are regional.
-    pub fn generate(seed: u64, n: u32, n_countries: u16, regional_share: f64) -> DomainCatalog {
+    pub(crate) fn generate(
+        seed: u64,
+        n: u32,
+        n_countries: u16,
+        regional_share: f64,
+    ) -> DomainCatalog {
         let mut rng: StdRng = derive_rng(seed, 0xD0_0D);
         // Category assignment by catalog share.
         let mut domains = Vec::with_capacity(n as usize);
-        let mut by_category = vec![Vec::new(); Category::ALL.len()];
 
         // Popularity scores: regional domains are systematically less
         // popular globally (their score is floored), which is what makes
@@ -224,8 +227,6 @@ impl DomainCatalog {
                     (category, name)
                 }
             };
-            // Keep the category draw stream stable for non-variants.
-            by_category[category.index()].push(id);
             domains.push(Domain {
                 id,
                 name,
@@ -235,10 +236,7 @@ impl DomainCatalog {
                 parent,
             });
         }
-        DomainCatalog {
-            domains,
-            by_category,
-        }
+        DomainCatalog { domains }
     }
 
     /// Look up a domain.
@@ -247,28 +245,18 @@ impl DomainCatalog {
     }
 
     /// Catalog size.
-    pub fn len(&self) -> u32 {
+    pub(crate) fn len(&self) -> u32 {
         self.domains.len() as u32
     }
 
-    /// True if the catalog is empty.
-    pub fn is_empty(&self) -> bool {
-        self.domains.is_empty()
-    }
-
-    /// All domains of a category.
-    pub fn in_category(&self, c: Category) -> &[DomainId] {
-        &self.by_category[c.index()]
-    }
-
     /// Iterate all domains.
-    pub fn iter(&self) -> impl Iterator<Item = &Domain> {
+    pub(crate) fn iter(&self) -> impl Iterator<Item = &Domain> {
         self.domains.iter()
     }
 
     /// Resolve a name back to its id (linear; used in analysis and tests,
     /// not in the hot path).
-    pub fn find_by_name(&self, name: &str) -> Option<DomainId> {
+    pub(crate) fn find_by_name(&self, name: &str) -> Option<DomainId> {
         self.domains.iter().find(|d| d.name == name).map(|d| d.id)
     }
 }
@@ -306,7 +294,7 @@ mod tests {
         let cat = DomainCatalog::generate(7, 2000, 10, 0.4);
         for c in Category::ALL {
             assert!(
-                !cat.in_category(c).is_empty(),
+                cat.iter().any(|d| d.category == c),
                 "category {c:?} has no domains"
             );
         }
@@ -376,7 +364,7 @@ mod tests {
 
 impl Category {
     /// Parse the display label back to a category.
-    pub fn from_label(label: &str) -> Option<Category> {
+    pub(crate) fn from_label(label: &str) -> Option<Category> {
         Category::ALL.iter().copied().find(|c| c.label() == label)
     }
 }

@@ -26,7 +26,7 @@ use tamper_netsim::{
 use tamper_obs::Registry;
 
 /// 2023-01-12 00:00:00 UTC — the start of the paper's two-week window.
-pub const JAN12_2023_UNIX: u64 = 1_673_481_600;
+pub(crate) const JAN12_2023_UNIX: u64 = 1_673_481_600;
 /// 2022-09-13 00:00:00 UTC — the start of the Iran case-study window.
 pub const SEP13_2022_UNIX: u64 = 1_663_027_200;
 
@@ -219,7 +219,7 @@ impl WorldSim {
     /// country-independent "contentiousness" draw, so national lists
     /// overlap substantially (the same domains are blocked in many
     /// places), as curated lists like GreatFire exploit.
-    pub fn is_blocked(&self, country: CountryIdx, domain: &Domain) -> bool {
+    pub(crate) fn is_blocked(&self, country: CountryIdx, domain: &Domain) -> bool {
         let spec = &self.world[country as usize];
         for (cat, cov) in &spec.policy.coverage {
             if *cat == domain.category {
@@ -254,7 +254,7 @@ impl WorldSim {
 
     /// All blocked domain ids for a country (used by test-list generation
     /// and the Table 3 analysis).
-    pub fn blocked_domains(&self, country: CountryIdx) -> Vec<DomainId> {
+    pub(crate) fn blocked_domains(&self, country: CountryIdx) -> Vec<DomainId> {
         self.catalog
             .iter()
             .filter(|d| self.is_blocked(country, d))
@@ -835,11 +835,9 @@ fn pick_benign(rates: &BenignRates, rng: &mut StdRng) -> Option<BenignKind> {
 
 fn client_kind(benign: Option<BenignKind>, response_segments: u8, rng: &mut StdRng) -> ClientKind {
     match benign {
-        None | Some(BenignKind::StallOk) => match benign {
-            Some(BenignKind::StallOk) => ClientKind::Stall {
-                stall: SimDuration::from_millis(rng.gen_range(3500..8000)),
-            },
-            _ => ClientKind::Normal,
+        None => ClientKind::Normal,
+        Some(BenignKind::StallOk) => ClientKind::Stall {
+            stall: SimDuration::from_millis(rng.gen_range(3500..8000)),
         },
         Some(BenignKind::SilentSyn) => {
             if rng.gen::<f64>() < 0.55 {
@@ -919,7 +917,7 @@ fn pick_user_agent(rng: &mut StdRng) -> &'static str {
 }
 
 fn client_address(country: CountryIdx, asn: Asn, pool: u32, ipv6: bool) -> IpAddr {
-    let as_local = (asn.0 - u32::from(country) * 1000).min(249) as u8;
+    let as_local = (asn.0 - u32::from(country) * 1000) as u8;
     if ipv6 {
         IpAddr::V6(Ipv6Addr::new(
             0xfd00,

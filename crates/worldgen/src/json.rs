@@ -298,7 +298,7 @@ impl Json {
     }
 
     /// Number accessor.
-    pub fn as_f64(&self) -> Option<f64> {
+    pub(crate) fn as_f64(&self) -> Option<f64> {
         match self {
             Json::Num(v) => Some(*v),
             _ => None,
@@ -314,7 +314,7 @@ impl Json {
     }
 
     /// Signed integer accessor.
-    pub fn as_i64(&self) -> Option<i64> {
+    pub(crate) fn as_i64(&self) -> Option<i64> {
         match self {
             Json::Num(v) if v.fract() == 0.0 && v.abs() <= 2f64.powi(53) => Some(*v as i64),
             _ => None,
@@ -346,7 +346,7 @@ impl Json {
     }
 
     /// Serialize compactly (no whitespace).
-    pub fn to_compact_string(&self) -> String {
+    pub(crate) fn to_compact_string(&self) -> String {
         let mut out = String::new();
         self.write(&mut out);
         out

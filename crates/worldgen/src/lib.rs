@@ -1,4 +1,5 @@
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
 //! # tamper-worldgen
 //!
@@ -42,25 +43,24 @@
 //! assert!(flows >= 190);
 //! ```
 
-pub mod config;
-pub mod countries;
-pub mod domains;
-pub mod driver;
+mod config;
+mod countries;
+mod domains;
+mod driver;
 pub mod json;
-pub mod meta;
+mod meta;
 pub mod policy;
-pub mod scenario;
-pub mod testlists;
+mod scenario;
+mod testlists;
 
-pub use config::{world_from_json, world_to_json, ConfigError};
-pub use countries::{local_hour, Asn, Country, CountryIdx};
-pub use domains::{Category, Domain, DomainCatalog, DomainId};
+pub use config::{world_from_json, world_to_json};
+pub use countries::{Asn, Country};
+pub use domains::Category;
 pub use driver::{
     ip_key, world_fingerprint, WorldConfig, WorldSim, FIREWALL_KEYWORD, FIREWALL_USER_AGENT,
-    JAN12_2023_UNIX, SEP13_2022_UNIX,
+    SEP13_2022_UNIX,
 };
-pub use json::{Json, JsonError};
 pub use meta::{BenignKind, GroundTruth, LabeledFlow, SessionMeta};
-pub use policy::{country_index, BenignRates, CountrySpec, Policy, ProtoFilter};
+pub use policy::{country_index, CountrySpec, Policy, ProtoFilter};
 pub use scenario::Scenario;
 pub use testlists::{generate_lists, TestList, TestLists};

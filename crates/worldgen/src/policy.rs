@@ -66,7 +66,7 @@ pub struct Policy {
 /// stage shares of possibly-tampered traffic land near the paper's
 /// 43.2 / 16.1 / 5.3 / 33.0 / 2.3 split with ~25.7% possibly tampered.
 #[derive(Debug, Clone, Copy)]
-pub struct BenignRates {
+pub(crate) struct BenignRates {
     /// SYN-only scanners, spoofed flood residue, silent Happy-Eyeballs
     /// losers, clients vanishing after the SYN → `⟨SYN → ∅⟩`.
     pub silent_syn: f64,
@@ -125,7 +125,8 @@ impl Default for BenignRates {
 
 impl BenignRates {
     /// Total probability of any benign anomaly.
-    pub fn total(&self) -> f64 {
+    #[cfg(test)]
+    pub(crate) fn total(&self) -> f64 {
         self.silent_syn
             + self.zmap
             + self.he_rst

@@ -11,7 +11,7 @@ use crate::countries::{Asn, CountryIdx};
 use tamper_middlebox::Vendor;
 
 /// Weighted vendor rules contributed by a scenario overlay.
-pub type VendorRates = Vec<(Vendor, f64)>;
+pub(crate) type VendorRates = Vec<(Vendor, f64)>;
 
 /// Which scenario a world runs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -29,7 +29,7 @@ impl Scenario {
     /// Extra (SYN-stage, DPI-stage) rules contributed by the scenario for
     /// a session at `day` (since scenario start), local hour `lh`, from
     /// `asn` in `country`. Returns empty overlays for [`Scenario::Standard`].
-    pub fn overlay(
+    pub(crate) fn overlay(
         &self,
         day: u64,
         lh: u32,

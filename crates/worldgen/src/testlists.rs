@@ -43,16 +43,6 @@ impl TestList {
             .iter()
             .any(|e| domain.contains(e.as_str()) || e.contains(domain))
     }
-
-    /// Number of entries.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// True when empty.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
 }
 
 /// The complete set of synthetic lists.
@@ -247,10 +237,10 @@ mod tests {
         let sim = small_sim();
         let lists = generate_lists(&sim);
         let get = |name: &str| lists.fixed.iter().find(|l| l.name == name).unwrap();
-        assert!(get("Tranco_1K").len() < get("Tranco_10K").len());
-        assert!(get("Tranco_10K").len() < get("Tranco_100K").len());
-        assert!(get("Tranco_100K").len() < get("Tranco_1M").len());
-        assert!(get("Majestic_1K").len() <= get("Majestic_10K").len());
+        assert!(get("Tranco_1K").entries.len() < get("Tranco_10K").entries.len());
+        assert!(get("Tranco_10K").entries.len() < get("Tranco_100K").entries.len());
+        assert!(get("Tranco_100K").entries.len() < get("Tranco_1M").entries.len());
+        assert!(get("Majestic_1K").entries.len() <= get("Majestic_10K").entries.len());
     }
 
     #[test]
@@ -267,7 +257,7 @@ mod tests {
             .iter()
             .find(|l| l.name == "Greatfire_30d")
             .unwrap();
-        assert!(d30.len() <= all.len());
+        assert!(d30.entries.len() <= all.entries.len());
         for e in &d30.entries {
             assert!(all.entries.contains(e));
         }

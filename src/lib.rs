@@ -70,18 +70,13 @@ pub use tamper_analysis as analysis;
 
 /// The items most programs need.
 pub mod prelude {
-    pub use tamper_analysis::{report, Collector};
-    pub use tamper_capture::{collect, CollectorConfig, FlowRecord, PacketRecord, Sampler};
-    pub use tamper_core::{
-        classify, Classification, ClassifierConfig, FlowAnalysis, Signature, Stage,
-    };
-    pub use tamper_middlebox::{RuleSet, TamperingMiddlebox, Vendor};
+    pub use tamper_analysis::Collector;
+    pub use tamper_capture::{CollectorConfig, FlowRecord, PacketRecord};
+    pub use tamper_core::{classify, ClassifierConfig, Signature};
+    pub use tamper_middlebox::{RuleSet, Vendor};
     pub use tamper_netsim::{
-        run_session, ClientConfig, ClientKind, Path, RequestPayload, ServerConfig, SessionParams,
-        SimDuration, SimTime,
+        run_session, ClientConfig, Path, ServerConfig, SessionParams, SimDuration, SimTime,
     };
-    pub use tamper_wire::{Packet, PacketBuilder, TcpFlags};
-    pub use tamper_worldgen::{
-        generate_lists, GroundTruth, LabeledFlow, Scenario, WorldConfig, WorldSim,
-    };
+    pub use tamper_wire::TcpFlags;
+    pub use tamper_worldgen::{WorldConfig, WorldSim};
 }
