@@ -727,6 +727,8 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::EngineStats;
+    use crate::record::FlowRecord;
     use std::net::{IpAddr, Ipv4Addr};
     use tamper_wire::{PacketBuilder, TcpFlags};
 
@@ -755,50 +757,99 @@ mod tests {
         w.into_inner()
     }
 
-    /// Hands out `data` up to byte `fail_at`, then fails every read.
-    struct FailingReader {
+    /// Hands out `data` at most `chunk` bytes a call, fails every read
+    /// from byte `fail_at` on, and with `interrupt` returns `Interrupted`
+    /// before every read.
+    struct FaultyReader {
         data: Vec<u8>,
         pos: usize,
+        chunk: usize,
         fail_at: usize,
+        interrupt: bool,
+        interrupted: bool,
     }
 
-    impl Read for FailingReader {
+    impl Read for FaultyReader {
         fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+            self.interrupted = self.interrupt && !self.interrupted;
+            if self.interrupted {
+                return Err(io::ErrorKind::Interrupted.into());
+            }
             if self.pos >= self.fail_at {
                 return Err(io::Error::other("disk on fire"));
             }
-            let n = buf.len().min(self.fail_at - self.pos);
-            buf[..n].copy_from_slice(&self.data[self.pos..self.pos + n]);
-            self.pos += n;
+            let end = self
+                .data
+                .len()
+                .min(self.fail_at)
+                .min(self.pos + buf.len().min(self.chunk));
+            let n = end - self.pos;
+            buf[..n].copy_from_slice(&self.data[self.pos..end]);
+            self.pos = end;
             Ok(n)
         }
     }
 
-    #[test]
-    fn a_read_error_ends_the_stream_and_is_not_a_corrupt_tail() {
-        let data = syn_capture(20);
-        let record = (data.len() - GLOBAL_HEADER_LEN) / 20;
-        // Half-way through the eighth record.
-        let fail_at = GLOBAL_HEADER_LEN + 7 * record + record / 2;
-        let reader = FailingReader {
-            data,
-            pos: 0,
-            fail_at,
+    /// Run a source to the end at one shard: every flow it closed, the
+    /// ledger, and the read error that ended it.
+    fn run(mut src: PcapMemSource) -> (Vec<FlowRecord>, EngineStats, Option<String>) {
+        let cfg = EngineConfig {
+            threads: 1,
+            ..EngineConfig::default()
         };
-        let mut src = PcapMemSource::from_reader(reader).unwrap().with_window(100);
-        let (mut framed, mut items) = (0, Vec::new());
-        loop {
-            let more = src.fill(&mut items, 3);
-            framed += items.len();
-            items.clear();
-            if !more {
-                break;
+        let (flows, stats) = crate::engine::run_source(
+            &mut src,
+            &cfg,
+            None,
+            Vec::new,
+            |acc: &mut Vec<FlowRecord>, batch: FlowBatch| {
+                acc.extend((0..batch.flow_count()).map(|i| batch.materialize(i)));
+            },
+            |a, mut b| a.append(&mut b),
+        );
+        assert!(stats.is_conserved(), "{stats:?}");
+        (flows, stats, src.read_error().map(ToString::to_string))
+    }
+
+    #[test]
+    fn reader_faults_end_the_stream_or_change_nothing() {
+        let data = syn_capture(12);
+        let record = (data.len() - GLOBAL_HEADER_LEN) / 12;
+        let whole = run(PcapMemSource::new(Bytes::from(data.clone())).unwrap());
+        assert_eq!((whole.0.len(), whole.2.as_deref()), (12, None));
+        let streamed = |chunk, fail_at, interrupt| {
+            let (data, pos, interrupted) = (data.clone(), 0, false);
+            let reader = FaultyReader {
+                data,
+                pos,
+                chunk,
+                fail_at,
+                interrupt,
+                interrupted,
+            };
+            PcapMemSource::from_reader(reader).map(|src| run(src.with_window(100)))
+        };
+        // One-byte reads, and `Interrupted` before every read (which std
+        // retries), frame the capture exactly as the whole buffer does.
+        assert_eq!(streamed(1, usize::MAX, false).unwrap(), whole);
+        assert_eq!(streamed(usize::MAX, usize::MAX, true).unwrap(), whole);
+        // A read error at any offset fails construction inside the global
+        // header; past it, every record read before the error is kept and
+        // the end is a read error, never a corrupt tail.
+        for fail_at in 0..data.len() {
+            match streamed(usize::MAX, fail_at, false) {
+                Err(e) => assert!(fail_at < GLOBAL_HEADER_LEN, "{fail_at}: {e}"),
+                Ok((_, stats, err)) => {
+                    let kept = ((fail_at - GLOBAL_HEADER_LEN) / record) as u64;
+                    assert_eq!(
+                        (stats.records, stats.corrupt_tail),
+                        (kept, false),
+                        "{fail_at}"
+                    );
+                    assert_eq!(err.as_deref(), Some("disk on fire"), "{fail_at}");
+                }
             }
         }
-        assert_eq!(framed, 7, "every record read before the error");
-        assert!(!src.corrupt_tail());
-        let err = src.read_error().map(ToString::to_string);
-        assert_eq!(err.as_deref(), Some("disk on fire"));
     }
 
     #[test]

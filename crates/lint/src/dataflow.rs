@@ -3,31 +3,26 @@
 //! [`FnFlow`] gives each function use-def chains on its locals and
 //! parameters: every `let` binding and reassignment is recorded with the
 //! token range of its defining expression, and declared types are kept
-//! for parameters and annotated bindings. Three analyses are built on
-//! top:
+//! for parameters and annotated bindings. Two analyses are built on top:
 //!
 //! * [`alloc_sites`] — fresh-allocation constructors (`Vec::new`,
 //!   `vec![…]`, `format!`, `.collect()`, `.clone()` on a declared heap
 //!   type, …). The pipeline flags those reachable from the declared hot
 //!   roots (`hot-path-alloc`).
-//! * [`untrusted_len_findings`] — taint from `&[u8]`/`Reader` parameters
-//!   and length-field reads flowing into `with_capacity`/`vec![0; n]`/
-//!   slice-index sinks without an intervening clamp/`min`/bounds check
-//!   (`untrusted-len-alloc`).
 //! * [`cast_findings`] — raw `as` narrowing on seq/ack/len/off-named
-//!   values (`cast-truncation`), sanitized by the same def-chain and
-//!   guard evidence.
+//!   values (`cast-truncation`), sanitized by def-chain and guard
+//!   evidence.
 //!
 //! Files the item parser loses sync on fail closed: the whole-file
 //! variants treat every site as live and every value as unsanitized.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 
 use crate::ast::FnDef;
 use crate::lexer::{Tok, TokKind};
 
-/// Idents that launder a tainted or oversized value: a def or sink
-/// expression mentioning one of these is considered clamped.
+/// Idents that clamp a value: a def or cast operand mentioning one of
+/// these is considered sanitized.
 pub const SANITIZERS: [&str; 3] = ["min", "clamp", "try_from"];
 
 /// Narrowing cast targets the `cast-truncation` rule cares about.
@@ -108,32 +103,16 @@ fn is_len_seq_ident(name: &str) -> bool {
         .is_some_and(|seg| LEN_SEQ_SEGMENTS.contains(&seg))
 }
 
-/// One definition of a local: the token range of its defining
-/// expression (empty for parameters and uninitialized `let`s).
-#[derive(Debug, Clone)]
-pub struct Def {
-    /// 1-based source line of the binding or assignment.
-    pub line: u32,
-    /// Token range `[start, end)` of the RHS expression.
-    pub expr: (usize, usize),
-}
-
 /// Use-def chains for one function body.
 #[derive(Debug, Default)]
 pub struct FnFlow {
-    /// Binding name → every definition, in body order. Parameters
-    /// contribute a def with an empty expression range.
-    pub defs: BTreeMap<String, Vec<Def>>,
+    /// Binding name → the token range `[start, end)` of every defining
+    /// expression, in body order; empty for parameters and
+    /// uninitialized `let`s.
+    pub defs: BTreeMap<String, Vec<(usize, usize)>>,
     /// Binding name → flattened declared type text, where annotated
     /// (parameters and `let x: T` bindings).
     pub types: BTreeMap<String, String>,
-    /// Names bound to untrusted byte sources: `&[u8]`/`Reader`
-    /// parameters.
-    pub buffers: BTreeSet<String>,
-    /// True when the body reads from an io source (`.read(…)`,
-    /// `read_exact(…)`) — widens the untrusted context beyond the
-    /// parameter list (pcap record headers arrive this way).
-    pub io_reads: bool,
 }
 
 /// Build the use-def chains for one parsed function.
@@ -143,14 +122,8 @@ pub fn flow_of(code: &[Tok], f: &FnDef) -> FnFlow {
         if name.is_empty() {
             continue;
         }
-        flow.defs.entry(name.clone()).or_default().push(Def {
-            line: f.start_line,
-            expr: (0, 0),
-        });
+        flow.defs.entry(name.clone()).or_default().push((0, 0));
         flow.types.insert(name.clone(), ty.clone());
-        if ty.contains("[u8]") || ty.contains("Reader") {
-            flow.buffers.insert(name.clone());
-        }
     }
     let (start, end) = f.body;
     let mut i = start;
@@ -160,16 +133,13 @@ pub fn flow_of(code: &[Tok], f: &FnDef) -> FnFlow {
             continue;
         }
         if let Some(name) = ident(code, i) {
-            if (name == "read" || name == "read_exact") && punct(code, i + 1) == Some('(') {
-                flow.io_reads = true;
-            }
             if bindable(name) && ident(code, i.wrapping_sub(1)).is_none() {
                 if let Some(rhs_start) = assign_rhs_start(code, i, end) {
                     let rhs_end = expr_end(code, rhs_start, end);
-                    flow.defs.entry(name.to_string()).or_default().push(Def {
-                        line: line(code, i),
-                        expr: (rhs_start, rhs_end),
-                    });
+                    flow.defs
+                        .entry(name.to_string())
+                        .or_default()
+                        .push((rhs_start, rhs_end));
                     i = rhs_end;
                     continue;
                 }
@@ -286,10 +256,7 @@ fn scan_let(code: &[Tok], let_pos: usize, end: usize, flow: &mut FnFlow) -> usiz
             );
         }
         for name in &names {
-            flow.defs.entry(name.clone()).or_default().push(Def {
-                line: line(code, let_pos),
-                expr: (0, 0),
-            });
+            flow.defs.entry(name.clone()).or_default().push((0, 0));
         }
         return i + 1;
     };
@@ -299,8 +266,8 @@ fn scan_let(code: &[Tok], let_pos: usize, end: usize, flow: &mut FnFlow) -> usiz
     }
     // An `if let` / `while let` scrutinee ends at the block it guards:
     // without this, the `{` counts as an opening bracket and the whole
-    // block body leaks into the def expression (tainting pattern
-    // bindings with any wire-read the block happens to perform).
+    // block body leaks into the def expression (sanitizing pattern
+    // bindings with any clamp the block happens to perform).
     let conditional = matches!(
         ident(code, let_pos.wrapping_sub(1)),
         Some("if") | Some("while")
@@ -322,10 +289,10 @@ fn scan_let(code: &[Tok], let_pos: usize, end: usize, flow: &mut FnFlow) -> usiz
         expr_end(code, eq + 1, end)
     };
     for name in &names {
-        flow.defs.entry(name.clone()).or_default().push(Def {
-            line: line(code, let_pos),
-            expr: (eq + 1, rhs_end),
-        });
+        flow.defs
+            .entry(name.clone())
+            .or_default()
+            .push((eq + 1, rhs_end));
     }
     rhs_end
 }
@@ -350,80 +317,13 @@ fn flatten_idents(code: &[Tok], start: usize, end: usize) -> String {
     out
 }
 
-/// Does the token range mention any of the given names?
-fn mentions(code: &[Tok], range: (usize, usize), names: &BTreeSet<String>) -> bool {
-    (range.0..range.1.min(code.len())).any(|i| ident(code, i).is_some_and(|s| names.contains(s)))
-}
-
 /// Does the token range mention a sanitizer (`min`/`clamp`/`try_from`)?
 fn sanitized_range(code: &[Tok], start: usize, end: usize) -> bool {
     (start..end.min(code.len())).any(|i| ident(code, i).is_some_and(|s| SANITIZERS.contains(&s)))
 }
 
-/// True when a def's expression reads a wire value: a byte-getter on a
-/// reader (`r.u16()`, `read_u32(…)`), an endian helper (`le_u32(…)`,
-/// `from_be_bytes`), or a direct index into a tracked untrusted buffer.
-fn reads_wire_value(code: &[Tok], range: (usize, usize), buffers: &BTreeSet<String>) -> bool {
-    for i in range.0..range.1.min(code.len()) {
-        let Some(name) = ident(code, i) else { continue };
-        let call_like = {
-            let mut after = i + 1;
-            if punct(code, after) == Some(':') && punct(code, after + 1) == Some(':') {
-                after += 2;
-            }
-            punct(code, after) == Some('(')
-        };
-        if call_like
-            && (matches!(
-                name,
-                "u8" | "u16" | "u32" | "u64" | "from_be_bytes" | "from_le_bytes"
-            ) || name.starts_with("read_")
-                || name.starts_with("le_")
-                || name.starts_with("be_"))
-        {
-            return true;
-        }
-        if buffers.contains(name) && punct(code, i + 1) == Some('[') {
-            return true;
-        }
-    }
-    false
-}
-
-/// Fixpoint taint: names whose value derives from the wire without an
-/// intervening sanitizer. Seeds are defs that read a wire value; taint
-/// propagates through defs that mention a tainted name.
-pub fn tainted_names(code: &[Tok], flow: &FnFlow) -> BTreeSet<String> {
-    if flow.buffers.is_empty() && !flow.io_reads {
-        return BTreeSet::new();
-    }
-    let mut tainted: BTreeSet<String> = BTreeSet::new();
-    loop {
-        let mut grew = false;
-        for (name, defs) in &flow.defs {
-            if tainted.contains(name) {
-                continue;
-            }
-            let hit = defs.iter().any(|d| {
-                d.expr.0 < d.expr.1
-                    && !sanitized_range(code, d.expr.0, d.expr.1)
-                    && (reads_wire_value(code, d.expr, &flow.buffers)
-                        || mentions(code, d.expr, &tainted))
-            });
-            if hit {
-                tainted.insert(name.clone());
-                grew = true;
-            }
-        }
-        if !grew {
-            break;
-        }
-    }
-    tainted
-}
-
 /// Is `name` compared (`<`/`>`/`<=`/`>=`) anywhere in `[start, before)`?
-/// A bounds check ahead of the sink counts as sanitization even when the
+/// A bounds check ahead of the cast counts as sanitization even when the
 /// clamped value is not rebound (`if n > MAX { return Err(…) }`).
 fn guarded_before(code: &[Tok], start: usize, before: usize, name: &str) -> bool {
     for i in start..before.min(code.len()) {
@@ -447,136 +347,6 @@ pub struct FlowFinding {
     pub line: u32,
     /// Human-readable message.
     pub message: String,
-}
-
-/// The capacity/index sinks a tainted length must not reach unclamped.
-/// Returns `(sink token index, arg range, sink label)`.
-fn len_sinks(code: &[Tok], start: usize, end: usize) -> Vec<(usize, (usize, usize), String)> {
-    let mut out = Vec::new();
-    let mut i = start;
-    while i < end {
-        if ident(code, i) == Some("with_capacity") && punct(code, i + 1) == Some('(') {
-            let close = match_close(code, i + 1, end, '(', ')');
-            out.push((i, (i + 2, close), "with_capacity".to_string()));
-            i = close;
-            continue;
-        }
-        if ident(code, i) == Some("vec")
-            && punct(code, i + 1) == Some('!')
-            && punct(code, i + 2) == Some('[')
-        {
-            let close = match_close(code, i + 2, end, '[', ']');
-            // Only the `vec![elem; len]` form sizes from a value: the
-            // len part follows the top-level `;`.
-            let mut depth = 0i32;
-            for j in i + 3..close {
-                match punct(code, j) {
-                    Some('(') | Some('[') | Some('{') => depth += 1,
-                    Some(')') | Some(']') | Some('}') => depth -= 1,
-                    Some(';') if depth == 0 => {
-                        out.push((i, (j + 1, close), "vec![_; …]".to_string()));
-                        break;
-                    }
-                    _ => {}
-                }
-            }
-            i = close;
-            continue;
-        }
-        // Direct slice index `buf[expr]`: `[` in index position (preceded
-        // by a non-keyword ident or a close bracket — `let [a, b] = …`
-        // and `if let [x] = …` are patterns, not indexing).
-        if punct(code, i) == Some('[')
-            && (ident(code, i.wrapping_sub(1))
-                .is_some_and(|n| !crate::rules::NON_INDEX_KEYWORDS.contains(&n))
-                || matches!(punct(code, i.wrapping_sub(1)), Some(')') | Some(']')))
-            && ident(code, i.wrapping_sub(1)) != Some("vec")
-        {
-            let close = match_close(code, i, end, '[', ']');
-            out.push((i, (i + 1, close), "slice index".to_string()));
-            i += 1;
-            continue;
-        }
-        i += 1;
-    }
-    out
-}
-
-/// Matching close bracket for the opener at `open` (which must hold
-/// `open_c`); returns `end` when unbalanced.
-fn match_close(code: &[Tok], open: usize, end: usize, open_c: char, close_c: char) -> usize {
-    let mut depth = 0i32;
-    for i in open..end {
-        let p = punct(code, i);
-        if p == Some(open_c) {
-            depth += 1;
-        } else if p == Some(close_c) {
-            depth -= 1;
-            if depth == 0 {
-                return i;
-            }
-        }
-    }
-    end
-}
-
-/// `untrusted-len-alloc` over one parsed function.
-pub fn untrusted_len_findings(code: &[Tok], f: &FnDef, flow: &FnFlow) -> Vec<FlowFinding> {
-    let tainted = tainted_names(code, flow);
-    if tainted.is_empty() {
-        return Vec::new();
-    }
-    let (start, end) = f.body;
-    let mut out = Vec::new();
-    for (sink_pos, arg, label) in len_sinks(code, start, end) {
-        if sanitized_range(code, arg.0, arg.1) {
-            continue;
-        }
-        let Some(name) = (arg.0..arg.1)
-            .filter_map(|i| ident(code, i))
-            .find(|n| tainted.contains(*n))
-        else {
-            continue;
-        };
-        if guarded_before(code, start, sink_pos, name) {
-            continue;
-        }
-        out.push(FlowFinding {
-            line: line(code, sink_pos),
-            message: format!(
-                "wire-derived length `{name}` flows into {label} without a clamp/`min`/bounds check"
-            ),
-        });
-    }
-    out
-}
-
-/// Whole-file fail-closed variant of `untrusted-len-alloc`: with no
-/// parsed bodies to prove otherwise, every capacity sink sized by a
-/// non-literal is flagged. (Index sinks are left to the `index` rule's
-/// own fail-closed path — without use-def evidence every subscript in
-/// the file would fire.)
-pub fn untrusted_len_fail_closed(code: &[Tok]) -> Vec<FlowFinding> {
-    let mut out = Vec::new();
-    for (sink_pos, arg, label) in len_sinks(code, 0, code.len()) {
-        if label == "slice index" || sanitized_range(code, arg.0, arg.1) {
-            continue;
-        }
-        let Some(name) = (arg.0..arg.1)
-            .filter_map(|i| ident(code, i))
-            .find(|n| bindable(n))
-        else {
-            continue;
-        };
-        out.push(FlowFinding {
-            line: line(code, sink_pos),
-            message: format!(
-                "capacity sink {label} sized by `{name}` in a file the parser lost sync on \
-                 (fail closed)"
-            ),
-        });
-    }
-    out
 }
 
 /// `cast-truncation` over one token range. `flow` supplies def-chain
@@ -660,7 +430,7 @@ pub fn cast_findings(
             let def_sanitized = flow.is_some_and(|fl| {
                 fl.defs.get(*name).is_some_and(|defs| {
                     defs.iter()
-                        .any(|d| d.expr.0 < d.expr.1 && sanitized_range(code, d.expr.0, d.expr.1))
+                        .any(|&(a, b)| a < b && sanitized_range(code, a, b))
                 })
             });
             def_sanitized || (flow.is_some() && guarded_before(code, start, i, name))
@@ -833,48 +603,8 @@ mod tests {
              }",
         );
         let flow = flow_of(&code, &p.fns[0]);
-        assert!(flow.buffers.contains("data"));
         assert_eq!(flow.defs["n"].len(), 2, "{:?}", flow.defs);
         assert!(flow.types["v"].contains("Vec"));
-    }
-
-    #[test]
-    fn taint_flows_and_sanitizers_stop_it() {
-        let (code, p) = prep(
-            "fn f(r: &mut Reader) -> Vec<u8> {
-                 let n = r.u16()? as usize;
-                 let m = n + 4;
-                 let k = m.min(64);
-                 let a = Vec::with_capacity(m);
-                 let b = Vec::with_capacity(k);
-                 a
-             }",
-        );
-        let flow = flow_of(&code, &p.fns[0]);
-        let tainted = tainted_names(&code, &flow);
-        assert!(
-            tainted.contains("n") && tainted.contains("m"),
-            "{tainted:?}"
-        );
-        assert!(!tainted.contains("k"), "{tainted:?}");
-        let findings = untrusted_len_findings(&code, &p.fns[0], &flow);
-        assert_eq!(findings.len(), 1, "{findings:?}");
-        assert!(findings[0].message.contains('m'), "{}", findings[0].message);
-    }
-
-    #[test]
-    fn guard_comparison_counts_as_bounds_check() {
-        let (code, p) = prep(
-            "fn f(r: &mut Reader) -> Result<Vec<u8>> {
-                 let n = r.u32()?;
-                 if n > MAX_LEN { return Err(Error::TooBig); }
-                 let mut v = vec![0u8; n as usize];
-                 Ok(v)
-             }",
-        );
-        let flow = flow_of(&code, &p.fns[0]);
-        let findings = untrusted_len_findings(&code, &p.fns[0], &flow);
-        assert!(findings.is_empty(), "{findings:?}");
     }
 
     #[test]

@@ -27,7 +27,6 @@
 //! | `wraparound-arithmetic` | `wire/*`, `core/*`         | raw `+`/`-`/`*` on seq/ack/offset-named values |
 //! | `exhaustive-signature-match` | all pipeline crates   | `_` wildcards / catch-all bindings in a `match` over `Signature` |
 //! | `hot-path-alloc` | all pipeline crates             | fresh allocations ([`dataflow::alloc_sites`]) on functions call-graph-reachable from the [`HOT_ROOTS`] registry |
-//! | `untrusted-len-alloc` | untrusted-reachable parse surface | wire-derived lengths flowing into `with_capacity`/`vec![_; n]`/index sinks unclamped |
 //! | `cast-truncation` | `wire/*`, `core/*`             | raw `as` narrowing of seq/ack/len/off-named values |
 //! | `root-registry` | [`HOT_ROOTS`] in this crate        | entries that resolve to no function |
 //! | `waiver`       | every scanned file                  | malformed or unused `tamperlint: allow(…)` comments |
@@ -280,7 +279,7 @@ fn build_artifacts(path: &str, src: &str, ctx: &ScanCtx) -> FileArtifacts {
     let nfns = scan.parsed.fns.len();
 
     // --- Dataflow: per-function use-def chains. ---
-    let wanted = scope.pipeline || scope.parse_surface || scope.seq_space;
+    let wanted = scope.pipeline || scope.seq_space;
     let flows: Vec<dataflow::FnFlow> = if wanted && parsed_ok {
         scan.parsed
             .fns
@@ -295,19 +294,6 @@ fn build_artifacts(path: &str, src: &str, ctx: &ScanCtx) -> FileArtifacts {
             scan.raw.push(Finding::new(path, ff.line, rule, ff.message));
         }
     };
-
-    // untrusted-len-alloc: wire-derived lengths must be clamped before
-    // sizing an allocation or indexing. Unparsed files fail closed.
-    if scope.parse_surface {
-        let rule = "untrusted-len-alloc";
-        if parsed_ok {
-            for (f, flow) in scan.parsed.fns.iter().zip(&flows) {
-                report(rule, dataflow::untrusted_len_findings(&scan.code, f, flow));
-            }
-        } else {
-            report(rule, dataflow::untrusted_len_fail_closed(&scan.code));
-        }
-    }
 
     // cast-truncation: raw `as` narrowing on seq/ack/len-named values.
     if scope.seq_space {

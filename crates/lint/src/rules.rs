@@ -28,7 +28,7 @@ use std::collections::BTreeSet;
 /// Every rule with its one paragraph of documentation, in reporting
 /// order, for `cargo xtask analyze --explain <rule>`. [`RULES`] is derived
 /// from this table, so a rule can never ship undocumented.
-pub const EXPLANATIONS: [(&str, &str); 14] = [
+pub const EXPLANATIONS: [(&str, &str); 13] = [
     (
         "map-iter",
         "HashMap/HashSet iteration order varies per process (SipHash keys are \
@@ -104,13 +104,6 @@ pub const EXPLANATIONS: [(&str, &str); 14] = [
          per flow at line rate; a fresh Vec/format!/clone there is the \
          difference between 535k and 2M flows/s. Reuse caller-owned scratch \
          buffers instead. The discovery chain from the root is in the message.",
-    ),
-    (
-        "untrusted-len-alloc",
-        "A length read off the wire that flows unclamped into with_capacity / \
-         vec![_; n] / an index lets one crafted packet allocate gigabytes or \
-         panic. Clamp (.min), bounds-check, or validate against the remaining \
-         buffer before sizing anything with it.",
     ),
     (
         "cast-truncation",
@@ -246,8 +239,9 @@ pub struct Scope {
     /// sink's sanctioned home), `exhaustive-signature-match` and
     /// `hot-path-alloc`.
     pub pipeline: bool,
-    /// The untrusted-input parsing surface: `panic`, `index` and
-    /// `untrusted-len-alloc`.
+    /// The untrusted-input parsing surface: `panic` and `index`. (What
+    /// an untrusted length may allocate is held at run time by
+    /// `tests/fail_closed.rs`.)
     pub parse_surface: bool,
     /// Sequence-space math in `wire`/`core`: `wraparound-arithmetic` and
     /// `cast-truncation`.
@@ -285,8 +279,7 @@ pub fn scope_for(path: &str) -> Scope {
         pipeline: first_party && !exempt,
         // Panic-safety: bytes-off-the-wire parsing surface — including
         // the partial-aggregate decoder, which reads untrusted .agg
-        // files. Untrusted lengths are read exactly where untrusted bytes
-        // are parsed.
+        // files.
         parse_surface: path.starts_with("crates/wire/src/")
             || matches!(
                 path,

@@ -1,7 +1,7 @@
 //! v3 gate tests: the dataflow rule families (`hot-path-alloc`,
-//! `untrusted-len-alloc`, `cast-truncation`) — fire/waive behaviour on
-//! fixtures, transitive reach from a hot root two hops out, and
-//! determinism of the full pipeline with the new families active.
+//! `cast-truncation`) — fire/waive behaviour on fixtures, transitive
+//! reach from a hot root two hops out, and determinism of the full
+//! pipeline with the new families active.
 
 use tamper_lint::{analyze_sources, lint_source, Finding};
 
@@ -107,39 +107,6 @@ fn hot_alloc_waiver_suppresses_the_finding() {
     assert_eq!(fired(&lint.waived), vec![("hot-path-alloc", 5)]);
 }
 
-// --- untrusted-len-alloc ---
-
-#[test]
-fn taint_fires_on_unclamped_wire_lengths_only() {
-    let lint = lint_source(WIRE, include_str!("fixtures/bad_taint_len.rs"));
-    assert_eq!(
-        fired(&lint.findings),
-        vec![
-            ("untrusted-len-alloc", 5), // Vec::with_capacity(n)
-            ("untrusted-len-alloc", 6), // vec![0u8; n]
-        ],
-        "{:?}",
-        lint.findings
-    );
-    assert!(
-        lint.findings[0].message.contains("wire-derived length `n`"),
-        "{}",
-        lint.findings[0].message
-    );
-    // `parse_clamped` (.min) and `parse_guarded` (bounds check) are clean.
-}
-
-#[test]
-fn taint_waiver_suppresses_the_finding() {
-    let src = "pub fn parse(r: &mut Reader) -> Vec<u8> {\n    \
-        let n = r.u16() as usize;\n    \
-        // tamperlint: allow(untrusted-len-alloc) — fixture: n bounded by record framing upstream\n    \
-        Vec::with_capacity(n)\n}\n";
-    let lint = lint_source(WIRE, src);
-    assert!(lint.findings.is_empty(), "{:?}", lint.findings);
-    assert_eq!(fired(&lint.waived), vec![("untrusted-len-alloc", 4)]);
-}
-
 // --- cast-truncation ---
 
 #[test]
@@ -190,8 +157,8 @@ fn dataflow_pipeline_stays_deterministic() {
 }
 
 #[test]
-fn the_three_dataflow_families_are_registered_rules() {
-    for rule in ["hot-path-alloc", "untrusted-len-alloc", "cast-truncation"] {
+fn the_dataflow_families_are_registered_rules() {
+    for rule in ["hot-path-alloc", "cast-truncation"] {
         assert!(
             tamper_lint::rules::RULES.contains(&rule),
             "{rule} missing from RULES"

@@ -153,7 +153,6 @@ fn containment_findings_match_the_pins_on_every_fixture() {
         ("bad_match", include_str!("fixtures/bad_match.rs")),
         ("bad_panic", include_str!("fixtures/bad_panic.rs")),
         ("bad_recursion", include_str!("fixtures/bad_recursion.rs")),
-        ("bad_taint_len", include_str!("fixtures/bad_taint_len.rs")),
         ("bad_thread", include_str!("fixtures/bad_thread.rs")),
         ("bad_wrap", include_str!("fixtures/bad_wrap.rs")),
         ("waivers", include_str!("fixtures/waivers.rs")),

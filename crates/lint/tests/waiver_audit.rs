@@ -96,8 +96,7 @@ fn sans_io_machine_modules_are_in_determinism_scope() {
 #[test]
 fn partial_aggregate_modules_are_in_scope() {
     // The .agg decoder parses untrusted bytes off disk, so it joins the
-    // wire/capture parsing surface under the panic/index and
-    // untrusted-length rules.
+    // wire/capture parsing surface under the panic/index rules.
     let decoder = scope_for("crates/analysis/src/aggfile.rs");
     assert!(decoder.parse_surface, "aggfile.rs escaped the panic scope");
     // The aggregate layer feeds report bytes directly: deterministic

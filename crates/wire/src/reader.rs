@@ -2,8 +2,8 @@
 //!
 //! Every accessor returns [`WireError::Truncated`] instead of panicking
 //! when the input ends early, so parsers built on it survive arbitrary
-//! hostile bytes — the property the `tests/properties.rs` never-panic
-//! suite and the tamperlint `panic`/`index` rules enforce for the whole
+//! hostile bytes — the property the `tests/fail_closed.rs` battery and
+//! the tamperlint `panic`/`index` rules enforce for the whole
 //! untrusted-input surface.
 
 use crate::{Result, WireError};

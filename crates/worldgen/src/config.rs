@@ -224,7 +224,7 @@ fn policy_from_json(v: Option<&Json>, ctx: &str) -> Result<Policy, ConfigError> 
         Some("tls-only") => ProtoFilter::TlsOnly,
         Some(other) => return err(format!("{ctx}: unknown dpi_filter \"{other}\"")),
     };
-    let overblock = obj
+    let overblock: Vec<String> = obj
         .get("overblock_substrings")
         .and_then(Json::as_array)
         .map(|items| {
@@ -248,14 +248,27 @@ fn policy_from_json(v: Option<&Json>, ctx: &str) -> Result<Policy, ConfigError> 
                 .get("coverage")
                 .and_then(Json::as_array)
                 .is_some_and(|a| !a.is_empty());
-            if mix.is_empty() && (get_f64_or(obj, "dpi_blanket", 0.0) > 0.0 || coverage_present) {
+            let dpi_fires = get_f64_or(obj, "dpi_blanket", 0.0) > 0.0
+                || coverage_present
+                || !overblock.is_empty();
+            if mix.is_empty() && dpi_fires {
                 mix = vec![(Vendor::DataDropAll, 1.0)];
             }
             mix
         },
         fw_rules: rates_from_json(obj.get("fw_rules"), ctx)?,
         coverage: categories_from_json(obj.get("coverage"), "coverage", ctx)?,
-        affinity: categories_from_json(obj.get("affinity"), "multiplier", ctx)?,
+        affinity: {
+            // Multipliers scale domain-interest weights, which must stay
+            // positive for the domain sampler.
+            let affinity = categories_from_json(obj.get("affinity"), "multiplier", ctx)?;
+            if let Some((_, m)) = affinity.iter().find(|(_, m)| !(*m > 0.0 && m.is_finite())) {
+                return err(format!(
+                    "{ctx}: affinity multiplier {m} must be a positive number"
+                ));
+            }
+            affinity
+        },
         overblock_substrings: overblock,
         diurnal_amp: get_f64_or(obj, "diurnal_amp", 0.45),
         weekend_drop: get_f64_or(obj, "weekend_drop", 0.15),
@@ -302,13 +315,21 @@ pub fn world_from_json(text: &str) -> Result<Vec<CountrySpec>, ConfigError> {
                 }
             },
         };
+        let tz_offset_hours = match entry.get("tz_offset_hours") {
+            None => 0,
+            Some(v) => match v.as_i64() {
+                Some(h) if (-12..=14).contains(&h) => h as i32,
+                _ => {
+                    return err(format!(
+                        "{ctx}: \"tz_offset_hours\" must be an integer in -12..=14"
+                    ))
+                }
+            },
+        };
         let country = Country {
             code,
             weight,
-            tz_offset_hours: entry
-                .get("tz_offset_hours")
-                .and_then(Json::as_i64)
-                .unwrap_or(0) as i32,
+            tz_offset_hours,
             ipv6_share: get_f64_or(entry, "ipv6_share", 0.25),
             n_ases,
             centralization: get_f64_or(entry, "centralization", 0.5),
@@ -410,6 +431,30 @@ mod tests {
                 "unknown dpi_filter",
             ),
             ("[{", "JSON error"),
+            (
+                r#"[{"code":"X","weight":1,"policy":{"affinity":[{"category":"News","multiplier":-1}]}}]"#,
+                "affinity multiplier -1 must be a positive number",
+            ),
+            (
+                r#"[{"code":"X","weight":1,"policy":{"affinity":[{"category":"News","multiplier":0}]}}]"#,
+                "affinity multiplier 0 must be a positive number",
+            ),
+            (
+                r#"[{"code":"X","weight":1,"tz_offset_hours":2147483647}]"#,
+                "\"tz_offset_hours\" must be an integer in -12..=14",
+            ),
+            (
+                r#"[{"code":"X","weight":1,"tz_offset_hours":2.5}]"#,
+                "\"tz_offset_hours\" must be an integer in -12..=14",
+            ),
+            (
+                r#"[{"code":"X","weight":1,"tz_offset_hours":1e308}]"#,
+                "\"tz_offset_hours\" must be an integer in -12..=14",
+            ),
+            (
+                r#"[{"code":"X","weight":1,"tz_offset_hours":-13}]"#,
+                "\"tz_offset_hours\" must be an integer in -12..=14",
+            ),
         ] {
             let e = world_from_json(text).expect_err(text);
             assert!(

@@ -4,9 +4,14 @@
 //!
 //! Supports the full grammar: nested objects/arrays, escape sequences
 //! including `\uXXXX` surrogate pairs, and scientific-notation numbers.
-//! Object key order is preserved.
+//! Object key order is preserved. Nesting is capped at 64 levels, so
+//! hostile input cannot exhaust the stack.
 
 use std::fmt;
+
+/// Deepest array/object nesting the parser accepts; a world document
+/// nests five deep.
+const MAX_DEPTH: usize = 64;
 
 /// A JSON value.
 #[derive(Debug, Clone, PartialEq)]
@@ -45,6 +50,7 @@ impl std::error::Error for JsonError {}
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -98,12 +104,27 @@ impl<'a> Parser<'a> {
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
             Some(b'"') => self.string().map(Json::Str),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(b'[') => self.nested(Parser::array),
+            Some(b'{') => self.nested(Parser::object),
             Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
             Some(c) => self.err(format!("unexpected byte '{}'", c as char)),
             None => self.err("unexpected end of input"),
         }
+    }
+
+    /// Parse one array or object a level deeper, refusing past
+    /// [`MAX_DEPTH`].
+    fn nested(
+        &mut self,
+        parse: fn(&mut Self) -> Result<Json, JsonError>,
+    ) -> Result<Json, JsonError> {
+        if self.depth == MAX_DEPTH {
+            return self.err(format!("nesting deeper than {MAX_DEPTH}"));
+        }
+        self.depth += 1;
+        let v = parse(self);
+        self.depth -= 1;
+        v
     }
 
     fn number(&mut self) -> Result<Json, JsonError> {
@@ -280,6 +301,7 @@ impl Json {
         let mut p = Parser {
             bytes: text.as_bytes(),
             pos: 0,
+            depth: 0,
         };
         let v = p.value()?;
         p.skip_ws();
@@ -462,6 +484,15 @@ mod tests {
             assert!(!e.message.is_empty());
             assert!(e.to_string().contains("JSON error"));
         }
+    }
+
+    #[test]
+    fn nesting_past_the_cap_is_a_named_error() {
+        let nest = |n: usize| format!("{}{}", "[".repeat(n), "]".repeat(n));
+        assert!(Json::parse(&nest(MAX_DEPTH)).is_ok());
+        let e = Json::parse(&nest(1_000_000)).unwrap_err();
+        assert_eq!(e.message, format!("nesting deeper than {MAX_DEPTH}"));
+        assert_eq!(e.offset, MAX_DEPTH);
     }
 
     #[test]

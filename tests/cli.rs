@@ -530,18 +530,59 @@ fn single_country_world_runs() {
 
 #[test]
 fn malformed_world_fails_with_context() {
-    let spec_path = tmp("bad.json");
-    std::fs::write(
-        &spec_path,
-        r#"[{"code":"X","weight":1,"policy":{"dpi_mix":[{"vendor":"Nope","rate":1}]}}]"#,
-    )
-    .unwrap();
-    let out = bin()
-        .args(["report", "--world", spec_path.to_str().unwrap()])
-        .output()
-        .expect("report");
-    assert!(!out.status.success());
-    let err = String::from_utf8(out.stderr).unwrap();
-    assert!(err.contains("unknown vendor"), "{err}");
-    let _ = std::fs::remove_file(&spec_path);
+    // Each bad world exits 1 with its named message — a panic (exit 101)
+    // or a stack overflow fails the case even though it is also a failure
+    // — and a world whose DPI fires on over-blocking alone runs.
+    for (name, world, message) in [
+        (
+            "unknown vendor",
+            r#"[{"code":"X","weight":1,"policy":{"dpi_mix":[{"vendor":"Nope","rate":1}]}}]"#,
+            Some("unknown vendor"),
+        ),
+        (
+            "negative multiplier",
+            r#"[{"code":"X","weight":1,"policy":{"affinity":[{"category":"News","multiplier":-1}]}}]"#,
+            Some("affinity multiplier -1 must be a positive number"),
+        ),
+        (
+            "out-of-range tz",
+            r#"[{"code":"X","weight":1,"tz_offset_hours":2147483647}]"#,
+            Some("\"tz_offset_hours\" must be an integer in -12..=14"),
+        ),
+        (
+            "deep nesting",
+            &"[".repeat(100_000),
+            Some("nesting deeper than 64"),
+        ),
+        (
+            "overblock only",
+            r#"[{"code":"OB","weight":1,"policy":{"overblock_substrings":["a","e"]}}]"#,
+            None,
+        ),
+    ] {
+        let spec_path = tmp(&format!("world_{}.json", name.replace(' ', "_")));
+        std::fs::write(&spec_path, world).unwrap();
+        let out = bin()
+            .args(["report", "--world", spec_path.to_str().unwrap()])
+            .args(["--sessions", "2000", "--days", "1"])
+            .output()
+            .expect("report");
+        let _ = std::fs::remove_file(&spec_path);
+        let err = String::from_utf8(out.stderr).unwrap();
+        assert!(!err.contains("panicked"), "{name}: {err}");
+        let Some(message) = message else {
+            assert_eq!(out.status.code(), Some(0), "{name}: {err}");
+            let text = String::from_utf8(out.stdout).unwrap();
+            let connections: u64 = text
+                .split("Connections:")
+                .nth(1)
+                .and_then(|rest| rest.split_whitespace().next())
+                .and_then(|n| n.parse().ok())
+                .expect("a Connections: count");
+            assert!(connections > 0, "{name}: {text}");
+            continue;
+        };
+        assert_eq!(out.status.code(), Some(1), "{name}: {err}");
+        assert!(err.contains(message), "{name}: {err}");
+    }
 }
