@@ -436,8 +436,9 @@ impl ColumnarFlowTable {
 /// flow timeout and then resumes yields two flows, exactly as an online
 /// collector would record it. Only a malformed global header is an
 /// error; a corrupt or truncated tail ends the read with everything
-/// framed before it returned (callers that must tell the difference run
-/// the engine themselves and read `EngineStats::corrupt_tail`).
+/// framed before it returned (callers that must tell the difference call
+/// `tamperscope::cli::classify`, the `classify` pipeline, and read
+/// `EngineStats::corrupt_tail`).
 pub fn flows_from_pcap(
     bytes: &[u8],
     cfg: &OfflineConfig,

@@ -4,23 +4,19 @@
 //! (LINKTYPE_RAW) and it prints per-flow verdicts or JSON lines. The other
 //! subcommands drive the simulation substrate that reproduces the paper.
 
-use std::fmt::Write as _;
 use std::fs::File;
 use std::io::{BufWriter, Write};
 use std::process::ExitCode;
-use std::sync::{Mutex, MutexGuard};
 
 use tamperscope::analysis::{
-    capture_collector, capture_summary_to_json, config_fingerprint, decode_agg, encode_agg,
-    engine_perf_to_json, flow_to_jsonl_into, label_capture_flow, merge_checked, pct, report,
-    summary_to_json, write_metrics_json, AggError, Collector, PartialAggregate,
+    config_fingerprint, decode_agg, encode_agg, merge_checked, pct, report, summary_to_json,
+    write_metrics_json, AggError, Collector, PartialAggregate,
 };
 use tamperscope::capture::{
-    run_source, EngineConfig, FlowBatch, FlowRecord, OfflineConfig, PcapMemSource, PcapWriter,
-    SimSource,
+    run_source, EngineConfig, OfflineConfig, PcapMemSource, PcapWriter, SimSource,
 };
-use tamperscope::cli::{Args, VerdictLines, VerdictSegment};
-use tamperscope::core::{BatchClassifier, ClassifierConfig, FlowAnalysis};
+use tamperscope::cli::{classify, Args, Render};
+use tamperscope::core::ClassifierConfig;
 use tamperscope::middlebox::{RuleSet, Vendor, ALL_VENDORS};
 use tamperscope::netsim::{
     derive_rng, run_session, ClientConfig, Link, Path, ServerConfig, SessionParams, SimDuration,
@@ -76,24 +72,53 @@ macro_rules! flag_u64 {
 
 fn main() -> ExitCode {
     let raw: Vec<String> = std::env::args().skip(1).collect();
-    let Some(cmd) = raw.first().cloned() else {
+    let Some(cmd) = raw.first() else {
         return usage();
     };
-    let args = or_usage!(Args::parse(&raw[1..]));
-    match cmd.as_str() {
-        "classify" => cmd_classify(&args),
-        "report" => cmd_report(&args),
-        "pop-run" => cmd_pop_run(&args),
-        "merge" => cmd_merge(&args),
-        "iran" => cmd_iran(&args),
-        "synthesize" => cmd_synthesize(&args),
-        "signatures" => cmd_signatures(),
-        "world-spec" => cmd_world_spec(&args),
-        _ => usage(),
-    }
+    // Each subcommand names the flags it reads; any other is a usage error.
+    let (run, reads): (fn(&Args) -> ExitCode, &[&str]) = match cmd.as_str() {
+        "classify" => (
+            cmd_classify,
+            &[
+                "jsonl",
+                "explain",
+                "json-summary",
+                "threads",
+                "max-flows",
+                "metrics-json",
+            ],
+        ),
+        "report" => (
+            cmd_report,
+            &[
+                "sessions",
+                "days",
+                "seed",
+                "threads",
+                "world",
+                "json-summary",
+                "metrics-json",
+            ],
+        ),
+        "pop-run" => (
+            cmd_pop_run,
+            &["pops", "out", "sessions", "days", "seed", "threads"],
+        ),
+        "merge" => (cmd_merge, &["sessions", "days", "seed", "json-summary"]),
+        "iran" => (cmd_iran, &["sessions", "seed", "threads", "metrics-json"]),
+        "synthesize" => (
+            cmd_synthesize,
+            &["sessions", "seed", "threads", "metrics-json"],
+        ),
+        "signatures" => (cmd_signatures, &[]),
+        "world-spec" => (cmd_world_spec, &["full"]),
+        _ => return usage(),
+    };
+    let args = or_usage!(Args::parse(cmd, &raw[1..], reads));
+    run(&args)
 }
 
-fn cmd_signatures() -> ExitCode {
+fn cmd_signatures(_: &Args) -> ExitCode {
     use tamperscope::core::Signature;
     println!("{:<4} {:<20} {:<34} Description", "#", "Stage", "Signature");
     for (i, sig) in Signature::ALL.iter().enumerate() {
@@ -146,41 +171,6 @@ fn cmd_world_spec(args: &Args) -> ExitCode {
     ExitCode::SUCCESS
 }
 
-/// `classify`'s default output: one aligned line per flow.
-fn verdict_line(text: &mut String, flow: &FlowRecord, analysis: &FlowAnalysis) {
-    let verdict = match analysis.signature() {
-        Some(sig) => format!("TAMPERED  {sig}"),
-        None if analysis.is_possibly_tampered() => "possibly tampered".to_owned(),
-        None => "clean".to_owned(),
-    };
-    let domain = analysis.trigger.domain.as_deref().unwrap_or("-");
-    let _ = write!(
-        text,
-        "{}:{} -> :{}  [{} pkts]  {verdict:<40} {domain}",
-        flow.client_ip,
-        flow.src_port,
-        flow.dst_port,
-        flow.packets.len()
-    );
-}
-
-/// Per-shard classify state: a scratch-reusing batch classifier, a
-/// collector slice, and the shard's slot in the shared verdict writer.
-struct ClassifySink {
-    clf: BatchClassifier,
-    col: Collector,
-    shard: usize,
-    matched: u64,
-}
-
-/// Why the shared verdict writer can be poisoned: the panic itself is
-/// re-raised when the engine joins that shard.
-const POISONED: &str = "a classify shard panicked while holding the verdict writer";
-
-fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    m.lock().expect(POISONED)
-}
-
 fn cmd_classify(args: &Args) -> ExitCode {
     let Some(path) = args.positional.first() else {
         return usage();
@@ -192,25 +182,20 @@ fn cmd_classify(args: &Args) -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    // Every renderer is handed the classifier's reconstructed order;
-    // only the explanation narrates it.
-    let render: fn(&mut String, &FlowRecord, &FlowAnalysis, &[usize]) = if args.has("jsonl") {
-        |text, flow, analysis, _| flow_to_jsonl_into(text, flow, analysis)
-    } else if args.has("explain") {
-        |text, flow, analysis, order| {
-            text.push_str(&tamperscope::core::explain(flow, analysis, order))
+    let render = match (args.has("jsonl"), args.has("explain")) {
+        (true, true) => {
+            eprintln!("tamperscope: --jsonl and --explain are exclusive");
+            return usage();
         }
-    } else {
-        |text, flow, analysis, _| verdict_line(text, flow, analysis)
+        (true, false) => Render::Jsonl,
+        (false, true) => Render::Explain,
+        (false, false) => Render::Lines,
     };
-    let mut cfg = EngineConfig {
+    let cfg = EngineConfig {
         offline: OfflineConfig::default(),
         threads: flag_u64!(args, "threads", 0) as usize,
         max_flows: flag_u64!(args, "max-flows", 0) as usize,
     };
-    // The writer needs the shard count up front: a shard that has not
-    // reported yet must hold every line back.
-    cfg.threads = cfg.resolved_threads();
     let mut src = match PcapMemSource::from_reader(file) {
         Ok(s) => s,
         Err(e) => {
@@ -218,43 +203,20 @@ fn cmd_classify(args: &Args) -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    let lines = Mutex::new(VerdictLines::new(std::io::stdout(), cfg.threads));
-    let clf_cfg = ClassifierConfig::default();
-    let init = || ClassifySink {
-        clf: BatchClassifier::new(clf_cfg),
-        col: capture_collector(clf_cfg, 0),
-        shard: lock(&lines).join(),
-        matched: 0,
-    };
-    let observe = |sink: &mut ClassifySink, batch: FlowBatch| {
-        let mut segment = VerdictSegment::default();
-        for (i, span) in batch.spans().iter().enumerate() {
-            // Verdicts come straight off the batch's rows; the owning
-            // record is materialized only for labeling and rendering.
-            let analysis = sink.clf.classify_span(&batch, i);
-            let lf = label_capture_flow(batch.materialize(i));
-            sink.col.observe_analyzed(&lf, &analysis);
-            if analysis.signature().is_some() {
-                sink.matched += 1;
-            }
-            let order = sink.clf.order();
-            segment.push(span.first_index, |text| {
-                render(text, &lf.flow, &analysis, order)
-            });
-        }
-        lock(&lines).push(sink.shard, segment, batch.watermark());
-    };
-    let merge = |a: &mut ClassifySink, b: ClassifySink| {
-        a.col.merge(b.col);
-        a.matched += b.matched;
-    };
     // Metrics ride a side registry and land in their own file, so the
     // verdict/summary bytes stay identical with or without `--metrics-json`
     // (and across thread counts).
     let metrics_path = args.get("metrics-json");
     let registry = metrics_path.map(|_| Registry::new());
-    let (sink, stats) = run_source(&mut src, &cfg, registry.as_ref(), init, observe, merge);
-    let lines = lines.into_inner().expect(POISONED);
+    let run = classify(
+        &mut src,
+        &cfg,
+        render,
+        args.has("json-summary"),
+        std::io::stdout(),
+        registry.as_ref(),
+    );
+    let stats = run.stats;
     if let Some(e) = src.read_error() {
         eprintln!("cannot read {path}: {e}");
         return ExitCode::FAILURE;
@@ -270,36 +232,23 @@ fn cmd_classify(args: &Args) -> ExitCode {
     if stats.corrupt_tail {
         eprintln!("[{path}] warning: capture tail is corrupt; trailing records dropped");
     }
-    let mut vm = match &registry {
-        Some(r) => r.scope("verdicts"),
-        None => ScopeMetrics::disabled(),
-    };
-    vm.gauge_max("buffered_lines_max", lines.buffered_max() as u64);
-    let mut tail = String::new();
-    if args.has("json-summary") {
-        tail = format!(
-            "{}\n{}\n",
-            capture_summary_to_json(&sink.col, &stats),
-            engine_perf_to_json(&stats)
-        );
-    }
     // A reader that hung up (`| head`) has what it wanted; any other
     // failure means verdicts were lost.
-    match lines.finish(tail.as_bytes()) {
-        Err(e) if e.kind() != std::io::ErrorKind::BrokenPipe => {
+    match run.written {
+        Some(Err(e)) if e.kind() != std::io::ErrorKind::BrokenPipe => {
             eprintln!("cannot write verdicts: {e}");
             return ExitCode::FAILURE;
         }
         _ => {}
     }
-    if !write_metrics(metrics_path, registry.as_ref(), Some(vm), "engine") {
+    if !write_metrics(metrics_path, registry.as_ref(), None, "engine") {
         return ExitCode::FAILURE;
     }
+    let matched = run.collector.country_matched(0);
     eprintln!(
-        "{} of {} flows match a tampering signature ({})",
-        sink.matched,
+        "{matched} of {} flows match a tampering signature ({})",
         stats.ingest.flows,
-        pct(sink.matched, stats.ingest.flows)
+        pct(matched, stats.ingest.flows)
     );
     ExitCode::SUCCESS
 }

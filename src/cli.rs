@@ -1,19 +1,35 @@
-//! Command-line argument parsing for the `tamperscope` binary.
+//! The `tamperscope` binary's command line and its `classify` pipeline.
 //!
 //! Hand-rolled (the workspace takes no CLI dependency): positionals plus
 //! `--flag` / `--flag value` / `--flag=value`. Whether a flag consumes
-//! the next token is decided by the [`VALUE_FLAGS`] list, not by peeking
+//! the next token is decided by the `VALUE_FLAGS` list, not by peeking
 //! at the token's shape — peeking made boolean flags swallow whatever
 //! followed them (`classify --jsonl capture.pcap` used to parse with no
 //! positional at all, rejecting a perfectly good invocation). A flag in
-//! neither list is an error: a typo must not be a silently different run.
+//! neither list, or one the subcommand does not read, is an error: a typo
+//! must not be a silently different run.
+//!
+//! [`classify`] is the whole of `tamperscope classify` between opening
+//! the capture and reporting on stderr, so the tests that run it in
+//! process run the code that ships.
 
 use std::cmp::Reverse;
 use std::collections::binary_heap::{BinaryHeap, PeekMut};
+use std::fmt::Write as _;
 use std::io::{self, BufWriter, Write};
+use std::ops::RangeInclusive;
+use std::sync::{Mutex, MutexGuard};
+
+use tamper_analysis::{
+    capture_collector, capture_summary_to_json, engine_perf_to_json, flow_to_jsonl_into,
+    label_capture_flow, Collector,
+};
+use tamper_capture::{run_source, EngineConfig, EngineStats, FlowBatch, FlowRecord, PcapMemSource};
+use tamper_core::{explain, BatchClassifier, ClassifierConfig, FlowAnalysis};
+use tamper_obs::Registry;
 
 /// Flags that take a value.
-pub const VALUE_FLAGS: &[&str] = &[
+const VALUE_FLAGS: &[&str] = &[
     "sessions",
     "days",
     "seed",
@@ -28,6 +44,14 @@ pub const VALUE_FLAGS: &[&str] = &[
 /// Flags that take none.
 const BOOL_FLAGS: &[&str] = &["jsonl", "explain", "json-summary", "full"];
 
+/// The numeric flags a run cannot survive every value of, and what each
+/// accepts: `--days`, a year of hourly buckets (the paper's windows are
+/// 14 and 17 days); `--threads`, up to 256 shards (0 is one per core);
+/// `--pops`, 3.6× the paper's 285 PoPs. Past these a run panics, aborts
+/// spawning threads or allocating, or silently truncates.
+const RANGES: [(&str, RangeInclusive<u64>); 3] =
+    [("days", 1..=366), ("threads", 0..=256), ("pops", 1..=1024)];
+
 /// Parsed command line: positionals in order, flags with optional values.
 #[derive(Debug, Default)]
 pub struct Args {
@@ -38,9 +62,10 @@ pub struct Args {
 }
 
 impl Args {
-    /// Parse raw tokens (everything after the subcommand). A `--flag` no
-    /// subcommand knows is an error naming it.
-    pub fn parse(raw: &[String]) -> Result<Args, String> {
+    /// Parse the tokens after subcommand `cmd`, which reads the flags
+    /// named in `reads`. A `--flag` no subcommand knows, or one `cmd`
+    /// does not read, is an error naming it.
+    pub fn parse(cmd: &str, raw: &[String], reads: &[&str]) -> Result<Args, String> {
         let mut positional = Vec::new();
         let mut flags = Vec::new();
         let mut it = raw.iter();
@@ -53,6 +78,9 @@ impl Args {
                 let takes_value = VALUE_FLAGS.contains(&name);
                 if !takes_value && !BOOL_FLAGS.contains(&name) {
                     return Err(format!("unknown flag --{name}"));
+                }
+                if !reads.contains(&name) {
+                    return Err(format!("{cmd} takes no --{name}"));
                 }
                 let value = match given {
                     None if takes_value => it.next().cloned(),
@@ -76,15 +104,24 @@ impl Args {
     }
 
     /// Parse the value of `--name` as u64, erroring on a flag given
-    /// without a value or with one that does not parse. An absent flag
-    /// still yields `default`.
+    /// without a value, with one that does not parse, or with one outside
+    /// the flag's `RANGES` entry. An absent flag still yields `default`.
     pub fn get_u64_strict(&self, name: &str, default: u64) -> Result<u64, String> {
-        match self.flags.iter().rev().find(|(n, _)| n == name) {
-            None => Ok(default),
-            Some((_, None)) => Err(format!("--{name} requires a value")),
-            Some((_, Some(v))) => v
-                .parse()
-                .map_err(|_| format!("--{name}: {v:?} is not an unsigned integer")),
+        let v = match self.flags.iter().rev().find(|(n, _)| n == name) {
+            None => return Ok(default),
+            Some((_, None)) => return Err(format!("--{name} requires a value")),
+            Some((_, Some(v))) => v,
+        };
+        let n: u64 = v
+            .parse()
+            .map_err(|_| format!("--{name}: {v:?} is not an unsigned integer"))?;
+        match RANGES.iter().find(|(flag, _)| *flag == name) {
+            Some((_, range)) if !range.contains(&n) => Err(format!(
+                "--{name}: {n} is outside {}..={}",
+                range.start(),
+                range.end()
+            )),
+            _ => Ok(n),
         }
     }
 
@@ -94,11 +131,138 @@ impl Args {
     }
 }
 
+/// How `classify` renders each flow.
+#[derive(Debug, Clone, Copy)]
+pub enum Render {
+    /// The default: one aligned verdict line.
+    Lines,
+    /// `--jsonl`: one JSON object.
+    Jsonl,
+    /// `--explain`: the flow's packet narrative.
+    Explain,
+}
+
+/// What one [`classify`] run leaves.
+pub struct Classified<W> {
+    /// Every flow, aggregated under the one capture country.
+    pub collector: Collector,
+    /// The engine's ledger.
+    pub stats: EngineStats,
+    /// The sink once every verdict and the summary tail are written, or
+    /// the first write error. `None` when the source hit a read error
+    /// ([`PcapMemSource::read_error`]): lines still held and the tail
+    /// were dropped unwritten.
+    pub written: Option<io::Result<W>>,
+}
+
+/// `tamperscope classify` from an open capture to its last stdout byte:
+/// classify each flow off its batch, label it, aggregate it, render it,
+/// and write the verdicts to `out` in first-seen order through one
+/// ordered writer. With `json_summary`, the summary and perf lines
+/// follow. With a `registry`, the engine's scopes and
+/// `verdicts.buffered_lines_max` are published to it.
+pub fn classify<W: Write + Send>(
+    src: &mut PcapMemSource,
+    engine: &EngineConfig,
+    render: Render,
+    json_summary: bool,
+    out: W,
+    registry: Option<&Registry>,
+) -> Classified<W> {
+    // The writer needs the shard count up front: a shard that has not
+    // reported yet must hold every line back.
+    let engine = EngineConfig {
+        threads: engine.resolved_threads(),
+        ..*engine
+    };
+    let lines = Mutex::new(VerdictLines::new(out, engine.threads));
+    let clf_cfg = ClassifierConfig::default();
+    let init = || ClassifySink {
+        clf: BatchClassifier::new(clf_cfg),
+        col: capture_collector(clf_cfg, 0),
+        shard: lock(&lines).join(),
+    };
+    let observe = |sink: &mut ClassifySink, batch: FlowBatch| {
+        let mut segment = VerdictSegment::default();
+        for (i, span) in batch.spans().iter().enumerate() {
+            // Verdicts come straight off the batch's rows; the owning
+            // record is materialized only for labeling and rendering.
+            let analysis = sink.clf.classify_span(&batch, i);
+            let lf = label_capture_flow(batch.materialize(i));
+            sink.col.observe_analyzed(&lf, &analysis);
+            segment.push(span.first_index, |text| match render {
+                Render::Lines => verdict_line(text, &lf.flow, &analysis),
+                Render::Jsonl => flow_to_jsonl_into(text, &lf.flow, &analysis),
+                Render::Explain => text.push_str(&explain(&lf.flow, &analysis, sink.clf.order())),
+            });
+        }
+        lock(&lines).push(sink.shard, segment, batch.watermark());
+    };
+    let merge = |a: &mut ClassifySink, b: ClassifySink| a.col.merge(b.col);
+    let (sink, stats) = run_source(src, &engine, registry, init, observe, merge);
+    let lines = lines.into_inner().expect(POISONED);
+    if let Some(r) = registry {
+        let mut vm = r.scope("verdicts");
+        vm.gauge_max("buffered_lines_max", lines.buffered_max() as u64);
+        r.publish(vm);
+    }
+    let written = src.read_error().is_none().then(|| {
+        let mut tail = String::new();
+        if json_summary {
+            tail = format!(
+                "{}\n{}\n",
+                capture_summary_to_json(&sink.col, &stats),
+                engine_perf_to_json(&stats)
+            );
+        }
+        lines.finish(tail.as_bytes())
+    });
+    Classified {
+        collector: sink.col,
+        stats,
+        written,
+    }
+}
+
+/// `classify`'s default output: one aligned line per flow.
+fn verdict_line(text: &mut String, flow: &FlowRecord, analysis: &FlowAnalysis) {
+    let verdict = match analysis.signature() {
+        Some(sig) => format!("TAMPERED  {sig}"),
+        None if analysis.is_possibly_tampered() => "possibly tampered".to_owned(),
+        None => "clean".to_owned(),
+    };
+    let domain = analysis.trigger.domain.as_deref().unwrap_or("-");
+    let _ = write!(
+        text,
+        "{}:{} -> :{}  [{} pkts]  {verdict:<40} {domain}",
+        flow.client_ip,
+        flow.src_port,
+        flow.dst_port,
+        flow.packets.len()
+    );
+}
+
+/// Per-shard classify state: a scratch-reusing batch classifier, a
+/// collector slice, and the shard's slot in the shared verdict writer.
+struct ClassifySink {
+    clf: BatchClassifier,
+    col: Collector,
+    shard: usize,
+}
+
+/// Why the shared verdict writer can be poisoned: the panic itself is
+/// re-raised when the engine joins that shard.
+const POISONED: &str = "a classify shard panicked while holding the verdict writer";
+
+fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().expect(POISONED)
+}
+
 /// One shard's rendered batch: every flow's text in one buffer plus a
 /// `(first_index, start, end)` entry each, so a shard renders in place
 /// and hands the whole batch to [`VerdictLines`] at once.
 #[derive(Debug, Default)]
-pub struct VerdictSegment {
+struct VerdictSegment {
     text: String,
     lines: Vec<(u64, usize, usize)>,
     /// Lines already written (after [`VerdictLines::push`] sorted them).
@@ -108,7 +272,7 @@ pub struct VerdictSegment {
 impl VerdictSegment {
     /// Add the flow first seen at record `first_index`: `render` appends
     /// its text to the buffer, and a newline follows.
-    pub fn push(&mut self, first_index: u64, render: impl FnOnce(&mut String)) {
+    fn push(&mut self, first_index: u64, render: impl FnOnce(&mut String)) {
         let start = self.text.len();
         render(&mut self.text);
         self.text.push('\n');
@@ -127,7 +291,7 @@ impl VerdictSegment {
 /// The first write error is latched: nothing is written after it, and
 /// [`VerdictLines::finish`] returns it.
 #[derive(Debug)]
-pub struct VerdictLines<W: Write> {
+struct VerdictLines<W: Write> {
     out: BufWriter<W>,
     failed: Option<io::Error>,
     watermarks: Vec<u64>,
@@ -144,7 +308,7 @@ pub struct VerdictLines<W: Write> {
 impl<W: Write> VerdictLines<W> {
     /// A writer onto `out` for `shards` shards, none of which has
     /// promised anything yet.
-    pub fn new(out: W, shards: usize) -> VerdictLines<W> {
+    fn new(out: W, shards: usize) -> VerdictLines<W> {
         VerdictLines {
             out: BufWriter::new(out),
             failed: None,
@@ -159,14 +323,14 @@ impl<W: Write> VerdictLines<W> {
 
     /// Claim the next shard slot (call once per shard, before its first
     /// push).
-    pub fn join(&mut self) -> usize {
+    fn join(&mut self) -> usize {
         self.joined += 1;
         self.joined - 1
     }
 
     /// Take `shard`'s rendered batch and its new `watermark`, then write
     /// every line now below all shards' watermarks.
-    pub fn push(&mut self, shard: usize, mut segment: VerdictSegment, watermark: u64) {
+    fn push(&mut self, shard: usize, mut segment: VerdictSegment, watermark: u64) {
         if let Some(w) = self.watermarks.get_mut(shard) {
             *w = watermark;
         }
@@ -219,14 +383,14 @@ impl<W: Write> VerdictLines<W> {
     }
 
     /// Most lines held at once, waiting for the watermarks to pass them.
-    pub fn buffered_max(&self) -> usize {
+    fn buffered_max(&self) -> usize {
         self.buffered_max
     }
 
     /// Write every line still held, then `tail`, and flush. Returns the
     /// sink, or the first write error — in which case whatever was still
     /// buffered is dropped unwritten.
-    pub fn finish(mut self, tail: &[u8]) -> io::Result<W> {
+    fn finish(mut self, tail: &[u8]) -> io::Result<W> {
         self.write_below(u64::MAX);
         if self.failed.is_none() {
             if let Err(e) = self.out.write_all(tail).and_then(|()| self.out.flush()) {
@@ -247,7 +411,8 @@ mod tests {
 
     fn args(tokens: &[&str]) -> Args {
         let raw: Vec<String> = tokens.iter().map(|s| s.to_string()).collect();
-        Args::parse(&raw).expect("known flags only")
+        let every: Vec<&str> = VALUE_FLAGS.iter().chain(BOOL_FLAGS).copied().collect();
+        Args::parse("test", &raw, &every).expect("known flags only")
     }
 
     type Step<'a> = (usize, &'a [(u64, &'a str)], u64, &'a str);

@@ -216,9 +216,19 @@ fn unknown_subcommand_fails_with_usage() {
 
 #[test]
 fn unparseable_numeric_flag_is_a_usage_error() {
-    // `--threads=abc`, a typo (`--jsnol`) or a flag nothing reads
-    // (`--port`) used to be a silently different run; each is a usage
-    // failure (exit 2) that names the flag.
+    // `--threads=abc`, a typo (`--jsnol`), a flag nothing reads
+    // (`--port`) or one this subcommand does not read used to be a
+    // silently different run, and a number past what a run survives a
+    // panic or an abort; each is a usage failure (exit 2) that names the
+    // flag.
+    let check = |args: &str, why: &str| {
+        let out = bin().args(args.split(' ')).output().expect("run");
+        assert_eq!(out.status.code(), Some(2), "{args:?} did not exit 2");
+        assert!(out.stdout.is_empty(), "{args:?} ran anyway");
+        let err = String::from_utf8(out.stderr).unwrap();
+        assert!(err.contains("USAGE"), "{args:?}: {err}");
+        assert!(err.contains(why), "{args:?}: {err}");
+    };
     for (args, why) in [
         (
             "report --sessions abc",
@@ -246,14 +256,66 @@ fn unparseable_numeric_flag_is_a_usage_error() {
             "unknown flag --port\n",
         ),
         ("report --thread 1", "unknown flag --thread\n"),
+        (
+            "pop-run --pops 2 --out /tmp/never-written --metrics-json m.json",
+            "pop-run takes no --metrics-json",
+        ),
+        (
+            "classify tests/fixtures/golden.pcap --jsonl --explain",
+            "--jsonl and --explain are exclusive",
+        ),
+        (
+            "classify tests/fixtures/golden.pcap --pops 3",
+            "classify takes no --pops",
+        ),
+        (
+            "classify tests/fixtures/golden.pcap --sessions 5",
+            "classify takes no --sessions",
+        ),
+        ("report --days 0", "--days: 0 is outside 1..=366"),
+        (
+            "pop-run --pops 2 --out /tmp/never-written --days 0",
+            "--days: 0 is outside 1..=366",
+        ),
+        (
+            "report --days 4294967297",
+            "--days: 4294967297 is outside 1..=366",
+        ),
+        (
+            "report --threads 4294967296",
+            "--threads: 4294967296 is outside 0..=256",
+        ),
+        (
+            "classify tests/fixtures/golden.pcap --threads 100000",
+            "--threads: 100000 is outside 0..=256",
+        ),
+        (
+            "pop-run --pops 50000000 --out /tmp/never-written",
+            "--pops: 50000000 is outside 1..=1024",
+        ),
     ] {
-        let out = bin().args(args.split(' ')).output().expect("run");
-        assert_eq!(out.status.code(), Some(2), "{args:?} did not exit 2");
-        assert!(out.stdout.is_empty(), "{args:?} ran anyway");
-        let err = String::from_utf8(out.stderr).unwrap();
-        assert!(err.contains("USAGE"), "{args:?}: {err}");
-        assert!(err.contains(why), "{args:?}: {err}");
+        check(args, why);
     }
+    // `merge` gets a real partial: the rows must fail on the flag, not
+    // on a missing file.
+    let dir = tmp("usage_merge");
+    let world = "--sessions 1000 --days 1";
+    let out = bin()
+        .args(["pop-run", "--pops", "1", "--out"])
+        .arg(&dir)
+        .args(world.split(' '))
+        .output()
+        .expect("pop-run");
+    assert!(out.status.success());
+    let agg = dir.join("pop0.agg");
+    for (flag, why) in [
+        ("--threads 4", "merge takes no --threads"),
+        ("--max-flows 9", "merge takes no --max-flows"),
+        ("--jsonl", "merge takes no --jsonl"),
+    ] {
+        check(&format!("merge {} {world} {flag}", agg.display()), why);
+    }
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]

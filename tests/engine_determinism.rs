@@ -1,23 +1,23 @@
 //! The engine's headline guarantee: classify output is a pure function of
 //! the capture bytes, not of the thread count. A synthesized capture runs
-//! through the streaming engine at 1, 2, and 8 shards; verdict lines,
-//! per-signature counts, and the deterministic summary JSON must be
-//! byte-identical everywhere.
+//! through `cli::classify`, the pipeline `tamperscope classify` ships, at
+//! 1, 2, and 8 shards; verdict text in every renderer, per-signature
+//! counts, and the deterministic summary JSON must be byte-identical
+//! everywhere.
 
 use std::net::{IpAddr, Ipv4Addr};
 
 use tamperscope::analysis::{
-    capture_collector, capture_summary_to_json, flow_to_jsonl, label_capture_flow, metrics_to_json,
-    report, summary_to_json, Collector,
+    capture_summary_to_json, flow_to_jsonl, metrics_to_json, report, summary_to_json, Collector,
 };
 use tamperscope::capture::{
     flows_from_pcap, run_source, EngineConfig, EngineStats, FlowBatch, FlowRecord, OfflineConfig,
-    PacketRecord, PcapMemSource, PcapWriter, SimSource,
+    PacketRecord, PcapMemSource, PcapWriter,
 };
-use tamperscope::core::{classify, BatchClassifier, ClassifierConfig, Signature};
+use tamperscope::cli::{self, Render};
+use tamperscope::core::{classify, ClassifierConfig, Signature};
 use tamperscope::obs::Registry;
 use tamperscope::wire::{PacketBuilder, TcpFlags, TcpHeader};
-use tamperscope::worldgen::json::Json;
 use tamperscope::worldgen::{generate_lists, WorldConfig, WorldSim};
 
 fn server() -> IpAddr {
@@ -129,63 +129,28 @@ fn synth_capture(n_flows: u32) -> Vec<u8> {
     w.into_inner()
 }
 
-struct Sink {
-    clf: BatchClassifier,
-    col: Collector,
-    lines: Vec<(u64, String)>,
-}
-
-/// Run the engine at a given shard count; return the concatenated verdict
-/// lines (global order) and the collector.
-fn engine_output(bytes: &[u8], threads: usize) -> (String, Collector, EngineStats) {
-    engine_output_observed(bytes, threads, None)
-}
-
-/// Same, with an optional metrics registry attached — observation must be
-/// a pure spectator.
-fn engine_output_observed(
+/// Run `classify`'s pipeline at a given shard count, with an optional
+/// metrics registry attached — observation must be a pure spectator;
+/// return the verdict text it writes, the collector and the ledger.
+fn engine_output(
     bytes: &[u8],
     threads: usize,
+    render: Render,
     obs: Option<&Registry>,
 ) -> (String, Collector, EngineStats) {
     let cfg = EngineConfig {
         threads,
         ..EngineConfig::default()
     };
-    let clf_cfg = ClassifierConfig::default();
     let mut src = PcapMemSource::new(bytes::Bytes::copy_from_slice(bytes)).expect("pcap header");
-    let (mut sink, stats) = run_source(
-        &mut src,
-        &cfg,
-        obs,
-        || Sink {
-            clf: BatchClassifier::new(clf_cfg),
-            col: capture_collector(clf_cfg, 0),
-            lines: Vec::new(),
-        },
-        |sink: &mut Sink, batch: FlowBatch| {
-            for (i, span) in batch.spans().iter().enumerate() {
-                let analysis = sink.clf.classify_span(&batch, i);
-                let lf = label_capture_flow(batch.materialize(i));
-                sink.col.observe_analyzed(&lf, &analysis);
-                sink.lines
-                    .push((span.first_index, flow_to_jsonl(&lf.flow, &analysis)));
-            }
-        },
-        |a, mut b| {
-            a.col.merge(b.col);
-            a.lines.append(&mut b.lines);
-        },
-    );
-    assert!(stats.is_conserved(), "{stats:?}");
-    sink.lines.sort_by_key(|(first_index, _)| *first_index);
-    let text = sink
-        .lines
-        .into_iter()
-        .map(|(_, l)| l)
-        .collect::<Vec<_>>()
-        .join("\n");
-    (text, sink.col, stats)
+    let run = cli::classify(&mut src, &cfg, render, false, Vec::new(), obs);
+    assert!(run.stats.is_conserved(), "{:?}", run.stats);
+    let text = run
+        .written
+        .expect("capture read to its end")
+        .expect("write to memory");
+    let text = String::from_utf8(text).expect("verdicts are UTF-8");
+    (text, run.collector, run.stats)
 }
 
 fn signature_counts(col: &Collector) -> [u64; 19] {
@@ -201,33 +166,35 @@ fn signature_counts(col: &Collector) -> [u64; 19] {
 #[test]
 fn verdicts_are_byte_identical_across_thread_counts() {
     let bytes = synth_capture(120);
-    let (out1, col1, stats1) = engine_output(&bytes, 1);
-    let (out2, col2, stats2) = engine_output(&bytes, 2);
-    let (out8, col8, stats8) = engine_output(&bytes, 8);
+    for render in [Render::Lines, Render::Jsonl, Render::Explain] {
+        let (out1, col1, stats1) = engine_output(&bytes, 1, render, None);
+        let (out2, col2, stats2) = engine_output(&bytes, 2, render, None);
+        let (out8, col8, stats8) = engine_output(&bytes, 8, render, None);
 
-    assert!(!out1.is_empty());
-    assert_eq!(out1, out2, "threads 1 vs 2 diverged");
-    assert_eq!(out1, out8, "threads 1 vs 8 diverged");
+        assert!(!out1.is_empty());
+        assert_eq!(out1, out2, "{render:?}: threads 1 vs 2 diverged");
+        assert_eq!(out1, out8, "{render:?}: threads 1 vs 8 diverged");
 
-    // The deterministic summary line must match byte-for-byte too.
-    let s1 = capture_summary_to_json(&col1, &stats1);
-    let s2 = capture_summary_to_json(&col2, &stats2);
-    let s8 = capture_summary_to_json(&col8, &stats8);
-    assert_eq!(s1, s2);
-    assert_eq!(s1, s8);
+        // The deterministic summary line must match byte-for-byte too.
+        let s1 = capture_summary_to_json(&col1, &stats1);
+        let s2 = capture_summary_to_json(&col2, &stats2);
+        let s8 = capture_summary_to_json(&col8, &stats8);
+        assert_eq!(s1, s2);
+        assert_eq!(s1, s8);
 
-    // And the per-signature counts.
-    assert_eq!(signature_counts(&col1), signature_counts(&col2));
-    assert_eq!(signature_counts(&col1), signature_counts(&col8));
+        // And the per-signature counts.
+        assert_eq!(signature_counts(&col1), signature_counts(&col2));
+        assert_eq!(signature_counts(&col1), signature_counts(&col8));
 
-    // The capture genuinely exercised streaming eviction and all
-    // stat paths — otherwise the determinism claim is vacuous.
-    assert!(stats1.evicted_timeout > 0, "no timeout evictions happened");
-    assert!(stats1.drained_eof > 0, "no EOF drains happened");
-    assert!(
-        stats1.ingest.truncated_packets > 0,
-        "no truncation happened"
-    );
+        // The capture genuinely exercised streaming eviction and all
+        // stat paths — otherwise the determinism claim is vacuous.
+        assert!(stats1.evicted_timeout > 0, "no timeout evictions happened");
+        assert!(stats1.drained_eof > 0, "no EOF drains happened");
+        assert!(
+            stats1.ingest.truncated_packets > 0,
+            "no truncation happened"
+        );
+    }
 }
 
 /// A capture run's counters, flows discarded.
@@ -274,7 +241,7 @@ fn corpus_hits_multiple_signatures() {
     // Sanity: the synthetic mix must produce a spread of signatures, not
     // funnel everything into one bucket.
     let bytes = synth_capture(80);
-    let (_, col, _) = engine_output(&bytes, 2);
+    let (_, col, _) = engine_output(&bytes, 2, Render::Jsonl, None);
     let counts = signature_counts(&col);
     assert!(counts[Signature::SynNone.index()] > 0);
     assert!(counts[Signature::SynRst.index()] > 0);
@@ -294,8 +261,8 @@ fn sharding_cannot_increase_max_live_flows() {
     // capture across 8 shards can only shrink (or keep) the single-shard
     // high water — it must never report the shards' sum.
     let bytes = synth_capture(120);
-    let (_, _, stats1) = engine_output(&bytes, 1);
-    let (_, _, stats8) = engine_output(&bytes, 8);
+    let (_, _, stats1) = engine_output(&bytes, 1, Render::Jsonl, None);
+    let (_, _, stats8) = engine_output(&bytes, 8, Render::Jsonl, None);
     assert!(stats1.max_live_flows > 0);
     assert!(
         stats8.max_live_flows <= stats1.max_live_flows,
@@ -480,10 +447,11 @@ fn metrics_observation_never_perturbs_deterministic_output() {
     let bytes = synth_capture(120);
     let mut summaries = Vec::new();
     for threads in [1usize, 2, 8] {
-        let (plain_text, plain_col, plain_stats) = engine_output(&bytes, threads);
+        let (plain_text, plain_col, plain_stats) =
+            engine_output(&bytes, threads, Render::Jsonl, None);
         let registry = Registry::new();
         let (obs_text, obs_col, obs_stats) =
-            engine_output_observed(&bytes, threads, Some(&registry));
+            engine_output(&bytes, threads, Render::Jsonl, Some(&registry));
 
         // Attaching the registry changes neither the verdict lines nor the
         // deterministic summary, byte for byte.
@@ -502,6 +470,7 @@ fn metrics_observation_never_perturbs_deterministic_output() {
         // dependent vocabulary leaks into the summary bytes.
         let metrics = metrics_to_json(&registry.snapshot());
         assert!(metrics.contains("\"kind\":\"metrics\""));
+        assert!(metrics.contains("\"buffered_lines_max\""), "{metrics}");
         for leak in [
             "\"kind\":\"metrics\"",
             "histograms",
@@ -518,175 +487,4 @@ fn metrics_observation_never_perturbs_deterministic_output() {
     // And the observed summary itself is thread-count-invariant.
     assert_eq!(summaries[0], summaries[1]);
     assert_eq!(summaries[0], summaries[2]);
-}
-
-// ---------------------------------------------------------------------------
-// Satellite: flow-record JSONL round trip
-// ---------------------------------------------------------------------------
-
-/// Serialize a flow record as one JSONL line carrying every field the
-/// classifier can observe (payloads hex-encoded).
-fn record_to_jsonl(f: &FlowRecord) -> String {
-    fn hex(bytes: &[u8]) -> String {
-        let mut s = String::with_capacity(bytes.len() * 2);
-        for b in bytes {
-            s.push_str(&format!("{b:02x}"));
-        }
-        s
-    }
-    let packets: Vec<String> = f
-        .packets
-        .iter()
-        .map(|p| {
-            let ip_id = match p.ip_id {
-                Some(id) => id.to_string(),
-                None => "null".to_string(),
-            };
-            format!(
-                "{{\"ts_sec\":{},\"flags\":{},\"seq\":{},\"ack\":{},\"ip_id\":{},\
-                 \"ttl\":{},\"window\":{},\"payload_len\":{},\"payload\":\"{}\",\
-                 \"has_tcp_options\":{}}}",
-                p.ts_sec,
-                p.flags.bits(),
-                p.seq,
-                p.ack,
-                ip_id,
-                p.ttl,
-                p.window,
-                p.payload_len,
-                hex(&p.payload),
-                p.has_tcp_options
-            )
-        })
-        .collect();
-    format!(
-        "{{\"client_ip\":\"{}\",\"server_ip\":\"{}\",\"src_port\":{},\"dst_port\":{},\
-         \"packets\":[{}],\"observation_end_sec\":{},\"truncated\":{}}}",
-        f.client_ip,
-        f.server_ip,
-        f.src_port,
-        f.dst_port,
-        packets.join(","),
-        f.observation_end_sec,
-        f.truncated
-    )
-}
-
-/// Decode one JSONL line back into a flow record.
-fn record_from_json(j: &Json) -> FlowRecord {
-    fn unhex(s: &str) -> bytes::Bytes {
-        let raw: Vec<u8> = s
-            .as_bytes()
-            .chunks(2)
-            .map(|pair| {
-                let hi = (pair[0] as char).to_digit(16).expect("hex digit");
-                let lo = (pair[1] as char).to_digit(16).expect("hex digit");
-                (hi * 16 + lo) as u8
-            })
-            .collect();
-        bytes::Bytes::from(raw)
-    }
-    let u = |v: &Json, key: &str| v.get(key).and_then(Json::as_u64).expect("numeric field");
-    let packets = j
-        .get("packets")
-        .and_then(Json::as_array)
-        .expect("packets array")
-        .iter()
-        .map(|p| PacketRecord {
-            ts_sec: u(p, "ts_sec"),
-            flags: TcpFlags::from_bits(u(p, "flags") as u8),
-            seq: u(p, "seq") as u32,
-            ack: u(p, "ack") as u32,
-            ip_id: p.get("ip_id").and_then(Json::as_u64).map(|v| v as u16),
-            ttl: u(p, "ttl") as u8,
-            window: u(p, "window") as u16,
-            payload_len: u(p, "payload_len") as u32,
-            payload: unhex(p.get("payload").and_then(Json::as_str).expect("payload")),
-            has_tcp_options: p
-                .get("has_tcp_options")
-                .and_then(Json::as_bool)
-                .expect("bool field"),
-        })
-        .collect();
-    FlowRecord {
-        client_ip: j
-            .get("client_ip")
-            .and_then(Json::as_str)
-            .expect("client_ip")
-            .parse()
-            .expect("ip"),
-        server_ip: j
-            .get("server_ip")
-            .and_then(Json::as_str)
-            .expect("server_ip")
-            .parse()
-            .expect("ip"),
-        src_port: u(j, "src_port") as u16,
-        dst_port: u(j, "dst_port") as u16,
-        packets,
-        observation_end_sec: u(j, "observation_end_sec"),
-        truncated: j
-            .get("truncated")
-            .and_then(Json::as_bool)
-            .expect("bool field"),
-    }
-}
-
-/// Drive a batch of assembled records through the sharded engine (as a
-/// [`SimSource`] over their indices); return the verdict lines in record
-/// order.
-fn record_engine_lines(records: &[FlowRecord], threads: usize) -> String {
-    let cfg = EngineConfig {
-        threads,
-        ..EngineConfig::default()
-    };
-    let clf_cfg = ClassifierConfig::default();
-    let gen = |i: u64| records.get(i as usize).cloned();
-    let (lines, stats) = run_source(
-        &mut SimSource::new(records.len() as u64, &gen),
-        &cfg,
-        None,
-        Vec::new,
-        |acc: &mut Vec<String>, flow: FlowRecord| {
-            acc.push(flow_to_jsonl(&flow, &classify(&flow, &clf_cfg)));
-        },
-        |a, mut b| a.append(&mut b),
-    );
-    assert_eq!(stats.ingest.flows, lines.len() as u64);
-    lines.join("\n")
-}
-
-/// Satellite: flow records survive a JSONL round trip exactly, and the
-/// records → engine → verdicts path produces byte-identical output for
-/// the in-memory batch and its decoded JSONL twin at 1, 2, and 8 shards.
-#[test]
-fn record_jsonl_round_trip_is_byte_identical_across_thread_counts() {
-    let bytes = synth_capture(64);
-    let (flows, _stats) =
-        flows_from_pcap(bytes.as_slice(), &OfflineConfig::default()).expect("ingest");
-    assert!(flows.len() >= 60, "capture shrank: {}", flows.len());
-
-    // Field-exact structural round trip (FlowRecord: PartialEq).
-    let jsonl: Vec<String> = flows.iter().map(record_to_jsonl).collect();
-    let decoded: Vec<FlowRecord> = jsonl
-        .iter()
-        .map(|line| record_from_json(&Json::parse(line).expect("line parses")))
-        .collect();
-    assert_eq!(flows, decoded, "JSONL round trip altered a record");
-
-    // Both batches drive the engine to the same verdict bytes everywhere.
-    let base = record_engine_lines(&flows, 1);
-    assert!(!base.is_empty());
-    for threads in [1usize, 2, 8] {
-        assert_eq!(
-            record_engine_lines(&flows, threads),
-            base,
-            "in-memory records diverged at {threads} threads"
-        );
-        assert_eq!(
-            record_engine_lines(&decoded, threads),
-            base,
-            "decoded JSONL records diverged at {threads} threads"
-        );
-    }
 }

@@ -4,9 +4,10 @@
 //! with its peak live heap inside the entry's [`Bound`]. A failure is
 //! named `entry seed mutator@offset`.
 //!
-//! - `pcap`: `classify`'s pipeline at one shard, via `PcapMemSource::new`
-//!   and `from_reader` (`PcapError` / `io::Error`); seeds `golden.pcap`
-//!   and the 19 `sig_*.pcap`.
+//! - `pcap`: `cli::classify` at one shard with `--json-summary`, once as
+//!   `--jsonl` and once as `--explain`, via `PcapMemSource::new` and
+//!   `from_reader` (`PcapError` / `io::Error`); seeds `golden.pcap` and
+//!   the 19 `sig_*.pcap`.
 //! - `frame`: `PacketView::parse` (`WireError`), which must not allocate;
 //!   seeds every frame of `golden.pcap` and two IPv6 frames.
 //! - `payload`: `tls::parse_sni`, `http::parse_request`, `http::parse_host`
@@ -39,12 +40,10 @@ use std::path::Path;
 use std::sync::OnceLock;
 
 use bytes::Bytes;
-use tamperscope::analysis::{
-    capture_collector, capture_summary_to_json, decode_agg, encode_agg, flow_to_jsonl_into,
-    label_capture_flow, Collector,
-};
-use tamperscope::capture::{run_source, EngineConfig, EngineStats, FlowBatch, PcapMemSource};
-use tamperscope::core::{explain, BatchClassifier, ClassifierConfig};
+use tamperscope::analysis::{decode_agg, encode_agg, Collector};
+use tamperscope::capture::{EngineConfig, EngineStats, PcapMemSource};
+use tamperscope::cli::{self, Render};
+use tamperscope::core::ClassifierConfig;
 use tamperscope::wire::{http, tls, PacketBuilder, PacketView, TcpFlags, TcpHeader};
 use tamperscope::worldgen::{policy::world_spec, world_from_json, world_to_json};
 use tamperscope::worldgen::{WorldConfig, WorldSim};
@@ -426,95 +425,89 @@ fn reseal(frame: &mut [u8]) {
 // pcap: the classify pipeline
 // ---------------------------------------------------------------------------
 
-/// One `classify` run: a digest of every flow's `--jsonl` line, the
-/// ledger, and the read error that ended it.
+/// One `classify` run: a digest of its stdout, the ledger, and the read
+/// error that ended it.
 #[derive(Debug, PartialEq, Eq)]
-struct Classified {
-    digest: u64,
+struct Run {
+    digest: Option<u64>,
     stats: EngineStats,
     read_error: Option<String>,
 }
 
-/// `tamperscope classify` in process at one shard: classify each flow
-/// off its batch, label, aggregate and render it (also as `--explain`
-/// text when `narrate`). Lines are digested flow by flow, as the CLI
-/// streams them; the collector is returned for the summary.
-fn classify_capture(mut src: PcapMemSource, narrate: bool) -> (Classified, Collector) {
-    type Sink = (BatchClassifier, Collector, String, u64);
+/// A sink that keeps only an FNV-1a digest of the bytes written to it.
+struct Digest(u64);
+
+impl Write for Digest {
+    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+        for &b in buf {
+            self.0 = (self.0 ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3);
+        }
+        Ok(buf.len())
+    }
+
+    fn flush(&mut self) -> std::io::Result<()> {
+        Ok(())
+    }
+}
+
+/// `tamperscope classify --json-summary` in process at one shard,
+/// rendering each flow as `render` does, its stdout digested.
+fn classify_capture(mut src: PcapMemSource, render: Render) -> Run {
     let cfg = EngineConfig {
         threads: 1,
         ..EngineConfig::default()
     };
-    let clf = ClassifierConfig::default();
-    let init = || -> Sink {
-        let col = capture_collector(clf, 0);
-        (
-            BatchClassifier::new(clf),
-            col,
-            String::new(),
-            0xcbf2_9ce4_8422_2325,
-        )
-    };
-    let observe = |(clf, col, text, digest): &mut Sink, batch: FlowBatch| {
-        for i in 0..batch.flow_count() {
-            let analysis = clf.classify_span(&batch, i);
-            let lf = label_capture_flow(batch.materialize(i));
-            col.observe_analyzed(&lf, &analysis);
-            text.clear();
-            flow_to_jsonl_into(text, &lf.flow, &analysis);
-            if narrate {
-                explain(&lf.flow, &analysis, clf.order());
-            }
-            for &b in text.as_bytes() {
-                *digest = (*digest ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3);
-            }
-        }
-    };
-    let merge = |_: &mut Sink, _| unreachable!("one shard");
-    let ((_, col, _, digest), stats) = run_source(&mut src, &cfg, None, init, observe, merge);
-    let read_error = src.read_error().map(ToString::to_string);
-    let run = Classified {
+    let run = cli::classify(
+        &mut src,
+        &cfg,
+        render,
+        true,
+        Digest(0xcbf2_9ce4_8422_2325),
+        None,
+    );
+    let digest = run
+        .written
+        .map(|w| w.expect("a digest takes every write").0);
+    Run {
         digest,
-        stats,
-        read_error,
-    };
-    (run, col)
+        stats: run.stats,
+        read_error: src.read_error().map(ToString::to_string),
+    }
 }
 
 /// The checks every run that opened the capture must pass.
-fn sound(run: &Classified) -> Result<(), String> {
+fn sound(run: &Run) -> Result<(), String> {
     if run.read_error.is_some() || !run.stats.is_conserved() {
         return Err(format!("unsound run: {run:?}"));
     }
     Ok(())
 }
 
-/// One pcap case, whole and streamed: the two agree and are sound, and
-/// a cut of the seed whose record `bounds` are given ends clean exactly
-/// on a record boundary, every record before it kept.
+/// One pcap case, whole and streamed, as `--jsonl` and as `--explain`:
+/// each pair writes the same bytes and is sound, and a cut of the seed
+/// whose record `bounds` are given ends clean exactly on a record
+/// boundary, every record before it kept.
 fn pcap_case(tally: &mut Tally, label: &str, bytes: &[u8], cut_of: Option<&[usize]>) {
-    let whole_in = Bytes::copy_from_slice(bytes);
-    let whole = run_case(label, || {
-        let (run, col) = classify_capture(
-            PcapMemSource::new(whole_in).map_err(|e| e.to_string())?,
-            true,
-        );
-        capture_summary_to_json(&col, &run.stats); // `--json-summary`
-        Ok::<_, String>(run)
-    });
-    let streamed_in = Cursor::new(bytes.to_vec());
-    let streamed = run_case(label, || {
-        let src = PcapMemSource::from_reader(streamed_in).map_err(|e| e.to_string())?;
-        Ok::<_, String>(classify_capture(src, false).0)
-    });
-    let outcome = (|| {
+    let case = |render: Render| -> Result<(), String> {
+        let whole_in = Bytes::copy_from_slice(bytes);
+        let whole = run_case(label, || {
+            let src = PcapMemSource::new(whole_in).map_err(|e| e.to_string())?;
+            Ok::<_, String>(classify_capture(src, render))
+        });
+        let streamed_in = Cursor::new(bytes.to_vec());
+        let streamed = run_case(label, || {
+            let src = PcapMemSource::from_reader(streamed_in).map_err(|e| e.to_string())?;
+            Ok::<_, String>(classify_capture(src, render))
+        });
         let (whole, peak, _) = whole?;
         PCAP.check(bytes.len(), peak)?;
         let (streamed, peak, _) = streamed?;
         PCAP_STREAMED.check(bytes.len(), peak)?;
         // A refused header reads the same both ways.
         if whole != streamed {
-            return Err(format!("whole {whole:?} != streamed {streamed:?}"));
+            return Err(format!(
+                "{render:?}: whole {whole:?} != streamed {streamed:?}"
+            ));
         }
         let valid_header = bytes.get(..4) == Some(&[0xd4, 0xc3, 0xb2, 0xa1])
             && bytes.get(20..24) == Some(&[101, 0, 0, 0]);
@@ -536,7 +529,8 @@ fn pcap_case(tally: &mut Tally, label: &str, bytes: &[u8], cut_of: Option<&[usiz
             ));
         }
         Ok(())
-    })();
+    };
+    let outcome = case(Render::Jsonl).and_then(|()| case(Render::Explain));
     tally.record(label, outcome);
 }
 
@@ -598,7 +592,8 @@ fn pcap_captures_fail_closed() {
                 let label = tally.label(seed, m, "+tail");
                 let reader = Cursor::new(bytes.to_vec()).chain(tail);
                 let outcome = run_case(&label, || {
-                    PcapMemSource::from_reader(reader).map(|src| classify_capture(src, false).0)
+                    PcapMemSource::from_reader(reader)
+                        .map(|src| classify_capture(src, Render::Jsonl))
                 })
                 .and_then(|(run, peak, _)| {
                     PCAP_TAILED.check(bytes.len(), peak)?;

@@ -667,7 +667,8 @@ proptest! {
 // drops, never panic, on truncation, garbage frames, or bit corruption.
 // ---------------------------------------------------------------------------
 
-use tamper_capture::{run_source, EngineConfig, EngineStats, PcapError, PcapMemSource, PcapWriter};
+use tamper_capture::{EngineConfig, EngineStats, PcapError, PcapMemSource, PcapWriter};
+use tamperscope::cli::{self, Render};
 
 fn valid_frame(client_octet: u8, sport: u16, flags: TcpFlags, seq: u32) -> Vec<u8> {
     PacketBuilder::new(
@@ -694,22 +695,16 @@ fn small_capture(n: u8) -> Vec<u8> {
     w.into_inner()
 }
 
-fn run_collecting(bytes: &[u8]) -> Result<(Vec<FlowRecord>, EngineStats), PcapError> {
+/// `classify`'s pipeline at two shards, its verdicts discarded: the
+/// flows it aggregated, and the ledger.
+fn run_collecting(bytes: &[u8]) -> Result<(u64, EngineStats), PcapError> {
     let cfg = EngineConfig {
         threads: 2,
         ..EngineConfig::default()
     };
     let mut src = PcapMemSource::new(Bytes::copy_from_slice(bytes))?;
-    Ok(run_source(
-        &mut src,
-        &cfg,
-        None,
-        Vec::new,
-        |acc: &mut Vec<FlowRecord>, batch: FlowBatch| {
-            acc.extend((0..batch.flow_count()).map(|i| batch.materialize(i)));
-        },
-        |a, mut b| a.append(&mut b),
-    ))
+    let run = cli::classify(&mut src, &cfg, Render::Lines, false, std::io::sink(), None);
+    Ok((run.collector.total, run.stats))
 }
 
 proptest! {
@@ -736,7 +731,7 @@ proptest! {
                 let at_boundary = (cut - 24).is_multiple_of(rec_size);
                 prop_assert_eq!(stats.corrupt_tail, !at_boundary);
                 prop_assert!(stats.records <= u64::from(n_flows));
-                prop_assert_eq!(flows.len() as u64, stats.records);
+                prop_assert_eq!(flows, stats.records);
             }
         }
     }
@@ -774,7 +769,7 @@ proptest! {
         let bytes = w.into_inner();
         let (flows, stats) = run_collecting(&bytes).expect("valid container");
         prop_assert_eq!(stats.ingest.unparsable, garbage.len() as u64);
-        prop_assert_eq!(flows.len(), usize::from(n_valid));
+        prop_assert_eq!(flows, u64::from(n_valid));
         prop_assert!(!stats.corrupt_tail);
     }
 
@@ -792,7 +787,7 @@ proptest! {
         bytes[idx] ^= flip_bits;
         let (flows, stats) = run_collecting(&bytes).expect("header is intact");
         prop_assert!(stats.records <= u64::from(n_flows));
-        prop_assert!(flows.len() as u64 <= stats.records);
+        prop_assert!(flows <= stats.records);
         // Every record is accounted for: it became a flow packet, was
         // dropped unparsable, or the stream ended early (corrupt tail).
         let accounted = stats.ingest.packets + stats.ingest.unparsable + stats.ingest.not_inbound;
