@@ -805,8 +805,9 @@ mod tests {
         // survivors in exactly serial order for any thread count, because
         // shards own contiguous chunks merged in shard order.
         let total = 1000u64;
-        let gen = |i: u64| -> Option<u64> { (!i.is_multiple_of(7)).then_some(i * 3 + 1) };
-        let serial: Vec<u64> = (0..total).filter_map(gen).collect();
+        let gen =
+            |_: &mut (), i: u64| -> Option<u64> { (!i.is_multiple_of(7)).then_some(i * 3 + 1) };
+        let serial: Vec<u64> = (0..total).filter_map(|i| gen(&mut (), i)).collect();
         for threads in [1usize, 2, 3, 8] {
             let cfg = EngineConfig {
                 threads,

@@ -12,8 +12,9 @@
 //!   borrowed views and assemble flows in a [`ColumnarFlowTable`],
 //!   emitting [`FlowBatch`]es.
 //! * [`SimSource`] — indexes into a deterministic generator such as
-//!   `worldgen::WorldSim::gen_session`; generation itself runs on the
-//!   shards so simulated worlds parallelize without an intermediate pcap.
+//!   `worldgen::WorldSim::gen_session_in`; generation itself runs on the
+//!   shards, each with scratch state of its own, so simulated worlds
+//!   parallelize without an intermediate pcap.
 //!
 //! # Contract
 //!
@@ -593,6 +594,9 @@ fn mix(h: u64, v: u64) -> u64 {
 /// [`FlowSource`] over a deterministic indexed generator: item `i` is
 /// just the index, and the expensive generation call runs on the shards,
 /// so simulated worlds parallelize through the same engine as captures.
+/// Each shard owns one `S` (built with `S::default()`) and lends it to
+/// every generator call it makes: scratch space such as a simulator
+/// workspace is set up once per shard and reused for every index.
 ///
 /// # Partition and order
 ///
@@ -603,24 +607,26 @@ fn mix(h: u64, v: u64) -> u64 {
 /// reader pulls indices interleaved across chunks (first index of each
 /// chunk, then the second of each, ...); within a shard, indices still
 /// arrive in ascending order.
-pub struct SimSource<'g, F, O> {
+pub struct SimSource<'g, F, S, O> {
     gen: &'g F,
     total: u64,
     shards: u64,
     chunk: u64,
     cursor: u64,
-    _out: PhantomData<fn() -> O>,
+    _out: PhantomData<fn() -> (S, O)>,
 }
 
-impl<'g, F, O> SimSource<'g, F, O>
+impl<'g, F, S, O> SimSource<'g, F, S, O>
 where
-    F: Fn(u64) -> Option<O> + Sync,
+    F: Fn(&mut S, u64) -> Option<O> + Sync,
+    S: Default + Send,
     O: Send,
 {
     /// A source over indices `0..total`, generating via `gen` on the
     /// shards. `gen` must be a pure function of the index (derive any
-    /// randomness from it) — that is what makes the run reproducible.
-    pub fn new(total: u64, gen: &'g F) -> SimSource<'g, F, O> {
+    /// randomness from it; the shard state it is lent is scratch, never
+    /// input) — that is what makes the run reproducible.
+    pub fn new(total: u64, gen: &'g F) -> SimSource<'g, F, S, O> {
         SimSource {
             gen,
             total,
@@ -638,14 +644,15 @@ where
     }
 }
 
-impl<'g, F, O> FlowSource for SimSource<'g, F, O>
+impl<'g, F, S, O> FlowSource for SimSource<'g, F, S, O>
 where
-    F: Fn(u64) -> Option<O> + Sync,
+    F: Fn(&mut S, u64) -> Option<O> + Sync,
+    S: Default + Send,
     O: Send,
 {
     type Item = u64;
     type Out = O;
-    type Shard = SimShard<'g, F, O>;
+    type Shard = SimShard<'g, F, S, O>;
 
     fn prepare(&mut self, shards: usize) {
         self.shards = shards.max(1) as u64;
@@ -673,24 +680,27 @@ where
         Some(((item / self.chunk) as usize).min(shards.saturating_sub(1)))
     }
 
-    fn shard(&self, _cfg: &EngineConfig) -> SimShard<'g, F, O> {
+    fn shard(&self, _cfg: &EngineConfig) -> SimShard<'g, F, S, O> {
         SimShard {
             gen: self.gen,
+            state: S::default(),
             _out: PhantomData,
         }
     }
 }
 
 /// Shard worker for [`SimSource`]: runs the generator for each owned
-/// index and emits whatever it produces.
-pub struct SimShard<'g, F, O> {
+/// index, lending it the shard's state, and emits whatever it produces.
+pub struct SimShard<'g, F, S, O> {
     gen: &'g F,
+    state: S,
     _out: PhantomData<fn() -> O>,
 }
 
-impl<'g, F, O> SourceShard for SimShard<'g, F, O>
+impl<'g, F, S, O> SourceShard for SimShard<'g, F, S, O>
 where
-    F: Fn(u64) -> Option<O> + Sync,
+    F: Fn(&mut S, u64) -> Option<O> + Sync,
+    S: Default + Send,
     O: Send,
 {
     type Item = u64;
@@ -705,7 +715,7 @@ where
         sm: &mut ScopeMetrics,
     ) {
         let sw = sm.start();
-        let produced = (self.gen)(item);
+        let produced = (self.gen)(&mut self.state, item);
         sm.stop("gen", sw);
         if let Some(out) = produced {
             stats.ingest.flows += 1;
@@ -893,8 +903,8 @@ mod tests {
     #[test]
     fn sim_source_walks_every_index_once_interleaved() {
         for (total, shards) in [(0u64, 3usize), (1, 4), (7, 3), (12, 4), (100, 8), (5, 1)] {
-            let gen = |_i: u64| -> Option<u64> { None };
-            let mut src: SimSource<'_, _, u64> = SimSource::new(total, &gen);
+            let gen = |_: &mut (), _i: u64| -> Option<u64> { None };
+            let mut src: SimSource<'_, _, (), u64> = SimSource::new(total, &gen);
             src.prepare(shards);
             let mut seen = Vec::new();
             let mut buf = Vec::new();

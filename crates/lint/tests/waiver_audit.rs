@@ -21,11 +21,8 @@ fn repo_root() -> PathBuf {
 /// `(rule, file)`. A waiver added, dropped, or moved to another rule or
 /// file must come with a reviewed edit here.
 const WAIVED: &[(&str, &str, usize)] = &[
-    ("hot-path-alloc", "crates/netsim/src/client.rs", 1),
-    ("hot-path-alloc", "crates/netsim/src/endpoint.rs", 1),
     ("hot-path-alloc", "crates/wire/src/http.rs", 3),
-    ("hot-path-alloc", "crates/wire/src/tcp.rs", 2),
-    ("hot-path-alloc", "crates/wire/src/tls.rs", 4),
+    ("hot-path-alloc", "crates/wire/src/tls.rs", 2),
     ("index", "crates/capture/src/engine.rs", 1),
     ("index", "crates/capture/src/offline.rs", 3),
     ("index", "crates/capture/src/source.rs", 1),

@@ -8,13 +8,11 @@
 //! the behaviours that shape the inbound packet sequences the classifier
 //! sees.
 
-use crate::endpoint::{
-    segment_options, tsval_at, Actions, EndpointInput, EndpointMachine, IpIdGen, IpIdMode,
-};
+use crate::endpoint::{tsval_at, Actions, EndpointInput, EndpointMachine, IpIdGen, IpIdMode};
 use crate::time::{SimDuration, SimTime};
 use bytes::Bytes;
 use rand::rngs::StdRng;
-use tamper_wire::{http, tls, Packet, PacketBuilder, TcpFlags, TcpHeader};
+use tamper_wire::{http, tls, Packet, PacketBuilder, TcpFlags, TcpHeader, TcpOptions};
 
 use std::net::IpAddr;
 
@@ -269,6 +267,9 @@ pub struct Client {
     syn_rto: SimDuration,
     req_retries_left: u8,
     req_rto: SimDuration,
+    /// What the SYN carries (empty unless the request rides it), built
+    /// once at start and shared by every retransmission.
+    syn_payload: Bytes,
     request_bytes: Option<Bytes>,
     second_request: Option<Bytes>,
     responses_pending: u8,
@@ -293,6 +294,7 @@ impl Client {
             syn_rto: SimDuration::from_secs(1),
             req_retries_left: 2,
             req_rto: SimDuration::from_secs(1),
+            syn_payload: Bytes::new(),
             request_bytes: None,
             second_request: None,
             responses_pending: 0,
@@ -322,28 +324,35 @@ impl Client {
         .window(self.cfg.window)
     }
 
-    fn seg_options(&self, now: SimTime) -> Vec<tamper_wire::TcpOption> {
-        if self.cfg.syn_options {
-            segment_options(tsval_at(now), self.server_tsval)
+    /// The SYN, first or retransmitted: the same payload bytes each time.
+    fn syn(&mut self, rng: &mut StdRng) -> Packet {
+        let options = if self.cfg.syn_options {
+            TcpHeader::standard_syn_options()
         } else {
-            // tamperlint: allow(hot-path-alloc) — zero-capacity Vec for the no-options case; Vec::new never touches the heap
-            Vec::new()
+            TcpOptions::EMPTY
+        };
+        self.builder(rng)
+            .flags(TcpFlags::SYN)
+            .seq(self.cfg.isn)
+            .options(options)
+            .payload(self.syn_payload.clone())
+            .build()
+    }
+
+    fn seg_options(&self, now: SimTime) -> TcpOptions {
+        if self.cfg.syn_options {
+            TcpHeader::segment_options(tsval_at(now), self.server_tsval)
+        } else {
+            TcpOptions::EMPTY
         }
     }
 
     /// Begin the connection: emits the SYN and arms initial timers.
     fn start(&mut self, rng: &mut StdRng, actions: &mut Actions<ClientTimer>) {
-        let syn_payload = self.cfg.request.syn_bytes().unwrap_or_default();
-        let payload_len = syn_payload.len() as u32;
-        let mut b = self
-            .builder(rng)
-            .flags(TcpFlags::SYN)
-            .seq(self.cfg.isn)
-            .payload(syn_payload);
-        if self.cfg.syn_options {
-            b = b.options(TcpHeader::standard_syn_options());
-        }
-        actions.emit(b.build(), SimDuration::ZERO);
+        self.syn_payload = self.cfg.request.syn_bytes().unwrap_or_default();
+        let syn = self.syn(rng);
+        actions.emit(syn, SimDuration::ZERO);
+        let payload_len = self.syn_payload.len() as u32;
         self.snd_nxt = self.cfg.isn.wrapping_add(1).wrapping_add(payload_len);
         self.state = State::SynSent;
 
@@ -388,10 +397,8 @@ impl Client {
             return;
         }
         // Track the peer's timestamp for TSecr fidelity.
-        for opt in &pkt.tcp.options {
-            if let tamper_wire::TcpOption::Timestamps { tsval, .. } = opt {
-                self.server_tsval = *tsval;
-            }
+        if let Some((tsval, _)) = pkt.tcp.options.timestamps() {
+            self.server_tsval = tsval;
         }
 
         if pkt.tcp.flags.contains(TcpFlags::SYN_ACK) && self.state == State::SynSent {
@@ -634,16 +641,8 @@ impl Client {
                         return;
                     }
                     self.syn_retries_left -= 1;
-                    let syn_payload = self.cfg.request.syn_bytes().unwrap_or_default();
-                    let mut b = self
-                        .builder(rng)
-                        .flags(TcpFlags::SYN)
-                        .seq(self.cfg.isn)
-                        .payload(syn_payload);
-                    if self.cfg.syn_options {
-                        b = b.options(TcpHeader::standard_syn_options());
-                    }
-                    actions.emit(b.build(), SimDuration::ZERO);
+                    let syn = self.syn(rng);
+                    actions.emit(syn, SimDuration::ZERO);
                     self.syn_rto = self.syn_rto.double();
                     actions.arm(ClientTimer::RetransmitSyn, self.syn_rto);
                 }

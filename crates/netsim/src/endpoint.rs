@@ -1,10 +1,10 @@
-//! Shared endpoint machinery: emission actions, IP-ID generation policies,
-//! and the option sets real stacks put on their packets.
+//! Shared endpoint machinery: emission actions, IP-ID generation policies
+//! and TCP timestamp values.
 
 use crate::time::{SimDuration, SimTime};
 use rand::rngs::StdRng;
 use rand::Rng;
-use tamper_wire::{Packet, TcpOption};
+use tamper_wire::Packet;
 
 /// What an endpoint wants done after handling a packet or timer: packets to
 /// emit (after a relative delay) and timers to arm. The caller owns one
@@ -134,17 +134,6 @@ impl IpIdGen {
             }
         }
     }
-}
-
-/// The options a modern stack puts on non-SYN segments once timestamps
-/// were negotiated: `NOP NOP Timestamps`.
-pub(crate) fn segment_options(tsval: u32, tsecr: u32) -> Vec<TcpOption> {
-    // tamperlint: allow(hot-path-alloc) — three-entry option list owned by the emitted segment; the sim composes owned packets by design
-    vec![
-        TcpOption::Nop,
-        TcpOption::Nop,
-        TcpOption::Timestamps { tsval, tsecr },
-    ]
 }
 
 /// Millisecond-resolution TCP timestamp value for a simulated instant.

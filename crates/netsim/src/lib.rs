@@ -67,6 +67,6 @@ pub use hop::{Hop, HopCtx, HopOutcome};
 pub use path::{Link, Path};
 pub use rng::{derive_rng, splitmix64};
 pub use server::{Server, ServerConfig};
-pub use session::{run_session, SessionParams};
+pub use session::{run_session, SessionParams, SessionWorkspace};
 pub use time::{SimDuration, SimTime};
 pub use trace::{Direction, Mechanism, SessionTrace, TamperEvent, TriggerStage};

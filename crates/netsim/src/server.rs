@@ -6,13 +6,11 @@
 //! implements the standard accept / respond / teardown cycle with SYN+ACK
 //! retransmission.
 
-use crate::endpoint::{
-    segment_options, tsval_at, Actions, EndpointInput, EndpointMachine, IpIdGen, IpIdMode,
-};
+use crate::endpoint::{tsval_at, Actions, EndpointInput, EndpointMachine, IpIdGen, IpIdMode};
 use crate::time::{SimDuration, SimTime};
 use bytes::Bytes;
 use rand::rngs::StdRng;
-use tamper_wire::{Packet, PacketBuilder, TcpFlags, TcpHeader};
+use tamper_wire::{Packet, PacketBuilder, TcpFlags, TcpHeader, TcpOptions};
 
 use std::net::IpAddr;
 
@@ -121,8 +119,8 @@ impl Server {
         )
     }
 
-    fn seg_options(&self, now: SimTime) -> Vec<tamper_wire::TcpOption> {
-        segment_options(tsval_at(now), self.client_tsval)
+    fn seg_options(&self, now: SimTime) -> TcpOptions {
+        TcpHeader::segment_options(tsval_at(now), self.client_tsval)
     }
 
     fn send_synack(&mut self, rng: &mut StdRng, actions: &mut Actions<ServerTimer>) {
@@ -188,10 +186,8 @@ impl Server {
             self.state = State::Closed;
             return;
         }
-        for opt in &pkt.tcp.options {
-            if let tamper_wire::TcpOption::Timestamps { tsval, .. } = opt {
-                self.client_tsval = *tsval;
-            }
+        if let Some((tsval, _)) = pkt.tcp.options.timestamps() {
+            self.client_tsval = tsval;
         }
 
         if pkt.tcp.flags.has_syn() {

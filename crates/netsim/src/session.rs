@@ -3,6 +3,14 @@
 //! One session simulates one TCP connection: a client, a path of links and
 //! middlebox hops, and the CDN edge server. The loop is fully deterministic
 //! given the session RNG: events are ordered by (time, insertion sequence).
+//!
+//! Every buffer the loop needs lives in a [`SessionWorkspace`] that is
+//! cleared, not freed, between sessions, so a warm workspace simulates a
+//! session without heap traffic of its own. Inside it, a packet is
+//! written once into a slab of in-flight packets; the heap orders small
+//! `(time, seq, slot)` keys, a hop forwards a packet by re-keying its
+//! slot, and the packet moves out only when an endpoint receives it, into
+//! the trace.
 
 use crate::client::{Client, ClientConfig, ClientTimer};
 use crate::endpoint::{Actions, EndpointInput, EndpointMachine};
@@ -10,7 +18,7 @@ use crate::hop::HopCtx;
 use crate::path::Path;
 use crate::server::{Server, ServerConfig, ServerTimer};
 use crate::time::{SimDuration, SimTime};
-use crate::trace::{Direction, Origin, SessionTrace, TracedPacket};
+use crate::trace::{Direction, Origin, SessionTrace, TamperEvent, TracedPacket};
 use rand::rngs::StdRng;
 use rand::Rng;
 use std::cmp::Ordering;
@@ -25,38 +33,53 @@ enum Node {
     Hop(usize),
 }
 
-enum EvKind {
-    Packet {
-        at: Node,
-        pkt: Packet,
-        dir: Direction,
-        origin: Origin,
-    },
+/// A packet on its way: where it lands next, which way it travels and
+/// who made it.
+struct InFlight {
+    at: Node,
+    dir: Direction,
+    origin: Origin,
+    pkt: Packet,
+}
+
+/// What a scheduled event does: deliver the in-flight packet in a slab
+/// slot, or fire an endpoint timer.
+#[derive(Clone, Copy)]
+enum Ev {
+    Packet(u32),
     ClientTimer(ClientTimer),
     ServerTimer(ServerTimer),
 }
 
-struct Scheduled {
+/// One heap entry.
+struct Key {
     t: SimTime,
     seq: u64,
-    kind: EvKind,
+    ev: Ev,
 }
 
-impl PartialEq for Scheduled {
-    fn eq(&self, other: &Scheduled) -> bool {
-        self.t == other.t && self.seq == other.seq
+impl Key {
+    /// `(t, seq)` as one number, so ordering keys is a single comparison.
+    fn rank(&self) -> u128 {
+        (u128::from(self.t.as_nanos()) << 64) | u128::from(self.seq)
     }
 }
-impl Eq for Scheduled {}
-impl PartialOrd for Scheduled {
-    fn partial_cmp(&self, other: &Scheduled) -> Option<Ordering> {
+
+impl PartialEq for Key {
+    fn eq(&self, other: &Key) -> bool {
+        self.rank() == other.rank()
+    }
+}
+impl Eq for Key {}
+impl PartialOrd for Key {
+    fn partial_cmp(&self, other: &Key) -> Option<Ordering> {
         Some(self.cmp(other))
     }
 }
-impl Ord for Scheduled {
-    fn cmp(&self, other: &Scheduled) -> Ordering {
+impl Ord for Key {
+    fn cmp(&self, other: &Key) -> Ordering {
         // Reverse for a min-heap on (time, seq).
-        other.t.cmp(&self.t).then_with(|| other.seq.cmp(&self.seq))
+        other.rank().cmp(&self.rank())
     }
 }
 
@@ -86,96 +109,277 @@ impl SessionParams {
     }
 }
 
-/// Events a session's heap is sized for up front: no simulated-world
-/// session has more than ten in flight at once.
+/// Keys a fresh workspace's heap is sized for: no simulated-world session
+/// has more than ten events in flight at once.
 const HEAP_CAPACITY: usize = 16;
-/// Packets a session's trace is sized for up front: the longest
-/// simulated-world exchange delivers 22, both directions together.
-const TRACE_CAPACITY: usize = 24;
+/// Packets a fresh workspace's slab and trace are sized for: the longest
+/// simulated-world exchange emits 22 that arrive, both directions
+/// together. A reused workspace keeps whatever it grew to.
+const PACKET_CAPACITY: usize = 24;
 
-/// An endpoint machine and the one action buffer it writes into for the
-/// whole session; the driver drains the buffer after every call.
-struct Endpoint<M: EndpointMachine> {
-    machine: M,
-    out: Actions<M::Timer>,
+/// The event queue: keys on a heap, packets in a slab beside it. Slots
+/// are not reused within a session; the slab is emptied between sessions.
+struct Events {
+    heap: BinaryHeap<Key>,
+    slab: Vec<Option<InFlight>>,
+    seq: u64,
 }
 
-impl<M: EndpointMachine> Endpoint<M> {
-    fn new(machine: M) -> Endpoint<M> {
-        Endpoint {
-            machine,
-            out: Actions::default(),
+impl Events {
+    fn clear(&mut self) {
+        self.heap.clear();
+        self.slab.clear();
+        self.seq = 0;
+    }
+
+    fn schedule(&mut self, t: SimTime, ev: Ev) {
+        self.seq += 1;
+        let seq = self.seq;
+        self.heap.push(Key { t, seq, ev });
+    }
+
+    /// Write a new packet into the slab, the one place it is held until
+    /// delivery, and schedule its arrival at `t`.
+    fn send(&mut self, t: SimTime, flight: InFlight) {
+        let slot = self.slab.len() as u32;
+        self.slab.push(Some(flight));
+        self.schedule(t, Ev::Packet(slot));
+    }
+
+    /// The next event due by `end`. An event past `end` stays queued.
+    fn next_by(&mut self, end: SimTime) -> Option<Key> {
+        if self.heap.peek()?.t > end {
+            return None;
+        }
+        self.heap.pop()
+    }
+}
+
+/// Everything the session loop writes, owned once and reused: the event
+/// heap, the in-flight packet slab, the trace (packets and tamper
+/// events) and both endpoints' action buffers. Give each thread that
+/// simulates one of these and call [`SessionWorkspace::run`] per
+/// session; [`run_session`] is the one-shot form.
+pub struct SessionWorkspace {
+    events: Events,
+    trace: SessionTrace,
+    client_out: Actions<ClientTimer>,
+    server_out: Actions<ServerTimer>,
+}
+
+impl Default for SessionWorkspace {
+    fn default() -> SessionWorkspace {
+        SessionWorkspace {
+            events: Events {
+                heap: BinaryHeap::with_capacity(HEAP_CAPACITY),
+                slab: Vec::with_capacity(PACKET_CAPACITY),
+                seq: 0,
+            },
+            trace: SessionTrace {
+                packets: Vec::with_capacity(PACKET_CAPACITY),
+                ..SessionTrace::default()
+            },
+            client_out: Actions::default(),
+            server_out: Actions::default(),
         }
     }
 }
 
+impl SessionWorkspace {
+    /// Run one session to completion. The trace stays in the workspace,
+    /// borrowed, until the next run clears it.
+    pub fn run(
+        &mut self,
+        params: SessionParams,
+        path: &mut Path,
+        rng: &mut StdRng,
+    ) -> &SessionTrace {
+        debug_assert!(path.is_well_formed());
+        let start = params.start;
+        let end = start + params.horizon;
+        let SessionWorkspace {
+            events,
+            trace,
+            client_out,
+            server_out,
+        } = self;
+        events.clear();
+        trace.packets.clear();
+        trace.tamper_events.clear();
+        trace.started = start;
+        trace.ended = end;
+        let mut client = Endpoint {
+            machine: Client::new(params.client),
+            out: client_out,
+        };
+        let mut server = Endpoint {
+            machine: Server::new(params.server),
+            out: server_out,
+        };
+        let mut driver = Driver { events, path };
+
+        // Kick off: the client's initial actions.
+        driver.drive(
+            &mut client,
+            EndpointInput::Start,
+            start,
+            Node::Client,
+            Ev::ClientTimer,
+            rng,
+        );
+
+        while let Some(key) = driver.events.next_by(end) {
+            let now = key.t;
+            match key.ev {
+                Ev::ClientTimer(k) => driver.drive(
+                    &mut client,
+                    EndpointInput::Timer(k),
+                    now,
+                    Node::Client,
+                    Ev::ClientTimer,
+                    rng,
+                ),
+                Ev::ServerTimer(k) => driver.drive(
+                    &mut server,
+                    EndpointInput::Timer(k),
+                    now,
+                    Node::Server,
+                    Ev::ServerTimer,
+                    rng,
+                ),
+                Ev::Packet(slot) => driver.deliver(now, slot, &mut client, &mut server, trace, rng),
+            }
+        }
+        trace
+    }
+
+    /// Events the last session left queued when it reached its horizon
+    /// (retransmission timers, packets still in flight); zero if it ran
+    /// dry first. They are dropped when the next session starts.
+    pub fn queued(&self) -> usize {
+        self.events.heap.len()
+    }
+}
+
+/// An endpoint machine and the action buffer it writes into; the driver
+/// drains the buffer after every call.
+struct Endpoint<'a, M: EndpointMachine> {
+    machine: M,
+    out: &'a mut Actions<M::Timer>,
+}
+
+impl<M: EndpointMachine> Endpoint<'_, M> {
+    fn process(&mut self, input: EndpointInput<'_, M::Timer>, now: SimTime, rng: &mut StdRng) {
+        self.machine.process(input, now, rng, self.out);
+    }
+}
+
 struct Driver<'a> {
-    heap: BinaryHeap<Scheduled>,
-    seq: u64,
+    events: &'a mut Events,
     path: &'a mut Path,
-    trace: Vec<TracedPacket>,
 }
 
 impl<'a> Driver<'a> {
-    fn push(&mut self, t: SimTime, kind: EvKind) {
-        self.seq += 1;
-        let seq = self.seq;
-        self.heap.push(Scheduled { t, seq, kind });
-    }
-
     fn decrement_ttl(pkt: &mut Packet, by: u8) {
         let t = pkt.ip.ttl();
         pkt.ip.set_ttl(t.saturating_sub(by));
     }
 
-    /// Send a packet across one link segment toward `next`, applying
-    /// latency, TTL decrement, and loss.
-    #[allow(clippy::too_many_arguments)]
-    fn traverse(
-        &mut self,
-        now: SimTime,
-        link_idx: usize,
-        mut pkt: Packet,
-        next: Node,
-        dir: Direction,
-        origin: Origin,
-        rng: &mut StdRng,
-    ) {
+    /// Send the packet in `slot` across one link segment toward its `at`,
+    /// applying latency, TTL decrement, and loss. A lost packet keeps its
+    /// slot, never keyed again.
+    fn traverse(&mut self, now: SimTime, link_idx: usize, slot: u32, rng: &mut StdRng) {
         let link = self.path.links[link_idx];
         if link.loss > 0.0 && rng.gen::<f64>() < link.loss {
             return; // lost in transit
         }
-        Self::decrement_ttl(&mut pkt, link.ttl_decrement);
-        self.push(
-            now + link.latency,
-            EvKind::Packet {
-                at: next,
-                pkt,
+        if let Some(f) = &mut self.events.slab[slot as usize] {
+            Self::decrement_ttl(&mut f.pkt, link.ttl_decrement);
+        }
+        self.events.schedule(now + link.latency, Ev::Packet(slot));
+    }
+
+    /// The packet in `slot` arrives where it is headed. A hop handles it
+    /// in place; an endpoint reads it in its slot, then the packet moves
+    /// out of the slab into the trace, and only then do the endpoint's
+    /// actions enter the queue.
+    fn deliver(
+        &mut self,
+        now: SimTime,
+        slot: u32,
+        client: &mut Endpoint<'_, Client>,
+        server: &mut Endpoint<'_, Server>,
+        trace: &mut SessionTrace,
+        rng: &mut StdRng,
+    ) {
+        let Some(flight) = self.events.slab[slot as usize].as_ref() else {
+            return;
+        };
+        let at = flight.at;
+        match at {
+            Node::Hop(i) => return self.hop(now, i, slot, &mut trace.tamper_events, rng),
+            Node::Server => server.process(EndpointInput::Packet(&flight.pkt), now, rng),
+            Node::Client => client.process(EndpointInput::Packet(&flight.pkt), now, rng),
+        }
+        if let Some(InFlight {
+            dir, origin, pkt, ..
+        }) = self.events.slab[slot as usize].take()
+        {
+            trace.packets.push(TracedPacket {
+                time: now,
                 dir,
                 origin,
-            },
-        );
+                packet: pkt,
+            });
+        }
+        if at == Node::Server {
+            self.scatter(server.out, now, Node::Server, Ev::ServerTimer, rng);
+        } else {
+            self.scatter(client.out, now, Node::Client, Ev::ClientTimer, rng);
+        }
     }
 
-    /// Client (or client-side entry) emits toward the server.
-    fn emit_from_client(&mut self, now: SimTime, pkt: Packet, origin: Origin, rng: &mut StdRng) {
-        let next = if self.path.hops.is_empty() {
-            Node::Server
-        } else {
-            Node::Hop(0)
+    /// Hop `i` sees the packet in `slot`: it forwards it (the same slot,
+    /// re-keyed for the next link), drops it, and may inject packets of
+    /// its own.
+    fn hop(
+        &mut self,
+        now: SimTime,
+        i: usize,
+        slot: u32,
+        tamper_events: &mut Vec<TamperEvent>,
+        rng: &mut StdRng,
+    ) {
+        let Some(flight) = self.events.slab[slot as usize].as_mut() else {
+            return;
         };
-        self.traverse(now, 0, pkt, next, Direction::ToServer, origin, rng);
-    }
-
-    /// Server emits toward the client.
-    fn emit_from_server(&mut self, now: SimTime, pkt: Packet, origin: Origin, rng: &mut StdRng) {
-        let last = self.path.links.len() - 1;
-        let next = if self.path.hops.is_empty() {
-            Node::Client
-        } else {
-            Node::Hop(self.path.hops.len() - 1)
+        let dir = flight.dir;
+        let outcome = {
+            let mut ctx = HopCtx {
+                now,
+                rng,
+                tamper_events,
+                hop_index: i as u8,
+            };
+            self.path.hops[i].on_packet(&mut ctx, &flight.pkt, dir)
         };
-        self.traverse(now, last, pkt, next, Direction::ToClient, origin, rng);
+        // A dropped packet, like a lost one, stays in its slot unkeyed.
+        if outcome.forward {
+            let (link_idx, at) = match dir {
+                Direction::ToServer if i + 1 < self.path.hops.len() => (i + 1, Node::Hop(i + 1)),
+                Direction::ToServer => (i + 1, Node::Server),
+                Direction::ToClient if i == 0 => (i, Node::Client),
+                Direction::ToClient => (i, Node::Hop(i - 1)),
+            };
+            flight.at = at;
+            self.traverse(now, link_idx, slot, rng);
+        }
+        for (inj, delay) in outcome.inject_to_server {
+            self.inject_to_server(now + delay, i, inj, rng);
+        }
+        for (inj, delay) in outcome.inject_to_client {
+            self.inject_to_client(now + delay, i, inj, rng);
+        }
     }
 
     /// Inject from hop `i` directly to the server (injected packets skip
@@ -192,24 +396,24 @@ impl<'a> Driver<'a> {
             decr = decr.saturating_add(link.ttl_decrement);
         }
         Self::decrement_ttl(&mut pkt, decr);
-        self.push(
+        self.events.send(
             now + latency,
-            EvKind::Packet {
+            InFlight {
                 at: Node::Server,
-                pkt,
                 dir: Direction::ToServer,
                 origin: Origin::Hop(hop as u8),
+                pkt,
             },
         );
     }
 
     /// Deliver one sans-IO input to an endpoint machine and scatter the
-    /// actions it pushed into the event heap — the single dispatch point
+    /// actions it pushed into the event queue — the single dispatch point
     /// both sides of the session share. `side` picks the emission
-    /// direction; `wrap` lifts the endpoint's timers into [`EvKind`].
+    /// direction; `wrap` lifts the endpoint's timers into [`Ev`].
     fn drive<M, W>(
         &mut self,
-        ep: &mut Endpoint<M>,
+        ep: &mut Endpoint<'_, M>,
         input: EndpointInput<'_, M::Timer>,
         now: SimTime,
         side: Node,
@@ -217,17 +421,58 @@ impl<'a> Driver<'a> {
         rng: &mut StdRng,
     ) where
         M: EndpointMachine,
-        W: Fn(M::Timer) -> EvKind,
+        W: Fn(M::Timer) -> Ev,
     {
-        ep.machine.process(input, now, rng, &mut ep.out);
-        for (pkt, delay) in ep.out.emits.drain(..) {
-            match side {
-                Node::Server => self.emit_from_server(now + delay, pkt, Origin::Server, rng),
-                _ => self.emit_from_client(now + delay, pkt, Origin::Client, rng),
+        ep.process(input, now, rng);
+        self.scatter(ep.out, now, side, wrap, rng);
+    }
+
+    /// Queue what an endpoint asked for: its packets cross their first
+    /// link toward the other side (loss, TTL, latency) into the slab, its
+    /// timers are armed, and `out` is left empty.
+    fn scatter<T, W>(
+        &mut self,
+        out: &mut Actions<T>,
+        now: SimTime,
+        side: Node,
+        wrap: W,
+        rng: &mut StdRng,
+    ) where
+        W: Fn(T) -> Ev,
+    {
+        let hops = self.path.hops.len();
+        let (at, dir, origin, link_idx) = match side {
+            Node::Server => {
+                let at = hops.checked_sub(1).map_or(Node::Client, Node::Hop);
+                (at, Direction::ToClient, Origin::Server, hops)
             }
+            _ => {
+                let at = if hops == 0 {
+                    Node::Server
+                } else {
+                    Node::Hop(0)
+                };
+                (at, Direction::ToServer, Origin::Client, 0)
+            }
+        };
+        let link = self.path.links[link_idx];
+        for (mut pkt, delay) in out.emits.drain(..) {
+            if link.loss > 0.0 && rng.gen::<f64>() < link.loss {
+                continue; // lost in transit
+            }
+            Self::decrement_ttl(&mut pkt, link.ttl_decrement);
+            self.events.send(
+                now + delay + link.latency,
+                InFlight {
+                    at,
+                    dir,
+                    origin,
+                    pkt,
+                },
+            );
         }
-        for (timer, delay) in ep.out.timers.drain(..) {
-            self.push(now + delay, wrap(timer));
+        for (timer, delay) in out.timers.drain(..) {
+            self.events.schedule(now + delay, wrap(timer));
         }
     }
 
@@ -243,157 +488,24 @@ impl<'a> Driver<'a> {
             decr = decr.saturating_add(link.ttl_decrement);
         }
         Self::decrement_ttl(&mut pkt, decr);
-        self.push(
+        self.events.send(
             now + latency,
-            EvKind::Packet {
+            InFlight {
                 at: Node::Client,
-                pkt,
                 dir: Direction::ToClient,
                 origin: Origin::Hop(hop as u8),
+                pkt,
             },
         );
     }
 }
 
-/// Run one session to completion and return its trace.
+/// Run one session to completion and return its trace: the one-shot form
+/// of [`SessionWorkspace::run`], with a workspace of its own.
 pub fn run_session(params: SessionParams, path: &mut Path, rng: &mut StdRng) -> SessionTrace {
-    debug_assert!(path.is_well_formed());
-    let start = params.start;
-    let end = start + params.horizon;
-    let mut client = Endpoint::new(Client::new(params.client));
-    let mut server = Endpoint::new(Server::new(params.server));
-    let mut tamper_events = Vec::new();
-
-    let mut driver = Driver {
-        heap: BinaryHeap::with_capacity(HEAP_CAPACITY),
-        seq: 0,
-        path,
-        trace: Vec::with_capacity(TRACE_CAPACITY),
-    };
-
-    // Kick off: the client's initial actions.
-    driver.drive(
-        &mut client,
-        EndpointInput::Start,
-        start,
-        Node::Client,
-        EvKind::ClientTimer,
-        rng,
-    );
-
-    while let Some(ev) = driver.heap.pop() {
-        if ev.t > end {
-            break;
-        }
-        let now = ev.t;
-        match ev.kind {
-            EvKind::ClientTimer(k) => {
-                driver.drive(
-                    &mut client,
-                    EndpointInput::Timer(k),
-                    now,
-                    Node::Client,
-                    EvKind::ClientTimer,
-                    rng,
-                );
-            }
-            EvKind::ServerTimer(k) => {
-                driver.drive(
-                    &mut server,
-                    EndpointInput::Timer(k),
-                    now,
-                    Node::Server,
-                    EvKind::ServerTimer,
-                    rng,
-                );
-            }
-            EvKind::Packet {
-                at,
-                pkt,
-                dir,
-                origin,
-            } => match at {
-                Node::Hop(i) => {
-                    let outcome = {
-                        let mut ctx = HopCtx {
-                            now,
-                            rng,
-                            tamper_events: &mut tamper_events,
-                            hop_index: i as u8,
-                        };
-                        driver.path.hops[i].on_packet(&mut ctx, &pkt, dir)
-                    };
-                    if outcome.forward {
-                        match dir {
-                            Direction::ToServer => {
-                                let next = if i + 1 < driver.path.hops.len() {
-                                    Node::Hop(i + 1)
-                                } else {
-                                    Node::Server
-                                };
-                                driver.traverse(now, i + 1, pkt, next, dir, origin, rng);
-                            }
-                            Direction::ToClient => {
-                                let next = if i == 0 {
-                                    Node::Client
-                                } else {
-                                    Node::Hop(i - 1)
-                                };
-                                driver.traverse(now, i, pkt, next, dir, origin, rng);
-                            }
-                        }
-                    }
-                    for (inj, delay) in outcome.inject_to_server {
-                        driver.inject_to_server(now + delay, i, inj, rng);
-                    }
-                    for (inj, delay) in outcome.inject_to_client {
-                        driver.inject_to_client(now + delay, i, inj, rng);
-                    }
-                }
-                // The endpoint reads the packet first; then it moves into
-                // the trace (nothing reads the trace during `drive`).
-                Node::Server => {
-                    driver.drive(
-                        &mut server,
-                        EndpointInput::Packet(&pkt),
-                        now,
-                        Node::Server,
-                        EvKind::ServerTimer,
-                        rng,
-                    );
-                    driver.trace.push(TracedPacket {
-                        time: now,
-                        dir: Direction::ToServer,
-                        origin,
-                        packet: pkt,
-                    });
-                }
-                Node::Client => {
-                    driver.drive(
-                        &mut client,
-                        EndpointInput::Packet(&pkt),
-                        now,
-                        Node::Client,
-                        EvKind::ClientTimer,
-                        rng,
-                    );
-                    driver.trace.push(TracedPacket {
-                        time: now,
-                        dir: Direction::ToClient,
-                        origin,
-                        packet: pkt,
-                    });
-                }
-            },
-        }
-    }
-
-    SessionTrace {
-        packets: driver.trace,
-        started: start,
-        ended: end,
-        tamper_events,
-    }
+    let mut ws = SessionWorkspace::default();
+    ws.run(params, path, rng);
+    ws.trace
 }
 
 #[cfg(test)]

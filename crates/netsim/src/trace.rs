@@ -66,7 +66,7 @@ pub struct TamperEvent {
 }
 
 /// One packet as it arrived at an endpoint.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TracedPacket {
     /// Arrival time at the recording endpoint.
     pub time: SimTime,
@@ -79,7 +79,7 @@ pub struct TracedPacket {
 }
 
 /// Everything observed during one simulated connection.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct SessionTrace {
     /// Packets in arrival order at their respective endpoints. Packets
     /// with [`Direction::ToServer`] arrived at the server (these are what

@@ -40,6 +40,7 @@ pub struct Ipv4Header {
 impl Ipv4Header {
     /// A TCP header template with sensible defaults; callers fill in
     /// addresses and per-packet fields.
+    #[inline]
     pub(crate) fn tcp_template(src: Ipv4Addr, dst: Ipv4Addr) -> Ipv4Header {
         Ipv4Header {
             dscp_ecn: 0,

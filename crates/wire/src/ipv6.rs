@@ -31,6 +31,7 @@ pub struct Ipv6Header {
 
 impl Ipv6Header {
     /// A TCP header template with sensible defaults.
+    #[inline]
     pub(crate) fn tcp_template(src: Ipv6Addr, dst: Ipv6Addr) -> Ipv6Header {
         Ipv6Header {
             traffic_class: 0,

@@ -47,7 +47,7 @@ pub use flags::TcpFlags;
 pub use ipv6::Ipv6Header;
 pub use packet::{Packet, PacketBuilder, PacketView};
 pub use reader::Reader;
-pub use tcp::{TcpHeader, TcpOption};
+pub use tcp::{TcpHeader, TcpOption, TcpOptions};
 
 /// Result alias used throughout the crate.
 pub(crate) type Result<T> = std::result::Result<T, WireError>;

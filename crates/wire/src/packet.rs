@@ -5,7 +5,7 @@ use crate::checksum::{tcp_checksum_v4, tcp_checksum_v6};
 use crate::flags::TcpFlags;
 use crate::ipv4::Ipv4Header;
 use crate::ipv6::Ipv6Header;
-use crate::tcp::{TcpHeader, TcpOption};
+use crate::tcp::{TcpHeader, TcpOptions};
 use crate::{Result, WireError};
 use bytes::{Bytes, BytesMut};
 use std::net::IpAddr;
@@ -21,6 +21,7 @@ pub enum IpHeader {
 
 impl IpHeader {
     /// Source address.
+    #[inline]
     pub fn src(&self) -> IpAddr {
         match self {
             IpHeader::V4(h) => IpAddr::V4(h.src),
@@ -29,6 +30,7 @@ impl IpHeader {
     }
 
     /// Destination address.
+    #[inline]
     pub fn dst(&self) -> IpAddr {
         match self {
             IpHeader::V4(h) => IpAddr::V4(h.dst),
@@ -37,6 +39,7 @@ impl IpHeader {
     }
 
     /// TTL (IPv4) or hop limit (IPv6).
+    #[inline]
     pub fn ttl(&self) -> u8 {
         match self {
             IpHeader::V4(h) => h.ttl,
@@ -45,6 +48,7 @@ impl IpHeader {
     }
 
     /// Set the TTL / hop limit.
+    #[inline]
     pub fn set_ttl(&mut self, ttl: u8) {
         match self {
             IpHeader::V4(h) => h.ttl = ttl,
@@ -55,6 +59,7 @@ impl IpHeader {
     /// IP-ID for IPv4; `None` for IPv6, which has no identification field
     /// outside fragment headers (the paper notes IP-ID evidence is
     /// IPv4-only).
+    #[inline]
     pub fn ip_id(&self) -> Option<u16> {
         match self {
             IpHeader::V4(h) => Some(h.identification),
@@ -183,8 +188,8 @@ impl Packet {
 ///
 /// This is the ingest path's counterpart of [`Packet::parse`]: the same
 /// IP-layer front half (one shared function), then the same TCP
-/// validation (option-length walk) with the payload left as a slice into
-/// the caller's frame and the option list reduced to the
+/// validation (one shared option-length check) with the payload left as
+/// a slice into the caller's frame and the options reduced to the
 /// `has_tcp_options` bit the classifier actually consumes. A frame is
 /// accepted by [`PacketView::parse`] if and only if [`Packet::parse`]
 /// accepts it, with the same error on rejection — the equivalence tests
@@ -220,8 +225,8 @@ pub struct PacketView<'a> {
 impl<'a> PacketView<'a> {
     /// Parse a frame starting at the IP header without allocating: after
     /// the shared IP-layer front half, read the TCP fixed header, validate
-    /// the option region exactly as [`TcpHeader::parse`] does (without
-    /// materializing the option list), and borrow the payload.
+    /// the option region with the check [`TcpHeader::parse`] runs (without
+    /// keeping the options), and borrow the payload.
     pub fn parse(frame: &'a [u8]) -> Result<PacketView<'a>> {
         let (ip, segment) = parse_ip(frame)?;
         let mut r = crate::reader::Reader::new(segment);
@@ -241,25 +246,7 @@ impl<'a> PacketView<'a> {
         let opts_len = data_offset
             .checked_sub(crate::tcp::TCP_HEADER_LEN)
             .ok_or(WireError::BadLength)?;
-        let mut opts = crate::reader::Reader::new(r.take(opts_len)?);
-        while !opts.is_empty() {
-            let kind = opts.u8()?;
-            match kind {
-                0 => break,
-                1 => {}
-                _ => {
-                    let len = opts
-                        .u8()
-                        .map_err(|_| WireError::Malformed("tcp option length"))?
-                        as usize;
-                    if len < 2 {
-                        return Err(WireError::Malformed("tcp option length"));
-                    }
-                    opts.take(len - 2)
-                        .map_err(|_| WireError::Malformed("tcp option length"))?;
-                }
-            }
-        }
+        crate::tcp::check_options(r.take(opts_len)?)?;
         let payload = segment.get(data_offset..).ok_or(WireError::BadLength)?;
         Ok(PacketView {
             src: ip.src(),
@@ -272,9 +259,8 @@ impl<'a> PacketView<'a> {
             ack,
             flags,
             window,
-            // TcpHeader::parse pushes at least one option whenever the
-            // option region is non-empty, so this bit matches its
-            // `!options.is_empty()` on every accepted frame.
+            // TcpHeader::parse keeps the whole option region, so this bit
+            // matches its `!options.is_empty()` on every accepted frame.
             has_tcp_options: opts_len > 0,
             payload,
         })
@@ -292,6 +278,7 @@ pub struct PacketBuilder {
 impl PacketBuilder {
     /// Start building a packet between two addresses. Panics if the
     /// address families differ (mixed-family packets don't exist).
+    #[inline]
     pub fn new(src: IpAddr, dst: IpAddr, src_port: u16, dst_port: u16) -> PacketBuilder {
         let ip = match (src, dst) {
             (IpAddr::V4(s), IpAddr::V4(d)) => IpHeader::V4(Ipv4Header::tcp_template(s, d)),
@@ -306,36 +293,42 @@ impl PacketBuilder {
     }
 
     /// Set the TCP flags.
+    #[inline]
     pub fn flags(mut self, flags: TcpFlags) -> PacketBuilder {
         self.tcp.flags = flags;
         self
     }
 
     /// Set the sequence number.
+    #[inline]
     pub fn seq(mut self, seq: u32) -> PacketBuilder {
         self.tcp.seq = seq;
         self
     }
 
     /// Set the acknowledgement number.
+    #[inline]
     pub fn ack(mut self, ack: u32) -> PacketBuilder {
         self.tcp.ack = ack;
         self
     }
 
     /// Set the receive window.
+    #[inline]
     pub fn window(mut self, window: u16) -> PacketBuilder {
         self.tcp.window = window;
         self
     }
 
     /// Set the TTL / hop limit.
+    #[inline]
     pub fn ttl(mut self, ttl: u8) -> PacketBuilder {
         self.ip.set_ttl(ttl);
         self
     }
 
     /// Set the IPv4 identification field (ignored for IPv6).
+    #[inline]
     pub fn ip_id(mut self, id: u16) -> PacketBuilder {
         if let IpHeader::V4(h) = &mut self.ip {
             h.identification = id;
@@ -344,18 +337,21 @@ impl PacketBuilder {
     }
 
     /// Set the TCP options.
-    pub fn options(mut self, options: Vec<TcpOption>) -> PacketBuilder {
+    #[inline]
+    pub fn options(mut self, options: TcpOptions) -> PacketBuilder {
         self.tcp.options = options;
         self
     }
 
     /// Set the payload.
+    #[inline]
     pub fn payload(mut self, payload: Bytes) -> PacketBuilder {
         self.payload = payload;
         self
     }
 
     /// Finish building.
+    #[inline]
     pub fn build(self) -> Packet {
         Packet {
             ip: self.ip,
@@ -411,7 +407,8 @@ mod tests {
         let parsed = Packet::parse(&frame).unwrap();
         assert_eq!(parsed.tcp.flags, TcpFlags::SYN);
         assert_eq!(parsed.ip.ip_id(), None);
-        assert!(parsed.tcp.options.contains(&TcpOption::Mss(1460)));
+        let mss = crate::TcpOption::Mss(1460);
+        assert!(parsed.tcp.options.decoded().any(|o| o == mss));
     }
 
     #[test]

@@ -17,6 +17,7 @@ pub struct Reader<'a> {
 
 impl<'a> Reader<'a> {
     /// Start reading at the beginning of `data`.
+    #[inline]
     pub fn new(data: &'a [u8]) -> Reader<'a> {
         Reader { data, pos: 0 }
     }
@@ -32,11 +33,13 @@ impl<'a> Reader<'a> {
     }
 
     /// True once the cursor has reached the end of the buffer.
+    #[inline]
     pub fn is_empty(&self) -> bool {
         self.remaining() == 0
     }
 
     /// Read the next `n` bytes as a borrowed slice.
+    #[inline]
     pub(crate) fn take(&mut self, n: usize) -> Result<&'a [u8]> {
         let end = self.pos.checked_add(n).ok_or(WireError::Truncated)?;
         let s = self.data.get(self.pos..end).ok_or(WireError::Truncated)?;
@@ -58,6 +61,7 @@ impl<'a> Reader<'a> {
     }
 
     /// Read one byte.
+    #[inline]
     pub fn u8(&mut self) -> Result<u8> {
         let [b] = self.array::<1>()?;
         Ok(b)

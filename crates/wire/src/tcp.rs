@@ -44,16 +44,206 @@ pub enum TcpOption {
 }
 
 impl TcpOption {
-    /// Encoded length in bytes.
-    pub(crate) fn wire_len(&self) -> usize {
+    /// Append this option's encoding to `out`.
+    fn encode_into(self, out: &mut TcpOptions) {
         match self {
-            TcpOption::Eol | TcpOption::Nop => 1,
-            TcpOption::Mss(_) => 4,
-            TcpOption::WindowScale(_) => 3,
-            TcpOption::SackPermitted => 2,
-            TcpOption::Timestamps { .. } => 10,
-            TcpOption::Unknown { data, .. } => 2 + data.len(),
+            TcpOption::Eol => out.put(&[0]),
+            TcpOption::Nop => out.put(&[1]),
+            TcpOption::Mss(v) => {
+                let [a, b] = v.to_be_bytes();
+                out.put(&[2, 4, a, b]);
+            }
+            TcpOption::WindowScale(s) => out.put(&[3, 3, s]),
+            TcpOption::SackPermitted => out.put(&[4, 2]),
+            TcpOption::Timestamps { tsval, tsecr } => {
+                let [a, b, c, d] = tsval.to_be_bytes();
+                let [e, f, g, h] = tsecr.to_be_bytes();
+                out.put(&[8, 10, a, b, c, d, e, f, g, h]);
+            }
+            TcpOption::Unknown { kind, data } => {
+                out.put(&[kind, u8::try_from(2 + data.len()).unwrap_or(u8::MAX)]);
+                out.put(&data);
+            }
         }
+    }
+
+    /// Decode one option from its kind byte and body.
+    fn decode(kind: u8, body: &[u8]) -> TcpOption {
+        match (kind, body) {
+            (0, _) => TcpOption::Eol,
+            (1, _) => TcpOption::Nop,
+            (2, &[a, b]) => TcpOption::Mss(u16::from_be_bytes([a, b])),
+            (3, &[s]) => TcpOption::WindowScale(s),
+            (4, &[]) => TcpOption::SackPermitted,
+            (8, &[a, b, c, d, e, f, g, h]) => TcpOption::Timestamps {
+                tsval: u32::from_be_bytes([a, b, c, d]),
+                tsecr: u32::from_be_bytes([e, f, g, h]),
+            },
+            _ => TcpOption::Unknown {
+                kind,
+                data: body.to_vec(),
+            },
+        }
+    }
+}
+
+/// Longest option region a TCP header can carry: the 4-bit data offset
+/// tops out at 60 bytes, 20 of them the fixed header.
+const MAX_OPTIONS_LEN: usize = 40;
+
+/// Read the option at the front of `r` as `(kind, body)`; EOL and NOP
+/// have empty bodies. The one place an option's length is checked.
+#[inline]
+fn read_option<'a>(r: &mut Reader<'a>) -> Result<(u8, &'a [u8])> {
+    const BAD_LEN: WireError = WireError::Malformed("tcp option length");
+    let kind = r.u8()?;
+    if kind <= 1 {
+        return Ok((kind, &[]));
+    }
+    let len = r.u8().map_err(|_| BAD_LEN)? as usize;
+    if len < 2 {
+        return Err(BAD_LEN);
+    }
+    let body = r.take(len - 2).map_err(|_| BAD_LEN)?;
+    Ok((kind, body))
+}
+
+/// Validate an option region as every parser here must: each option's
+/// length fits, up to the first EOL (what follows it is never read).
+pub(crate) fn check_options(region: &[u8]) -> Result<()> {
+    let mut r = Reader::new(region);
+    while !r.is_empty() {
+        if read_option(&mut r)?.0 == 0 {
+            break;
+        }
+    }
+    Ok(())
+}
+
+/// A header's options as their encoded bytes (at most 40), held inline:
+/// building, copying and parsing a header never touches the heap. Options
+/// collected from [`TcpOption`]s are encoded as they come; parsed ones
+/// keep the whole option region of the frame, so a parsed header
+/// re-emits byte for byte. [`TcpOptions::decoded`] decodes them back.
+#[derive(Clone, Copy)]
+pub struct TcpOptions {
+    len: u8,
+    bytes: [u8; MAX_OPTIONS_LEN],
+}
+
+impl TcpOptions {
+    /// No options at all.
+    pub const EMPTY: TcpOptions = TcpOptions {
+        len: 0,
+        bytes: [0; MAX_OPTIONS_LEN],
+    };
+
+    fn put(&mut self, encoded: &[u8]) {
+        let at = usize::from(self.len);
+        let end = at + encoded.len();
+        assert!(
+            end <= MAX_OPTIONS_LEN,
+            "TCP options overflow the {MAX_OPTIONS_LEN}-byte option region"
+        );
+        if let Some(dst) = self.bytes.get_mut(at..end) {
+            dst.copy_from_slice(encoded);
+            self.len = end as u8;
+        }
+    }
+
+    /// Options from their encoding, which the caller vouches is a
+    /// well-formed option list.
+    #[inline]
+    fn encoded<const N: usize>(bytes: [u8; N]) -> TcpOptions {
+        const { assert!(N <= MAX_OPTIONS_LEN) };
+        let mut out = TcpOptions::EMPTY;
+        out.bytes[..N].copy_from_slice(&bytes);
+        out.len = N as u8;
+        out
+    }
+
+    /// Keep a parsed option region verbatim, after checking it.
+    fn from_region(region: &[u8]) -> Result<TcpOptions> {
+        check_options(region)?;
+        let mut out = TcpOptions::EMPTY;
+        out.bytes
+            .get_mut(..region.len())
+            .ok_or(WireError::BadLength)?
+            .copy_from_slice(region);
+        out.len = u8::try_from(region.len()).map_err(|_| WireError::BadLength)?;
+        Ok(out)
+    }
+
+    /// True if the header carries no options.
+    #[inline]
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// The encoded options, unpadded.
+    #[inline]
+    pub fn as_bytes(&self) -> &[u8] {
+        self.bytes.get(..usize::from(self.len)).unwrap_or_default()
+    }
+
+    /// The options in wire order, decoded, up to and including an EOL.
+    pub fn decoded(&self) -> impl Iterator<Item = TcpOption> + '_ {
+        let mut r = Reader::new(self.as_bytes());
+        let mut done = false;
+        std::iter::from_fn(move || {
+            if done || r.is_empty() {
+                return None;
+            }
+            let (kind, body) = read_option(&mut r).ok()?;
+            done = kind == 0;
+            Some(TcpOption::decode(kind, body))
+        })
+    }
+
+    /// The `(tsval, tsecr)` of the last Timestamps option, if any — what a
+    /// stack reads off every segment, without decoding the rest.
+    #[inline]
+    pub fn timestamps(&self) -> Option<(u32, u32)> {
+        let mut r = Reader::new(self.as_bytes());
+        let mut last = None;
+        while let Ok((kind, body)) = read_option(&mut r) {
+            match (kind, body) {
+                (0, _) => break,
+                (8, &[a, b, c, d, e, f, g, h]) => {
+                    last = Some((
+                        u32::from_be_bytes([a, b, c, d]),
+                        u32::from_be_bytes([e, f, g, h]),
+                    ));
+                }
+                _ => {}
+            }
+        }
+        last
+    }
+}
+
+impl PartialEq for TcpOptions {
+    fn eq(&self, other: &TcpOptions) -> bool {
+        self.as_bytes() == other.as_bytes()
+    }
+}
+impl Eq for TcpOptions {}
+
+impl std::fmt::Debug for TcpOptions {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_list().entries(self.decoded()).finish()
+    }
+}
+
+/// Encodes the options in order. Panics if they pass 40 bytes, which no
+/// TCP header can carry.
+impl FromIterator<TcpOption> for TcpOptions {
+    fn from_iter<I: IntoIterator<Item = TcpOption>>(opts: I) -> TcpOptions {
+        let mut out = TcpOptions::EMPTY;
+        for opt in opts {
+            opt.encode_into(&mut out);
+        }
+        out
     }
 }
 
@@ -76,11 +266,12 @@ pub struct TcpHeader {
     /// Urgent pointer (always zero in practice).
     pub urgent: u16,
     /// Options, in wire order.
-    pub options: Vec<TcpOption>,
+    pub options: TcpOptions,
 }
 
 impl TcpHeader {
     /// A header with all-zero numeric fields and no options.
+    #[inline]
     pub(crate) fn new(src_port: u16, dst_port: u16, flags: TcpFlags) -> TcpHeader {
         TcpHeader {
             src_port,
@@ -90,15 +281,13 @@ impl TcpHeader {
             flags,
             window: 65535,
             urgent: 0,
-            // tamperlint: allow(hot-path-alloc) — zero-capacity Vec; builders fill it per composed segment
-            options: Vec::new(),
+            options: TcpOptions::EMPTY,
         }
     }
 
     /// Total header length including options, padded to a 4-byte multiple.
     pub(crate) fn header_len(&self) -> usize {
-        let opt_len: usize = self.options.iter().map(TcpOption::wire_len).sum();
-        TCP_HEADER_LEN + opt_len.div_ceil(4) * 4
+        TCP_HEADER_LEN + self.options.as_bytes().len().div_ceil(4) * 4
     }
 
     /// True if the header carries no options at all — one of the scanner
@@ -129,44 +318,7 @@ impl TcpHeader {
         let opts_len = data_offset
             .checked_sub(TCP_HEADER_LEN)
             .ok_or(WireError::BadLength)?;
-        let mut opts = Reader::new(r.take(opts_len)?);
-        let mut options = Vec::new();
-        while !opts.is_empty() {
-            let kind = opts.u8()?;
-            match kind {
-                0 => {
-                    options.push(TcpOption::Eol);
-                    break;
-                }
-                1 => options.push(TcpOption::Nop),
-                _ => {
-                    let len = opts
-                        .u8()
-                        .map_err(|_| WireError::Malformed("tcp option length"))?
-                        as usize;
-                    if len < 2 {
-                        return Err(WireError::Malformed("tcp option length"));
-                    }
-                    let body = opts
-                        .take(len - 2)
-                        .map_err(|_| WireError::Malformed("tcp option length"))?;
-                    let opt = match (kind, body) {
-                        (2, &[a, b]) => TcpOption::Mss(u16::from_be_bytes([a, b])),
-                        (3, &[s]) => TcpOption::WindowScale(s),
-                        (4, &[]) => TcpOption::SackPermitted,
-                        (8, &[a, b, c, d, e, f, g, h]) => TcpOption::Timestamps {
-                            tsval: u32::from_be_bytes([a, b, c, d]),
-                            tsecr: u32::from_be_bytes([e, f, g, h]),
-                        },
-                        _ => TcpOption::Unknown {
-                            kind,
-                            data: body.to_vec(),
-                        },
-                    };
-                    options.push(opt);
-                }
-            }
-        }
+        let options = TcpOptions::from_region(r.take(opts_len)?)?;
         let header = TcpHeader {
             src_port,
             dst_port,
@@ -194,55 +346,30 @@ impl TcpHeader {
         buf.put_u16(self.window);
         buf.put_u16(0); // checksum placeholder
         buf.put_u16(self.urgent);
-        let mut emitted = 0usize;
-        for opt in &self.options {
-            emitted += opt.wire_len();
-            match opt {
-                TcpOption::Eol => buf.put_u8(0),
-                TcpOption::Nop => buf.put_u8(1),
-                TcpOption::Mss(v) => {
-                    buf.put_u8(2);
-                    buf.put_u8(4);
-                    buf.put_u16(*v);
-                }
-                TcpOption::WindowScale(s) => {
-                    buf.put_u8(3);
-                    buf.put_u8(3);
-                    buf.put_u8(*s);
-                }
-                TcpOption::SackPermitted => {
-                    buf.put_u8(4);
-                    buf.put_u8(2);
-                }
-                TcpOption::Timestamps { tsval, tsecr } => {
-                    buf.put_u8(8);
-                    buf.put_u8(10);
-                    buf.put_u32(*tsval);
-                    buf.put_u32(*tsecr);
-                }
-                TcpOption::Unknown { kind, data } => {
-                    buf.put_u8(*kind);
-                    buf.put_u8((2 + data.len()) as u8);
-                    buf.put_slice(data);
-                }
-            }
-        }
+        let options = self.options.as_bytes();
+        buf.put_slice(options);
         // Pad options to the 4-byte boundary implied by the data offset.
-        for _ in emitted..header_len - TCP_HEADER_LEN {
+        for _ in options.len()..header_len - TCP_HEADER_LEN {
             buf.put_u8(1); // NOP padding
         }
     }
 
-    /// The standard option set a modern client stack puts on a SYN.
-    pub fn standard_syn_options() -> Vec<TcpOption> {
-        // tamperlint: allow(hot-path-alloc) — five-entry SYN option list, one per simulated connection open
-        vec![
-            TcpOption::Mss(1460),
-            TcpOption::SackPermitted,
-            TcpOption::Timestamps { tsval: 0, tsecr: 0 },
-            TcpOption::Nop,
-            TcpOption::WindowScale(7),
-        ]
+    /// The standard option set a modern client stack puts on a SYN:
+    /// `MSS 1460, SACK permitted, Timestamps 0 0, NOP, window scale 7`.
+    #[inline]
+    pub fn standard_syn_options() -> TcpOptions {
+        TcpOptions::encoded([
+            2, 4, 0x05, 0xb4, 4, 2, 8, 10, 0, 0, 0, 0, 0, 0, 0, 0, 1, 3, 3, 7,
+        ])
+    }
+
+    /// The options a modern stack puts on every non-SYN segment once
+    /// timestamps were negotiated: `NOP NOP Timestamps`.
+    #[inline]
+    pub fn segment_options(tsval: u32, tsecr: u32) -> TcpOptions {
+        let [a, b, c, d] = tsval.to_be_bytes();
+        let [e, f, g, h] = tsecr.to_be_bytes();
+        TcpOptions::encoded([1, 1, 8, 10, a, b, c, d, e, f, g, h])
     }
 }
 
@@ -273,17 +400,46 @@ mod tests {
         assert_eq!(parsed.src_port, h.src_port);
         assert_eq!(parsed.seq, h.seq);
         assert_eq!(parsed.flags, h.flags);
-        assert!(parsed.options.contains(&TcpOption::Mss(1460)));
+        assert!(parsed.options.decoded().any(|o| o == TcpOption::Mss(1460)));
         // Padding NOPs may be appended but all real options survive.
-        for opt in &h.options {
-            assert!(parsed.options.contains(opt), "missing {opt:?}");
+        for opt in h.options.decoded() {
+            assert!(
+                parsed.options.decoded().any(|o| o == opt),
+                "missing {opt:?}"
+            );
         }
+    }
+
+    #[test]
+    fn canned_option_sets_encode_their_option_lists() {
+        let syn: TcpOptions = [
+            TcpOption::Mss(1460),
+            TcpOption::SackPermitted,
+            TcpOption::Timestamps { tsval: 0, tsecr: 0 },
+            TcpOption::Nop,
+            TcpOption::WindowScale(7),
+        ]
+        .into_iter()
+        .collect();
+        assert_eq!(TcpHeader::standard_syn_options(), syn);
+        let seg: TcpOptions = [
+            TcpOption::Nop,
+            TcpOption::Nop,
+            TcpOption::Timestamps {
+                tsval: 0x0102_0304,
+                tsecr: 0xa0b0_c0d0,
+            },
+        ]
+        .into_iter()
+        .collect();
+        assert_eq!(TcpHeader::segment_options(0x0102_0304, 0xa0b0_c0d0), seg);
+        assert_eq!(seg.timestamps(), Some((0x0102_0304, 0xa0b0_c0d0)));
     }
 
     #[test]
     fn round_trip_without_options() {
         let mut h = sample();
-        h.options.clear();
+        h.options = TcpOptions::EMPTY;
         h.flags = TcpFlags::RST_ACK;
         let mut buf = BytesMut::new();
         h.emit(&mut buf);
@@ -297,7 +453,7 @@ mod tests {
     #[test]
     fn header_len_is_padded() {
         let mut h = sample();
-        h.options = vec![TcpOption::WindowScale(2)]; // 3 bytes -> pads to 4
+        h.options = TcpOptions::from_iter([TcpOption::WindowScale(2)]); // 3 bytes -> pads to 4
         assert_eq!(h.header_len(), 24);
     }
 
@@ -310,7 +466,7 @@ mod tests {
     fn rejects_bad_data_offset() {
         let mut buf = BytesMut::new();
         let mut h = sample();
-        h.options.clear();
+        h.options = TcpOptions::EMPTY;
         h.emit(&mut buf);
         buf[12] = 0x30; // data offset 12 bytes < 20
         assert_eq!(TcpHeader::parse(&buf), Err(WireError::BadLength));
@@ -320,7 +476,7 @@ mod tests {
     fn rejects_malformed_option_length() {
         let mut buf = BytesMut::new();
         let mut h = sample();
-        h.options = vec![TcpOption::Mss(1460)];
+        h.options = TcpOptions::from_iter([TcpOption::Mss(1460)]);
         h.emit(&mut buf);
         buf[21] = 0; // MSS length byte -> 0, illegal
         assert_eq!(
@@ -332,26 +488,30 @@ mod tests {
     #[test]
     fn unknown_options_round_trip() {
         let mut h = sample();
-        h.options = vec![TcpOption::Unknown {
+        h.options = TcpOptions::from_iter([TcpOption::Unknown {
             kind: 254,
             data: vec![0xde, 0xad],
-        }];
+        }]);
         let mut buf = BytesMut::new();
         h.emit(&mut buf);
         let (parsed, _) = TcpHeader::parse(&buf).unwrap();
-        assert!(parsed.options.contains(&TcpOption::Unknown {
+        let unknown = TcpOption::Unknown {
             kind: 254,
-            data: vec![0xde, 0xad]
-        }));
+            data: vec![0xde, 0xad],
+        };
+        assert!(parsed.options.decoded().any(|o| o == unknown));
     }
 
     #[test]
     fn eol_stops_option_parsing() {
         let mut h = sample();
-        h.options = vec![TcpOption::Eol];
+        h.options = TcpOptions::from_iter([TcpOption::Eol]);
         let mut buf = BytesMut::new();
         h.emit(&mut buf);
         let (parsed, _) = TcpHeader::parse(&buf).unwrap();
-        assert_eq!(parsed.options, vec![TcpOption::Eol]);
+        assert_eq!(
+            parsed.options.decoded().collect::<Vec<_>>(),
+            vec![TcpOption::Eol]
+        );
     }
 }

@@ -36,58 +36,61 @@ fn len16(n: usize) -> u16 {
 /// );
 /// ```
 pub fn build_client_hello(sni: &str, random: [u8; 32]) -> Bytes {
-    // server_name extension body: list length, type 0 (host_name), name.
     let name = sni.as_bytes();
-    // tamperlint: allow(hot-path-alloc) — the simulated client composes one owned ClientHello per flow
-    let mut ext_body = BytesMut::with_capacity(5 + name.len());
-    ext_body.put_u16(len16(3 + name.len())); // server name list length
-    ext_body.put_u8(0); // name type: host_name
-    ext_body.put_u16(len16(name.len()));
-    ext_body.put_slice(name);
+    // Each nested block's length, innermost first, so the record is
+    // written front to back into one buffer of its final size.
+    let sni_ext = 5 + name.len();
+    let exts = 4 + sni_ext + SUPPORTED_VERSIONS_EXT.len();
+    let body = 2 + 32 + 1 + 32 + SUITES_AND_COMPRESSION.len() + 2 + exts;
+    let hs = 4 + body;
+    let be = |n: usize| len16(n).to_be_bytes();
+    let ([hs0, hs1], [body0, body1]) = (be(hs), be(body));
+    let ([exts0, exts1], [ext0, ext1]) = (be(exts), be(sni_ext));
+    let ([list0, list1], [name0, name1]) = (be(3 + name.len()), be(name.len()));
 
-    // A small, realistic second extension so the hello isn't SNI-only:
-    // supported_versions offering TLS 1.3 and 1.2.
-    let supported_versions: &[u8] = &[0x04, 0x03, 0x04, 0x03, 0x03];
-
-    let mut exts = BytesMut::new();
-    exts.put_u16(EXT_SERVER_NAME);
-    exts.put_u16(len16(ext_body.len()));
-    exts.put_slice(&ext_body);
-    exts.put_u16(0x002b); // supported_versions
-    exts.put_u16(len16(supported_versions.len()));
-    exts.put_slice(supported_versions);
-
-    let cipher_suites: &[u16] = &[0x1301, 0x1302, 0x1303, 0xc02f];
-
-    let mut body = BytesMut::new();
-    body.put_u16(0x0303); // legacy_version TLS 1.2
-    body.put_slice(&random);
-    body.put_u8(32); // legacy_session_id length
-    body.put_slice(&[0xAA; 32]);
-    body.put_u16(len16(cipher_suites.len() * 2));
-    for cs in cipher_suites {
-        body.put_u16(*cs);
-    }
-    body.put_u8(1); // compression methods length
-    body.put_u8(0); // null compression
-    body.put_u16(len16(exts.len()));
-    body.put_slice(&exts);
-
-    // tamperlint: allow(hot-path-alloc) — the simulated client composes one owned ClientHello per flow
-    let mut hs = BytesMut::with_capacity(body.len() + 4);
-    hs.put_u8(HANDSHAKE_CLIENT_HELLO);
-    hs.put_u8(0);
-    hs.put_u16(len16(body.len())); // 24-bit length, high byte zero
-    hs.put_slice(&body);
-
-    // tamperlint: allow(hot-path-alloc) — the simulated client composes one owned ClientHello per flow
-    let mut rec = BytesMut::with_capacity(hs.len() + 5);
-    rec.put_u8(CONTENT_TYPE_HANDSHAKE);
-    rec.put_u16(0x0301); // record legacy version
-    rec.put_u16(len16(hs.len()));
-    rec.put_slice(&hs);
+    // tamperlint: allow(hot-path-alloc) — the simulated client composes one owned ClientHello per flow, in one buffer sized up front
+    let mut rec = BytesMut::with_capacity(5 + hs);
+    // Record header (type, legacy version 0x0301, length), handshake
+    // header (type, 24-bit length with a zero high byte), then the
+    // ClientHello's legacy_version, TLS 1.2.
+    rec.put_slice(&[
+        CONTENT_TYPE_HANDSHAKE,
+        0x03,
+        0x01,
+        hs0,
+        hs1,
+        HANDSHAKE_CLIENT_HELLO,
+        0,
+        body0,
+        body1,
+        0x03,
+        0x03,
+    ]);
+    rec.put_slice(&random);
+    rec.put_slice(&[32]); // legacy_session_id length
+    rec.put_slice(&[0xAA; 32]);
+    rec.put_slice(&SUITES_AND_COMPRESSION);
+    // The extensions' total length, then the server_name extension:
+    // type 0x0000, its length, the name list's length, name type 0
+    // (host_name), the name's length and the name.
+    rec.put_slice(&[
+        exts0, exts1, 0x00, 0x00, ext0, ext1, list0, list1, 0, name0, name1,
+    ]);
+    rec.put_slice(name);
+    rec.put_slice(&SUPPORTED_VERSIONS_EXT);
+    debug_assert_eq!(rec.len(), 5 + hs, "ClientHello lengths disagree");
     rec.freeze()
 }
+
+/// Four cipher suites (TLS 1.3's three and ECDHE-RSA-AES128-GCM), then
+/// the null compression method, each behind its length.
+const SUITES_AND_COMPRESSION: [u8; 12] = [
+    0x00, 0x08, 0x13, 0x01, 0x13, 0x02, 0x13, 0x03, 0xc0, 0x2f, 0x01, 0x00,
+];
+
+/// A small, realistic second extension so the hello isn't SNI-only:
+/// supported_versions (0x002b) offering TLS 1.3 and 1.2.
+const SUPPORTED_VERSIONS_EXT: [u8; 9] = [0x00, 0x2b, 0x00, 0x05, 0x04, 0x03, 0x04, 0x03, 0x03];
 
 /// True if the payload starts like a TLS handshake record containing a
 /// ClientHello. Used by middleboxes and the classifier to decide whether a
@@ -222,6 +225,26 @@ mod tests {
         assert_eq!(parse_sni(&rec).unwrap(), None);
         // And the full builder output still parses.
         assert!(parse_sni(&ch).unwrap().is_some());
+    }
+
+    #[test]
+    fn hello_bytes_are_pinned() {
+        // Simulated captures and every report hang off these exact bytes.
+        let hex: String = build_client_hello("a.example", [7u8; 32])
+            .iter()
+            .map(|b| format!("{b:02x}"))
+            .collect();
+        assert_eq!(
+            hex,
+            concat!(
+                "16030100700100006c0303",
+                "0707070707070707070707070707070707070707070707070707070707070707",
+                "20aaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaa",
+                "0008130113021303c02f0100",
+                "001b0000000e000c000009612e6578616d706c65",
+                "002b00050403040303",
+            )
+        );
     }
 
     #[test]

@@ -20,8 +20,8 @@ use std::net::{IpAddr, Ipv4Addr, Ipv6Addr};
 use tamper_capture::{collect, run_source, CollectorConfig, EngineConfig, Sampler, SimSource};
 use tamper_middlebox::{ForcedStage, RuleSet, Vendor};
 use tamper_netsim::{
-    derive_rng, run_session, splitmix64, ClientConfig, ClientKind, IpIdMode, Link, Path,
-    RequestPayload, ServerConfig, SessionParams, SimDuration, SimTime, VanishStage,
+    derive_rng, splitmix64, ClientConfig, ClientKind, IpIdMode, Link, Path, RequestPayload,
+    ServerConfig, SessionParams, SessionWorkspace, SimDuration, SimTime, VanishStage,
 };
 use tamper_obs::Registry;
 
@@ -263,8 +263,15 @@ impl WorldSim {
     }
 
     /// Generate session `i`. Returns `None` when the sampler rejects it or
-    /// the server never saw a packet.
+    /// the server never saw a packet. One-shot: it simulates in a fresh
+    /// workspace; loops over many sessions use [`WorldSim::gen_session_in`].
     pub fn gen_session(&self, i: u64) -> Option<LabeledFlow> {
+        self.gen_session_in(&mut SessionWorkspace::default(), i)
+    }
+
+    /// [`WorldSim::gen_session`], simulating in `ws` — the same flow for
+    /// any workspace, fresh or reused.
+    pub fn gen_session_in(&self, ws: &mut SessionWorkspace, i: u64) -> Option<LabeledFlow> {
         let mut rng: StdRng = derive_rng(self.cfg.seed, i);
         let country = self.country_weights.sample(&mut rng) as CountryIdx;
         let spec = &self.world[country as usize];
@@ -424,16 +431,15 @@ impl WorldSim {
                 benign,
                 Some(BenignKind::AbortTwo) | Some(BenignKind::FinRstTwo)
             );
-        let syn_payload_p = self.benign.syn_payload_http * spec.country.syn_payload_mult;
-        let (request, final_http, effective_domain) = self.build_request(
-            domain_id,
+        let shape = RequestShape {
+            domain: domain_id,
             http,
             two_requests,
             is_fw,
             benign,
-            syn_payload_p,
-            &mut rng,
-        );
+            syn_payload_p: self.benign.syn_payload_http * spec.country.syn_payload_mult,
+        };
+        let (request, final_http, effective_domain) = self.build_request(shape, &mut rng);
         let http = final_http;
         let domain_id = effective_domain;
 
@@ -512,9 +518,9 @@ impl WorldSim {
         // --- Run ----------------------------------------------------------------
         let start = SimTime((ts - self.cfg.start_unix) * 1_000_000_000);
         let params = SessionParams::new(client_cfg, server_cfg, start);
-        let trace = run_session(params, &mut path, &mut rng);
+        let trace = ws.run(params, &mut path, &mut rng);
         let mut crng: StdRng = derive_rng(self.cfg.seed ^ 0xC0_11EC7, i);
-        let mut flow = collect(&trace, &self.cfg.collector, &mut crng)?;
+        let mut flow = collect(trace, &self.cfg.collector, &mut crng)?;
         // Re-base timestamps onto wall-clock unix seconds.
         for p in &mut flow.packets {
             p.ts_sec += self.cfg.start_unix;
@@ -585,19 +591,23 @@ impl WorldSim {
         }
     }
 
-    #[allow(clippy::type_complexity)]
-    #[allow(clippy::too_many_arguments)]
+    /// The request `shape` calls for, with the protocol and domain it
+    /// finally settles on (a SYN-payload request may move to a magnet
+    /// domain; firewall flows are always HTTP).
     fn build_request(
         &self,
-        domain_id: Option<DomainId>,
-        http: bool,
-        two_requests: bool,
-        is_fw: bool,
-        benign: Option<BenignKind>,
-        syn_payload_p: f64,
+        shape: RequestShape,
         rng: &mut StdRng,
     ) -> (RequestPayload, bool, Option<DomainId>) {
-        let Some(id) = domain_id else {
+        let RequestShape {
+            domain,
+            http,
+            two_requests,
+            is_fw,
+            benign,
+            syn_payload_p,
+        } = shape;
+        let Some(id) = domain else {
             return (RequestPayload::None, http, None);
         };
         let name = self.catalog.get(id).name.clone();
@@ -659,8 +669,9 @@ impl WorldSim {
 
     /// Run serially, streaming flows to `f`.
     pub fn run<F: FnMut(LabeledFlow)>(&self, mut f: F) {
+        let mut ws = SessionWorkspace::default();
         for i in 0..self.cfg.sessions {
-            if let Some(lf) = self.gen_session(i) {
+            if let Some(lf) = self.gen_session_in(&mut ws, i) {
                 f(lf);
             }
         }
@@ -670,10 +681,11 @@ impl WorldSim {
     /// available core, as [`EngineConfig::threads`] has it) — a thin shim
     /// over [`tamper_capture::run_source`] with a [`SimSource`] front-end;
     /// the driver has no sharding or merging machinery of its own. Each
-    /// shard owns a contiguous chunk of session indices and folds into
-    /// its own accumulator `T`; accumulators are merged in shard order,
-    /// so results are byte-identical to a serial run — even for
-    /// order-sensitive accumulators — at any thread count.
+    /// shard owns a contiguous chunk of session indices, simulates them
+    /// in one [`SessionWorkspace`] and folds into its own accumulator
+    /// `T`; accumulators are merged in shard order, so results are
+    /// byte-identical to a serial run — even for order-sensitive
+    /// accumulators — at any thread count.
     ///
     /// With a registry attached the engine publishes its uniform
     /// `reader` / `shard<i>` / `merge` scopes (per-shard `gen` stage
@@ -699,7 +711,7 @@ impl WorldSim {
             threads,
             ..EngineConfig::default()
         };
-        let gen = |i: u64| self.gen_session(i);
+        let gen = |ws: &mut SessionWorkspace, i: u64| self.gen_session_in(ws, i);
         let (acc, _stats) = run_source(
             &mut SimSource::new(self.cfg.sessions, &gen),
             &cfg,
@@ -723,6 +735,20 @@ impl WorldSim {
         let h = splitmix64(self.cfg.seed ^ POP_ROUTE_SALT ^ ip_key(lf.flow.client_ip));
         (h % pops as u64) as usize
     }
+}
+
+/// What a session's tampering decision settled about its request, before
+/// the request exists.
+struct RequestShape {
+    domain: Option<DomainId>,
+    http: bool,
+    /// Two requests on one connection: firewall flows and the two-request
+    /// benign kinds.
+    two_requests: bool,
+    is_fw: bool,
+    benign: Option<BenignKind>,
+    /// Chance a plain HTTP GET rides the SYN instead (§4.1).
+    syn_payload_p: f64,
 }
 
 /// Salt separating PoP routing from every other consumer of the world

@@ -111,7 +111,7 @@ impl GroundTruth {
 }
 
 /// Metadata attached to every generated session.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SessionMeta {
     /// Originating country (index into the world spec).
     pub country: CountryIdx,
@@ -130,7 +130,7 @@ pub struct SessionMeta {
 }
 
 /// A collected flow with its ground-truth labels.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LabeledFlow {
     /// What the collection pipeline recorded (classifier input).
     pub flow: FlowRecord,

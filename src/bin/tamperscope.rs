@@ -19,8 +19,8 @@ use tamperscope::cli::{classify, Args, Render};
 use tamperscope::core::ClassifierConfig;
 use tamperscope::middlebox::{RuleSet, Vendor, ALL_VENDORS};
 use tamperscope::netsim::{
-    derive_rng, run_session, ClientConfig, Link, Path, ServerConfig, SessionParams, SimDuration,
-    SimTime,
+    derive_rng, ClientConfig, Link, Path, ServerConfig, SessionParams, SessionWorkspace,
+    SimDuration, SimTime,
 };
 use tamperscope::obs::{Registry, ScopeMetrics, Stopwatch};
 use tamperscope::worldgen::{
@@ -528,10 +528,11 @@ fn cmd_iran(args: &Args) -> ExitCode {
 /// already stamped with capture timestamps.
 type SynthSession = (u64, Vec<(u32, u32, tamperscope::wire::Packet)>);
 
-/// Generate session `i` of the synthetic benchmark capture — a pure
-/// function of `(seed, i)`, so sessions can be generated on any engine
-/// shard in any order.
+/// Generate session `i` of the synthetic benchmark capture, simulating
+/// in the shard's workspace `ws` — a pure function of `(seed, i)`, so
+/// sessions can be generated on any engine shard in any order.
 fn synth_session(
+    ws: &mut SessionWorkspace,
     i: u64,
     seed: u64,
     server_ip: std::net::IpAddr,
@@ -570,7 +571,7 @@ fn synth_session(
     };
     let start = SimTime::ZERO + SimDuration::from_secs(2 * i);
     let mut rng = derive_rng(seed, i);
-    let trace = run_session(
+    let trace = ws.run(
         SessionParams::new(cfg, ServerConfig::default_edge(server_ip, 443), start),
         &mut path_obj,
         &mut rng,
@@ -634,7 +635,9 @@ fn cmd_synthesize(args: &Args) -> ExitCode {
     // in index order, and the sort below is a cheap guarantee of it.
     let metrics_path = args.get("metrics-json");
     let registry = metrics_path.map(|_| Registry::new());
-    let gen = |i: u64| Some(synth_session(i, seed, server_ip, &vendor_cycle));
+    let gen = |ws: &mut SessionWorkspace, i: u64| {
+        Some(synth_session(ws, i, seed, server_ip, &vendor_cycle))
+    };
     let ecfg = EngineConfig {
         threads,
         ..EngineConfig::default()

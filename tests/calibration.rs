@@ -4,28 +4,12 @@
 //! synthetic); the *shape* assertions — orderings, dominances — are the
 //! real content.
 
-use tamper_analysis::{report, Collector};
-use tamper_core::{ClassifierConfig, Signature, Stage};
-use tamper_worldgen::{country_index, WorldConfig, WorldSim};
+mod common;
 
-fn run_world(sessions: u64) -> (Collector, WorldSim) {
-    let sim = WorldSim::new(WorldConfig {
-        sessions,
-        days: 3,
-        catalog_size: 1500,
-        ..Default::default()
-    });
-    let mk = || {
-        Collector::new(
-            ClassifierConfig::default(),
-            sim.world().len(),
-            3,
-            sim.config().start_unix,
-        )
-    };
-    let col = sim.run_sharded(0, None, mk, |c, lf| c.observe(&lf), |a, b| a.merge(b));
-    (col, sim)
-}
+use common::run_world;
+use tamper_analysis::report;
+use tamper_core::{Signature, Stage};
+use tamper_worldgen::country_index;
 
 #[test]
 fn headline_rates_match_paper_bands() {
@@ -200,7 +184,7 @@ fn diurnal_night_peaks() {
     let (col, sim) = run_world(150_000);
     // Figure 6: tampering share peaks between midnight and 8 AM local.
     for code in ["CN", "IR", "IN"] {
-        let (night, day) = report::diurnal_contrast(&col.view(), &sim, code).unwrap();
+        let (night, day) = report::diurnal_contrast(&col.view(), sim, code).unwrap();
         assert!(night > day, "{code}: night {night} should exceed day {day}");
     }
 }

@@ -8,7 +8,7 @@ use proptest::prelude::*;
 use std::net::{IpAddr, Ipv4Addr, Ipv6Addr};
 use tamper_capture::{FlowRecord, PacketRecord};
 use tamper_core::{classify, reconstruct_order, BatchClassifier, ClassifierConfig};
-use tamper_wire::{Packet, PacketBuilder, TcpFlags, TcpHeader, TcpOption};
+use tamper_wire::{Packet, PacketBuilder, TcpFlags, TcpHeader, TcpOption, TcpOptions};
 
 fn arb_flags() -> impl Strategy<Value = TcpFlags> {
     // Any combination of the six classic flags.
@@ -23,20 +23,20 @@ fn arb_v6() -> impl Strategy<Value = IpAddr> {
     any::<u128>().prop_map(|v| IpAddr::V6(Ipv6Addr::from(v)))
 }
 
-fn arb_options() -> impl Strategy<Value = Vec<TcpOption>> {
+fn arb_options() -> impl Strategy<Value = TcpOptions> {
     prop_oneof![
-        Just(Vec::new()),
+        Just(TcpOptions::EMPTY),
         Just(TcpHeader::standard_syn_options()),
-        (any::<u16>(), any::<u8>()).prop_map(|(mss, ws)| vec![
+        (any::<u16>(), any::<u8>()).prop_map(|(mss, ws)| TcpOptions::from_iter([
             TcpOption::Mss(mss),
             TcpOption::WindowScale(ws & 14),
             TcpOption::SackPermitted,
-        ]),
-        (any::<u32>(), any::<u32>()).prop_map(|(tsval, tsecr)| vec![
+        ])),
+        (any::<u32>(), any::<u32>()).prop_map(|(tsval, tsecr)| TcpOptions::from_iter([
             TcpOption::Nop,
             TcpOption::Nop,
             TcpOption::Timestamps { tsval, tsecr },
-        ]),
+        ])),
     ]
 }
 
