@@ -11,6 +11,7 @@
 //! encoding lives in [`crate::aggfile`]; the figure-oriented read side
 //! lives in [`crate::view::ReportView`].
 
+use std::collections::btree_map::Entry;
 use std::collections::BTreeMap;
 use tamper_core::{is_zmap_fingerprint, scanner_marks, user_agent};
 use tamper_core::{ClassifierConfig, FlowAnalysis, Signature, Stage};
@@ -87,6 +88,118 @@ pub struct DomainCell {
     pub psh_tampered: u32,
 }
 
+/// A counter cell. Partials merge by exact addition; `add` reports an
+/// overflow (and wraps) rather than panicking, so the `.agg` reader can
+/// refuse a partial that would overflow the accumulator.
+pub(crate) trait Count: Copy {
+    /// Add `v` into `self`; true if the sum overflowed.
+    fn add(&mut self, v: Self) -> bool;
+}
+
+impl Count for u32 {
+    fn add(&mut self, v: u32) -> bool {
+        let (sum, over) = self.overflowing_add(v);
+        *self = sum;
+        over
+    }
+}
+
+impl Count for u64 {
+    fn add(&mut self, v: u64) -> bool {
+        let (sum, over) = self.overflowing_add(v);
+        *self = sum;
+        over
+    }
+}
+
+impl<A: Count, B: Count> Count for (A, B) {
+    fn add(&mut self, v: (A, B)) -> bool {
+        self.0.add(v.0) | self.1.add(v.1)
+    }
+}
+
+impl<T: Count, const N: usize> Count for [T; N] {
+    fn add(&mut self, v: [T; N]) -> bool {
+        add_cells(self, v)
+    }
+}
+
+impl Count for DomainCell {
+    fn add(&mut self, v: DomainCell) -> bool {
+        self.seen.add(v.seen) | self.psh_tampered.add(v.psh_tampered)
+    }
+}
+
+impl Count for TruthStats {
+    fn add(&mut self, v: TruthStats) -> bool {
+        self.true_positive.add(v.true_positive)
+            | self.false_negative.add(v.false_negative)
+            | self.false_positive.add(v.false_positive)
+            | self.true_negative.add(v.true_negative)
+            | self.matched_signature.add(v.matched_signature)
+    }
+}
+
+/// Add `src` into `dst` cell by cell; true if any cell overflowed.
+pub(crate) fn add_cells<T: Count>(dst: &mut [T], src: impl IntoIterator<Item = T>) -> bool {
+    dst.iter_mut()
+        .zip(src)
+        .fold(false, |over, (a, b)| a.add(b) | over)
+}
+
+/// Add `v` into the cell at `key`, which starts at zero; true on overflow.
+pub(crate) fn add_keyed<K: Ord, V: Count + Default>(
+    table: &mut BTreeMap<K, V>,
+    key: K,
+    v: V,
+) -> bool {
+    table.entry(key).or_default().add(v)
+}
+
+/// Keep-lowest-`cap` over an ascending `Vec`: insert `key` in order,
+/// dropping the largest entry past `cap`. Returns false, changing
+/// nothing, when `entries` is full and `key` ranks at or above its
+/// largest entry; every later key of an ascending stream then would too.
+/// Equal keys are kept as duplicates.
+fn offer_lowest<K: Ord>(entries: &mut Vec<K>, cap: usize, key: K) -> bool {
+    if entries.len() >= cap {
+        if entries.last().is_some_and(|last| key >= *last) {
+            return false;
+        }
+        entries.pop();
+    }
+    let at = entries.partition_point(|e| *e < key);
+    entries.insert(at, key);
+    true
+}
+
+/// Offer an ascending stream to [`offer_lowest`], stopping at the first
+/// key that cannot enter.
+fn merge_lowest<K: Ord>(entries: &mut Vec<K>, cap: usize, sorted: impl IntoIterator<Item = K>) {
+    for key in sorted {
+        if !offer_lowest(entries, cap, key) {
+            break;
+        }
+    }
+}
+
+/// Whether the pair-sequence table may take `key`: it has room, or `key`
+/// ranks at or below its largest key. A key refused by a full table can
+/// never rejoin it (see [`PAIR_KEY_CAP`]), and neither can any larger one.
+pub(crate) fn pair_key_fits(pair_seqs: &BTreeMap<(u64, u32), PairSeq>, key: &(u64, u32)) -> bool {
+    pair_seqs.len() < PAIR_KEY_CAP
+        || pair_seqs
+            .last_key_value()
+            .is_some_and(|(top, _)| key <= top)
+}
+
+/// Keep the lowest [`PAIR_KEY_CAP`] keys of a pair-sequence table.
+pub(crate) fn cap_pair_keys(pair_seqs: &mut BTreeMap<(u64, u32), PairSeq>) {
+    while pair_seqs.len() > PAIR_KEY_CAP {
+        pair_seqs.pop_last();
+    }
+}
+
 /// A deterministic mergeable sample: keep the `RESERVOIR_CAP` entries
 /// with the lowest `(priority, value)` keys, where the priority is a
 /// pure function of the flow ([`flow_priority`]) rather than of stream
@@ -109,26 +222,19 @@ impl<T: Copy + Ord> Reservoir<T> {
     }
 
     /// Offer one sample; kept only while it ranks inside the lowest
-    /// `RESERVOIR_CAP` keys seen so far.
-    pub(crate) fn insert(&mut self, priority: u64, value: T) {
-        let key = (priority, value);
-        if self.entries.len() >= RESERVOIR_CAP {
-            if let Some(last) = self.entries.last() {
-                if key >= *last {
-                    return;
-                }
-            }
-        }
-        let at = self.entries.partition_point(|e| *e < key);
-        self.entries.insert(at, key);
-        self.entries.truncate(RESERVOIR_CAP);
+    /// `RESERVOIR_CAP` keys seen so far. False when it did not enter a
+    /// full reservoir (see [`offer_lowest`]).
+    pub(crate) fn insert(&mut self, priority: u64, value: T) -> bool {
+        offer_lowest(&mut self.entries, RESERVOIR_CAP, (priority, value))
     }
 
     /// Fold another reservoir in; keep-lowest-k of the union.
     pub(crate) fn merge(&mut self, other: &Reservoir<T>) {
-        for &(p, v) in &other.entries {
-            self.insert(p, v);
-        }
+        merge_lowest(
+            &mut self.entries,
+            RESERVOIR_CAP,
+            other.entries.iter().copied(),
+        );
     }
 
     /// Number of retained samples.
@@ -144,12 +250,6 @@ impl<T: Copy + Ord> Reservoir<T> {
     /// Retained `(priority, value)` entries, sorted ascending.
     pub(crate) fn entries(&self) -> &[(u64, T)] {
         &self.entries
-    }
-
-    /// Rebuild from decoded entries; the decoder has already verified
-    /// sortedness and the capacity bound.
-    pub(crate) fn from_entries(entries: Vec<(u64, T)>) -> Reservoir<T> {
-        Reservoir { entries }
     }
 }
 
@@ -168,24 +268,13 @@ pub struct PairSeq {
 impl PairSeq {
     /// Offer one observation.
     pub(crate) fn insert(&mut self, ts: u64, tie: u64, code: u8) {
-        let key = (ts, tie, code);
-        if self.entries.len() >= PAIR_SEQ_CAP {
-            if let Some(last) = self.entries.last() {
-                if key >= *last {
-                    return;
-                }
-            }
-        }
-        let at = self.entries.partition_point(|e| *e < key);
-        self.entries.insert(at, key);
-        self.entries.truncate(PAIR_SEQ_CAP);
+        offer_lowest(&mut self.entries, PAIR_SEQ_CAP, (ts, tie, code));
     }
 
-    /// Fold another sequence in.
-    pub(crate) fn merge(&mut self, other: &PairSeq) {
-        for &(ts, tie, code) in &other.entries {
-            self.insert(ts, tie, code);
-        }
+    /// Fold in observations given in ascending order; keep-lowest-k of
+    /// the union.
+    pub(crate) fn merge_sorted(&mut self, sorted: impl IntoIterator<Item = (u64, u64, u8)>) {
+        merge_lowest(&mut self.entries, PAIR_SEQ_CAP, sorted);
     }
 
     /// Number of retained observations.
@@ -203,8 +292,8 @@ impl PairSeq {
         &self.entries
     }
 
-    /// Rebuild from decoded entries; the decoder has already verified
-    /// sortedness and the capacity bound.
+    /// Build from entries the reader has already checked for order and
+    /// the capacity bound.
     pub(crate) fn from_entries(entries: Vec<(u64, u64, u8)>) -> PairSeq {
         PairSeq { entries }
     }
@@ -274,7 +363,7 @@ const FINGERPRINT_VERSION: u64 = 1;
 /// Fingerprint of everything two partials must agree on before a merge
 /// is meaningful: format version, classifier knobs, aggregation shape,
 /// and the caller-supplied world salt (workload identity).
-pub fn config_fingerprint(
+fn config_fingerprint(
     cfg: &ClassifierConfig,
     n_countries: usize,
     hours: usize,
@@ -398,7 +487,7 @@ pub struct PartialAggregate {
 impl PartialAggregate {
     /// Create an empty aggregate for a world of `n_countries` over `days`,
     /// salted with a workload identity (0 for single-machine runs).
-    pub(crate) fn with_salt(
+    pub fn with_salt(
         cfg: ClassifierConfig,
         n_countries: usize,
         days: u32,
@@ -406,12 +495,24 @@ impl PartialAggregate {
         world_salt: u64,
     ) -> PartialAggregate {
         let hours = (days as usize) * 24;
+        let fingerprint = config_fingerprint(&cfg, n_countries, hours, start_unix, world_salt);
+        PartialAggregate::empty(cfg, n_countries, hours, start_unix, fingerprint)
+    }
+
+    /// An empty aggregate of the given shape, stamped with `fingerprint`.
+    pub(crate) fn empty(
+        cfg: ClassifierConfig,
+        n_countries: usize,
+        hours: usize,
+        start_unix: u64,
+        fingerprint: u64,
+    ) -> PartialAggregate {
         PartialAggregate {
             cfg,
             n_countries,
             hours,
             start_unix,
-            fingerprint: config_fingerprint(&cfg, n_countries, hours, start_unix, world_salt),
+            fingerprint,
             total: 0,
             possibly_tampered: 0,
             stage_counts: [0; 5],
@@ -446,16 +547,6 @@ impl PartialAggregate {
             benign_attribution: vec![[0; N_CLASSES]; tamper_worldgen::BenignKind::ALL.len()],
             pair_seqs: BTreeMap::new(),
         }
-    }
-
-    /// Create an empty aggregate with salt 0 (single-machine runs).
-    pub(crate) fn new(
-        cfg: ClassifierConfig,
-        n_countries: usize,
-        days: u32,
-        start_unix: u64,
-    ) -> PartialAggregate {
-        PartialAggregate::with_salt(cfg, n_countries, days, start_unix, 0)
     }
 
     /// Number of countries this aggregate was sized for.
@@ -663,83 +754,65 @@ impl PartialAggregate {
             let in_scope = code != 0 || a.trigger.domain.is_some();
             if in_scope {
                 let key = (ip_key(lf.flow.client_ip), domain);
-                // Keep-lowest-K keys: at cap, a key above the current
-                // maximum is rejected (and, once rejected, can never
-                // rejoin — see PAIR_KEY_CAP).
-                let within = self.pair_seqs.len() < PAIR_KEY_CAP
-                    || self.pair_seqs.contains_key(&key)
-                    || self
-                        .pair_seqs
-                        .last_key_value()
-                        .is_some_and(|(top, _)| key < *top);
-                if within {
+                if pair_key_fits(&self.pair_seqs, &key) {
                     self.pair_seqs.entry(key).or_default().insert(
                         lf.meta.start_unix,
                         flow_priority(lf),
                         code,
                     );
-                    if self.pair_seqs.len() > PAIR_KEY_CAP {
-                        self.pair_seqs.pop_last();
-                    }
+                    cap_pair_keys(&mut self.pair_seqs);
                 }
             }
         }
     }
 
+    /// The V1–V3 evidence counters, in `.agg` body order.
+    pub(crate) fn evidence_counters_mut(&mut self) -> [&mut u64; 13] {
+        [
+            &mut self.ipid_flows,
+            &mut self.ipid_min_le1,
+            &mut self.ipid_min_gt100,
+            &mut self.ttl_flows,
+            &mut self.ttl_max_le1,
+            &mut self.syn_rst_total,
+            &mut self.syn_rst_zmap,
+            &mut self.no_opt_flows,
+            &mut self.high_ttl_flows,
+            &mut self.port80_flows,
+            &mut self.port80_syn_payload,
+            &mut self.port443_flows,
+            &mut self.port443_syn_payload,
+        ]
+    }
+
     /// Merge another partial (same fingerprint) into this one. Exact sums
     /// for counters, keep-lowest-k set union for reservoirs and pair
-    /// sequences — associative, commutative, and order-insensitive.
-    pub fn merge(&mut self, other: PartialAggregate) {
+    /// sequences — associative, commutative, and order-insensitive. The
+    /// `.agg` reader (`aggfile::fold`) applies the same rules table by
+    /// table.
+    pub fn merge(&mut self, mut other: PartialAggregate) {
         assert_eq!(
             self.fingerprint, other.fingerprint,
             "merging partial aggregates with different config fingerprints"
         );
-        self.total += other.total;
-        self.possibly_tampered += other.possibly_tampered;
-        for i in 0..5 {
-            self.stage_counts[i] += other.stage_counts[i];
-            self.stage_matched[i] += other.stage_matched[i];
-        }
-        for (a, b) in self.country_class.iter_mut().zip(other.country_class) {
-            for i in 0..N_CLASSES {
-                a[i] += b[i];
-            }
-        }
+        let evidence = other.evidence_counters_mut().map(|c| *c);
+        let mut over = self.total.add(other.total)
+            | self.possibly_tampered.add(other.possibly_tampered)
+            | self.stage_counts.add(other.stage_counts)
+            | self.stage_matched.add(other.stage_matched)
+            | add_cells(&mut self.country_class, other.country_class);
         for (k, v) in other.as_counts {
-            let e = self.as_counts.entry(k).or_insert((0, 0));
-            e.0 += v.0;
-            e.1 += v.1;
+            over |= add_keyed(&mut self.as_counts, k, v);
         }
         for (a, b) in self.country_hour.iter_mut().zip(other.country_hour) {
-            for (x, y) in a.iter_mut().zip(b) {
-                x.0 += y.0;
-                x.1 += y.1;
-            }
+            over |= add_cells(a, b);
         }
-        for (a, b) in self.sig_hour.iter_mut().zip(other.sig_hour) {
-            for i in 0..19 {
-                a[i] += b[i];
-            }
-        }
-        for (a, b) in self.hour_totals.iter_mut().zip(other.hour_totals) {
-            *a += b;
-        }
-        for (a, b) in self.country_ipver.iter_mut().zip(other.country_ipver) {
-            for i in 0..2 {
-                a[i].0 += b[i].0;
-                a[i].1 += b[i].1;
-            }
-        }
-        for (a, b) in self.country_proto.iter_mut().zip(other.country_proto) {
-            for i in 0..2 {
-                a[i].0 += b[i].0;
-                a[i].1 += b[i].1;
-            }
-        }
+        over |= add_cells(&mut self.sig_hour, other.sig_hour)
+            | add_cells(&mut self.hour_totals, other.hour_totals)
+            | add_cells(&mut self.country_ipver, other.country_ipver)
+            | add_cells(&mut self.country_proto, other.country_proto);
         for (k, v) in other.domain_cells {
-            let e = self.domain_cells.entry(k).or_default();
-            e.seen += v.seen;
-            e.psh_tampered += v.psh_tampered;
+            over |= add_keyed(&mut self.domain_cells, k, v);
         }
         for (a, b) in self.ipid_res.iter_mut().zip(&other.ipid_res) {
             a.merge(b);
@@ -747,46 +820,32 @@ impl PartialAggregate {
         for (a, b) in self.ttl_res.iter_mut().zip(&other.ttl_res) {
             a.merge(b);
         }
-        self.ipid_flows += other.ipid_flows;
-        self.ipid_min_le1 += other.ipid_min_le1;
-        self.ipid_min_gt100 += other.ipid_min_gt100;
-        self.ttl_flows += other.ttl_flows;
-        self.ttl_max_le1 += other.ttl_max_le1;
-        self.syn_rst_total += other.syn_rst_total;
-        self.syn_rst_zmap += other.syn_rst_zmap;
-        self.no_opt_flows += other.no_opt_flows;
-        self.high_ttl_flows += other.high_ttl_flows;
-        self.port80_flows += other.port80_flows;
-        self.port80_syn_payload += other.port80_syn_payload;
-        self.port443_flows += other.port443_flows;
-        self.port443_syn_payload += other.port443_syn_payload;
+        for (a, b) in self.evidence_counters_mut().into_iter().zip(evidence) {
+            over |= a.add(b);
+        }
         for (k, v) in other.syn_payload_domains {
-            *self.syn_payload_domains.entry(k).or_default() += v;
+            over |= add_keyed(&mut self.syn_payload_domains, k, v);
         }
-        self.truth.true_positive += other.truth.true_positive;
-        self.truth.false_negative += other.truth.false_negative;
-        self.truth.false_positive += other.truth.false_positive;
-        self.truth.true_negative += other.truth.true_negative;
-        self.truth.matched_signature += other.truth.matched_signature;
-        self.postdata_matches += other.postdata_matches;
-        self.postdata_fw_ua += other.postdata_fw_ua;
-        for (a, b) in self
-            .benign_attribution
-            .iter_mut()
-            .zip(other.benign_attribution)
-        {
-            for i in 0..N_CLASSES {
-                a[i] += b[i];
-            }
-        }
+        over |= self.truth.add(other.truth)
+            | self.postdata_matches.add(other.postdata_matches)
+            | self.postdata_fw_ua.add(other.postdata_fw_ua)
+            | add_cells(&mut self.benign_attribution, other.benign_attribution);
+        // Lowest-K of a union of lowest-Ks is the lowest-K of the union, so
+        // merge order cannot change the result.
         for (k, v) in other.pair_seqs {
-            self.pair_seqs.entry(k).or_default().merge(&v);
+            // Keys ascend: once one is refused, every later one would be.
+            if !pair_key_fits(&self.pair_seqs, &k) {
+                break;
+            }
+            match self.pair_seqs.entry(k) {
+                Entry::Vacant(e) => {
+                    e.insert(v);
+                }
+                Entry::Occupied(mut e) => e.get_mut().merge_sorted(v.entries),
+            }
+            cap_pair_keys(&mut self.pair_seqs);
         }
-        // Re-cap after the union: lowest-K of a union of lowest-Ks is the
-        // lowest-K of the union, so merge order cannot change the result.
-        while self.pair_seqs.len() > PAIR_KEY_CAP {
-            self.pair_seqs.pop_last();
-        }
+        debug_assert!(!over, "partial aggregate counter overflow");
     }
 
     /// Global count for a signature.
@@ -852,7 +911,7 @@ mod tests {
         let keys: Vec<(u64, u32)> = (0..PAIR_KEY_CAP as u64 + 100)
             .map(|i| (splitmix64(i), (i % 3) as u32))
             .collect();
-        let empty = PartialAggregate::new(ClassifierConfig::default(), 1, 1, 0);
+        let empty = PartialAggregate::with_salt(ClassifierConfig::default(), 1, 1, 0, 0);
         let (mut a, mut b) = (empty.clone(), empty);
         for (i, &key) in keys.iter().enumerate() {
             let part = if i % 2 == 0 { &mut a } else { &mut b };

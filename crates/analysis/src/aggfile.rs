@@ -12,7 +12,15 @@
 //! body     ...      shape header, counters, tables, reservoirs
 //! ```
 //!
-//! Decoding is fail-closed in the `wire::Reader` discipline: every read
+//! [`fold`] is the one parser: it adds a file's tables straight into an
+//! accumulator, with no aggregate of its own. It checks the header —
+//! magic, version, body length, fingerprint and shape — against the
+//! accumulator before it touches it, so a refused header leaves the
+//! accumulator as it was. After an error in the body the accumulator
+//! holds part of the file and is unspecified; `merge` exits 2 and drops
+//! it. [`decode`] is a fold into an empty aggregate of the header's shape.
+//!
+//! Reading is fail-closed in the `wire::Reader` discipline: every read
 //! is bounds-checked, every length is validated against its cap before
 //! use, ordered tables must arrive strictly sorted (the canonical form
 //! `encode` emits), and any violation is a named [`AggError`] — never a
@@ -20,14 +28,14 @@
 //! (and to a heap bound) over mutated encodings, and this module sits
 //! inside the tamperlint `panic`/`index` scopes.
 
-use std::collections::BTreeMap;
+use std::collections::btree_map::Entry;
 
 use tamper_core::ClassifierConfig;
 use tamper_wire::{Reader, WireError};
 
 use crate::agg::{
-    DomainCell, PairSeq, PartialAggregate, Reservoir, TruthStats, N_CLASSES, PAIR_KEY_CAP,
-    PAIR_SEQ_CAP, RESERVOIR_CAP,
+    add_cells, add_keyed, cap_pair_keys, pair_key_fits, Count, DomainCell, PairSeq,
+    PartialAggregate, Reservoir, TruthStats, N_CLASSES, PAIR_KEY_CAP, PAIR_SEQ_CAP, RESERVOIR_CAP,
 };
 
 /// File magic: "TAGG".
@@ -44,7 +52,10 @@ pub enum AggError {
     UnsupportedVersion(u16),
     /// Partials were produced under different configurations (classifier
     /// knobs, world shape, or workload salt) and must not be merged.
-    ConfigMismatch,
+    ConfigMismatch {
+        /// The fingerprint the refused partial carries.
+        file: u64,
+    },
     /// The input ended before the structure it promised.
     Truncated,
     /// The bytes violate a structural invariant of the format.
@@ -61,7 +72,7 @@ impl std::fmt::Display for AggError {
                     "unsupported .agg format version {v} (this build reads {AGG_FORMAT_VERSION})"
                 )
             }
-            AggError::ConfigMismatch => {
+            AggError::ConfigMismatch { .. } => {
                 write!(f, "config fingerprint mismatch: partials are not mergeable")
             }
             AggError::Truncated => write!(f, "truncated .agg input"),
@@ -241,313 +252,316 @@ pub fn encode(agg: &PartialAggregate) -> Vec<u8> {
     out
 }
 
-/// Read `n` `u64` values into a fixed array without indexing.
-fn fill_u64<const N: usize>(r: &mut Reader) -> Result<[u64; N], AggError> {
-    let mut out = [0u64; N];
-    for slot in out.iter_mut() {
-        *slot = r.u64()?;
-    }
-    Ok(out)
+/// A counter cell as the body stores it: `W` big-endian bytes.
+trait Cell<const W: usize>: Count {
+    fn from_be(bytes: &[u8; W]) -> Self;
 }
 
-fn read_u32_row<const N: usize>(r: &mut Reader) -> Result<[u32; N], AggError> {
-    let mut out = [0u32; N];
-    for slot in out.iter_mut() {
-        *slot = r.u32()?;
+impl Cell<4> for u32 {
+    fn from_be(bytes: &[u8; 4]) -> u32 {
+        u32::from_be_bytes(*bytes)
     }
-    Ok(out)
 }
 
-fn read_pairs_u32(r: &mut Reader, n: usize) -> Result<Vec<(u32, u32)>, AggError> {
-    let mut out = Vec::new();
-    for _ in 0..n {
-        let a = r.u32()?;
-        let b = r.u32()?;
-        out.push((a, b));
+impl Cell<8> for u64 {
+    fn from_be(bytes: &[u8; 8]) -> u64 {
+        u64::from_be_bytes(*bytes)
     }
-    Ok(out)
 }
 
-fn read_pairs2_u64(r: &mut Reader) -> Result<[(u64, u64); 2], AggError> {
-    let mut out = [(0u64, 0u64); 2];
-    for slot in out.iter_mut() {
-        let a = r.u64()?;
-        let b = r.u64()?;
-        *slot = (a, b);
+impl Cell<8> for (u32, u32) {
+    fn from_be(bytes: &[u8; 8]) -> (u32, u32) {
+        let [hi @ .., _, _, _, _] = *bytes;
+        let [_, _, _, _, lo @ ..] = *bytes;
+        (u32::from_be_bytes(hi), u32::from_be_bytes(lo))
     }
-    Ok(out)
 }
 
-fn read_ipid_reservoir(r: &mut Reader) -> Result<Reservoir<u32>, AggError> {
+impl Cell<16> for (u64, u64) {
+    fn from_be(bytes: &[u8; 16]) -> (u64, u64) {
+        let [hi @ .., _, _, _, _, _, _, _, _] = *bytes;
+        let [_, _, _, _, _, _, _, _, lo @ ..] = *bytes;
+        (u64::from_be_bytes(hi), u64::from_be_bytes(lo))
+    }
+}
+
+/// Add one dense row, read as a single bounds-checked slice, into `dst`;
+/// true if a cell overflowed.
+fn add_row<const W: usize, T: Cell<W>>(r: &mut Reader, dst: &mut [T]) -> Result<bool, AggError> {
+    let len = dst.len().checked_mul(W).ok_or(AggError::Truncated)?;
+    let (cells, _) = r.take(len)?.as_chunks::<W>();
+    Ok(add_cells(dst, cells.iter().map(T::from_be)))
+}
+
+/// Add one scalar counter into `dst`; true on overflow.
+fn add_u64(r: &mut Reader, dst: &mut u64) -> Result<bool, AggError> {
+    Ok(dst.add(r.u64()?))
+}
+
+/// Check that `key` follows `last` in strictly increasing order.
+fn ascending<K: Ord + Copy>(
+    last: &mut Option<K>,
+    key: K,
+    what: &'static str,
+) -> Result<(), AggError> {
+    if last.is_some_and(|l| l >= key) {
+        return Err(AggError::Malformed(what));
+    }
+    *last = Some(key);
+    Ok(())
+}
+
+/// Offer one reservoir's entries to `res` as they are read: at most
+/// `RESERVOIR_CAP`, strictly ascending. Offering stops at the first entry
+/// that cannot enter, but every entry is still read and checked.
+fn fold_reservoir<T: Copy + Ord>(
+    r: &mut Reader,
+    res: &mut Reservoir<T>,
+    value: fn(&mut Reader) -> Result<T, WireError>,
+) -> Result<(), AggError> {
     let n = r.u32()? as usize;
     if n > RESERVOIR_CAP {
         return Err(AggError::Malformed("reservoir over capacity"));
     }
-    let mut entries = Vec::new();
+    let (mut last, mut open) = (None, true);
     for _ in 0..n {
-        let pri = r.u64()?;
-        let v = r.u32()?;
-        if let Some(last) = entries.last() {
-            if *last >= (pri, v) {
-                return Err(AggError::Malformed("reservoir entries out of order"));
-            }
-        }
-        entries.push((pri, v));
+        let entry = (r.u64()?, value(r)?);
+        ascending(&mut last, entry, "reservoir entries out of order")?;
+        open = open && res.insert(entry.0, entry.1);
     }
-    Ok(Reservoir::from_entries(entries))
+    Ok(())
 }
 
-fn read_ttl_reservoir(r: &mut Reader) -> Result<Reservoir<i16>, AggError> {
-    let n = r.u32()? as usize;
-    if n > RESERVOIR_CAP {
-        return Err(AggError::Malformed("reservoir over capacity"));
-    }
-    let mut entries = Vec::new();
-    for _ in 0..n {
-        let pri = r.u64()?;
-        let v = r.u16()? as i16;
-        if let Some(last) = entries.last() {
-            if *last >= (pri, v) {
-                return Err(AggError::Malformed("reservoir entries out of order"));
-            }
-        }
-        entries.push((pri, v));
-    }
-    Ok(Reservoir::from_entries(entries))
+/// The header and shape block every `.agg` file opens with.
+struct Header {
+    fingerprint: u64,
+    cfg: ClassifierConfig,
+    n_countries: usize,
+    hours: usize,
+    start_unix: u64,
 }
 
-/// Decode one `.agg` buffer, fail-closed. Returns the partial aggregate
-/// with the fingerprint the producer stamped into the header; callers
-/// that merge must compare fingerprints (see
-/// [`merge_checked`]).
-pub fn decode(bytes: &[u8]) -> Result<PartialAggregate, AggError> {
+impl Header {
+    /// Read the header and the shape block; `r` is left at the counters.
+    fn read(r: &mut Reader) -> Result<Header, AggError> {
+        if r.array::<4>().map_err(|_| AggError::BadMagic)? != AGG_MAGIC {
+            return Err(AggError::BadMagic);
+        }
+        let version = r.u16()?;
+        if version != AGG_FORMAT_VERSION {
+            return Err(AggError::UnsupportedVersion(version));
+        }
+        let fingerprint = r.u64()?;
+        let body_len = r.u64()?;
+        if body_len != r.remaining() as u64 {
+            return Err(AggError::Truncated);
+        }
+        let inactivity_secs = r.u64()?;
+        let split_rst_counts = match r.u8()? {
+            0 => false,
+            1 => true,
+            _ => return Err(AggError::Malformed("bad bool")),
+        };
+        Ok(Header {
+            fingerprint,
+            cfg: ClassifierConfig {
+                inactivity_secs,
+                split_rst_counts,
+            },
+            n_countries: r.u32()? as usize,
+            hours: r.u32()? as usize,
+            start_unix: r.u64()?,
+        })
+    }
+
+    /// True if a partial of this header may fold into `acc`.
+    fn fits(&self, acc: &PartialAggregate) -> bool {
+        self.fingerprint == acc.fingerprint()
+            && self.cfg.inactivity_secs == acc.cfg.inactivity_secs
+            && self.cfg.split_rst_counts == acc.cfg.split_rst_counts
+            && self.n_countries == acc.n_countries()
+            && self.hours == acc.hours()
+            && self.start_unix == acc.start_unix()
+    }
+
+    /// Body bytes the dense tables of this shape take, if it is
+    /// representable at all.
+    fn dense_len(&self) -> Option<usize> {
+        let (n, h) = (self.n_countries, self.hours);
+        // Per country: the class row and the IP-version and protocol pairs.
+        let per_country = N_CLASSES * 8 + 2 * 16 + 2 * 16;
+        // Per hour: the signature row and the total.
+        let per_hour = 19 * 4 + 4;
+        n.checked_mul(h)?
+            .checked_mul(8)?
+            .checked_add(n.checked_mul(per_country)?)?
+            .checked_add(h.checked_mul(per_hour)?)
+    }
+}
+
+/// Fold one `.agg` buffer into `acc`, fail-closed: the one `.agg`
+/// parser.
+///
+/// The header (magic, version, body length, fingerprint and shape) is
+/// checked against `acc` before `acc` is touched, so a
+/// [`AggError::ConfigMismatch`] or a header error leaves it unchanged.
+/// The body is then added into `acc` table by table, with the rules
+/// [`PartialAggregate::merge`] uses; after a body error `acc` holds part
+/// of the file and must be dropped.
+pub fn fold(acc: &mut PartialAggregate, bytes: &[u8]) -> Result<(), AggError> {
     let mut r = Reader::new(bytes);
-    if r.array::<4>().map_err(|_| AggError::BadMagic)? != AGG_MAGIC {
-        return Err(AggError::BadMagic);
+    let header = Header::read(&mut r)?;
+    if !header.fits(acc) {
+        return Err(AggError::ConfigMismatch {
+            file: header.fingerprint,
+        });
     }
-    let version = r.u16()?;
-    if version != AGG_FORMAT_VERSION {
-        return Err(AggError::UnsupportedVersion(version));
-    }
-    let fingerprint = r.u64()?;
-    let body_len = r.u64()?;
-    if body_len != r.remaining() as u64 {
-        return Err(AggError::Truncated);
-    }
+    fold_body(acc, &mut r)
+}
 
-    // Shape header.
-    let inactivity_secs = r.u64()?;
-    let split_rst_counts = match r.u8()? {
-        0 => false,
-        1 => true,
-        _ => return Err(AggError::Malformed("bad bool")),
-    };
-    let cfg = ClassifierConfig {
-        inactivity_secs,
-        split_rst_counts,
-    };
-    let n_countries = r.u32()? as usize;
-    let hours = r.u32()? as usize;
-    let start_unix = r.u64()?;
+/// Add every table of a body into `acc`, in the order `encode` writes
+/// them.
+fn fold_body(acc: &mut PartialAggregate, r: &mut Reader) -> Result<(), AggError> {
+    let mut over = add_u64(r, &mut acc.total)?
+        | add_u64(r, &mut acc.possibly_tampered)?
+        | add_row(r, &mut acc.stage_counts)?
+        | add_row(r, &mut acc.stage_matched)?
+        | add_row(r, acc.country_class.as_flattened_mut())?;
 
-    let total = r.u64()?;
-    let possibly_tampered = r.u64()?;
-    let stage_counts: [u64; 5] = fill_u64(&mut r)?;
-    let stage_matched: [u64; 5] = fill_u64(&mut r)?;
-
-    let mut country_class = Vec::new();
-    for _ in 0..n_countries {
-        country_class.push(fill_u64::<N_CLASSES>(&mut r)?);
-    }
-
-    let n_as = r.u32()? as usize;
-    let mut as_counts: BTreeMap<(u16, u32), (u64, u64)> = BTreeMap::new();
+    let n_as = r.u32()?;
+    let mut last = None;
     for _ in 0..n_as {
-        let country = r.u16()?;
-        let asn = r.u32()?;
-        let t = r.u64()?;
-        let m = r.u64()?;
-        let key = (country, asn);
-        if let Some((last, _)) = as_counts.last_key_value() {
-            if *last >= key {
-                return Err(AggError::Malformed("as_counts keys out of order"));
-            }
-        }
-        as_counts.insert(key, (t, m));
+        let key = (r.u16()?, r.u32()?);
+        let counts = (r.u64()?, r.u64()?);
+        ascending(&mut last, key, "as_counts keys out of order")?;
+        over |= add_keyed(&mut acc.as_counts, key, counts);
     }
 
-    let mut country_hour = Vec::new();
-    for _ in 0..n_countries {
-        country_hour.push(read_pairs_u32(&mut r, hours)?);
+    for row in &mut acc.country_hour {
+        over |= add_row(r, row)?;
     }
-    let mut sig_hour = Vec::new();
-    for _ in 0..hours {
-        sig_hour.push(read_u32_row::<19>(&mut r)?);
-    }
-    let mut hour_totals = Vec::new();
-    for _ in 0..hours {
-        hour_totals.push(r.u32()?);
-    }
-    let mut country_ipver = Vec::new();
-    for _ in 0..n_countries {
-        country_ipver.push(read_pairs2_u64(&mut r)?);
-    }
-    let mut country_proto = Vec::new();
-    for _ in 0..n_countries {
-        country_proto.push(read_pairs2_u64(&mut r)?);
-    }
+    over |= add_row(r, acc.sig_hour.as_flattened_mut())?
+        | add_row(r, &mut acc.hour_totals)?
+        | add_row(r, acc.country_ipver.as_flattened_mut())?
+        | add_row(r, acc.country_proto.as_flattened_mut())?;
 
-    let n_cells = r.u32()? as usize;
-    let mut domain_cells: BTreeMap<(u16, u32), DomainCell> = BTreeMap::new();
+    let n_cells = r.u32()?;
+    let mut last = None;
     for _ in 0..n_cells {
-        let country = r.u16()?;
-        let domain = r.u32()?;
-        let seen = r.u32()?;
-        let psh_tampered = r.u32()?;
-        let key = (country, domain);
-        if let Some((last, _)) = domain_cells.last_key_value() {
-            if *last >= key {
-                return Err(AggError::Malformed("domain_cells keys out of order"));
-            }
-        }
-        domain_cells.insert(key, DomainCell { seen, psh_tampered });
+        let key = (r.u16()?, r.u32()?);
+        let cell = DomainCell {
+            seen: r.u32()?,
+            psh_tampered: r.u32()?,
+        };
+        ascending(&mut last, key, "domain_cells keys out of order")?;
+        over |= add_keyed(&mut acc.domain_cells, key, cell);
     }
 
-    let mut ipid_res = Vec::new();
-    for _ in 0..20 {
-        ipid_res.push(read_ipid_reservoir(&mut r)?);
+    for res in &mut acc.ipid_res {
+        fold_reservoir(r, res, |r| r.u32())?;
     }
-    let mut ttl_res = Vec::new();
-    for _ in 0..20 {
-        ttl_res.push(read_ttl_reservoir(&mut r)?);
+    for res in &mut acc.ttl_res {
+        fold_reservoir(r, res, |r| r.u16().map(|v| v as i16))?;
     }
 
-    let [ipid_flows, ipid_min_le1, ipid_min_gt100, ttl_flows, ttl_max_le1, syn_rst_total, syn_rst_zmap, no_opt_flows, high_ttl_flows, port80_flows, port80_syn_payload, port443_flows, port443_syn_payload] =
-        fill_u64::<13>(&mut r)?;
+    for dst in acc.evidence_counters_mut() {
+        over |= add_u64(r, dst)?;
+    }
 
-    let n_spd = r.u32()? as usize;
-    let mut syn_payload_domains: BTreeMap<u32, u32> = BTreeMap::new();
+    let n_spd = r.u32()?;
+    let mut last = None;
     for _ in 0..n_spd {
-        let domain = r.u32()?;
-        let count = r.u32()?;
-        if let Some((last, _)) = syn_payload_domains.last_key_value() {
-            if *last >= domain {
-                return Err(AggError::Malformed("syn_payload_domains out of order"));
-            }
-        }
-        syn_payload_domains.insert(domain, count);
+        let (domain, count) = (r.u32()?, r.u32()?);
+        ascending(&mut last, domain, "syn_payload_domains out of order")?;
+        over |= add_keyed(&mut acc.syn_payload_domains, domain, count);
     }
 
-    let postdata_matches = r.u64()?;
-    let postdata_fw_ua = r.u64()?;
-    let [true_positive, false_negative, false_positive, true_negative, matched_signature] =
-        fill_u64::<5>(&mut r)?;
+    over |= add_u64(r, &mut acc.postdata_matches)? | add_u64(r, &mut acc.postdata_fw_ua)?;
     let truth = TruthStats {
-        true_positive,
-        false_negative,
-        false_positive,
-        true_negative,
-        matched_signature,
+        true_positive: r.u64()?,
+        false_negative: r.u64()?,
+        false_positive: r.u64()?,
+        true_negative: r.u64()?,
+        matched_signature: r.u64()?,
     };
+    over |= acc.truth.add(truth);
 
-    let n_kinds = r.u32()? as usize;
-    if n_kinds != tamper_worldgen::BenignKind::ALL.len() {
+    if r.u32()? as usize != tamper_worldgen::BenignKind::ALL.len() {
         return Err(AggError::Malformed("benign-kind count mismatch"));
     }
-    let mut benign_attribution = Vec::new();
-    for _ in 0..n_kinds {
-        benign_attribution.push(fill_u64::<N_CLASSES>(&mut r)?);
-    }
+    over |= add_row(r, acc.benign_attribution.as_flattened_mut())?;
 
+    // `record` and `merge` both keep at most PAIR_KEY_CAP keys, so a longer
+    // table was not written by this pipeline.
     let n_pairs = r.u32()? as usize;
-    let mut pair_seqs: BTreeMap<(u64, u32), PairSeq> = BTreeMap::new();
+    if n_pairs > PAIR_KEY_CAP {
+        return Err(AggError::Malformed("pair_seqs over key capacity"));
+    }
+    let mut last = None;
     for _ in 0..n_pairs {
-        let ip = r.u64()?;
-        let domain = r.u32()?;
-        let key = (ip, domain);
-        if let Some((last, _)) = pair_seqs.last_key_value() {
-            if *last >= key {
-                return Err(AggError::Malformed("pair_seqs keys out of order"));
-            }
-        }
-        let n = r.u8()? as usize;
+        let key = (r.u64()?, r.u32()?);
+        ascending(&mut last, key, "pair_seqs keys out of order")?;
+        let n = usize::from(r.u8()?);
         if n > PAIR_SEQ_CAP {
             return Err(AggError::Malformed("pair sequence over capacity"));
         }
-        let mut entries = Vec::new();
-        for _ in 0..n {
-            let ts = r.u64()?;
-            let tie = r.u64()?;
-            let code = r.u8()?;
-            if let Some(last) = entries.last() {
-                if *last >= (ts, tie, code) {
-                    return Err(AggError::Malformed("pair sequence out of order"));
-                }
-            }
-            entries.push((ts, tie, code));
+        let mut seq = [(0, 0, 0); PAIR_SEQ_CAP];
+        let mut last = None;
+        for slot in seq.iter_mut().take(n) {
+            *slot = (r.u64()?, r.u64()?, r.u8()?);
+            ascending(&mut last, *slot, "pair sequence out of order")?;
         }
-        pair_seqs.insert(key, PairSeq::from_entries(entries));
-    }
-    // `record` and `merge` both keep at most PAIR_KEY_CAP keys, so a longer
-    // table was not written by this pipeline.
-    if pair_seqs.len() > PAIR_KEY_CAP {
-        return Err(AggError::Malformed("pair_seqs over key capacity"));
+        if !pair_key_fits(&acc.pair_seqs, &key) {
+            continue;
+        }
+        let seq = seq.into_iter().take(n);
+        match acc.pair_seqs.entry(key) {
+            Entry::Vacant(e) => {
+                e.insert(PairSeq::from_entries(seq.collect()));
+            }
+            Entry::Occupied(mut e) => e.get_mut().merge_sorted(seq),
+        }
+        cap_pair_keys(&mut acc.pair_seqs);
     }
 
     if !r.is_empty() {
         return Err(AggError::Malformed("trailing bytes after body"));
     }
+    if over {
+        return Err(AggError::Malformed("counter overflow"));
+    }
+    Ok(())
+}
 
-    let mut agg = PartialAggregate::new(cfg, n_countries, 0, start_unix);
-    agg.hours = hours;
-    agg.fingerprint = fingerprint;
-    agg.total = total;
-    agg.possibly_tampered = possibly_tampered;
-    agg.stage_counts = stage_counts;
-    agg.stage_matched = stage_matched;
-    agg.country_class = country_class;
-    agg.as_counts = as_counts;
-    agg.country_hour = country_hour;
-    agg.sig_hour = sig_hour;
-    agg.hour_totals = hour_totals;
-    agg.country_ipver = country_ipver;
-    agg.country_proto = country_proto;
-    agg.domain_cells = domain_cells;
-    agg.ipid_res = ipid_res;
-    agg.ttl_res = ttl_res;
-    agg.ipid_flows = ipid_flows;
-    agg.ipid_min_le1 = ipid_min_le1;
-    agg.ipid_min_gt100 = ipid_min_gt100;
-    agg.ttl_flows = ttl_flows;
-    agg.ttl_max_le1 = ttl_max_le1;
-    agg.syn_rst_total = syn_rst_total;
-    agg.syn_rst_zmap = syn_rst_zmap;
-    agg.no_opt_flows = no_opt_flows;
-    agg.high_ttl_flows = high_ttl_flows;
-    agg.port80_flows = port80_flows;
-    agg.port80_syn_payload = port80_syn_payload;
-    agg.port443_flows = port443_flows;
-    agg.port443_syn_payload = port443_syn_payload;
-    agg.syn_payload_domains = syn_payload_domains;
-    agg.postdata_matches = postdata_matches;
-    agg.postdata_fw_ua = postdata_fw_ua;
-    agg.truth = truth;
-    agg.benign_attribution = benign_attribution;
-    agg.pair_seqs = pair_seqs;
-    Ok(agg)
+/// Decode one `.agg` buffer, fail-closed: a [`fold`] into an empty
+/// aggregate of the header's shape, stamped with the header's
+/// fingerprint. Callers that merge must compare fingerprints (see
+/// [`merge_checked`]).
+pub fn decode(bytes: &[u8]) -> Result<PartialAggregate, AggError> {
+    let mut r = Reader::new(bytes);
+    let h = Header::read(&mut r)?;
+    // Size the aggregate only once the body can hold the dense tables its
+    // shape implies, so allocation stays bounded by the input's length.
+    if h.dense_len().is_none_or(|len| len > r.remaining()) {
+        return Err(AggError::Truncated);
+    }
+    let mut acc =
+        PartialAggregate::empty(h.cfg, h.n_countries, h.hours, h.start_unix, h.fingerprint);
+    fold_body(&mut acc, &mut r)?;
+    Ok(acc)
 }
 
 /// Merge `other` into `acc` after checking fingerprint compatibility;
-/// the fallible front door for decoded partials (the CLI path).
+/// the fallible front door for decoded partials.
 pub fn merge_checked(acc: &mut PartialAggregate, other: PartialAggregate) -> Result<(), AggError> {
-    if acc.fingerprint() != other.fingerprint() {
-        return Err(AggError::ConfigMismatch);
-    }
-    if acc.n_countries() != other.n_countries()
+    if acc.fingerprint() != other.fingerprint()
+        || acc.n_countries() != other.n_countries()
         || acc.hours() != other.hours()
         || acc.start_unix() != other.start_unix()
     {
-        return Err(AggError::ConfigMismatch);
+        return Err(AggError::ConfigMismatch {
+            file: other.fingerprint(),
+        });
     }
     acc.merge(other);
     Ok(())
@@ -558,7 +572,8 @@ mod tests {
     use super::*;
 
     fn sample() -> PartialAggregate {
-        let mut agg = PartialAggregate::new(ClassifierConfig::default(), 3, 1, 1_663_027_200);
+        let mut agg =
+            PartialAggregate::with_salt(ClassifierConfig::default(), 3, 1, 1_663_027_200, 0);
         agg.total = 42;
         agg.possibly_tampered = 7;
         agg.country_class[1][2] = 5;
@@ -634,9 +649,45 @@ mod tests {
     fn merge_checked_rejects_mismatched_fingerprints() {
         let mut a = sample();
         let b = PartialAggregate::with_salt(ClassifierConfig::default(), 3, 1, 1_663_027_200, 99);
+        let file = b.fingerprint();
         match merge_checked(&mut a, b) {
-            Err(AggError::ConfigMismatch) => {}
+            Err(AggError::ConfigMismatch { file: f }) => assert_eq!(f, file),
             other => panic!("expected ConfigMismatch, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn config_mismatch_leaves_the_accumulator_untouched() {
+        let mut acc = sample();
+        let before = encode(&acc);
+        // Another world salt, then another shape under the same fingerprint.
+        let other =
+            PartialAggregate::with_salt(ClassifierConfig::default(), 3, 1, 1_663_027_200, 99);
+        let mut reshaped = sample();
+        reshaped.hours = 48;
+        reshaped.country_hour = vec![vec![(0, 0); 48]; 3];
+        reshaped.sig_hour = vec![[0; 19]; 48];
+        reshaped.hour_totals = vec![0; 48];
+        for bytes in [encode(&other), encode(&reshaped)] {
+            match fold(&mut acc, &bytes) {
+                Err(AggError::ConfigMismatch { .. }) => {}
+                other => panic!("expected ConfigMismatch, got {other:?}"),
+            }
+            assert_eq!(
+                encode(&acc),
+                before,
+                "a refused header changed the accumulator"
+            );
+        }
+    }
+
+    #[test]
+    fn counter_overflow_is_a_named_error() {
+        let mut acc = sample();
+        acc.total = u64::MAX;
+        match fold(&mut acc, &encode(&sample())) {
+            Err(AggError::Malformed("counter overflow")) => {}
+            other => panic!("expected the overflow error, got {other:?}"),
         }
     }
 }

@@ -27,8 +27,10 @@ pub mod report;
 mod stats;
 mod view;
 
-pub use agg::{config_fingerprint, PartialAggregate};
-pub use aggfile::{decode as decode_agg, encode as encode_agg, merge_checked, AggError};
+pub use agg::PartialAggregate;
+pub use aggfile::{
+    decode as decode_agg, encode as encode_agg, fold as fold_agg, merge_checked, AggError,
+};
 pub use capture::{
     capture_collector, capture_summary_to_json, engine_perf_to_json, label_capture_flow,
 };

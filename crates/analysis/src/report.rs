@@ -9,7 +9,6 @@ use crate::agg::{class_code_label, CLASS_NOT_TAMPERED, CLASS_OTHER};
 use crate::fmt::{pct, pct_f, Table};
 use crate::stats::{slope_through_origin, Cdf};
 use crate::view::ReportView;
-use std::collections::{BTreeMap, BTreeSet};
 use tamper_core::{Signature, Stage};
 use tamper_worldgen::{country_index, Category, TestList, TestLists, WorldSim};
 
@@ -471,6 +470,34 @@ struct RegionCategoryView {
     total_tampered_conns: u64,
 }
 
+/// Call `each(domain, seen, psh_tampered)` once per domain observed in a
+/// region, in ascending domain id: one country's cells, or for Global
+/// every country's cells of a domain summed.
+fn for_each_region_domain(
+    col: &ReportView,
+    sim: &WorldSim,
+    country: Option<u16>,
+    mut each: impl FnMut(u32, u32, u32),
+) {
+    let Some(c) = country else {
+        let mut sums: Vec<Option<(u32, u32)>> = vec![None; sim.config().catalog_size as usize];
+        for (&(_, d), cell) in &col.domain_cells {
+            let sum = sums[d as usize].get_or_insert((0, 0));
+            sum.0 += cell.seen;
+            sum.1 += cell.psh_tampered;
+        }
+        for (d, sum) in sums.into_iter().enumerate() {
+            if let Some((seen, tampered)) = sum {
+                each(d as u32, seen, tampered);
+            }
+        }
+        return;
+    };
+    for (&(_, d), cell) in col.domain_cells.range((c, 0)..=(c, u32::MAX)) {
+        each(d, cell.seen, cell.psh_tampered);
+    }
+}
+
 fn region_categories(
     col: &ReportView,
     sim: &WorldSim,
@@ -478,45 +505,24 @@ fn region_categories(
     threshold: u32,
 ) -> RegionCategoryView {
     let catalog = sim.catalog();
-    let mut by_cat: Vec<(u64, BTreeSet<u32>, BTreeSet<u32>)> = (0..Category::ALL.len())
-        .map(|_| (0, BTreeSet::new(), BTreeSet::new()))
-        .collect();
-    // Aggregate cells (for Global, sum the same domain across countries).
-    // Ordered map: the iteration below feeds rendered rows.
-    let mut agg: BTreeMap<u32, (u32, u32)> = BTreeMap::new();
-    for ((cc, d), cell) in &col.domain_cells {
-        if let Some(c) = country {
-            if *cc != c {
-                continue;
-            }
-        }
-        let e = agg.entry(*d).or_default();
-        e.0 += cell.seen;
-        e.1 += cell.psh_tampered;
-    }
+    // Per category: tampered connections, tampered domains, seen domains.
+    let mut by_cat = vec![(0u64, 0u64, 0u64); Category::ALL.len()];
     let mut total_tampered_conns = 0;
-    for (d, (seen, tampered)) in agg {
-        let cat = catalog.get(d).category.index();
+    for_each_region_domain(col, sim, country, |d, seen, tampered| {
+        let row = &mut by_cat[catalog.get(d).category.index()];
         if seen > 0 {
-            by_cat[cat].2.insert(d);
+            row.2 += 1;
         }
         if tampered >= threshold {
-            by_cat[cat].0 += u64::from(tampered);
-            by_cat[cat].1.insert(d);
+            row.0 += u64::from(tampered);
+            row.1 += 1;
             total_tampered_conns += u64::from(tampered);
         }
-    }
+    });
     let rows = Category::ALL
         .iter()
-        .enumerate()
-        .map(|(i, c)| {
-            (
-                *c,
-                by_cat[i].0,
-                by_cat[i].1.len() as u64,
-                by_cat[i].2.len() as u64,
-            )
-        })
+        .zip(by_cat)
+        .map(|(c, (conns, tampered, seen))| (*c, conns, tampered, seen))
         .collect();
     RegionCategoryView {
         rows,
@@ -573,20 +579,12 @@ fn observed_tampered_domains(
     threshold: u32,
 ) -> Vec<String> {
     let catalog = sim.catalog();
-    let mut agg: BTreeMap<u32, u32> = BTreeMap::new();
-    for ((cc, d), cell) in &col.domain_cells {
-        if let Some(c) = country {
-            if *cc != c {
-                continue;
-            }
+    let mut v = Vec::new();
+    for_each_region_domain(col, sim, country, |d, _, tampered| {
+        if tampered >= threshold {
+            v.push(catalog.get(d).name.clone());
         }
-        *agg.entry(*d).or_default() += cell.psh_tampered;
-    }
-    let mut v: Vec<String> = agg
-        .into_iter()
-        .filter(|(_, n)| *n >= threshold)
-        .map(|(d, _)| catalog.get(d).name.clone())
-        .collect();
+    });
     v.sort();
     v
 }

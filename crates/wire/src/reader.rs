@@ -40,7 +40,7 @@ impl<'a> Reader<'a> {
 
     /// Read the next `n` bytes as a borrowed slice.
     #[inline]
-    pub(crate) fn take(&mut self, n: usize) -> Result<&'a [u8]> {
+    pub fn take(&mut self, n: usize) -> Result<&'a [u8]> {
         let end = self.pos.checked_add(n).ok_or(WireError::Truncated)?;
         let s = self.data.get(self.pos..end).ok_or(WireError::Truncated)?;
         self.pos = end;

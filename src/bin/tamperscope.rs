@@ -9,8 +9,8 @@ use std::io::{BufWriter, Write};
 use std::process::ExitCode;
 
 use tamperscope::analysis::{
-    config_fingerprint, decode_agg, encode_agg, merge_checked, pct, report, summary_to_json,
-    write_metrics_json, AggError, Collector, PartialAggregate,
+    encode_agg, fold_agg, pct, report, summary_to_json, write_metrics_json, AggError, Collector,
+    PartialAggregate,
 };
 use tamperscope::capture::{
     run_source, EngineConfig, OfflineConfig, PcapMemSource, PcapWriter, SimSource,
@@ -428,16 +428,16 @@ fn cmd_merge(args: &Args) -> ExitCode {
     }
     let cfg = or_usage!(world_config(args));
     let sim = WorldSim::new(cfg);
-    // The same combined fingerprint `pop-run` stamps into each partial:
-    // collector shape plus the world salt.
-    let expected = config_fingerprint(
-        &ClassifierConfig::default(),
+    // The accumulator `pop-run` would have built for these flags: the
+    // same collector shape and world salt, so the same fingerprint.
+    let mut acc = PartialAggregate::with_salt(
+        ClassifierConfig::default(),
         sim.world().len(),
-        sim.config().days as usize * 24,
+        sim.config().days,
         sim.config().start_unix,
         world_fingerprint(sim.config()),
     );
-    let mut acc: Option<PartialAggregate> = None;
+    let expected = acc.fingerprint();
     for path in &args.positional {
         let bytes = match std::fs::read(path) {
             Ok(b) => b,
@@ -446,32 +446,17 @@ fn cmd_merge(args: &Args) -> ExitCode {
                 return ExitCode::from(2);
             }
         };
-        let part = match decode_agg(&bytes) {
-            Ok(p) => p,
-            Err(e) => {
-                eprintln!("tamperscope: {path}: {e}");
-                return ExitCode::from(2);
-            }
-        };
-        if part.fingerprint() != expected {
-            eprintln!(
-                "tamperscope: {path}: {} (file {:016x}, flags imply {expected:016x})",
-                AggError::ConfigMismatch,
-                part.fingerprint()
-            );
+        if let Err(e) = fold_agg(&mut acc, &bytes) {
+            let detail = match e {
+                AggError::ConfigMismatch { file } => {
+                    format!(" (file {file:016x}, flags imply {expected:016x})")
+                }
+                _ => String::new(),
+            };
+            eprintln!("tamperscope: {path}: {e}{detail}");
             return ExitCode::from(2);
         }
-        match acc.as_mut() {
-            None => acc = Some(part),
-            Some(a) => {
-                if let Err(e) = merge_checked(a, part) {
-                    eprintln!("tamperscope: {path}: {e}");
-                    return ExitCode::from(2);
-                }
-            }
-        }
     }
-    let acc = acc.expect("at least one partial checked above");
     eprintln!(
         "[merge] {} partials, {} flows (fingerprint {expected:016x})",
         args.positional.len(),

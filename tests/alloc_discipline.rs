@@ -13,18 +13,21 @@
 //! really amortize to zero once the classifier is warm. The simulator side
 //! has budgets instead of a zero: through a warm session workspace, a
 //! direct TLS session and the average standard-world session may not grow
-//! back past the heap requests their own bytes need.
+//! back past the heap requests their own bytes need. So has `merge`:
+//! folding a `.agg` partial into a warm accumulator may allocate only for
+//! the keys it adds.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
+use tamperscope::analysis::{encode_agg, fold_agg, Collector, PartialAggregate};
 use tamperscope::capture::{flows_from_pcap, EvictionCause, FlowBatch, FlowRecord, OfflineConfig};
 use tamperscope::core::{classify, BatchClassifier, ClassifierConfig};
 use tamperscope::netsim::{
     derive_rng, ClientConfig, Path, ServerConfig, SessionParams, SessionWorkspace, SimDuration,
     SimTime,
 };
-use tamperscope::worldgen::{WorldConfig, WorldSim};
+use tamperscope::worldgen::{world_fingerprint, WorldConfig, WorldSim};
 
 /// A counting pass-through allocator: every heap request bumps the
 /// calling thread's counter, so the tests — which the harness runs on
@@ -290,5 +293,43 @@ fn warm_world_sessions_stay_within_their_allocation_budget() {
         allocs <= WARM_WORLD_2000_SESSION_ALLOCS,
         "2,000 warm world sessions made {allocs} heap requests ({:.2} a session); budget {WARM_WORLD_2000_SESSION_ALLOCS}",
         allocs as f64 / 2_000.0
+    );
+}
+
+/// Heap requests folding one `pop-run` partial into a warm accumulator
+/// makes: the partial is one of 57 PoPs of a 20,000-session, 14-day
+/// standard world (~350 flows, like one of the 285 PoPs of a 100k-session
+/// run), the accumulator holds the other 56. What is left is one pair
+/// sequence for each of its 307 new `(ip, domain)` keys and the map nodes
+/// new keys split; no table of the partial's own is built. Decoding the
+/// same partial and merging the result made 1,443 (1,073 + 370).
+const WARM_FOLD_ALLOCS: u64 = 370;
+
+#[test]
+fn folding_a_partial_into_a_warm_accumulator_stays_within_its_budget() {
+    const POPS: usize = 57;
+    let sim = WorldSim::new(WorldConfig {
+        sessions: 20_000,
+        days: 14,
+        ..WorldConfig::default()
+    });
+    let (n, start) = (sim.world().len(), sim.config().start_unix);
+    let salt = world_fingerprint(sim.config());
+    let mk = || Collector::with_salt(ClassifierConfig::default(), n, 14, start, salt);
+    let mut cols: Vec<Collector> = (0..POPS).map(|_| mk()).collect();
+    sim.run(|lf| cols[sim.pop_of(POPS, &lf)].observe(&lf));
+    let files: Vec<Vec<u8>> = cols.iter().map(|c| encode_agg(c.partial())).collect();
+
+    let mut acc = PartialAggregate::with_salt(ClassifierConfig::default(), n, 14, start, salt);
+    for file in &files[1..] {
+        fold_agg(&mut acc, file).expect("a partial of this world folds");
+    }
+    let before = allocations();
+    fold_agg(&mut acc, &files[0]).expect("a partial of this world folds");
+    let allocs = allocations() - before;
+    assert!(
+        allocs <= WARM_FOLD_ALLOCS,
+        "folding a {}-flow partial into a warm accumulator made {allocs} heap requests; budget {WARM_FOLD_ALLOCS}",
+        cols[0].total
     );
 }

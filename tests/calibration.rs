@@ -6,10 +6,21 @@
 
 mod common;
 
-use common::run_world;
+use common::Observed;
 use tamper_analysis::report;
 use tamper_core::{Signature, Stage};
-use tamper_worldgen::country_index;
+use tamper_worldgen::{country_index, WorldConfig};
+
+/// The calibration world of `sessions` sessions: 3 days, a 1,500-domain
+/// catalog, the default seed.
+fn run_world(sessions: u64) -> &'static Observed {
+    common::observed(WorldConfig {
+        sessions,
+        days: 3,
+        catalog_size: 1500,
+        ..Default::default()
+    })
+}
 
 #[test]
 fn headline_rates_match_paper_bands() {

@@ -6,38 +6,34 @@ use std::sync::{Mutex, OnceLock};
 
 use tamper_analysis::Collector;
 use tamper_core::ClassifierConfig;
-use tamper_worldgen::{WorldConfig, WorldSim};
+use tamper_worldgen::{world_fingerprint, WorldConfig, WorldSim};
 
 /// A world observed through the full pipeline: the collector and the
 /// world it came from.
-type Observed = (Collector, WorldSim);
+pub type Observed = (Collector, WorldSim);
 
-/// The calibration world of `sessions` sessions (3 days, a 1,500-domain
-/// catalog, default seed), observed through the full pipeline, and the
-/// world itself. Each distinct size is simulated once per test binary;
-/// every test asking for it, on any thread, shares that one result.
-pub fn run_world(sessions: u64) -> &'static Observed {
+/// The world `cfg` describes, observed through the full pipeline into a
+/// collector over all of its countries and days, and the world itself.
+/// Each distinct world (by [`world_fingerprint`]) is simulated once per
+/// test binary; every test asking for it, on any thread, shares that one
+/// result.
+pub fn observed(cfg: WorldConfig) -> &'static Observed {
     static WORLDS: OnceLock<Mutex<BTreeMap<u64, &'static OnceLock<Observed>>>> = OnceLock::new();
     // Only the lookup holds the map's lock; a world is built under its own
-    // cell, so two sizes build in parallel and a second asker waits.
+    // cell, so two worlds build in parallel and a second asker waits.
     let cell = *WORLDS
         .get_or_init(Mutex::default)
         .lock()
         .unwrap()
-        .entry(sessions)
+        .entry(world_fingerprint(&cfg))
         .or_insert_with(|| Box::leak(Box::default()));
     cell.get_or_init(|| {
-        let sim = WorldSim::new(WorldConfig {
-            sessions,
-            days: 3,
-            catalog_size: 1500,
-            ..Default::default()
-        });
+        let sim = WorldSim::new(cfg);
         let mk = || {
             Collector::new(
                 ClassifierConfig::default(),
                 sim.world().len(),
-                3,
+                sim.config().days,
                 sim.config().start_unix,
             )
         };

@@ -12,7 +12,8 @@
 //!   seeds every frame of `golden.pcap` and two IPv6 frames.
 //! - `payload`: `tls::parse_sni`, `http::parse_request`, `http::parse_host`
 //!   (`WireError`); seeds the golden payloads, a ClientHello and a GET.
-//! - `agg`: `decode_agg` (`AggError`); seed `encode_agg` of a small
+//! - `agg`: `decode_agg`, and `fold_agg` into an accumulator that
+//!   already holds the seed (`AggError`); seed `encode_agg` of a small
 //!   collector.
 //! - `world`: `world_from_json` (`ConfigError`), then a small `WorldSim`
 //!   run; seeds hand-written worlds and `world-spec --full`.
@@ -40,7 +41,7 @@ use std::path::Path;
 use std::sync::OnceLock;
 
 use bytes::Bytes;
-use tamperscope::analysis::{decode_agg, encode_agg, Collector};
+use tamperscope::analysis::{decode_agg, encode_agg, fold_agg, Collector};
 use tamperscope::capture::{EngineConfig, EngineStats, PcapMemSource};
 use tamperscope::cli::{self, Render};
 use tamperscope::core::ClassifierConfig;
@@ -710,19 +711,28 @@ fn agg_partials_fail_closed() {
     let mut col = Collector::new(ClassifierConfig::default(), 2, 1, sim.config().start_unix);
     sim.run(|lf| col.observe(&lf));
     let bytes = encode_agg(col.partial());
-    assert!(decode_agg(&bytes).is_ok(), "the seed decodes");
+    let acc = decode_agg(&bytes).expect("the seed decodes");
     let seeds = [seed("pop.agg", bytes, 17)];
     let mut tally = Tally::new("agg");
     let mut case = |m: Mutation, bytes: &[u8]| {
+        let judge = |outcome: Result<(bool, usize, u64), String>| {
+            outcome.and_then(|(ok, peak, _)| {
+                AGG.check(bytes.len(), peak)?;
+                match (ok, m) {
+                    (true, Mutation::Truncate(_)) => Err("a strict prefix was read".into()),
+                    _ => Ok(()),
+                }
+            })
+        };
         let label = tally.label(&seeds[0], m, "");
-        let outcome = run_case(&label, || decode_agg(bytes).is_ok()).and_then(|(ok, peak, _)| {
-            AGG.check(bytes.len(), peak)?;
-            match (ok, m) {
-                (true, Mutation::Truncate(_)) => Err("a strict prefix decoded".into()),
-                _ => Ok(()),
-            }
-        });
-        tally.record(&label, outcome);
+        let outcome = run_case(&label, || decode_agg(bytes).is_ok());
+        tally.record(&label, judge(outcome));
+        // The same bytes folded into an accumulator that already holds
+        // the seed, as `merge` folds every file after its first.
+        let mut warm = acc.clone();
+        let label = tally.label(&seeds[0], m, "+fold");
+        let outcome = run_case(&label, || fold_agg(&mut warm, bytes).is_ok());
+        tally.record(&label, judge(outcome));
     };
     schedule(&seeds, false, |_, m, bytes| case(m, bytes));
     // Truncation is cheap (the body length is checked up front), so every

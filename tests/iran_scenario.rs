@@ -6,23 +6,24 @@
 //! `tests/fixtures/iran_20k.golden.txt` (re-bless an intentional change
 //! with `UPDATE_GOLDEN=1 cargo test --test iran_scenario`).
 
-use std::process::Command;
-use tamper_analysis::Collector;
-use tamper_core::{ClassifierConfig, Signature};
-use tamper_worldgen::{Scenario, WorldConfig, WorldSim, SEP13_2022_UNIX};
+mod common;
 
-fn run_iran(sessions: u64) -> (Collector, WorldSim) {
-    let sim = WorldSim::new(WorldConfig {
+use common::Observed;
+use std::process::Command;
+use tamper_core::Signature;
+use tamper_worldgen::{Scenario, WorldConfig, SEP13_2022_UNIX};
+
+/// The Iran-only world of `sessions` sessions over the 17-day window,
+/// simulated once per size for the whole binary.
+fn run_iran(sessions: u64) -> &'static Observed {
+    common::observed(WorldConfig {
         sessions,
         days: 17,
         start_unix: SEP13_2022_UNIX,
         scenario: Scenario::IranProtest,
         catalog_size: 800,
         ..Default::default()
-    });
-    let mk = || Collector::new(ClassifierConfig::default(), 1, 17, SEP13_2022_UNIX);
-    let col = sim.run_sharded(0, None, mk, |c, lf| c.observe(&lf), |a, b| a.merge(b));
-    (col, sim)
+    })
 }
 
 #[test]

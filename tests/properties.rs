@@ -803,7 +803,7 @@ proptest! {
 // ---------------------------------------------------------------------------
 
 use std::sync::OnceLock;
-use tamper_analysis::{decode_agg, encode_agg, Collector};
+use tamper_analysis::{decode_agg, encode_agg, fold_agg, Collector, PartialAggregate};
 use tamper_worldgen::{LabeledFlow, WorldConfig, WorldSim};
 
 /// A shared flow pool: generated once, partitioned differently per case.
@@ -833,9 +833,10 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     /// Any assignment of flows to up to 6 partials, merged in an arbitrary
-    /// permutation with an encode/decode round-trip on every partial,
-    /// yields the exact bytes of the unsplit fold — merge is associative,
-    /// commutative, and insensitive to how the multiset was partitioned.
+    /// permutation with an encode/decode round-trip on every partial, or
+    /// folded file by file into one accumulator, yields the exact bytes of
+    /// the unsplit fold — merge is associative, commutative, and
+    /// insensitive to how the multiset was partitioned.
     #[test]
     fn partial_merge_is_partition_and_order_insensitive(
         assign_seed in any::<u64>(),
@@ -860,27 +861,48 @@ proptest! {
             partials[(state as usize) % parts].observe(lf);
         }
 
-        // Encode/decode each partial (the .agg wire trip), then merge in a
-        // shuffled order.
-        let mut decoded: Vec<_> = partials
-            .iter()
-            .map(|c| decode_agg(&encode_agg(c.partial())).expect("round trip"))
-            .collect();
+        // Encode each partial (the .agg wire trip) and shuffle the files.
+        let mut files: Vec<Vec<u8>> = partials.iter().map(|c| encode_agg(c.partial())).collect();
         let mut state = order_seed | 1;
-        for i in (1..decoded.len()).rev() {
+        for i in (1..files.len()).rev() {
             state ^= state << 13;
             state ^= state >> 7;
             state ^= state << 17;
-            decoded.swap(i, (state as usize) % (i + 1));
+            files.swap(i, (state as usize) % (i + 1));
         }
+
+        // Decode each file, then merge in the shuffled order.
+        let mut decoded: Vec<_> = files
+            .iter()
+            .map(|f| decode_agg(f).expect("round trip"))
+            .collect();
         let mut acc = decoded.remove(0);
         for part in decoded {
             acc.merge(part);
         }
         prop_assert_eq!(
             encode_agg(&acc),
-            want,
+            want.clone(),
             "merged partition bytes differ from the unsplit fold"
+        );
+
+        // Fold each file straight into an accumulator shaped from the
+        // world, as `merge` does.
+        let (_, n_countries, start_unix) = flow_pool();
+        let mut folded = PartialAggregate::with_salt(
+            ClassifierConfig::default(),
+            *n_countries,
+            1,
+            *start_unix,
+            0,
+        );
+        for f in &files {
+            fold_agg(&mut folded, f).expect("a partial of the same world folds");
+        }
+        prop_assert_eq!(
+            encode_agg(&folded),
+            want,
+            "folded partition bytes differ from the unsplit fold"
         );
     }
 
