@@ -33,6 +33,10 @@ pub(crate) const RESERVOIR_CAP: usize = 1000;
 /// Cap on per-(ip, domain) Post-PSH class sequences (Appendix B).
 pub(crate) const PAIR_SEQ_CAP: usize = 8;
 
+/// Number of Fig 10 class codes a pair sequence holds (see
+/// [`postpsh_class_code`]).
+pub(crate) const PAIR_CLASSES: usize = 9;
+
 /// Cap on the number of `(ip, domain)` pair-sequence *keys* a partial
 /// keeps: the lowest `PAIR_KEY_CAP` keys in `(ip_key, domain)` order.
 /// Keep-lowest-K over a keyed union is associative and commutative, and

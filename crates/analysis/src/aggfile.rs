@@ -34,8 +34,8 @@ use tamper_core::ClassifierConfig;
 use tamper_wire::{Reader, WireError};
 
 use crate::agg::{
-    add_cells, add_keyed, cap_pair_keys, pair_key_fits, Count, DomainCell, PairSeq,
-    PartialAggregate, Reservoir, TruthStats, N_CLASSES, PAIR_KEY_CAP, PAIR_SEQ_CAP, RESERVOIR_CAP,
+    add_keyed, cap_pair_keys, pair_key_fits, Count, DomainCell, PairSeq, PartialAggregate,
+    Reservoir, TruthStats, N_CLASSES, PAIR_CLASSES, PAIR_KEY_CAP, PAIR_SEQ_CAP, RESERVOIR_CAP,
 };
 
 /// File magic: "TAGG".
@@ -286,11 +286,26 @@ impl Cell<16> for (u64, u64) {
 }
 
 /// Add one dense row, read as a single bounds-checked slice, into `dst`;
-/// true if a cell overflowed.
+/// true if a cell overflowed. Most cells of a partial are zero, and adding
+/// zero changes nothing, so an all-zero cell is neither decoded nor added.
 fn add_row<const W: usize, T: Cell<W>>(r: &mut Reader, dst: &mut [T]) -> Result<bool, AggError> {
     let len = dst.len().checked_mul(W).ok_or(AggError::Truncated)?;
     let (cells, _) = r.take(len)?.as_chunks::<W>();
-    Ok(add_cells(dst, cells.iter().map(T::from_be)))
+    Ok(dst
+        .iter_mut()
+        .zip(cells)
+        .filter(|(_, cell)| **cell != [0; W])
+        .fold(false, |over, (a, cell)| a.add(T::from_be(cell)) | over))
+}
+
+/// Check that an index read from the file (a country, a domain id, a
+/// class code) lies below the number of things it indexes.
+fn below(index: usize, bound: usize, what: &'static str) -> Result<(), AggError> {
+    if index < bound {
+        Ok(())
+    } else {
+        Err(AggError::Malformed(what))
+    }
 }
 
 /// Add one scalar counter into `dst`; true on overflow.
@@ -400,7 +415,9 @@ impl Header {
 }
 
 /// Fold one `.agg` buffer into `acc`, fail-closed: the one `.agg`
-/// parser.
+/// parser. `domains` is the catalog size of the world `acc` was built
+/// for: every domain id the file names must lie below it, as every
+/// country must lie inside `acc`'s world.
 ///
 /// The header (magic, version, body length, fingerprint and shape) is
 /// checked against `acc` before `acc` is touched, so a
@@ -408,7 +425,7 @@ impl Header {
 /// The body is then added into `acc` table by table, with the rules
 /// [`PartialAggregate::merge`] uses; after a body error `acc` holds part
 /// of the file and must be dropped.
-pub fn fold(acc: &mut PartialAggregate, bytes: &[u8]) -> Result<(), AggError> {
+pub fn fold(acc: &mut PartialAggregate, bytes: &[u8], domains: u32) -> Result<(), AggError> {
     let mut r = Reader::new(bytes);
     let header = Header::read(&mut r)?;
     if !header.fits(acc) {
@@ -416,12 +433,12 @@ pub fn fold(acc: &mut PartialAggregate, bytes: &[u8]) -> Result<(), AggError> {
             file: header.fingerprint,
         });
     }
-    fold_body(acc, &mut r)
+    fold_body(acc, &mut r, domains as usize)
 }
 
 /// Add every table of a body into `acc`, in the order `encode` writes
-/// them.
-fn fold_body(acc: &mut PartialAggregate, r: &mut Reader) -> Result<(), AggError> {
+/// them; domain ids must lie below `domains`.
+fn fold_body(acc: &mut PartialAggregate, r: &mut Reader, domains: usize) -> Result<(), AggError> {
     let mut over = add_u64(r, &mut acc.total)?
         | add_u64(r, &mut acc.possibly_tampered)?
         | add_row(r, &mut acc.stage_counts)?
@@ -434,6 +451,11 @@ fn fold_body(acc: &mut PartialAggregate, r: &mut Reader) -> Result<(), AggError>
         let key = (r.u16()?, r.u32()?);
         let counts = (r.u64()?, r.u64()?);
         ascending(&mut last, key, "as_counts keys out of order")?;
+        below(
+            key.0.into(),
+            acc.n_countries(),
+            "as_counts country outside the world",
+        )?;
         over |= add_keyed(&mut acc.as_counts, key, counts);
     }
 
@@ -454,6 +476,16 @@ fn fold_body(acc: &mut PartialAggregate, r: &mut Reader) -> Result<(), AggError>
             psh_tampered: r.u32()?,
         };
         ascending(&mut last, key, "domain_cells keys out of order")?;
+        below(
+            key.0.into(),
+            acc.n_countries(),
+            "domain_cells country outside the world",
+        )?;
+        below(
+            key.1 as usize,
+            domains,
+            "domain_cells domain outside the catalog",
+        )?;
         over |= add_keyed(&mut acc.domain_cells, key, cell);
     }
 
@@ -473,6 +505,11 @@ fn fold_body(acc: &mut PartialAggregate, r: &mut Reader) -> Result<(), AggError>
     for _ in 0..n_spd {
         let (domain, count) = (r.u32()?, r.u32()?);
         ascending(&mut last, domain, "syn_payload_domains out of order")?;
+        below(
+            domain as usize,
+            domains,
+            "syn_payload_domains domain outside the catalog",
+        )?;
         over |= add_keyed(&mut acc.syn_payload_domains, domain, count);
     }
 
@@ -501,6 +538,11 @@ fn fold_body(acc: &mut PartialAggregate, r: &mut Reader) -> Result<(), AggError>
     for _ in 0..n_pairs {
         let key = (r.u64()?, r.u32()?);
         ascending(&mut last, key, "pair_seqs keys out of order")?;
+        below(
+            key.1 as usize,
+            domains,
+            "pair_seqs domain outside the catalog",
+        )?;
         let n = usize::from(r.u8()?);
         if n > PAIR_SEQ_CAP {
             return Err(AggError::Malformed("pair sequence over capacity"));
@@ -510,6 +552,7 @@ fn fold_body(acc: &mut PartialAggregate, r: &mut Reader) -> Result<(), AggError>
         for slot in seq.iter_mut().take(n) {
             *slot = (r.u64()?, r.u64()?, r.u8()?);
             ascending(&mut last, *slot, "pair sequence out of order")?;
+            below(slot.2.into(), PAIR_CLASSES, "pair class code out of range")?;
         }
         if !pair_key_fits(&acc.pair_seqs, &key) {
             continue;
@@ -535,8 +578,8 @@ fn fold_body(acc: &mut PartialAggregate, r: &mut Reader) -> Result<(), AggError>
 
 /// Decode one `.agg` buffer, fail-closed: a [`fold`] into an empty
 /// aggregate of the header's shape, stamped with the header's
-/// fingerprint. Callers that merge must compare fingerprints (see
-/// [`merge_checked`]).
+/// fingerprint. With no world at hand, any domain id is accepted.
+/// Callers that merge must compare fingerprints (see [`merge_checked`]).
 pub fn decode(bytes: &[u8]) -> Result<PartialAggregate, AggError> {
     let mut r = Reader::new(bytes);
     let h = Header::read(&mut r)?;
@@ -547,7 +590,7 @@ pub fn decode(bytes: &[u8]) -> Result<PartialAggregate, AggError> {
     }
     let mut acc =
         PartialAggregate::empty(h.cfg, h.n_countries, h.hours, h.start_unix, h.fingerprint);
-    fold_body(&mut acc, &mut r)?;
+    fold_body(&mut acc, &mut r, usize::MAX)?;
     Ok(acc)
 }
 
@@ -669,7 +712,7 @@ mod tests {
         reshaped.sig_hour = vec![[0; 19]; 48];
         reshaped.hour_totals = vec![0; 48];
         for bytes in [encode(&other), encode(&reshaped)] {
-            match fold(&mut acc, &bytes) {
+            match fold(&mut acc, &bytes, u32::MAX) {
                 Err(AggError::ConfigMismatch { .. }) => {}
                 other => panic!("expected ConfigMismatch, got {other:?}"),
             }
@@ -682,10 +725,74 @@ mod tests {
     }
 
     #[test]
+    fn keys_outside_the_world_are_named_errors() {
+        // `sample` has 3 countries; its domains lie below 10.
+        type Mutate = fn(&mut PartialAggregate);
+        let cases: [(Mutate, &str); 5] = [
+            (
+                |a| {
+                    a.as_counts.insert((3, 64_512), (1, 0));
+                },
+                "as_counts country outside the world",
+            ),
+            (
+                |a| {
+                    a.domain_cells.insert((0x7fff, 1), DomainCell::default());
+                },
+                "domain_cells country outside the world",
+            ),
+            (
+                |a| {
+                    a.domain_cells.insert((2, 10), DomainCell::default());
+                },
+                "domain_cells domain outside the catalog",
+            ),
+            (
+                |a| {
+                    a.syn_payload_domains.insert(u32::MAX, 1);
+                },
+                "syn_payload_domains domain outside the catalog",
+            ),
+            (
+                |a| a.pair_seqs.entry((78, 10)).or_default().insert(1, 1, 0),
+                "pair_seqs domain outside the catalog",
+            ),
+        ];
+        for (mutate, what) in cases {
+            let mut bad = sample();
+            mutate(&mut bad);
+            let mut acc = sample();
+            assert_eq!(
+                fold(&mut acc, &encode(&bad), 10),
+                Err(AggError::Malformed(what))
+            );
+        }
+        // Countries are checked without a catalog too.
+        let mut bad = sample();
+        bad.as_counts.insert((3, 64_512), (1, 0));
+        assert_eq!(
+            decode(&encode(&bad)).err(),
+            Some(AggError::Malformed("as_counts country outside the world"))
+        );
+        // The clean file folds at the smallest catalog that holds it.
+        assert_eq!(fold(&mut sample(), &encode(&sample()), 10), Ok(()));
+    }
+
+    #[test]
+    fn pair_class_codes_outside_fig10_are_named_errors() {
+        let mut bad = sample();
+        bad.pair_seqs.entry((77, 8)).or_default().insert(2000, 0, 9);
+        assert_eq!(
+            decode(&encode(&bad)).err(),
+            Some(AggError::Malformed("pair class code out of range"))
+        );
+    }
+
+    #[test]
     fn counter_overflow_is_a_named_error() {
         let mut acc = sample();
         acc.total = u64::MAX;
-        match fold(&mut acc, &encode(&sample())) {
+        match fold(&mut acc, &encode(&sample()), u32::MAX) {
             Err(AggError::Malformed("counter overflow")) => {}
             other => panic!("expected the overflow error, got {other:?}"),
         }

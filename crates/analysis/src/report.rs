@@ -5,7 +5,9 @@
 //! series, ready to plot, with headline statistics (regression slopes,
 //! peak values) computed inline.
 
-use crate::agg::{class_code_label, CLASS_NOT_TAMPERED, CLASS_OTHER};
+use crate::agg::{
+    class_code_label, PartialAggregate, CLASS_NOT_TAMPERED, CLASS_OTHER, PAIR_CLASSES,
+};
 use crate::fmt::{pct, pct_f, Table};
 use crate::stats::{slope_through_origin, Cdf};
 use crate::view::ReportView;
@@ -713,18 +715,9 @@ pub(crate) fn table3(
 /// matrix from the first matched class to subsequent ones. A strong
 /// diagonal means tampering is consistent.
 pub fn fig10(col: &ReportView) -> String {
-    let mut matrix = [[0u64; 9]; 9];
-    for seq in &col.pair_codes {
-        if seq.len() < 2 {
-            continue;
-        }
-        let first = seq[0] as usize;
-        for &next in &seq[1..] {
-            matrix[first][next as usize] += 1;
-        }
-    }
+    let matrix = pair_transitions(col);
     let mut header = vec!["first \\ next".to_owned()];
-    for code in 0..9u8 {
+    for code in 0..PAIR_CLASSES as u8 {
         header.push(class_code_label(code).to_owned());
     }
     let mut t = Table::new(header);
@@ -751,6 +744,20 @@ pub fn fig10(col: &ReportView) -> String {
         pct(diag_mass, total_mass),
         t.render()
     )
+}
+
+/// Figure 10's counts: `[first][next]` over every repeated pair, from the
+/// earliest class code to each later one; a pair seen once is skipped.
+fn pair_transitions(agg: &PartialAggregate) -> [[u64; PAIR_CLASSES]; PAIR_CLASSES] {
+    let mut matrix = [[0u64; PAIR_CLASSES]; PAIR_CLASSES];
+    for seq in agg.pair_seqs.values().filter(|s| s.len() >= 2) {
+        let mut codes = seq.codes().map(usize::from);
+        let Some(first) = codes.next() else { continue };
+        for next in codes {
+            matrix[first][next] += 1;
+        }
+    }
+    matrix
 }
 
 // ---------------------------------------------------------------------------
@@ -1001,6 +1008,56 @@ mod tests {
     fn fig10_renders() {
         let (col, _) = tiny();
         assert!(fig10(&col.view()).contains("first \\ next"));
+    }
+
+    #[test]
+    fn fig10_counts_transitions_from_the_earliest_code() {
+        let mut agg = PartialAggregate::with_salt(ClassifierConfig::default(), 1, 1, 0, 0);
+        let mut pair = |key: (u64, u32), entries: &[(u64, u8)]| {
+            let seq = agg.pair_seqs.entry(key).or_default();
+            for &(ts, code) in entries {
+                seq.insert(ts, 0, code);
+            }
+        };
+        // Tampered first (⟨PSH → RST⟩), then itself, Not Tampering, RST+ACK.
+        pair((1, 1), &[(10, 2), (20, 2), (30, 0), (40, 3)]);
+        // Offered out of time order: the earliest code (5) comes first.
+        pair((2, 1), &[(50, 0), (5, 5)]);
+        pair((4, 2), &[(1, 2), (2, 2)]);
+        // Seen once: no transition, whatever the code.
+        pair((3, 1), &[(1, 7)]);
+        pair((5, 1), &[(1, 0)]);
+
+        let mut want = [[0u64; PAIR_CLASSES]; PAIR_CLASSES];
+        want[2][2] = 2;
+        want[2][0] = 1;
+        want[2][3] = 1;
+        want[5][0] = 1;
+        assert_eq!(pair_transitions(&agg), want);
+
+        let text = fig10(&agg.view());
+        assert!(text.contains("(diagonal mass: 40.0%)"), "{text}");
+        let row = |code: u8| {
+            let label = class_code_label(code);
+            let line = text
+                .lines()
+                .find(|l| l.starts_with(label))
+                .unwrap_or_else(|| panic!("no row for {label}"));
+            line[label.len()..].split_whitespace().collect::<Vec<_>>()
+        };
+        let cells = |c: [&'static str; PAIR_CLASSES]| c.to_vec();
+        let dash = cells(["-"; PAIR_CLASSES]);
+        assert_eq!(
+            row(2),
+            cells(["0.25", "0.00", "0.50", "0.25", "0.00", "0.00", "0.00", "0.00", "0.00"])
+        );
+        assert_eq!(
+            row(5),
+            cells(["1.00", "0.00", "0.00", "0.00", "0.00", "0.00", "0.00", "0.00", "0.00"])
+        );
+        for code in [0, 1, 3, 4, 6, 7, 8] {
+            assert_eq!(row(code), dash, "row {code}");
+        }
     }
 
     #[test]

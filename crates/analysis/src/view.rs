@@ -1,12 +1,12 @@
 //! The read side of the aggregation layer: a thin, figure-oriented view
 //! over one [`PartialAggregate`].
 //!
-//! The report generators consume sample *values* (CDF inputs, Fig 10
-//! class sequences); the aggregate stores them with their merge keys
-//! (priorities, timestamps). [`ReportView`] materializes the value form
-//! once, so the ~20 generators in [`crate::report`] stay simple and the
-//! aggregate stays canonical. Everything else passes through via
-//! `Deref`, so a view reads like the collector always did.
+//! The CDF generators consume sample *values*; the aggregate stores them
+//! with their merge keys (priorities). [`ReportView`] materializes those
+//! 40 value vectors once, so the ~20 generators in [`crate::report`] stay
+//! simple and the aggregate stays canonical. Everything else, the Fig 10
+//! pair sequences included, is read in place via `Deref`, so a view
+//! reads like the collector always did.
 
 use std::ops::Deref;
 
@@ -19,9 +19,6 @@ pub struct ReportView<'a> {
     pub ipid_samples: Vec<Vec<u32>>,
     /// TTL delta samples per class, in canonical reservoir order.
     pub ttl_samples: Vec<Vec<i16>>,
-    /// Per-(ip, domain) Post-PSH class codes in time order, iterated in
-    /// key order — the Fig 10 input.
-    pub pair_codes: Vec<Vec<u8>>,
 }
 
 impl<'a> ReportView<'a> {
@@ -31,11 +28,6 @@ impl<'a> ReportView<'a> {
             agg,
             ipid_samples: agg.ipid_res.iter().map(|r| r.values().collect()).collect(),
             ttl_samples: agg.ttl_res.iter().map(|r| r.values().collect()).collect(),
-            pair_codes: agg
-                .pair_seqs
-                .values()
-                .map(|s| s.codes().collect())
-                .collect(),
         }
     }
 }

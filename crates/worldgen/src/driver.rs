@@ -17,6 +17,7 @@ use rand::distributions::{Distribution, WeightedIndex};
 use rand::rngs::StdRng;
 use rand::Rng;
 use std::net::{IpAddr, Ipv4Addr, Ipv6Addr};
+use std::sync::OnceLock;
 use tamper_capture::{collect, run_source, CollectorConfig, EngineConfig, Sampler, SimSource};
 use tamper_middlebox::{ForcedStage, RuleSet, Vendor};
 use tamper_netsim::{
@@ -82,8 +83,9 @@ pub struct WorldSim {
     catalog: DomainCatalog,
     benign: BenignRates,
     country_weights: WeightedIndex<f64>,
-    domain_samplers: Vec<WeightedIndex<f64>>,
-    hour_samplers: Vec<WeightedIndex<f64>>,
+    /// Built by the first session: a caller that only renders (`merge`)
+    /// never pays for them.
+    samplers: OnceLock<Samplers>,
     as_samplers: Vec<AsSampler>,
     sampler: Sampler,
     /// The four designated SYN-payload magnet domains (§4.1: 93% of HTTP
@@ -94,6 +96,37 @@ pub struct WorldSim {
     /// average rates despite traffic concentrating in low-factor evening
     /// hours.
     diurnal_norm: Vec<f64>,
+}
+
+/// Per-country draw tables every session samples from.
+struct Samplers {
+    /// Domain popularity as each country sees the catalog.
+    domain: Vec<WeightedIndex<f64>>,
+    /// Traffic volume by UTC hour.
+    hour: Vec<WeightedIndex<f64>>,
+}
+
+impl Samplers {
+    fn new(world: &[CountrySpec], catalog: &DomainCatalog) -> Samplers {
+        let mut domain = Vec::with_capacity(world.len());
+        let mut hour = Vec::with_capacity(world.len());
+        for (ci, spec) in world.iter().enumerate() {
+            let weights: Vec<f64> = catalog
+                .iter()
+                .map(|d| domain_interest(spec, ci as u16, d))
+                .collect();
+            domain.push(WeightedIndex::new(weights).expect("domain weights"));
+            // Traffic volume peaks around 20:00 local.
+            let hours: Vec<f64> = (0..24)
+                .map(|utc_h| {
+                    let local = (utc_h + spec.country.tz_offset_hours).rem_euclid(24) as f64;
+                    1.0 + 0.55 * (std::f64::consts::TAU * (local - 20.0) / 24.0).cos()
+                })
+                .collect();
+            hour.push(WeightedIndex::new(hours).expect("hour weights"));
+        }
+        Samplers { domain, hour }
+    }
 }
 
 impl WorldSim {
@@ -140,24 +173,6 @@ impl WorldSim {
         let catalog = DomainCatalog::generate(cfg.seed, cfg.catalog_size, n_countries, 0.4);
         let country_weights =
             WeightedIndex::new(world.iter().map(|s| s.country.weight)).expect("weights");
-
-        let mut domain_samplers = Vec::with_capacity(world.len());
-        let mut hour_samplers = Vec::with_capacity(world.len());
-        for (ci, spec) in world.iter().enumerate() {
-            let weights: Vec<f64> = catalog
-                .iter()
-                .map(|d| domain_interest(spec, ci as u16, d))
-                .collect();
-            domain_samplers.push(WeightedIndex::new(weights).expect("domain weights"));
-            // Traffic volume peaks around 20:00 local.
-            let hours: Vec<f64> = (0..24)
-                .map(|utc_h| {
-                    let local = (utc_h + spec.country.tz_offset_hours).rem_euclid(24) as f64;
-                    1.0 + 0.55 * (std::f64::consts::TAU * (local - 20.0) / 24.0).cos()
-                })
-                .collect();
-            hour_samplers.push(WeightedIndex::new(hours).expect("hour weights"));
-        }
         let as_samplers = world
             .iter()
             .map(|s| AsSampler::new(s.country.n_ases))
@@ -185,8 +200,7 @@ impl WorldSim {
             catalog,
             benign: BenignRates::default(),
             country_weights,
-            domain_samplers,
-            hour_samplers,
+            samplers: OnceLock::new(),
             as_samplers,
             sampler,
             syn_payload_magnets,
@@ -272,13 +286,16 @@ impl WorldSim {
     /// [`WorldSim::gen_session`], simulating in `ws` — the same flow for
     /// any workspace, fresh or reused.
     pub fn gen_session_in(&self, ws: &mut SessionWorkspace, i: u64) -> Option<LabeledFlow> {
+        let samplers = self
+            .samplers
+            .get_or_init(|| Samplers::new(&self.world, &self.catalog));
         let mut rng: StdRng = derive_rng(self.cfg.seed, i);
         let country = self.country_weights.sample(&mut rng) as CountryIdx;
         let spec = &self.world[country as usize];
 
         // --- Time ---------------------------------------------------------
         let day = rng.gen_range(0..u64::from(self.cfg.days.max(1)));
-        let hour = self.hour_samplers[country as usize].sample(&mut rng) as u64;
+        let hour = samplers.hour[country as usize].sample(&mut rng) as u64;
         let ts = self.cfg.start_unix + day * 86_400 + hour * 3_600 + rng.gen_range(0..3_600);
         let lh = local_hour(ts, spec.country.tz_offset_hours);
 
@@ -319,9 +336,9 @@ impl WorldSim {
                             ^ fav,
                     ),
                 );
-                self.domain_samplers[country as usize].sample(&mut fav_rng) as DomainId
+                samplers.domain[country as usize].sample(&mut fav_rng) as DomainId
             } else {
-                self.domain_samplers[country as usize].sample(&mut rng) as DomainId
+                samplers.domain[country as usize].sample(&mut rng) as DomainId
             };
             Some(id)
         } else {

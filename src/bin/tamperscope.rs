@@ -446,7 +446,7 @@ fn cmd_merge(args: &Args) -> ExitCode {
                 return ExitCode::from(2);
             }
         };
-        if let Err(e) = fold_agg(&mut acc, &bytes) {
+        if let Err(e) = fold_agg(&mut acc, &bytes, sim.config().catalog_size) {
             let detail = match e {
                 AggError::ConfigMismatch { file } => {
                     format!(" (file {file:016x}, flags imply {expected:016x})")

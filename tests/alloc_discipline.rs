@@ -15,10 +15,12 @@
 //! direct TLS session and the average standard-world session may not grow
 //! back past the heap requests their own bytes need. So has `merge`:
 //! folding a `.agg` partial into a warm accumulator may allocate only for
-//! the keys it adds.
+//! the keys it adds, the report view may not grow with the pair keys, and
+//! building the world may not build the samplers only sessions read.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
+use std::sync::OnceLock;
 
 use tamperscope::analysis::{encode_agg, fold_agg, Collector, PartialAggregate};
 use tamperscope::capture::{flows_from_pcap, EvictionCause, FlowBatch, FlowRecord, OfflineConfig};
@@ -35,30 +37,33 @@ use tamperscope::worldgen::{world_fingerprint, WorldConfig, WorldSim};
 struct CountingAlloc;
 
 thread_local! {
-    // Const-initialised and without a destructor: reading it inside the
+    // Const-initialised and without a destructor: reading them inside the
     // allocator neither allocates nor registers thread-exit work.
     static ALLOCS: Cell<u64> = const { Cell::new(0) };
+    static BYTES: Cell<u64> = const { Cell::new(0) };
 }
 
-fn bump() {
+/// Count one heap request of `size` bytes.
+fn bump(size: usize) {
     // `try_with`: a request after this thread's locals are gone is
     // simply not counted.
     let _ = ALLOCS.try_with(|c| c.set(c.get() + 1));
+    let _ = BYTES.try_with(|c| c.set(c.get() + size as u64));
 }
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        bump();
+        bump(layout.size());
         unsafe { System.alloc(layout) }
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        bump();
+        bump(layout.size());
         unsafe { System.alloc_zeroed(layout) }
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        bump();
+        bump(new_size);
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 
@@ -73,6 +78,12 @@ static GLOBAL: CountingAlloc = CountingAlloc;
 /// Heap requests made so far by the calling thread.
 fn allocations() -> u64 {
     ALLOCS.with(Cell::get)
+}
+
+/// Bytes the calling thread's heap requests so far asked for (a
+/// `realloc` counts its new size).
+fn allocated_bytes() -> u64 {
+    BYTES.with(Cell::get)
 }
 
 /// The golden corpus as flow records, in first-seen order.
@@ -305,31 +316,99 @@ fn warm_world_sessions_stay_within_their_allocation_budget() {
 /// same partial and merging the result made 1,443 (1,073 + 370).
 const WARM_FOLD_ALLOCS: u64 = 370;
 
+/// Heap requests `view()` makes over the 57 merged partials below: one
+/// sample vector for each non-empty IP-ID and TTL reservoir (34 of 40)
+/// and the two vectors holding them, whatever the number of pair keys.
+/// When `view()` copied the 15,575 pair sequences as well it made
+/// 15,612.
+const VIEW_ALLOCS: u64 = 36;
+
+/// What `WorldSim::new` asks of the heap for the standard world: the
+/// registry, the 4,000-domain catalog and the per-country AS and
+/// diurnal tables. The per-country domain and hour samplers (67 weight
+/// tables over 4,000 domains) wait for the first session; building them
+/// here took 9,497 requests for 7,122,198 bytes.
+const WORLD_NEW_ALLOCS: u64 = 8_356;
+const WORLD_NEW_BYTES: u64 = 541_190;
+
+/// PoPs the [`pop_partials`] world is split into.
+const POPS: usize = 57;
+
+/// The standard 20,000-session, 14-day world split into [`POPS`]
+/// `pop-run` partials: the world, its fingerprint salt, and the files.
+fn pop_partials() -> &'static (WorldSim, u64, Vec<Vec<u8>>) {
+    static PARTIALS: OnceLock<(WorldSim, u64, Vec<Vec<u8>>)> = OnceLock::new();
+    PARTIALS.get_or_init(|| {
+        let sim = WorldSim::new(WorldConfig {
+            sessions: 20_000,
+            days: 14,
+            ..WorldConfig::default()
+        });
+        let (n, start) = (sim.world().len(), sim.config().start_unix);
+        let salt = world_fingerprint(sim.config());
+        let mk = || Collector::with_salt(ClassifierConfig::default(), n, 14, start, salt);
+        let mut cols: Vec<Collector> = (0..POPS).map(|_| mk()).collect();
+        sim.run(|lf| cols[sim.pop_of(POPS, &lf)].observe(&lf));
+        let files = cols.iter().map(|c| encode_agg(c.partial())).collect();
+        (sim, salt, files)
+    })
+}
+
+/// An empty accumulator for the [`pop_partials`] world, as `merge`
+/// builds it.
+fn pop_accumulator() -> PartialAggregate {
+    let (sim, salt, _) = pop_partials();
+    let (n, start) = (sim.world().len(), sim.config().start_unix);
+    PartialAggregate::with_salt(ClassifierConfig::default(), n, 14, start, *salt)
+}
+
 #[test]
 fn folding_a_partial_into_a_warm_accumulator_stays_within_its_budget() {
-    const POPS: usize = 57;
-    let sim = WorldSim::new(WorldConfig {
-        sessions: 20_000,
-        days: 14,
-        ..WorldConfig::default()
-    });
-    let (n, start) = (sim.world().len(), sim.config().start_unix);
-    let salt = world_fingerprint(sim.config());
-    let mk = || Collector::with_salt(ClassifierConfig::default(), n, 14, start, salt);
-    let mut cols: Vec<Collector> = (0..POPS).map(|_| mk()).collect();
-    sim.run(|lf| cols[sim.pop_of(POPS, &lf)].observe(&lf));
-    let files: Vec<Vec<u8>> = cols.iter().map(|c| encode_agg(c.partial())).collect();
-
-    let mut acc = PartialAggregate::with_salt(ClassifierConfig::default(), n, 14, start, salt);
+    let (sim, _, files) = pop_partials();
+    let domains = sim.config().catalog_size;
+    let mut acc = pop_accumulator();
     for file in &files[1..] {
-        fold_agg(&mut acc, file).expect("a partial of this world folds");
+        fold_agg(&mut acc, file, domains).expect("a partial of this world folds");
     }
+    let total = acc.total;
     let before = allocations();
-    fold_agg(&mut acc, &files[0]).expect("a partial of this world folds");
+    fold_agg(&mut acc, &files[0], domains).expect("a partial of this world folds");
     let allocs = allocations() - before;
     assert!(
         allocs <= WARM_FOLD_ALLOCS,
         "folding a {}-flow partial into a warm accumulator made {allocs} heap requests; budget {WARM_FOLD_ALLOCS}",
-        cols[0].total
+        acc.total - total
     );
+}
+
+#[test]
+fn the_report_view_does_not_copy_the_pair_sequences() {
+    let (sim, _, files) = pop_partials();
+    let mut acc = pop_accumulator();
+    for file in files {
+        fold_agg(&mut acc, file, sim.config().catalog_size).expect("a partial of this world folds");
+    }
+    let before = allocations();
+    let view = acc.view();
+    let allocs = allocations() - before;
+    drop(view);
+    assert!(
+        allocs <= VIEW_ALLOCS,
+        "view() over {} pair keys made {allocs} heap requests; budget {VIEW_ALLOCS}",
+        acc.pair_seqs.len()
+    );
+}
+
+#[test]
+fn building_the_standard_world_leaves_the_samplers_to_the_first_session() {
+    let cfg = WorldConfig::default();
+    let (allocs, bytes) = (allocations(), allocated_bytes());
+    let sim = WorldSim::new(cfg);
+    let (allocs, bytes) = (allocations() - allocs, allocated_bytes() - bytes);
+    assert!(
+        allocs <= WORLD_NEW_ALLOCS && bytes <= WORLD_NEW_BYTES,
+        "WorldSim::new made {allocs} heap requests for {bytes} bytes; budget {WORLD_NEW_ALLOCS} for {WORLD_NEW_BYTES}"
+    );
+    // The first session builds them, on whatever thread runs it.
+    assert!(sim.gen_session(0).is_some());
 }

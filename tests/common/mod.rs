@@ -12,20 +12,32 @@ use tamper_worldgen::{world_fingerprint, WorldConfig, WorldSim};
 /// world it came from.
 pub type Observed = (Collector, WorldSim);
 
+/// What tells two observed worlds apart: the world's fingerprint, which
+/// leaves out how it is collected, and the collector's settings.
+type WorldKey = (u64, usize, bool, bool);
+
 /// The world `cfg` describes, observed through the full pipeline into a
 /// collector over all of its countries and days, and the world itself.
-/// Each distinct world (by [`world_fingerprint`]) is simulated once per
-/// test binary; every test asking for it, on any thread, shares that one
-/// result.
+/// Each distinct world (by [`world_fingerprint`] and collector settings)
+/// is simulated once per test binary; every test asking for it, on any
+/// thread, shares that one result.
 pub fn observed(cfg: WorldConfig) -> &'static Observed {
-    static WORLDS: OnceLock<Mutex<BTreeMap<u64, &'static OnceLock<Observed>>>> = OnceLock::new();
+    static WORLDS: OnceLock<Mutex<BTreeMap<WorldKey, &'static OnceLock<Observed>>>> =
+        OnceLock::new();
+    let c = cfg.collector;
+    let key = (
+        world_fingerprint(&cfg),
+        c.max_packets,
+        c.quantize_timestamps,
+        c.shuffle_within_second,
+    );
     // Only the lookup holds the map's lock; a world is built under its own
     // cell, so two worlds build in parallel and a second asker waits.
     let cell = *WORLDS
         .get_or_init(Mutex::default)
         .lock()
         .unwrap()
-        .entry(world_fingerprint(&cfg))
+        .entry(key)
         .or_insert_with(|| Box::leak(Box::default()));
     cell.get_or_init(|| {
         let sim = WorldSim::new(cfg);

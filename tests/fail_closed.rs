@@ -712,6 +712,7 @@ fn agg_partials_fail_closed() {
     sim.run(|lf| col.observe(&lf));
     let bytes = encode_agg(col.partial());
     let acc = decode_agg(&bytes).expect("the seed decodes");
+    let domains = sim.config().catalog_size;
     let seeds = [seed("pop.agg", bytes, 17)];
     let mut tally = Tally::new("agg");
     let mut case = |m: Mutation, bytes: &[u8]| {
@@ -731,7 +732,7 @@ fn agg_partials_fail_closed() {
         // the seed, as `merge` folds every file after its first.
         let mut warm = acc.clone();
         let label = tally.label(&seeds[0], m, "+fold");
-        let outcome = run_case(&label, || fold_agg(&mut warm, bytes).is_ok());
+        let outcome = run_case(&label, || fold_agg(&mut warm, bytes, domains).is_ok());
         tally.record(&label, judge(outcome));
     };
     schedule(&seeds, false, |_, m, bytes| case(m, bytes));

@@ -6,11 +6,14 @@
 //! `tests/fixtures/report_4k.golden.txt`, so every table and figure the
 //! CLI emits is pinned (re-bless an intentional change with
 //! `UPDATE_GOLDEN=1 cargo test --test multi_pop`). Plus the fail-closed
-//! decode paths: corrupt or mismatched `.agg` inputs are named errors
-//! with exit code 2, never panics.
+//! decode paths: corrupt or mismatched `.agg` inputs, and partials whose
+//! keys lie outside the flags' world, are named errors with exit code 2,
+//! never panics.
 
 use std::path::PathBuf;
 use std::process::Command;
+
+use tamperscope::analysis::{decode_agg, encode_agg, PartialAggregate};
 
 fn bin() -> Command {
     Command::new(env!("CARGO_BIN_EXE_tamperscope"))
@@ -239,6 +242,72 @@ fn merge_rejects_corrupt_and_mismatched_partials() {
     assert_eq!(out.status.code(), Some(2), "cross-world merge must fail");
     let err = String::from_utf8(out.stderr).unwrap();
     assert!(err.contains("fingerprint mismatch"), "{err}");
+
+    // Well-formed partials whose keys name a country or a domain outside
+    // the flags' world (67 countries, 4,000 domains). The last key of a
+    // table is moved past the world, so key order holds.
+    type Mutate = fn(&mut PartialAggregate);
+    let outside: [(&str, Mutate, &str); 5] = [
+        (
+            "domain_cells domain",
+            |a| {
+                let ((c, _), v) = a.domain_cells.pop_last().unwrap();
+                a.domain_cells.insert((c, 0x7fff_ffff), v);
+            },
+            "domain_cells domain outside the catalog",
+        ),
+        (
+            "as_counts country",
+            |a| {
+                let ((_, asn), v) = a.as_counts.pop_last().unwrap();
+                a.as_counts.insert((0x7fff, asn), v);
+            },
+            "as_counts country outside the world",
+        ),
+        (
+            "domain_cells country",
+            |a| {
+                let ((_, d), v) = a.domain_cells.pop_last().unwrap();
+                a.domain_cells.insert((0x7fff, d), v);
+            },
+            "domain_cells country outside the world",
+        ),
+        (
+            "syn_payload_domains domain",
+            |a| {
+                a.syn_payload_domains.insert(4_000, 1);
+            },
+            "syn_payload_domains domain outside the catalog",
+        ),
+        (
+            "pair_seqs domain",
+            |a| {
+                let ((ip, _), v) = a.pair_seqs.pop_last().unwrap();
+                a.pair_seqs.insert((ip, 4_000), v);
+            },
+            "pair_seqs domain outside the catalog",
+        ),
+    ];
+    for (name, mutate, needle) in outside {
+        let mut agg = decode_agg(&bytes).unwrap();
+        mutate(&mut agg);
+        let p = dir.join(format!("{}.agg", name.replace(' ', "_")));
+        std::fs::write(&p, encode_agg(&agg)).unwrap();
+        // Named after the file, even behind a clean partial.
+        check(&p, needle);
+        let out = merge(&[good.clone(), p.clone()]);
+        assert_eq!(out.status.code(), Some(2), "{name}");
+        let err = String::from_utf8(out.stderr).unwrap();
+        assert!(err.contains(&format!("{}: ", p.display())), "{name}: {err}");
+    }
+
+    // A Fig 10 class code past the last class: the file's last byte is the
+    // code of its last pair-sequence entry.
+    let mut code = bytes.clone();
+    *code.last_mut().unwrap() = 9;
+    let p = dir.join("pair_code.agg");
+    std::fs::write(&p, &code).unwrap();
+    check(&p, "pair class code out of range");
 
     // Usage errors: --pops 0 and a missing --out are usage failures.
     let out = bin()

@@ -807,13 +807,16 @@ use tamper_analysis::{decode_agg, encode_agg, fold_agg, Collector, PartialAggreg
 use tamper_worldgen::{LabeledFlow, WorldConfig, WorldSim};
 
 /// A shared flow pool: generated once, partitioned differently per case.
+/// Domain catalog size of the [`flow_pool`] world.
+const POOL_CATALOG: u32 = 300;
+
 fn flow_pool() -> &'static (Vec<LabeledFlow>, usize, u64) {
     static POOL: OnceLock<(Vec<LabeledFlow>, usize, u64)> = OnceLock::new();
     POOL.get_or_init(|| {
         let sim = WorldSim::new(WorldConfig {
             sessions: 800,
             days: 1,
-            catalog_size: 300,
+            catalog_size: POOL_CATALOG,
             ..Default::default()
         });
         let mut flows = Vec::new();
@@ -897,7 +900,7 @@ proptest! {
             0,
         );
         for f in &files {
-            fold_agg(&mut folded, f).expect("a partial of the same world folds");
+            fold_agg(&mut folded, f, POOL_CATALOG).expect("a partial of the same world folds");
         }
         prop_assert_eq!(
             encode_agg(&folded),
