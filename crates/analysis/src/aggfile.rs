@@ -25,8 +25,18 @@
 //! use, ordered tables must arrive strictly sorted (the canonical form
 //! `encode` emits), and any violation is a named [`AggError`] — never a
 //! panic, no matter the bytes. `tests/fail_closed.rs` holds it to that
-//! (and to a heap bound) over mutated encodings, and this module sits
-//! inside the tamperlint `panic`/`index` scopes.
+//! (and to a heap bound) over mutated encodings, and the module denies
+//! clippy's `indexing_slicing`, `unwrap_used`, `expect_used`, `panic` and
+//! `unreachable`.
+
+// Untrusted bytes reach this module: no path may panic on them.
+#![deny(
+    clippy::indexing_slicing,
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable
+)]
 
 use std::collections::btree_map::Entry;
 
@@ -87,7 +97,11 @@ impl From<WireError> for AggError {
     fn from(e: WireError) -> AggError {
         match e {
             WireError::Truncated => AggError::Truncated,
-            _ => AggError::Malformed("wire-level error"),
+            WireError::BadVersion(_)
+            | WireError::BadLength
+            | WireError::BadChecksum
+            | WireError::UnsupportedProtocol(_)
+            | WireError::Malformed(_) => AggError::Malformed("wire-level error"),
         }
     }
 }

@@ -1,5 +1,11 @@
 #![warn(missing_docs)]
 #![warn(unreachable_pub)]
+// A new `Signature` (or any other enum variant) must fail the build
+// where the report matches on it, not fall into a wildcard arm.
+#![deny(
+    clippy::wildcard_enum_match_arm,
+    clippy::match_wildcard_for_single_variants
+)]
 
 //! # tamper-analysis
 //!

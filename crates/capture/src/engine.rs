@@ -60,6 +60,15 @@
 //! windows alive at once are bounded by the items in flight, not by the
 //! capture length.
 
+// Untrusted bytes reach this module: no path may panic on them.
+#![deny(
+    clippy::indexing_slicing,
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable
+)]
+
 use crate::offline::{IngestStats, OfflineConfig};
 use crate::source::{FlowSource, ShardStats, SourceShard};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -203,9 +212,12 @@ impl<I> Lane<I> {
 /// The lane of the shard a source routed an item to. Sources contract to
 /// route in `0..lanes.len()`; clamp so a misbehaving impl degrades
 /// instead of panicking.
+#[expect(
+    clippy::indexing_slicing,
+    reason = "clamped just above; the reader builds one lane per shard before routing anything"
+)]
 fn lane_of<I>(lanes: &mut [Lane<I>], route: usize) -> &mut Lane<I> {
     let shard = route.min(lanes.len().saturating_sub(1));
-    // tamperlint: allow(index) — clamped just above; the reader builds one lane per shard before routing anything
     &mut lanes[shard]
 }
 
@@ -334,6 +346,14 @@ where
     };
     let mut rm = scope("reader");
 
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "capture::engine owns the one reader/shard/merge thread topology"
+    )]
+    #[expect(
+        clippy::expect_used,
+        reason = "join() only fails if the shard itself panicked; re-raising preserves the original panic"
+    )]
     let outcomes: Vec<ShardOutcome<T>> = std::thread::scope(|s| {
         // Delivery is the only thing the shard count selects. One shard
         // runs inline on this thread — the same item sequence and absorb
@@ -414,10 +434,11 @@ where
         inline
             .into_iter()
             .map(|run| run.finish(src.final_stamp(), &observe))
-            .chain(handles.into_iter().map(|h| {
-                // tamperlint: allow(panic) — join() only fails if the shard itself panicked; re-raising preserves the original panic
-                h.join().expect("engine shard panicked")
-            }))
+            .chain(
+                handles
+                    .into_iter()
+                    .map(|h| h.join().expect("engine shard panicked")),
+            )
             .collect()
     });
 

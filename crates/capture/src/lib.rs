@@ -23,4 +23,6 @@ pub use pcap::{PcapError, PcapWriter};
 pub use pipeline::{collect, CollectorConfig};
 pub use record::{EvictionCause, FlowBatch, FlowRecord, FlowRows, PacketRecord};
 pub use sampler::Sampler;
-pub use source::{FlowSource, PcapMemItem, PcapMemSource, SimSource, DEFAULT_BATCH_FLOWS};
+pub use source::{
+    FlowSource, PcapMemItem, PcapMemSource, ShardStats, SimSource, SourceShard, DEFAULT_BATCH_FLOWS,
+};

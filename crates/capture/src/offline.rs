@@ -5,12 +5,21 @@
 //! records with the paper's collection constraints applied (inbound-only
 //! by destination filter, 10 packets, 1-second timestamps).
 
+// Untrusted bytes reach this module: no path may panic on them.
+#![deny(
+    clippy::indexing_slicing,
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable
+)]
+
 use crate::engine::{run_source, EngineConfig};
 use crate::pcap::PcapError;
 use crate::record::{FlowBatch, FlowRecord, FlowTuple, PacketRow};
 use crate::source::PcapMemSource;
 use bytes::Bytes;
-use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::collections::{BTreeMap, VecDeque};
 use std::hash::{BuildHasherDefault, Hasher};
 use std::net::IpAddr;
 use tamper_wire::PacketView;
@@ -91,7 +100,10 @@ impl Hasher for FlowKeyHasher {
     fn write(&mut self, bytes: &[u8]) {
         for chunk in bytes.chunks(8) {
             let mut buf = [0u8; 8];
-            // tamperlint: allow(index) — chunks(8) yields at most 8 bytes, so the range fits the stack buffer
+            #[expect(
+                clippy::indexing_slicing,
+                reason = "chunks(8) yields at most 8 bytes, so the range fits the stack buffer"
+            )]
             buf[..chunk.len()].copy_from_slice(chunk);
             self.mix(u64::from_le_bytes(buf));
         }
@@ -190,16 +202,29 @@ impl SlotPool {
         self.get(idx).first_index == first_index
     }
 
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "idx was handed out by open(), and slots are never removed"
+    )]
     fn get(&self, idx: u32) -> &Slot {
-        // tamperlint: allow(index) — idx was handed out by open(), and slots are never removed
         &self.slots[idx as usize]
     }
 
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "idx was handed out by open(), and slots are never removed"
+    )]
     fn get_mut(&mut self, idx: u32) -> &mut Slot {
-        // tamperlint: allow(index) — idx was handed out by open(), and slots are never removed
         &mut self.slots[idx as usize]
     }
 }
+
+/// The live-flow index: 4-tuple to slot. Only probed, never iterated.
+#[expect(
+    clippy::disallowed_types,
+    reason = "probed by key and never iterated, so its order cannot reach output; FlowKeyHasher is unkeyed"
+)]
+type FlowIndex = std::collections::HashMap<FlowTuple, u32, BuildHasherDefault<FlowKeyHasher>>;
 
 /// A streaming flow assembler with inactivity-timeout eviction and an
 /// optional live-flow cap — the unit of state one engine shard owns. Live
@@ -213,7 +238,7 @@ impl SlotPool {
 /// closed flows.
 pub struct ColumnarFlowTable {
     cfg: OfflineConfig,
-    flows: HashMap<FlowTuple, u32, BuildHasherDefault<FlowKeyHasher>>,
+    flows: FlowIndex,
     pool: SlotPool,
     max_live: usize,
     high_water: usize,
@@ -240,7 +265,7 @@ impl ColumnarFlowTable {
     pub fn new(cfg: OfflineConfig, max_live: usize) -> ColumnarFlowTable {
         ColumnarFlowTable {
             cfg,
-            flows: HashMap::default(),
+            flows: FlowIndex::default(),
             pool: SlotPool::default(),
             max_live,
             high_water: 0,

@@ -5,6 +5,15 @@
 //! flows can be inspected with standard tooling, and *real* pcap files of
 //! server-side captures can be fed to the classifier.
 
+// Untrusted bytes reach this module: no path may panic on them.
+#![deny(
+    clippy::indexing_slicing,
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable
+)]
+
 use std::io::{self, Write};
 use tamper_wire::Packet;
 

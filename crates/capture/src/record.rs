@@ -16,30 +16,31 @@ use bytes::Bytes;
 use std::net::IpAddr;
 use tamper_wire::{Packet, TcpFlags};
 
-/// One logged inbound packet.
+/// One logged inbound packet: a [`PacketRow`] that owns its payload.
+/// Every field but `payload` means what the [`PacketRow`] field of the
+/// same name does.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PacketRecord {
-    /// Arrival timestamp quantized to whole seconds (the paper's logging
-    /// granularity).
+    /// See [`PacketRow::ts_sec`].
     pub ts_sec: u64,
-    /// TCP flag byte.
+    /// See [`PacketRow::flags`].
     pub flags: TcpFlags,
-    /// Sequence number.
+    /// See [`PacketRow::seq`].
     pub seq: u32,
-    /// Acknowledgement number.
+    /// See [`PacketRow::ack`].
     pub ack: u32,
-    /// IPv4 identification, `None` on IPv6.
+    /// See [`PacketRow::ip_id`].
     pub ip_id: Option<u16>,
-    /// TTL / hop limit as received.
+    /// See [`PacketRow::ttl`].
     pub ttl: u8,
-    /// Receive window.
+    /// See [`PacketRow::window`].
     pub window: u16,
-    /// Payload length in bytes.
+    /// See [`PacketRow::payload_len`].
     pub payload_len: u32,
     /// Payload bytes (the paper logs full payloads; triggers are extracted
     /// from them).
     pub payload: Bytes,
-    /// True if the TCP header carried any options (scanner heuristic).
+    /// See [`PacketRow::has_tcp_options`].
     pub has_tcp_options: bool,
 }
 
@@ -143,17 +144,27 @@ pub struct FlowSpan {
 /// staging buffer) through [`FlowBatch`] (where it indexes the batch
 /// arena) to the classifier.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-#[allow(missing_docs)] // field meanings match `PacketRecord`'s
 pub struct PacketRow {
+    /// Arrival timestamp quantized to whole seconds (the paper's logging
+    /// granularity).
     pub ts_sec: u64,
+    /// Sequence number.
     pub seq: u32,
+    /// Acknowledgement number.
     pub ack: u32,
+    /// Offset of the payload's first byte in the arena the row belongs to.
     pub payload_off: u32,
+    /// Payload length in bytes.
     pub payload_len: u32,
+    /// IPv4 identification, `None` on IPv6.
     pub ip_id: Option<u16>,
+    /// Receive window.
     pub window: u16,
+    /// TCP flag byte.
     pub flags: TcpFlags,
+    /// TTL / hop limit as received.
     pub ttl: u8,
+    /// True if the TCP header carried any options (scanner heuristic).
     pub has_tcp_options: bool,
 }
 
@@ -209,7 +220,10 @@ impl FlowBatch {
     /// Append one closed flow from the flow table's staging: `rows` with
     /// `payload_off` relative to `payload`, rebased onto this batch's
     /// arena.
-    #[allow(clippy::too_many_arguments)]
+    #[expect(
+        clippy::too_many_arguments,
+        reason = "one caller, the flow table's close; each argument but the rows is one FlowSpan field, which a struct would only unpack again"
+    )]
     pub(crate) fn push_rows(
         &mut self,
         tuple: FlowTuple,

@@ -29,6 +29,15 @@
 //! which the engine hands to the caller's observe closure in emission
 //! order.
 
+// Untrusted bytes reach this module: no path may panic on them.
+#![deny(
+    clippy::indexing_slicing,
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable
+)]
+
 use crate::engine::EngineConfig;
 use crate::offline::{ColumnarFlowTable, IngestStats};
 use crate::pcap::{
@@ -172,8 +181,11 @@ pub struct PcapMemItem {
 
 impl PcapMemItem {
     /// The raw IP frame.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "fill() only emits items whose frame range it bounds-checked against the window"
+    )]
     pub(crate) fn frame(&self) -> &[u8] {
-        // tamperlint: allow(index) — fill() only emits items whose frame range it bounds-checked against the window
         &self.window[self.at..self.at + self.len as usize]
     }
 }

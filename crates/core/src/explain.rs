@@ -139,7 +139,7 @@ mod tests {
             ip_id: Some(100),
             ttl: 52,
             window: 65535,
-            payload_len: payload.len() as u32,
+            payload_len: u32::try_from(payload.len()).unwrap(),
             payload,
             has_tcp_options: true,
         }
@@ -167,7 +167,7 @@ mod tests {
     #[test]
     fn gfw_style_flow_explained() {
         let hello = tamper_wire::tls::build_client_hello("blocked.example", [0u8; 32]);
-        let hello_len = hello.len() as u32;
+        let hello_len = u32::try_from(hello.len()).unwrap();
         let mut f = flow(vec![
             rec(100, TcpFlags::SYN, 1000, 0, Bytes::new()),
             rec(100, TcpFlags::ACK, 1001, 501, Bytes::new()),

@@ -1,5 +1,13 @@
 #![warn(missing_docs)]
 #![warn(unreachable_pub)]
+// No silent narrowing of sequence-space or length values, and no
+// wildcard arm that would swallow a new `Signature` (or any other enum
+// variant) instead of failing the build.
+#![deny(
+    clippy::cast_possible_truncation,
+    clippy::wildcard_enum_match_arm,
+    clippy::match_wildcard_for_single_variants
+)]
 
 //! # tamper-core
 //!

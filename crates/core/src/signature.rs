@@ -40,7 +40,10 @@ impl fmt::Display for Stage {
 
 /// The 19 tampering signatures of Table 1.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-#[allow(missing_docs)] // each variant is documented by `label`/`description`
+#[expect(
+    missing_docs,
+    reason = "each variant is documented by `label`/`description`"
+)]
 pub enum Signature {
     SynNone,
     SynRst,
@@ -220,9 +223,10 @@ impl Classification {
 
     /// The matched signature, if any.
     pub(crate) fn signature(self) -> Option<Signature> {
-        match self {
-            Classification::Tampered(s) => Some(s),
-            _ => None,
+        if let Classification::Tampered(s) = self {
+            Some(s)
+        } else {
+            None
         }
     }
 }

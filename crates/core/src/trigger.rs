@@ -99,12 +99,12 @@ mod tests {
                 } else {
                     TcpFlags::PSH_ACK
                 },
-                seq: i as u32,
+                seq: u32::try_from(i).unwrap(),
                 ack: 0,
                 ip_id: Some(1),
                 ttl: 60,
                 window: 65535,
-                payload_len: payload.len() as u32,
+                payload_len: u32::try_from(payload.len()).unwrap(),
                 payload,
                 has_tcp_options: true,
             })

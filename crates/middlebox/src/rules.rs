@@ -6,7 +6,6 @@
 //! over-blocking the paper discusses (e.g. Turkmenistan blocking every
 //! domain containing `wn.com`).
 
-use std::collections::HashSet;
 use std::net::IpAddr;
 use tamper_wire::{http, tls, Packet};
 
@@ -32,14 +31,18 @@ pub(crate) enum MatchReason {
 
 /// A middlebox rule set.
 #[derive(Debug, Clone, Default)]
+#[expect(
+    clippy::disallowed_types,
+    reason = "membership tests on the simulated middlebox's path; never iterated, so no order reaches output"
+)]
 pub struct RuleSet {
     /// Exact destination IPs to block at SYN time.
-    pub blocked_ips: HashSet<IpAddr>,
+    pub blocked_ips: std::collections::HashSet<IpAddr>,
     /// If true, every connection traversing the box triggers at SYN time
     /// (blanket CDN bans as observed from Turkmenistan).
     pub blanket_ban: bool,
     /// Exact (lowercased) domain names to block on first data.
-    pub blocked_domains: HashSet<String>,
+    pub blocked_domains: std::collections::HashSet<String>,
     /// Substring rules over domain names (lowercased).
     pub domain_substrings: Vec<String>,
     /// Keywords matched case-insensitively anywhere in any cleartext

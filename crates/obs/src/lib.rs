@@ -16,8 +16,9 @@
 //! deterministic output:
 //!
 //! - this crate is the **only** pipeline crate allowed to read the wall
-//!   clock (`tamperlint`'s `ambient-clock` and `clock-containment` rules
-//!   enforce that everything else reaches clocks through [`Stopwatch`]);
+//!   clock (clippy's `disallowed_methods` list in `clippy.toml` bans
+//!   `Instant::now`/`SystemTime::now` everywhere else, so other crates
+//!   reach clocks through [`Stopwatch`]);
 //! - metrics travel through a side [`Registry`], never through the
 //!   engine's fold/merge accumulators, and are emitted to a *separate*
 //!   file/stream (`--metrics-json`), never interleaved with verdicts or
@@ -76,6 +77,10 @@ impl Stopwatch {
     }
 
     /// Start a running stopwatch (reads the monotonic clock).
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "tamper-obs is the one sanctioned home for clock reads; a stopwatch never touches verdict or report bytes"
+    )]
     pub fn start() -> Stopwatch {
         Stopwatch(Some(Instant::now()))
     }

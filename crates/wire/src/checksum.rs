@@ -37,10 +37,18 @@ impl Checksum {
     /// Feed a big-endian 32-bit word as two 16-bit words.
     pub(crate) fn add_u32(&mut self, word: u32) {
         self.add_u16((word >> 16) as u16);
+        #[expect(
+            clippy::cast_possible_truncation,
+            reason = "keeps the low half; the high half was fed just above"
+        )]
         self.add_u16(word as u16);
     }
 
     /// Finish: fold carries and complement.
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "the fold loop leaves sum <= 0xFFFF"
+    )]
     pub(crate) fn finish(self) -> u16 {
         let mut sum = self.sum;
         while sum > 0xFFFF {

@@ -21,11 +21,9 @@ pub struct HttpRequest {
 
 /// Build a plain HTTP/1.1 GET request.
 pub fn build_get(host: &str, path: &str, user_agent: &str) -> Bytes {
-    // tamperlint: allow(hot-path-alloc) — the simulated client composes one owned request per flow
     let req = format!(
         "GET {path} HTTP/1.1\r\nHost: {host}\r\nUser-Agent: {user_agent}\r\nAccept: */*\r\nConnection: keep-alive\r\n\r\n"
     );
-    // tamperlint: allow(hot-path-alloc) — the simulated client composes one owned request per flow
     Bytes::from(req)
 }
 
@@ -137,7 +135,6 @@ pub fn parse_host(payload: &[u8]) -> Result<Option<String>> {
         }
         if let Some((name, value)) = line.split_once(':') {
             if name.eq_ignore_ascii_case("host") {
-                // tamperlint: allow(hot-path-alloc) — the lowercased Host string is the verdict-owned trigger domain; one bounded allocation per HTTP flow
                 return Ok(Some(value.trim().to_ascii_lowercase()));
             }
         }

@@ -81,6 +81,10 @@ impl Ipv6Header {
     /// Emit the header into `buf` with `payload_len` payload bytes to follow.
     pub(crate) fn emit(&self, buf: &mut BytesMut, payload_len: usize) {
         buf.put_u8(0x60 | (self.traffic_class >> 4));
+        #[expect(
+            clippy::cast_possible_truncation,
+            reason = "keeps the flow label's top 4 bits, masked just after"
+        )]
         buf.put_u8((self.traffic_class << 4) | ((self.flow_label >> 16) as u8 & 0x0F));
         buf.put_u16((self.flow_label & 0xFFFF) as u16);
         buf.put_u16(u16::try_from(payload_len).unwrap_or(u16::MAX));

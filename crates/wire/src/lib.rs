@@ -1,5 +1,16 @@
 #![warn(missing_docs)]
 #![warn(unreachable_pub)]
+// Every byte this crate parses is untrusted: no path may panic on short
+// or malformed input, and no sequence-space or length value may be
+// narrowed without a check.
+#![deny(
+    clippy::indexing_slicing,
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::cast_possible_truncation
+)]
 
 //! # tamper-wire
 //!

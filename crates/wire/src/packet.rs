@@ -155,6 +155,10 @@ impl Packet {
     }
 
     /// Emit the packet as a checksummed frame.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "the emitter patches the checksum into the buffer it just wrote: seg_start + 16 + 2 <= buf.len() by construction; the emit path is unreachable from capture bytes"
+    )]
     pub fn emit(&self) -> Bytes {
         let tcp_len = self.tcp.header_len() + self.payload.len();
         let mut buf = BytesMut::with_capacity(40 + tcp_len);
@@ -170,9 +174,6 @@ impl Packet {
         };
         self.tcp.emit(&mut buf);
         buf.extend_from_slice(&self.payload);
-        // The emitter patches the checksum into the buffer it just wrote:
-        // seg_start + 16 + 2 <= buf.len() by construction. The emit path is
-        // unreachable from capture bytes, so the index rule does not fire here.
         let segment = &buf[seg_start..];
         let ck = match &self.ip {
             IpHeader::V4(h) => tcp_checksum_v4(h.src, h.dst, segment),
@@ -279,6 +280,10 @@ impl PacketBuilder {
     /// Start building a packet between two addresses. Panics if the
     /// address families differ (mixed-family packets don't exist).
     #[inline]
+    #[expect(
+        clippy::panic,
+        reason = "mixed-family packets don't exist; builders are fed by the simulator, never by capture bytes"
+    )]
     pub fn new(src: IpAddr, dst: IpAddr, src_port: u16, dst_port: u16) -> PacketBuilder {
         let ip = match (src, dst) {
             (IpAddr::V4(s), IpAddr::V4(d)) => IpHeader::V4(Ipv4Header::tcp_template(s, d)),
@@ -389,7 +394,7 @@ mod tests {
         // total_len is computed by the emitter; patch it for comparison.
         let mut expected = pkt.clone();
         if let IpHeader::V4(h) = &mut expected.ip {
-            h.total_len = frame.len() as u16;
+            h.total_len = u16::try_from(frame.len()).unwrap();
         }
         assert_eq!(parsed, expected);
         assert_eq!(parsed.ip.ip_id(), Some(777));

@@ -138,6 +138,10 @@ impl TcpOptions {
         bytes: [0; MAX_OPTIONS_LEN],
     };
 
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "end <= MAX_OPTIONS_LEN (40), asserted before the cast"
+    )]
     fn put(&mut self, encoded: &[u8]) {
         let at = usize::from(self.len);
         let end = at + encoded.len();
@@ -154,6 +158,11 @@ impl TcpOptions {
     /// Options from their encoding, which the caller vouches is a
     /// well-formed option list.
     #[inline]
+    #[expect(
+        clippy::indexing_slicing,
+        clippy::cast_possible_truncation,
+        reason = "N <= MAX_OPTIONS_LEN is checked at compile time"
+    )]
     fn encoded<const N: usize>(bytes: [u8; N]) -> TcpOptions {
         const { assert!(N <= MAX_OPTIONS_LEN) };
         let mut out = TcpOptions::EMPTY;
@@ -341,6 +350,10 @@ impl TcpHeader {
         buf.put_u16(self.dst_port);
         buf.put_u32(self.seq);
         buf.put_u32(self.ack);
+        #[expect(
+            clippy::cast_possible_truncation,
+            reason = "header_len <= 60, so header_len / 4 fits the 4-bit data offset field"
+        )]
         buf.put_u8(((header_len / 4) as u8) << 4);
         buf.put_u8(self.flags.bits());
         buf.put_u16(self.window);

@@ -48,7 +48,6 @@ pub fn build_client_hello(sni: &str, random: [u8; 32]) -> Bytes {
     let ([exts0, exts1], [ext0, ext1]) = (be(exts), be(sni_ext));
     let ([list0, list1], [name0, name1]) = (be(3 + name.len()), be(name.len()));
 
-    // tamperlint: allow(hot-path-alloc) — the simulated client composes one owned ClientHello per flow, in one buffer sized up front
     let mut rec = BytesMut::with_capacity(5 + hs);
     // Record header (type, legacy version 0x0301, length), handshake
     // header (type, 24-bit length with a zero high byte), then the
@@ -151,7 +150,6 @@ pub fn parse_sni(payload: &[u8]) -> Result<Option<String>> {
             let name = e.take(name_len)?;
             let s = std::str::from_utf8(name)
                 .map_err(|_| WireError::Malformed("sni utf-8"))?
-                // tamperlint: allow(hot-path-alloc) — the SNI string is the verdict-owned trigger domain; one bounded allocation per TLS flow
                 .to_owned();
             return Ok(Some(s));
         }
@@ -217,10 +215,10 @@ mod tests {
         let mut rec = Vec::new();
         rec.push(0x16);
         rec.extend_from_slice(&[0x03, 0x01]);
-        rec.extend_from_slice(&((body.len() + 4) as u16).to_be_bytes());
+        rec.extend_from_slice(&u16::try_from(body.len() + 4).unwrap().to_be_bytes());
         rec.push(0x01);
         rec.push(0);
-        rec.extend_from_slice(&(body.len() as u16).to_be_bytes());
+        rec.extend_from_slice(&u16::try_from(body.len()).unwrap().to_be_bytes());
         rec.extend_from_slice(&body);
         assert_eq!(parse_sni(&rec).unwrap(), None);
         // And the full builder output still parses.

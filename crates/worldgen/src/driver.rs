@@ -1260,12 +1260,12 @@ mod blocking_tests {
             .filter(|d| d.category == Category::AdultThemes)
             .map(|d| d.id)
             .collect();
-        let cn_set: std::collections::HashSet<u32> = adult_ids
+        let cn_set: std::collections::BTreeSet<u32> = adult_ids
             .iter()
             .copied()
             .filter(|&id| s.is_blocked(cn, s.catalog().get(id)))
             .collect();
-        let pk_set: std::collections::HashSet<u32> = adult_ids
+        let pk_set: std::collections::BTreeSet<u32> = adult_ids
             .iter()
             .copied()
             .filter(|&id| s.is_blocked(pk, s.catalog().get(id)))
@@ -1298,8 +1298,7 @@ mod helper_tests {
 
     #[test]
     fn client_addresses_are_unique_per_identity() {
-        use std::collections::HashSet;
-        let mut seen = HashSet::new();
+        let mut seen = std::collections::BTreeSet::new();
         for country in 0..10u16 {
             for asn_k in 0..4u32 {
                 for pool in 1..50u32 {

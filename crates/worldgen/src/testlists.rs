@@ -14,6 +14,11 @@
 //! paper's millions); the *relative* tiering mirrors the paper's
 //! 1K/10K/100K/1M structure.
 
+#![expect(
+    clippy::disallowed_types,
+    reason = "the lists answer membership and any-match queries only; no iteration order reaches report bytes"
+)]
+
 use crate::domains::{Category, DomainCatalog};
 use crate::driver::WorldSim;
 use crate::policy::country_index;

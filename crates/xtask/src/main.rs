@@ -1,13 +1,14 @@
 //! Repo automation. `cargo xtask ci` is the one-command gate a PR must
-//! pass, each check run once: formatting, clippy, release build, the full
-//! workspace test suite (the linter's own fixture suite included), the
-//! proptest suites re-run with `PROPTEST_CASES`/`PROPTEST_SEED` pinned, a
-//! smoke run of `classify --metrics-json` on the golden fixture pcap, a
-//! build check and one short run of the stand-alone `benchmark/` package,
-//! and the tamperlint static-analysis gate (one in-process run; any
-//! unwaived finding fails). Every step is timed and the run ends with a
-//! per-step wall-time summary. `cargo xtask analyze [--json] [--explain
-//! <rule>]` runs tamperlint alone.
+//! pass, each check run once: formatting, the sequence-space scan
+//! ([`seqscan`]), clippy at `-D warnings` (the workspace lint set lives in
+//! `clippy.toml`, `[workspace.lints]` and each crate's `#![deny]`s), release
+//! build, the full workspace test suite, the proptest suites re-run with
+//! `PROPTEST_CASES`/`PROPTEST_SEED` pinned, a smoke run of
+//! `classify --metrics-json` on the golden fixture pcap, and a build check
+//! and one short run of the stand-alone `benchmark/` package. Every step
+//! is timed and the run ends with a per-step wall-time summary.
+
+mod seqscan;
 
 use std::path::PathBuf;
 use std::process::{Command, ExitCode};
@@ -48,6 +49,10 @@ impl Stopwatch {
     where
         F: FnOnce() -> Result<(), String>,
     {
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "the CI gate reports each step's wall time"
+        )]
         let start = std::time::Instant::now();
         let result = f();
         self.rows.push((step.to_string(), start.elapsed()));
@@ -80,21 +85,19 @@ fn repo_root() -> PathBuf {
         .to_path_buf()
 }
 
-/// Run the tamperlint gate in-process (xtask links tamper-lint directly):
-/// print the report, fail on any unwaived finding.
-fn analyze(json: bool) -> Result<(), String> {
-    let analysis = tamper_lint::analyze(&repo_root());
-    if json {
-        println!("{}", analysis.render_json());
-    } else {
-        print!("{}", analysis.render_human());
+/// Fail on any raw arithmetic on a sequence-space value in `wire`/`core`.
+fn seq_scan() -> Result<(), String> {
+    eprintln!("==> seq scan: {}", seqscan::SCANNED_DIRS.join(" "));
+    let findings = seqscan::scan_tree(&repo_root())?;
+    for f in &findings {
+        eprintln!("{f}");
     }
-    if analysis.ok() {
+    if findings.is_empty() {
         Ok(())
     } else {
         Err(format!(
-            "analyze: {} unwaived finding(s)",
-            analysis.findings.len()
+            "seq scan: {} raw sequence-space operation(s)",
+            findings.len()
         ))
     }
 }
@@ -234,6 +237,7 @@ fn ci() -> Result<(), String> {
     let mut sw = Stopwatch::new();
     let gate: Result<(), String> = (|| {
         sw.time("fmt", || run("fmt", "cargo", &["fmt", "--all", "--check"]))?;
+        sw.time("seq scan", seq_scan)?;
         sw.time("clippy", || {
             run(
                 "clippy",
@@ -266,10 +270,6 @@ fn ci() -> Result<(), String> {
         }
         sw.time("metrics smoke", metrics_smoke)?;
         sw.time("pipeline bench smoke", pipeline_bench_smoke)?;
-        sw.time("analyze", || {
-            eprintln!("==> analyze: tamperlint (in-process)");
-            analyze(false)
-        })?;
         Ok(())
     })();
     sw.summarize();
@@ -283,41 +283,10 @@ fn main() -> ExitCode {
     let task = args.first().map(String::as_str).unwrap_or_default();
     let result = match task {
         "ci" => ci(),
-        "analyze" => {
-            if let Some(pos) = args.iter().position(|a| a == "--explain") {
-                let Some(rule) = args.get(pos + 1) else {
-                    eprintln!(
-                        "xtask: --explain needs a rule name; one of:\n  {}",
-                        tamper_lint::RULES.join("\n  ")
-                    );
-                    return ExitCode::FAILURE;
-                };
-                match tamper_lint::rules::explain(rule) {
-                    Some(text) => {
-                        println!("{rule}\n\n{text}");
-                        return ExitCode::SUCCESS;
-                    }
-                    None => {
-                        eprintln!(
-                            "xtask: unknown rule {rule:?}; one of:\n  {}",
-                            tamper_lint::RULES.join("\n  ")
-                        );
-                        return ExitCode::FAILURE;
-                    }
-                }
-            }
-            analyze(args.iter().any(|a| a == "--json"))
-        }
         _ => Err(format!(
             "unknown task {task:?}\n\nUSAGE: cargo xtask <task>\n\nTASKS:\n  \
-             ci                 fmt + clippy + release build + workspace tests + \
-             pinned-seed proptests + metrics + pipeline-bench smokes + \
-             tamperlint\n  \
-             analyze [--json] [--explain <rule>]\n                     \
-             tamperlint static-analysis gate (determinism, containment, \
-             panic-safety, wraparound, hot-path allocation, dataflow): fails on any \
-             unwaived finding; --json prints the SARIF report, --explain \
-             prints one rule's rationale"
+             ci    fmt + seq scan + clippy + release build + workspace tests + \
+             pinned-seed proptests + metrics + pipeline-bench smokes"
         )),
     };
     match result {

@@ -7,10 +7,13 @@
 //! exactly the waived verdict-owned string and nothing else grows
 //! between passes.
 //!
-//! This is the runtime counterpart of tamperlint's static `hot-path-alloc`
-//! rule: the lint proves no allocation *constructor* is reachable from the
-//! hot roots, this test proves the surviving (waived, per-flow) sites
-//! really amortize to zero once the classifier is warm. The simulator side
+//! Each hot root of the per-packet and per-flow pipeline holds a warm
+//! assertion here: `BatchClassifier::classify_record` and
+//! `classify_batch` at zero, a pcap source's `FlowSource::fill` and its
+//! shard's `SourceShard::absorb` at their measured counts, and
+//! `EndpointMachine::process` through the warm direct session below. A
+//! fresh `Vec`, `format!` or clone per packet or per flow on any of them
+//! breaks its budget. The simulator side
 //! has budgets instead of a zero: through a warm session workspace, a
 //! direct TLS session and the average standard-world session may not grow
 //! back past the heap requests their own bytes need. So has `merge`:
@@ -23,7 +26,10 @@ use std::cell::Cell;
 use std::sync::OnceLock;
 
 use tamperscope::analysis::{encode_agg, fold_agg, Collector, PartialAggregate};
-use tamperscope::capture::{flows_from_pcap, EvictionCause, FlowBatch, FlowRecord, OfflineConfig};
+use tamperscope::capture::{
+    flows_from_pcap, EngineConfig, EvictionCause, FlowBatch, FlowRecord, FlowSource, OfflineConfig,
+    PcapMemSource, PcapWriter, ShardStats, SourceShard,
+};
 use tamperscope::core::{classify, BatchClassifier, ClassifierConfig};
 use tamperscope::netsim::{
     derive_rng, ClientConfig, Path, ServerConfig, SessionParams, SessionWorkspace, SimDuration,
@@ -86,15 +92,20 @@ fn allocated_bytes() -> u64 {
     BYTES.with(Cell::get)
 }
 
-/// The golden corpus as flow records, in first-seen order.
-fn golden_flows() -> Vec<FlowRecord> {
-    let bytes = std::fs::read(
+/// The golden corpus capture's bytes.
+fn golden_pcap() -> Vec<u8> {
+    std::fs::read(
         std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
             .join("tests")
             .join("fixtures")
             .join("golden.pcap"),
     )
-    .expect("tests/fixtures/golden.pcap present");
+    .expect("tests/fixtures/golden.pcap present")
+}
+
+/// The golden corpus as flow records, in first-seen order.
+fn golden_flows() -> Vec<FlowRecord> {
+    let bytes = golden_pcap();
     let (flows, _stats) =
         flows_from_pcap(&bytes, &OfflineConfig::default()).expect("golden corpus replays");
     assert!(!flows.is_empty(), "golden corpus yielded no flows");
@@ -411,4 +422,99 @@ fn building_the_standard_world_leaves_the_samplers_to_the_first_session() {
     );
     // The first session builds them, on whatever thread runs it.
     assert!(sim.gen_session(0).is_some());
+}
+
+/// The golden capture's records `copies` times over, each copy shifted
+/// past the previous one's last timestamp and the flow timeout, so a
+/// shard closes one copy's flows while it absorbs the next.
+fn repeated_golden(copies: u32) -> Vec<u8> {
+    let golden = golden_pcap();
+    let mut records = Vec::new();
+    let mut at = 24;
+    while at < golden.len() {
+        let word = |k: usize| u32::from_le_bytes(golden[at + k..at + k + 4].try_into().unwrap());
+        let len = word(8) as usize;
+        records.push((word(0), word(4), &golden[at + 16..at + 16 + len]));
+        at += 16 + len;
+    }
+    let span =
+        records.iter().map(|r| r.0).max().unwrap() - records.iter().map(|r| r.0).min().unwrap();
+    let shift = span + 2 * OfflineConfig::default().flow_timeout_secs as u32;
+    let mut w = PcapWriter::new(Vec::new()).expect("header");
+    for c in 0..copies {
+        for &(ts, usec, frame) in &records {
+            w.write_frame(ts + c * shift, usec, frame).expect("frame");
+        }
+    }
+    w.into_inner()
+}
+
+/// Heap requests a reader-backed pcap source makes framing the warm part
+/// of [`FILL_COPIES`] golden copies (78,000 records, ~4.3 MiB) while the
+/// items it hands out are dropped between fills, as the engine's shards
+/// drop them: one per ~1 MiB window, the shared handle on the buffer it
+/// reuses. Framing a record copies nothing and allocates nothing.
+const WARM_FILL_ALLOCS: u64 = 5;
+const FILL_COPIES: u32 = 1_000;
+
+#[test]
+fn a_warm_pcap_source_fills_within_its_allocation_budget() {
+    let bytes = repeated_golden(FILL_COPIES);
+    let mut src = PcapMemSource::from_reader(std::io::Cursor::new(bytes)).expect("pcap header");
+    src.prepare(1);
+    let mut out = Vec::with_capacity(1_024);
+    let mut more = src.fill(&mut out, 1_024);
+    let mut items = out.len();
+    out.clear();
+    let before = allocations();
+    while more {
+        more = src.fill(&mut out, 1_024);
+        items += out.len();
+        out.clear();
+    }
+    let allocs = allocations() - before;
+    assert!(!src.corrupt_tail() && src.read_error().is_none());
+    assert!(
+        allocs <= WARM_FILL_ALLOCS,
+        "framing {items} records made {allocs} heap requests; budget {WARM_FILL_ALLOCS}"
+    );
+}
+
+/// Heap requests a warm pcap shard makes absorbing the second half of
+/// [`ABSORB_COPIES`] golden copies (7,800 packets, 3,675 flows closed),
+/// emitted batches dropped as the engine drops them once observed: the
+/// growth of each fresh 512-flow batch's rows, arena and spans, and the
+/// age map's nodes as flows come and go — 0.17 a flow. One allocation
+/// per flow or per packet would more than double it.
+const WARM_ABSORB_ALLOCS: u64 = 616;
+const ABSORB_COPIES: u32 = 200;
+
+#[test]
+fn a_warm_pcap_shard_absorbs_within_its_allocation_budget() {
+    let mut src = PcapMemSource::new(repeated_golden(ABSORB_COPIES).into()).expect("pcap header");
+    src.prepare(1);
+    let mut items = Vec::new();
+    while src.fill(&mut items, usize::MAX) {}
+    let mut shard = src.shard(&EngineConfig::default());
+    let (mut stats, mut emit) = (ShardStats::default(), Vec::new());
+    let mut sm = tamperscope::obs::ScopeMetrics::disabled();
+    let half = items.len() / 2;
+    let mut absorb = |range: std::ops::Range<usize>, items: &[_]| {
+        for i in range {
+            let item: &tamperscope::capture::PcapMemItem = &items[i];
+            shard.absorb(i as u64, item.clone(), &mut stats, &mut emit, &mut sm);
+            emit.clear();
+        }
+    };
+    absorb(0..half, &items);
+    let before = allocations();
+    absorb(half..items.len(), &items);
+    let allocs = allocations() - before;
+    assert_eq!(stats.ingest.unparsable, 0);
+    assert!(
+        allocs <= WARM_ABSORB_ALLOCS,
+        "absorbing {} packets ({} flows closed) made {allocs} heap requests; budget {WARM_ABSORB_ALLOCS}",
+        items.len() - half,
+        stats.evicted_timeout
+    );
 }

@@ -12,9 +12,14 @@ use tamper_worldgen::{world_fingerprint, WorldConfig, WorldSim};
 /// world it came from.
 pub type Observed = (Collector, WorldSim);
 
+/// An [`Observed`] world and, over the same flows, one collector for
+/// each extra classifier configuration asked for.
+pub type ObservedWith = (Observed, Vec<Collector>);
+
 /// What tells two observed worlds apart: the world's fingerprint, which
-/// leaves out how it is collected, and the collector's settings.
-type WorldKey = (u64, usize, bool, bool);
+/// leaves out how it is collected, the collector's settings, and the
+/// extra classifier configurations.
+type WorldKey = (u64, usize, bool, bool, String);
 
 /// The world `cfg` describes, observed through the full pipeline into a
 /// collector over all of its countries and days, and the world itself.
@@ -22,7 +27,13 @@ type WorldKey = (u64, usize, bool, bool);
 /// is simulated once per test binary; every test asking for it, on any
 /// thread, shares that one result.
 pub fn observed(cfg: WorldConfig) -> &'static Observed {
-    static WORLDS: OnceLock<Mutex<BTreeMap<WorldKey, &'static OnceLock<Observed>>>> =
+    &observed_with(cfg, &[]).0
+}
+
+/// [`observed`], plus the same flows observed under each of `variants`:
+/// one simulation for every classifier configuration.
+pub fn observed_with(cfg: WorldConfig, variants: &[ClassifierConfig]) -> &'static ObservedWith {
+    static WORLDS: OnceLock<Mutex<BTreeMap<WorldKey, &'static OnceLock<ObservedWith>>>> =
         OnceLock::new();
     let c = cfg.collector;
     let key = (
@@ -30,6 +41,7 @@ pub fn observed(cfg: WorldConfig) -> &'static Observed {
         c.max_packets,
         c.quantize_timestamps,
         c.shuffle_within_second,
+        format!("{variants:?}"),
     );
     // Only the lookup holds the map's lock; a world is built under its own
     // cell, so two worlds build in parallel and a second asker waits.
@@ -41,15 +53,33 @@ pub fn observed(cfg: WorldConfig) -> &'static Observed {
         .or_insert_with(|| Box::leak(Box::default()));
     cell.get_or_init(|| {
         let sim = WorldSim::new(cfg);
-        let mk = || {
+        let mk = |clf| {
             Collector::new(
-                ClassifierConfig::default(),
+                clf,
                 sim.world().len(),
                 sim.config().days,
                 sim.config().start_unix,
             )
         };
-        let col = sim.run_sharded(0, None, mk, |c, lf| c.observe(&lf), |a, b| a.merge(b));
-        (col, sim)
+        let (col, others) = sim.run_sharded(
+            0,
+            None,
+            || {
+                let others: Vec<Collector> = variants.iter().map(|&v| mk(v)).collect();
+                (mk(ClassifierConfig::default()), others)
+            },
+            |(c, others), lf| {
+                c.observe(&lf);
+                others.iter_mut().for_each(|o| o.observe(&lf));
+            },
+            |(a, a_others), (b, b_others)| {
+                a.merge(b);
+                a_others
+                    .iter_mut()
+                    .zip(b_others)
+                    .for_each(|(x, y)| x.merge(y));
+            },
+        );
+        ((col, sim), others)
     })
 }

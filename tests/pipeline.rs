@@ -19,7 +19,7 @@ use tamper_netsim::{
     derive_rng, run_session, ClientConfig, Link, Path, ServerConfig, SessionParams, SimDuration,
     SimTime,
 };
-use tamper_worldgen::{WorldConfig, WorldSim};
+use tamper_worldgen::WorldConfig;
 
 fn tampered_trace(vendor: Vendor, seed: u64) -> tamper_netsim::SessionTrace {
     let client = IpAddr::V4(Ipv4Addr::new(203, 0, 113, 77));
@@ -214,27 +214,32 @@ fn ablation_world() -> WorldConfig {
     }
 }
 
-/// Simulate `world` once and aggregate every flow under each classifier
-/// configuration in `clfs`, so variants that differ only in the
-/// classifier see the identical flows.
-fn run_world<const N: usize>(world: WorldConfig, clfs: [ClassifierConfig; N]) -> [Collector; N] {
-    let sim = WorldSim::new(world);
-    sim.run_sharded(
-        0,
-        None,
-        || {
-            clfs.map(|clf| {
-                Collector::new(
-                    clf,
-                    sim.world().len(),
-                    sim.config().days,
-                    sim.config().start_unix,
-                )
-            })
+/// The A1/A4 classifier variants: a 1 s and a 10 s inactivity threshold,
+/// and the single-vs-multiple RST splits merged.
+fn classifier_variants() -> [ClassifierConfig; 3] {
+    let paper = ClassifierConfig::default();
+    [
+        ClassifierConfig {
+            inactivity_secs: 1,
+            ..paper
         },
-        |cols, lf| cols.iter_mut().for_each(|c| c.observe(&lf)),
-        |a, b| a.iter_mut().zip(b).for_each(|(x, y)| x.merge(y)),
-    )
+        ClassifierConfig {
+            inactivity_secs: 10,
+            ..paper
+        },
+        ClassifierConfig {
+            split_rst_counts: false,
+            ..paper
+        },
+    ]
+}
+
+/// The default ablation world (the paper's 10-packet window, 1-second
+/// timestamps, no sampling) under the paper's classifier and under each
+/// of [`classifier_variants`], from one simulation shared by every test
+/// that asks for it.
+fn ablation() -> &'static common::ObservedWith {
+    common::observed_with(ablation_world(), &classifier_variants())
 }
 
 /// `world` aggregated under the paper's classifier; each distinct world
@@ -265,37 +270,20 @@ fn possibly_tampered_share(col: &Collector) -> f64 {
 /// moves no flow across a stage or in or out of the matched set.
 #[test]
 fn classifier_ablations_move_no_flow_across_the_headline() {
-    let paper = ClassifierConfig::default();
-    let [t1, t3, t10, merged] = run_world(
-        ablation_world(),
-        [
-            ClassifierConfig {
-                inactivity_secs: 1,
-                ..paper
-            },
-            paper,
-            ClassifierConfig {
-                inactivity_secs: 10,
-                ..paper
-            },
-            ClassifierConfig {
-                split_rst_counts: false,
-                ..paper
-            },
-        ],
-    );
+    let ((t3, _), variants) = ablation();
+    let [t1, t10, merged] = [&variants[0], &variants[1], &variants[2]];
     assert!(t3.possibly_tampered > 0);
-    assert_eq!(headline(&t1), headline(&t3), "A1: 1 s vs 3 s");
-    assert_eq!(headline(&t10), headline(&t3), "A1: 10 s vs 3 s");
+    assert_eq!(headline(t1), headline(t3), "A1: 1 s vs 3 s");
+    assert_eq!(headline(t10), headline(t3), "A1: 10 s vs 3 s");
 
     let distinct_signatures = |col: &Collector| {
         (0..Signature::ALL.len())
             .filter(|&sig| col.country_class.iter().any(|c| c[sig] > 0))
             .count()
     };
-    assert_eq!(headline(&merged), headline(&t3), "A4: merged vs split");
-    assert_eq!(distinct_signatures(&t3), 19);
-    assert_eq!(distinct_signatures(&merged), 13);
+    assert_eq!(headline(merged), headline(t3), "A4: merged vs split");
+    assert_eq!(distinct_signatures(t3), 19);
+    assert_eq!(distinct_signatures(merged), 13);
 }
 
 /// Ablation A2 in aggregate: a 4-packet window never reaches a Post-Data
@@ -308,7 +296,7 @@ fn packet_window_ablation_in_aggregate() {
         world.collector.max_packets = max_packets;
         run_paper_classifier(world)
     };
-    let (w4, w10, w20) = (window(4), window(10), window(20));
+    let (w4, w10, w20) = (window(4), &ablation().0 .0, window(20));
     assert!(w10.stage_counts[3] > 0, "the paper window sees Post-Data");
     assert_eq!(w4.stage_counts[3], 0, "window 4 still sees Post-Data");
     assert!(
@@ -325,7 +313,7 @@ fn packet_window_ablation_in_aggregate() {
 /// only a handful move between adjacent stages.
 #[test]
 fn quantization_ablation_in_aggregate() {
-    let quantized = run_paper_classifier(ablation_world());
+    let quantized = &ablation().0 .0;
     let mut world = ablation_world();
     world.collector.quantize_timestamps = false;
     world.collector.shuffle_within_second = false;
@@ -352,7 +340,7 @@ fn quantization_ablation_in_aggregate() {
 /// Ablation A5: sampling 1-in-N preserves the headline proportions.
 #[test]
 fn sampling_ablation_preserves_proportions() {
-    let full = run_paper_classifier(ablation_world());
+    let full = &ablation().0 .0;
     let sampled = run_paper_classifier(WorldConfig {
         sessions: 250_000,
         sample_denominator: 10,

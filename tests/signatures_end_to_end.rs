@@ -98,7 +98,7 @@ fn every_vendor_regenerates_its_table1_signature() {
         (V::FirewallRstAck, two_request(), DataRstAck),
     ];
     assert_eq!(cases.len(), 19, "one case per Table 1 signature");
-    let mut seen = std::collections::HashSet::new();
+    let mut seen = std::collections::BTreeSet::new();
     for (vendor, request, expected) in cases {
         let got = run_with_vendor(vendor, request, 42);
         assert_eq!(

@@ -11,8 +11,8 @@
 //!    same input sequence produces the same output sequence, twice;
 //!    random event sequences folded through the transition table land on
 //!    the stage the paper's counting definition assigns. (No ambient
-//!    clock can leak in: the tamperlint `clock-containment` rule covers
-//!    these modules, see `crates/lint/tests/rules.rs`.)
+//!    clock can leak in: `clippy.toml` bans `Instant::now` and
+//!    `SystemTime::now` outside `tamper-obs`.)
 //! 2. **Exhaustive enumeration** — the whole reachable transition graph
 //!    of the finite `StageState` automaton, to every depth, snapshotted
 //!    as `tests/fixtures/state_graph.golden.txt` so an unintended
