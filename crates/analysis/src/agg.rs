@@ -16,6 +16,7 @@ use std::collections::BTreeMap;
 use tamper_core::{is_zmap_fingerprint, scanner_marks, user_agent};
 use tamper_core::{ClassifierConfig, FlowAnalysis, Signature, Stage};
 use tamper_netsim::splitmix64;
+use tamper_wire::Seq;
 use tamper_worldgen::{ip_key, LabeledFlow};
 
 /// Number of classification cells per country: 19 signatures, plus
@@ -357,7 +358,12 @@ pub(crate) fn flow_priority(lf: &LabeledFlow) -> u64 {
     let mut h = ip_key(lf.flow.client_ip);
     h = splitmix64(h ^ (u64::from(lf.flow.src_port) << 16) ^ u64::from(lf.flow.dst_port));
     h = splitmix64(h ^ lf.meta.start_unix);
-    let seq0 = lf.flow.packets.first().map_or(0, |p| p.seq);
+    // Hashed as its offset from position zero, which is its wire value.
+    let seq0 = lf
+        .flow
+        .packets
+        .first()
+        .map_or(0, |p| p.seq.offset_from(Seq::ZERO));
     splitmix64(h ^ u64::from(seq0))
 }
 

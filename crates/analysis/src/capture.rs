@@ -114,7 +114,7 @@ mod tests {
     use std::net::{IpAddr, Ipv4Addr, Ipv6Addr};
     use tamper_capture::{IngestStats, PacketRecord};
     use tamper_core::ClassifierConfig;
-    use tamper_wire::TcpFlags;
+    use tamper_wire::{Seq, TcpFlags};
 
     fn sample_flow(dst_port: u16, v6: bool) -> FlowRecord {
         let client_ip = if v6 {
@@ -131,8 +131,8 @@ mod tests {
                 PacketRecord {
                     ts_sec: 1234,
                     flags: TcpFlags::SYN,
-                    seq: 100,
-                    ack: 0,
+                    seq: Seq::from(100),
+                    ack: Seq::ZERO,
                     ip_id: Some(7),
                     ttl: 52,
                     window: 65535,
@@ -143,8 +143,8 @@ mod tests {
                 PacketRecord {
                     ts_sec: 1234,
                     flags: TcpFlags::RST,
-                    seq: 101,
-                    ack: 0,
+                    seq: Seq::from(101),
+                    ack: Seq::ZERO,
                     ip_id: Some(8),
                     ttl: 52,
                     window: 0,

@@ -228,7 +228,7 @@ mod tests {
     use std::net::{IpAddr, Ipv4Addr};
     use tamper_capture::PacketRecord;
     use tamper_core::{classify, ClassifierConfig};
-    use tamper_wire::TcpFlags;
+    use tamper_wire::{Seq, TcpFlags};
 
     #[test]
     fn escaping_covers_specials() {
@@ -282,8 +282,8 @@ mod tests {
                 PacketRecord {
                     ts_sec: 0,
                     flags: TcpFlags::SYN,
-                    seq: 1,
-                    ack: 0,
+                    seq: Seq::from(1),
+                    ack: Seq::ZERO,
                     ip_id: Some(5),
                     ttl: 52,
                     window: 65535,
@@ -294,8 +294,8 @@ mod tests {
                 PacketRecord {
                     ts_sec: 0,
                     flags: TcpFlags::RST,
-                    seq: 2,
-                    ack: 0,
+                    seq: Seq::from(2),
+                    ack: Seq::ZERO,
                     ip_id: Some(40_000),
                     ttl: 101,
                     window: 0,

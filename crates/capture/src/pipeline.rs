@@ -105,6 +105,7 @@ mod tests {
         derive_rng, run_session, ClientConfig, Path, ServerConfig, SessionParams, SimDuration,
         SimTime,
     };
+    use tamper_wire::Seq;
 
     fn trace() -> SessionTrace {
         let src = IpAddr::V4(Ipv4Addr::new(203, 0, 113, 20));
@@ -179,16 +180,9 @@ mod tests {
         let a = collect(&t, &cfg, &mut rng1).unwrap();
         let b = collect(&t, &cfg, &mut rng2).unwrap();
         // Same multiset of packets regardless of shuffle seed.
-        let mut sa: Vec<_> = a
-            .packets
-            .iter()
-            .map(|p| (p.ts_sec, p.seq, p.flags))
-            .collect();
-        let mut sb: Vec<_> = b
-            .packets
-            .iter()
-            .map(|p| (p.ts_sec, p.seq, p.flags))
-            .collect();
+        let key = |p: &PacketRecord| (p.ts_sec, p.seq.offset_from(Seq::ZERO), p.flags);
+        let mut sa: Vec<_> = a.packets.iter().map(key).collect();
+        let mut sb: Vec<_> = b.packets.iter().map(key).collect();
         sa.sort();
         sb.sort();
         assert_eq!(sa, sb);

@@ -14,7 +14,7 @@
 
 use bytes::Bytes;
 use std::net::IpAddr;
-use tamper_wire::{Packet, TcpFlags};
+use tamper_wire::{Packet, Seq, TcpFlags};
 
 /// One logged inbound packet: a [`PacketRow`] that owns its payload.
 /// Every field but `payload` means what the [`PacketRow`] field of the
@@ -26,9 +26,9 @@ pub struct PacketRecord {
     /// See [`PacketRow::flags`].
     pub flags: TcpFlags,
     /// See [`PacketRow::seq`].
-    pub seq: u32,
+    pub seq: Seq,
     /// See [`PacketRow::ack`].
-    pub ack: u32,
+    pub ack: Seq,
     /// See [`PacketRow::ip_id`].
     pub ip_id: Option<u16>,
     /// See [`PacketRow::ttl`].
@@ -149,9 +149,9 @@ pub struct PacketRow {
     /// granularity).
     pub ts_sec: u64,
     /// Sequence number.
-    pub seq: u32,
+    pub seq: Seq,
     /// Acknowledgement number.
-    pub ack: u32,
+    pub ack: Seq,
     /// Offset of the payload's first byte in the arena the row belongs to.
     pub payload_off: u32,
     /// Payload length in bytes.
@@ -384,8 +384,8 @@ mod tests {
         let r = PacketRecord::from_packet(1673481600, &packet());
         assert_eq!(r.ts_sec, 1673481600);
         assert_eq!(r.flags, TcpFlags::PSH_ACK);
-        assert_eq!(r.seq, 7);
-        assert_eq!(r.ack, 9);
+        assert_eq!(r.seq, Seq::from(7));
+        assert_eq!(r.ack, Seq::from(9));
         assert_eq!(r.ip_id, Some(77));
         assert_eq!(r.ttl, 52);
         assert_eq!(r.payload_len, 4);

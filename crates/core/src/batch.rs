@@ -22,7 +22,7 @@ use crate::signature::{Classification, Signature, Stage};
 use crate::trigger;
 use crate::view::PacketsView;
 use tamper_capture::{FlowBatch, FlowRecord, FlowRows};
-use tamper_wire::TcpFlags;
+use tamper_wire::{Seq, TcpFlags};
 
 impl PacketsView for FlowRows<'_> {
     fn len(&self) -> usize {
@@ -37,11 +37,11 @@ impl PacketsView for FlowRows<'_> {
         self.rows[i].flags
     }
 
-    fn seq(&self, i: usize) -> u32 {
+    fn seq(&self, i: usize) -> Seq {
         self.rows[i].seq
     }
 
-    fn ack(&self, i: usize) -> u32 {
+    fn ack(&self, i: usize) -> Seq {
         self.rows[i].ack
     }
 
@@ -70,9 +70,9 @@ pub struct BatchClassifier {
     /// Reconstructed packet order (indices into the view).
     order: Vec<usize>,
     /// (is_pure_rst, ack) of every RST event, in reconstructed order.
-    rsts: Vec<(bool, u32)>,
+    rsts: Vec<(bool, Seq)>,
     /// Data-segment dedup scratch.
-    seen_data_seqs: Vec<u32>,
+    seen_data_seqs: Vec<Seq>,
     out: Vec<FlowAnalysis>,
 }
 
@@ -251,8 +251,8 @@ mod tests {
         let syn = PacketRecord {
             ts_sec: 100,
             flags: TcpFlags::SYN,
-            seq: 1,
-            ack: 0,
+            seq: Seq::from(1),
+            ack: Seq::ZERO,
             ip_id: Some(7),
             ttl: 64,
             window: 1024,
@@ -262,8 +262,8 @@ mod tests {
         };
         let data = PacketRecord {
             flags: TcpFlags::PSH_ACK,
-            seq: 2,
-            ack: 900,
+            seq: Seq::from(2),
+            ack: Seq::from(900),
             payload_len: 5,
             payload: bytes::Bytes::from_static(b"hello"),
             ..syn.clone()
@@ -271,7 +271,7 @@ mod tests {
         let rst = PacketRecord {
             ts_sec: 101,
             flags: TcpFlags::RST,
-            seq: 7,
+            seq: Seq::from(7),
             ..syn.clone()
         };
         let syn_data_rst = FlowRecord {

@@ -20,6 +20,7 @@ use crate::evidence::FlowEvidence;
 use crate::signature::{Classification, Signature, Stage};
 use crate::trigger::TriggerInfo;
 use tamper_capture::FlowRecord;
+use tamper_wire::Seq;
 
 /// Classifier tuning knobs (paper defaults; ablations override).
 #[derive(Debug, Clone, Copy)]
@@ -71,7 +72,7 @@ impl FlowAnalysis {
 }
 
 /// Pick the signature for a RST-terminated flow at a given stage.
-pub(crate) fn rst_signature(stage: Stage, rsts: &[(bool, u32)]) -> Option<Signature> {
+pub(crate) fn rst_signature(stage: Stage, rsts: &[(bool, Seq)]) -> Option<Signature> {
     // Counting passes instead of collecting the pure-RST subsequence:
     // this runs per classified flow, inside the zero-alloc classify path.
     let n_pure = rsts.iter().filter(|(p, _)| *p).count();
@@ -102,10 +103,10 @@ pub(crate) fn rst_signature(stage: Stage, rsts: &[(bool, u32)]) -> Option<Signat
                 Some(Signature::PshRst)
             } else if n_pure >= 2 {
                 let mut pure = rsts.iter().filter(|(p, _)| *p).map(|&(_, a)| a);
-                let first = pure.next().unwrap_or(0);
+                let first = pure.next().unwrap_or(Seq::ZERO);
                 if pure.clone().all(|a| a == first) {
                     Some(Signature::PshRstEq)
-                } else if pure.any(|a| a == 0) || first == 0 {
+                } else if pure.any(|a| a == Seq::ZERO) || first == Seq::ZERO {
                     Some(Signature::PshRstZero)
                 } else {
                     Some(Signature::PshRstNeq)
@@ -147,10 +148,10 @@ pub(crate) fn merge_rst_counts(sig: Signature) -> Signature {
 /// ```
 /// use tamper_capture::{FlowRecord, PacketRecord};
 /// use tamper_core::{classify, ClassifierConfig, Signature};
-/// use tamper_wire::TcpFlags;
+/// use tamper_wire::{Seq, TcpFlags};
 ///
 /// let rec = |flags: TcpFlags, seq: u32| PacketRecord {
-///     ts_sec: 100, flags, seq, ack: 0, ip_id: Some(1), ttl: 52,
+///     ts_sec: 100, flags, seq: Seq::from(seq), ack: Seq::ZERO, ip_id: Some(1), ttl: 52,
 ///     window: 65535, payload_len: 0, payload: bytes::Bytes::new(),
 ///     has_tcp_options: true,
 /// };
@@ -180,8 +181,8 @@ mod tests {
         PacketRecord {
             ts_sec: ts,
             flags,
-            seq,
-            ack,
+            seq: Seq::from(seq),
+            ack: Seq::from(ack),
             ip_id: Some(1),
             ttl: 52,
             window: 65535,

@@ -182,7 +182,7 @@ mod tests {
     use bytes::Bytes;
     use std::net::{IpAddr, Ipv4Addr};
     use tamper_capture::PacketRecord;
-    use tamper_wire::TcpFlags;
+    use tamper_wire::{Seq, TcpFlags};
 
     fn rec(
         ts: u64,
@@ -195,8 +195,8 @@ mod tests {
         PacketRecord {
             ts_sec: ts,
             flags,
-            seq,
-            ack: 0,
+            seq: Seq::from(seq),
+            ack: Seq::ZERO,
             ip_id,
             ttl,
             window: 65535,

@@ -128,14 +128,14 @@ mod tests {
     use bytes::Bytes;
     use std::net::{IpAddr, Ipv4Addr};
     use tamper_capture::PacketRecord;
-    use tamper_wire::TcpFlags;
+    use tamper_wire::{Seq, TcpFlags};
 
     fn rec(ts: u64, flags: TcpFlags, seq: u32, ack: u32, payload: Bytes) -> PacketRecord {
         PacketRecord {
             ts_sec: ts,
             flags,
-            seq,
-            ack,
+            seq: Seq::from(seq),
+            ack: Seq::from(ack),
             ip_id: Some(100),
             ttl: 52,
             window: 65535,

@@ -15,6 +15,7 @@
 
 use crate::signature::Stage;
 use crate::view::PacketsView;
+use tamper_wire::Seq;
 
 /// A saturating 0 / 1 / many counter — the only multiplicities the
 /// paper's stage logic ever distinguishes.
@@ -101,7 +102,7 @@ impl Event {
 pub(crate) fn event_of<V: PacketsView + ?Sized>(
     v: &V,
     i: usize,
-    seen_data_seqs: &mut Vec<u32>,
+    seen_data_seqs: &mut Vec<Seq>,
 ) -> Event {
     let f = v.flags(i);
     if f.has_syn() {

@@ -8,7 +8,7 @@
 //! triggered them.
 
 use crate::view::PacketsView;
-use tamper_wire::TcpFlags;
+use tamper_wire::{Seq, TcpFlags};
 
 /// Coarse within-bucket rank of a packet.
 ///
@@ -42,12 +42,18 @@ fn rank(f: TcpFlags) -> u8 {
 /// wrap-around does not scramble ordering.
 pub fn reconstruct_order<V: PacketsView + ?Sized>(v: &V, idx: &mut Vec<usize>) {
     // The ISN is the sequence number of the (lowest-ranked) SYN if one was
-    // logged, else the minimum data sequence seen.
+    // logged, else the earliest data sequence seen: the one furthest
+    // *before* the first logged sequence number. A raw minimum would pick
+    // the wrapped end of data that straddles 2³² and sort it backwards.
+    let seqs = || (0..v.len()).map(|i| v.seq(i));
     let isn = (0..v.len())
         .find(|&i| v.flags(i).has_syn())
         .map(|i| v.seq(i))
-        .or_else(|| (0..v.len()).map(|i| v.seq(i)).min())
-        .unwrap_or(0);
+        .or_else(|| {
+            let anchor = seqs().next()?;
+            seqs().min_by_key(|s| s.distance(anchor))
+        })
+        .unwrap_or(Seq::ZERO);
     // Ack numbers need the same relative treatment as sequence numbers:
     // the server's ISN can sit just below the u32 wrap, so raw acks would
     // scramble the tie-break. Anchor at the first nonzero ack logged; the
@@ -56,9 +62,9 @@ pub fn reconstruct_order<V: PacketsView + ?Sized>(v: &V, idx: &mut Vec<usize>) {
     // after. (Acks of 0 are pre-handshake and keep sorting first, via the
     // bool key.)
     let ack0 = (0..v.len())
-        .find(|&i| v.ack(i) != 0)
+        .find(|&i| v.ack(i) != Seq::ZERO)
         .map(|i| v.ack(i))
-        .unwrap_or(0);
+        .unwrap_or(Seq::ZERO);
 
     idx.clear();
     idx.extend(0..v.len());
@@ -69,9 +75,9 @@ pub fn reconstruct_order<V: PacketsView + ?Sized>(v: &V, idx: &mut Vec<usize>) {
         (
             v.ts_sec(i),
             rank(v.flags(i)),
-            v.seq(i).wrapping_sub(isn),
+            v.seq(i).offset_from(isn),
             v.has_payload(i), // the handshake ACK precedes its request
-            (v.ack(i) != 0, v.ack(i).wrapping_sub(ack0).cast_signed()),
+            (v.ack(i) != Seq::ZERO, v.ack(i).distance(ack0)),
             v.flags(i).has_fin(), // the final data ACK precedes the FIN
             i,
         )
@@ -83,14 +89,13 @@ mod tests {
     use super::*;
     use bytes::Bytes;
     use tamper_capture::PacketRecord;
-    use tamper_wire::TcpFlags;
 
     fn rec(ts: u64, flags: TcpFlags, seq: u32, payload_len: u32) -> PacketRecord {
         PacketRecord {
             ts_sec: ts,
             flags,
-            seq,
-            ack: 0,
+            seq: Seq::from(seq),
+            ack: Seq::ZERO,
             ip_id: Some(0),
             ttl: 60,
             window: 65535,
@@ -150,6 +155,25 @@ mod tests {
     }
 
     #[test]
+    fn synless_data_straddling_the_wrap_keeps_sequence_order() {
+        // No SYN logged, so the ISN is the earliest data seen. The second
+        // segment's sequence number wraps to 94, numerically below the
+        // first's, in either logged order.
+        let first = u32::MAX - 5;
+        let second = first.wrapping_add(100);
+        let later_logged_first = vec![
+            rec(3, TcpFlags::PSH_ACK, second, 100),
+            rec(3, TcpFlags::PSH_ACK, first, 100),
+        ];
+        assert_eq!(order_of(&later_logged_first), vec![1, 0]);
+        let in_order = vec![
+            rec(3, TcpFlags::PSH_ACK, first, 100),
+            rec(3, TcpFlags::PSH_ACK, second, 100),
+        ];
+        assert_eq!(order_of(&in_order), vec![0, 1]);
+    }
+
+    #[test]
     fn ack_tiebreak_survives_wraparound() {
         // Two pure ACKs at the same seq cursor whose ack numbers straddle
         // the u32 wrap: the server ISN sits just below u32::MAX, so the
@@ -157,9 +181,9 @@ mod tests {
         // acks put it first; relative acks keep capture order.
         let server_isn = u32::MAX - 2;
         let mut early = rec(4, TcpFlags::ACK, 101, 0);
-        early.ack = server_isn.wrapping_add(1); // 4294967294
+        early.ack = Seq::from(server_isn.wrapping_add(1)); // 4294967294
         let mut late = rec(4, TcpFlags::ACK, 101, 0);
-        late.ack = server_isn.wrapping_add(600); // wrapped: 597
+        late.ack = Seq::from(server_isn.wrapping_add(600)); // wrapped: 597
         let packets = vec![late.clone(), early.clone()];
         let order = order_of(&packets);
         assert_eq!(order, vec![1, 0], "earlier ack must sort first");

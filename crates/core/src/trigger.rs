@@ -86,7 +86,7 @@ mod tests {
     use bytes::Bytes;
     use std::net::{IpAddr, Ipv4Addr};
     use tamper_capture::PacketRecord;
-    use tamper_wire::TcpFlags;
+    use tamper_wire::{Seq, TcpFlags};
 
     fn flow(dst_port: u16, payloads: Vec<Bytes>) -> FlowRecord {
         let packets = payloads
@@ -99,8 +99,8 @@ mod tests {
                 } else {
                     TcpFlags::PSH_ACK
                 },
-                seq: u32::try_from(i).unwrap(),
-                ack: 0,
+                seq: Seq::from(u32::try_from(i).unwrap()),
+                ack: Seq::ZERO,
                 ip_id: Some(1),
                 ttl: 60,
                 window: 65535,

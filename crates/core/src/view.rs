@@ -19,7 +19,7 @@
 //! differential suite checks it anyway).
 
 use tamper_capture::PacketRecord;
-use tamper_wire::TcpFlags;
+use tamper_wire::{Seq, TcpFlags};
 
 /// Indexed, allocation-free access to the packet fields classification
 /// reads. Indices are arrival order, `0..len()`.
@@ -34,10 +34,10 @@ pub trait PacketsView {
     fn flags(&self, i: usize) -> TcpFlags;
 
     /// Sequence number of packet `i`.
-    fn seq(&self, i: usize) -> u32;
+    fn seq(&self, i: usize) -> Seq;
 
     /// Acknowledgement number of packet `i`.
-    fn ack(&self, i: usize) -> u32;
+    fn ack(&self, i: usize) -> Seq;
 
     /// Payload length of packet `i` as logged.
     fn payload_len(&self, i: usize) -> u32;
@@ -70,11 +70,11 @@ impl PacketsView for [PacketRecord] {
         self[i].flags
     }
 
-    fn seq(&self, i: usize) -> u32 {
+    fn seq(&self, i: usize) -> Seq {
         self[i].seq
     }
 
-    fn ack(&self, i: usize) -> u32 {
+    fn ack(&self, i: usize) -> Seq {
         self[i].ack
     }
 

@@ -23,7 +23,7 @@ use std::net::IpAddr;
 use tamper_netsim::{
     Direction, Hop, HopCtx, HopOutcome, Mechanism, SimDuration, TamperEvent, TriggerStage,
 };
-use tamper_wire::{Packet, PacketBuilder, TcpFlags};
+use tamper_wire::{Packet, PacketBuilder, Seq, TcpFlags};
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum State {
@@ -43,9 +43,9 @@ pub struct StealthHijacker {
     client: Option<(IpAddr, u16)>,
     server: Option<(IpAddr, u16)>,
     /// Our sequence cursor when speaking as the client.
-    snd_nxt: u32,
+    snd_nxt: Seq,
     /// Next expected server sequence.
-    rcv_nxt: u32,
+    rcv_nxt: Seq,
     /// TTL used for forged packets; copied from the client so even the
     /// TTL evidence stays silent.
     client_ttl: u8,
@@ -60,8 +60,8 @@ impl StealthHijacker {
             state: State::Watching,
             client: None,
             server: None,
-            snd_nxt: 0,
-            rcv_nxt: 0,
+            snd_nxt: Seq::ZERO,
+            rcv_nxt: Seq::ZERO,
             client_ttl: 64,
             ip_id: 0,
         }

@@ -12,7 +12,7 @@ use std::net::IpAddr;
 use tamper_netsim::{
     Direction, Hop, HopCtx, HopOutcome, IpIdGen, Mechanism, SimDuration, TamperEvent, TriggerStage,
 };
-use tamper_wire::{Packet, PacketBuilder, TcpFlags};
+use tamper_wire::{Packet, PacketBuilder, Seq, TcpFlags};
 
 /// Fire unconditionally at a given stage, regardless of rules. The world
 /// driver uses this to model policy decisions made outside the middlebox
@@ -46,9 +46,9 @@ struct FlowTrack {
     client: Option<(IpAddr, u16)>,
     server: Option<(IpAddr, u16)>,
     /// The client's next sequence number (server's rcv_nxt estimate).
-    client_next: u32,
+    client_next: Seq,
     /// The server's next sequence number (client's rcv_nxt estimate).
-    server_next: u32,
+    server_next: Seq,
     /// Data-bearing packets seen client→server.
     data_packets: u32,
     /// TTL of the last client packet as seen at the middlebox.
@@ -102,10 +102,10 @@ impl TamperingMiddlebox {
         }
     }
 
-    fn ack_value(&self, strategy: AckStrategy, base: u32) -> u32 {
+    fn ack_value(&self, strategy: AckStrategy, base: Seq) -> Seq {
         match strategy {
             AckStrategy::Exact => base,
-            AckStrategy::Zero => 0,
+            AckStrategy::Zero => Seq::ZERO,
             AckStrategy::Offset(o) => base.wrapping_add(o),
         }
     }
@@ -384,7 +384,7 @@ mod tests {
         assert_eq!(forged.tcp.flags, TcpFlags::RST_ACK);
         // seq continues the client's stream past the ClientHello.
         let hello_len = hello("bad.example").payload.len() as u32;
-        assert_eq!(forged.tcp.seq, 101 + hello_len);
+        assert_eq!(forged.tcp.seq, Seq::from(101).wrapping_add(hello_len));
     }
 
     #[test]
@@ -480,12 +480,12 @@ mod tests {
                 (hello("bad.example"), Direction::ToServer),
             ],
         );
-        let acks: Vec<u32> = outs[1]
+        let acks: Vec<Seq> = outs[1]
             .inject_to_server
             .iter()
             .map(|(p, _)| p.tcp.ack)
             .collect();
-        assert_eq!(acks[1], 0);
+        assert_eq!(acks[1], Seq::ZERO);
     }
 
     #[test]

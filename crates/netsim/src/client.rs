@@ -12,7 +12,7 @@ use crate::endpoint::{tsval_at, Actions, EndpointInput, EndpointMachine, IpIdGen
 use crate::time::{SimDuration, SimTime};
 use bytes::Bytes;
 use rand::rngs::StdRng;
-use tamper_wire::{http, tls, Packet, PacketBuilder, TcpFlags, TcpHeader, TcpOptions};
+use tamper_wire::{http, tls, Packet, PacketBuilder, Seq, TcpFlags, TcpHeader, TcpOptions};
 
 use std::net::IpAddr;
 
@@ -190,7 +190,7 @@ pub struct ClientConfig {
     /// Initial TTL / hop limit (64 or 128 for real stacks; 255 for ZMap).
     pub initial_ttl: u8,
     /// Initial sequence number.
-    pub isn: u32,
+    pub isn: Seq,
     /// Receive window advertised.
     pub window: u16,
     /// Think time between handshake completion and the request.
@@ -218,7 +218,7 @@ impl ClientConfig {
                 stride_max: 1,
             },
             initial_ttl: 64,
-            isn: 0x1000_0000,
+            isn: Seq::from(0x1000_0000),
             window: 64240,
             request_delay: SimDuration::from_millis(5),
             syn_options: true,
@@ -259,8 +259,8 @@ enum State {
 pub struct Client {
     cfg: ClientConfig,
     state: State,
-    snd_nxt: u32,
-    rcv_nxt: u32,
+    snd_nxt: Seq,
+    rcv_nxt: Seq,
     server_tsval: u32,
     ip_id: IpIdGen,
     syn_retries_left: u8,
@@ -287,7 +287,7 @@ impl Client {
         Client {
             state: State::Idle,
             snd_nxt: cfg.isn,
-            rcv_nxt: 0,
+            rcv_nxt: Seq::ZERO,
             server_tsval: 0,
             ip_id,
             syn_retries_left: 2,
@@ -834,7 +834,7 @@ mod tests {
         assert_eq!(a.emits.len(), 1);
         let rst = &a.emits[0].0;
         assert_eq!(rst.tcp.flags, TcpFlags::RST);
-        assert_eq!(rst.tcp.seq, 0x1000_0001);
+        assert_eq!(rst.tcp.seq, Seq::from(0x1000_0001));
         assert!(c.is_closed());
     }
 
@@ -866,8 +866,8 @@ mod tests {
                 .as_deref(),
             Some("blocked.example")
         );
-        assert_eq!(req.tcp.seq, 0x1000_0001);
-        assert_eq!(req.tcp.ack, 5001);
+        assert_eq!(req.tcp.seq, Seq::from(0x1000_0001));
+        assert_eq!(req.tcp.ack, Seq::from(5001));
     }
 
     #[test]

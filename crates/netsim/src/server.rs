@@ -10,7 +10,7 @@ use crate::endpoint::{tsval_at, Actions, EndpointInput, EndpointMachine, IpIdGen
 use crate::time::{SimDuration, SimTime};
 use bytes::Bytes;
 use rand::rngs::StdRng;
-use tamper_wire::{Packet, PacketBuilder, TcpFlags, TcpHeader, TcpOptions};
+use tamper_wire::{Packet, PacketBuilder, Seq, TcpFlags, TcpHeader, TcpOptions};
 
 use std::net::IpAddr;
 
@@ -29,7 +29,7 @@ pub struct ServerConfig {
     /// Listening port.
     pub port: u16,
     /// Server initial sequence number.
-    pub isn: u32,
+    pub isn: Seq,
     /// Number of response segments per request (each `SEGMENT_LEN`
     /// bytes).
     pub response_segments: u8,
@@ -45,7 +45,7 @@ impl ServerConfig {
         ServerConfig {
             addr,
             port,
-            isn: 0x7000_0000,
+            isn: Seq::from(0x7000_0000),
             response_segments: 3,
             response_delay: SimDuration::from_millis(3),
             initial_ttl: 64,
@@ -75,8 +75,8 @@ pub struct Server {
     cfg: ServerConfig,
     state: State,
     peer: Option<(IpAddr, u16)>,
-    snd_nxt: u32,
-    rcv_nxt: u32,
+    snd_nxt: Seq,
+    rcv_nxt: Seq,
     client_tsval: u32,
     ip_id: IpIdGen,
     synack_retries_left: u8,
@@ -91,7 +91,7 @@ impl Server {
             state: State::Listen,
             peer: None,
             snd_nxt: cfg.isn,
-            rcv_nxt: 0,
+            rcv_nxt: Seq::ZERO,
             client_tsval: 0,
             ip_id: IpIdGen::new(IpIdMode::Counter {
                 start: 0x4242,
@@ -373,7 +373,7 @@ mod tests {
         assert_eq!(a.emits.len(), 1);
         let synack = &a.emits[0].0;
         assert_eq!(synack.tcp.flags, TcpFlags::SYN_ACK);
-        assert_eq!(synack.tcp.ack, 101);
+        assert_eq!(synack.tcp.ack, Seq::from(101));
         assert_eq!(a.timers.len(), 1);
     }
 

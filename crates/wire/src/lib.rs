@@ -31,6 +31,8 @@
 //!
 //! - [`flags`] — the TCP flag byte as a typed bitset.
 //! - [`checksum`] — the one's-complement internet checksum.
+//! - [`seq`] — TCP sequence space as a type, [`Seq`], with only
+//!   wrap-safe operations.
 //! - [`reader`] — the bounds-checked cursor every parser reads through,
 //!   so truncated or hostile input surfaces as [`WireError::Truncated`]
 //!   instead of a panic.
@@ -50,6 +52,7 @@ mod ipv4;
 mod ipv6;
 mod packet;
 mod reader;
+mod seq;
 mod tcp;
 pub mod tls;
 
@@ -58,6 +61,7 @@ pub use flags::TcpFlags;
 pub use ipv6::Ipv6Header;
 pub use packet::{Packet, PacketBuilder, PacketView};
 pub use reader::Reader;
+pub use seq::Seq;
 pub use tcp::{TcpHeader, TcpOption, TcpOptions};
 
 /// Result alias used throughout the crate.

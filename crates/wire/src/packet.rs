@@ -5,6 +5,7 @@ use crate::checksum::{tcp_checksum_v4, tcp_checksum_v6};
 use crate::flags::TcpFlags;
 use crate::ipv4::Ipv4Header;
 use crate::ipv6::Ipv6Header;
+use crate::seq::Seq;
 use crate::tcp::{TcpHeader, TcpOptions};
 use crate::{Result, WireError};
 use bytes::{Bytes, BytesMut};
@@ -116,7 +117,7 @@ fn parse_ip(frame: &[u8]) -> Result<(IpHeader, &[u8])> {
 /// A parsed or constructed TCP/IP packet.
 ///
 /// ```
-/// use tamper_wire::{Packet, PacketBuilder, TcpFlags};
+/// use tamper_wire::{Packet, PacketBuilder, Seq, TcpFlags};
 /// let pkt = PacketBuilder::new(
 ///     "203.0.113.1".parse().unwrap(),
 ///     "198.51.100.1".parse().unwrap(),
@@ -128,7 +129,7 @@ fn parse_ip(frame: &[u8]) -> Result<(IpHeader, &[u8])> {
 /// .build();
 /// let frame = pkt.emit(); // checksummed wire bytes
 /// let parsed = Packet::parse(&frame).unwrap();
-/// assert_eq!(parsed.tcp.seq, 42);
+/// assert_eq!(parsed.tcp.seq, Seq::from(42));
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Packet {
@@ -210,9 +211,9 @@ pub struct PacketView<'a> {
     /// Destination port.
     pub dst_port: u16,
     /// Sequence number.
-    pub seq: u32,
+    pub seq: Seq,
     /// Acknowledgement number.
-    pub ack: u32,
+    pub ack: Seq,
     /// Flag byte.
     pub flags: TcpFlags,
     /// Receive window.
@@ -233,8 +234,8 @@ impl<'a> PacketView<'a> {
         let mut r = crate::reader::Reader::new(segment);
         let src_port = r.u16()?;
         let dst_port = r.u16()?;
-        let seq = r.u32()?;
-        let ack = r.u32()?;
+        let seq = Seq::from(r.u32()?);
+        let ack = Seq::from(r.u32()?);
         let off_byte = r.u8()?;
         let flags = TcpFlags::from_bits(r.u8()?);
         let window = r.u16()?;
@@ -306,15 +307,15 @@ impl PacketBuilder {
 
     /// Set the sequence number.
     #[inline]
-    pub fn seq(mut self, seq: u32) -> PacketBuilder {
-        self.tcp.seq = seq;
+    pub fn seq(mut self, seq: impl Into<Seq>) -> PacketBuilder {
+        self.tcp.seq = seq.into();
         self
     }
 
     /// Set the acknowledgement number.
     #[inline]
-    pub fn ack(mut self, ack: u32) -> PacketBuilder {
-        self.tcp.ack = ack;
+    pub fn ack(mut self, ack: impl Into<Seq>) -> PacketBuilder {
+        self.tcp.ack = ack.into();
         self
     }
 

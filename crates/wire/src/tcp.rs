@@ -8,6 +8,7 @@
 
 use crate::flags::TcpFlags;
 use crate::reader::Reader;
+use crate::seq::Seq;
 use crate::{Result, WireError};
 use bytes::{BufMut, BytesMut};
 
@@ -264,10 +265,10 @@ pub struct TcpHeader {
     /// Destination port (80 = HTTP, 443 = HTTPS throughout this project).
     pub dst_port: u16,
     /// Sequence number.
-    pub seq: u32,
+    pub seq: Seq,
     /// Acknowledgement number (meaningful when ACK flag set; the
     /// `RST;RST₀` signature keys on injectors that set it to zero).
-    pub ack: u32,
+    pub ack: Seq,
     /// Flag byte.
     pub flags: TcpFlags,
     /// Receive window.
@@ -285,8 +286,8 @@ impl TcpHeader {
         TcpHeader {
             src_port,
             dst_port,
-            seq: 0,
-            ack: 0,
+            seq: Seq::ZERO,
+            ack: Seq::ZERO,
             flags,
             window: 65535,
             urgent: 0,
@@ -313,8 +314,8 @@ impl TcpHeader {
         let mut r = Reader::new(data);
         let src_port = r.u16()?;
         let dst_port = r.u16()?;
-        let seq = r.u32()?;
-        let ack = r.u32()?;
+        let seq = Seq::from(r.u32()?);
+        let ack = Seq::from(r.u32()?);
         let off_byte = r.u8()?;
         let flags = TcpFlags::from_bits(r.u8()?);
         let window = r.u16()?;
@@ -348,8 +349,8 @@ impl TcpHeader {
         debug_assert!(header_len <= 60, "options overflow the data offset field");
         buf.put_u16(self.src_port);
         buf.put_u16(self.dst_port);
-        buf.put_u32(self.seq);
-        buf.put_u32(self.ack);
+        buf.put_u32(self.seq.get());
+        buf.put_u32(self.ack.get());
         #[expect(
             clippy::cast_possible_truncation,
             reason = "header_len <= 60, so header_len / 4 fits the 4-bit data offset field"
@@ -394,8 +395,8 @@ mod tests {
         TcpHeader {
             src_port: 40123,
             dst_port: 443,
-            seq: 0x1234_5678,
-            ack: 0x9ABC_DEF0,
+            seq: Seq::from(0x1234_5678),
+            ack: Seq::from(0x9ABC_DEF0),
             flags: TcpFlags::SYN,
             window: 64240,
             urgent: 0,

@@ -488,14 +488,14 @@ impl WorldSim {
             kind,
             ip_id,
             initial_ttl,
-            isn: rng.gen(),
+            isn: rng.gen::<u32>().into(),
             window: 64_240,
             request_delay: SimDuration::from_millis(rng.gen_range(1..40)),
             syn_options: !matches!(benign, Some(BenignKind::Zmap)),
             tls_random,
         };
         let mut server_cfg = ServerConfig::default_edge(server_ip, dst_port);
-        server_cfg.isn = rng.gen();
+        server_cfg.isn = rng.gen::<u32>().into();
         server_cfg.response_segments = response_segments;
 
         // --- Path --------------------------------------------------------------

@@ -1,14 +1,13 @@
 //! Repo automation. `cargo xtask ci` is the one-command gate a PR must
-//! pass, each check run once: formatting, the sequence-space scan
-//! ([`seqscan`]), clippy at `-D warnings` (the workspace lint set lives in
-//! `clippy.toml`, `[workspace.lints]` and each crate's `#![deny]`s), release
-//! build, the full workspace test suite, the proptest suites re-run with
-//! `PROPTEST_CASES`/`PROPTEST_SEED` pinned, a smoke run of
+//! pass, each check run once: formatting, clippy at `-D warnings` (the
+//! workspace lint set lives in `clippy.toml`, `[workspace.lints]` and each
+//! crate's `#![deny]`s; sequence-space arithmetic is held by the
+//! `tamper_wire::Seq` type), release build, the full workspace test suite,
+//! the proptest suites re-run with `PROPTEST_CASES`/`PROPTEST_SEED`
+//! pinned, a smoke run of
 //! `classify --metrics-json` on the golden fixture pcap, and a build check
 //! and one short run of the stand-alone `benchmark/` package. Every step
 //! is timed and the run ends with a per-step wall-time summary.
-
-mod seqscan;
 
 use std::path::PathBuf;
 use std::process::{Command, ExitCode};
@@ -83,23 +82,6 @@ fn repo_root() -> PathBuf {
         .nth(2)
         .expect("crates/xtask sits two levels below the repo root")
         .to_path_buf()
-}
-
-/// Fail on any raw arithmetic on a sequence-space value in `wire`/`core`.
-fn seq_scan() -> Result<(), String> {
-    eprintln!("==> seq scan: {}", seqscan::SCANNED_DIRS.join(" "));
-    let findings = seqscan::scan_tree(&repo_root())?;
-    for f in &findings {
-        eprintln!("{f}");
-    }
-    if findings.is_empty() {
-        Ok(())
-    } else {
-        Err(format!(
-            "seq scan: {} raw sequence-space operation(s)",
-            findings.len()
-        ))
-    }
 }
 
 /// Smoke-run `tamperscope classify --metrics-json` on the golden fixture
@@ -237,7 +219,6 @@ fn ci() -> Result<(), String> {
     let mut sw = Stopwatch::new();
     let gate: Result<(), String> = (|| {
         sw.time("fmt", || run("fmt", "cargo", &["fmt", "--all", "--check"]))?;
-        sw.time("seq scan", seq_scan)?;
         sw.time("clippy", || {
             run(
                 "clippy",
@@ -285,7 +266,7 @@ fn main() -> ExitCode {
         "ci" => ci(),
         _ => Err(format!(
             "unknown task {task:?}\n\nUSAGE: cargo xtask <task>\n\nTASKS:\n  \
-             ci    fmt + seq scan + clippy + release build + workspace tests + \
+             ci    fmt + clippy + release build + workspace tests + \
              pinned-seed proptests + metrics + pipeline-bench smokes"
         )),
     };

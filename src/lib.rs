@@ -27,8 +27,8 @@
 //!     packets: vec![PacketRecord {
 //!         ts_sec: 100,
 //!         flags: TcpFlags::SYN,
-//!         seq: 1,
-//!         ack: 0,
+//!         seq: Seq::from(1),
+//!         ack: Seq::ZERO,
 //!         ip_id: Some(7),
 //!         ttl: 52,
 //!         window: 65535,
@@ -78,6 +78,6 @@ pub mod prelude {
     pub use tamper_netsim::{
         run_session, ClientConfig, Path, ServerConfig, SessionParams, SimDuration, SimTime,
     };
-    pub use tamper_wire::TcpFlags;
+    pub use tamper_wire::{Seq, TcpFlags};
     pub use tamper_worldgen::{WorldConfig, WorldSim};
 }

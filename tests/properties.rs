@@ -8,7 +8,7 @@ use proptest::prelude::*;
 use std::net::{IpAddr, Ipv4Addr, Ipv6Addr};
 use tamper_capture::{FlowRecord, PacketRecord};
 use tamper_core::{classify, reconstruct_order, BatchClassifier, ClassifierConfig};
-use tamper_wire::{Packet, PacketBuilder, TcpFlags, TcpHeader, TcpOption, TcpOptions};
+use tamper_wire::{Packet, PacketBuilder, Seq, TcpFlags, TcpHeader, TcpOption, TcpOptions};
 
 fn arb_flags() -> impl Strategy<Value = TcpFlags> {
     // Any combination of the six classic flags.
@@ -211,8 +211,8 @@ fn rec(ts: u64, flags: TcpFlags, seq: u32, ack: u32, payload_len: u32) -> Packet
     PacketRecord {
         ts_sec: ts,
         flags,
-        seq,
-        ack,
+        seq: Seq::from(seq),
+        ack: Seq::from(ack),
         ip_id: Some(100),
         ttl: 52,
         window: 65535,

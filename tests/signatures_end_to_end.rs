@@ -11,16 +11,34 @@ use tamper_netsim::{
     derive_rng, run_session, ClientConfig, Link, Path, RequestPayload, ServerConfig, SessionParams,
     SimDuration, SimTime,
 };
+use tamper_wire::Seq;
 use tamper_worldgen::FIREWALL_KEYWORD;
 
 const CLIENT: IpAddr = IpAddr::V4(Ipv4Addr::new(203, 0, 113, 50));
 const SERVER: IpAddr = IpAddr::V4(Ipv4Addr::new(198, 51, 100, 1));
 const BLOCKED: &str = "blocked.example.com";
 
-fn run_with_vendor(vendor: Vendor, request: RequestPayload, seed: u64) -> Option<Signature> {
+/// The client and server ISNs of `ClientConfig::default_tls` and
+/// `ServerConfig::default_edge`, far from the 2³² wrap.
+fn default_isns() -> (Seq, Seq) {
+    let cfg = ClientConfig::default_tls(CLIENT, SERVER, BLOCKED);
+    (
+        cfg.isn,
+        ServerConfig::default_edge(SERVER, cfg.dst_port).isn,
+    )
+}
+
+fn run_with_vendor(
+    vendor: Vendor,
+    request: RequestPayload,
+    seed: u64,
+    (client_isn, server_isn): (Seq, Seq),
+) -> Option<Signature> {
     let mut cfg = ClientConfig::default_tls(CLIENT, SERVER, BLOCKED);
     cfg.request = request;
-    let server = ServerConfig::default_edge(SERVER, cfg.dst_port);
+    cfg.isn = client_isn;
+    let mut server = ServerConfig::default_edge(SERVER, cfg.dst_port);
+    server.isn = server_isn;
 
     let rules = if vendor.stages().on_syn {
         RuleSet::blanket()
@@ -71,7 +89,15 @@ fn two_request() -> RequestPayload {
 }
 
 /// The full vendor → signature table. This is Table 1 regenerated from
-/// behaviour rather than asserted by construction.
+/// behaviour rather than asserted by construction, once at the default
+/// ISNs and once with both ISNs just below 2³², so both directions'
+/// sequence numbers cross the wrap within their first few bytes.
+///
+/// A server ISN of exactly `u32::MAX` is left out on purpose: the server's
+/// next sequence number is then 0, so an injector's exact RST ack is 0 and
+/// `AckGuessBurst` reads as `⟨PSH+ACK → RST; RST₀⟩`. A zero ack is
+/// ambiguous on the wire with probability 2⁻³² per flow; the classifier
+/// cannot tell it from a deliberate zero.
 #[test]
 fn every_vendor_regenerates_its_table1_signature() {
     use Signature::*;
@@ -98,17 +124,20 @@ fn every_vendor_regenerates_its_table1_signature() {
         (V::FirewallRstAck, two_request(), DataRstAck),
     ];
     assert_eq!(cases.len(), 19, "one case per Table 1 signature");
-    let mut seen = std::collections::BTreeSet::new();
-    for (vendor, request, expected) in cases {
-        let got = run_with_vendor(vendor, request, 42);
-        assert_eq!(
-            got,
-            Some(expected),
-            "vendor {vendor:?} should classify as {expected}"
-        );
-        seen.insert(expected);
+    let wrap_isns = (Seq::from(u32::MAX - 2), Seq::from(u32::MAX - 1));
+    for isns in [default_isns(), wrap_isns] {
+        let mut seen = std::collections::BTreeSet::new();
+        for (vendor, request, expected) in cases.iter().cloned() {
+            let got = run_with_vendor(vendor, request, 42, isns);
+            assert_eq!(
+                got,
+                Some(expected),
+                "vendor {vendor:?} at ISNs {isns:?} should classify as {expected}"
+            );
+            seen.insert(expected);
+        }
+        assert_eq!(seen.len(), 19, "all 19 signatures covered");
     }
-    assert_eq!(seen.len(), 19, "all 19 signatures covered");
 }
 
 /// The same sessions must classify identically across seeds (the mapping
@@ -117,17 +146,17 @@ fn every_vendor_regenerates_its_table1_signature() {
 fn vendor_signatures_are_seed_independent() {
     for seed in [1, 7, 1234, 98765] {
         assert_eq!(
-            run_with_vendor(Vendor::GfwDoubleRstAck, tls_request(), seed),
+            run_with_vendor(Vendor::GfwDoubleRstAck, tls_request(), seed, default_isns()),
             Some(Signature::PshRstAckRstAck),
             "seed {seed}"
         );
         assert_eq!(
-            run_with_vendor(Vendor::DataDropAll, tls_request(), seed),
+            run_with_vendor(Vendor::DataDropAll, tls_request(), seed, default_isns()),
             Some(Signature::AckNone),
             "seed {seed}"
         );
         assert_eq!(
-            run_with_vendor(Vendor::FirewallRstAck, two_request(), seed),
+            run_with_vendor(Vendor::FirewallRstAck, two_request(), seed, default_isns()),
             Some(Signature::DataRstAck),
             "seed {seed}"
         );

@@ -36,7 +36,7 @@ use tamperscope::netsim::{
     derive_rng, Actions, Client, ClientConfig, ClientKind, EndpointInput, EndpointMachine, Server,
     ServerConfig, SimDuration, SimTime, VanishStage,
 };
-use tamperscope::wire::{Packet, PacketBuilder, TcpFlags};
+use tamperscope::wire::{Packet, PacketBuilder, Seq, TcpFlags};
 
 fn fixture(name: &str) -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR"))
@@ -64,8 +64,8 @@ fn rec(ts: u64, flags: TcpFlags, seq: u32, ack: u32, payload_len: u32) -> Packet
     PacketRecord {
         ts_sec: ts,
         flags,
-        seq,
-        ack,
+        seq: Seq::from(seq),
+        ack: Seq::from(ack),
         ip_id: Some(7),
         ttl: 52,
         window: 65535,
