@@ -13,11 +13,11 @@
 
 use std::collections::btree_map::Entry;
 use std::collections::BTreeMap;
-use tamper_core::{is_zmap_fingerprint, scanner_marks, user_agent};
+use tamper_capture::FlowTuple;
 use tamper_core::{ClassifierConfig, FlowAnalysis, Signature, Stage};
 use tamper_netsim::splitmix64;
 use tamper_wire::Seq;
-use tamper_worldgen::{ip_key, LabeledFlow};
+use tamper_worldgen::{ip_key, SessionMeta};
 
 /// Number of classification cells per country: 19 signatures, plus
 /// "possibly tampered, unmatched", plus "not tampered".
@@ -354,17 +354,12 @@ fn stage_index(stage: Option<Stage>) -> usize {
 /// sequence number). Pure in the flow, so every PoP computes the same
 /// priority for the same flow regardless of arrival order — the property
 /// the mergeable reservoirs rest on.
-pub(crate) fn flow_priority(lf: &LabeledFlow) -> u64 {
-    let mut h = ip_key(lf.flow.client_ip);
-    h = splitmix64(h ^ (u64::from(lf.flow.src_port) << 16) ^ u64::from(lf.flow.dst_port));
-    h = splitmix64(h ^ lf.meta.start_unix);
+pub(crate) fn flow_priority(tuple: &FlowTuple, start_unix: u64, first_seq: Seq) -> u64 {
+    let mut h = ip_key(tuple.client_ip);
+    h = splitmix64(h ^ (u64::from(tuple.src_port) << 16) ^ u64::from(tuple.dst_port));
+    h = splitmix64(h ^ start_unix);
     // Hashed as its offset from position zero, which is its wire value.
-    let seq0 = lf
-        .flow
-        .packets
-        .first()
-        .map_or(0, |p| p.seq.offset_from(Seq::ZERO));
-    splitmix64(h ^ u64::from(seq0))
+    splitmix64(h ^ u64::from(first_seq.offset_from(Seq::ZERO)))
 }
 
 /// Version of the fingerprint chain (bumped with the `.agg` format).
@@ -579,9 +574,10 @@ impl PartialAggregate {
         self.fingerprint
     }
 
-    /// Record a flow that was already classified.
-    pub(crate) fn record(&mut self, lf: &LabeledFlow, a: &FlowAnalysis) {
-        let c = lf.meta.country as usize;
+    /// Record a flow that was already classified: its session labels, its
+    /// 4-tuple and what the classifier found. Reads no packet.
+    pub fn record(&mut self, meta: &SessionMeta, tuple: &FlowTuple, a: &FlowAnalysis) {
+        let c = meta.country as usize;
         debug_assert!(c < self.n_countries);
         self.total += 1;
         let sig = a.signature();
@@ -592,90 +588,70 @@ impl PartialAggregate {
         };
         self.country_class[c][class_idx] += 1;
 
+        let stage = sig.map(|s| s.stage());
         let matched_any = sig.is_some();
-        let matched_ackpsh = matches!(
-            sig.map(|s| s.stage()),
-            Some(Stage::PostAck) | Some(Stage::PostPsh)
-        );
-        let matched_psh = matches!(sig.map(|s| s.stage()), Some(Stage::PostPsh));
+        let matched_ackpsh = matches!(stage, Some(Stage::PostAck | Stage::PostPsh));
+        let matched_psh = stage == Some(Stage::PostPsh);
 
         if a.is_possibly_tampered() {
             self.possibly_tampered += 1;
             let si = stage_index(a.stage);
             self.stage_counts[si] += 1;
-            if matched_any {
-                self.stage_matched[si] += 1;
-            }
+            self.stage_matched[si] += u64::from(matched_any);
         }
 
         // AS view.
-        let as_key = (lf.meta.country, lf.meta.asn.0);
-        let as_entry = self.as_counts.entry(as_key).or_insert((0, 0));
+        let as_entry = self
+            .as_counts
+            .entry((meta.country, meta.asn.0))
+            .or_default();
         as_entry.0 += 1;
-        if matched_any {
-            as_entry.1 += 1;
-        }
+        as_entry.1 += u64::from(matched_any);
 
         // Time series.
-        let h = ((lf.meta.start_unix.saturating_sub(self.start_unix)) / 3600)
+        let h = ((meta.start_unix.saturating_sub(self.start_unix)) / 3600)
             .min(self.hours as u64 - 1) as usize;
         self.hour_totals[h] += 1;
         let ch = &mut self.country_hour[c][h];
         ch.0 += 1;
-        if matched_ackpsh {
-            ch.1 += 1;
-        }
+        ch.1 += u32::from(matched_ackpsh);
         if let Some(s) = sig {
             self.sig_hour[h][s.index()] += 1;
         }
 
         // IP version and protocol views.
-        let v = usize::from(lf.meta.ipv6);
-        self.country_ipver[c][v].0 += 1;
-        if matched_ackpsh {
-            self.country_ipver[c][v].1 += 1;
-        }
-        let p = usize::from(!lf.meta.http); // 0 = HTTP, 1 = TLS
-        self.country_proto[c][p].0 += 1;
-        if matched_psh {
-            self.country_proto[c][p].1 += 1;
-        }
+        let ipver = &mut self.country_ipver[c][usize::from(meta.ipv6)];
+        ipver.0 += 1;
+        ipver.1 += u64::from(matched_ackpsh);
+        let proto = &mut self.country_proto[c][usize::from(!meta.http)]; // 0 = HTTP, 1 = TLS
+        proto.0 += 1;
+        proto.1 += u64::from(matched_psh);
 
         // Domain view (ground-truth domain labels mirror the paper's use
         // of the SNI/Host it observed or the CDN's own hostname records).
-        if let Some(d) = lf.meta.domain {
-            let cell = self.domain_cells.entry((lf.meta.country, d)).or_default();
+        if let Some(d) = meta.domain {
+            let cell = self.domain_cells.entry((meta.country, d)).or_default();
             cell.seen += 1;
-            if matched_psh {
-                cell.psh_tampered += 1;
-            }
+            cell.psh_tampered += u32::from(matched_psh);
         }
 
         // Evidence reservoirs (class 19 = Not Tampering baseline). The
         // sample priority is a pure function of the flow, so the kept set
         // is identical for any partition of the stream across PoPs.
-        let res_idx = match sig {
-            Some(s) => Some(s.index()),
-            None if !a.is_possibly_tampered() => Some(19),
+        let ev = &a.evidence;
+        let pri = flow_priority(tuple, meta.start_unix, a.first_seq);
+        let samples = match sig {
+            Some(s) => Some((s.index(), ev.max_rst_ipid, ev.max_rst_ttl)),
+            None if !a.is_possibly_tampered() => {
+                Some((19, ev.max_consecutive_ipid, ev.max_consecutive_ttl))
+            }
             None => None,
         };
-        let ev = &a.evidence;
-        if let Some(ri) = res_idx {
-            let pri = flow_priority(lf);
-            let delta = if ri == 19 {
-                ev.max_consecutive_ipid
-            } else {
-                ev.max_rst_ipid
-            };
-            if let Some(d) = delta {
+        if let Some((ri, ipid, ttl)) = samples {
+            if let Some(d) = ipid {
                 self.ipid_res[ri].insert(pri, d);
             }
-            let delta = if ri == 19 {
-                ev.max_consecutive_ttl
-            } else {
-                ev.max_rst_ttl
-            };
-            if let Some(d) = delta {
+            if let Some(d) = ttl {
                 self.ttl_res[ri].insert(pri, d);
             }
         }
@@ -683,74 +659,50 @@ impl PartialAggregate {
         // V3 baselines.
         if let Some(min) = ev.min_consecutive_ipid {
             self.ipid_flows += 1;
-            if min <= 1 {
-                self.ipid_min_le1 += 1;
-            }
-            if min > 100 {
-                self.ipid_min_gt100 += 1;
-            }
+            self.ipid_min_le1 += u64::from(min <= 1);
+            self.ipid_min_gt100 += u64::from(min > 100);
         }
         if let Some(max) = ev.max_consecutive_ttl {
             self.ttl_flows += 1;
-            if max.abs() <= 1 {
-                self.ttl_max_le1 += 1;
-            }
+            self.ttl_max_le1 += u64::from(max.abs() <= 1);
         }
 
         // V1 scanner evidence.
         if sig == Some(Signature::SynRst) {
             self.syn_rst_total += 1;
-            if is_zmap_fingerprint(&lf.flow) {
-                self.syn_rst_zmap += 1;
-            }
+            self.syn_rst_zmap += u64::from(a.scanner.zmap_syn);
         }
-        let marks = scanner_marks(&lf.flow);
-        if marks.no_tcp_options {
-            self.no_opt_flows += 1;
-        }
-        if marks.high_ttl {
-            self.high_ttl_flows += 1;
-        }
+        self.no_opt_flows += u64::from(a.scanner.no_tcp_options);
+        self.high_ttl_flows += u64::from(a.scanner.high_ttl);
 
         // V2 SYN payloads.
-        let syn_payload = lf
-            .flow
-            .packets
-            .iter()
-            .any(|pk| pk.flags.has_syn() && pk.payload_len > 0);
-        if lf.flow.dst_port == 80 {
+        if tuple.dst_port == 80 {
             self.port80_flows += 1;
-            if syn_payload {
+            if a.syn_payload {
                 self.port80_syn_payload += 1;
-                if let Some(d) = lf.meta.domain {
+                if let Some(d) = meta.domain {
                     *self.syn_payload_domains.entry(d).or_default() += 1;
                 }
             }
-        } else if lf.flow.dst_port == 443 {
+        } else if tuple.dst_port == 443 {
             self.port443_flows += 1;
-            if syn_payload {
-                self.port443_syn_payload += 1;
-            }
+            self.port443_syn_payload += u64::from(a.syn_payload);
         }
 
-        if matches!(sig.map(|s| s.stage()), Some(Stage::PostData)) {
+        if stage == Some(Stage::PostData) {
             self.postdata_matches += 1;
-            if user_agent(&lf.flow).is_some_and(|ua| ua == tamper_worldgen::FIREWALL_USER_AGENT) {
-                self.postdata_fw_ua += 1;
-            }
+            self.postdata_fw_ua += u64::from(a.firewall_user_agent);
         }
 
-        if let tamper_worldgen::GroundTruth::Benign(kind) = lf.meta.truth {
+        if let tamper_worldgen::GroundTruth::Benign(kind) = meta.truth {
             self.benign_attribution[kind.index()][class_idx] += 1;
         }
 
         // Ground truth confusion.
-        match (lf.meta.truth.was_tampered(), a.is_possibly_tampered()) {
+        match (meta.truth.was_tampered(), a.is_possibly_tampered()) {
             (true, true) => {
                 self.truth.true_positive += 1;
-                if matched_any {
-                    self.truth.matched_signature += 1;
-                }
+                self.truth.matched_signature += u64::from(matched_any);
             }
             (true, false) => self.truth.false_negative += 1,
             (false, true) => self.truth.false_positive += 1,
@@ -760,18 +712,15 @@ impl PartialAggregate {
         // Appendix B pairs: Post-PSH classes with a visible domain. Kept
         // as the first PAIR_SEQ_CAP observations in (time, tie) order —
         // canonical under any partition/merge shape.
-        if let (Some(code), Some(domain)) = (postpsh_class_code(sig), lf.meta.domain) {
+        if let (Some(code), Some(domain)) = (postpsh_class_code(sig), meta.domain) {
+            let key = (ip_key(tuple.client_ip), domain);
             let in_scope = code != 0 || a.trigger.domain.is_some();
-            if in_scope {
-                let key = (ip_key(lf.flow.client_ip), domain);
-                if pair_key_fits(&self.pair_seqs, &key) {
-                    self.pair_seqs.entry(key).or_default().insert(
-                        lf.meta.start_unix,
-                        flow_priority(lf),
-                        code,
-                    );
-                    cap_pair_keys(&mut self.pair_seqs);
-                }
+            if in_scope && pair_key_fits(&self.pair_seqs, &key) {
+                self.pair_seqs
+                    .entry(key)
+                    .or_default()
+                    .insert(meta.start_unix, pri, code);
+                cap_pair_keys(&mut self.pair_seqs);
             }
         }
     }

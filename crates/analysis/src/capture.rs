@@ -1,6 +1,7 @@
-//! Classify-path adapters: feeding raw capture flows — which carry no
-//! simulation ground truth — through the same [`Collector`] the worldgen
-//! pipeline uses, and summarizing an engine run as JSON.
+//! Classify-path adapters: labeling raw capture flows — which carry no
+//! simulation ground truth — so they aggregate into the same
+//! [`PartialAggregate`](crate::PartialAggregate) the worldgen pipeline
+//! fills, and summarizing an engine run as JSON.
 //!
 //! The summary is split in two on purpose:
 //!
@@ -17,25 +18,37 @@ use crate::fmt::pct_f;
 use crate::jsonl::JsonObject;
 use crate::Collector;
 use tamper_capture::{EngineStats, FlowRecord};
-use tamper_core::Signature;
+use tamper_core::{FlowView, PacketsView, Signature};
 use tamper_worldgen::{Asn, GroundTruth, LabeledFlow, SessionMeta};
 
-/// Wrap a capture flow in neutral session metadata so the [`Collector`]
-/// can aggregate it: one synthetic country/AS, protocol inferred from the
-/// destination port, start time from the first retained packet, ground
-/// truth `Clean` (a real capture has none).
-pub fn label_capture_flow(flow: FlowRecord) -> LabeledFlow {
-    let start_unix = flow.packets.first().map(|p| p.ts_sec).unwrap_or(0);
-    let meta = SessionMeta {
+/// The neutral session metadata a capture flow is aggregated under: one
+/// synthetic country/AS, protocol inferred from the destination port,
+/// start time from the first logged packet, ground truth `Clean` (a real
+/// capture has none).
+pub fn capture_meta<F: FlowView + ?Sized>(flow: &F) -> SessionMeta {
+    let (tuple, packets) = (flow.tuple(), flow.packets());
+    SessionMeta {
         country: 0,
         asn: Asn(0),
-        ipv6: flow.client_ip.is_ipv6(),
-        http: flow.dst_port == 80,
+        ipv6: tuple.client_ip.is_ipv6(),
+        http: tuple.dst_port == 80,
         domain: None,
-        start_unix,
+        start_unix: if packets.is_empty() {
+            0
+        } else {
+            packets.row(0).ts_sec
+        },
         truth: GroundTruth::Clean,
-    };
-    LabeledFlow { flow, meta }
+    }
+}
+
+/// An owned capture flow under its [`capture_meta`]. Kept for
+/// `benchmark/src/bin/probes.rs` until ROADMAP item 1(g).
+pub fn label_capture_flow(flow: FlowRecord) -> LabeledFlow {
+    LabeledFlow {
+        meta: capture_meta(&flow),
+        flow,
+    }
 }
 
 /// A collector sized for capture aggregation (one synthetic country, one
@@ -110,51 +123,29 @@ pub fn engine_perf_to_json(stats: &EngineStats) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bytes::Bytes;
-    use std::net::{IpAddr, Ipv4Addr, Ipv6Addr};
+    use std::net::{IpAddr, Ipv6Addr};
     use tamper_capture::{IngestStats, PacketRecord};
     use tamper_core::ClassifierConfig;
-    use tamper_wire::{Seq, TcpFlags};
+    use tamper_wire::TcpFlags;
 
     fn sample_flow(dst_port: u16, v6: bool) -> FlowRecord {
-        let client_ip = if v6 {
-            IpAddr::V6(Ipv6Addr::new(0x2001, 0xdb8, 0, 0, 0, 0, 0, 1))
-        } else {
-            IpAddr::V4(Ipv4Addr::new(203, 0, 113, 9))
+        let syn = PacketRecord {
+            ip_id: Some(7),
+            ..PacketRecord::new(1234, TcpFlags::SYN, 100)
         };
+        let rst = PacketRecord {
+            ip_id: Some(8),
+            window: 0,
+            has_tcp_options: false,
+            ..PacketRecord::new(1234, TcpFlags::RST, 101)
+        };
+        let flow = FlowRecord::new(dst_port, vec![syn, rst], 1264);
+        if !v6 {
+            return flow;
+        }
         FlowRecord {
-            client_ip,
-            server_ip: IpAddr::V4(Ipv4Addr::new(198, 51, 100, 1)),
-            src_port: 40000,
-            dst_port,
-            packets: vec![
-                PacketRecord {
-                    ts_sec: 1234,
-                    flags: TcpFlags::SYN,
-                    seq: Seq::from(100),
-                    ack: Seq::ZERO,
-                    ip_id: Some(7),
-                    ttl: 52,
-                    window: 65535,
-                    payload_len: 0,
-                    payload: Bytes::new(),
-                    has_tcp_options: true,
-                },
-                PacketRecord {
-                    ts_sec: 1234,
-                    flags: TcpFlags::RST,
-                    seq: Seq::from(101),
-                    ack: Seq::ZERO,
-                    ip_id: Some(8),
-                    ttl: 52,
-                    window: 0,
-                    payload_len: 0,
-                    payload: Bytes::new(),
-                    has_tcp_options: false,
-                },
-            ],
-            observation_end_sec: 1264,
-            truncated: false,
+            client_ip: IpAddr::V6(Ipv6Addr::new(0x2001, 0xdb8, 0, 0, 0, 0, 0, 1)),
+            ..flow
         }
     }
 

@@ -11,7 +11,7 @@
 
 use std::ops::{Deref, DerefMut};
 
-use tamper_core::{BatchClassifier, ClassifierConfig, FlowAnalysis};
+use tamper_core::{BatchClassifier, ClassifierConfig, FlowAnalysis, FlowView};
 use tamper_worldgen::LabeledFlow;
 
 use crate::agg::PartialAggregate;
@@ -49,13 +49,15 @@ impl Collector {
 
     /// Classify and record one flow.
     pub fn observe(&mut self, lf: &LabeledFlow) {
-        let analysis = self.classifier.classify_record(&lf.flow);
-        self.agg.record(lf, &analysis);
+        let analysis = self.classifier.classify_flow(&lf.flow);
+        self.agg.record(&lf.meta, &lf.flow.tuple(), &analysis);
     }
 
-    /// Record a flow that was already classified.
+    /// Record a flow that was already classified. Kept for
+    /// `benchmark/src/bin/probes.rs` until ROADMAP item 1(g); everything
+    /// else calls [`PartialAggregate::record`].
     pub fn observe_analyzed(&mut self, lf: &LabeledFlow, a: &FlowAnalysis) {
-        self.agg.record(lf, a);
+        self.agg.record(&lf.meta, &lf.flow.tuple(), a);
     }
 
     /// Merge another collector (same configuration) into this one.

@@ -9,8 +9,7 @@ use crate::fmt::pct_f;
 use std::borrow::BorrowMut;
 use std::fmt::Write;
 use std::net::IpAddr;
-use tamper_capture::FlowRecord;
-use tamper_core::{AppProtocol, Classification, FlowAnalysis};
+use tamper_core::{AppProtocol, Classification, FlowAnalysis, FlowView, PacketsView};
 
 /// Escape a string per RFC 8259.
 #[cfg(test)]
@@ -163,14 +162,18 @@ impl<S: BorrowMut<String>> JsonObject<S> {
 }
 
 /// Serialize one classified flow as a JSON line.
-pub fn flow_to_jsonl(flow: &FlowRecord, analysis: &FlowAnalysis) -> String {
+pub fn flow_to_jsonl<F: FlowView + ?Sized>(flow: &F, analysis: &FlowAnalysis) -> String {
     let mut line = String::new();
     flow_to_jsonl_into(&mut line, flow, analysis);
     line
 }
 
 /// Append one classified flow's JSON line (no trailing newline) to `out`.
-pub fn flow_to_jsonl_into(out: &mut String, flow: &FlowRecord, analysis: &FlowAnalysis) {
+pub fn flow_to_jsonl_into<F: FlowView + ?Sized>(
+    out: &mut String,
+    flow: &F,
+    analysis: &FlowAnalysis,
+) {
     let (verdict, signature) = match analysis.classification {
         Classification::Tampered(sig) => ("tampered", Some(sig.label())),
         Classification::PossiblyTamperedOther => ("possibly_tampered", None),
@@ -181,13 +184,14 @@ pub fn flow_to_jsonl_into(out: &mut String, flow: &FlowRecord, analysis: &FlowAn
         AppProtocol::Http => "http",
         AppProtocol::Other => "other",
     };
+    let t = flow.tuple();
     let mut obj = JsonObject::append_to(out)
-        .ip("client_ip", flow.client_ip)
-        .ip("server_ip", flow.server_ip)
-        .uint("src_port", u64::from(flow.src_port))
-        .uint("dst_port", u64::from(flow.dst_port))
-        .uint("packets", flow.packets.len() as u64)
-        .bool("truncated", flow.truncated)
+        .ip("client_ip", t.client_ip)
+        .ip("server_ip", t.server_ip)
+        .uint("src_port", u64::from(t.src_port))
+        .uint("dst_port", u64::from(t.dst_port))
+        .uint("packets", flow.packets().len() as u64)
+        .bool("truncated", flow.truncated())
         .str("verdict", verdict)
         .opt_str("signature", signature)
         .opt_str("stage", analysis.stage.map(|s| s.label()))
@@ -224,11 +228,9 @@ pub fn summary_to_json(col: &crate::PartialAggregate) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bytes::Bytes;
-    use std::net::{IpAddr, Ipv4Addr};
-    use tamper_capture::PacketRecord;
+    use tamper_capture::{EvictionCause, FlowBatch, FlowRecord, PacketRecord};
     use tamper_core::{classify, ClassifierConfig};
-    use tamper_wire::{Seq, TcpFlags};
+    use tamper_wire::TcpFlags;
 
     #[test]
     fn escaping_covers_specials() {
@@ -273,42 +275,24 @@ mod tests {
 
     #[test]
     fn flow_line_round_trips_key_fields() {
-        let flow = FlowRecord {
-            client_ip: IpAddr::V4(Ipv4Addr::new(203, 0, 113, 4)),
-            server_ip: IpAddr::V4(Ipv4Addr::new(198, 51, 100, 1)),
-            src_port: 40000,
-            dst_port: 443,
-            packets: vec![
-                PacketRecord {
-                    ts_sec: 0,
-                    flags: TcpFlags::SYN,
-                    seq: Seq::from(1),
-                    ack: Seq::ZERO,
-                    ip_id: Some(5),
-                    ttl: 52,
-                    window: 65535,
-                    payload_len: 0,
-                    payload: Bytes::new(),
-                    has_tcp_options: true,
-                },
-                PacketRecord {
-                    ts_sec: 0,
-                    flags: TcpFlags::RST,
-                    seq: Seq::from(2),
-                    ack: Seq::ZERO,
-                    ip_id: Some(40_000),
-                    ttl: 101,
-                    window: 0,
-                    payload_len: 0,
-                    payload: Bytes::new(),
-                    has_tcp_options: false,
-                },
-            ],
-            observation_end_sec: 40,
-            truncated: false,
+        let syn = PacketRecord {
+            ip_id: Some(5),
+            ..PacketRecord::new(0, TcpFlags::SYN, 1)
         };
+        let rst = PacketRecord {
+            ip_id: Some(40_000),
+            ttl: 101,
+            window: 0,
+            has_tcp_options: false,
+            ..PacketRecord::new(0, TcpFlags::RST, 2)
+        };
+        let flow = FlowRecord::new(443, vec![syn, rst], 40);
         let a = classify(&flow, &ClassifierConfig::default());
         let line = flow_to_jsonl(&flow, &a);
+        // The arena layout renders the same line.
+        let mut batch = FlowBatch::new();
+        batch.push_record(&flow, 0, EvictionCause::EndOfCapture);
+        assert_eq!(flow_to_jsonl(&batch.flow_rows(0), &a), line);
         assert!(line.starts_with('{') && line.ends_with('}'));
         assert!(line.contains("\"verdict\":\"tampered\""));
         assert!(line.contains("⟨SYN → RST⟩"));

@@ -38,7 +38,8 @@ pub use aggfile::{
     decode as decode_agg, encode as encode_agg, fold as fold_agg, merge_checked, AggError,
 };
 pub use capture::{
-    capture_collector, capture_summary_to_json, engine_perf_to_json, label_capture_flow,
+    capture_collector, capture_meta, capture_summary_to_json, engine_perf_to_json,
+    label_capture_flow,
 };
 pub use collector::Collector;
 pub use fmt::{pct, pct_f};

@@ -21,7 +21,9 @@ pub use engine::{run_source, EngineConfig, EngineStats};
 pub use offline::{flows_from_pcap, ColumnarFlowTable, IngestStats, OfflineConfig};
 pub use pcap::{PcapError, PcapWriter};
 pub use pipeline::{collect, CollectorConfig};
-pub use record::{EvictionCause, FlowBatch, FlowRecord, FlowRows, PacketRecord};
+pub use record::{
+    EvictionCause, FlowBatch, FlowRecord, FlowRows, FlowTuple, PacketRecord, PacketRow,
+};
 pub use sampler::Sampler;
 pub use source::{
     FlowSource, PcapMemItem, PcapMemSource, ShardStats, SimSource, SourceShard, DEFAULT_BATCH_FLOWS,

@@ -8,9 +8,13 @@
 //! The same packet has one other shape: a [`PacketRow`], whose payload is
 //! a range of a shared arena instead of an owned buffer. The flow table
 //! stages rows, a [`FlowBatch`] carries the rows of many finished flows,
-//! and the classifier reads them in place through [`FlowRows`];
-//! [`FlowBatch::materialize`] and [`FlowBatch::push_record`] convert
-//! between the two shapes.
+//! and the classifier, the aggregate and the renderers read each flow in
+//! place as [`FlowRows`] (its span and rows), so the pcap path never
+//! copies a flow. [`PacketRecord::row`] gives an owned packet's header
+//! fields as a row, which is how the same readers take the simulator's
+//! owned records; [`FlowBatch::materialize`] and
+//! [`FlowBatch::push_record`] convert whole flows between the two shapes
+//! for tests and the benchmark probes.
 
 use bytes::Bytes;
 use std::net::IpAddr;
@@ -61,9 +65,49 @@ impl PacketRecord {
         }
     }
 
-    /// True for data-bearing packets.
-    pub fn has_payload(&self) -> bool {
-        self.payload_len > 0
+    /// `flags` at sequence number `seq`, logged at `ts_sec`, every other
+    /// field neutral: ack 0, IP-ID 1, TTL 52, window 65,535, TCP options,
+    /// no payload. The one builder tests and examples start from; struct
+    /// update syntax and [`with_payload`](Self::with_payload) set the rest.
+    pub fn new(ts_sec: u64, flags: TcpFlags, seq: u32) -> PacketRecord {
+        PacketRecord {
+            ts_sec,
+            flags,
+            seq: Seq::from(seq),
+            ack: Seq::ZERO,
+            ip_id: Some(1),
+            ttl: 52,
+            window: 65535,
+            payload_len: 0,
+            payload: Bytes::new(),
+            has_tcp_options: true,
+        }
+    }
+
+    /// This packet's header fields as a row whose payload sits at
+    /// `payload_off` of some arena.
+    pub fn row(&self, payload_off: u32) -> PacketRow {
+        PacketRow {
+            ts_sec: self.ts_sec,
+            seq: self.seq,
+            ack: self.ack,
+            payload_off,
+            payload_len: self.payload_len,
+            ip_id: self.ip_id,
+            window: self.window,
+            flags: self.flags,
+            ttl: self.ttl,
+            has_tcp_options: self.has_tcp_options,
+        }
+    }
+
+    /// This packet carrying `payload`.
+    pub fn with_payload(self, payload: Bytes) -> PacketRecord {
+        PacketRecord {
+            payload_len: payload.len() as u32,
+            payload,
+            ..self
+        }
     }
 }
 
@@ -86,6 +130,23 @@ pub struct FlowRecord {
     pub observation_end_sec: u64,
     /// True if more than the retained packets arrived (truncation marker).
     pub truncated: bool,
+}
+
+impl FlowRecord {
+    /// `packets` from 10.0.0.1:40000 to 10.0.0.2:`dst_port`, closed at
+    /// `observation_end_sec`, not truncated: the flow tests and examples
+    /// build, changed by struct update syntax where they need to.
+    pub fn new(dst_port: u16, packets: Vec<PacketRecord>, observation_end_sec: u64) -> FlowRecord {
+        FlowRecord {
+            client_ip: IpAddr::from([10, 0, 0, 1]),
+            server_ip: IpAddr::from([10, 0, 0, 2]),
+            src_port: 40000,
+            dst_port,
+            packets,
+            observation_end_sec,
+            truncated: false,
+        }
+    }
 }
 
 /// Why the streaming flow table closed a flow.
@@ -258,16 +319,8 @@ impl FlowBatch {
         let pkt_start = self.rows.len() as u32;
         for p in &flow.packets {
             self.rows.push(PacketRow {
-                ts_sec: p.ts_sec,
-                seq: p.seq,
-                ack: p.ack,
-                payload_off: self.arena.len() as u32,
                 payload_len: p.payload.len() as u32,
-                ip_id: p.ip_id,
-                window: p.window,
-                flags: p.flags,
-                ttl: p.ttl,
-                has_tcp_options: p.has_tcp_options,
+                ..p.row(self.arena.len() as u32)
             });
             self.arena.extend_from_slice(&p.payload);
         }
@@ -292,17 +345,20 @@ impl FlowBatch {
         &self.spans
     }
 
-    /// The packet rows of flow `i` — the classifier's view of one flow.
+    /// Flow `i`, borrowed in place: what the classifier, the aggregate
+    /// and the renderers read of one flow.
     pub fn flow_rows(&self, i: usize) -> FlowRows<'_> {
         let span = &self.spans[i];
         FlowRows {
+            span,
             rows: &self.rows[span.pkt_start as usize..span.pkt_end as usize],
             arena: &self.arena,
         }
     }
 
-    /// Materialize flow `i` as an owning [`FlowRecord`] — for rendering
-    /// and evidence labeling, off the classification hot path.
+    /// Copy flow `i` out as an owning [`FlowRecord`]: for
+    /// `flows_from_pcap` and tests. Nothing on the `classify` path calls
+    /// it; it reads flows in place through [`flow_rows`](Self::flow_rows).
     pub fn materialize(&self, i: usize) -> FlowRecord {
         let span = &self.spans[i];
         let flow = self.flow_rows(i);
@@ -335,10 +391,13 @@ impl FlowBatch {
     }
 }
 
-/// The borrowed packet rows of one flow inside a [`FlowBatch`]; `arena` is
-/// the whole batch payload arena (each row's `payload_off` is absolute).
+/// One flow inside a [`FlowBatch`], borrowed: its span, its packet rows,
+/// and the whole batch payload arena (each row's `payload_off` is
+/// absolute).
 #[derive(Debug, Clone, Copy)]
 pub struct FlowRows<'a> {
+    /// The flow's 4-tuple and close-time facts.
+    pub span: &'a FlowSpan,
     /// The flow's packets, in log order.
     pub rows: &'a [PacketRow],
     /// The batch payload arena.
@@ -389,7 +448,7 @@ mod tests {
         assert_eq!(r.ip_id, Some(77));
         assert_eq!(r.ttl, 52);
         assert_eq!(r.payload_len, 4);
-        assert!(r.has_payload());
+        assert!(r.payload_len > 0);
         assert!(!r.has_tcp_options);
     }
 
@@ -447,6 +506,6 @@ mod tests {
         assert!(packets.iter().any(|p| p.ip_id.is_none()));
         assert!(packets.iter().any(|p| p.ip_id.is_some()));
         assert!(packets.iter().any(|p| p.payload.is_empty()));
-        assert!(packets.iter().any(|p| p.has_payload()));
+        assert!(packets.iter().any(|p| p.payload_len > 0));
     }
 }

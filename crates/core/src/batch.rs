@@ -1,18 +1,22 @@
 //! The classifier: [`BatchClassifier`], over either storage layout.
 //!
 //! Classification is a pure function of a finished flow's packets and its
-//! observation horizon. One generic body reads the packets through
-//! [`PacketsView`], so the same code serves both layouts the pipeline
-//! holds flows in: the arena-backed [`FlowRows`] of a [`FlowBatch`]
-//! ([`classify_span`](BatchClassifier::classify_span) /
-//! [`classify_batch`](BatchClassifier::classify_batch), the pcap engine's
-//! path) and the owned [`FlowRecord`]
-//! ([`classify_record`](BatchClassifier::classify_record), the simulator's
-//! path) — verdicts are identical by construction. The classifier owns
-//! its scratch buffers and reuses them across flows and batches: warm
-//! (after the first few flows have grown the scratch to steady state),
-//! classifying domain-free flows performs **zero** heap requests on
-//! either layout; the `alloc_discipline` suite enforces that budget.
+//! observation horizon. One generic body,
+//! [`classify_flow`](BatchClassifier::classify_flow), reads the flow
+//! through [`FlowView`], so the same code serves both layouts the
+//! pipeline holds flows in: the arena-backed [`FlowRows`] of a
+//! [`FlowBatch`] (the pcap engine's path, also
+//! [`classify_batch`](BatchClassifier::classify_batch)) and the owned
+//! [`FlowRecord`](tamper_capture::FlowRecord) (the simulator's path) —
+//! verdicts are identical by construction. The same walk yields every
+//! per-flow fact the aggregate reads, so nothing downstream reads a
+//! packet again. The classifier owns its scratch buffers and reuses them
+//! across flows and batches: warm (after the first few flows have grown
+//! the scratch to steady state), classifying domain-free flows performs
+//! **zero** heap requests on either layout; the `alloc_discipline` suite
+//! enforces that budget.
+//!
+//! [`FlowRows`]: tamper_capture::FlowRows
 
 use crate::classify::{merge_rst_counts, rst_signature, ClassifierConfig, FlowAnalysis};
 use crate::evidence::EvidenceFold;
@@ -20,47 +24,9 @@ use crate::machine::{event_of, stage_of, transition, Count, Event, StageState};
 use crate::reorder::reconstruct_order;
 use crate::signature::{Classification, Signature, Stage};
 use crate::trigger;
-use crate::view::PacketsView;
-use tamper_capture::{FlowBatch, FlowRecord, FlowRows};
-use tamper_wire::{Seq, TcpFlags};
-
-impl PacketsView for FlowRows<'_> {
-    fn len(&self) -> usize {
-        self.rows.len()
-    }
-
-    fn ts_sec(&self, i: usize) -> u64 {
-        self.rows[i].ts_sec
-    }
-
-    fn flags(&self, i: usize) -> TcpFlags {
-        self.rows[i].flags
-    }
-
-    fn seq(&self, i: usize) -> Seq {
-        self.rows[i].seq
-    }
-
-    fn ack(&self, i: usize) -> Seq {
-        self.rows[i].ack
-    }
-
-    fn payload_len(&self, i: usize) -> u32 {
-        self.rows[i].payload_len
-    }
-
-    fn payload(&self, i: usize) -> &[u8] {
-        self.payload_of(i)
-    }
-
-    fn ip_id(&self, i: usize) -> Option<u16> {
-        self.rows[i].ip_id
-    }
-
-    fn ttl(&self, i: usize) -> u8 {
-        self.rows[i].ttl
-    }
-}
+use crate::view::{FlowView, PacketsView};
+use tamper_capture::FlowBatch;
+use tamper_wire::Seq;
 
 /// The one classifier. Holds the configuration and the scratch buffers
 /// (reconstructed order, RST multiset, data-seq dedup, batch output),
@@ -88,29 +54,6 @@ impl BatchClassifier {
         }
     }
 
-    /// Classify one row-wise flow record.
-    pub fn classify_record(&mut self, flow: &FlowRecord) -> FlowAnalysis {
-        self.classify_view(
-            flow.dst_port,
-            flow.packets.as_slice(),
-            flow.truncated,
-            flow.observation_end_sec,
-        )
-    }
-
-    /// Classify flow `i` of a batch — identical output to
-    /// [`classify_record`](BatchClassifier::classify_record) over the
-    /// materialized [`FlowRecord`].
-    pub fn classify_span(&mut self, batch: &FlowBatch, i: usize) -> FlowAnalysis {
-        let span = &batch.spans()[i];
-        self.classify_view(
-            span.tuple.dst_port,
-            &batch.flow_rows(i),
-            span.truncated,
-            span.observation_end_sec,
-        )
-    }
-
     /// The reconstructed packet order (indices in log order) of the flow
     /// classified last — what an explanation narrates, without sorting
     /// the flow a second time.
@@ -123,7 +66,7 @@ impl BatchClassifier {
     pub fn classify_batch(&mut self, batch: &FlowBatch) -> &[FlowAnalysis] {
         self.out.clear();
         for i in 0..batch.flow_count() {
-            let analysis = self.classify_span(batch, i);
+            let analysis = self.classify_flow(&batch.flow_rows(i));
             self.out.push(analysis);
         }
         &self.out
@@ -131,53 +74,49 @@ impl BatchClassifier {
 
     /// The one classification body, generic over packet storage:
     /// reconstruct order, fold the event stream through the transition
-    /// table (and the header fields into the injection evidence), and
-    /// read the verdict off the final state. `truncated`
-    /// flags flows cut by the packet cap, whose artificial tail silence
-    /// must not count as evidence. Once the scratch is warm no packet
-    /// count inside the corpus' high-water marks allocates; the only
-    /// allocation left is the returned trigger domain.
-    fn classify_view<V: PacketsView + ?Sized>(
-        &mut self,
-        dst_port: u16,
-        v: &V,
-        truncated: bool,
-        observation_end_sec: u64,
-    ) -> FlowAnalysis {
+    /// table (and the header fields into the injection evidence and
+    /// scanner marks), and read the verdict off the final state. A
+    /// truncated flow (cut by the packet cap) has an artificial tail
+    /// silence that must not count as evidence. Once the scratch is warm
+    /// no packet count inside the corpus' high-water marks allocates; the
+    /// only allocation left is the returned trigger domain.
+    pub fn classify_flow<F: FlowView + ?Sized>(&mut self, flow: &F) -> FlowAnalysis {
         let cfg = self.cfg;
-        let trigger = trigger::extract(dst_port, v);
+        let v = flow.packets();
+        let trigger = trigger::extract(flow.tuple().dst_port, v);
         reconstruct_order(v, &mut self.order);
         self.rsts.clear();
         self.seen_data_seqs.clear();
 
         let mut state = StageState::START;
-        let mut evidence = EvidenceFold::EMPTY;
+        let mut evidence = EvidenceFold::default();
+        let mut syn_payload = false;
         let mut max_gap = 0u64;
         let mut prev_ts = None;
+        let mut last_ts = None;
         for &pi in self.order.iter() {
-            evidence.push(v.flags(pi).has_rst(), v.ip_id(pi), v.ttl(pi));
-            let ts = v.ts_sec(pi);
+            let r = v.row(pi);
+            evidence.push(pi, &r);
+            syn_payload |= r.flags.has_syn() && r.payload_len > 0;
+            let ts = r.ts_sec;
             if let Some(prev) = prev_ts {
                 max_gap = max_gap.max(ts.saturating_sub(prev));
             }
             prev_ts = Some(ts);
-            let ev = event_of(v, pi, &mut self.seen_data_seqs);
+            last_ts = last_ts.max(Some(ts));
+            let ev = event_of(&r, &mut self.seen_data_seqs);
             if ev == Event::Rst {
-                self.rsts.push((v.flags(pi).is_pure_rst(), v.ack(pi)));
+                self.rsts.push((r.flags.is_pure_rst(), r.ack));
             }
             state = transition(state, ev);
         }
 
-        let tail_gap = if truncated {
+        let tail_gap = if flow.truncated() {
             // The record stopped because the packet cap hit, not because
             // the flow went quiet; the tail says nothing.
             0
         } else {
-            (0..v.len())
-                .map(|i| v.ts_sec(i))
-                .max()
-                .map(|last| observation_end_sec.saturating_sub(last))
-                .unwrap_or(0)
+            last_ts.map_or(0, |last| flow.observation_end_sec().saturating_sub(last))
         };
 
         let rsts = self.rsts.as_slice();
@@ -186,57 +125,64 @@ impl BatchClassifier {
         let silent =
             !state.fin_any && (max_gap >= cfg.inactivity_secs || tail_gap >= cfg.inactivity_secs);
         let possibly_tampered = state.rst || silent;
-        let evidence = evidence.finish();
+        let (evidence, scanner) = evidence.finish();
 
-        if !possibly_tampered || self.order.is_empty() {
-            return FlowAnalysis {
-                classification: Classification::NotTampered,
-                stage: None,
-                rst_count,
-                rst_ack_count,
-                trigger,
-                evidence,
-            };
-        }
-
-        let stage = stage_of(state);
-        let signature = stage.and_then(|st| {
-            if state.fin_before {
-                // Teardown was already under way when the evidence
-                // arrived: counted in its stage, matching no signature.
-                return None;
-            }
-            if state.rst {
-                if st == Stage::PostSyn && state.syns != Count::One {
-                    // Post-SYN signatures require "a single SYN".
+        let (classification, stage) = if !possibly_tampered || self.order.is_empty() {
+            (Classification::NotTampered, None)
+        } else {
+            let stage = stage_of(state);
+            let signature = stage.and_then(|st| {
+                if state.fin_before {
+                    // Teardown was already under way when the evidence
+                    // arrived: counted in its stage, matching no signature.
                     return None;
                 }
-                rst_signature(st, rsts)
-            } else {
-                match st {
-                    Stage::PostSyn if state.syns == Count::One => Some(Signature::SynNone),
-                    Stage::PostSyn => None, // multiple SYNs then silence
-                    Stage::PostAck => Some(Signature::AckNone),
-                    Stage::PostPsh | Stage::PostData => Some(Signature::PshNone),
+                if state.rst {
+                    if st == Stage::PostSyn && state.syns != Count::One {
+                        // Post-SYN signatures require "a single SYN".
+                        return None;
+                    }
+                    rst_signature(st, rsts)
+                } else {
+                    match st {
+                        Stage::PostSyn if state.syns == Count::One => Some(Signature::SynNone),
+                        Stage::PostSyn => None, // multiple SYNs then silence
+                        Stage::PostAck => Some(Signature::AckNone),
+                        Stage::PostPsh | Stage::PostData => Some(Signature::PshNone),
+                    }
                 }
-            }
-        });
-        let signature = if cfg.split_rst_counts {
-            signature
-        } else {
-            signature.map(merge_rst_counts)
-        };
-
-        FlowAnalysis {
-            classification: match signature {
+            });
+            let signature = if cfg.split_rst_counts {
+                signature
+            } else {
+                signature.map(merge_rst_counts)
+            };
+            let classification = match signature {
                 Some(sig) => Classification::Tampered(sig),
                 None => Classification::PossiblyTamperedOther,
-            },
+            };
+            (classification, stage)
+        };
+        let post_data = classification
+            .signature()
+            .is_some_and(|sig| sig.stage() == Stage::PostData);
+
+        FlowAnalysis {
+            classification,
             stage,
             rst_count,
             rst_ack_count,
             trigger,
             evidence,
+            scanner,
+            syn_payload,
+            first_seq: if v.is_empty() {
+                Seq::ZERO
+            } else {
+                v.row(0).seq
+            },
+            firewall_user_agent: post_data
+                && trigger::first_user_agent(v) == Some(trigger::FIREWALL_USER_AGENT),
         }
     }
 }
@@ -244,21 +190,17 @@ impl BatchClassifier {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tamper_capture::{EvictionCause, PacketRecord};
+    use tamper_capture::{EvictionCause, FlowRecord, PacketRecord};
+    use tamper_wire::TcpFlags;
 
     #[test]
     fn arena_rows_match_owned_records() {
         let syn = PacketRecord {
-            ts_sec: 100,
-            flags: TcpFlags::SYN,
-            seq: Seq::from(1),
-            ack: Seq::ZERO,
             ip_id: Some(7),
             ttl: 64,
             window: 1024,
-            payload_len: 0,
-            payload: bytes::Bytes::new(),
             has_tcp_options: false,
+            ..PacketRecord::new(100, TcpFlags::SYN, 1)
         };
         let data = PacketRecord {
             flags: TcpFlags::PSH_ACK,
@@ -274,15 +216,7 @@ mod tests {
             seq: Seq::from(7),
             ..syn.clone()
         };
-        let syn_data_rst = FlowRecord {
-            client_ip: "203.0.113.7".parse().unwrap(),
-            server_ip: "198.51.100.1".parse().unwrap(),
-            src_port: 4000,
-            dst_port: 443,
-            packets: vec![syn.clone(), data, rst],
-            observation_end_sec: 131,
-            truncated: false,
-        };
+        let syn_data_rst = FlowRecord::new(443, vec![syn.clone(), data, rst], 131);
         let empty = FlowRecord {
             packets: Vec::new(),
             ..syn_data_rst.clone()
@@ -301,7 +235,7 @@ mod tests {
         let mut clf = BatchClassifier::new(ClassifierConfig::default());
         let got: Vec<FlowAnalysis> = clf.classify_batch(&batch).to_vec();
         let mut rows = BatchClassifier::new(ClassifierConfig::default());
-        let want: Vec<FlowAnalysis> = flows.iter().map(|f| rows.classify_record(f)).collect();
+        let want: Vec<FlowAnalysis> = flows.iter().map(|f| rows.classify_flow(f)).collect();
         assert_eq!(got, want);
         // Scratch and output buffers are reused across batches.
         assert_eq!(clf.classify_batch(&batch), got);

@@ -1,4 +1,4 @@
-//! The classifier: from a constrained [`FlowRecord`] to a
+//! The classifier: from a constrained flow record to a
 //! [`Classification`] — possibly-tampered detection plus matching against
 //! the 19 tampering signatures (paper §4.1).
 //!
@@ -16,10 +16,10 @@
 //!   multi-RST bursts — the relationship between their ack numbers).
 
 use crate::batch::BatchClassifier;
-use crate::evidence::FlowEvidence;
+use crate::evidence::{FlowEvidence, ScannerMarks};
 use crate::signature::{Classification, Signature, Stage};
 use crate::trigger::TriggerInfo;
-use tamper_capture::FlowRecord;
+use crate::view::FlowView;
 use tamper_wire::Seq;
 
 /// Classifier tuning knobs (paper defaults; ablations override).
@@ -57,6 +57,18 @@ pub struct FlowAnalysis {
     pub trigger: TriggerInfo,
     /// IP-ID / TTL injection evidence over the reconstructed order.
     pub evidence: FlowEvidence,
+    /// Scanner fingerprints (§4.2).
+    pub scanner: ScannerMarks,
+    /// Some SYN carried a payload (§4.1).
+    pub syn_payload: bool,
+    /// Sequence number of the first logged packet (zero for an empty
+    /// flow): with the 4-tuple and session start, the flow identity the
+    /// aggregate's sample priorities hash.
+    pub first_seq: Seq,
+    /// On a Post-Data match, whether the first request that names a
+    /// User-Agent names [`FIREWALL_USER_AGENT`](crate::FIREWALL_USER_AGENT)
+    /// (§4.3). False on every other flow: no other count reads it.
+    pub firewall_user_agent: bool,
 }
 
 impl FlowAnalysis {
@@ -141,67 +153,42 @@ pub(crate) fn merge_rst_counts(sig: Signature) -> Signature {
     }
 }
 
-/// Classify one flow record with a fresh, throw-away
-/// [`BatchClassifier`]; loops hold one and call
-/// [`classify_record`](BatchClassifier::classify_record).
+/// Classify one flow with a fresh, throw-away [`BatchClassifier`]; loops
+/// hold one and call [`classify_flow`](BatchClassifier::classify_flow).
 ///
 /// ```
 /// use tamper_capture::{FlowRecord, PacketRecord};
 /// use tamper_core::{classify, ClassifierConfig, Signature};
-/// use tamper_wire::{Seq, TcpFlags};
+/// use tamper_wire::TcpFlags;
 ///
-/// let rec = |flags: TcpFlags, seq: u32| PacketRecord {
-///     ts_sec: 100, flags, seq: Seq::from(seq), ack: Seq::ZERO, ip_id: Some(1), ttl: 52,
-///     window: 65535, payload_len: 0, payload: bytes::Bytes::new(),
-///     has_tcp_options: true,
-/// };
-/// let flow = FlowRecord {
-///     client_ip: "203.0.113.1".parse().unwrap(),
-///     server_ip: "198.51.100.1".parse().unwrap(),
-///     src_port: 40000, dst_port: 443,
-///     packets: vec![rec(TcpFlags::SYN, 100), rec(TcpFlags::RST, 101)],
-///     observation_end_sec: 130, truncated: false,
-/// };
+/// let syn = PacketRecord::new(100, TcpFlags::SYN, 100);
+/// let rst = PacketRecord::new(100, TcpFlags::RST, 101);
+/// let flow = FlowRecord::new(443, vec![syn, rst], 130);
 /// let analysis = classify(&flow, &ClassifierConfig::default());
 /// assert_eq!(analysis.signature(), Some(Signature::SynRst));
 /// ```
-pub fn classify(flow: &FlowRecord, cfg: &ClassifierConfig) -> FlowAnalysis {
-    BatchClassifier::new(*cfg).classify_record(flow)
+pub fn classify<F: FlowView + ?Sized>(flow: &F, cfg: &ClassifierConfig) -> FlowAnalysis {
+    BatchClassifier::new(*cfg).classify_flow(flow)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use bytes::Bytes;
-    use std::net::{IpAddr, Ipv4Addr};
-    use tamper_capture::PacketRecord;
+    use tamper_capture::{FlowRecord, PacketRecord};
     use tamper_wire::TcpFlags;
 
     fn rec(ts: u64, flags: TcpFlags, seq: u32, ack: u32, payload_len: u32) -> PacketRecord {
+        let p =
+            PacketRecord::new(ts, flags, seq).with_payload(vec![b'q'; payload_len as usize].into());
         PacketRecord {
-            ts_sec: ts,
-            flags,
-            seq: Seq::from(seq),
             ack: Seq::from(ack),
-            ip_id: Some(1),
-            ttl: 52,
-            window: 65535,
-            payload_len,
-            payload: Bytes::from(vec![b'q'; payload_len as usize]),
-            has_tcp_options: true,
+            ..p
         }
     }
 
     fn flow(packets: Vec<PacketRecord>, end: u64) -> FlowRecord {
-        FlowRecord {
-            client_ip: IpAddr::V4(Ipv4Addr::new(10, 0, 0, 1)),
-            server_ip: IpAddr::V4(Ipv4Addr::new(10, 0, 0, 2)),
-            src_port: 40000,
-            dst_port: 443,
-            packets,
-            observation_end_sec: end,
-            truncated: false,
-        }
+        FlowRecord::new(443, packets, end)
     }
 
     fn classify_default(f: &FlowRecord) -> FlowAnalysis {
@@ -499,6 +486,35 @@ mod tests {
     }
 
     #[test]
+    fn the_walk_yields_the_facts_the_aggregate_reads() {
+        // The first data packet is no request; the second names the
+        // firewall's User-Agent, and a reset follows: a Post-Data match.
+        let fw = tamper_wire::http::build_get("corp.example", "/", crate::FIREWALL_USER_AGENT);
+        let fw_end = 351 + u32::try_from(fw.len()).unwrap();
+        let mut v = psh_prefix();
+        v.push(rec(1, PSH, 351, 900, 0).with_payload(fw));
+        v.push(rec(1, RST, fw_end, 0, 0));
+        let a = classify_default(&flow(v.clone(), 30));
+        assert_eq!(a.signature(), Some(Signature::DataRst));
+        assert!(a.firewall_user_agent);
+        assert!(!a.syn_payload);
+        assert_eq!(a.first_seq, Seq::from(100));
+        // Without the reset the flow is ⟨PSH+ACK → ∅⟩, no Post-Data
+        // match, and the User-Agent is not read.
+        v.pop();
+        let a = classify_default(&flow(v, 30));
+        assert_eq!(a.signature(), Some(Signature::PshNone));
+        assert!(!a.firewall_user_agent);
+
+        // Data on the SYN; the first seq is the first *logged* packet's.
+        let syn_data = rec(0, SYN, 100, 0, 0).with_payload(Bytes::from_static(b"GET /"));
+        let a = classify_default(&flow(vec![rec(0, RST, 106, 0, 0), syn_data], 30));
+        assert!(a.syn_payload);
+        assert_eq!(a.first_seq, Seq::from(106));
+        assert_eq!(classify_default(&flow(Vec::new(), 30)).first_seq, Seq::ZERO);
+    }
+
+    #[test]
     fn reused_classifier_matches_fresh_classify_on_a_handful_of_shapes() {
         // One classifier fed a mix of flow shapes back to back must give
         // the same analyses as a fresh classification of each — stale
@@ -548,10 +564,10 @@ mod tests {
         ];
         let mut clf = BatchClassifier::new(cfg);
         for f in &flows {
-            assert_eq!(clf.classify_record(f), classify(f, &cfg));
+            assert_eq!(clf.classify_flow(f), classify(f, &cfg));
         }
         for f in &flows[..3] {
-            assert_eq!(clf.classify_record(f).signature(), Some(Signature::SynNone));
+            assert_eq!(clf.classify_flow(f).signature(), Some(Signature::SynNone));
         }
     }
 }

@@ -6,7 +6,7 @@
 //! between consecutive packets of a flow); a middlebox forging a RST uses
 //! its own stack, so the forged packet's IP-ID and TTL usually jump.
 
-use tamper_capture::FlowRecord;
+use tamper_capture::PacketRow;
 
 /// The ZMap scanner's famous fixed IP-ID.
 pub(crate) const ZMAP_IP_ID: u16 = 54321;
@@ -18,7 +18,7 @@ pub(crate) const HIGH_TTL: u8 = 200;
 /// packets in reconstructed order. The classifier computes them in the
 /// same pass that folds the flow through the stage automaton and returns
 /// them as [`FlowAnalysis::evidence`](crate::FlowAnalysis::evidence).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct FlowEvidence {
     /// Maximum absolute IP-ID change between each RST-flagged packet and
     /// the nearest preceding non-RST packet (Figure 2). `None` if the
@@ -39,17 +39,6 @@ pub struct FlowEvidence {
     pub max_consecutive_ttl: Option<i16>,
 }
 
-impl FlowEvidence {
-    /// Nothing to measure: the evidence of a flow with no packets.
-    pub(crate) const NONE: FlowEvidence = FlowEvidence {
-        max_rst_ipid: None,
-        min_consecutive_ipid: None,
-        max_consecutive_ipid: None,
-        max_rst_ttl: None,
-        max_consecutive_ttl: None,
-    };
-}
-
 /// Absolute difference between two IP-IDs (no wrap folding: the paper
 /// plots plain absolute change, with the x-axis running to 65535).
 fn ipid_delta(a: u16, b: u16) -> u32 {
@@ -64,9 +53,33 @@ fn larger_ttl_change(max: Option<i16>, d: i16) -> Option<i16> {
     }
 }
 
-/// [`FlowEvidence`] under construction: fed one packet at a time, in
-/// reconstructed order.
-#[derive(Debug)]
+/// The scanner fingerprints of §4.2: the three properties of Hiesgen et
+/// al. and ZMap's SYN. The classifier computes them in its one pass over
+/// the flow and returns them as
+/// [`FlowAnalysis::scanner`](crate::FlowAnalysis::scanner).
+///
+/// Both universally quantified marks need enough packets to mean
+/// anything: `all()` over zero packets is vacuously true, and a single
+/// IP-ID is trivially "fixed" — neither says scanner, so both marks
+/// require the evidence to actually exist (≥1 packet for the options
+/// mark, ≥2 IP-IDs for the fixed-IP-ID mark).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ScannerMarks {
+    /// Every packet lacked TCP options (false on an empty flow).
+    pub no_tcp_options: bool,
+    /// Some packet carried a TTL ≥ 200.
+    pub high_ttl: bool,
+    /// At least two IPv4 packets shared one fixed, nonzero IP-ID (IPv6
+    /// packets in between are skipped).
+    pub fixed_nonzero_ipid: bool,
+    /// The first SYN in *log* order carries ZMap's fingerprint: IP-ID
+    /// 54321 with an option-less TCP header.
+    pub zmap_syn: bool,
+}
+
+/// [`FlowEvidence`] and [`ScannerMarks`] under construction: fed one
+/// packet at a time, in reconstructed order.
+#[derive(Debug, Default)]
 pub(crate) struct EvidenceFold {
     evidence: FlowEvidence,
     /// IP-ID of the latest IPv4 packet, and of the latest non-RST one.
@@ -75,20 +88,25 @@ pub(crate) struct EvidenceFold {
     /// TTL of the latest packet, and of the latest non-RST one.
     prev_ttl: Option<u8>,
     non_rst_ttl: Option<u8>,
+    /// Some packet carried TCP options.
+    any_tcp_options: bool,
+    high_ttl: bool,
+    /// Log index of the earliest-logged SYN so far, and whether it
+    /// carries ZMap's fingerprint.
+    first_syn: Option<(usize, bool)>,
 }
 
 impl EvidenceFold {
-    /// Nothing folded yet.
-    pub(crate) const EMPTY: EvidenceFold = EvidenceFold {
-        evidence: FlowEvidence::NONE,
-        prev_ipid: None,
-        non_rst_ipid: None,
-        prev_ttl: None,
-        non_rst_ttl: None,
-    };
-
-    /// Fold in the next packet of the reconstructed order.
-    pub(crate) fn push(&mut self, rst: bool, ip_id: Option<u16>, ttl: u8) {
+    /// Fold in packet `r`, logged at index `i`: the next of the
+    /// reconstructed order.
+    pub(crate) fn push(&mut self, i: usize, r: &PacketRow) {
+        let (ip_id, ttl) = (r.ip_id, r.ttl);
+        self.any_tcp_options |= r.has_tcp_options;
+        self.high_ttl |= ttl >= HIGH_TTL;
+        if r.flags.has_syn() && self.first_syn.is_none_or(|(first, _)| i < first) {
+            let zmap = ip_id == Some(ZMAP_IP_ID) && !r.has_tcp_options;
+            self.first_syn = Some((i, zmap));
+        }
         let ev = &mut self.evidence;
         if let Some(id) = ip_id {
             if let Some(p) = self.prev_ipid {
@@ -103,7 +121,7 @@ impl EvidenceFold {
             ev.max_consecutive_ttl = larger_ttl_change(ev.max_consecutive_ttl, d);
         }
         self.prev_ttl = Some(ttl);
-        if rst {
+        if r.flags.has_rst() {
             if let (Some(prev), Some(cur)) = (self.non_rst_ipid, ip_id) {
                 let d = ipid_delta(cur, prev);
                 ev.max_rst_ipid = Some(ev.max_rst_ipid.map_or(d, |m| m.max(d)));
@@ -120,68 +138,28 @@ impl EvidenceFold {
         }
     }
 
-    /// The statistics over every packet pushed.
-    pub(crate) fn finish(self) -> FlowEvidence {
-        self.evidence
+    /// The statistics and marks over every packet pushed.
+    pub(crate) fn finish(self) -> (FlowEvidence, ScannerMarks) {
+        let ev = self.evidence;
+        let marks = ScannerMarks {
+            // A TTL was seen iff a packet was.
+            no_tcp_options: self.prev_ttl.is_some() && !self.any_tcp_options,
+            high_ttl: self.high_ttl,
+            // Every consecutive IPv4 delta is zero iff every IP-ID equals
+            // the last one; there are ≥2 iff a delta exists.
+            fixed_nonzero_ipid: ev.max_consecutive_ipid == Some(0)
+                && self.prev_ipid.is_some_and(|id| id != 0),
+            zmap_syn: self.first_syn.is_some_and(|(_, zmap)| zmap),
+        };
+        (ev, marks)
     }
-}
-
-/// The three scanner properties of Hiesgen et al. evaluated in §4.2.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ScannerMarks {
-    /// Every packet lacked TCP options (vacuously false on an empty flow).
-    pub no_tcp_options: bool,
-    /// Some packet carried a TTL ≥ 200.
-    pub high_ttl: bool,
-    /// At least two IPv4 packets shared one fixed, nonzero IP-ID.
-    pub fixed_nonzero_ipid: bool,
-}
-
-/// Evaluate the scanner heuristics on a flow.
-///
-/// Both universally quantified marks need enough packets to mean
-/// anything: `all()` over zero packets is vacuously true, and a single
-/// IP-ID is trivially "fixed" — neither says scanner, so both marks
-/// require the evidence to actually exist (≥1 packet for the options
-/// mark, ≥2 IP-IDs for the fixed-IP-ID mark).
-pub fn scanner_marks(flow: &FlowRecord) -> ScannerMarks {
-    let packets = &flow.packets;
-    let no_tcp_options = !packets.is_empty() && packets.iter().all(|p| !p.has_tcp_options);
-    let high_ttl = packets.iter().any(|p| p.ttl >= HIGH_TTL);
-    let mut first_id: Option<u16> = None;
-    let mut id_count = 0usize;
-    let mut all_equal = true;
-    for id in packets.iter().filter_map(|p| p.ip_id) {
-        id_count += 1;
-        match first_id {
-            None => first_id = Some(id),
-            Some(f) => all_equal &= id == f,
-        }
-    }
-    let fixed_nonzero_ipid = id_count >= 2 && first_id.is_some_and(|f| f != 0) && all_equal;
-    ScannerMarks {
-        no_tcp_options,
-        high_ttl,
-        fixed_nonzero_ipid,
-    }
-}
-
-/// True if the flow's initial SYN carries the ZMap fingerprint: IP-ID
-/// 54321 with an option-less TCP header (§4.2).
-pub fn is_zmap_fingerprint(flow: &FlowRecord) -> bool {
-    flow.packets
-        .iter()
-        .find(|p| p.flags.has_syn())
-        .is_some_and(|p| p.ip_id == Some(ZMAP_IP_ID) && !p.has_tcp_options)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::classify::{classify, ClassifierConfig};
-    use bytes::Bytes;
-    use std::net::{IpAddr, Ipv4Addr};
-    use tamper_capture::PacketRecord;
+    use tamper_capture::{FlowRecord, PacketRecord};
     use tamper_wire::{Seq, TcpFlags};
 
     fn rec(
@@ -193,29 +171,15 @@ mod tests {
         opts: bool,
     ) -> PacketRecord {
         PacketRecord {
-            ts_sec: ts,
-            flags,
-            seq: Seq::from(seq),
-            ack: Seq::ZERO,
             ip_id,
             ttl,
-            window: 65535,
-            payload_len: 0,
-            payload: Bytes::new(),
             has_tcp_options: opts,
+            ..PacketRecord::new(ts, flags, seq)
         }
     }
 
     fn flow(packets: Vec<PacketRecord>) -> FlowRecord {
-        FlowRecord {
-            client_ip: IpAddr::V4(Ipv4Addr::new(10, 0, 0, 1)),
-            server_ip: IpAddr::V4(Ipv4Addr::new(10, 0, 0, 2)),
-            src_port: 1,
-            dst_port: 443,
-            packets,
-            observation_end_sec: 60,
-            truncated: false,
-        }
+        FlowRecord::new(443, packets, 60)
     }
 
     /// The evidence the classifier computes for `f`.
@@ -291,21 +255,71 @@ mod tests {
         assert_eq!(e.max_rst_ttl, Some(-80));
     }
 
+    /// The scanner marks the classifier computes for `f`.
+    fn marks_of(f: &FlowRecord) -> ScannerMarks {
+        classify(f, &ClassifierConfig::default()).scanner
+    }
+
+    /// Whether `f`'s first logged SYN carries ZMap's fingerprint.
+    fn zmap(f: &FlowRecord) -> bool {
+        marks_of(f).zmap_syn
+    }
+
+    #[test]
+    fn zmap_fingerprint_reads_the_first_syn_in_log_order() {
+        // Two SYNs in one second at one sequence number. The log-first
+        // one carries a nonzero ack, so the reconstructed order puts the
+        // other SYN first; the fingerprint follows the log.
+        let with_ack = |p: PacketRecord| PacketRecord {
+            ack: Seq::from(9),
+            ..p
+        };
+        let zmap_syn = rec(0, TcpFlags::SYN, 100, Some(ZMAP_IP_ID), 64, false);
+        let plain_syn = rec(0, TcpFlags::SYN, 100, Some(7), 64, true);
+
+        let log_first = flow(vec![with_ack(zmap_syn.clone()), plain_syn.clone()]);
+        let mut clf = crate::BatchClassifier::new(ClassifierConfig::default());
+        clf.classify_flow(&log_first);
+        assert_eq!(clf.order(), [1, 0], "reconstruction swaps the SYNs");
+        assert!(zmap(&log_first));
+
+        let reconstructed_first = flow(vec![with_ack(plain_syn), zmap_syn]);
+        clf.classify_flow(&reconstructed_first);
+        assert_eq!(clf.order(), [1, 0], "reconstruction swaps the SYNs");
+        assert!(!zmap(&reconstructed_first));
+    }
+
+    #[test]
+    fn fixed_ipid_skips_ipv6_packets() {
+        let f = flow(vec![
+            rec(0, TcpFlags::SYN, 1, Some(77), 52, true),
+            rec(0, TcpFlags::ACK, 2, None, 52, true),
+            rec(0, TcpFlags::RST, 2, Some(77), 52, true),
+        ]);
+        assert!(marks_of(&f).fixed_nonzero_ipid);
+        let moved = flow(vec![
+            rec(0, TcpFlags::SYN, 1, Some(77), 52, true),
+            rec(0, TcpFlags::ACK, 2, None, 52, true),
+            rec(0, TcpFlags::RST, 2, Some(78), 52, true),
+        ]);
+        assert!(!marks_of(&moved).fixed_nonzero_ipid);
+    }
+
     #[test]
     fn zmap_fingerprint_detection() {
         let z = flow(vec![
             rec(0, TcpFlags::SYN, 1, Some(ZMAP_IP_ID), 255, false),
             rec(0, TcpFlags::RST, 2, Some(ZMAP_IP_ID), 255, false),
         ]);
-        assert!(is_zmap_fingerprint(&z));
-        let marks = scanner_marks(&z);
+        assert!(zmap(&z));
+        let marks = marks_of(&z);
         assert!(marks.no_tcp_options);
         assert!(marks.high_ttl);
         assert!(marks.fixed_nonzero_ipid);
 
         let normal = flow(vec![rec(0, TcpFlags::SYN, 1, Some(100), 52, true)]);
-        assert!(!is_zmap_fingerprint(&normal));
-        let m = scanner_marks(&normal);
+        assert!(!zmap(&normal));
+        let m = marks_of(&normal);
         assert!(!m.no_tcp_options);
         assert!(!m.high_ttl);
         // A single packet can't establish a *fixed* IP-ID.
@@ -316,14 +330,14 @@ mod tests {
     fn degenerate_flows_carry_no_scanner_marks() {
         // Zero packets: `all(no options)` would be vacuously true.
         let empty = flow(vec![]);
-        let m = scanner_marks(&empty);
+        let m = marks_of(&empty);
         assert!(!m.no_tcp_options);
         assert!(!m.high_ttl);
         assert!(!m.fixed_nonzero_ipid);
 
         // One packet: a lone IP-ID is trivially "fixed" — not evidence.
         let single = flow(vec![rec(0, TcpFlags::SYN, 1, Some(ZMAP_IP_ID), 255, false)]);
-        let m = scanner_marks(&single);
+        let m = marks_of(&single);
         assert!(m.no_tcp_options, "one option-less packet is real evidence");
         assert!(m.high_ttl);
         assert!(!m.fixed_nonzero_ipid);
@@ -333,7 +347,7 @@ mod tests {
             rec(0, TcpFlags::SYN, 1, Some(ZMAP_IP_ID), 255, false),
             rec(0, TcpFlags::RST, 2, Some(ZMAP_IP_ID), 255, false),
         ]);
-        assert!(scanner_marks(&double).fixed_nonzero_ipid);
+        assert!(marks_of(&double).fixed_nonzero_ipid);
     }
 
     #[test]
@@ -342,6 +356,6 @@ mod tests {
             rec(0, TcpFlags::SYN, 1, Some(0), 52, true),
             rec(0, TcpFlags::ACK, 2, Some(0), 52, true),
         ]);
-        assert!(!scanner_marks(&f).fixed_nonzero_ipid);
+        assert!(!marks_of(&f).fixed_nonzero_ipid);
     }
 }

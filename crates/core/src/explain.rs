@@ -4,50 +4,52 @@
 
 use crate::classify::FlowAnalysis;
 use crate::signature::Classification;
-use tamper_capture::FlowRecord;
-use tamper_wire::tls;
+use crate::view::{FlowView, PacketsView};
+use tamper_wire::{http, tls};
 
 /// Produce a multi-line explanation of one flow's classification.
 /// `order` is the flow's reconstructed packet order as the classifier
 /// that produced `analysis` left it
 /// ([`BatchClassifier::order`](crate::BatchClassifier::order)), so the
 /// narrative never sorts the flow again.
-pub fn explain(flow: &FlowRecord, analysis: &FlowAnalysis, order: &[usize]) -> String {
+pub fn explain<F: FlowView + ?Sized>(flow: &F, analysis: &FlowAnalysis, order: &[usize]) -> String {
     let mut out = String::new();
+    let t = flow.tuple();
     out.push_str(&format!(
         "flow {}:{} → {}:{}\n",
-        flow.client_ip, flow.src_port, flow.server_ip, flow.dst_port
+        t.client_ip, t.src_port, t.server_ip, t.dst_port
     ));
 
-    let ordered = || order.iter().map(|&i| &flow.packets[i]);
-    let t0 = ordered().next().map(|p| p.ts_sec).unwrap_or(0);
-    for (i, p) in ordered().enumerate() {
+    let v = flow.packets();
+    let t0 = order.first().map_or(0, |&i| v.row(i).ts_sec);
+    for (n, &i) in order.iter().enumerate() {
+        let r = v.row(i);
+        let (flags, payload_len) = (r.flags, r.payload_len);
         let mut notes: Vec<String> = Vec::new();
-        if p.flags.has_syn() && p.payload_len > 0 {
-            notes.push(format!("{}-byte payload on the SYN", p.payload_len));
-        } else if p.payload_len > 0 {
-            if tls::is_client_hello(&p.payload) {
-                match tls::parse_sni(&p.payload) {
+        if flags.has_syn() && payload_len > 0 {
+            notes.push(format!("{payload_len}-byte payload on the SYN"));
+        } else if payload_len > 0 {
+            let payload = v.payload(i);
+            if tls::is_client_hello(payload) {
+                match tls::parse_sni(payload) {
                     Ok(Some(sni)) => notes.push(format!("TLS ClientHello, SNI \"{sni}\"")),
                     _ => notes.push("TLS ClientHello".to_owned()),
                 }
-            } else if tamper_wire::http::is_http_request(&p.payload) {
-                if let Ok(req) = tamper_wire::http::parse_request(&p.payload) {
-                    notes.push(format!(
-                        "HTTP {} {} Host: {}",
-                        req.method,
-                        req.path,
-                        req.host.as_deref().unwrap_or("-")
-                    ));
+            } else if http::is_http_request(payload) {
+                if let Ok(req) = http::parse_request(payload) {
+                    let host = req
+                        .host
+                        .map_or_else(|| "-".to_owned(), str::to_ascii_lowercase);
+                    notes.push(format!("HTTP {} {} Host: {host}", req.method, req.path));
                 }
             } else {
-                notes.push(format!("{} bytes of data", p.payload_len));
+                notes.push(format!("{payload_len} bytes of data"));
             }
         }
-        if p.flags.has_rst() {
-            notes.push(format!("ack={}", p.ack));
+        if flags.has_rst() {
+            notes.push(format!("ack={}", r.ack));
         }
-        if !p.has_tcp_options {
+        if !r.has_tcp_options {
             notes.push("no TCP options".to_owned());
         }
         let note = if notes.is_empty() {
@@ -57,21 +59,23 @@ pub fn explain(flow: &FlowRecord, analysis: &FlowAnalysis, order: &[usize]) -> S
         };
         out.push_str(&format!(
             "  #{:<2} +{:<3}s  {:<14}{}\n",
-            i + 1,
-            p.ts_sec.saturating_sub(t0),
-            p.flags.to_string(),
+            n + 1,
+            r.ts_sec.saturating_sub(t0),
+            flags.to_string(),
             note
         ));
     }
 
     // Silence tail.
-    if let Some(last) = ordered().next_back() {
-        let tail = flow.observation_end_sec.saturating_sub(last.ts_sec);
-        if !flow.truncated && tail >= 3 {
+    if let Some(&last) = order.last() {
+        let tail = flow
+            .observation_end_sec()
+            .saturating_sub(v.row(last).ts_sec);
+        if !flow.truncated() && tail >= 3 {
             out.push_str(&format!(
                 "  …   {tail}s of silence until the collector closed the flow\n"
             ));
-        } else if flow.truncated {
+        } else if flow.truncated() {
             out.push_str("  …   record truncated at the packet limit (flow still active)\n");
         }
     }
@@ -126,42 +130,27 @@ mod tests {
     use crate::batch::BatchClassifier;
     use crate::classify::ClassifierConfig;
     use bytes::Bytes;
-    use std::net::{IpAddr, Ipv4Addr};
-    use tamper_capture::PacketRecord;
+    use tamper_capture::{FlowRecord, PacketRecord};
     use tamper_wire::{Seq, TcpFlags};
 
     fn rec(ts: u64, flags: TcpFlags, seq: u32, ack: u32, payload: Bytes) -> PacketRecord {
+        let p = PacketRecord::new(ts, flags, seq).with_payload(payload);
         PacketRecord {
-            ts_sec: ts,
-            flags,
-            seq: Seq::from(seq),
             ack: Seq::from(ack),
             ip_id: Some(100),
-            ttl: 52,
-            window: 65535,
-            payload_len: u32::try_from(payload.len()).unwrap(),
-            payload,
-            has_tcp_options: true,
+            ..p
         }
     }
 
     /// Classify `f` and explain it from the classifier's own order.
     fn explain_flow(f: &FlowRecord) -> String {
         let mut clf = BatchClassifier::new(ClassifierConfig::default());
-        let a = clf.classify_record(f);
+        let a = clf.classify_flow(f);
         explain(f, &a, clf.order())
     }
 
     fn flow(packets: Vec<PacketRecord>) -> FlowRecord {
-        FlowRecord {
-            client_ip: IpAddr::V4(Ipv4Addr::new(203, 0, 113, 3)),
-            server_ip: IpAddr::V4(Ipv4Addr::new(198, 51, 100, 1)),
-            src_port: 40000,
-            dst_port: 443,
-            packets,
-            observation_end_sec: 130,
-            truncated: false,
-        }
+        FlowRecord::new(443, packets, 130)
     }
 
     #[test]

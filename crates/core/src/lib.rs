@@ -17,13 +17,15 @@
 //! Pipeline: a flow (≤10 inbound packets, 1-second timestamps, possibly
 //! out of order; an owned [`FlowRecord`](tamper_capture::FlowRecord) or
 //! the arena-backed rows of a [`FlowBatch`](tamper_capture::FlowBatch),
-//! both through the one [`BatchClassifier`]) is
+//! both read through one [`FlowView`] by the one [`BatchClassifier`]) is
 //! [reordered](reorder), tested for **possibly-tampered** status (RST
 //! present, or a ≥3 s inactivity gap without a FIN), matched against the
 //! 19 [tampering signatures](signature::Signature) of Table 1, and
 //! annotated with the [`trigger`] (SNI / Host) and
 //! [injection evidence](evidence) (IP-ID / TTL discontinuities, scanner
-//! fingerprints).
+//! fingerprints, SYN payloads, a firewall User-Agent on Post-Data
+//! matches) — all in the one walk, so the aggregate downstream reads the
+//! [`FlowAnalysis`] and never a packet.
 //!
 //! The classifier sees exactly what the paper's pipeline saw — it never
 //! touches simulation ground truth, which lives only in `tamper-netsim`
@@ -41,9 +43,9 @@ mod view;
 
 pub use batch::BatchClassifier;
 pub use classify::{classify, ClassifierConfig, FlowAnalysis};
-pub use evidence::{is_zmap_fingerprint, scanner_marks};
 pub use explain::explain;
 pub use machine::{reachable_graph, stage_of, transition, Count, Event, StageState};
 pub use reorder::reconstruct_order;
 pub use signature::{Classification, Signature, Stage};
-pub use trigger::{user_agent, AppProtocol};
+pub use trigger::{AppProtocol, FIREWALL_USER_AGENT};
+pub use view::{FlowView, PacketsView};

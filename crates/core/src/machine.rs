@@ -14,7 +14,7 @@
 //!   unintended transition fails review.
 
 use crate::signature::Stage;
-use crate::view::PacketsView;
+use tamper_capture::PacketRow;
 use tamper_wire::Seq;
 
 /// A saturating 0 / 1 / many counter — the only multiplicities the
@@ -95,28 +95,22 @@ impl Event {
     }
 }
 
-/// Classify packet `i` of a flow (any storage layout) into an
-/// [`Event`], deduplicating data segments by sequence number through
-/// `seen_data_seqs` (caller-owned scratch so the classifier can reuse its
-/// allocation).
-pub(crate) fn event_of<V: PacketsView + ?Sized>(
-    v: &V,
-    i: usize,
-    seen_data_seqs: &mut Vec<Seq>,
-) -> Event {
-    let f = v.flags(i);
+/// Classify one packet of a flow into an [`Event`], deduplicating data
+/// segments by sequence number through `seen_data_seqs` (caller-owned
+/// scratch so the classifier can reuse its allocation).
+pub(crate) fn event_of(r: &PacketRow, seen_data_seqs: &mut Vec<Seq>) -> Event {
+    let f = r.flags;
     if f.has_syn() {
         Event::Syn
     } else if f.has_rst() {
         Event::Rst
     } else if f.has_fin() {
         Event::Fin
-    } else if v.has_payload(i) {
-        let seq = v.seq(i);
-        if seen_data_seqs.contains(&seq) {
+    } else if r.payload_len > 0 {
+        if seen_data_seqs.contains(&r.seq) {
             Event::DupData
         } else {
-            seen_data_seqs.push(seq);
+            seen_data_seqs.push(r.seq);
             Event::NewData
         }
     } else if f.has_ack() {

@@ -45,10 +45,11 @@ pub fn reconstruct_order<V: PacketsView + ?Sized>(v: &V, idx: &mut Vec<usize>) {
     // logged, else the earliest data sequence seen: the one furthest
     // *before* the first logged sequence number. A raw minimum would pick
     // the wrapped end of data that straddles 2³² and sort it backwards.
-    let seqs = || (0..v.len()).map(|i| v.seq(i));
-    let isn = (0..v.len())
-        .find(|&i| v.flags(i).has_syn())
-        .map(|i| v.seq(i))
+    let rows = || (0..v.len()).map(|i| v.row(i));
+    let seqs = || rows().map(|r| r.seq);
+    let isn = rows()
+        .find(|r| r.flags.has_syn())
+        .map(|r| r.seq)
         .or_else(|| {
             let anchor = seqs().next()?;
             seqs().min_by_key(|s| s.distance(anchor))
@@ -61,9 +62,9 @@ pub fn reconstruct_order<V: PacketsView + ?Sized>(v: &V, idx: &mut Vec<usize>) {
     // acks just before the anchor must sort just before it, not 4 GiB
     // after. (Acks of 0 are pre-handshake and keep sorting first, via the
     // bool key.)
-    let ack0 = (0..v.len())
-        .find(|&i| v.ack(i) != Seq::ZERO)
-        .map(|i| v.ack(i))
+    let ack0 = rows()
+        .map(|r| r.ack)
+        .find(|&ack| ack != Seq::ZERO)
         .unwrap_or(Seq::ZERO);
 
     idx.clear();
@@ -72,13 +73,14 @@ pub fn reconstruct_order<V: PacketsView + ?Sized>(v: &V, idx: &mut Vec<usize>) {
     // is deterministic — and unlike the stable sort it never allocates,
     // which the steady-state classify path depends on.
     idx.sort_unstable_by_key(|&i| {
+        let r = v.row(i);
         (
-            v.ts_sec(i),
-            rank(v.flags(i)),
-            v.seq(i).offset_from(isn),
-            v.has_payload(i), // the handshake ACK precedes its request
-            (v.ack(i) != Seq::ZERO, v.ack(i).distance(ack0)),
-            v.flags(i).has_fin(), // the final data ACK precedes the FIN
+            r.ts_sec,
+            rank(r.flags),
+            r.seq.offset_from(isn),
+            r.payload_len > 0, // the handshake ACK precedes its request
+            (r.ack != Seq::ZERO, r.ack.distance(ack0)),
+            r.flags.has_fin(), // the final data ACK precedes the FIN
             i,
         )
     });
@@ -91,18 +93,8 @@ mod tests {
     use tamper_capture::PacketRecord;
 
     fn rec(ts: u64, flags: TcpFlags, seq: u32, payload_len: u32) -> PacketRecord {
-        PacketRecord {
-            ts_sec: ts,
-            flags,
-            seq: Seq::from(seq),
-            ack: Seq::ZERO,
-            ip_id: Some(0),
-            ttl: 60,
-            window: 65535,
-            payload_len,
-            payload: Bytes::from(vec![b'x'; payload_len as usize]),
-            has_tcp_options: true,
-        }
+        PacketRecord::new(ts, flags, seq)
+            .with_payload(Bytes::from(vec![b'x'; payload_len as usize]))
     }
 
     fn order_of(packets: &[PacketRecord]) -> Vec<usize> {

@@ -5,7 +5,6 @@
 //! (paper §3.4).
 
 use crate::view::PacketsView;
-use tamper_capture::FlowRecord;
 use tamper_wire::{http, tls};
 
 /// Application protocol of a flow, as inferred from its first data packet
@@ -35,7 +34,7 @@ pub struct TriggerInfo {
 pub(crate) fn extract<V: PacketsView + ?Sized>(dst_port: u16, v: &V) -> TriggerInfo {
     // First data-bearing packet (including data riding a SYN).
     let first_data = (0..v.len())
-        .find(|&i| v.has_payload(i))
+        .find(|&i| v.row(i).payload_len > 0)
         .map(|i| v.payload(i));
     if let Some(payload) = first_data {
         if tls::is_client_hello(payload) {
@@ -65,63 +64,90 @@ pub(crate) fn extract<V: PacketsView + ?Sized>(dst_port: u16, v: &V) -> TriggerI
     }
 }
 
-/// The User-Agent of the first HTTP request in the flow, if any — the
-/// paper observes that Post-Data matches frequently carry user agents
-/// identifying commercial firewalls.
-pub fn user_agent(flow: &FlowRecord) -> Option<String> {
-    flow.packets
-        .iter()
-        .filter(|p| p.has_payload())
-        .find_map(|p| {
-            http::parse_request(&p.payload)
-                // Best-effort User-Agent sniff: a malformed request simply yields none
-                .ok()
-                .and_then(|r| r.user_agent)
-        })
+/// The User-Agent a commercial enterprise proxy stamps on the requests it
+/// forwards. The paper observes that Post-Data matches frequently carry
+/// such identifiers (§4.3); the simulated world's firewalls send this one.
+pub const FIREWALL_USER_AGENT: &str = "CorpGuard-SecureProxy/6.7";
+
+/// The User-Agent of the first request in log order that names one:
+/// payloads that are no HTTP request, and requests without the header,
+/// are skipped.
+pub(crate) fn first_user_agent<V: PacketsView + ?Sized>(v: &V) -> Option<&str> {
+    (0..v.len())
+        .filter(|&i| v.row(i).payload_len > 0)
+        // Best-effort User-Agent sniff: a malformed request simply yields none
+        .find_map(|i| http::parse_request(v.payload(i)).ok()?.user_agent)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use bytes::Bytes;
-    use std::net::{IpAddr, Ipv4Addr};
-    use tamper_capture::PacketRecord;
-    use tamper_wire::{Seq, TcpFlags};
+    use tamper_capture::{FlowRecord, PacketRecord};
+    use tamper_wire::TcpFlags;
 
     fn flow(dst_port: u16, payloads: Vec<Bytes>) -> FlowRecord {
         let packets = payloads
             .into_iter()
             .enumerate()
-            .map(|(i, payload)| PacketRecord {
-                ts_sec: i as u64,
-                flags: if payload.is_empty() {
+            .map(|(i, payload)| {
+                let flags = if payload.is_empty() {
                     TcpFlags::SYN
                 } else {
                     TcpFlags::PSH_ACK
-                },
-                seq: Seq::from(u32::try_from(i).unwrap()),
-                ack: Seq::ZERO,
-                ip_id: Some(1),
-                ttl: 60,
-                window: 65535,
-                payload_len: u32::try_from(payload.len()).unwrap(),
-                payload,
-                has_tcp_options: true,
+                };
+                PacketRecord::new(i as u64, flags, u32::try_from(i).unwrap()).with_payload(payload)
             })
             .collect();
-        FlowRecord {
-            client_ip: IpAddr::V4(Ipv4Addr::new(10, 0, 0, 1)),
-            server_ip: IpAddr::V4(Ipv4Addr::new(10, 0, 0, 2)),
-            src_port: 40000,
-            dst_port,
-            packets,
-            observation_end_sec: 100,
-            truncated: false,
-        }
+        FlowRecord::new(dst_port, packets, 100)
     }
 
     fn extract(f: &FlowRecord) -> TriggerInfo {
         super::extract(f.dst_port, f.packets.as_slice())
+    }
+
+    /// The first User-Agent the flow's requests name.
+    fn ua(f: &FlowRecord) -> Option<String> {
+        first_user_agent(f.packets.as_slice()).map(str::to_owned)
+    }
+
+    const FIREWALL: &str = "CorpGuard-SecureProxy/6.7";
+
+    #[test]
+    fn user_agent_skips_data_that_is_no_request() {
+        let junk = Bytes::from_static(&[0x17, 0x03, 0x03, 0x00, 0x05, 1, 2, 3, 4, 5]);
+        let post = http::build_post("corp.example", "/upload", FIREWALL, "body");
+        let f = flow(80, vec![Bytes::new(), junk, post]);
+        // The trigger reads the first data packet only ...
+        let t = extract(&f);
+        assert_eq!(t.protocol, AppProtocol::Http);
+        assert_eq!(t.domain, None);
+        // ... the User-Agent the first request that names one.
+        assert_eq!(ua(&f).as_deref(), Some(FIREWALL));
+    }
+
+    #[test]
+    fn user_agent_is_the_first_request_naming_one() {
+        let bare = Bytes::from_static(b"GET / HTTP/1.1\r\nHost: a.example\r\n\r\n");
+        let fw = http::build_get("a.example", "/", FIREWALL);
+        let f = flow(80, vec![Bytes::new(), bare.clone(), fw.clone()]);
+        assert_eq!(ua(&f).as_deref(), Some(FIREWALL));
+
+        let browser = http::build_get("a.example", "/", "Mozilla/5.0");
+        let f = flow(80, vec![Bytes::new(), browser, fw]);
+        assert_eq!(ua(&f).as_deref(), Some("Mozilla/5.0"));
+
+        // Within one request head the last User-Agent header wins.
+        let twice = Bytes::from_static(
+            b"GET / HTTP/1.1\r\nUser-Agent: Mozilla/5.0\r\nUser-Agent:  CorpGuard-SecureProxy/6.7 \r\n\r\n",
+        );
+        let f = flow(80, vec![Bytes::new(), bare, twice]);
+        assert_eq!(ua(&f).as_deref(), Some(FIREWALL));
+
+        // A request line without a version is no request.
+        let broken = Bytes::from_static(b"GET /\r\nUser-Agent: CorpGuard-SecureProxy/6.7\r\n\r\n");
+        let f = flow(80, vec![Bytes::new(), broken]);
+        assert_eq!(ua(&f), None);
     }
 
     #[test]
@@ -140,7 +166,7 @@ mod tests {
         let t = extract(&f);
         assert_eq!(t.protocol, AppProtocol::Http);
         assert_eq!(t.domain.as_deref(), Some("news.example"));
-        assert_eq!(user_agent(&f).as_deref(), Some("Mozilla/5.0"));
+        assert_eq!(ua(&f).as_deref(), Some("Mozilla/5.0"));
     }
 
     #[test]

@@ -1,60 +1,65 @@
-//! The classifier's read-only window onto a flow's packets.
+//! The read-only window onto a flow that the classifier and everything
+//! downstream of it read.
 //!
-//! Classification never needed owned [`PacketRecord`]s — only a handful
-//! of scalar fields per packet (the IP-ID and TTL among them, for the
-//! injection evidence) plus the first payload. [`PacketsView`]
-//! names exactly that surface, so the one generic classification body in
-//! [`BatchClassifier`](crate::batch::BatchClassifier) serves both
-//! storage layouts:
+//! Classification never needed owned [`PacketRecord`]s — only each
+//! packet's header fields, as a [`PacketRow`], plus its payload.
+//! [`PacketsView`] names exactly that surface, and [`FlowView`] adds the
+//! flow's 4-tuple and close-time facts, so one generic body serves both
+//! storage layouts — the classifier
+//! ([`BatchClassifier::classify_flow`](crate::BatchClassifier::classify_flow)),
+//! [`explain`](crate::explain) and the JSON-lines renderer alike:
 //!
-//! - a [`FlowRecord`](tamper_capture::FlowRecord)'s owned packets
-//!   (`impl PacketsView for [PacketRecord]`),
-//! - the [`FlowRows`](tamper_capture::FlowRows) of a
-//!   [`FlowBatch`](tamper_capture::FlowBatch): the same fields per
-//!   packet, with the payload a range of the batch arena.
+//! - a [`FlowRecord`] and its owned packets
+//!   (`impl PacketsView for [PacketRecord]`), the simulator's layout;
+//! - the [`FlowRows`] of a [`FlowBatch`](tamper_capture::FlowBatch): the
+//!   same fields per packet, with the payload a range of the batch arena,
+//!   read in place by `classify`.
 //!
 //! Both implementations monomorphize — the indirection costs nothing —
 //! and because the *same* generic body runs over both, the arena path is
 //! byte-identical to the owned path by construction (the `properties`
 //! differential suite checks it anyway).
 
-use tamper_capture::PacketRecord;
-use tamper_wire::{Seq, TcpFlags};
+use tamper_capture::{FlowRecord, FlowRows, FlowTuple, PacketRecord, PacketRow};
 
-/// Indexed, allocation-free access to the packet fields classification
-/// reads. Indices are arrival order, `0..len()`.
+/// Indexed, allocation-free access to a flow's packets. Indices are log
+/// order, `0..len()`.
 pub trait PacketsView {
     /// Number of packets in the flow.
     fn len(&self) -> usize;
 
-    /// Capture timestamp (seconds) of packet `i`.
-    fn ts_sec(&self, i: usize) -> u64;
+    /// True if the flow holds no packet.
+    fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
 
-    /// TCP flag byte of packet `i`.
-    fn flags(&self, i: usize) -> TcpFlags;
-
-    /// Sequence number of packet `i`.
-    fn seq(&self, i: usize) -> Seq;
-
-    /// Acknowledgement number of packet `i`.
-    fn ack(&self, i: usize) -> Seq;
-
-    /// Payload length of packet `i` as logged.
-    fn payload_len(&self, i: usize) -> u32;
+    /// The header fields of packet `i` (among them `has_tcp_options`).
+    /// Its `payload_off` is the layout's own business: read the payload
+    /// through [`payload`](Self::payload).
+    fn row(&self, i: usize) -> PacketRow;
 
     /// Payload bytes of packet `i`.
     fn payload(&self, i: usize) -> &[u8];
+}
 
-    /// IPv4 identification of packet `i` (`None` for IPv6).
-    fn ip_id(&self, i: usize) -> Option<u16>;
+/// One finished flow: its packets plus what the collector knew when it
+/// closed the flow.
+pub trait FlowView {
+    /// The packet storage.
+    type Packets: PacketsView + ?Sized;
 
-    /// TTL / hop limit of packet `i` as received.
-    fn ttl(&self, i: usize) -> u8;
+    /// The flow's packets, in log order.
+    fn packets(&self) -> &Self::Packets;
 
-    /// True if packet `i` carried data.
-    fn has_payload(&self, i: usize) -> bool {
-        self.payload_len(i) > 0
-    }
+    /// Client and server address and port.
+    fn tuple(&self) -> FlowTuple;
+
+    /// When the collector closed the flow (seconds); tail inactivity is
+    /// judged against this.
+    fn observation_end_sec(&self) -> u64;
+
+    /// True if more packets arrived than the record retained.
+    fn truncated(&self) -> bool;
 }
 
 impl PacketsView for [PacketRecord] {
@@ -62,35 +67,70 @@ impl PacketsView for [PacketRecord] {
         <[PacketRecord]>::len(self)
     }
 
-    fn ts_sec(&self, i: usize) -> u64 {
-        self[i].ts_sec
-    }
-
-    fn flags(&self, i: usize) -> TcpFlags {
-        self[i].flags
-    }
-
-    fn seq(&self, i: usize) -> Seq {
-        self[i].seq
-    }
-
-    fn ack(&self, i: usize) -> Seq {
-        self[i].ack
-    }
-
-    fn payload_len(&self, i: usize) -> u32 {
-        self[i].payload_len
+    fn row(&self, i: usize) -> PacketRow {
+        self[i].row(0)
     }
 
     fn payload(&self, i: usize) -> &[u8] {
         &self[i].payload
     }
+}
 
-    fn ip_id(&self, i: usize) -> Option<u16> {
-        self[i].ip_id
+impl FlowView for FlowRecord {
+    type Packets = [PacketRecord];
+
+    fn packets(&self) -> &[PacketRecord] {
+        &self.packets
     }
 
-    fn ttl(&self, i: usize) -> u8 {
-        self[i].ttl
+    fn tuple(&self) -> FlowTuple {
+        FlowTuple {
+            client_ip: self.client_ip,
+            server_ip: self.server_ip,
+            src_port: self.src_port,
+            dst_port: self.dst_port,
+        }
+    }
+
+    fn observation_end_sec(&self) -> u64 {
+        self.observation_end_sec
+    }
+
+    fn truncated(&self) -> bool {
+        self.truncated
+    }
+}
+
+impl PacketsView for FlowRows<'_> {
+    fn len(&self) -> usize {
+        self.rows.len()
+    }
+
+    fn row(&self, i: usize) -> PacketRow {
+        self.rows[i]
+    }
+
+    fn payload(&self, i: usize) -> &[u8] {
+        self.payload_of(i)
+    }
+}
+
+impl FlowView for FlowRows<'_> {
+    type Packets = Self;
+
+    fn packets(&self) -> &Self {
+        self
+    }
+
+    fn tuple(&self) -> FlowTuple {
+        self.span.tuple
+    }
+
+    fn observation_end_sec(&self) -> u64 {
+        self.span.observation_end_sec
+    }
+
+    fn truncated(&self) -> bool {
+        self.span.truncated
     }
 }

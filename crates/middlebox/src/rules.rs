@@ -90,7 +90,8 @@ impl RuleSet {
             return tls::parse_sni(payload).ok().flatten();
         }
         // DPI boxes drop unparsable requests silently; mirroring that is the point
-        http::parse_request(payload).ok().and_then(|r| r.host)
+        let host = http::parse_request(payload).ok().and_then(|r| r.host)?;
+        Some(host.to_ascii_lowercase())
     }
 
     /// Evaluate a first data packet (stage: request visible).

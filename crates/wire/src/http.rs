@@ -6,17 +6,18 @@
 use crate::{Result, WireError};
 use bytes::Bytes;
 
-/// A parsed HTTP/1.x request head.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct HttpRequest {
+/// A parsed HTTP/1.x request head, borrowed from the payload. A
+/// repeated header yields its last value.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct HttpRequest<'a> {
     /// Request method (`GET`, `POST`, ...).
-    pub method: String,
+    pub method: &'a str,
     /// Request target (path + query).
-    pub path: String,
-    /// Host header value, lowercased, if present.
-    pub host: Option<String>,
+    pub path: &'a str,
+    /// Host header value as sent, if present.
+    pub host: Option<&'a str>,
     /// User-Agent header value, if present.
-    pub user_agent: Option<String>,
+    pub user_agent: Option<&'a str>,
 }
 
 /// Build a plain HTTP/1.1 GET request.
@@ -43,40 +44,50 @@ pub fn is_http_request(payload: &[u8]) -> bool {
     METHODS.iter().any(|m| payload.starts_with(m))
 }
 
-/// Parse the request head (request line + headers). Returns
-/// [`WireError::Malformed`] when the payload is not an HTTP request or the
-/// request line is broken. Tolerates a truncated header block (parses what
-/// is there), matching what a DPI box sees in the first packet.
+/// The request's text up to the first byte that is not UTF-8: bodies
+/// can be binary, only the head must be text.
+fn head_text(payload: &[u8]) -> Result<&str> {
+    if !is_http_request(payload) {
+        return Err(WireError::Malformed("http request line"));
+    }
+    match std::str::from_utf8(payload) {
+        Ok(t) => Ok(t),
+        Err(e) => payload
+            .get(..e.valid_up_to())
+            .and_then(|head| std::str::from_utf8(head).ok())
+            .ok_or(WireError::Malformed("http head utf-8")),
+    }
+}
+
+/// Parse the request head (request line + headers), copying nothing.
+/// Returns [`WireError::Malformed`] when the payload is not an HTTP
+/// request or the request line is broken. Tolerates a truncated header
+/// block (parses what is there), matching what a DPI box sees in the
+/// first packet.
 ///
 /// ```
 /// let req = tamper_wire::http::build_get("Example.com", "/x", "demo/1.0");
 /// let parsed = tamper_wire::http::parse_request(&req).unwrap();
-/// assert_eq!(parsed.host.as_deref(), Some("example.com"));
+/// assert_eq!(parsed.host, Some("Example.com"));
+/// assert_eq!(parsed.user_agent, Some("demo/1.0"));
 /// ```
-pub fn parse_request(payload: &[u8]) -> Result<HttpRequest> {
+pub fn parse_request(payload: &[u8]) -> Result<HttpRequest<'_>> {
     const BAD: WireError = WireError::Malformed("http request line");
-    if !is_http_request(payload) {
-        return Err(BAD);
-    }
-    let text = match std::str::from_utf8(payload) {
-        Ok(t) => t,
-        // Bodies can be binary; only the head must be UTF-8.
-        Err(e) => payload
-            .get(..e.valid_up_to())
-            .and_then(|head| std::str::from_utf8(head).ok())
-            .ok_or(WireError::Malformed("http head utf-8"))?,
-    };
-    let mut lines = text.split("\r\n");
+    let mut lines = head_text(payload)?.split("\r\n");
     let request_line = lines.next().ok_or(BAD)?;
     let mut parts = request_line.split(' ');
-    let method = parts.next().ok_or(BAD)?.to_owned();
-    let path = parts.next().ok_or(BAD)?.to_owned();
+    let method = parts.next().ok_or(BAD)?;
+    let path = parts.next().ok_or(BAD)?;
     let version = parts.next().ok_or(BAD)?;
     if !version.starts_with("HTTP/") {
         return Err(BAD);
     }
-    let mut host = None;
-    let mut user_agent = None;
+    let mut req = HttpRequest {
+        method,
+        path,
+        host: None,
+        user_agent: None,
+    };
     for line in lines {
         if line.is_empty() {
             break; // end of headers
@@ -84,24 +95,19 @@ pub fn parse_request(payload: &[u8]) -> Result<HttpRequest> {
         if let Some((name, value)) = line.split_once(':') {
             let value = value.trim();
             if name.eq_ignore_ascii_case("host") {
-                host = Some(value.to_ascii_lowercase());
+                req.host = Some(value);
             } else if name.eq_ignore_ascii_case("user-agent") {
-                user_agent = Some(value.to_owned());
+                req.user_agent = Some(value);
             }
         }
     }
-    Ok(HttpRequest {
-        method,
-        path,
-        host,
-        user_agent,
-    })
+    Ok(req)
 }
 
-/// Extract just the lowercased Host header from a request head. This is
-/// the hot-path variant of [`parse_request`]: the per-flow trigger
-/// extraction only needs the domain, so nothing else is materialized —
-/// the one allocation is the returned host string the verdict owns.
+/// Extract just the lowercased Host header from a request head: the
+/// trigger domain a verdict owns, and its one allocation. Unlike
+/// [`parse_request`] it takes the first Host header and checks only the
+/// request line's last word for the version.
 ///
 /// ```
 /// let req = tamper_wire::http::build_get("Example.com", "/x", "demo/1.0");
@@ -109,25 +115,16 @@ pub fn parse_request(payload: &[u8]) -> Result<HttpRequest> {
 /// assert_eq!(host.as_deref(), Some("example.com"));
 /// ```
 pub fn parse_host(payload: &[u8]) -> Result<Option<String>> {
-    const BAD: WireError = WireError::Malformed("http request line");
-    if !is_http_request(payload) {
-        return Err(BAD);
-    }
-    let text = match std::str::from_utf8(payload) {
-        Ok(t) => t,
-        Err(e) => payload
-            .get(..e.valid_up_to())
-            .and_then(|head| std::str::from_utf8(head).ok())
-            .ok_or(WireError::Malformed("http head utf-8"))?,
-    };
-    let mut lines = text.split("\r\n");
-    let request_line = lines.next().ok_or(BAD)?;
+    let mut lines = head_text(payload)?.split("\r\n");
+    let request_line = lines
+        .next()
+        .ok_or(WireError::Malformed("http request line"))?;
     if !request_line
         .rsplit(' ')
         .next()
         .is_some_and(|v| v.starts_with("HTTP/"))
     {
-        return Err(BAD);
+        return Err(WireError::Malformed("http request line"));
     }
     for line in lines {
         if line.is_empty() {
@@ -165,8 +162,9 @@ mod tests {
         let parsed = parse_request(&req).unwrap();
         assert_eq!(parsed.method, "GET");
         assert_eq!(parsed.path, "/watch?v=1");
-        assert_eq!(parsed.host.as_deref(), Some("example.com")); // lowercased
-        assert_eq!(parsed.user_agent.as_deref(), Some("curl/8.0"));
+        assert_eq!(parsed.host, Some("Example.COM")); // as sent
+        assert_eq!(parsed.user_agent, Some("curl/8.0"));
+        assert_eq!(parse_host(&req).unwrap().as_deref(), Some("example.com"));
     }
 
     #[test]
@@ -215,6 +213,6 @@ mod tests {
         let mut req = build_get("example.com", "/", "ua").to_vec();
         req.extend_from_slice(&[0xFF, 0xFE, 0x00]);
         let parsed = parse_request(&req).unwrap();
-        assert_eq!(parsed.host.as_deref(), Some("example.com"));
+        assert_eq!(parsed.host, Some("example.com"));
     }
 }

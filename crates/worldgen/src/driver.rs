@@ -34,10 +34,7 @@ pub const SEP13_2022_UNIX: u64 = 1_663_027_200;
 /// Keyword planted in second requests that commercial firewalls key on.
 pub const FIREWALL_KEYWORD: &str = "forbidden-topic";
 
-/// The User-Agent a commercial enterprise proxy stamps on forwarded
-/// requests — the paper observes Post-Data matches frequently carry such
-/// identifiers (§4.3).
-pub const FIREWALL_USER_AGENT: &str = "CorpGuard-SecureProxy/6.7";
+pub use tamper_core::FIREWALL_USER_AGENT;
 
 /// World simulation configuration.
 #[derive(Debug, Clone)]

@@ -4,7 +4,8 @@
 //! crate's `#![deny]`s; sequence-space arithmetic is held by the
 //! `tamper_wire::Seq` type), release build, the full workspace test suite,
 //! the proptest suites re-run with `PROPTEST_CASES`/`PROPTEST_SEED`
-//! pinned, a smoke run of
+//! pinned, `tamper-wire`'s doctests with their `compile_fail` error codes
+//! enforced, a smoke run of
 //! `classify --metrics-json` on the golden fixture pcap, and a build check
 //! and one short run of the stand-alone `benchmark/` package. Every step
 //! is timed and the run ends with a per-step wall-time summary.
@@ -249,6 +250,17 @@ fn ci() -> Result<(), String> {
                 )
             })?;
         }
+        // Stable rustdoc ignores the error code a `compile_fail,E0369`
+        // fence names; with RUSTC_BOOTSTRAP set it checks it, so a `Seq`
+        // guard that stops compiling for another reason fails here.
+        sw.time("wire compile_fail codes", || {
+            run_env(
+                "wire compile_fail codes",
+                "cargo",
+                &["test", "-q", "-p", "tamper-wire", "--doc"],
+                &[("RUSTC_BOOTSTRAP", "1")],
+            )
+        })?;
         sw.time("metrics smoke", metrics_smoke)?;
         sw.time("pipeline bench smoke", pipeline_bench_smoke)?;
         Ok(())
@@ -267,7 +279,8 @@ fn main() -> ExitCode {
         _ => Err(format!(
             "unknown task {task:?}\n\nUSAGE: cargo xtask <task>\n\nTASKS:\n  \
              ci    fmt + clippy + release build + workspace tests + \
-             pinned-seed proptests + metrics + pipeline-bench smokes"
+             pinned-seed proptests + compile_fail codes + metrics + \
+             pipeline-bench smokes"
         )),
     };
     match result {

@@ -21,10 +21,10 @@ use std::ops::RangeInclusive;
 use std::sync::{Mutex, MutexGuard};
 
 use tamper_analysis::{
-    capture_collector, capture_summary_to_json, engine_perf_to_json, flow_to_jsonl_into,
-    label_capture_flow, Collector,
+    capture_collector, capture_meta, capture_summary_to_json, engine_perf_to_json,
+    flow_to_jsonl_into, Collector,
 };
-use tamper_capture::{run_source, EngineConfig, EngineStats, FlowBatch, FlowRecord, PcapMemSource};
+use tamper_capture::{run_source, EngineConfig, EngineStats, FlowBatch, FlowRows, PcapMemSource};
 use tamper_core::{explain, BatchClassifier, ClassifierConfig, FlowAnalysis};
 use tamper_obs::Registry;
 
@@ -156,8 +156,8 @@ pub struct Classified<W> {
 }
 
 /// `tamperscope classify` from an open capture to its last stdout byte:
-/// classify each flow off its batch, label it, aggregate it, render it,
-/// and write the verdicts to `out` in first-seen order through one
+/// classify, label, aggregate and render each flow in place off its
+/// batch, and write the verdicts to `out` in first-seen order through one
 /// ordered writer. With `json_summary`, the summary and perf lines
 /// follow. With a `registry`, the engine's scopes and
 /// `verdicts.buffered_lines_max` are published to it.
@@ -184,16 +184,15 @@ pub fn classify<W: Write + Send>(
     };
     let observe = |sink: &mut ClassifySink, batch: FlowBatch| {
         let mut segment = VerdictSegment::default();
-        for (i, span) in batch.spans().iter().enumerate() {
-            // Verdicts come straight off the batch's rows; the owning
-            // record is materialized only for labeling and rendering.
-            let analysis = sink.clf.classify_span(&batch, i);
-            let lf = label_capture_flow(batch.materialize(i));
-            sink.col.observe_analyzed(&lf, &analysis);
-            segment.push(span.first_index, |text| match render {
-                Render::Lines => verdict_line(text, &lf.flow, &analysis),
-                Render::Jsonl => flow_to_jsonl_into(text, &lf.flow, &analysis),
-                Render::Explain => text.push_str(&explain(&lf.flow, &analysis, sink.clf.order())),
+        for i in 0..batch.flow_count() {
+            let flow = batch.flow_rows(i);
+            let analysis = sink.clf.classify_flow(&flow);
+            sink.col
+                .record(&capture_meta(&flow), &flow.span.tuple, &analysis);
+            segment.push(flow.span.first_index, |text| match render {
+                Render::Lines => verdict_line(text, &flow, &analysis),
+                Render::Jsonl => flow_to_jsonl_into(text, &flow, &analysis),
+                Render::Explain => text.push_str(&explain(&flow, &analysis, sink.clf.order())),
             });
         }
         lock(&lines).push(sink.shard, segment, batch.watermark());
@@ -225,20 +224,21 @@ pub fn classify<W: Write + Send>(
 }
 
 /// `classify`'s default output: one aligned line per flow.
-fn verdict_line(text: &mut String, flow: &FlowRecord, analysis: &FlowAnalysis) {
+fn verdict_line(text: &mut String, flow: &FlowRows<'_>, analysis: &FlowAnalysis) {
     let verdict = match analysis.signature() {
         Some(sig) => format!("TAMPERED  {sig}"),
         None if analysis.is_possibly_tampered() => "possibly tampered".to_owned(),
         None => "clean".to_owned(),
     };
     let domain = analysis.trigger.domain.as_deref().unwrap_or("-");
+    let t = &flow.span.tuple;
     let _ = write!(
         text,
         "{}:{} -> :{}  [{} pkts]  {verdict:<40} {domain}",
-        flow.client_ip,
-        flow.src_port,
-        flow.dst_port,
-        flow.packets.len()
+        t.client_ip,
+        t.src_port,
+        t.dst_port,
+        flow.rows.len()
     );
 }
 

@@ -19,26 +19,8 @@
 //! use tamperscope::prelude::*;
 //!
 //! // Classify one captured flow (here: a single lonely SYN, then silence).
-//! let flow = FlowRecord {
-//!     client_ip: "203.0.113.9".parse().unwrap(),
-//!     server_ip: "198.51.100.1".parse().unwrap(),
-//!     src_port: 41000,
-//!     dst_port: 443,
-//!     packets: vec![PacketRecord {
-//!         ts_sec: 100,
-//!         flags: TcpFlags::SYN,
-//!         seq: Seq::from(1),
-//!         ack: Seq::ZERO,
-//!         ip_id: Some(7),
-//!         ttl: 52,
-//!         window: 65535,
-//!         payload_len: 0,
-//!         payload: bytes::Bytes::new(),
-//!         has_tcp_options: true,
-//!     }],
-//!     observation_end_sec: 130,
-//!     truncated: false,
-//! };
+//! let syn = PacketRecord::new(100, TcpFlags::SYN, 1);
+//! let flow = FlowRecord::new(443, vec![syn], 130);
 //! let analysis = classify(&flow, &ClassifierConfig::default());
 //! assert_eq!(analysis.signature(), Some(Signature::SynNone));
 //! ```

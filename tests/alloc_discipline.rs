@@ -8,7 +8,7 @@
 //! between passes.
 //!
 //! Each hot root of the per-packet and per-flow pipeline holds a warm
-//! assertion here: `BatchClassifier::classify_record` and
+//! assertion here: `BatchClassifier::classify_flow` and
 //! `classify_batch` at zero, a pcap source's `FlowSource::fill` and its
 //! shard's `SourceShard::absorb` at their measured counts, and
 //! `EndpointMachine::process` through the warm direct session below. A
@@ -19,7 +19,10 @@
 //! back past the heap requests their own bytes need. So has `merge`:
 //! folding a `.agg` partial into a warm accumulator may allocate only for
 //! the keys it adds, the report view may not grow with the pair keys, and
-//! building the world may not build the samplers only sessions read.
+//! building the world may not build the samplers only sessions read. Two
+//! roots are held whole: one `cli::classify --jsonl` run, which reads
+//! every flow in place off its batch, and a warm `Collector::observe`,
+//! whose aggregate reads no packet.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -30,6 +33,7 @@ use tamperscope::capture::{
     flows_from_pcap, EngineConfig, EvictionCause, FlowBatch, FlowRecord, FlowSource, OfflineConfig,
     PcapMemSource, PcapWriter, ShardStats, SourceShard,
 };
+use tamperscope::cli::{classify as run_classify, Render};
 use tamperscope::core::{classify, BatchClassifier, ClassifierConfig};
 use tamperscope::netsim::{
     derive_rng, ClientConfig, Path, ServerConfig, SessionParams, SessionWorkspace, SimDuration,
@@ -123,7 +127,7 @@ fn warm_machine_analyzes_the_golden_corpus_without_allocating() {
     let mut warm_verdicts = Vec::with_capacity(flows.len());
     let mut has_domain = Vec::with_capacity(flows.len());
     for flow in &flows {
-        let analysis = clf.classify_record(flow);
+        let analysis = clf.classify_flow(flow);
         has_domain.push(analysis.trigger.domain.is_some());
         warm_verdicts.push(analysis.classification);
     }
@@ -144,8 +148,8 @@ fn warm_machine_analyzes_the_golden_corpus_without_allocating() {
         flows.len()
     );
     let before = allocations();
-    for flow in &measured {
-        let analysis = clf.classify_record(flow);
+    for &flow in &measured {
+        let analysis = clf.classify_flow(flow);
         assert!(
             analysis.trigger.domain.is_none(),
             "domain appeared on re-analysis"
@@ -155,7 +159,7 @@ fn warm_machine_analyzes_the_golden_corpus_without_allocating() {
     assert_eq!(
         after - before,
         0,
-        "steady-state BatchClassifier::classify_record allocated {} time(s) over {} domain-free flows",
+        "steady-state BatchClassifier::classify_flow allocated {} time(s) over {} domain-free flows",
         after - before,
         measured.len()
     );
@@ -170,8 +174,8 @@ fn warm_machine_analyzes_the_golden_corpus_without_allocating() {
         .map(|(flow, _)| flow)
         .collect();
     let before = allocations();
-    for flow in &domain_flows {
-        assert!(clf.classify_record(flow).trigger.domain.is_some());
+    for &flow in &domain_flows {
+        assert!(clf.classify_flow(flow).trigger.domain.is_some());
     }
     let after = allocations();
     let per_flow_budget = 4 * domain_flows.len() as u64;
@@ -186,7 +190,7 @@ fn warm_machine_analyzes_the_golden_corpus_without_allocating() {
     // The measured pass produced the same verdicts the warm pass did.
     let verdicts: Vec<_> = flows
         .iter()
-        .map(|flow| clf.classify_record(flow).classification)
+        .map(|flow| clf.classify_flow(flow).classification)
         .collect();
     assert_eq!(verdicts, warm_verdicts, "verdicts drifted between passes");
 }
@@ -209,7 +213,7 @@ fn warm_batch_classifier_processes_a_batch_without_allocating() {
     // host string; the zero-alloc guarantee covers everything else.
     let domain_free: Vec<&FlowRecord> = flows
         .iter()
-        .filter(|flow| classify(flow, &cfg).trigger.domain.is_none())
+        .filter(|&flow| classify(flow, &cfg).trigger.domain.is_none())
         .collect();
     assert!(
         domain_free.len() >= flows.len() / 2,
@@ -516,5 +520,69 @@ fn a_warm_pcap_shard_absorbs_within_its_allocation_budget() {
         "absorbing {} packets ({} flows closed) made {allocs} heap requests; budget {WARM_ABSORB_ALLOCS}",
         items.len() - half,
         stats.evicted_timeout
+    );
+}
+
+/// Heap requests one `classify --jsonl --threads 1` run makes over
+/// [`CLASSIFY_COPIES`] golden copies (1,050 flows) into a `Vec`: the
+/// engine's shard, its batches and flow table, the trigger domains, the
+/// verdict segments and the sink's growth — 0.68 a flow. Handing each flow
+/// to the renderers as an owned record made 5,662.
+const CLASSIFY_JSONL_ALLOCS: u64 = 712;
+const CLASSIFY_COPIES: u32 = 50;
+
+#[test]
+fn classify_jsonl_stays_within_its_allocation_budget() {
+    let mut src = PcapMemSource::new(repeated_golden(CLASSIFY_COPIES).into()).expect("pcap header");
+    let engine = EngineConfig {
+        threads: 1,
+        ..EngineConfig::default()
+    };
+    let before = allocations();
+    let run = run_classify(&mut src, &engine, Render::Jsonl, false, Vec::new(), None);
+    let allocs = allocations() - before;
+    let out = run
+        .written
+        .expect("no read error")
+        .expect("a Vec takes every line");
+    assert_eq!(run.collector.total, 21 * u64::from(CLASSIFY_COPIES));
+    assert_eq!(
+        out.iter().filter(|&&b| b == b'\n').count() as u64,
+        run.collector.total
+    );
+    assert!(
+        allocs <= CLASSIFY_JSONL_ALLOCS,
+        "classify --jsonl over {} flows made {allocs} heap requests; budget {CLASSIFY_JSONL_ALLOCS}",
+        run.collector.total
+    );
+}
+
+/// Heap requests a warm [`Collector::observe`] makes over the second
+/// 2,000 flows of the standard world, the first 2,000 observed before:
+/// the trigger domains the verdicts own and the aggregate's new map
+/// entries. Reading the firewall User-Agent off an owned request made
+/// 4,203.
+const WARM_OBSERVE_2000_ALLOCS: u64 = 3_695;
+
+#[test]
+fn a_warm_collector_observes_world_flows_within_its_budget() {
+    let sim = WorldSim::new(WorldConfig::default());
+    let flows: Vec<_> = (0..4_000).filter_map(|i| sim.gen_session(i)).collect();
+    assert_eq!(flows.len(), 4_000, "every session yields a flow");
+    let cfg = sim.config();
+    let mut col = Collector::new(
+        ClassifierConfig::default(),
+        sim.world().len(),
+        cfg.days,
+        cfg.start_unix,
+    );
+    let (warm, measured) = flows.split_at(2_000);
+    warm.iter().for_each(|lf| col.observe(lf));
+    let before = allocations();
+    measured.iter().for_each(|lf| col.observe(lf));
+    let allocs = allocations() - before;
+    assert!(
+        allocs <= WARM_OBSERVE_2000_ALLOCS,
+        "observing 2,000 warm world flows made {allocs} heap requests; budget {WARM_OBSERVE_2000_ALLOCS}"
     );
 }

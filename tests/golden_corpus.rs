@@ -574,7 +574,7 @@ fn minimal_per_signature_fixtures_still_classify() {
             want.label()
         );
         assert_eq!(
-            clf.classify_record(&flows[0]),
+            clf.classify_flow(&flows[0]),
             analysis,
             "sig_{slug}: reused classifier disagrees with a fresh classify()"
         );

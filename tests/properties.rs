@@ -500,7 +500,7 @@ proptest! {
         ] {
             let want = classify(&flow, &cfg);
             let mut clf = BatchClassifier::new(cfg);
-            prop_assert_eq!(clf.classify_record(&flow), want.clone());
+            prop_assert_eq!(clf.classify_flow(&flow), want.clone());
 
             // Exact retransmit of the last data packet: same seq, same
             // length — must be deduplicated, even when the duplicated seq
@@ -512,7 +512,7 @@ proptest! {
                 let want_dup = classify(&dup, &cfg);
                 prop_assert_eq!(want_dup.classification, want.classification);
                 prop_assert_eq!(want_dup.stage, want.stage);
-                prop_assert_eq!(clf.classify_record(&dup), want_dup);
+                prop_assert_eq!(clf.classify_flow(&dup), want_dup);
             }
         }
     }
@@ -612,10 +612,11 @@ proptest! {
     /// Random records packed into a batch arena classify to exactly the
     /// `FlowAnalysis` their materialized owned records do — for both classifier
     /// configs, with truncation flags flipped per flow. The analysis carries
-    /// the IP-ID/TTL evidence, so this also pins that both layouts compute
-    /// the same `FlowAnalysis::evidence`; per-packet IP-IDs (some absent,
-    /// as on IPv6) and TTLs are redrawn from `header_seed` so it has
-    /// something to differ on.
+    /// the IP-ID/TTL evidence, the scanner marks, the SYN-payload bit and
+    /// the first logged seq, so this also pins that both layouts compute
+    /// the same per-flow facts; per-packet IP-IDs (some absent, as on
+    /// IPv6), TTLs and TCP-options bits are redrawn from `header_seed` so
+    /// they have something to differ on.
     #[test]
     fn batch_classifier_matches_across_storage_layouts(
         flows in proptest::collection::vec(arb_any_flow(), 0..12),
@@ -633,6 +634,7 @@ proptest! {
                 .wrapping_add(1_442_695_040_888_963_407);
             p.ip_id = (h >> 61 != 0).then_some((h >> 32) as u16);
             p.ttl = (h >> 48) as u8;
+            p.has_tcp_options = (h >> 40) & 1 == 1;
         }
         let batch = batch_from_records(&flows);
         prop_assert_eq!(batch.flow_count(), flows.len());
@@ -645,7 +647,7 @@ proptest! {
             prop_assert_eq!(analyses.len(), flows.len());
             let mut rows = BatchClassifier::new(cfg);
             for (i, want) in analyses.iter().enumerate() {
-                let got = rows.classify_record(&batch.materialize(i));
+                let got = rows.classify_flow(&batch.materialize(i));
                 prop_assert_eq!(&got, want, "flow {} diverged", i);
             }
         }

@@ -59,7 +59,7 @@ fn a_warm_workspace_generates_what_a_fresh_one_does() {
             lf.flow
                 .packets
                 .iter()
-                .any(|p| p.flags.has_syn() && p.has_payload()),
+                .any(|p| p.flags.has_syn() && p.payload_len > 0),
         );
     }
     // The run covers the sessions most likely to leave state behind.

@@ -255,9 +255,9 @@ proptest! {
         for cfg in CONFIGS {
             let want = classify(&flow, &cfg);
             let mut clf = BatchClassifier::new(cfg);
-            clf.classify_record(&warmup);
-            let first = clf.classify_record(&flow);
-            let second = clf.classify_record(&flow);
+            clf.classify_flow(&warmup);
+            let first = clf.classify_flow(&flow);
+            let second = clf.classify_flow(&flow);
             prop_assert_eq!(&first, &second, "replay diverged");
             prop_assert_eq!(first, want, "warm classifier diverged from a fresh classify()");
         }
@@ -310,10 +310,10 @@ proptest! {
         let mut prefix = flow.clone();
         prefix.packets.truncate(cut);
         prefix.truncated = trunc;
-        prop_assert_eq!(clf.classify_record(&prefix), classify(&prefix, &cfg));
+        prop_assert_eq!(clf.classify_flow(&prefix), classify(&prefix, &cfg));
         // Nothing of the cut flow survives in the scratch: the reused
         // classifier still equals a fresh classify() of the complete flow.
-        prop_assert_eq!(clf.classify_record(&flow), classify(&flow, &cfg));
+        prop_assert_eq!(clf.classify_flow(&flow), classify(&flow, &cfg));
     }
 
     /// The netsim client machine is replay-deterministic across every
