@@ -18,7 +18,7 @@
 
 use bytes::Bytes;
 use std::net::IpAddr;
-use tamper_wire::{Packet, Seq, TcpFlags};
+use tamper_wire::{Packet, PacketBuilder, Seq, TcpFlags, TcpHeader};
 
 /// One logged inbound packet: a [`PacketRow`] that owns its payload.
 /// Every field but `payload` means what the [`PacketRow`] field of the
@@ -108,6 +108,36 @@ impl PacketRecord {
             payload,
             ..self
         }
+    }
+}
+
+impl PacketRow {
+    /// The inverse of [`PacketRecord::from_packet`]: the packet of `tuple`
+    /// this row logged, carrying `payload`. It re-parses to the same row.
+    /// The two fields a row keeps only in part follow the one convention
+    /// both directions share: an IP-ID is written only when the row has one
+    /// (IPv6 has none), and any options bit comes back as
+    /// [`TcpHeader::standard_syn_options`], their content being unlogged.
+    pub fn to_packet(&self, tuple: &FlowTuple, payload: &[u8]) -> Packet {
+        let mut b = PacketBuilder::new(
+            tuple.client_ip,
+            tuple.server_ip,
+            tuple.src_port,
+            tuple.dst_port,
+        )
+        .flags(self.flags)
+        .seq(self.seq)
+        .ack(self.ack)
+        .ttl(self.ttl)
+        .window(self.window)
+        .payload(Bytes::copy_from_slice(payload));
+        if let Some(id) = self.ip_id {
+            b = b.ip_id(id);
+        }
+        if self.has_tcp_options {
+            b = b.options(TcpHeader::standard_syn_options());
+        }
+        b.build()
     }
 }
 
@@ -420,7 +450,6 @@ mod tests {
     use crate::pcap::{PcapWriter, GLOBAL_HEADER_LEN};
     use crate::source::PcapMemSource;
     use std::net::Ipv4Addr;
-    use tamper_wire::PacketBuilder;
 
     fn packet() -> Packet {
         PacketBuilder::new(
@@ -493,6 +522,10 @@ mod tests {
             for (i, span) in batch.spans().iter().enumerate() {
                 let record = batch.materialize(i);
                 again.push_record(&record, span.first_index, span.cause);
+                for p in &record.packets {
+                    let packet = p.row(0).to_packet(&span.tuple, &p.payload);
+                    assert_eq!(&PacketRecord::from_packet(p.ts_sec, &packet), p);
+                }
                 packets.extend(record.packets);
             }
             again.seal(batch.watermark());

@@ -37,19 +37,17 @@ pub(crate) fn extract<V: PacketsView + ?Sized>(dst_port: u16, v: &V) -> TriggerI
         .find(|&i| v.row(i).payload_len > 0)
         .map(|i| v.payload(i));
     if let Some(payload) = first_data {
-        if tls::is_client_hello(payload) {
+        let protocol = if tls::is_client_hello(payload) {
+            Some(AppProtocol::Tls)
+        } else if http::is_http_request(payload) {
+            Some(AppProtocol::Http)
+        } else {
+            None
+        };
+        if let Some(protocol) = protocol {
             return TriggerInfo {
-                // Best-effort trigger extraction: a malformed ClientHello means no SNI by design
-                domain: tls::parse_sni(payload).ok().flatten(),
-                protocol: AppProtocol::Tls,
-            };
-        }
-        if http::is_http_request(payload) {
-            // Best-effort trigger extraction: a malformed request means no Host by design
-            let host = http::parse_host(payload).ok().flatten();
-            return TriggerInfo {
-                domain: host,
-                protocol: AppProtocol::Http,
+                domain: tamper_wire::request_domain(payload),
+                protocol,
             };
         }
     }

@@ -7,7 +7,7 @@
 //! domain containing `wn.com`).
 
 use std::net::IpAddr;
-use tamper_wire::{http, tls, Packet};
+use tamper_wire::{http, Packet};
 
 /// What part of the packet matched.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -82,33 +82,21 @@ impl RuleSet {
         None
     }
 
-    /// Extract the domain a DPI box would see in a first data packet:
-    /// the TLS SNI or the HTTP Host header.
-    pub(crate) fn extract_domain(payload: &[u8]) -> Option<String> {
-        if tls::is_client_hello(payload) {
-            // DPI boxes drop unparsable ClientHellos silently; mirroring that is the point
-            return tls::parse_sni(payload).ok().flatten();
-        }
-        // DPI boxes drop unparsable requests silently; mirroring that is the point
-        let host = http::parse_request(payload).ok().and_then(|r| r.host)?;
-        Some(host.to_ascii_lowercase())
-    }
-
     /// Evaluate a first data packet (stage: request visible).
     pub(crate) fn match_first_data(&self, payload: &[u8]) -> Option<MatchReason> {
         if self.blanket_ban {
             return Some(MatchReason::BlanketBan);
         }
-        let domain = Self::extract_domain(payload)?;
-        let lower = domain.to_ascii_lowercase();
-        if self.blocked_domains.contains(&lower) {
-            return Some(MatchReason::Domain(lower));
+        // DPI boxes drop unparsable requests silently; mirroring that is the point
+        let domain = tamper_wire::request_domain(payload)?;
+        if self.blocked_domains.contains(&domain) {
+            return Some(MatchReason::Domain(domain));
         }
         for rule in &self.domain_substrings {
-            if lower.contains(rule.as_str()) {
+            if domain.contains(rule.as_str()) {
                 return Some(MatchReason::DomainSubstring {
                     rule: rule.clone(),
-                    domain: lower,
+                    domain,
                 });
             }
         }
@@ -131,7 +119,7 @@ impl RuleSet {
 mod tests {
     use super::*;
     use std::net::Ipv4Addr;
-    use tamper_wire::{PacketBuilder, TcpFlags};
+    use tamper_wire::{tls, PacketBuilder, TcpFlags};
 
     fn syn_to(dst: IpAddr) -> Packet {
         PacketBuilder::new(IpAddr::V4(Ipv4Addr::new(10, 0, 0, 1)), dst, 1, 443)

@@ -104,41 +104,6 @@ pub fn parse_request(payload: &[u8]) -> Result<HttpRequest<'_>> {
     Ok(req)
 }
 
-/// Extract just the lowercased Host header from a request head: the
-/// trigger domain a verdict owns, and its one allocation. Unlike
-/// [`parse_request`] it takes the first Host header and checks only the
-/// request line's last word for the version.
-///
-/// ```
-/// let req = tamper_wire::http::build_get("Example.com", "/x", "demo/1.0");
-/// let host = tamper_wire::http::parse_host(&req).unwrap();
-/// assert_eq!(host.as_deref(), Some("example.com"));
-/// ```
-pub fn parse_host(payload: &[u8]) -> Result<Option<String>> {
-    let mut lines = head_text(payload)?.split("\r\n");
-    let request_line = lines
-        .next()
-        .ok_or(WireError::Malformed("http request line"))?;
-    if !request_line
-        .rsplit(' ')
-        .next()
-        .is_some_and(|v| v.starts_with("HTTP/"))
-    {
-        return Err(WireError::Malformed("http request line"));
-    }
-    for line in lines {
-        if line.is_empty() {
-            break;
-        }
-        if let Some((name, value)) = line.split_once(':') {
-            if name.eq_ignore_ascii_case("host") {
-                return Ok(Some(value.trim().to_ascii_lowercase()));
-            }
-        }
-    }
-    Ok(None)
-}
-
 /// Case-insensitive substring search over a payload — the primitive behind
 /// keyword-based DPI rules (and the "Substring" rows of the paper's
 /// Table 3).
@@ -164,7 +129,6 @@ mod tests {
         assert_eq!(parsed.path, "/watch?v=1");
         assert_eq!(parsed.host, Some("Example.COM")); // as sent
         assert_eq!(parsed.user_agent, Some("curl/8.0"));
-        assert_eq!(parse_host(&req).unwrap().as_deref(), Some("example.com"));
     }
 
     #[test]

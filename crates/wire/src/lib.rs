@@ -66,3 +66,47 @@ pub use tcp::{TcpHeader, TcpOption, TcpOptions};
 
 /// Result alias used throughout the crate.
 pub(crate) type Result<T> = std::result::Result<T, WireError>;
+
+/// The domain a request payload asks for, lowercased: the SNI of a TLS
+/// ClientHello, else the `Host` of an HTTP request as
+/// [`http::parse_request`] reads it (a repeated header yields its last
+/// value; the request line needs a method, a target and a version).
+/// `None` for any other payload, a malformed one, or one naming no
+/// domain.
+///
+/// ```
+/// let req = tamper_wire::http::build_get("Example.COM", "/x", "demo/1.0");
+/// assert_eq!(tamper_wire::request_domain(&req).as_deref(), Some("example.com"));
+/// ```
+pub fn request_domain(payload: &[u8]) -> Option<String> {
+    // A payload that does not parse names no domain, as a DPI box reads it.
+    let mut domain = if tls::is_client_hello(payload) {
+        tls::parse_sni(payload).ok()??
+    } else {
+        http::parse_request(payload).ok()?.host?.to_owned()
+    };
+    domain.make_ascii_lowercase();
+    Some(domain)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn request_domain_reads_sni_else_the_last_host_of_a_request() {
+        let hello = tls::build_client_hello("Blocked.Example.COM", [7; 32]);
+        assert_eq!(
+            request_domain(&hello).as_deref(),
+            Some("blocked.example.com")
+        );
+        let twice = b"GET / HTTP/1.1\r\nHost: first.example\r\nHost: second.example\r\n\r\n";
+        assert_eq!(request_domain(twice).as_deref(), Some("second.example"));
+        // A request line needs a method, a target and a version.
+        assert_eq!(
+            request_domain(b"GET /a b HTTP/1.1\r\nHost: x.example\r\n\r\n"),
+            None
+        );
+        assert_eq!(request_domain(b"GET / HTTP/1.1\r\n\r\n"), None);
+    }
+}

@@ -6,7 +6,9 @@
 //! the proptest suites re-run with `PROPTEST_CASES`/`PROPTEST_SEED`
 //! pinned, `tamper-wire`'s doctests with their `compile_fail` error codes
 //! enforced, a smoke run of
-//! `classify --metrics-json` on the golden fixture pcap, and a build check
+//! `classify --metrics-json` on the golden fixture pcap, a check that
+//! `classify` of a 100k-session `synthesize` capture counts what `report`
+//! counts for the same world, and a build check
 //! and one short run of the stand-alone `benchmark/` package. Every step
 //! is timed and the run ends with a per-step wall-time summary.
 
@@ -85,6 +87,22 @@ fn repo_root() -> PathBuf {
         .to_path_buf()
 }
 
+/// Run the release `tamperscope` with `args`; its stdout.
+fn tamperscope(step: &str, args: &[&str]) -> Result<String, String> {
+    eprintln!("==> {step}: tamperscope {}", args.join(" "));
+    let out = Command::new("cargo")
+        .args(["run", "--release", "--quiet", "--bin", "tamperscope", "--"])
+        .args(args)
+        .current_dir(repo_root())
+        .stderr(std::process::Stdio::inherit())
+        .output()
+        .map_err(|e| format!("{step}: failed to spawn cargo: {e}"))?;
+    if !out.status.success() {
+        return Err(format!("{step}: tamperscope exited with {}", out.status));
+    }
+    String::from_utf8(out.stdout).map_err(|e| format!("{step}: stdout is not UTF-8: {e}"))
+}
+
 /// Smoke-run `tamperscope classify --metrics-json` on the golden fixture
 /// pcap. The run must succeed, the metrics file must exist and parse with
 /// the workspace JSON parser, it must report a nonzero number of
@@ -99,36 +117,13 @@ fn metrics_smoke() -> Result<(), String> {
     // Stale output from an earlier run must not mask a binary that no
     // longer writes the file.
     let _ = std::fs::remove_file(&metrics);
-    eprintln!(
-        "==> metrics smoke: tamperscope classify {} --metrics-json {}",
-        pcap.display(),
-        metrics.display()
-    );
-    let status = Command::new("cargo")
-        .args([
-            "run",
-            "--release",
-            "--quiet",
-            "--bin",
-            "tamperscope",
-            "--",
-            "classify",
-        ])
-        .arg(&pcap)
-        .arg("--metrics-json")
-        .arg(&metrics)
-        .current_dir(&root)
-        .stdout(std::process::Stdio::null())
-        .status()
-        .map_err(|e| format!("metrics smoke: failed to spawn cargo: {e}"))?;
-    if !status.success() {
-        return Err(format!("metrics smoke: classify exited with {status}"));
-    }
-    let text = std::fs::read_to_string(&metrics).map_err(|e| {
-        format!(
-            "metrics smoke: metrics file {} missing after classify: {e}",
-            metrics.display()
-        )
+    let (pcap, metrics) = (pcap.to_string_lossy(), metrics.to_string_lossy());
+    tamperscope(
+        "metrics smoke",
+        &["classify", &pcap, "--metrics-json", &metrics],
+    )?;
+    let text = std::fs::read_to_string(&*metrics).map_err(|e| {
+        format!("metrics smoke: metrics file {metrics} missing after classify: {e}")
     })?;
     let doc = tamper_worldgen::json::Json::parse(text.trim())
         .map_err(|e| format!("metrics smoke: metrics file does not parse: {e}"))?;
@@ -211,6 +206,47 @@ fn pipeline_bench_smoke() -> Result<(), String> {
     Ok(())
 }
 
+/// The two doors agree at benchmark scale: `classify` of the capture
+/// `synthesize` writes must count the flows, and the possibly tampered
+/// ones, that `report` counts for the same world. A writer that drops a
+/// flow's last packet, or splits a flow, moves one of them.
+fn doors_agree() -> Result<(), String> {
+    const STEP: &str = "doors agree";
+    const WORLD: [&str; 4] = ["--sessions", "100000", "--seed", "11"];
+    let pcap = std::env::temp_dir().join(format!("xtask-doors-{}.pcap", std::process::id()));
+    let pcap = pcap.to_string_lossy();
+    tamperscope(STEP, &[&["synthesize", &*pcap][..], &WORLD].concat())?;
+    let classified = tamperscope(
+        STEP,
+        &["classify", &pcap, "--json-summary", "--threads", "2"],
+    );
+    let _ = std::fs::remove_file(&*pcap);
+    let classified = classified?;
+    let reported = tamperscope(STEP, &[&["report", "--json-summary"][..], &WORLD].concat())?;
+    // `classify`'s summary is its second-to-last line (the perf line ends it).
+    let pcap_door = classified.lines().rev().nth(1).unwrap_or_default();
+    let counts = |line: &str| -> Result<(u64, u64), String> {
+        let doc = tamper_worldgen::json::Json::parse(line.trim())
+            .map_err(|e| format!("{STEP}: summary does not parse: {e}: {line}"))?;
+        let count = |key: &str| doc.get(key).and_then(|v| v.as_u64());
+        count("total_flows")
+            .zip(count("possibly_tampered"))
+            .ok_or_else(|| format!("{STEP}: no total_flows/possibly_tampered in {line}"))
+    };
+    let (pcap_counts, sim_counts) = (counts(pcap_door)?, counts(&reported)?);
+    if pcap_counts != sim_counts {
+        return Err(format!(
+            "{STEP}: classify of the synthesized world counts (flows, possibly tampered) \
+             {pcap_counts:?}, report counts {sim_counts:?}"
+        ));
+    }
+    eprintln!(
+        "==> {STEP}: {} flows, {} possibly tampered through both doors",
+        sim_counts.0, sim_counts.1
+    );
+    Ok(())
+}
+
 /// Pinned proptest environment for the CI gate: an explicit case count
 /// and generation seed, so every CI run draws the identical case stream
 /// regardless of local defaults or per-test overrides.
@@ -262,6 +298,7 @@ fn ci() -> Result<(), String> {
             )
         })?;
         sw.time("metrics smoke", metrics_smoke)?;
+        sw.time("doors agree", doors_agree)?;
         sw.time("pipeline bench smoke", pipeline_bench_smoke)?;
         Ok(())
     })();
@@ -279,8 +316,8 @@ fn main() -> ExitCode {
         _ => Err(format!(
             "unknown task {task:?}\n\nUSAGE: cargo xtask <task>\n\nTASKS:\n  \
              ci    fmt + clippy + release build + workspace tests + \
-             pinned-seed proptests + compile_fail codes + metrics + \
-             pipeline-bench smokes"
+             pinned-seed proptests + compile_fail codes + metrics \
+             smoke + doors agree + pipeline-bench smoke"
         )),
     };
     match result {

@@ -12,16 +12,9 @@ use tamperscope::analysis::{
     encode_agg, fold_agg, pct, report, summary_to_json, write_metrics_json, AggError, Collector,
     PartialAggregate,
 };
-use tamperscope::capture::{
-    run_source, EngineConfig, OfflineConfig, PcapMemSource, PcapWriter, SimSource,
-};
-use tamperscope::cli::{classify, Args, Render};
+use tamperscope::capture::{EngineConfig, FlowRecord, OfflineConfig, PcapMemSource, PcapWriter};
+use tamperscope::cli::{classify, synthesize, Args, Render};
 use tamperscope::core::ClassifierConfig;
-use tamperscope::middlebox::{RuleSet, Vendor, ALL_VENDORS};
-use tamperscope::netsim::{
-    derive_rng, ClientConfig, Link, Path, ServerConfig, SessionParams, SessionWorkspace,
-    SimDuration, SimTime,
-};
 use tamperscope::obs::{Registry, ScopeMetrics, Stopwatch};
 use tamperscope::worldgen::{
     generate_lists, world_fingerprint, Scenario, WorldConfig, WorldSim, SEP13_2022_UNIX,
@@ -509,94 +502,16 @@ fn cmd_iran(args: &Args) -> ExitCode {
     ExitCode::SUCCESS
 }
 
-/// One synthesized session: its index plus the inbound packets to write,
-/// already stamped with capture timestamps.
-type SynthSession = (u64, Vec<(u32, u32, tamperscope::wire::Packet)>);
-
-/// Generate session `i` of the synthetic benchmark capture, simulating
-/// in the shard's workspace `ws` — a pure function of `(seed, i)`, so
-/// sessions can be generated on any engine shard in any order.
-fn synth_session(
-    ws: &mut SessionWorkspace,
-    i: u64,
-    seed: u64,
-    server_ip: std::net::IpAddr,
-    vendor_cycle: &[Option<Vendor>],
-) -> SynthSession {
-    let client_ip: std::net::IpAddr = format!("203.0.113.{}", 2 + i % 250).parse().unwrap();
-    let blocked = i.is_multiple_of(2);
-    let sni = if blocked {
-        "blocked.example.com"
-    } else {
-        "fine.example.org"
-    };
-    let mut cfg = ClientConfig::default_tls(client_ip, server_ip, sni);
-    cfg.src_port = 28_000 + ((i * 17) % 30_000) as u16;
-    let vendor = vendor_cycle[i as usize % vendor_cycle.len()];
-    let mut path_obj = match vendor {
-        Some(v) => {
-            let rules = if v.stages().on_syn {
-                RuleSet::blanket()
-            } else if v.stages().on_later_data {
-                // Later-data vendors need a two-request flow to fire;
-                // keep the session simple and let them idle instead.
-                RuleSet::default()
-            } else {
-                RuleSet::domains(["blocked.example.com"])
-            };
-            Path {
-                links: vec![
-                    Link::new(SimDuration::from_millis(9), 4),
-                    Link::new(SimDuration::from_millis(42), 9),
-                ],
-                hops: vec![Box::new(v.build(rules))],
-            }
-        }
-        None => Path::direct(SimDuration::from_millis(50), 13),
-    };
-    let start = SimTime::ZERO + SimDuration::from_secs(2 * i);
-    let mut rng = derive_rng(seed, i);
-    let trace = ws.run(
-        SessionParams::new(cfg, ServerConfig::default_edge(server_ip, 443), start),
-        &mut path_obj,
-        &mut rng,
-    );
-    let packets = trace
-        .inbound()
-        .map(|tp| {
-            let secs = tp.time.as_secs() as u32;
-            let usec = ((tp.time.as_nanos() % 1_000_000_000) / 1_000) as u32;
-            (secs, usec, tp.packet.clone())
-        })
-        .collect();
-    (i, packets)
-}
-
-/// Write every session's packets and flush: the tail of any capture sits
-/// in the `BufWriter`, and dropping that would lose its write error. The
-/// packet count on success.
-fn write_capture(
-    mut writer: PcapWriter<BufWriter<File>>,
-    sessions: &[SynthSession],
-) -> std::io::Result<u64> {
-    let mut written = 0u64;
-    for (_, packets) in sessions {
-        for (secs, usec, pkt) in packets {
-            writer.write_packet(*secs, *usec, pkt)?;
-            written += 1;
-        }
-    }
-    writer.into_inner().flush()?;
-    Ok(written)
-}
-
 fn cmd_synthesize(args: &Args) -> ExitCode {
     let Some(path) = args.positional.first() else {
         return usage();
     };
     let threads = flag_u64!(args, "threads", 0) as usize;
-    let sessions = flag_u64!(args, "sessions", 200);
-    let seed = flag_u64!(args, "seed", 7);
+    let sim = WorldSim::new(WorldConfig {
+        sessions: flag_u64!(args, "sessions", 200),
+        seed: flag_u64!(args, "seed", 7),
+        ..Default::default()
+    });
     let file = match File::create(path) {
         Ok(f) => f,
         Err(e) => {
@@ -604,39 +519,27 @@ fn cmd_synthesize(args: &Args) -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    let writer = match PcapWriter::new(BufWriter::new(file)) {
-        Ok(w) => w,
-        Err(e) => {
-            eprintln!("cannot write {path}: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let server_ip: std::net::IpAddr = "198.51.100.1".parse().unwrap();
-    let vendor_cycle: Vec<Option<Vendor>> = std::iter::once(None)
-        .chain(ALL_VENDORS.iter().copied().map(Some))
-        .collect();
-    // Sessions stream through the same sharded engine as every other
-    // subcommand (SimSource); the shard-order merge hands sessions back
-    // in index order, and the sort below is a cheap guarantee of it.
+    // The world `report` classifies for the same flags, as the collector
+    // logged it. Sessions start anywhere in the world's days, so the
+    // writer holds every flow to time-sort them; the shard-order merge
+    // keeps generation order at any thread count.
     let metrics_path = args.get("metrics-json");
     let registry = metrics_path.map(|_| Registry::new());
-    let gen = |ws: &mut SessionWorkspace, i: u64| {
-        Some(synth_session(ws, i, seed, server_ip, &vendor_cycle))
-    };
-    let ecfg = EngineConfig {
+    let flows = sim.run_sharded(
         threads,
-        ..EngineConfig::default()
-    };
-    let (mut generated, _stats) = run_source(
-        &mut SimSource::new(sessions, &gen),
-        &ecfg,
         registry.as_ref(),
         Vec::new,
-        |acc: &mut Vec<SynthSession>, s| acc.push(s),
-        |a: &mut Vec<SynthSession>, mut b| a.append(&mut b),
+        |acc: &mut Vec<FlowRecord>, lf| acc.push(lf.flow),
+        |a, mut b| a.append(&mut b),
     );
-    generated.sort_unstable_by_key(|(i, _)| *i);
-    let written = match write_capture(writer, &generated) {
+    // The tail of any capture sits in the `BufWriter`: only the flush
+    // reports its write error.
+    let written = PcapWriter::new(BufWriter::new(file)).and_then(|mut writer| {
+        let n = synthesize(&flows, &mut writer)?;
+        writer.into_inner().flush()?;
+        Ok(n)
+    });
+    let written = match written {
         Ok(n) => n,
         Err(e) => {
             eprintln!("cannot write {path}: {e}");
@@ -646,6 +549,10 @@ fn cmd_synthesize(args: &Args) -> ExitCode {
     if !write_metrics(metrics_path, registry.as_ref(), None, "pipeline") {
         return ExitCode::FAILURE;
     }
-    eprintln!("wrote {written} packets from {sessions} sessions to {path}");
+    eprintln!(
+        "wrote {written} packets of {} flows from {} sessions to {path}",
+        flows.len(),
+        sim.config().sessions
+    );
     ExitCode::SUCCESS
 }

@@ -1,4 +1,5 @@
-//! The `tamperscope` binary's command line and its `classify` pipeline.
+//! The `tamperscope` binary's command line, its `classify` pipeline and
+//! the capture writer behind `synthesize`.
 //!
 //! Hand-rolled (the workspace takes no CLI dependency): positionals plus
 //! `--flag` / `--flag value` / `--flag=value`. Whether a flag consumes
@@ -11,7 +12,9 @@
 //!
 //! [`classify`] is the whole of `tamperscope classify` between opening
 //! the capture and reporting on stderr, so the tests that run it in
-//! process run the code that ships.
+//! process run the code that ships. [`synthesize`] is the other door:
+//! it writes flows as the collector logged them into a capture that
+//! [`classify`] reads back to the same flows.
 
 use std::cmp::Reverse;
 use std::collections::binary_heap::{BinaryHeap, PeekMut};
@@ -24,8 +27,12 @@ use tamper_analysis::{
     capture_collector, capture_meta, capture_summary_to_json, engine_perf_to_json,
     flow_to_jsonl_into, Collector,
 };
-use tamper_capture::{run_source, EngineConfig, EngineStats, FlowBatch, FlowRows, PcapMemSource};
-use tamper_core::{explain, BatchClassifier, ClassifierConfig, FlowAnalysis};
+use tamper_capture::{
+    run_source, EngineConfig, EngineStats, FlowBatch, FlowRows, PcapMemSource, PcapWriter,
+};
+use tamper_core::{
+    explain, BatchClassifier, ClassifierConfig, FlowAnalysis, FlowView, PacketsView,
+};
 use tamper_obs::Registry;
 
 /// Flags that take a value.
@@ -221,6 +228,41 @@ pub fn classify<W: Write + Send>(
         stats,
         written,
     }
+}
+
+/// `tamperscope synthesize`'s capture writer: every packet of `flows`
+/// at the second it was logged (usec 0), time-sorted, and within one
+/// second in log order, flow after flow. A truncated flow's last packet
+/// is written twice: the surplus copy pushes the flow table that reads
+/// the capture past its packet cap, so it sets `truncated` too, and is
+/// never retained. Returns the packets written; the caller flushes `out`.
+pub fn synthesize<F: FlowView, W: Write>(flows: &[F], out: &mut PcapWriter<W>) -> io::Result<u64> {
+    let mut order: Vec<(u32, usize, usize)> = Vec::new();
+    for (f, flow) in flows.iter().enumerate() {
+        let packets = flow.packets();
+        let surplus = packets.len().checked_sub(1).filter(|_| flow.truncated());
+        for p in (0..packets.len()).chain(surplus) {
+            let ts = packets.row(p).ts_sec;
+            let secs = u32::try_from(ts).map_err(|_| {
+                io::Error::new(
+                    io::ErrorKind::InvalidInput,
+                    format!("second {ts} does not fit a pcap timestamp"),
+                )
+            })?;
+            order.push((secs, f, p));
+        }
+    }
+    // Stable: one second's packets keep the order they were listed in.
+    order.sort_by_key(|&(secs, _, _)| secs);
+    for &(secs, f, p) in &order {
+        let (tuple, packets) = (flows[f].tuple(), flows[f].packets());
+        out.write_packet(
+            secs,
+            0,
+            &packets.row(p).to_packet(&tuple, packets.payload(p)),
+        )?;
+    }
+    Ok(order.len() as u64)
 }
 
 /// `classify`'s default output: one aligned line per flow.

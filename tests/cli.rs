@@ -21,18 +21,55 @@ fn signatures_lists_nineteen_rows() {
     assert!(text.contains("⟨PSH+ACK → RST; RST₀⟩"));
 }
 
+/// The number after `"key":` in a JSON line.
+fn json_number(text: &str, key: &str) -> f64 {
+    text.split(&format!("\"{key}\":"))
+        .nth(1)
+        .and_then(|s| s.split([',', '}']).next())
+        .and_then(|s| s.parse().ok())
+        .unwrap_or_else(|| panic!("no {key} in {text}"))
+}
+
 #[test]
 fn synthesize_then_classify_round_trip() {
-    let pcap = tmp("round_trip.pcap");
-    let out = bin()
-        .args(["synthesize", pcap.to_str().unwrap(), "--sessions", "120"])
-        .output()
-        .expect("synthesize");
-    assert!(
-        out.status.success(),
-        "{}",
-        String::from_utf8_lossy(&out.stderr)
+    // The capture of the world `report` classifies for the same flags,
+    // written identically at any thread count.
+    let world = ["--sessions", "1000", "--seed", "3"];
+    let pcap = synthesized("round_trip.pcap", &world);
+    let two = synthesized(
+        "round_trip_t2.pcap",
+        &[&world[..], &["--threads", "2"]].concat(),
     );
+    let bytes = std::fs::read(&pcap).unwrap();
+    assert!(
+        bytes == std::fs::read(&two).unwrap(),
+        "threads 1 vs 2 wrote different captures"
+    );
+    let _ = std::fs::remove_file(&two);
+
+    // Both doors read the same world: the pcap door's summary counts what
+    // the simulator door's does.
+    let out = bin()
+        .args(["classify", pcap.to_str().unwrap(), "--json-summary"])
+        .output()
+        .expect("classify summary");
+    assert!(out.status.success());
+    let text = String::from_utf8(out.stdout).unwrap();
+    let pcap_door = text.lines().rev().nth(1).expect("a summary line");
+    let out = bin()
+        .args(["report", "--json-summary"])
+        .args(world)
+        .output()
+        .expect("report");
+    assert!(out.status.success());
+    let sim_door = String::from_utf8(out.stdout).unwrap();
+    for key in ["total_flows", "possibly_tampered"] {
+        assert_eq!(
+            json_number(pcap_door, key),
+            json_number(&sim_door, key),
+            "{key}: {pcap_door} vs {sim_door}"
+        );
+    }
 
     let out = bin()
         .args(["classify", pcap.to_str().unwrap()])
@@ -53,7 +90,7 @@ fn synthesize_then_classify_round_trip() {
     assert!(out.status.success());
     let text = String::from_utf8(out.stdout).unwrap();
     let lines: Vec<&str> = text.lines().collect();
-    assert!(lines.len() >= 100);
+    assert!(lines.len() >= 900);
     for line in &lines {
         assert!(line.starts_with('{') && line.ends_with('}'), "{line}");
         assert!(line.contains("\"verdict\":"));
@@ -67,16 +104,7 @@ fn classify_accepts_flags_in_any_position() {
     // Regression: boolean flags placed before the positional path used to
     // swallow the next argument as their "value", so `classify --jsonl X`
     // saw no positional at all.
-    let pcap = tmp("flag_order.pcap");
-    let out = bin()
-        .args(["synthesize", pcap.to_str().unwrap(), "--sessions", "60"])
-        .output()
-        .expect("synthesize");
-    assert!(
-        out.status.success(),
-        "{}",
-        String::from_utf8_lossy(&out.stderr)
-    );
+    let pcap = synthesized("flag_order.pcap", &["--sessions", "60"]);
 
     let flag_first = bin()
         .args(["classify", "--jsonl", pcap.to_str().unwrap()])
@@ -404,12 +432,12 @@ fn classify_fails_when_the_capture_cannot_be_read() {
     assert!(!err.contains("corrupt"), "{err}");
 }
 
-/// `synthesize` `sessions` sessions into a temp capture; its path.
-fn synthesized(name: &str, sessions: u32) -> std::path::PathBuf {
+/// `synthesize --threads 1 <flags>` into a temp capture; its path.
+fn synthesized(name: &str, flags: &[&str]) -> std::path::PathBuf {
     let pcap = tmp(name);
     let out = bin()
         .args(["synthesize", pcap.to_str().unwrap(), "--threads", "1"])
-        .args(["--sessions", &sessions.to_string()])
+        .args(flags)
         .output()
         .expect("synthesize");
     assert!(
@@ -425,7 +453,7 @@ fn classify_exits_quietly_when_the_reader_hangs_up() {
     use std::io::BufRead;
     // Several 1 MiB read windows, and far more verdict bytes than a pipe
     // holds: the hang-up lands mid-stream.
-    let pcap = synthesized("hangup.pcap", 8_000);
+    let pcap = synthesized("hangup.pcap", &["--sessions", "8000"]);
     assert!(std::fs::metadata(&pcap).unwrap().len() > 2 << 20);
     let mut child = bin()
         .args([
@@ -454,7 +482,8 @@ fn classify_exits_quietly_when_the_reader_hangs_up() {
 /// `classify --jsonl --threads 1` on a synthesized capture of `sessions`
 /// sessions: the most verdict lines it held back at once.
 fn buffered_lines_max(sessions: u32) -> u64 {
-    let pcap = synthesized(&format!("held{sessions}.pcap"), sessions);
+    let n = sessions.to_string();
+    let pcap = synthesized(&format!("held{sessions}.pcap"), &["--sessions", &n]);
     let metrics = tmp(&format!("held{sessions}.json"));
     let out = bin()
         .args([
@@ -491,8 +520,8 @@ fn classify_holds_verdicts_by_live_flows_not_capture_length() {
     );
 }
 
-/// One session is 7 packets, well under the `BufWriter`'s 8 KiB: only the
-/// final flush ever reaches the device.
+/// One session is at most 10 packets, well under the `BufWriter`'s 8 KiB:
+/// only the final flush ever reaches the device.
 #[test]
 fn synthesize_fails_when_the_capture_cannot_be_written() {
     if !std::path::Path::new("/dev/full").exists() {
@@ -574,18 +603,8 @@ fn single_country_world_runs() {
     let text = String::from_utf8(out.stdout).unwrap();
     // Half the country is GFW'd: the possibly-tampered rate must be far
     // above the benign floor.
-    let pt: f64 = text
-        .split("\"possibly_tampered\":")
-        .nth(1)
-        .and_then(|s| s.split(',').next())
-        .and_then(|s| s.parse().ok())
-        .unwrap();
-    let total: f64 = text
-        .split("\"total_flows\":")
-        .nth(1)
-        .and_then(|s| s.split(',').next())
-        .and_then(|s| s.parse().ok())
-        .unwrap();
+    let pt = json_number(&text, "possibly_tampered");
+    let total = json_number(&text, "total_flows");
     assert!(pt / total > 0.4, "pt {pt} / total {total}");
     let _ = std::fs::remove_file(&spec_path);
 }

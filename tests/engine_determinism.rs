@@ -11,13 +11,12 @@ use tamperscope::analysis::{
     capture_summary_to_json, flow_to_jsonl, metrics_to_json, report, summary_to_json, Collector,
 };
 use tamperscope::capture::{
-    flows_from_pcap, run_source, EngineConfig, EngineStats, FlowBatch, FlowRecord, OfflineConfig,
-    PacketRecord, PcapMemSource, PcapWriter,
+    run_source, EngineConfig, EngineStats, FlowBatch, FlowRecord, PcapMemSource, PcapWriter,
 };
 use tamperscope::cli::{self, Render};
 use tamperscope::core::{classify, ClassifierConfig, Signature};
 use tamperscope::obs::Registry;
-use tamperscope::wire::{PacketBuilder, TcpFlags, TcpHeader};
+use tamperscope::wire::{PacketBuilder, TcpFlags};
 use tamperscope::worldgen::{generate_lists, WorldConfig, WorldSim};
 
 fn server() -> IpAddr {
@@ -283,101 +282,55 @@ fn golden_sim() -> WorldSim {
     })
 }
 
-/// Reconstruct the wire frame a logged packet came from. The collector's
-/// `PacketRecord` keeps every classified header field, so the rebuilt frame
-/// re-parses to the same record (options content is gone — any option list
-/// preserves the `has_tcp_options` bit the classifier reads).
-fn wire_frame(flow: &FlowRecord, p: &PacketRecord) -> Vec<u8> {
-    let mut b = PacketBuilder::new(flow.client_ip, flow.server_ip, flow.src_port, flow.dst_port)
-        .flags(p.flags)
-        .seq(p.seq)
-        .ack(p.ack)
-        .ttl(p.ttl)
-        .window(p.window)
-        .payload(p.payload.clone());
-    if let Some(id) = p.ip_id {
-        b = b.ip_id(id);
-    }
-    if p.has_tcp_options {
-        b = b.options(TcpHeader::standard_syn_options());
-    }
-    b.build().emit().to_vec()
-}
-
-/// Satellite: `SimSource → engine` is byte-identical to the
-/// `WorldSim::run → pcap → classify` round trip on the golden world seed,
-/// at 1, 2, and 8 shards.
+/// `SimSource → engine` is byte-identical to the `WorldSim → synthesize
+/// → classify` round trip on the golden world seed, each at 1, 2, and 8
+/// shards.
 #[test]
 fn sim_engine_matches_the_pcap_round_trip() {
     let sim = golden_sim();
-    let clf_cfg = ClassifierConfig::default();
-
     // Simulated flows streamed straight through the sharded engine.
-    let engine_lines = |threads: usize| -> Vec<String> {
+    let sharded = |threads: usize| -> Vec<FlowRecord> {
         sim.run_sharded(
             threads,
             None,
             Vec::new,
-            |acc: &mut Vec<String>, lf| {
-                let analysis = classify(&lf.flow, &clf_cfg);
-                acc.push(flow_to_jsonl(&lf.flow, &analysis));
-            },
+            |acc: &mut Vec<FlowRecord>, lf| acc.push(lf.flow),
             |a, mut b| a.append(&mut b),
         )
     };
-    let eng1 = engine_lines(1);
-    let eng2 = engine_lines(2);
-    let eng8 = engine_lines(8);
-    assert!(!eng1.is_empty());
-    assert_eq!(eng1, eng2, "sim verdicts diverged between 1 and 2 shards");
-    assert_eq!(eng1, eng8, "sim verdicts diverged between 1 and 8 shards");
-
-    // Round trip: serial generation, flows written out as a time-ordered
-    // pcap, re-ingested through the capture path.
-    let mut timed: Vec<(u64, Vec<u8>)> = Vec::new();
-    let mut sim_flows = 0u64;
-    sim.run(|lf| {
-        sim_flows += 1;
-        let flow = &lf.flow;
-        for p in &flow.packets {
-            timed.push((p.ts_sec, wire_frame(flow, p)));
-        }
-        if flow.truncated {
-            // The collector stopped logging at the packet cap; replay one
-            // surplus copy of the final packet so the offline table hits
-            // its own cap and sets the same truncated bit. The surplus
-            // packet is past the cap, so it is never retained.
-            if let Some(last) = flow.packets.last() {
-                timed.push((last.ts_sec, wire_frame(flow, last)));
-            }
-        }
-    });
-    // Stable sort: global capture-time order, intra-flow order preserved.
-    timed.sort_by_key(|(ts, _)| *ts);
-    let mut w = PcapWriter::new(Vec::new()).expect("header");
-    for (ts, fr) in &timed {
-        w.write_frame(*ts as u32, 0, fr).expect("frame");
-    }
-    let bytes = w.into_inner();
-    let (flows, stats) =
-        flows_from_pcap(bytes.as_slice(), &OfflineConfig::default()).expect("re-ingest");
-    assert_eq!(stats.unparsable, 0);
-    assert_eq!(
-        flows.len() as u64,
-        sim_flows,
-        "round trip split or merged flows"
+    let flows = sharded(1);
+    assert!(!flows.is_empty());
+    assert!(
+        sharded(2) == flows,
+        "sim flows diverged between 1 and 2 shards"
     );
-    let mut round_trip: Vec<String> = flows
+    assert!(
+        sharded(8) == flows,
+        "sim flows diverged between 1 and 8 shards"
+    );
+    let clf_cfg = ClassifierConfig::default();
+    let mut sim_door: Vec<String> = flows
         .iter()
         .map(|f| flow_to_jsonl(f, &classify(f, &clf_cfg)))
         .collect();
+    // The engine hands flows back in generation order; `classify` in
+    // first-seen order. Compare as sorted multisets, byte for byte.
+    sim_door.sort_unstable();
 
-    // The engine hands flows back in generation order; offline ingest in
-    // eviction order. Compare as sorted multisets, byte for byte.
-    let mut engine_sorted = eng1;
-    engine_sorted.sort_unstable();
-    round_trip.sort_unstable();
-    assert_eq!(engine_sorted, round_trip, "sim→engine vs pcap round trip");
+    let mut w = PcapWriter::new(Vec::new()).expect("header");
+    let packets = cli::synthesize(&flows, &mut w).expect("write to memory");
+    let bytes = w.into_inner();
+    for threads in [1usize, 2, 8] {
+        let (text, _, stats) = engine_output(&bytes, threads, Render::Jsonl, None);
+        let read = stats.ingest.packets + stats.ingest.truncated_packets;
+        assert_eq!((read, stats.ingest.unparsable), (packets, 0));
+        let mut pcap_door: Vec<&str> = text.lines().collect();
+        pcap_door.sort_unstable();
+        assert!(
+            sim_door == pcap_door,
+            "sim→engine vs pcap round trip at {threads} shards"
+        );
+    }
 }
 
 /// Acceptance gate: `report` output (the full rendered report AND the JSON

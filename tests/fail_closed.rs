@@ -10,7 +10,7 @@
 //!   the 19 `sig_*.pcap`.
 //! - `frame`: `PacketView::parse` (`WireError`), which must not allocate;
 //!   seeds every frame of `golden.pcap` and two IPv6 frames.
-//! - `payload`: `tls::parse_sni`, `http::parse_request`, `http::parse_host`
+//! - `payload`: `tls::parse_sni`, `http::parse_request`, `request_domain`
 //!   (`WireError`); seeds the golden payloads, a ClientHello and a GET.
 //! - `agg`: `decode_agg`, and `fold_agg` into an accumulator that
 //!   already holds the seed (`AggError`); seed `encode_agg` of a small
@@ -684,7 +684,7 @@ fn payloads_fail_closed() {
         let outcome = run_case(&label, || {
             let _ = tls::parse_sni(bytes);
             let _ = http::parse_request(bytes);
-            let _ = http::parse_host(bytes);
+            let _ = tamperscope::wire::request_domain(bytes);
         });
         tally.record(
             &label,
